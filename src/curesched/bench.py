@@ -381,7 +381,6 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
             limits = SearchLimits(
                 time_limit_seconds=(600.0 if time_limit is None
                                     else time_limit),
-                max_thb=max(SearchLimits().max_thb, thb),
             )
             rep = solve_exact(inst, thb, limits=limits,
                               parts_mode=parts_mode)

@@ -305,7 +305,7 @@ def fits_one_heater(inst: Instance, counts) -> bool:
     if any(c > inst.mold_by_id[m].copies for m, c in counts.items()):
         return False
     if any(u > inst.part_by_id[p].units
-           for p, u in _part_usage(inst, counts).items()):
+           for p, u in part_usage(inst, counts).items()):
         return False
     setup = sum(inst.mold_by_id[m].setup_dmin * c for m, c in counts.items())
     return setup <= inst.period_dmin
@@ -315,7 +315,9 @@ def initial_residents(inst: Instance) -> dict:
     """Heater -> mold multiset mounted before the first period."""
     residents = {k: {} for k in inst.heaters}
     for (m, k), c in inst.init.items():
-        residents[k][m] = residents[k].get(m, 0) + c
+        # an unknown heater is validate_instance's finding, not a crash here
+        on_k = residents.setdefault(k, {})
+        on_k[m] = on_k.get(m, 0) + c
     return residents
 
 
@@ -427,7 +429,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(violations=v)
 
 
-def _part_usage(inst: Instance, counts) -> dict:
+def part_usage(inst: Instance, counts) -> dict:
     """Part units tied down by a mold multiset."""
     usage = {}
     for p in inst.parts:
@@ -482,13 +484,11 @@ def validate_schedule(inst: Instance, schedule: Schedule,
             usable.append(t)
 
     # heater walks: occupancy, changeover budgets, per-tuple capacity
+    initial = initial_residents(inst)
     for h in inst.heaters:
         on_h = sorted((t for t in usable if t.heater == h),
                       key=lambda t: (t.start, t.id))
-        residents = {}
-        for (m, hh), c in inst.init.items():
-            if hh == h:
-                residents[m] = residents.get(m, 0) + c
+        residents = initial[h]
         prev_end = 0
         for t in on_h:
             if t.start < prev_end:
@@ -510,16 +510,18 @@ def validate_schedule(inst: Instance, schedule: Schedule,
 
     # per-period mold copies and part units
     horizon = int(schedule_makespan(schedule)) if schedule.tuples else 0
+    counts_at = [{} for _ in range(horizon)]
+    per_heater_at = [{} for _ in range(horizon)]
+    for t in usable:
+        molds = t.mold_counts()
+        for t0 in range(t.start, t.start + t.length):
+            counts = counts_at[t0]
+            ph = per_heater_at[t0].setdefault(t.heater, {})
+            for m, c in molds.items():
+                counts[m] = counts.get(m, 0) + c
+                ph[m] = ph.get(m, 0) + c
     for t0 in range(horizon):
-        counts = {}
-        per_heater = {}
-        for t in usable:
-            if t.start <= t0 < t.start + t.length:
-                for m, c in t.mold_counts().items():
-                    counts[m] = counts.get(m, 0) + c
-                ph = per_heater.setdefault(t.heater, {})
-                for m, c in t.mold_counts().items():
-                    ph[m] = ph.get(m, 0) + c
+        counts, per_heater = counts_at[t0], per_heater_at[t0]
         for m, c in sorted(counts.items()):
             if c > inst.mold_by_id[m].copies:
                 v.append(
@@ -528,14 +530,14 @@ def validate_schedule(inst: Instance, schedule: Schedule,
                 )
         if parts_mode == PARTS_PER_HEATER:
             for h, ph in sorted(per_heater.items()):
-                for pid, u in sorted(_part_usage(inst, ph).items()):
+                for pid, u in sorted(part_usage(inst, ph).items()):
                     if u > inst.part_by_id[pid].units:
                         v.append(
                             f"part {pid} needs {u} units on heater {h} in "
                             f"period {t0}, only {inst.part_by_id[pid].units} exist"
                         )
         else:
-            for pid, u in sorted(_part_usage(inst, counts).items()):
+            for pid, u in sorted(part_usage(inst, counts).items()):
                 if u > inst.part_by_id[pid].units:
                     v.append(
                         f"part {pid} needs {u} units in period {t0}, "

@@ -59,15 +59,12 @@ class SearchLimits:
 
     max_nodes: int = 5_000_000
     time_limit_seconds: float = 600.0
-    max_thb: int = 400
 
     def __post_init__(self):
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
         if self.time_limit_seconds <= 0:
             raise ValueError("time_limit_seconds must be positive")
-        if self.max_thb <= 0:
-            raise ValueError("max_thb must be positive")
 
 
 @dataclass(frozen=True)
@@ -275,8 +272,6 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
         limits = SearchLimits()
     if thb < 0:
         raise ValueError("thb must be non-negative")
-    if thb > limits.max_thb:
-        raise ValueError(f"thb {thb} exceeds max_thb {limits.max_thb}")
     if incumbent_makespan is not None and incumbent_makespan < 0:
         raise ValueError("incumbent_makespan must be non-negative")
 

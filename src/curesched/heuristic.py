@@ -4,13 +4,13 @@ Each start draws mold pairs at random into batch tuples, places them
 greedily on heaters, then tries a local improvement (split big pair tuples,
 re-place everything, shave overproduced quantities). The driver runs many
 independent starts from per-iteration seeds and keeps the best schedule, so
-results are reproducible for a given seed regardless of worker count. The
-safe horizon's serial schedule competes too, and wins only when strictly
-shorter than every start.
+results are reproducible for a given seed. A start whose tuples cannot all
+be placed is skipped. The safe horizon's serial schedule competes too, and
+wins only when strictly shorter than every start.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 
 from .domain import (
@@ -24,6 +24,7 @@ from .domain import (
     derive_aux_sets,
     fits_one_heater,
     initial_residents,
+    part_usage,
     plan_slot,
     schedule_makespan,
     validate_schedule,
@@ -52,49 +53,72 @@ def iteration_seed(seed: int, index: int) -> int:
 class HeuristicConfig:
     total_iterations: int = 100
     seed: int = 0
-    worker_count: int = 1
     parts_mode: str = PARTS_PER_HEATER
+
+
+# ── what every start of a run shares ─────────────────────────────────
+
+
+@dataclass(frozen=True)
+class _Context:
+    """Data a run derives from the instance once, for all its starts.
+
+    The procedures take it as `ctx`; called without one, they derive it.
+
+    pool        : drawable (m1, m2) pairs, singles included, 0 = empty slot;
+                  a pair must fit one heater on its own (enough copies, part
+                  units for both slots, joint setup work inside one period)
+    heaters_for : (m1, m2) -> heaters able to run the pair, ids ascending
+    counts      : (m1, m2) -> mold multiset of the pair
+    part_need   : (m1, m2) -> part units the pair ties down
+    mold_rivals : (m1, m2) -> pairs sharing a mold with it, itself included
+    part_rivals : (m1, m2) -> pairs sharing a part with it
+    """
+
+    pool: list
+    heaters_for: dict
+    counts: dict
+    part_need: dict
+    mold_rivals: dict
+    part_rivals: dict
+
+
+def _context(inst: Instance) -> _Context:
+    aux = derive_aux_sets(inst)
+    heaters_for = {}
+    for k in inst.heaters:
+        for pair in aux.pairs_by_heater[k]:
+            heaters_for.setdefault(pair, []).append(k)
+    counts = {pair: dict(Counter(m for m in pair if m != EMPTY))
+              for pair in heaters_for}
+    part_need = {pair: part_usage(inst, c) for pair, c in counts.items()}
+
+    def rivals(uses):
+        return {a: [b for b in uses if not uses[a].keys().isdisjoint(uses[b])]
+                for a in uses}
+
+    return _Context(
+        pool=[pair for pair in sorted(heaters_for)
+              if fits_one_heater(inst, counts[pair])],
+        heaters_for=heaters_for,
+        counts=counts,
+        part_need=part_need,
+        mold_rivals=rivals(counts),
+        part_rivals=rivals(part_need),
+    )
 
 
 # ── pairing ──────────────────────────────────────────────────────────
 
 
-def _tuple_part_need(inst: Instance, counts) -> dict:
-    need = {}
-    for p in inst.parts:
-        u = sum(c for m, c in counts.items() if m in p.molds)
-        if u:
-            need[p.id] = u
-    return need
-
-
-def _pair_pool(inst: Instance):
-    """All drawable (m1, m2) pairs, singles included, 0 = empty slot.
-
-    A pair must fit one heater on its own: enough copies, part units for
-    both slots, and the joint setup work inside one period budget.
-    """
-    aux = derive_aux_sets(inst)
-    seen = {(i, j) for (i, j, _k) in aux.triples_ext}
-    pool = []
-    for i, j in sorted(seen):
-        counts = {}
-        for m in (i, j):
-            if m != EMPTY:
-                counts[m] = counts.get(m, 0) + 1
-        if fits_one_heater(inst, counts):
-            pool.append((i, j))
-    return pool
-
-
-def mold_pairs_procedure(inst: Instance, rng) -> list:
+def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
     """Draw batch tuples until every demand is covered.
 
     Batch size per mold is ceil(demand / copies); a draw's quantity is the
     smallest batch size or leftover demand among its molds. An identical
     pair burns demand twice as fast. `rng` only needs a choice() method.
     """
-    pool = _pair_pool(inst)
+    pool = (ctx or _context(inst)).pool
     batch = {
         m.id: ceil_div(m.demand, m.copies)
         for m in inst.molds
@@ -152,66 +176,77 @@ def _earliest_clear(intervals, capacity: int, need: int) -> int:
 
 
 def assignment_procedure(inst: Instance, tuples,
-                         parts_mode: str = PARTS_PER_HEATER) -> Schedule:
+                         parts_mode: str = PARTS_PER_HEATER, *,
+                         ctx=None) -> Schedule:
     """Place tuples one by one, earliest-start-first.
 
-    Each round recomputes every pending tuple's earliest start (heater free,
-    mold copies free, shared part units free in global mode) and places the
-    one that can start soonest, ids breaking ties. The heater is the one
-    reaching that start with the least changeover work, lowest id last.
-    """
-    aux = derive_aux_sets(inst)
-    heaters_for = {}
-    for k in inst.heaters:
-        for pair in aux.pairs_by_heater[k]:
-            heaters_for.setdefault(pair, []).append(k)
+    Each round places the pending tuple that can start soonest (heater
+    free, mold copies free, shared part units free in global mode), ids
+    breaking ties. The heater is the one reaching that start with the least
+    changeover work, lowest id last.
 
-    pending = sorted(
-        (replace(t, heater=None, start=None, length=None) for t in tuples),
-        key=lambda t: t.id,
-    )
+    A tuple's earliest start depends on its pair only, never on its
+    quantity, so each round computes it once per distinct pending pair.
+    The period from which the pair's molds (and, in global mode, their
+    parts) stay free is cached per pair. A placement only adds usage to the
+    molds it holds and the parts they need, so it drops exactly the cached
+    entries of pairs sharing such a mold or part; every other entry is
+    still what a fresh computation would give.
+    """
+    ctx = ctx or _context(inst)
+    heaters_for, counts = ctx.heaters_for, ctx.counts
+    by_global = parts_mode == PARTS_GLOBAL
+    part_need = ctx.part_need if by_global else {}
+
+    # pair -> its pending tuples with their rank in id order, the tie-break
+    queues = {}
+    for rank, t in enumerate(sorted(tuples, key=lambda t: t.id)):
+        if not heaters_for.get((t.m1, t.m2)):
+            raise NoFeasiblePlacement(f"pair ({t.m1}, {t.m2}) fits no heater")
+        queues.setdefault((t.m1, t.m2), deque()).append((rank, t))
     avail = {k: 0 for k in inst.heaters}
+    avail_of = avail.__getitem__
     residents = initial_residents(inst)
     mold_use = {m.id: [] for m in inst.molds}
     part_use = {p.id: [] for p in inst.parts}
+    clear = {}  # pair -> first period from which its molds and parts fit
     placed = []
 
-    while pending:
-        best_key = None
-        best_idx = None
-        for idx, t in enumerate(pending):
-            ks = heaters_for.get((t.m1, t.m2))
-            if not ks:
-                raise NoFeasiblePlacement(
-                    f"pair ({t.m1}, {t.m2}) fits no heater"
-                )
-            ready = min(avail[k] for k in ks)
-            for m, c in t.mold_counts().items():
-                ready = max(
-                    ready,
-                    _earliest_clear(mold_use[m], inst.mold_by_id[m].copies, c),
-                )
-            if parts_mode == PARTS_GLOBAL:
-                for pid, u in _tuple_part_need(inst, t.mold_counts()).items():
-                    ready = max(
-                        ready,
-                        _earliest_clear(part_use[pid], inst.part_by_id[pid].units, u),
-                    )
-            key = (ready, t.id)
+    while queues:
+        best_key = best_pair = None
+        for pair, queue in queues.items():
+            free = clear.get(pair)
+            if free is None:
+                free = 0
+                for m, c in counts[pair].items():
+                    free = max(free, _earliest_clear(
+                        mold_use[m], inst.mold_by_id[m].copies, c))
+                for pid, u in part_need.get(pair, {}).items():
+                    free = max(free, _earliest_clear(
+                        part_use[pid], inst.part_by_id[pid].units, u))
+                clear[pair] = free
+            ready = max(min(map(avail_of, heaters_for[pair])), free)
+            key = (ready, queue[0][0])
             if best_key is None or key < best_key:
-                best_key, best_idx = key, idx
-        t = pending.pop(best_idx)
+                best_key, best_pair = key, pair
         ready = best_key[0]
+        queue = queues[best_pair]
+        _rank, t = queue.popleft()
+        if not queue:
+            del queues[best_pair]
+        molds = counts[best_pair]
 
         chosen = None
-        for k in heaters_for[(t.m1, t.m2)]:
+        for k in heaters_for[best_pair]:
             base = max(avail[k], ready)
+            if chosen is not None and base > chosen[0][0]:
+                continue  # its start is at least base: it cannot win
             plan = plan_slot(inst, k, residents[k], avail[k], base,
-                             t.mold_counts(), t.q)
+                             molds, t.q)
             if plan.problems:
                 # a one-period gap empties the heater first; retry clean
                 plan = plan_slot(inst, k, residents[k], avail[k], base + 1,
-                                 t.mold_counts(), t.q)
+                                 molds, t.q)
                 if plan.problems:
                     continue
             key = (plan.start, plan.deduction, k)
@@ -222,15 +257,20 @@ def assignment_procedure(inst: Instance, tuples,
                 f"tuple {t.id} ({t.m1}, {t.m2}) fits no heater budget"
             )
         (start, _cost, k), plan = chosen
-        t = replace(t, heater=k, start=start, length=plan.length)
-        placed.append(t)
-        avail[k] = start + plan.length
-        residents[k] = dict(t.mold_counts())
-        for m, c in t.mold_counts().items():
-            mold_use[m].append((start, start + plan.length, c))
-        if parts_mode == PARTS_GLOBAL:
-            for pid, u in _tuple_part_need(inst, t.mold_counts()).items():
-                part_use[pid].append((start, start + plan.length, u))
+        end = start + plan.length
+        placed.append(replace(t, heater=k, start=start, length=plan.length))
+        avail[k] = end
+        residents[k] = dict(molds)
+        for m, c in molds.items():
+            mold_use[m].append((start, end, c))
+        need = part_need.get(best_pair, {})
+        for pid, u in need.items():
+            part_use[pid].append((start, end, u))
+        for pair in ctx.mold_rivals[best_pair]:
+            clear.pop(pair, None)
+        if by_global:
+            for pair in ctx.part_rivals[best_pair]:
+                clear.pop(pair, None)
 
     return Schedule(tuples=sorted(placed, key=lambda t: t.id))
 
@@ -255,6 +295,7 @@ def _shave_overproduction(inst: Instance, schedule: Schedule) -> Schedule:
         by_heater.setdefault(t.heater, []).append(t)
 
     out = {t.id: t for t in tuples}
+    initial = initial_residents(inst)
     for k in sorted(by_heater):
         seq = sorted(by_heater[k], key=lambda t: (t.start, t.id))
         last = seq[-1]
@@ -270,10 +311,7 @@ def _shave_overproduction(inst: Instance, schedule: Schedule) -> Schedule:
             delta = min(last.q - 1, surplus)
         if delta <= 0:
             continue
-        residents = {}
-        for (m, kk), c in inst.init.items():
-            if kk == k:
-                residents[m] = residents.get(m, 0) + c
+        residents = initial[k]
         prev_end = 0
         for t in seq[:-1]:
             residents = t.mold_counts()
@@ -290,14 +328,17 @@ def _shave_overproduction(inst: Instance, schedule: Schedule) -> Schedule:
 
 
 def improvement_procedure(inst: Instance, schedule: Schedule,
-                          parts_mode: str = PARTS_PER_HEATER) -> Schedule:
+                          parts_mode: str = PARTS_PER_HEATER, *,
+                          ctx=None) -> Schedule:
     """Split-reassign-shave local search; keeps strictly better schedules.
 
     Every two-mold tuple splits into two halves (identical pairs into two
     identical pairs, mixed pairs into two singles), everything is placed
     from scratch, and overproduced tails are shaved. The candidate replaces
-    the incumbent only when it is feasible and strictly shorter.
+    the incumbent only when it can be placed, is feasible and is strictly
+    shorter.
     """
+    ctx = ctx or _context(inst)
     improved = schedule
     while True:
         base = sorted(improved.tuples, key=lambda t: t.id)
@@ -317,7 +358,10 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
                         split.append(AssignmentTuple(id=next_id, m1=m1, m2=m2, q=q))
             else:
                 split.append(AssignmentTuple(id=t.id, m1=t.m1, m2=t.m2, q=t.q))
-        candidate = assignment_procedure(inst, split, parts_mode)
+        try:
+            candidate = assignment_procedure(inst, split, parts_mode, ctx=ctx)
+        except NoFeasiblePlacement:
+            return improved
         candidate = _shave_overproduction(inst, candidate)
         if (schedule_makespan(candidate) < schedule_makespan(improved)
                 and validate_schedule(inst, candidate, parts_mode).ok):
@@ -329,11 +373,17 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
 # ── multi-start driver ───────────────────────────────────────────────
 
 
-def _single_start(inst: Instance, seed: int, parts_mode: str) -> Schedule:
+def _single_start(inst: Instance, seed: int, parts_mode: str,
+                  ctx: _Context) -> Schedule:
+    """One randomized start; the sentinel candidate if its tuples cannot
+    all be placed."""
     rng = random.Random(seed)
-    tuples = mold_pairs_procedure(inst, rng)
-    sched = assignment_procedure(inst, tuples, parts_mode)
-    return improvement_procedure(inst, sched, parts_mode)
+    tuples = mold_pairs_procedure(inst, rng, ctx=ctx)
+    try:
+        sched = assignment_procedure(inst, tuples, parts_mode, ctx=ctx)
+    except NoFeasiblePlacement:
+        return Schedule.empty_candidate()
+    return improvement_procedure(inst, sched, parts_mode, ctx=ctx)
 
 
 def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
@@ -342,29 +392,26 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     The serial schedule behind the safe horizon (`horizon_witness`) is one
     more candidate. It replaces the best start only when strictly shorter,
     so the result is never longer than the witness, and start-derived
-    results stay as they were everywhere else.
+    results stay as they were everywhere else. Raises NoFeasiblePlacement
+    only when every start fails and the witness does too.
     """
     config = config or HeuristicConfig()
     if inst.total_demand == 0:
         return Schedule(tuples=[])
-    seeds = [
-        iteration_seed(config.seed, i) for i in range(config.total_iterations)
-    ]
-    if config.worker_count > 1:
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            results = list(
-                pool.map(lambda s: _single_start(inst, s, config.parts_mode), seeds)
-            )
-    else:
-        results = [_single_start(inst, s, config.parts_mode) for s in seeds]
-
+    ctx = _context(inst)
     best = Schedule.empty_candidate()
-    best_key = (schedule_makespan(best), -1)
-    for i, sched in enumerate(results):
-        key = (schedule_makespan(sched), i)
-        if key < best_key:
-            best, best_key = sched, key
+    best_makespan = schedule_makespan(best)
+    for i in range(config.total_iterations):
+        sched = _single_start(inst, iteration_seed(config.seed, i),
+                              config.parts_mode, ctx)
+        if schedule_makespan(sched) < best_makespan:
+            best, best_makespan = sched, schedule_makespan(sched)
     witness = horizon_witness(inst)
-    if schedule_makespan(witness) < schedule_makespan(best):
+    if schedule_makespan(witness) < best_makespan:
         return witness
+    if best.sentinel:
+        raise NoFeasiblePlacement(
+            f"no start placed every tuple in {config.total_iterations} tries "
+            "and the safe horizon's serial schedule fits nowhere"
+        )
     return best

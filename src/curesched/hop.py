@@ -120,8 +120,7 @@ def run_hop(inst: Instance, cfg: HopConfig = None):
     solve_clock = time.perf_counter()
 
     if cfg.solver == SOLVER_INTERNAL:
-        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds,
-                              max_thb=max(SearchLimits().max_thb, horizon))
+        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
         sub = solve_exact(inst, horizon, limits, cfg.parts_mode,
                           incumbent_makespan=horizon)
         solver_seconds = time.perf_counter() - solve_clock
@@ -181,8 +180,7 @@ def run_baseline_milp(inst: Instance, cfg: HopConfig = None):
     clock = time.perf_counter()
 
     if cfg.solver == SOLVER_INTERNAL:
-        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds,
-                              max_thb=max(SearchLimits().max_thb, horizon))
+        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
         sub = solve_exact(inst, horizon, limits, cfg.parts_mode)
     else:
         try:

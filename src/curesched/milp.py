@@ -20,6 +20,7 @@ from .domain import (
     Instance,
     Schedule,
     derive_aux_sets,
+    initial_residents,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -397,13 +398,11 @@ def schedule_to_assignment(m: MilpModel, schedule: Schedule) -> dict:
     asg = {}
 
     loads = {}  # (heater, model period) -> mold multiset
+    initial = initial_residents(inst)
     for k in inst.heaters:
         seq = sorted((t for t in schedule.tuples if t.heater == k),
                      key=lambda t: (t.start, t.id))
-        residents = {}
-        for (mm, kk), c in inst.init.items():
-            if kk == k:
-                residents[mm] = residents.get(mm, 0) + c
+        residents = initial[k]
         prev_end = 0
         for t in seq:
             counts = t.mold_counts()

@@ -12,12 +12,17 @@ Frozen traces (hand derivation):
       needs 2 periods; shaving the surplus back to q=9 fits one period.
 """
 
+import hashlib
 import random
 
 import pytest
 
+import curesched.heuristic
 from curesched.domain import (
+    PARTS_GLOBAL,
+    PARTS_PER_HEATER,
     AssignmentTuple,
+    Instance,
     Mold,
     Schedule,
     Part,
@@ -25,7 +30,9 @@ from curesched.domain import (
     validate_instance,
     validate_schedule,
 )
-from curesched.errors import UnproduciblePair
+from curesched.errors import NoFeasiblePlacement, UnproduciblePair
+from curesched.exact import solve_exact
+from curesched.gen import SCENARIOS, generate_instance
 from curesched.heuristic import (
     HeuristicConfig,
     assignment_procedure,
@@ -244,17 +251,87 @@ def test_run_heuristic_deterministic():
     assert key(a) == key(b)
 
 
-def test_run_heuristic_worker_count_does_not_change_result():
-    inst = tiny_instance(5)
-    a = run_heuristic(inst, HeuristicConfig(total_iterations=40, seed=2, worker_count=1))
-    b = run_heuristic(inst, HeuristicConfig(total_iterations=40, seed=2, worker_count=4))
-    key = lambda s: [(t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length) for t in s.tuples]
-    assert key(a) == key(b)
-
-
 def test_run_heuristic_tiny_instances_feasible():
     for seed in range(15):
         inst = tiny_instance(100 + seed)
         sched = run_heuristic(inst, HeuristicConfig(total_iterations=30, seed=seed))
         report = validate_schedule(inst, sched)
         assert report.ok, f"seed {seed}: {report.violations}"
+
+
+def _tuple_rows(schedule):
+    return [(t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length)
+            for t in schedule.tuples]
+
+
+# sha256 of repr(_tuple_rows(...)) at 20 starts, seed 1
+PLANT_DIGESTS = {
+    ("medium", 5, PARTS_PER_HEATER):
+        "e3686d19bfaa597d9f878902d72311102badda6433052d83e59fc67fb2c9b9c4",
+    ("medium", 5, PARTS_GLOBAL):
+        "abc60e5097f353906a891cc480b5626a06afaa54805d9a52b5ef8d9a612973cd",
+    ("large", 2, PARTS_PER_HEATER):
+        "7bff67a290d47e317678892135620bbfffa5933d52ba6776351bc3d5143047c9",
+    ("large", 2, PARTS_GLOBAL):
+        "3c1c9ce4f86605e4c7b74a030faaedc612fab576c922d3b8a7a235b5b80aa734",
+}
+
+
+@pytest.mark.parametrize("size,seed,mode", sorted(PLANT_DIGESTS))
+def test_run_heuristic_plant_schedules_frozen(size, seed, mode):
+    inst = generate_instance(SCENARIOS[size], seed)
+    sched = run_heuristic(
+        inst, HeuristicConfig(total_iterations=20, seed=1, parts_mode=mode))
+    digest = hashlib.sha256(repr(_tuple_rows(sched)).encode()).hexdigest()
+    assert digest == PLANT_DIGESTS[(size, seed, mode)]
+
+
+# ── starts that cannot place every tuple ─────────────────────────────
+
+def _two_removals():
+    """One heater; two copies of mold 1 take 2 x 7300 dmin to remove, more
+    than the 14400 budget, so nothing but mold 1 may follow (1, 1). The
+    mixed pair covers all demand in one period."""
+    return Instance(
+        "two-removals", PHI,
+        molds=(Mold(id=1, copies=2, setup_dmin=600, removal_dmin=7300, demand=8),
+               Mold(id=2, copies=1, setup_dmin=600, removal_dmin=300, demand=8)),
+        heaters=(1,),
+        curing={(1, 1): 1200, (2, 1): 1200},
+        mold_compat=((1, 1), (1, 2)),
+    )
+
+
+def test_two_removals_blocks_a_following_single():
+    inst = _two_removals()
+    assert validate_instance(inst).ok
+    assert solve_exact(inst, 3).makespan == 1
+    with pytest.raises(NoFeasiblePlacement):
+        assignment_procedure(
+            inst, [AssignmentTuple(1, 1, 1, 4), AssignmentTuple(2, 0, 2, 8)])
+
+
+def test_run_heuristic_skips_failed_starts():
+    inst = _two_removals()
+    sched = run_heuristic(inst, HeuristicConfig(total_iterations=100, seed=0))
+    assert validate_schedule(inst, sched).ok
+    assert schedule_makespan(sched) == 2
+
+
+def test_run_heuristic_raises_when_every_start_fails():
+    # seed 0's only start cannot place its tuples, and neither can the
+    # witness: (1, 1), then (0, 2)
+    with pytest.raises(NoFeasiblePlacement):
+        run_heuristic(_two_removals(), HeuristicConfig(total_iterations=1, seed=0))
+
+
+def test_improvement_keeps_incumbent_when_split_cannot_be_placed(monkeypatch):
+    inst = toy1()
+    initial = assignment_procedure(
+        inst, [AssignmentTuple(1, 1, 1, 5), AssignmentTuple(2, 2, 2, 5)])
+
+    def unplaceable(*args, **kwargs):
+        raise NoFeasiblePlacement("no heater budget")
+
+    monkeypatch.setattr(curesched.heuristic, "assignment_procedure", unplaceable)
+    assert improvement_procedure(inst, initial) is initial

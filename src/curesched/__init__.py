@@ -47,6 +47,7 @@ from .milp import (
     check_assignment,
     emit_lp,
     extract_schedule,
+    model_size,
     model_stats,
     schedule_to_assignment,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "instance_to_json",
     "load_instance",
     "load_schedule",
+    "model_size",
     "model_stats",
     "parse_lp",
     "partition_molds",

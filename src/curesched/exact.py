@@ -34,6 +34,7 @@ from .domain import (
     ceil_div,
     derive_aux_sets,
     initial_residents,
+    part_usage,
     schedule_makespan,
     transition_work,
 )
@@ -99,16 +100,18 @@ class SolveReport:
 
 
 class _Frame:
-    """One depth-first search frame: a period's state plus the lazy stream
-    of joint configurations not yet branched on."""
+    """One depth-first search frame: a period's state, its makespan floor
+    once expanded, and the lazy stream of joint configurations not yet
+    branched on."""
 
-    __slots__ = ("period", "res", "residents", "joint_in", "gen")
+    __slots__ = ("period", "res", "residents", "joint_in", "floor", "gen")
 
     def __init__(self, period, res, residents, joint_in):
         self.period = period
         self.res = res
         self.residents = residents
         self.joint_in = joint_in
+        self.floor = None
         self.gen = None
 
 
@@ -129,27 +132,46 @@ def _mold_rate(inst: Instance, mold_id: int, parts_mode: str) -> int:
     return concurrent * per_slot
 
 
-def _heater_options(inst, aux, residents, k, res, used, part_used, parts_mode):
-    """Per-period choices for one heater: an allowed pair at full capacity,
-    or idling (residents leave, which must fit the period).
+def _heater_table(inst, aux, parts_mode):
+    """Per heater, each allowed pair as (pair, mold counts, part usage,
+    slowest cure time), built once per search.  In per-heater mode a pair
+    that alone needs more units of a part than exist is left out."""
+    table = {}
+    for k in inst.heaters:
+        rows = []
+        for i, j in sorted(aux.pairs_by_heater.get(k, ())):
+            counts = {}
+            if i:
+                counts[i] = 1
+            counts[j] = counts.get(j, 0) + 1
+            usage = part_usage(inst, counts)
+            if parts_mode == PARTS_PER_HEATER and any(
+                    c > inst.part_by_id[p].units for p, c in usage.items()):
+                continue
+            max_tv = max(inst.curing[(m, k)] for m in counts)
+            rows.append(((i, j), counts, usage, max_tv))
+        table[k] = rows
+    return table
+
+
+def _heater_options(inst, pairs, residents, res, used, part_used, parts_mode):
+    """Per-period choices for one heater: one of its `pairs` (a
+    `_heater_table` row list) at full capacity, or idling (residents leave,
+    which must fit the period).
 
     Mounting a mold whose residual demand is already zero is skipped, since
     a single-mold slot dominates; pairs that merely keep such a mold
     resident stay available because holding it can be cheaper than paying
     its removal.  Options come back most-productive-first so a depth-first
-    walk reaches good incumbents early.
+    walk reaches good incumbents early, as (pair, counts, usage, cap).
     """
     phi = inst.period_dmin
     opts = []
     removal_bill = sum(inst.mold_by_id[m].removal_dmin * c
                        for m, c in residents.items())
     if removal_bill <= phi:
-        opts.append((0, None, {}, 0))
-    for i, j in sorted(aux.pairs_by_heater.get(k, ())):
-        counts = {}
-        if i:
-            counts[i] = counts.get(i, 0) + 1
-        counts[j] = counts.get(j, 0) + 1
+        opts.append((0, None, {}, {}, 0))
+    for pair, counts, usage, max_tv in pairs:
         ok = True
         for m, c in counts.items():
             if used.get(m, 0) + c > inst.mold_by_id[m].copies:
@@ -161,30 +183,21 @@ def _heater_options(inst, aux, residents, k, res, used, part_used, parts_mode):
                 break
         if not ok:
             continue
-        usage = {}
-        for p in inst.parts:
-            c = sum(cc for m, cc in counts.items() if m in p.molds)
-            if c:
-                usage[p.id] = c
-        if parts_mode == PARTS_PER_HEATER:
-            if any(c > inst.part_by_id[p].units for p, c in usage.items()):
-                continue
-        else:
-            if any(part_used.get(p, 0) + c > inst.part_by_id[p].units
-                   for p, c in usage.items()):
-                continue
+        if parts_mode != PARTS_PER_HEATER and any(
+                part_used.get(p, 0) + c > inst.part_by_id[p].units
+                for p, c in usage.items()):
+            continue
         setups, removals = transition_work(inst, residents, counts)
         if setups + removals > phi:
             continue
-        max_tv = max(inst.curing[(m, k)] for m in counts)
         cap = (phi - setups - removals) // max_tv
         useful = sum(min(res.get(m, 0), cap * c) for m, c in counts.items())
-        opts.append((useful, (i, j), counts, cap))
+        opts.append((useful, pair, counts, usage, cap))
     opts.sort(key=lambda o: (-o[0], o[1] is None, o[1] or (0, 0)))
-    return [(pair, counts, cap) for _, pair, counts, cap in opts]
+    return [o[1:] for o in opts]
 
 
-def _iter_joint_configs(inst, aux, residents_by_heater, res, parts_mode):
+def _iter_joint_configs(inst, table, residents_by_heater, res, parts_mode):
     """Joint per-period configurations across heaters, yielded lazily in
     heater id order so huge plants never materialize the cross product."""
     heaters = list(inst.heaters)
@@ -194,20 +207,19 @@ def _iter_joint_configs(inst, aux, residents_by_heater, res, parts_mode):
             yield list(acc)
             return
         k = heaters[idx]
-        options = _heater_options(inst, aux, residents_by_heater[k], k,
+        options = _heater_options(inst, table[k], residents_by_heater[k],
                                   res, used, part_used, parts_mode)
-        for pair, counts, cap in options:
+        for pair, counts, usage, cap in options:
             new_used = used
             new_part = part_used
             if counts:
                 new_used = dict(used)
                 for m, c in counts.items():
                     new_used[m] = new_used.get(m, 0) + c
+            if usage:
                 new_part = dict(part_used)
-                for p in inst.parts:
-                    c = sum(cc for m, cc in counts.items() if m in p.molds)
-                    if c:
-                        new_part[p.id] = new_part.get(p.id, 0) + c
+                for p, c in usage.items():
+                    new_part[p] = new_part.get(p, 0) + c
             acc.append((k, pair, counts, cap))
             yield from rec(idx + 1, new_used, new_part, acc)
             acc.pop()
@@ -265,6 +277,15 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
     pruning bound; the search then only looks for strictly shorter
     schedules, and exhausting the tree without finding one proves the
     incumbent optimal (reported with schedule None).
+
+    A frame's floor, `period - 1 + lower_bound(res)`, is checked when the
+    frame is first touched and again each time the search comes back to
+    it; once `best` has fallen to the floor, the frame's remaining joint
+    configurations are dropped unread.  That is exact: `_mold_rate` bounds
+    one period's production of each mold, so a child's floor is never
+    below its parent's and no child could beat `best`: the children
+    dropped here would each be pruned on touch, before the memo or the
+    node count sees them.  Under a limit the search only gets further.
     """
     if parts_mode not in PARTS_MODES:
         raise ValueError(f"unknown parts mode {parts_mode!r}")
@@ -277,7 +298,7 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
 
     start_clock = time.perf_counter()
     deadline = start_clock + limits.time_limit_seconds
-    aux = derive_aux_sets(inst)
+    table = _heater_table(inst, derive_aux_sets(inst), parts_mode)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
     rate = {i: _mold_rate(inst, i, parts_mode) for i in demanded}
 
@@ -342,8 +363,13 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
             if nodes > limits.max_nodes or time.perf_counter() > deadline:
                 hit_limit = True
                 break
-            fr.gen = _iter_joint_configs(inst, aux, residents, res,
+            fr.floor = floor
+            fr.gen = _iter_joint_configs(inst, table, residents, res,
                                          parts_mode)
+        elif fr.floor >= best:
+            # every child would be pruned on touch: drop the rest unread
+            stack.pop()
+            continue
         joint = next(fr.gen, None)
         if joint is None:
             stack.pop()

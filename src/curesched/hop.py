@@ -8,6 +8,10 @@ pipeline returns the better of the two phases; the heuristic schedule
 witnesses feasibility at that horizon, so it never comes back
 empty-handed.  `run_baseline_milp` is the reference point: the same
 solve phase, but on the safe a-priori horizon bound instead.
+
+Only the external adapter solves the MILP, so only its branch builds one;
+with the internal search the reported size comes from `model_size` and
+no MILP is built.
 """
 
 import time
@@ -31,7 +35,7 @@ from .errors import (
 from .exact import SearchLimits, SolveReport, SolverAdapter, solve_exact, solve_with_adapter
 from .heuristic import HeuristicConfig, run_heuristic
 from .horizon import compute_thb
-from .milp import build_model, model_stats
+from .milp import build_model, model_size, model_stats
 
 SOLVER_INTERNAL = "internal-exact"
 SOLVER_ADAPTER = "external-adapter"
@@ -81,6 +85,15 @@ def _effective_adapter(cfg: HopConfig) -> SolverAdapter:
     return adapter
 
 
+def _model_for(inst, horizon, cfg: HopConfig):
+    """(model, stats) on `horizon`: the adapter gets a built model, the
+    internal search none, with its size in closed form."""
+    if cfg.solver == SOLVER_INTERNAL:
+        return None, model_size(inst, horizon, cfg.parts_mode)
+    model = build_model(inst, horizon, cfg.parts_mode)
+    return model, model_stats(model)
+
+
 def _checked(inst, schedule, parts_mode) -> Schedule:
     report = validate_schedule(inst, schedule, parts_mode)
     if not report.ok:
@@ -115,8 +128,7 @@ def run_hop(inst: Instance, cfg: HopConfig = None):
                              solver_seconds=0.0)
         return report, heur_schedule
 
-    model = build_model(inst, horizon, cfg.parts_mode)
-    stats = model_stats(model)
+    model, stats = _model_for(inst, horizon, cfg)
     solve_clock = time.perf_counter()
 
     if cfg.solver == SOLVER_INTERNAL:
@@ -175,8 +187,7 @@ def run_baseline_milp(inst: Instance, cfg: HopConfig = None):
                            solver_seconds=0.0), empty
 
     horizon = compute_thb(inst)
-    model = build_model(inst, horizon, cfg.parts_mode)
-    stats = model_stats(model)
+    model, stats = _model_for(inst, horizon, cfg)
     clock = time.perf_counter()
 
     if cfg.solver == SOLVER_INTERNAL:

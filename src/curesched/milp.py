@@ -259,7 +259,46 @@ def build_model(inst: Instance, thb: int,
     )
 
 
+def model_size(inst: Instance, thb: int,
+               parts_mode: str = PARTS_PER_HEATER) -> ModelStats:
+    """The counts `model_stats(build_model(inst, thb, parts_mode))` gives,
+    in closed form and without building anything.
+
+    Every row and variable family of `build_model` is a product of the
+    mold, heater and part counts, `len(triples_ext)` and the periods;
+    only the prefix rows (`max(thb - 1, 0)`) and the demand rows (none at
+    `thb == 0`) break the pattern.  `tests/test_milp.py::
+    test_model_size_matches_build` checks the two agree.
+    """
+    if parts_mode not in PARTS_MODES:
+        raise ValueError(f"unknown parts mode {parts_mode!r}")
+    if thb < 0:
+        raise ValueError("horizon must be non-negative")
+    n_molds = len(inst.mold_ids)
+    n_heaters = len(inst.heaters)
+    n_ext = len(derive_aux_sets(inst).triples_ext)
+    part_scopes = n_heaters if parts_mode == PARTS_PER_HEATER else 1
+    per_period = (
+        1                               # active
+        + n_heaters                     # slots
+        + 2 * n_ext                     # cap, rate
+        + 2 * n_molds                   # prod, copies
+        + 3 * n_molds * n_heaters       # molds, setup, removal
+        + len(inst.parts) * part_scopes  # parts
+    )
+    rows = (max(thb - 1, 0) + per_period * thb
+            + (n_molds if thb > 0 else 0)   # demand
+            + n_molds * n_heaters)          # start
+    return ModelStats(
+        n_constraints=rows,
+        n_binary_vars=(n_ext + 1) * thb,
+        n_integer_vars=(n_ext + n_molds) * thb,
+        thb=thb,
+    )
+
+
 def model_stats(m: MilpModel) -> ModelStats:
+    """The counts of a model that was actually built."""
     return ModelStats(
         n_constraints=len(m.constraints),
         n_binary_vars=len(m.z) + len(m.w),

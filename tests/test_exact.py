@@ -9,11 +9,13 @@ Frozen oracle values:
       1-period horizon is infeasible and a 2-period one is optimal.
 """
 
+import hashlib
 import random
 import sys
 
 import pytest
 
+import curesched.exact
 from curesched.domain import (
     Mold,
     Part,
@@ -30,6 +32,7 @@ from curesched.errors import (
     SolutionParseError,
 )
 from curesched.exact import SearchLimits, SolverAdapter, solve_exact, solve_with_adapter
+from curesched.gen import SCENARIOS, generate_instance
 from curesched.horizon import compute_thb
 from curesched.milp import build_model
 
@@ -178,6 +181,51 @@ def test_capacity_greedy_production_loses_nothing():
         every_level = brute_force_optimum_all_levels(inst, thb)
         assert greedy == every_level, inst.name
         assert solve_exact(inst, thb).makespan == greedy, inst.name
+
+
+# sha256 of repr([(status, makespan, nodes, schedule rows), ...]) over tiny
+# 1000-1199 at compute_thb with no limit
+TINY_ORACLE_DIGESTS = {
+    PARTS_PER_HEATER:
+        "11cdda46353a93282f1579d6a373e0ce92385160387b7e0f0c87b402e70ee4e8",
+    PARTS_GLOBAL:
+        "4dcb32e18106f0becae20972da167f1456192f7223d60d43b3354fc8a8b641f3",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TINY_ORACLE_DIGESTS))
+def test_exact_tiny_results_frozen(mode):
+    out = []
+    for seed in range(1000, 1200):
+        inst = tiny_instance(seed)
+        r = solve_exact(inst, compute_thb(inst), parts_mode=mode)
+        rows = None if r.schedule is None else [
+            (t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length)
+            for t in r.schedule.tuples]
+        out.append((r.status, r.makespan, r.nodes, rows))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == TINY_ORACLE_DIGESTS[mode]
+
+
+def test_exact_stops_at_its_proof(monkeypatch):
+    # S01's root bound is 2 and the search reaches it after 4 nodes; from
+    # then on no open frame can beat it, so few more configurations are
+    # drawn (checking floors on first touch alone drew 41,289)
+    draws = 0
+    original = curesched.exact._iter_joint_configs
+
+    def counted(*args, **kwargs):
+        nonlocal draws
+        for joint in original(*args, **kwargs):
+            draws += 1
+            yield joint
+
+    monkeypatch.setattr(curesched.exact, "_iter_joint_configs", counted)
+    inst = generate_instance(SCENARIOS["small"], 1)
+    report = solve_exact(inst, 4, incumbent_makespan=4)
+    assert (report.status, report.makespan, report.nodes) == ("optimal", 2, 4)
+    assert validate_schedule(inst, report.schedule).ok
+    assert draws < 5000
 
 
 def test_exact_deterministic():

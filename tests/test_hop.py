@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+import curesched.hop
+
 from curesched.domain import (
     Mold,
     PARTS_GLOBAL,
@@ -29,6 +31,7 @@ from curesched.hop import (
     run_hop,
 )
 from curesched.horizon import compute_thb
+from curesched.milp import build_model, model_stats
 
 from helpers import single_mold_big, tiny_instance, toy1, toy2, variant
 
@@ -157,3 +160,20 @@ def test_hop_global_parts_mode():
     report, schedule = run_hop(toy2(), cfg)
     assert (report.status, report.makespan) == ("optimal", 2)
     assert validate_schedule(toy2(), schedule, PARTS_GLOBAL).ok
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_internal_solver_builds_no_model(monkeypatch, mode):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the internal solver needs no MILP")
+
+    monkeypatch.setattr(curesched.hop, "build_model", no_build)
+    cfg = HopConfig(heuristic=HeuristicConfig(total_iterations=20, seed=1,
+                                              parts_mode=mode),
+                    solver=SOLVER_INTERNAL, parts_mode=mode)
+    for inst, hop_thb in ((toy1(), 2), (toy2(), 2)):
+        for run, thb in ((run_hop, hop_thb),
+                         (run_baseline_milp, compute_thb(inst))):
+            report, schedule = run(inst, cfg)
+            assert validate_schedule(inst, schedule, mode).ok
+            assert report.stats == model_stats(build_model(inst, thb, mode))

@@ -14,6 +14,7 @@ toy2 adds one part over molds {1,2}: +1 row per heater-period -> 51.
 import pytest
 
 from curesched.domain import (
+    PARTS_MODES,
     AssignmentTuple,
     Mold,
     Schedule,
@@ -21,17 +22,26 @@ from curesched.domain import (
     validate_schedule,
 )
 from curesched.errors import InfeasibleAssignment
+from curesched.gen import SCENARIOS, generate_instance
 from curesched.lpformat import parse_lp
 from curesched.milp import (
     build_model,
     check_assignment,
     emit_lp,
     extract_schedule,
+    model_size,
     model_stats,
     schedule_to_assignment,
 )
 
-from helpers import single_mold_big, toy1, toy1_two_heaters, toy2, variant
+from helpers import (
+    single_mold_big,
+    tiny_instance,
+    toy1,
+    toy1_two_heaters,
+    toy2,
+    variant,
+)
 
 
 def toy2_two_heaters():
@@ -94,6 +104,35 @@ def test_parts_mode_changes_row_count_on_two_heaters():
     assert per_heater.n_constraints - global_.n_constraints == 2
     assert per_heater.n_binary_vars == global_.n_binary_vars
     assert per_heater.n_integer_vars == global_.n_integer_vars
+
+
+def _size_cases():
+    yield toy1()
+    yield toy2()
+    for seed in range(1000, 1060):
+        yield tiny_instance(seed)
+    for size, seeds in (("small", range(1, 16)), ("medium", (1, 2)),
+                        ("large", (1,))):
+        for seed in seeds:
+            yield generate_instance(SCENARIOS[size], seed)
+
+
+def test_model_size_matches_build():
+    checked = 0
+    for inst in _size_cases():
+        for mode in PARTS_MODES:
+            for thb in (0, 1, 2, 5):
+                built = model_stats(build_model(inst, thb, mode))
+                assert model_size(inst, thb, mode) == built, (inst.name, mode, thb)
+                checked += 1
+    assert checked == 640
+
+
+def test_model_size_rejects_what_build_rejects():
+    with pytest.raises(ValueError):
+        model_size(toy1(), -1)
+    with pytest.raises(ValueError):
+        model_size(toy1(), 2, parts_mode="shared")
 
 
 def test_part_row_shape():

@@ -1,10 +1,11 @@
 """curesched: lot sizing and scheduling of tire curing heaters.
 
 Computes minimum-makespan curing schedules under mold, heater, and accessory
-constraints, via a randomized multi-start heuristic, an exact integer model
-(emitted as LP files and solved by an internal branch and bound or any
-conforming external solver), and a hybrid that uses the heuristic makespan to
-shrink the model's planning horizon.
+constraints, via a randomized multi-start heuristic, two exact solvers (an
+internal branch and bound over per-period heater configurations, and any
+conforming external solver fed the integer model as an LP file), and a
+hybrid that uses the heuristic makespan to shrink the exact stage's planning
+horizon.
 """
 
 from .domain import (

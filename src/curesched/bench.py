@@ -170,17 +170,21 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_instance(path) -> Instance:
+def _read_json(path):
+    """The JSON document in a file; unreadable or malformed is ValueError."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return instance_from_json(doc)
+
+
+def load_instance(path) -> Instance:
+    return instance_from_json(_read_json(path))
 
 
 def toy_instance(name: str) -> Instance:
@@ -228,16 +232,7 @@ def save_schedule(schedule: Schedule, path) -> None:
 
 
 def load_schedule(path) -> Schedule:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return schedule_from_json(doc)
+    return schedule_from_json(_read_json(path))
 
 
 # ── result rows ──────────────────────────────────────────────────────
@@ -391,8 +386,7 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
 
         adapter = None
         if solver_cmd:
-            adapter = SolverAdapter(tuple(shlex.split(solver_cmd)),
-                                    time_limit_seconds=time_limit)
+            adapter = SolverAdapter(tuple(shlex.split(solver_cmd)))
         kwargs = {
             "heuristic": heuristic_cfg,
             "solver": SOLVER_ADAPTER if adapter else SOLVER_INTERNAL,
@@ -565,12 +559,7 @@ def _cmd_generate(args):
 
 def _cmd_bench(args):
     suite_path = Path(args.suite)
-    try:
-        suite = json.loads(suite_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"{suite_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{suite_path}: invalid JSON: {exc}") from exc
+    suite = _read_json(suite_path)
     modes = _field(suite, "modes", "suite")
     record_time = args.record_time or bool(suite.get("record_time"))
     rows = run_benchmark(suite, base_dir=suite_path.parent)

@@ -321,6 +321,22 @@ def initial_residents(inst: Instance) -> dict:
     return residents
 
 
+def heater_walk(inst: Instance, tuples):
+    """Replay every heater's tuples: yields (heater, tuple, residents,
+    prev_end), heaters ascending and each heater's tuples in (start, id)
+    order, where residents and prev_end are what the heater's previous
+    occupant (at first its initial loading, ending at 0) left behind."""
+    by_heater = {}
+    for t in tuples:
+        by_heater.setdefault(t.heater, []).append(t)
+    initial = initial_residents(inst)
+    for k in inst.heaters:
+        residents, prev_end = initial[k], 0
+        for t in sorted(by_heater.get(k, ()), key=lambda t: (t.start, t.id)):
+            yield k, t, residents, prev_end
+            residents, prev_end = t.mold_counts(), t.start + t.length
+
+
 # ── validation ───────────────────────────────────────────────────────
 
 
@@ -484,29 +500,21 @@ def validate_schedule(inst: Instance, schedule: Schedule,
             usable.append(t)
 
     # heater walks: occupancy, changeover budgets, per-tuple capacity
-    initial = initial_residents(inst)
-    for h in inst.heaters:
-        on_h = sorted((t for t in usable if t.heater == h),
-                      key=lambda t: (t.start, t.id))
-        residents = initial[h]
-        prev_end = 0
-        for t in on_h:
-            if t.start < prev_end:
-                v.append(f"tuples overlap on heater {h} at period {t.start}")
-                # resync so later tuples still get checked
-                prev_end = t.start
-            plan = plan_slot(inst, h, residents, prev_end, t.start,
-                             t.mold_counts(), t.q)
-            for p in plan.problems:
-                v.append(f"tuple {t.id} on heater {h}: {p}")
-            available = plan.cap_first + (t.length - 1) * plan.cap_int
-            if t.q > available:
-                v.append(
-                    f"tuple {t.id} on heater {h}: capacity {available} over "
-                    f"{t.length} period(s) cannot cover quantity {t.q}"
-                )
-            residents = t.mold_counts()
-            prev_end = t.start + t.length
+    for h, t, residents, prev_end in heater_walk(inst, usable):
+        if t.start < prev_end:
+            v.append(f"tuples overlap on heater {h} at period {t.start}")
+            # resync so this tuple's own budgets still get checked
+            prev_end = t.start
+        plan = plan_slot(inst, h, residents, prev_end, t.start,
+                         t.mold_counts(), t.q)
+        for p in plan.problems:
+            v.append(f"tuple {t.id} on heater {h}: {p}")
+        available = plan.cap_first + (t.length - 1) * plan.cap_int
+        if t.q > available:
+            v.append(
+                f"tuple {t.id} on heater {h}: capacity {available} over "
+                f"{t.length} period(s) cannot cover quantity {t.q}"
+            )
 
     # per-period mold copies and part units
     horizon = int(schedule_makespan(schedule)) if schedule.tuples else 0

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 
 from .domain import (
-    AssignmentTuple,
     Instance,
     PARTS_MODES,
     PARTS_PER_HEATER,
@@ -43,7 +42,14 @@ from .errors import (
     AdapterUnavailable,
     SolutionParseError,
 )
-from .milp import MilpModel, ModelStats, extract_schedule, emit_lp, model_stats
+from .milp import (
+    MilpModel,
+    ModelStats,
+    emit_lp,
+    extract_schedule,
+    model_stats,
+    schedule_from_periods,
+)
 
 __all__ = [
     "SearchLimits",
@@ -73,7 +79,6 @@ class SolverAdapter:
     """How to invoke an external MILP solver executable."""
 
     command: tuple
-    time_limit_seconds: float = None
 
 
 @dataclass
@@ -241,31 +246,11 @@ def _config_production(joint):
 
 def _path_schedule(inst, path) -> Schedule:
     """Turn a per-period config history into merged assignment tuples."""
-    per_heater = {k: [] for k in inst.heaters}
+    periods = {k: [] for k in inst.heaters}
     for joint in path:
         for k, pair, _, cap in joint:
-            per_heater[k].append((pair, cap))
-    tuples = []
-    next_id = 1
-    for k in inst.heaters:
-        seq = per_heater[k]
-        t = 0
-        while t < len(seq):
-            pair, cap = seq[t]
-            if pair is None:
-                t += 1
-                continue
-            q = cap
-            end = t + 1
-            while end < len(seq) and seq[end][0] == pair:
-                q += seq[end][1]
-                end += 1
-            i, j = pair
-            tuples.append(AssignmentTuple(id=next_id, m1=i, m2=j, q=q,
-                                          heater=k, start=t, length=end - t))
-            next_id += 1
-            t = end
-    return Schedule(tuples=tuples)
+            periods[k].append((pair, cap))
+    return schedule_from_periods(inst, periods)
 
 
 def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
@@ -437,8 +422,10 @@ def _parse_solution(text: str):
     return assignment, objective
 
 
-def solve_with_adapter(m: MilpModel, adapter: SolverAdapter) -> SolveReport:
-    """Solve a built model through an external solver command.
+def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
+                       time_limit_seconds: float = None) -> SolveReport:
+    """Solve a built model through an external solver command, stopping it
+    after `time_limit_seconds` when given.
 
     Raises AdapterUnavailable when the command is missing, AdapterFailure
     on an unexpected exit code, SolutionParseError on an unreadable
@@ -454,14 +441,14 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter) -> SolveReport:
         with open(lp_path, "w") as fh:
             fh.write(emit_lp(m))
         env = dict(os.environ)
-        if adapter.time_limit_seconds is not None:
-            env["CURESCHED_LPSOLVE_TIME_LIMIT"] = str(adapter.time_limit_seconds)
+        if time_limit_seconds is not None:
+            env["CURESCHED_LPSOLVE_TIME_LIMIT"] = str(time_limit_seconds)
         try:
             proc = subprocess.run(
                 command + [lp_path, sol_path],
                 capture_output=True,
                 text=True,
-                timeout=adapter.time_limit_seconds,
+                timeout=time_limit_seconds,
                 env=env,
             )
         except FileNotFoundError as exc:

@@ -23,6 +23,7 @@ from .domain import (
     ceil_div,
     derive_aux_sets,
     fits_one_heater,
+    heater_walk,
     initial_residents,
     part_usage,
     plan_slot,
@@ -290,15 +291,13 @@ def _shave_overproduction(inst: Instance, schedule: Schedule) -> Schedule:
         for m, n in t.production().items():
             produced[m] += n
 
-    by_heater = {}
-    for t in tuples:
-        by_heater.setdefault(t.heater, []).append(t)
+    # each heater's last tuple, with what its predecessor left behind
+    last_on = {}
+    for k, t, residents, prev_end in heater_walk(inst, tuples):
+        last_on[k] = (t, residents, prev_end)
 
     out = {t.id: t for t in tuples}
-    initial = initial_residents(inst)
-    for k in sorted(by_heater):
-        seq = sorted(by_heater[k], key=lambda t: (t.start, t.id))
-        last = seq[-1]
+    for k, (last, residents, prev_end) in last_on.items():
         if last.q <= 1:
             continue
         surplus = min(
@@ -311,11 +310,6 @@ def _shave_overproduction(inst: Instance, schedule: Schedule) -> Schedule:
             delta = min(last.q - 1, surplus)
         if delta <= 0:
             continue
-        residents = initial[k]
-        prev_end = 0
-        for t in seq[:-1]:
-            residents = t.mold_counts()
-            prev_end = t.start + t.length
         new_q = last.q - delta
         plan = plan_slot(inst, k, residents, prev_end, last.start,
                          last.mold_counts(), new_q)

@@ -9,13 +9,14 @@ witnesses feasibility at that horizon, so it never comes back
 empty-handed.  `run_baseline_milp` is the reference point: the same
 solve phase, but on the safe a-priori horizon bound instead.
 
-Only the external adapter solves the MILP, so only its branch builds one;
-with the internal search the reported size comes from `model_size` and
-no MILP is built.
+Both pipelines hand their horizon to one exact stage, `_exact_stage`: the
+internal search, or a built MILP for the external adapter, under the one
+time limit `HopConfig.time_limit_seconds`.  Either way the reported model
+size comes from `model_size`.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .domain import (
     Instance,
@@ -35,7 +36,7 @@ from .errors import (
 from .exact import SearchLimits, SolveReport, SolverAdapter, solve_exact, solve_with_adapter
 from .heuristic import HeuristicConfig, run_heuristic
 from .horizon import compute_thb
-from .milp import build_model, model_size, model_stats
+from .milp import build_model, model_size
 
 SOLVER_INTERNAL = "internal-exact"
 SOLVER_ADAPTER = "external-adapter"
@@ -52,7 +53,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HopConfig:
-    """Settings for the hybrid pipeline and its baseline counterpart."""
+    """Settings for the hybrid pipeline and its baseline counterpart.
+
+    `time_limit_seconds` bounds the exact stage on either backend.
+    """
 
     heuristic: HeuristicConfig = None
     solver: str = SOLVER_INTERNAL
@@ -70,6 +74,8 @@ class HopConfig:
         if (self.heuristic is not None
                 and self.heuristic.parts_mode != self.parts_mode):
             raise ValueError("heuristic parts_mode disagrees with pipeline")
+        if self.solver == SOLVER_ADAPTER and self.adapter is None:
+            raise ValueError("the external-adapter solver needs an adapter")
 
 
 def _heuristic_config(cfg: HopConfig) -> HeuristicConfig:
@@ -78,20 +84,30 @@ def _heuristic_config(cfg: HopConfig) -> HeuristicConfig:
     return HeuristicConfig(parts_mode=cfg.parts_mode)
 
 
-def _effective_adapter(cfg: HopConfig) -> SolverAdapter:
-    adapter = cfg.adapter
-    if adapter is not None and adapter.time_limit_seconds is None:
-        adapter = replace(adapter, time_limit_seconds=cfg.time_limit_seconds)
-    return adapter
+def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None):
+    """(report, stats): the configured backend's solve on `horizon`, and
+    the size of the model on it.
 
-
-def _model_for(inst, horizon, cfg: HopConfig):
-    """(model, stats) on `horizon`: the adapter gets a built model, the
-    internal search none, with its size in closed form."""
+    An adapter that is missing or fails ends the stage at "limit" with no
+    schedule.  With an `incumbent` makespan, which a schedule on `horizon`
+    witnesses, an adapter's "infeasible" is a solver fault and raises
+    AdapterFailure.
+    """
+    stats = model_size(inst, horizon, cfg.parts_mode)
     if cfg.solver == SOLVER_INTERNAL:
-        return None, model_size(inst, horizon, cfg.parts_mode)
+        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
+        return solve_exact(inst, horizon, limits, cfg.parts_mode,
+                           incumbent_makespan=incumbent), stats
     model = build_model(inst, horizon, cfg.parts_mode)
-    return model, model_stats(model)
+    try:
+        sub = solve_with_adapter(model, cfg.adapter, cfg.time_limit_seconds)
+    except (AdapterUnavailable, AdapterFailure):
+        return SolveReport("adapter", "limit", None, None, 0.0), stats
+    if incumbent is not None and sub.status == "infeasible":
+        raise AdapterFailure(
+            "solver reported infeasible on a horizon the heuristic "
+            "schedule already witnesses")
+    return sub, stats
 
 
 def _checked(inst, schedule, parts_mode) -> Schedule:
@@ -128,48 +144,15 @@ def run_hop(inst: Instance, cfg: HopConfig = None):
                              solver_seconds=0.0)
         return report, heur_schedule
 
-    model, stats = _model_for(inst, horizon, cfg)
     solve_clock = time.perf_counter()
-
-    if cfg.solver == SOLVER_INTERNAL:
-        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
-        sub = solve_exact(inst, horizon, limits, cfg.parts_mode,
-                          incumbent_makespan=horizon)
-        solver_seconds = time.perf_counter() - solve_clock
-        if sub.makespan is not None and sub.makespan < horizon \
-                and sub.schedule is not None:
-            best_makespan, best_schedule = sub.makespan, sub.schedule
-        else:
-            best_makespan, best_schedule = horizon, heur_schedule
-        status, gap = sub.status, sub.gap_percent
-    else:
-        try:
-            sub = solve_with_adapter(model, _effective_adapter(cfg))
-        except (AdapterUnavailable, AdapterFailure):
-            solver_seconds = time.perf_counter() - solve_clock
-            report = SolveReport("hop", "limit", horizon, None,
-                                 heur_seconds + solver_seconds, stats=stats,
-                                 schedule=heur_schedule,
-                                 heuristic_seconds=heur_seconds,
-                                 solver_seconds=solver_seconds)
-            return report, heur_schedule
-        solver_seconds = time.perf_counter() - solve_clock
-        if sub.status == "infeasible":
-            raise AdapterFailure(
-                "solver reported infeasible on a horizon the heuristic "
-                "schedule already witnesses")
-        if sub.status == "optimal" and sub.makespan < horizon:
-            best_makespan, best_schedule = sub.makespan, sub.schedule
-            status, gap = "optimal", 0.0
-        elif sub.status == "optimal":
-            best_makespan, best_schedule = horizon, heur_schedule
-            status, gap = "optimal", 0.0
-        else:  # timed out; the heuristic incumbent stands
-            best_makespan, best_schedule = horizon, heur_schedule
-            status, gap = "limit", None
-
+    sub, stats = _exact_stage(inst, horizon, cfg, incumbent=horizon)
+    if sub.schedule is not None and sub.makespan < horizon:
+        best_makespan, best_schedule = sub.makespan, sub.schedule
+    else:  # the heuristic incumbent stands
+        best_makespan, best_schedule = horizon, heur_schedule
     best_schedule = _checked(inst, best_schedule, cfg.parts_mode)
-    report = SolveReport("hop", status, best_makespan, gap,
+    solver_seconds = time.perf_counter() - solve_clock
+    report = SolveReport("hop", sub.status, best_makespan, sub.gap_percent,
                          heur_seconds + solver_seconds, stats=stats,
                          schedule=best_schedule,
                          heuristic_seconds=heur_seconds,
@@ -187,24 +170,12 @@ def run_baseline_milp(inst: Instance, cfg: HopConfig = None):
                            solver_seconds=0.0), empty
 
     horizon = compute_thb(inst)
-    model, stats = _model_for(inst, horizon, cfg)
     clock = time.perf_counter()
-
-    if cfg.solver == SOLVER_INTERNAL:
-        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
-        sub = solve_exact(inst, horizon, limits, cfg.parts_mode)
-    else:
-        try:
-            sub = solve_with_adapter(model, _effective_adapter(cfg))
-        except (AdapterUnavailable, AdapterFailure):
-            wall = time.perf_counter() - clock
-            return SolveReport("milp", "limit", None, None, wall, stats=stats,
-                               solver_seconds=wall), None
-    wall = time.perf_counter() - clock
-
+    sub, stats = _exact_stage(inst, horizon, cfg)
     schedule = sub.schedule
     if schedule is not None:
         schedule = _checked(inst, schedule, cfg.parts_mode)
+    wall = time.perf_counter() - clock
     report = SolveReport("milp", sub.status, sub.makespan, sub.gap_percent,
                          wall, stats=stats, schedule=schedule,
                          solver_seconds=wall)

@@ -4,7 +4,8 @@ The emitter writes the classic sectioned layout (Minimize / Subject To /
 Bounds / Generals / Binaries / End) with backslash comment lines and folds
 long rows at a fixed width. The parser reads that dialect back (plus the
 common sense spellings =< and =>), enough for round-trip checks and for the
-bundled reference solver.
+bundled reference solver.  It reads minimization models only: a Maximize
+section raises ValueError rather than being solved as a minimization.
 """
 
 import re
@@ -16,9 +17,10 @@ _CONT_INDENT = "   "
 _NUM_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
+_MAXIMIZE = frozenset(("maximize", "maximise", "maximum"))
+
 _SECTION_STARTS = {
     "minimize": "objective",
-    "maximize": "objective",
     "subject to": "rows",
     "such that": "rows",
     "st": "rows",
@@ -160,6 +162,8 @@ def parse_lp(text: str) -> ParsedLp:
         if not line.strip():
             continue
         key = line.strip().lower()
+        if key in _MAXIMIZE:
+            raise ValueError("maximization is not supported")
         if key in _SECTION_STARTS:
             current = _SECTION_STARTS[key]
             if current == "end":

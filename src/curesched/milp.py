@@ -9,6 +9,7 @@ schedule_to_assignment encodes a schedule for cross-checking.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .domain import (
     EMPTY,
@@ -20,7 +21,7 @@ from .domain import (
     Instance,
     Schedule,
     derive_aux_sets,
-    initial_residents,
+    heater_walk,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -391,30 +392,35 @@ def extract_schedule(m: MilpModel, assignment) -> Schedule:
     def val(name):
         return int(assignment.get(name, 0))
 
-    runs = []
+    periods = {}
     for k in m.inst.heaters:
         pairs = sorted(m.aux.pairs_by_heater[k])
-        run = None  # [pair, start_period, length, quantity]
+        seq = periods[k] = []
         for t in range(1, m.thb + 1):
-            active = [(i, j) for (i, j) in pairs if val(m.z[(i, j, k, t)]) == 1]
-            pair = active[0] if active else None
-            produced = val(m.u[(pair[0], pair[1], k, t)]) if pair else 0
-            if run is not None and pair == run[0]:
-                run[2] += 1
-                run[3] += produced
-            else:
-                if run is not None:
-                    runs.append((k, *run))
-                run = [pair, t, 1, produced] if pair else None
-        if run is not None:
-            runs.append((k, *run))
+            pair = next((p for p in pairs if val(m.z[(*p, k, t)]) == 1), None)
+            seq.append((pair, val(m.u[(*pair, k, t)]) if pair else 0))
+    return schedule_from_periods(m.inst, periods)
 
-    runs.sort(key=lambda r: (r[0], r[2]))
-    tuples = [
-        AssignmentTuple(id=n + 1, m1=pair[0], m2=pair[1], q=q,
-                        heater=k, start=start - 1, length=length)
-        for n, (k, pair, start, length, q) in enumerate(runs)
-    ]
+
+def schedule_from_periods(inst: Instance, periods_by_heater) -> Schedule:
+    """Merge per-heater period sequences into placed tuples.
+
+    `periods_by_heater` maps a heater to its periods in order, each as
+    (pair, produced), the pair None for an idle period.  Consecutive
+    periods holding the same pair merge into one tuple whose quantity is
+    their summed production; ids run by heater, then by start.
+    """
+    tuples = []
+    for k in inst.heaters:
+        start = 0
+        for pair, run in groupby(periods_by_heater.get(k, ()),
+                                 key=lambda period: period[0]):
+            run = [produced for _, produced in run]
+            if pair is not None:
+                tuples.append(AssignmentTuple(
+                    id=len(tuples) + 1, m1=pair[0], m2=pair[1], q=sum(run),
+                    heater=k, start=start, length=len(run)))
+            start += len(run)
     return Schedule(tuples=tuples)
 
 
@@ -437,27 +443,19 @@ def schedule_to_assignment(m: MilpModel, schedule: Schedule) -> dict:
     asg = {}
 
     loads = {}  # (heater, model period) -> mold multiset
-    initial = initial_residents(inst)
-    for k in inst.heaters:
-        seq = sorted((t for t in schedule.tuples if t.heater == k),
-                     key=lambda t: (t.start, t.id))
-        residents = initial[k]
-        prev_end = 0
-        for t in seq:
-            counts = t.mold_counts()
-            plan = plan_slot(inst, k, residents, prev_end, t.start, counts, t.q)
-            remaining = t.q
-            for offset in range(t.length):
-                period = t.start + 1 + offset
-                asg[m.z[(t.m1, t.m2, k, period)]] = 1
-                loads[(k, period)] = counts
-                cap = plan.cap_first if offset == 0 else plan.cap_int
-                give = min(remaining, cap)
-                if give > 0:
-                    asg[m.u[(t.m1, t.m2, k, period)]] = give
-                    remaining -= give
-            residents = counts
-            prev_end = t.start + t.length
+    for k, t, residents, prev_end in heater_walk(inst, schedule.tuples):
+        counts = t.mold_counts()
+        plan = plan_slot(inst, k, residents, prev_end, t.start, counts, t.q)
+        remaining = t.q
+        for offset in range(t.length):
+            period = t.start + 1 + offset
+            asg[m.z[(t.m1, t.m2, k, period)]] = 1
+            loads[(k, period)] = counts
+            cap = plan.cap_first if offset == 0 else plan.cap_int
+            give = min(remaining, cap)
+            if give > 0:
+                asg[m.u[(t.m1, t.m2, k, period)]] = give
+                remaining -= give
 
     for (i, j, k, t), name in m.u.items():
         produced = asg.get(name, 0)

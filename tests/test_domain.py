@@ -20,6 +20,7 @@ from curesched.domain import (
     PARTS_PER_HEATER,
     Schedule,
     derive_aux_sets,
+    heater_walk,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -227,6 +228,22 @@ def test_toy1_optimal_schedule_validates():
     report = validate_schedule(inst, sched)
     assert report.violations == []
     assert schedule_makespan(sched) == 1
+
+
+def test_heater_walk_replays_each_heater_in_order():
+    inst = variant(toy1_two_heaters(), init={(1, 2): 1})
+    t1 = _tuple(1, 1, 2, 10, 1, 0, 1)
+    t2 = _tuple(2, 0, 1, 5, 2, 0, 2)
+    t3 = _tuple(3, 0, 2, 5, 1, 2, 1)
+    t4 = _tuple(4, 0, 2, 5, 1, 2, 1)
+    walk = [(k, t.id, residents, prev_end)
+            for k, t, residents, prev_end in heater_walk(inst, [t4, t3, t2, t1])]
+    assert walk == [
+        (1, 1, {}, 0),
+        (1, 3, {1: 1, 2: 1}, 1),
+        (1, 4, {2: 1}, 3),
+        (2, 2, {1: 1}, 0),
+    ]
 
 
 def test_validate_flags_heater_overlap():

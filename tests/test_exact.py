@@ -311,9 +311,8 @@ def test_adapter_infeasible_assignment_propagates(tmp_path):
 def test_adapter_timeout_reports_limit(tmp_path):
     path = tmp_path / "sleepy.py"
     path.write_text("import time; time.sleep(10)\n")
-    adapter = SolverAdapter(command=(sys.executable, str(path)),
-                            time_limit_seconds=0.4)
-    report = solve_with_adapter(build_model(toy1(), 2), adapter)
+    adapter = SolverAdapter(command=(sys.executable, str(path)))
+    report = solve_with_adapter(build_model(toy1(), 2), adapter, 0.4)
     assert report.status == "limit"
     assert report.makespan is None
 

@@ -55,6 +55,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HopConfig(heuristic=HeuristicConfig(parts_mode=PARTS_GLOBAL),
                   parts_mode=PARTS_PER_HEATER)
+    with pytest.raises(ValueError):
+        HopConfig(solver=SOLVER_ADAPTER)
 
 
 def test_hop_toy1_improves_on_heuristic():
@@ -177,3 +179,64 @@ def test_internal_solver_builds_no_model(monkeypatch, mode):
             report, schedule = run(inst, cfg)
             assert validate_schedule(inst, schedule, mode).ok
             assert report.stats == model_stats(build_model(inst, thb, mode))
+
+
+BACKENDS = {
+    SOLVER_INTERNAL: {},
+    SOLVER_ADAPTER: {"adapter": SolverAdapter(command=STUB)},
+}
+
+
+@pytest.mark.parametrize("run", (run_hop, run_baseline_milp))
+@pytest.mark.parametrize("make", (toy1, toy2,
+                                  lambda: single_mold_big(copies=4, heaters=2)),
+                         ids=("toy1", "toy2", "single_mold_big"))
+def test_backends_agree(run, make):
+    inst = make()
+    outcomes = {}
+    for solver, extra in BACKENDS.items():
+        report, schedule = run(inst, HopConfig(heuristic=FAST, solver=solver,
+                                               **extra))
+        assert validate_schedule(inst, schedule).ok, solver
+        outcomes[solver] = (report.status, report.makespan,
+                            report.gap_percent, report.stats)
+    assert outcomes[SOLVER_INTERNAL] == outcomes[SOLVER_ADAPTER]
+
+
+def test_unavailable_command_is_a_limit_in_both_pipelines():
+    cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=("/nonexistent/solver",)))
+    hop_report, hop_schedule = run_hop(toy1(), cfg)
+    assert (hop_report.status, hop_report.makespan) == ("limit", 2)
+    assert hop_schedule is not None
+    base_report, base_schedule = run_baseline_milp(toy1(), cfg)
+    assert (base_report.status, base_report.makespan) == ("limit", None)
+    assert base_schedule is None
+    assert base_report.stats.thb == compute_thb(toy1())
+
+
+def test_solver_time_counts_the_model_build(monkeypatch):
+    """The adapter's model build is part of the exact stage's time; a fake
+    clock that only moves during the build shows it without sleeping."""
+    now = [0.0]
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return now[0]
+
+    real_build = curesched.hop.build_model
+
+    def slow_build(*args, **kwargs):
+        now[0] += 100.0
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(curesched.hop, "time", FakeTime)
+    monkeypatch.setattr(curesched.hop, "build_model", slow_build)
+    cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=STUB))
+    report, _ = run_hop(toy1(), cfg)
+    assert report.solver_seconds >= 100
+    assert report.wall_seconds == report.heuristic_seconds + report.solver_seconds
+    report, _ = run_baseline_milp(toy1(), cfg)
+    assert report.wall_seconds >= 100

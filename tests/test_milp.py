@@ -13,6 +13,8 @@ toy2 adds one part over molds {1,2}: +1 row per heater-period -> 51.
 
 import pytest
 
+import curesched.lpsolve
+
 from curesched.domain import (
     PARTS_MODES,
     AssignmentTuple,
@@ -31,6 +33,7 @@ from curesched.milp import (
     extract_schedule,
     model_size,
     model_stats,
+    schedule_from_periods,
     schedule_to_assignment,
 )
 
@@ -161,6 +164,23 @@ def test_toy1_extract_schedule():
     assert (t.m1, t.m2, t.q, t.heater, t.start, t.length) == (1, 2, 10, 1, 0, 1)
     assert schedule_makespan(sched) == 1
     assert validate_schedule(toy1(), sched).ok
+
+
+def test_schedule_from_periods_merges_runs():
+    inst = toy1_two_heaters()
+    sched = schedule_from_periods(inst, {
+        2: [(None, 0), ((0, 1), 3), ((0, 1), 0), ((0, 1), 4)],
+        1: [((1, 2), 10), (None, 0), ((0, 2), 2), ((1, 2), 1)],
+    })
+    rows = [(t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length)
+            for t in sched.tuples]
+    assert rows == [
+        (1, 1, 2, 10, 1, 0, 1),
+        (2, 0, 2, 2, 1, 2, 1),
+        (3, 1, 2, 1, 1, 3, 1),
+        (4, 0, 1, 7, 2, 1, 3),
+    ]
+    assert schedule_from_periods(inst, {}).tuples == []
 
 
 def test_extract_rejects_demand_shortfall():
@@ -312,3 +332,19 @@ def test_lp_parts_modes_share_variable_sections():
     assert cut(per) == cut(glo)
     assert "parts_1_1_1:" in per
     assert "parts_1_1:" in glo
+
+
+MAXIMIZE_LP = "Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n 0 <= x <= 5\nEnd\n"
+
+
+def test_parse_lp_rejects_maximization():
+    with pytest.raises(ValueError, match="maximization is not supported"):
+        parse_lp(MAXIMIZE_LP)
+
+
+def test_lpsolve_refuses_a_maximize_model(tmp_path, capsys):
+    lp, sol = tmp_path / "max.lp", tmp_path / "max.sol"
+    lp.write_text(MAXIMIZE_LP)
+    assert curesched.lpsolve.main([str(lp), str(sol)]) == 1
+    assert "cannot parse" in capsys.readouterr().err
+    assert not sol.exists()

@@ -50,11 +50,12 @@ from .hop import (
     HopConfig,
     SOLVER_ADAPTER,
     SOLVER_INTERNAL,
+    _checked,
     run_baseline_milp,
     run_hop,
 )
 from .horizon import compute_thb
-from .milp import build_model, emit_lp, model_stats
+from .milp import build_model, emit_lp
 
 __all__ = [
     "ModeResult",
@@ -379,6 +380,8 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
             )
             rep = solve_exact(inst, thb, limits=limits,
                               parts_mode=parts_mode)
+            if rep.schedule is not None:
+                _checked(inst, rep.schedule, parts_mode)
             note = None if rep.makespan is not None else rep.status
             return rep.status, ModeResult(
                 thb=thb, makespan=rep.makespan, gap_percent=rep.gap_percent,

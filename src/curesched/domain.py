@@ -22,7 +22,7 @@ encoder that turns schedules into model variable assignments:
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 MoldId = int
 HeaterId = int

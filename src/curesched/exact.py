@@ -8,8 +8,9 @@ residual-demand lower bound, so the search handles the instance sizes the
 test rigs and the small benchmark scenarios produce.
 
 `solve_with_adapter` writes a built model to an LP file, invokes an
-external solver command on it, and decodes the returned solution file
-into a schedule.  The command contract is
+external solver command on it, reads the returned solution file with
+`lpformat.parse_solution`, and decodes the assignment into a schedule.
+The command contract is
 
     <solver-cmd> <model.lp> <out.sol>
 
@@ -42,6 +43,7 @@ from .errors import (
     AdapterUnavailable,
     SolutionParseError,
 )
+from .lpformat import parse_solution
 from .milp import (
     MilpModel,
     ModelStats,
@@ -395,33 +397,6 @@ def _command_list(adapter: SolverAdapter):
     return list(cmd)
 
 
-def _parse_solution(text: str):
-    assignment = {}
-    objective = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise SolutionParseError(f"malformed solution line: {raw!r}")
-        name, value = fields
-        try:
-            v = float(value)
-        except ValueError:
-            raise SolutionParseError(f"non-numeric value in line: {raw!r}")
-        rounded = round(v)
-        if abs(v - rounded) <= 1e-6:
-            v = int(rounded)
-        if name == "objective":
-            objective = v
-        else:
-            assignment[name] = v
-    if objective is None:
-        raise SolutionParseError("solution file has no objective line")
-    return assignment, objective
-
-
 def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
                        time_limit_seconds: float = None) -> SolveReport:
     """Solve a built model through an external solver command, stopping it
@@ -469,7 +444,7 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
                 text = fh.read()
         except OSError as exc:
             raise SolutionParseError("solver wrote no solution file") from exc
-    assignment, _ = _parse_solution(text)
+    assignment, _ = parse_solution(text)
     schedule = extract_schedule(m, assignment)
     makespan = int(schedule_makespan(schedule))
     return SolveReport("adapter", "optimal", makespan, 0.0, wall,

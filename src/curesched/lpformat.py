@@ -1,15 +1,20 @@
-"""LP-format text helpers: deterministic emission and a small parser.
+"""The linear model on both sides of an LP file, and its text formats.
 
-The emitter writes the classic sectioned layout (Minimize / Subject To /
-Bounds / Generals / Binaries / End) with backslash comment lines and folds
-long rows at a fixed width. The parser reads that dialect back (plus the
-common sense spellings =< and =>), enough for round-trip checks and for the
-bundled reference solver.  It reads minimization models only: a Maximize
-section raises ValueError rather than being solved as a minimization.
+`Constraint` and `Variable` are the rows and columns `milp.build_model`
+builds and `parse_lp` reads back.  The emitter helpers write the sectioned
+layout (Minimize / Subject To / Bounds / Generals / Binaries / End) with
+backslash comment lines, folding long rows at a fixed width.  The parser
+reads that dialect back (plus =< and =>, and Min / Minimum / Minimise
+headers); a Maximize section raises ValueError rather than being solved as
+a minimization.  `format_solution` and `parse_solution` write and read
+solution files: `name value` lines plus an `objective <v>` line.
 """
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .errors import SolutionParseError
 
 MAX_LINE = 230
 _CONT_INDENT = "   "
@@ -21,6 +26,9 @@ _MAXIMIZE = frozenset(("maximize", "maximise", "maximum"))
 
 _SECTION_STARTS = {
     "minimize": "objective",
+    "minimise": "objective",
+    "minimum": "objective",
+    "min": "objective",
     "subject to": "rows",
     "such that": "rows",
     "st": "rows",
@@ -40,20 +48,33 @@ _SECTION_STARTS = {
 
 
 @dataclass(frozen=True)
-class ParsedRow:
+class Constraint:
     name: str
-    terms: tuple      # ((coef, var), ...)
-    sense: str        # one of <=, >=, =
+    tag: str        # family tag written into the LP comment line
+    label: str
+    terms: tuple    # ((coef, var), ...)
+    sense: str      # <=, >=, =
     rhs: int
 
 
 @dataclass(frozen=True)
+class Variable:
+    name: str
+    kind: str       # "binary" | "general" | "continuous"
+    lo: int | None = 0      # None: no lower bound
+    hi: int | None = None   # None: no upper bound
+
+
+@dataclass(frozen=True)
 class ParsedLp:
+    """An LP file's model: rows carry an empty tag and label, variables
+    come in first-appearance order (objective, rows, Bounds, Generals,
+    Binaries) with their LP default bounds resolved: [0, +inf) unless the
+    Bounds section says otherwise, and [0, 1] for every binary."""
+
     objective: list
     constraints: tuple
-    bounds: dict = field(default_factory=dict)
-    generals: tuple = ()
-    binaries: tuple = ()
+    variables: tuple
 
 
 # ── emission ─────────────────────────────────────────────────────────
@@ -187,8 +208,10 @@ def parse_lp(text: str) -> ParsedLp:
         if rhs is None:
             raise ValueError(f"constraint {name!r} has a non-numeric right side")
         constraints.append(
-            ParsedRow(
+            Constraint(
                 name=name or f"r{len(constraints)}",
+                tag="",
+                label="",
                 terms=tuple(_parse_terms(body[:sense_idx])),
                 sense=body[sense_idx],
                 rhs=rhs,
@@ -212,12 +235,68 @@ def parse_lp(text: str) -> ParsedLp:
         elif len(toks) == 2 and toks[1].lower() == "free":
             bounds[toks[0]] = (None, None)
 
-    generals = tuple(t for t in _tokenize(sections["generals"]) if _NAME_RE.match(t))
-    binaries = tuple(t for t in _tokenize(sections["binaries"]) if _NAME_RE.match(t))
-    return ParsedLp(
-        objective=objective,
-        constraints=tuple(constraints),
-        bounds=bounds,
-        generals=generals,
-        binaries=binaries,
-    )
+    generals = [t for t in _tokenize(sections["generals"]) if _NAME_RE.match(t)]
+    binaries = [t for t in _tokenize(sections["binaries"]) if _NAME_RE.match(t)]
+    # each name once, where it first appears
+    names = dict.fromkeys(name for _, name in objective)
+    for row in constraints:
+        names.update(dict.fromkeys(name for _, name in row.terms))
+    for section in (bounds, generals, binaries):
+        names.update(dict.fromkeys(section))
+    generals, binaries = set(generals), set(binaries)
+    variables = []
+    for name in names:
+        if name in binaries:
+            variables.append(Variable(name, "binary", 0, 1))
+        else:
+            kind = "general" if name in generals else "continuous"
+            variables.append(Variable(name, kind, *bounds.get(name, (0, None))))
+    return ParsedLp(objective=objective, constraints=tuple(constraints),
+                    variables=tuple(variables))
+
+
+# ── solution files ───────────────────────────────────────────────────
+
+
+def _snap(value):
+    """The value as an int when within 1e-6 of one, else as a float."""
+    v = float(value)
+    rounded = round(v)
+    return int(rounded) if abs(v - rounded) <= 1e-6 else v
+
+
+def format_solution(values, objective) -> str:
+    """Solution-file text: a `name value` line per (name, value) pair,
+    then `objective <v>`."""
+    lines = [f"{name} {_snap(value)!r}" for name, value in values]
+    lines.append(f"objective {_snap(objective)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_solution(text: str):
+    """(assignment, objective) from solution-file text; blank lines and
+    `#` comments are skipped.  Raises SolutionParseError on a malformed or
+    non-finite line and when the objective line is missing."""
+    assignment = {}
+    objective = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise SolutionParseError(f"malformed solution line: {raw!r}")
+        name, value = fields
+        try:
+            v = float(value)
+        except ValueError:
+            raise SolutionParseError(f"non-numeric value in line: {raw!r}")
+        if not math.isfinite(v):
+            raise SolutionParseError(f"non-finite value in line: {raw!r}")
+        if name == "objective":
+            objective = _snap(v)
+        else:
+            assignment[name] = _snap(v)
+    if objective is None:
+        raise SolutionParseError("solution file has no objective line")
+    return assignment, objective

@@ -1,14 +1,15 @@
 """Bundled MILP solver command.
 
-Reads an LP file, solves it with HiGHS through scipy, and writes a
-solution file of `name value` lines plus an `objective <v>` line, which
-is exactly what the solver adapter expects:
+Reads an LP file with `parse_lp`, solves the `to_arrays` of the model
+with HiGHS through scipy, and writes the solution file the solver adapter
+expects with `format_solution`:
 
     python3 -m curesched.lpsolve model.lp out.sol
 
 Exit codes: 0 when solved to proven optimality, 10 when proven
 infeasible, anything else on failure.  The environment variable
-CURESCHED_LPSOLVE_TIME_LIMIT (seconds) caps the solve time.
+CURESCHED_LPSOLVE_TIME_LIMIT (seconds) caps the solve time.  This is the
+only module that imports numpy or scipy.
 """
 
 import os
@@ -18,59 +19,29 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .lpformat import parse_lp
+from .lpformat import format_solution, parse_lp
 
 _USAGE = "usage: curesched-lpsolve <model.lp> <out.sol>"
 
 
-def _variable_order(parsed):
-    """Deterministic variable ordering: first appearance in the file."""
-    order = []
-    seen = set()
-
-    def add(name):
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
-    for _, name in parsed.objective:
-        add(name)
-    for row in parsed.constraints:
-        for _, name in row.terms:
-            add(name)
-    for name in parsed.bounds:
-        add(name)
-    for name in parsed.generals:
-        add(name)
-    for name in parsed.binaries:
-        add(name)
-    return order
-
-
-def _build_arrays(parsed, order):
-    index = {name: i for i, name in enumerate(order)}
-    n = len(order)
-
-    c = np.zeros(n)
-    for coef, name in parsed.objective:
+def to_arrays(model):
+    """HiGHS arrays for a model with `objective`, `constraints` and
+    `variables` (a `MilpModel` or a `ParsedLp`), one column per variable in
+    `model.variables` order: (c, A, con_lo, con_hi, lo, hi, integrality)."""
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    c = np.zeros(len(index))
+    for coef, name in model.objective:
         c[index[name]] += coef
-
-    lo = np.zeros(n)
-    hi = np.full(n, np.inf)
-    binaries = set(parsed.binaries)
-    for name in binaries:
-        hi[index[name]] = 1.0
-    for name, (lb, ub) in parsed.bounds.items():
-        i = index[name]
-        lo[i] = -np.inf if lb is None else lb
-        hi[i] = np.inf if ub is None else ub
-
-    integral = binaries | set(parsed.generals)
-    integrality = np.array([1 if name in integral else 0 for name in order])
+    lo = np.array([-np.inf if v.lo is None else v.lo for v in model.variables],
+                  dtype=float)
+    hi = np.array([np.inf if v.hi is None else v.hi for v in model.variables],
+                  dtype=float)
+    integrality = np.array([0 if v.kind == "continuous" else 1
+                            for v in model.variables])
 
     rows, cols, vals = [], [], []
     con_lo, con_hi = [], []
-    for r, row in enumerate(parsed.constraints):
+    for r, row in enumerate(model.constraints):
         for coef, name in row.terms:
             rows.append(r)
             cols.append(index[name])
@@ -85,15 +56,8 @@ def _build_arrays(parsed, order):
             con_lo.append(row.rhs)
             con_hi.append(row.rhs)
     a = sparse.csc_matrix(
-        (vals, (rows, cols)), shape=(len(parsed.constraints), n))
+        (vals, (rows, cols)), shape=(len(model.constraints), len(index)))
     return c, a, np.array(con_lo), np.array(con_hi), lo, hi, integrality
-
-
-def _format_value(v):
-    rounded = round(float(v))
-    if abs(float(v) - rounded) <= 1e-6:
-        return str(int(rounded))
-    return repr(float(v))
 
 
 def main(argv=None) -> int:
@@ -113,14 +77,13 @@ def main(argv=None) -> int:
         print(f"cannot parse {lp_path}: {exc}", file=sys.stderr)
         return 1
 
-    order = _variable_order(parsed)
-    if not order:
+    if not parsed.variables:
         # nothing to decide; a constant model is trivially optimal
         with open(sol_path, "w") as fh:
-            fh.write("objective 0\n")
+            fh.write(format_solution((), 0))
         return 0
 
-    c, a, con_lo, con_hi, lo, hi, integrality = _build_arrays(parsed, order)
+    c, a, con_lo, con_hi, lo, hi, integrality = to_arrays(parsed)
 
     options = {}
     raw_limit = os.environ.get("CURESCHED_LPSOLVE_TIME_LIMIT")
@@ -145,10 +108,9 @@ def main(argv=None) -> int:
         print(f"solve failed: {result.message}", file=sys.stderr)
         return 1
 
+    names = [v.name for v in parsed.variables]
     with open(sol_path, "w") as fh:
-        for name, value in zip(order, result.x):
-            fh.write(f"{name} {_format_value(value)}\n")
-        fh.write(f"objective {_format_value(result.fun)}\n")
+        fh.write(format_solution(zip(names, result.x), result.fun))
     return 0
 
 

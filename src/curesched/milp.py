@@ -13,7 +13,6 @@ from itertools import groupby
 
 from .domain import (
     EMPTY,
-    PARTS_GLOBAL,
     PARTS_MODES,
     PARTS_PER_HEATER,
     AssignmentTuple,
@@ -27,25 +26,7 @@ from .domain import (
     slot_rate,
 )
 from .errors import InfeasibleAssignment
-from .lpformat import fold, term_units
-
-
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    tag: str        # family tag written into the LP comment line
-    label: str
-    terms: tuple    # ((coef, var), ...)
-    sense: str      # <=, >=, =
-    rhs: int
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str       # "binary" | "general"
-    lo: int = 0
-    hi: int | None = None
+from .lpformat import Constraint, Variable, fold, term_units
 
 
 class MilpModel:
@@ -122,10 +103,10 @@ def build_model(inst: Instance, thb: int,
     for (i, j, k) in ext:
         for t in periods:
             z[(i, j, k, t)] = name = f"z_{i}_{j}_{k}_{t}"
-            variables.append(Variable(name, "binary"))
+            variables.append(Variable(name, "binary", 0, 1))
     for t in periods:
         w[t] = name = f"w_{t}"
-        variables.append(Variable(name, "binary"))
+        variables.append(Variable(name, "binary", 0, 1))
     for (i, j, k) in ext:
         for t in periods:
             u[(i, j, k, t)] = name = f"u_{i}_{j}_{k}_{t}"
@@ -359,8 +340,6 @@ def check_assignment(m: MilpModel, assignment) -> FeasibilityReport:
             v.append(f"{var.name} = {val} is not integral")
             continue
         val = int(val)
-        if var.kind == "binary" and val not in (0, 1):
-            v.append(f"binary {var.name} = {val} outside {{0,1}}")
         if var.lo is not None and val < var.lo:
             v.append(f"{var.name} = {val} below lower bound {var.lo}")
         if var.hi is not None and val > var.hi:

@@ -278,10 +278,11 @@ def test_11_lp_emission_round_trip():
             continue
         parsed = parse_lp(text)
         stats = model_stats(model)
-        integers = [v for v in parsed.generals
-                    if v.startswith(("u_", "prd_"))]
+        integers = [v for v in parsed.variables if v.kind == "general"
+                    and v.name.startswith(("u_", "prd_"))]
+        binaries = [v for v in parsed.variables if v.kind == "binary"]
         if (len(parsed.constraints) != stats.n_constraints
-                or len(parsed.binaries) != stats.n_binary_vars
+                or len(binaries) != stats.n_binary_vars
                 or len(integers) != stats.n_integer_vars):
             bad.append(f"{inst.name}: counts diverge")
     _report(11, "emitted LP files are byte-stable and re-parse to the"

@@ -36,6 +36,7 @@ from curesched.domain import (
     validate_instance,
     validate_schedule,
 )
+from curesched.exact import SolveReport
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.lpformat import parse_lp
 from curesched.milp import build_model, model_stats
@@ -416,8 +417,10 @@ def test_cli_solve_emit_lp(tmp_path, capsys):
     parsed = parse_lp(lp_path.read_text())
     stats = model_stats(build_model(toy1(), 2))
     assert len(parsed.constraints) == stats.n_constraints == 49
-    assert len(parsed.binaries) == stats.n_binary_vars == 12
-    upad = [v for v in parsed.generals if v.startswith(("u_", "prd_"))]
+    binaries = [v for v in parsed.variables if v.kind == "binary"]
+    assert len(binaries) == stats.n_binary_vars == 12
+    upad = [v for v in parsed.variables
+            if v.kind == "general" and v.name.startswith(("u_", "prd_"))]
     assert len(upad) == stats.n_integer_vars == 14
 
 
@@ -457,6 +460,22 @@ def test_cli_solve_exact_time_limit_exit(tmp_path, capsys):
                    "--time-limit", "0.5"])
     capsys.readouterr()
     assert rc == 3
+
+
+def test_cli_solve_exact_rejects_an_invalid_schedule(tmp_path, capsys,
+                                                     monkeypatch):
+    p1, _ = save_toys(tmp_path)
+    spath = tmp_path / "sched.json"
+    unmet = Schedule(tuples=[])  # covers none of the demand
+    monkeypatch.setattr(
+        "curesched.bench.solve_exact",
+        lambda *args, **kwargs: SolveReport("exact", "optimal", 0, 0.0, 0.0,
+                                            schedule=unmet))
+    rc = cli_main(["solve", "--instance", str(p1), "--mode", "exact",
+                   "--schedule-out", str(spath)])
+    assert rc == 1
+    assert "status infeasible\n" in capsys.readouterr().out
+    assert not spath.exists()
 
 
 # ── CLI: generate / bench / validate ─────────────────────────────────

@@ -1,0 +1,55 @@
+"""Import hygiene of the package modules.
+
+Every name a module imports is used in it or re-exported through its
+`__all__`, and importing the package loads neither numpy nor scipy: only
+the bundled solver command, `curesched.lpsolve`, needs them.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import curesched
+
+MODULES = sorted(p for p in Path(curesched.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import statement and never read, nor listed in
+    `__all__`."""
+    tree = ast.parse(source)
+    imported = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(alias.asname or alias.name.split(".")[0])
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            exported |= {elt.value for elt in node.value.elts}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read | exported]
+
+
+def test_unused_imports_finds_what_it_should():
+    source = ("import os\nimport os.path\nfrom a import b, c as d, e\n"
+              "__all__ = ['e']\nos.getcwd()\n")
+    assert unused_imports(source) == ["b", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_loads_no_numpy():
+    code = ("import sys, curesched; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -11,6 +11,7 @@ constraint families (pair-extended triple set has 5 members on heater 1):
 toy2 adds one part over molds {1,2}: +1 row per heater-period -> 51.
 """
 
+import numpy as np
 import pytest
 
 import curesched.lpsolve
@@ -23,9 +24,9 @@ from curesched.domain import (
     schedule_makespan,
     validate_schedule,
 )
-from curesched.errors import InfeasibleAssignment
+from curesched.errors import InfeasibleAssignment, SolutionParseError
 from curesched.gen import SCENARIOS, generate_instance
-from curesched.lpformat import parse_lp
+from curesched.lpformat import format_solution, parse_lp, parse_solution
 from curesched.milp import (
     build_model,
     check_assignment,
@@ -295,10 +296,12 @@ def test_lp_round_trip_counts():
     stats = model_stats(m)
     parsed = parse_lp(emit_lp(m))
     assert len(parsed.constraints) == stats.n_constraints == 49
-    assert len(parsed.binaries) == stats.n_binary_vars == 12
-    upad = [v for v in parsed.generals if v.startswith(("u_", "prd_"))]
+    binaries = [v.name for v in parsed.variables if v.kind == "binary"]
+    generals = [v.name for v in parsed.variables if v.kind == "general"]
+    assert len(binaries) == stats.n_binary_vars == 12
+    upad = [v for v in generals if v.startswith(("u_", "prd_"))]
     assert len(upad) == stats.n_integer_vars == 14
-    assert len(parsed.generals) == 28  # x, y, yp, u, prd
+    assert len(generals) == 28  # x, y, yp, u, prd
 
 
 def test_lp_round_trip_wrapped_lines():
@@ -308,7 +311,8 @@ def test_lp_round_trip_wrapped_lines():
     parsed = parse_lp(text)
     stats = model_stats(m)
     assert len(parsed.constraints) == stats.n_constraints
-    assert len(parsed.binaries) == stats.n_binary_vars
+    binaries = [v for v in parsed.variables if v.kind == "binary"]
+    assert len(binaries) == stats.n_binary_vars
     demand_rows = [c for c in parsed.constraints if c.name == "demand_1"]
     assert len(demand_rows) == 1
     assert len(demand_rows[0].terms) == 30  # one prd per period, re-joined
@@ -321,7 +325,7 @@ def test_lp_zero_horizon_objective_only_body():
     parsed = parse_lp(text)
     assert parsed.objective == []
     assert len(parsed.constraints) == 2
-    assert parsed.binaries == ()
+    assert [v for v in parsed.variables if v.kind == "binary"] == []
 
 
 def test_lp_parts_modes_share_variable_sections():
@@ -348,3 +352,60 @@ def test_lpsolve_refuses_a_maximize_model(tmp_path, capsys):
     assert curesched.lpsolve.main([str(lp), str(sol)]) == 1
     assert "cannot parse" in capsys.readouterr().err
     assert not sol.exists()
+
+
+MIN_LP = "{}\n obj: x\nSubject To\n c1: x >= 1\nEnd\n"
+
+
+@pytest.mark.parametrize("header", ["Min", "Minimum", "Minimise", "Minimize"])
+def test_parse_lp_reads_every_minimization_header(header):
+    assert parse_lp(MIN_LP.format(header)).objective == [(1, "x")]
+
+
+def test_lpsolve_minimizes_under_a_min_header(tmp_path):
+    lp, sol = tmp_path / "min.lp", tmp_path / "min.sol"
+    lp.write_text(MIN_LP.format("Min"))
+    assert curesched.lpsolve.main([str(lp), str(sol)]) == 0
+    assert sol.read_text() == "x 1\nobjective 1\n"
+
+
+@pytest.mark.parametrize("parts_mode", PARTS_MODES)
+@pytest.mark.parametrize("make", [
+    toy1, toy2,
+    *(lambda s=s: generate_instance(SCENARIOS["small"], s) for s in (1, 2, 3)),
+], ids=["toy1", "toy2", "S01", "S02", "S03"])
+def test_lp_round_trip_gives_the_same_arrays(make, parts_mode):
+    inst = make()
+    for horizon in (2, 4):
+        built = build_model(inst, horizon, parts_mode)
+        parsed = parse_lp(emit_lp(built))
+        col = {v.name: i for i, v in enumerate(parsed.variables)}
+        assert sorted(col) == sorted(v.name for v in built.variables)
+        perm = [col[v.name] for v in built.variables]
+        want = curesched.lpsolve.to_arrays(built)
+        got = curesched.lpsolve.to_arrays(parsed)
+        assert (want[1] != got[1][:, perm]).nnz == 0  # A
+        for i in (0, 4, 5, 6):  # c, lo, hi, integrality: one per column
+            assert np.array_equal(want[i], got[i][perm]), (horizon, i)
+        for i in (2, 3):  # row bounds
+            assert np.array_equal(want[i], got[i]), (horizon, i)
+
+
+def test_solution_file_round_trip():
+    text = format_solution([("a", 2.0000004), ("b", 0.5), ("c", -1e-9)],
+                           3.9999999)
+    assert text == "a 2\nb 0.5\nc 0\nobjective 4\n"
+    assert parse_solution("# comment\n\n" + text) == (
+        {"a": 2, "b": 0.5, "c": 0}, 4)
+
+
+@pytest.mark.parametrize("text", [
+    "x 1\n",
+    "x 1 2\nobjective 0\n",
+    "x banana\nobjective 0\n",
+    "x inf\nobjective 0\n",
+    "x 1\nobjective nan\n",
+])
+def test_parse_solution_rejects_bad_files(text):
+    with pytest.raises(SolutionParseError):
+        parse_solution(text)

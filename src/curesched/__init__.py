@@ -10,16 +10,16 @@ horizon.
 
 from .domain import (
     AssignmentTuple,
-    AuxSets,
     FeasibilityReport,
     Instance,
     Mold,
     Part,
+    PairSlot,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
     Schedule,
     ValidationReport,
-    derive_aux_sets,
+    pair_slots,
     schedule_makespan,
     validate_instance,
     validate_schedule,
@@ -86,7 +86,6 @@ from .bench import (
 
 __all__ = [
     "AssignmentTuple",
-    "AuxSets",
     "FeasibilityReport",
     "HeuristicConfig",
     "HopConfig",
@@ -97,6 +96,7 @@ __all__ = [
     "Mold",
     "MoldPartition",
     "ParsedLp",
+    "PairSlot",
     "Part",
     "PARTS_GLOBAL",
     "PARTS_PER_HEATER",
@@ -122,7 +122,6 @@ __all__ = [
     "check_assignment",
     "cli_main",
     "compute_thb",
-    "derive_aux_sets",
     "emit_lp",
     "extract_schedule",
     "generate_instance",
@@ -133,6 +132,7 @@ __all__ = [
     "load_schedule",
     "model_size",
     "model_stats",
+    "pair_slots",
     "parse_lp",
     "partition_molds",
     "rows_to_csv",

@@ -19,6 +19,11 @@ encoder that turns schedules into model variable assignments:
     the first gap period, which must fit that removal work;
   * every later period of the tuple runs at the full rate
     floor(period / max cure time of the molds on board).
+
+Beside it, `pair_slots` is the single derivation of what each allowed mold
+pair can do on each heater (its mold counts, part usage and slowest cure
+time); the heuristic, the exact search and the model builder all read that
+one table.
 """
 
 import math
@@ -101,58 +106,40 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class AuxSets:
-    """Index sets derived from compatibility data.
+class PairSlot:
+    """One allowed mold pair on one heater that cures both its molds.
 
-    triples        : (i, j, k) with i <= j, molds i,j allowed together and
-                     both compatible with heater k
-    triples_ext    : triples plus (0, j, k) for every compatible (j, k),
-                     0 being the empty slot
-    triples_by_first : mold -> {(j, k)} where the mold fills the first slot
-    ext_by_second  : mold -> {(j, k)} where the mold fills the second slot
-                     (j may be 0 or the mold itself)
-    pairs_by_heater: heater -> {(i, j)} runnable on it, empty slot included
-    molds_by_part  : part -> molds requiring it
+    m1 may be 0 (the empty slot); m1 <= m2. `counts` is the pair's mold
+    multiset, `usage` the part units it ties down, `max_tv` the slowest
+    cure time on board, which sets the pair's per-period rate.
     """
 
-    triples: frozenset
-    triples_ext: frozenset
-    triples_by_first: dict
-    ext_by_second: dict
-    pairs_by_heater: dict
-    molds_by_part: dict
+    m1: MoldId
+    m2: MoldId
+    heater: HeaterId
+    counts: dict
+    usage: dict
+    max_tv: int
 
 
-def derive_aux_sets(inst: Instance) -> AuxSets:
-    """Build all derived index sets; deterministic and side-effect free."""
-    triples = frozenset(
-        (i, j, k)
-        for (i, j) in inst.mold_compat
-        for k in inst.heaters
-        if (i, k) in inst.curing and (j, k) in inst.curing
-    )
-    ext = triples | frozenset((EMPTY, j, k) for (j, k) in inst.curing)
-    triples_by_first = {
-        m: frozenset((j, k) for (i, j, k) in triples if i == m)
-        for m in inst.mold_ids
-    }
-    ext_by_second = {
-        m: frozenset((i, k) for (i, j, k) in ext if j == m)
-        for m in inst.mold_ids
-    }
-    pairs_by_heater = {
-        h: frozenset((i, j) for (i, j, k) in ext if k == h)
-        for h in inst.heaters
-    }
-    molds_by_part = {p.id: frozenset(p.molds) for p in inst.parts}
-    return AuxSets(
-        triples=triples,
-        triples_ext=ext,
-        triples_by_first=triples_by_first,
-        ext_by_second=ext_by_second,
-        pairs_by_heater=pairs_by_heater,
-        molds_by_part=molds_by_part,
-    )
+def pair_slots(inst: Instance) -> list:
+    """Every allowed (m1, m2, heater), singles included, as `PairSlot`s
+    sorted by (m1, m2, heater); deterministic and side-effect free.
+
+    No rate is stored: an invalid instance may hold a cure time of 0, and
+    `validate_instance` must still get to report it.
+    """
+    keys = {(EMPTY, j, k) for (j, k) in inst.curing if k in inst.heaters}
+    keys.update((i, j, k) for (i, j) in inst.mold_compat for k in inst.heaters
+                if (i, k) in inst.curing and (j, k) in inst.curing)
+    slots = []
+    for i, j, k in sorted(keys):
+        counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
+        slots.append(PairSlot(
+            m1=i, m2=j, heater=k, counts=counts,
+            usage=part_usage(inst, counts),
+            max_tv=max(inst.curing[(m, k)] for m in counts)))
+    return slots
 
 
 # ── schedules ────────────────────────────────────────────────────────

@@ -32,9 +32,8 @@ from .domain import (
     PARTS_PER_HEATER,
     Schedule,
     ceil_div,
-    derive_aux_sets,
     initial_residents,
-    part_usage,
+    pair_slots,
     schedule_makespan,
     transition_work,
 )
@@ -139,25 +138,16 @@ def _mold_rate(inst: Instance, mold_id: int, parts_mode: str) -> int:
     return concurrent * per_slot
 
 
-def _heater_table(inst, aux, parts_mode):
-    """Per heater, each allowed pair as (pair, mold counts, part usage,
+def _heater_table(inst, parts_mode):
+    """Per heater, its `pair_slots` rows as (pair, mold counts, part usage,
     slowest cure time), built once per search.  In per-heater mode a pair
     that alone needs more units of a part than exist is left out."""
-    table = {}
-    for k in inst.heaters:
-        rows = []
-        for i, j in sorted(aux.pairs_by_heater.get(k, ())):
-            counts = {}
-            if i:
-                counts[i] = 1
-            counts[j] = counts.get(j, 0) + 1
-            usage = part_usage(inst, counts)
-            if parts_mode == PARTS_PER_HEATER and any(
-                    c > inst.part_by_id[p].units for p, c in usage.items()):
-                continue
-            max_tv = max(inst.curing[(m, k)] for m in counts)
-            rows.append(((i, j), counts, usage, max_tv))
-        table[k] = rows
+    table = {k: [] for k in inst.heaters}
+    for s in pair_slots(inst):
+        if parts_mode == PARTS_PER_HEATER and any(
+                c > inst.part_by_id[p].units for p, c in s.usage.items()):
+            continue
+        table[s.heater].append(((s.m1, s.m2), s.counts, s.usage, s.max_tv))
     return table
 
 
@@ -285,7 +275,7 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
 
     start_clock = time.perf_counter()
     deadline = start_clock + limits.time_limit_seconds
-    table = _heater_table(inst, derive_aux_sets(inst), parts_mode)
+    table = _heater_table(inst, parts_mode)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
     rate = {i: _mold_rate(inst, i, parts_mode) for i in demanded}
 

@@ -10,7 +10,7 @@ wins only when strictly shorter than every start.
 """
 
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, replace
 
 from .domain import (
@@ -21,11 +21,10 @@ from .domain import (
     Instance,
     Schedule,
     ceil_div,
-    derive_aux_sets,
     fits_one_heater,
     heater_walk,
     initial_residents,
-    part_usage,
+    pair_slots,
     plan_slot,
     schedule_makespan,
     validate_schedule,
@@ -85,14 +84,11 @@ class _Context:
 
 
 def _context(inst: Instance) -> _Context:
-    aux = derive_aux_sets(inst)
-    heaters_for = {}
-    for k in inst.heaters:
-        for pair in aux.pairs_by_heater[k]:
-            heaters_for.setdefault(pair, []).append(k)
-    counts = {pair: dict(Counter(m for m in pair if m != EMPTY))
-              for pair in heaters_for}
-    part_need = {pair: part_usage(inst, c) for pair, c in counts.items()}
+    heaters_for, counts, part_need = {}, {}, {}
+    for s in pair_slots(inst):
+        pair = (s.m1, s.m2)
+        heaters_for.setdefault(pair, []).append(s.heater)
+        counts[pair], part_need[pair] = s.counts, s.usage
 
     def rivals(uses):
         return {a: [b for b in uses if not uses[a].keys().isdisjoint(uses[b])]

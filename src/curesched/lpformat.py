@@ -5,8 +5,10 @@ builds and `parse_lp` reads back.  The emitter helpers write the sectioned
 layout (Minimize / Subject To / Bounds / Generals / Binaries / End) with
 backslash comment lines, folding long rows at a fixed width.  The parser
 reads that dialect back (plus =< and =>, and Min / Minimum / Minimise
-headers); a Maximize section raises ValueError rather than being solved as
-a minimization.  `format_solution` and `parse_solution` write and read
+headers, and Bounds lines with the constant first); a Maximize section, a
+Bounds line naming no variable and a nonzero bare constant on the left of a
+row or in the objective raise ValueError rather than being solved as some
+other model.  `format_solution` and `parse_solution` write and read
 solution files: `name value` lines plus an `objective <v>` line.
 """
 
@@ -21,6 +23,7 @@ _CONT_INDENT = "   "
 
 _NUM_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 _MAXIMIZE = frozenset(("maximize", "maximise", "maximum"))
 
@@ -117,17 +120,19 @@ def _as_number(tok: str):
     return int(val) if val == int(val) else val
 
 
-def _parse_terms(tokens):
-    """Linear expression tokens -> [(coef, var)]; bare constants dropped."""
+def _parse_terms(tokens, where):
+    """Linear expression tokens -> [(coef, var)].  A bare 0 (how an empty
+    expression is written) is dropped; any other bare constant raises
+    ValueError naming `where`, since dropping it would change the model."""
     terms = []
     sign = 1
     pending = None
-    for tok in tokens:
-        if tok == "+":
-            sign, pending = 1, None
-            continue
-        if tok == "-":
-            sign, pending = -1, None
+    for tok in [*tokens, "+"]:
+        if tok in ("+", "-"):
+            if pending:
+                raise ValueError(f"{where} has a bare constant {pending} "
+                                 "on its left side")
+            sign, pending = (1 if tok == "+" else -1), None
             continue
         num = _as_number(tok)
         if num is not None:
@@ -195,7 +200,7 @@ def parse_lp(text: str) -> ParsedLp:
 
     obj_tokens = _tokenize(sections["objective"])
     obj_rows = _split_rows(obj_tokens)
-    objective = _parse_terms(obj_rows[0][1]) if obj_rows else []
+    objective = _parse_terms(obj_rows[0][1], "the objective") if obj_rows else []
 
     constraints = []
     for name, body in _split_rows(_tokenize(sections["rows"])):
@@ -212,7 +217,8 @@ def parse_lp(text: str) -> ParsedLp:
                 name=name or f"r{len(constraints)}",
                 tag="",
                 label="",
-                terms=tuple(_parse_terms(body[:sense_idx])),
+                terms=tuple(_parse_terms(body[:sense_idx],
+                                         f"constraint {name!r}")),
                 sense=body[sense_idx],
                 rhs=rhs,
             )
@@ -221,6 +227,11 @@ def parse_lp(text: str) -> ParsedLp:
     bounds = {}
     for line in sections["bounds"]:
         toks = _tokenize([line])
+        if len(toks) == 3 and toks[1] in _FLIP and not _NAME_RE.match(toks[0]):
+            # constant first: `-5 <= x` is `x >= -5`
+            toks = [toks[2], _FLIP[toks[1]], toks[0]]
+        if not _NAME_RE.match(toks[2] if len(toks) == 5 else toks[0]):
+            raise ValueError(f"bounds line {line.strip()!r} names no variable")
         if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
             bounds[toks[2]] = (_as_number(toks[0]), _as_number(toks[4]))
         elif len(toks) == 3 and toks[1] == "<=":

@@ -19,8 +19,8 @@ from .domain import (
     FeasibilityReport,
     Instance,
     Schedule,
-    derive_aux_sets,
     heater_walk,
+    pair_slots,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -32,12 +32,12 @@ from .lpformat import Constraint, Variable, fold, term_units
 class MilpModel:
     """Immutable symbolic model plus the index maps used for en/decoding."""
 
-    def __init__(self, inst, thb, parts_mode, aux, objective, constraints,
-                 variables, x, y, yp, z, w, u, prd):
+    def __init__(self, inst, thb, parts_mode, pairs_on, objective,
+                 constraints, variables, x, y, yp, z, w, u, prd):
         self.inst = inst
         self.thb = thb
         self.parts_mode = parts_mode
-        self.aux = aux
+        self.pairs_on = pairs_on  # heater -> its (m1, m2) pairs, ascending
         self.objective = objective
         self.constraints = constraints
         self.variables = variables
@@ -81,10 +81,15 @@ def build_model(inst: Instance, thb: int,
         raise ValueError(f"unknown parts mode {parts_mode!r}")
     if thb < 0:
         raise ValueError("horizon must be non-negative")
-    aux = derive_aux_sets(inst)
     phi = inst.period_dmin
     periods = range(1, thb + 1)
-    ext = sorted(aux.triples_ext)
+    slots = pair_slots(inst)
+    ext = [(s.m1, s.m2, s.heater) for s in slots]
+    pairs_on = {k: [(i, j) for i, j, kk in ext if kk == k]
+                for k in inst.heaters}
+    # eq-8/10 members of each mold: first-slot pairs, then second-slot ones
+    members = {m: [key for key in ext if key[0] == m]
+               + [key for key in ext if key[1] == m] for m in inst.mold_ids}
 
     variables = []
     x, y, yp, z, w, u, prd = {}, {}, {}, {}, {}, {}, {}
@@ -132,16 +137,14 @@ def build_model(inst: Instance, thb: int,
 
     for k in inst.heaters:
         for t in periods:
-            terms = [(1, z[(i, j, k, t)])
-                     for (i, j) in sorted(aux.pairs_by_heater[k])]
+            terms = [(1, z[(i, j, k, t)]) for (i, j) in pairs_on[k]]
             add(f"slots_{k}_{t}", "eq-4", f"heater {k} period {t}",
                 terms, "<=", 1)
 
-    for (i, j, k) in ext:
-        tvs = [inst.curing[(m, k)] for m in (i, j) if m != EMPTY]
-        max_tv = max(tvs)
+    for s in slots:
+        i, j, k = s.m1, s.m2, s.heater
         for t in periods:
-            terms = [(max_tv, u[(i, j, k, t)])]
+            terms = [(s.max_tv, u[(i, j, k, t)])]
             for m in inst.mold_ids:
                 terms.append((inst.mold_by_id[m].setup_dmin, y[(m, k, t)]))
             for m in inst.mold_ids:
@@ -152,9 +155,9 @@ def build_model(inst: Instance, thb: int,
                 tag, label = "eq-5", f"capacity pair ({i},{j}) heater {k} period {t}"
             add(f"cap_{i}_{j}_{k}_{t}", tag, label, terms, "<=", phi)
 
-    for (i, j, k) in ext:
-        tvs = [inst.curing[(m, k)] for m in (i, j) if m != EMPTY]
-        cap = slot_rate(phi, max(tvs))
+    for s in slots:
+        i, j, k = s.m1, s.m2, s.heater
+        cap = slot_rate(phi, s.max_tv)
         for t in periods:
             add(f"rate_{i}_{j}_{k}_{t}", "eq-7",
                 f"rate pair ({i},{j}) heater {k} period {t}",
@@ -163,10 +166,7 @@ def build_model(inst: Instance, thb: int,
     for i in inst.mold_ids:
         for t in periods:
             terms = [(1, prd[(i, t)])]
-            for (j, k) in sorted(aux.triples_by_first[i]):
-                terms.append((-1, u[(i, j, k, t)]))
-            for (j, k) in sorted(aux.ext_by_second[i]):
-                terms.append((-1, u[(j, i, k, t)]))
+            terms += [(-1, u[(*key, t)]) for key in members[i]]
             add(f"prod_{i}_{t}", "eq-8", f"production mold {i} period {t}",
                 terms, "=", 0)
 
@@ -178,14 +178,10 @@ def build_model(inst: Instance, thb: int,
 
     for i in inst.mold_ids:
         for k in inst.heaters:
+            on_k = [key for key in members[i] if key[2] == k]
             for t in periods:
                 terms = [(1, x[(i, k, t)])]
-                for (j, kk) in sorted(aux.triples_by_first[i]):
-                    if kk == k:
-                        terms.append((-1, z[(i, j, k, t)]))
-                for (j, kk) in sorted(aux.ext_by_second[i]):
-                    if kk == k:
-                        terms.append((-1, z[(j, i, k, t)]))
+                terms += [(-1, z[(*key, t)]) for key in on_k]
                 add(f"molds_{i}_{k}_{t}", "eq-10",
                     f"mold count mold {i} heater {k} period {t}",
                     terms, "=", 0)
@@ -234,7 +230,7 @@ def build_model(inst: Instance, thb: int,
 
     objective = tuple((1, w[t]) for t in periods)
     return MilpModel(
-        inst=inst, thb=thb, parts_mode=parts_mode, aux=aux,
+        inst=inst, thb=thb, parts_mode=parts_mode, pairs_on=pairs_on,
         objective=objective, constraints=tuple(rows),
         variables=tuple(variables),
         x=x, y=y, yp=yp, z=z, w=w, u=u, prd=prd,
@@ -247,7 +243,7 @@ def model_size(inst: Instance, thb: int,
     in closed form and without building anything.
 
     Every row and variable family of `build_model` is a product of the
-    mold, heater and part counts, `len(triples_ext)` and the periods;
+    mold, heater and part counts, `len(pair_slots(inst))` and the periods;
     only the prefix rows (`max(thb - 1, 0)`) and the demand rows (none at
     `thb == 0`) break the pattern.  `tests/test_milp.py::
     test_model_size_matches_build` checks the two agree.
@@ -258,7 +254,7 @@ def model_size(inst: Instance, thb: int,
         raise ValueError("horizon must be non-negative")
     n_molds = len(inst.mold_ids)
     n_heaters = len(inst.heaters)
-    n_ext = len(derive_aux_sets(inst).triples_ext)
+    n_ext = len(pair_slots(inst))
     part_scopes = n_heaters if parts_mode == PARTS_PER_HEATER else 1
     per_period = (
         1                               # active
@@ -373,7 +369,7 @@ def extract_schedule(m: MilpModel, assignment) -> Schedule:
 
     periods = {}
     for k in m.inst.heaters:
-        pairs = sorted(m.aux.pairs_by_heater[k])
+        pairs = m.pairs_on[k]
         seq = periods[k] = []
         for t in range(1, m.thb + 1):
             pair = next((p for p in pairs if val(m.z[(*p, k, t)]) == 1), None)

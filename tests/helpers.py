@@ -172,6 +172,19 @@ def tiny_instance(seed: int) -> Instance:
 # ── exhaustive oracles ───────────────────────────────────────────────
 
 
+def _pairs_by_heater(inst):
+    """Heater -> the (m1, m2) pairs it can run, straight from the curing
+    table and the allowed pairs (m1 = 0 for a single mold)."""
+    out = {h: set() for h in inst.heaters}
+    for (m, h) in inst.curing:
+        out[h].add((0, m))
+    for i, j in inst.mold_compat:
+        for h in inst.heaters:
+            if (i, h) in inst.curing and (j, h) in inst.curing:
+                out[h].add((i, j))
+    return out
+
+
 def _heater_options(inst, pairs_by_heater, residents, heater, used, part_used, parts_mode):
     """Config choices for one heater given current residents and usage.
 
@@ -248,10 +261,7 @@ def brute_force_optimum(inst, horizon, parts_mode=PARTS_PER_HEATER):
     Plain iterative-deepening search over per-period heater configurations,
     producing at capacity. Memoised only on exact (state, budget) pairs.
     """
-    from curesched.domain import derive_aux_sets
-
-    aux = derive_aux_sets(inst)
-    pairs_by_heater = aux.pairs_by_heater
+    pairs_by_heater = _pairs_by_heater(inst)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
     init_residents = {h: {} for h in inst.heaters}
     for (m, h), c in inst.init.items():
@@ -304,10 +314,7 @@ def brute_force_optimum_all_levels(inst, horizon, parts_mode=PARTS_PER_HEATER):
     Exponential; only usable on micro instances. Exists to check that fixing
     production at capacity loses nothing.
     """
-    from curesched.domain import derive_aux_sets
-
-    aux = derive_aux_sets(inst)
-    pairs_by_heater = aux.pairs_by_heater
+    pairs_by_heater = _pairs_by_heater(inst)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
     init_residents = {h: {} for h in inst.heaters}
     for (m, h), c in inst.init.items():

@@ -1,7 +1,7 @@
-"""Data model, auxiliary sets, capacity arithmetic, schedule validation.
+"""Data model, pair table, capacity arithmetic, schedule validation.
 
 Expected values are frozen from hand enumeration on the toy instances:
-  - toy1 pair triples: {(1,1,1), (1,2,1), (2,2,1)}; extended adds (0,1,1),(0,2,1)
+  - toy1 pair slots: (1,1,1), (1,2,1), (2,2,1) plus the singles (0,1,1), (0,2,1)
   - toy1 first-period capacity after two setups: (14400 - 1200) // 400 = 33
   - toy1 single-tuple optimum schedule ((1,2), q=10, one period) is feasible
 """
@@ -19,8 +19,8 @@ from curesched.domain import (
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
     Schedule,
-    derive_aux_sets,
     heater_walk,
+    pair_slots,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -32,47 +32,42 @@ from curesched.domain import (
 from helpers import toy1, toy1_two_heaters, toy2, tiny_instance, variant
 
 
-# ── auxiliary sets ───────────────────────────────────────────────────
+# ── pair table ───────────────────────────────────────────────────────
+
+def _keys(slots):
+    return [(s.m1, s.m2, s.heater) for s in slots]
+
 
 def test_toy1_pair_triples():
-    aux = derive_aux_sets(toy1())
-    assert aux.triples == frozenset({(1, 1, 1), (1, 2, 1), (2, 2, 1)})
-    assert aux.triples_ext == aux.triples | {(0, 1, 1), (0, 2, 1)}
-
-
-def test_toy1_triples_by_mold():
-    aux = derive_aux_sets(toy1())
-    # pairs where the mold sits in the first slot
-    assert aux.triples_by_first[1] == frozenset({(1, 1), (2, 1)})
-    assert aux.triples_by_first[2] == frozenset({(2, 1)})
-    # pairs (j, k) where the mold sits in the second slot, empty slot included
-    assert aux.ext_by_second[1] == frozenset({(1, 1), (0, 1)})
-    assert aux.ext_by_second[2] == frozenset({(1, 1), (2, 1), (0, 1)})
-
-
-def test_toy1_pairs_by_heater():
-    aux = derive_aux_sets(toy1())
-    assert aux.pairs_by_heater[1] == frozenset(
-        {(1, 1), (1, 2), (2, 2), (0, 1), (0, 2)}
-    )
+    slots = pair_slots(toy1())
+    assert _keys(slots) == [(0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1)]
+    assert [s.counts for s in slots] == [
+        {1: 1}, {2: 1}, {1: 2}, {1: 1, 2: 1}, {2: 2}]
+    assert all(s.usage == {} and s.max_tv == 400 for s in slots)
 
 
 def test_toy2_part_index():
-    aux = derive_aux_sets(toy2())
-    assert aux.molds_by_part == {1: frozenset({1, 2})}
+    usage = {(s.m1, s.m2): s.usage for s in pair_slots(toy2())}
+    assert usage == {(0, 1): {1: 1}, (0, 2): {1: 1}, (1, 1): {1: 2},
+                     (1, 2): {1: 2}, (2, 2): {1: 2}}
 
 
-def test_aux_sets_deterministic_and_order_independent():
-    inst = toy1()
-    a = derive_aux_sets(inst)
-    b = derive_aux_sets(inst)
-    assert a == b
+def test_pair_slots_deterministic_and_order_independent():
+    inst = variant(toy1_two_heaters(), curing={(1, 1): 400, (2, 1): 700,
+                                                (1, 2): 900, (2, 2): 300})
+    a = pair_slots(inst)
+    assert pair_slots(inst) == a
+    assert {(s.m1, s.m2, s.heater): s.max_tv for s in a} == {
+        (0, 1, 1): 400, (0, 2, 1): 700, (1, 1, 1): 400, (1, 2, 1): 700,
+        (2, 2, 1): 700, (0, 1, 2): 900, (0, 2, 2): 300, (1, 1, 2): 900,
+        (1, 2, 2): 900, (2, 2, 2): 300}
     shuffled = variant(
         inst,
         molds=tuple(reversed(inst.molds)),
+        heaters=tuple(reversed(inst.heaters)),
         mold_compat=tuple(reversed(sorted(inst.mold_compat))),
     )
-    assert derive_aux_sets(shuffled) == a
+    assert pair_slots(shuffled) == a
 
 
 def test_mixed_pair_needs_common_heater():
@@ -83,9 +78,7 @@ def test_mixed_pair_needs_common_heater():
         curing={(1, 1): 400},
         molds=(inst.molds[0], Mold(id=2, copies=2, setup_dmin=600, removal_dmin=300, demand=0)),
     )
-    aux = derive_aux_sets(inst)
-    assert aux.triples == frozenset({(1, 1, 1)})
-    assert (1, 2, 1) not in aux.triples_ext
+    assert _keys(pair_slots(inst)) == [(0, 1, 1), (1, 1, 1)]
 
 
 # ── instance validation ──────────────────────────────────────────────

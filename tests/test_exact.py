@@ -12,6 +12,7 @@ Frozen oracle values:
 import hashlib
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,11 @@ from curesched.domain import (
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
+    initial_residents,
+    pair_slots,
+    plan_slot,
     schedule_makespan,
+    slot_rate,
     validate_instance,
     validate_schedule,
 )
@@ -226,6 +231,51 @@ def test_exact_stops_at_its_proof(monkeypatch):
     assert (report.status, report.makespan, report.nodes) == ("optimal", 2, 4)
     assert validate_schedule(inst, report.schedule).ok
     assert draws < 5000
+
+
+@pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
+    """`plan_slot` stays the one capacity rule: the model's eq-5/6 and eq-7
+    rows and the oracle's per-heater options agree with it on every pair
+    slot, after the initial loading and after every pair the heater can
+    hold (each start contiguous, with no mold finished or in use).  The
+    stock instances never exceed a period on changeover, so each also runs
+    with setup and removal times scaled by 9, where pairs get dropped for
+    changeover work and idling stops fitting."""
+    options = curesched.exact._heater_options
+    stock = [tiny_instance(seed) for seed in range(1000, 1060)]
+    heavy = [variant(inst, molds=tuple(
+        replace(m, setup_dmin=9 * m.setup_dmin, removal_dmin=9 * m.removal_dmin)
+        for m in inst.molds)) for inst in stock]
+    for inst in stock + heavy:
+        name, phi = inst.name, inst.period_dmin
+        rows = {c.name: {v: coef for coef, v in c.terms}
+                for c in build_model(inst, 1, parts_mode).constraints}
+        table = curesched.exact._heater_table(inst, parts_mode)
+        res = {m: 10 ** 9 for m in inst.mold_ids}
+        for k in inst.heaters:
+            on_k = [s for s in pair_slots(inst) if s.heater == k]
+            for residents in [initial_residents(inst)[k], {}] + [s.counts for s in on_k]:
+                offered = {pair: cap for pair, _, _, cap in options(
+                    inst, table[k], residents, res, {}, {}, parts_mode)}
+                gap = plan_slot(inst, k, residents, 0, 1, {}, 0)
+                assert (None in offered) == (not gap.problems), (name, k, residents)
+                for s in on_k:
+                    plan = plan_slot(inst, k, residents, 0, 0, s.counts, 1)
+                    tag = f"{s.m1}_{s.m2}_{k}_1"
+                    assert -rows[f"rate_{tag}"][f"z_{tag}"] == plan.cap_int
+                    assert slot_rate(phi, s.max_tv) == plan.cap_int
+                    if (s.m1, s.m2) in offered:
+                        assert not plan.problems, (name, tag, residents)
+                        assert offered[(s.m1, s.m2)] == plan.cap_first
+                        u_coef = rows[f"cap_{tag}"][f"u_{tag}"]
+                        assert (phi - plan.deduction) // u_coef == plan.cap_first
+                    elif (all(c <= inst.mold_by_id[m].copies
+                              for m, c in s.counts.items())
+                          and all(u <= inst.part_by_id[p].units
+                                  for p, u in s.usage.items())):
+                        # dropped for its changeover work alone
+                        assert plan.problems, (name, tag, residents)
 
 
 def test_exact_deterministic():

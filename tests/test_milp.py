@@ -26,7 +26,12 @@ from curesched.domain import (
 )
 from curesched.errors import InfeasibleAssignment, SolutionParseError
 from curesched.gen import SCENARIOS, generate_instance
-from curesched.lpformat import format_solution, parse_lp, parse_solution
+from curesched.lpformat import (
+    Variable,
+    format_solution,
+    parse_lp,
+    parse_solution,
+)
 from curesched.milp import (
     build_model,
     check_assignment,
@@ -367,6 +372,47 @@ def test_lpsolve_minimizes_under_a_min_header(tmp_path):
     lp.write_text(MIN_LP.format("Min"))
     assert curesched.lpsolve.main([str(lp), str(sol)]) == 0
     assert sol.read_text() == "x 1\nobjective 1\n"
+
+
+BOUNDS_LP = ("Minimize\n obj: x + y\nSubject To\n c1: x + y >= -10\n"
+             "Bounds\n {}\n {}\nEnd\n")
+
+
+def test_parse_lp_reads_bounds_with_the_constant_first():
+    want = (Variable("x", "continuous", -5, None),
+            Variable("y", "continuous", 0, 2))
+    assert parse_lp(BOUNDS_LP.format("x >= -5", "y <= 2")).variables == want
+    assert parse_lp(BOUNDS_LP.format("-5 <= x", "2 >= y")).variables == want
+
+
+def test_lpsolve_honours_bounds_with_the_constant_first(tmp_path):
+    lp, sol = tmp_path / "b.lp", tmp_path / "b.sol"
+    lp.write_text(BOUNDS_LP.format("-5 <= x", "2 >= y"))
+    assert curesched.lpsolve.main([str(lp), str(sol)]) == 0
+    assert sol.read_text() == "x -5\ny 0\nobjective -5\n"
+
+
+@pytest.mark.parametrize("line", ["3 <= 4", "0 <= 3 <= 4", "2 >= 5 <= 7"])
+def test_parse_lp_rejects_a_bounds_line_without_a_variable(line):
+    with pytest.raises(ValueError, match="names no variable"):
+        parse_lp(BOUNDS_LP.format("x <= 5", line))
+
+
+@pytest.mark.parametrize("objective, row, where", [
+    ("x", "x + 3 >= 5", "constraint 'c1'"),
+    ("x", "2 - x >= 5", "constraint 'c1'"),
+    ("x + 4", "x >= 5", "the objective"),
+])
+def test_parse_lp_rejects_a_bare_constant_on_the_left(tmp_path, capsys,
+                                                      objective, row, where):
+    text = f"Minimize\n obj: {objective}\nSubject To\n c1: {row}\nEnd\n"
+    with pytest.raises(ValueError, match=f"{where} has a bare constant"):
+        parse_lp(text)
+    lp, sol = tmp_path / "c.lp", tmp_path / "c.sol"
+    lp.write_text(text)
+    assert curesched.lpsolve.main([str(lp), str(sol)]) == 1
+    assert "cannot parse" in capsys.readouterr().err
+    assert not sol.exists()
 
 
 @pytest.mark.parametrize("parts_mode", PARTS_MODES)

@@ -46,6 +46,24 @@ def test_toy1_pair_triples():
     assert all(s.usage == {} and s.max_tv == 400 for s in slots)
 
 
+def test_toy1_triples_by_mold():
+    slots = pair_slots(toy1())
+    # slots holding the mold, keyed (m1, m2, heater), with its copies on board
+    on_board = {m: {(s.m1, s.m2, s.heater): s.counts[m]
+                    for s in slots if m in s.counts} for m in (1, 2)}
+    assert on_board[1] == {(0, 1, 1): 1, (1, 1, 1): 2, (1, 2, 1): 1}
+    assert on_board[2] == {(0, 2, 1): 1, (1, 2, 1): 1, (2, 2, 1): 2}
+    # the empty slot holds no mold
+    assert all(0 not in s.counts for s in slots)
+
+
+def test_toy1_pairs_by_heater():
+    slots = pair_slots(toy1())
+    assert {s.heater for s in slots} == {1}
+    assert {(s.m1, s.m2) for s in slots if s.heater == 1} == {
+        (1, 1), (1, 2), (2, 2), (0, 1), (0, 2)}
+
+
 def test_toy2_part_index():
     usage = {(s.m1, s.m2): s.usage for s in pair_slots(toy2())}
     assert usage == {(0, 1): {1: 1}, (0, 2): {1: 1}, (1, 1): {1: 2},

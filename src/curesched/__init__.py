@@ -10,7 +10,6 @@ horizon.
 
 from .domain import (
     AssignmentTuple,
-    FeasibilityReport,
     Instance,
     Mold,
     Part,
@@ -69,7 +68,6 @@ from .hop import (
 )
 from .gen import SCENARIOS, ScenarioSpec, generate_instance
 from .bench import (
-    ModeResult,
     ResultRow,
     cli_main,
     instance_from_json,
@@ -86,12 +84,10 @@ from .bench import (
 
 __all__ = [
     "AssignmentTuple",
-    "FeasibilityReport",
     "HeuristicConfig",
     "HopConfig",
     "Instance",
     "MilpModel",
-    "ModeResult",
     "ModelStats",
     "Mold",
     "MoldPartition",

@@ -43,7 +43,7 @@ from .errors import (
     NoFeasiblePlacement,
     UnproduciblePair,
 )
-from .exact import SearchLimits, SolverAdapter, solve_exact
+from .exact import SearchLimits, SolveReport, SolverAdapter, solve_exact
 from .gen import SCENARIOS, generate_instance
 from .heuristic import HeuristicConfig, run_heuristic
 from .hop import (
@@ -58,7 +58,6 @@ from .horizon import compute_thb
 from .milp import build_model, emit_lp
 
 __all__ = [
-    "ModeResult",
     "ResultRow",
     "cli_main",
     "instance_from_json",
@@ -240,81 +239,57 @@ def load_schedule(path) -> Schedule:
 
 
 @dataclass
-class ModeResult:
-    """One table cell block: how a single mode fared on one instance."""
-
-    thb: int = None
-    makespan: int = None
-    gap_percent: float = None
-    time_seconds: float = None
-    constraints: int = None
-    binary_vars: int = None
-    real_vars: int = None
-    note: str = None    # "infeasible" / "limit" / "error" when no makespan
-
-
-@dataclass
 class ResultRow:
+    """One instance's runs: mode -> its SolveReport."""
+
     instance: str
     cells: dict
 
 
-def _fmt_opt(v):
-    return "" if v is None else str(v)
+def _numbers(rep: SolveReport, record_time: bool) -> dict:
+    """The numeric columns of a run, by column name; None where it has no
+    value, and for the time unless it is recorded.  CSV cells, `Average`
+    rows and `solve`'s stdout all read it."""
+    stats = rep.stats
+    return {
+        "thb": rep.horizon,
+        "makespan": rep.makespan,
+        "gap_pct": rep.gap_percent,
+        "time_s": rep.wall_seconds if record_time else None,
+        "constraints": None if stats is None else stats.n_constraints,
+        "binary_vars": None if stats is None else stats.n_binary_vars,
+        "real_vars": None if stats is None else stats.n_integer_vars,
+    }
 
 
-def _fmt_gap(g):
-    if g is None:
-        return ""
-    return "0" if g == 0 else f"{g:.2f}"
-
-
-def _fmt_avg(v):
+def _fmt(column, v, average=False):
     if v is None:
         return ""
-    return str(int(v)) if float(v).is_integer() else f"{v:.2f}"
+    if column == "time_s":
+        return f"{v:.2f}"
+    if average:
+        return str(int(v)) if float(v).is_integer() else f"{v:.2f}"
+    if column == "gap_pct":
+        return "0" if v == 0 else f"{v:.2f}"
+    return str(v)
 
 
-def _cell_strings(instance, mode, cell, record_time):
-    makespan = cell.makespan if cell.makespan is not None else (cell.note or "")
-    time_s = ""
-    if record_time and cell.time_seconds is not None:
-        time_s = f"{cell.time_seconds:.2f}"
-    return [
-        instance,
-        mode,
-        _fmt_opt(cell.thb),
-        str(makespan),
-        _fmt_gap(cell.gap_percent),
-        time_s,
-        _fmt_opt(cell.constraints),
-        _fmt_opt(cell.binary_vars),
-        _fmt_opt(cell.real_vars),
-    ]
+def _cell_strings(instance, mode, rep, record_time):
+    nums = _numbers(rep, record_time)
+    if rep.makespan is None:
+        nums["makespan"] = rep.status
+    return [instance, mode] + [_fmt(c, nums[c]) for c in _COLUMNS[2:]]
 
 
 def _average_strings(rows, mode, record_time):
-    cells = [row.cells[mode] for row in rows if mode in row.cells]
-
-    def mean(field):
-        vals = [getattr(c, field) for c in cells
-                if getattr(c, field) is not None]
-        return sum(vals) / len(vals) if vals else None
-
-    time_s = ""
-    if record_time and mean("time_seconds") is not None:
-        time_s = f"{mean('time_seconds'):.2f}"
-    return [
-        "Average",
-        mode,
-        _fmt_avg(mean("thb")),
-        _fmt_avg(mean("makespan")),
-        _fmt_avg(mean("gap_percent")),
-        time_s,
-        _fmt_avg(mean("constraints")),
-        _fmt_avg(mean("binary_vars")),
-        _fmt_avg(mean("real_vars")),
-    ]
+    nums = [_numbers(row.cells[mode], record_time)
+            for row in rows if mode in row.cells]
+    out = ["Average", mode]
+    for c in _COLUMNS[2:]:
+        vals = [n[c] for n in nums if n[c] is not None]
+        mean = sum(vals) / len(vals) if vals else None
+        out.append(_fmt(c, mean, average=True))
+    return out
 
 
 def _table_rows(rows, modes, record_time, average):
@@ -356,8 +331,17 @@ def rows_to_table(rows, modes, record_time=False, average=True) -> str:
 
 
 def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
-               parts_mode=PARTS_PER_HEATER, solver_cmd=None):
-    """Dispatch one run; returns (status, ModeResult, schedule-or-None)."""
+               parts_mode=PARTS_PER_HEATER, solver_cmd=None) -> SolveReport:
+    """One run of `mode` on `inst`, as its SolveReport.
+
+    An inadmissible instance is not run: its violations go to stderr and
+    its report is "infeasible", as is a run the solvers prove infeasible.
+    """
+    violations = validate_instance(inst).violations
+    if violations:
+        print("\n".join(f"violation: {v}" for v in violations),
+              file=sys.stderr)
+        return SolveReport(mode, "infeasible", None, None, 0.0)
     heuristic_cfg = HeuristicConfig(
         total_iterations=100 if iterations is None else iterations,
         seed=0 if seed is None else seed,
@@ -367,26 +351,9 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
     try:
         if mode == "heuristic":
             sched = run_heuristic(inst, heuristic_cfg)
-            elapsed = time.perf_counter() - started
-            return "feasible", ModeResult(
-                makespan=int(schedule_makespan(sched)),
-                time_seconds=elapsed), sched
-
-        if mode == "exact":
-            thb = compute_thb(inst)
-            limits = SearchLimits(
-                time_limit_seconds=(600.0 if time_limit is None
-                                    else time_limit),
-            )
-            rep = solve_exact(inst, thb, limits=limits,
-                              parts_mode=parts_mode)
-            if rep.schedule is not None:
-                _checked(inst, rep.schedule, parts_mode)
-            note = None if rep.makespan is not None else rep.status
-            return rep.status, ModeResult(
-                thb=thb, makespan=rep.makespan, gap_percent=rep.gap_percent,
-                time_seconds=rep.wall_seconds, note=note), rep.schedule
-
+            return SolveReport(mode, "feasible", int(schedule_makespan(sched)),
+                               None, time.perf_counter() - started,
+                               schedule=sched)
         adapter = None
         if solver_cmd:
             adapter = SolverAdapter(tuple(shlex.split(solver_cmd)))
@@ -399,30 +366,27 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
         if time_limit is not None:
             kwargs["time_limit_seconds"] = time_limit
         cfg = HopConfig(**kwargs)
+        if mode == "exact":
+            limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
+            rep = solve_exact(inst, compute_thb(inst), limits=limits,
+                              parts_mode=parts_mode)
+            if rep.schedule is not None:
+                _checked(inst, rep.schedule, parts_mode)
+            return rep
         run = run_hop if mode == "hop" else run_baseline_milp
-        rep, sched = run(inst, cfg)
-        stats = rep.stats
-        note = None if rep.makespan is not None else rep.status
-        return rep.status, ModeResult(
-            thb=stats.thb if stats else None,
-            makespan=rep.makespan,
-            gap_percent=rep.gap_percent,
-            time_seconds=rep.wall_seconds,
-            constraints=stats.n_constraints if stats else None,
-            binary_vars=stats.n_binary_vars if stats else None,
-            real_vars=stats.n_integer_vars if stats else None,
-            note=note), sched
+        return run(inst, cfg)[0]
     except (Infeasible, UnproduciblePair, NoFeasiblePlacement):
-        elapsed = time.perf_counter() - started
-        return "infeasible", ModeResult(note="infeasible",
-                                        time_seconds=elapsed), None
+        return SolveReport(mode, "infeasible", None, None,
+                           time.perf_counter() - started)
 
 
 def run_benchmark(suite: dict, base_dir=".") -> list:
-    """Run every (instance, mode) pair of a suite; one row per instance.
+    """Run every (instance, mode) pair of a suite; one row per instance,
+    whose cells map each mode to its SolveReport.
 
-    A failing pair is recorded in its cell and the run continues.  Relative
-    instance paths resolve against `base_dir`.
+    A failing pair is recorded in its cell and the run continues: an
+    inadmissible instance as "infeasible", an unreadable file or a solver
+    fault as "error".  Relative instance paths resolve against `base_dir`.
     """
     base = Path(base_dir)
     instance_paths = _field(suite, "instances", "suite")
@@ -437,24 +401,27 @@ def run_benchmark(suite: dict, base_dir=".") -> list:
         parts_mode=suite.get("parts_mode", PARTS_PER_HEATER),
         solver_cmd=suite.get("solver_cmd"),
     )
+
+    def error(mode):
+        return SolveReport(mode, "error", None, None, None)
+
     rows = []
     for raw_path in instance_paths:
         path = Path(raw_path)
         if not path.is_absolute():
             path = base / path
-        cells = {}
         try:
             inst = load_instance(path)
         except ValueError:
             rows.append(ResultRow(instance=path.stem, cells={
-                mode: ModeResult(note="error") for mode in modes}))
+                mode: error(mode) for mode in modes}))
             continue
+        cells = {}
         for mode in modes:
             try:
-                _, cell, _ = _solve_one(inst, mode, **options)
+                cells[mode] = _solve_one(inst, mode, **options)
             except CureschedError:
-                cell = ModeResult(note="error")
-            cells[mode] = cell
+                cells[mode] = error(mode)
         rows.append(ResultRow(instance=inst.name, cells=cells))
     return rows
 
@@ -508,40 +475,34 @@ def _cmd_solve(args):
         raise ValueError(
             "--emit-lp needs a model-building mode (milp, hop, exact)")
     inst = load_instance(args.instance)
-    status, cell, sched = _solve_one(
+    rep = _solve_one(
         inst, args.mode, iterations=args.iterations, seed=args.seed,
         time_limit=args.time_limit, parts_mode=args.parts_mode,
         solver_cmd=args.solver_cmd)
-    if args.emit_lp and cell.thb is not None:
-        model = build_model(inst, cell.thb, args.parts_mode)
+    if args.emit_lp and rep.horizon is not None:
+        model = build_model(inst, rep.horizon, args.parts_mode)
         Path(args.emit_lp).write_text(emit_lp(model), encoding="utf-8")
-    if args.schedule_out and sched is not None:
-        save_schedule(sched, args.schedule_out)
+    if args.schedule_out and rep.schedule is not None:
+        save_schedule(rep.schedule, args.schedule_out)
     if args.out:
-        row = ResultRow(instance=inst.name, cells={args.mode: cell})
+        row = ResultRow(instance=inst.name, cells={args.mode: rep})
         Path(args.out).write_text(
             rows_to_csv([row], [args.mode], record_time=args.record_time,
                         average=False),
             encoding="utf-8")
 
-    lines = [f"instance {inst.name}", f"mode {args.mode}", f"status {status}"]
-    if cell.makespan is not None:
-        lines.append(f"makespan {cell.makespan}")
-    if cell.gap_percent is not None:
-        lines.append(f"gap_pct {_fmt_gap(cell.gap_percent)}")
-    if cell.thb is not None:
-        lines.append(f"thb {cell.thb}")
-    if cell.constraints is not None:
-        lines.append(f"constraints {cell.constraints}")
-        lines.append(f"binary_vars {cell.binary_vars}")
-        lines.append(f"real_vars {cell.real_vars}")
-    if args.record_time and cell.time_seconds is not None:
-        lines.append(f"time_s {cell.time_seconds:.2f}")
+    lines = [f"instance {inst.name}", f"mode {args.mode}",
+             f"status {rep.status}"]
+    nums = _numbers(rep, args.record_time)
+    for c in ("makespan", "gap_pct", "thb", "constraints", "binary_vars",
+              "real_vars", "time_s"):
+        if nums[c] is not None:
+            lines.append(f"{c} {_fmt(c, nums[c])}")
     print("\n".join(lines))
 
-    if status == "infeasible":
+    if rep.status == "infeasible":
         return 1
-    if status == "optimal" or args.mode == "heuristic":
+    if rep.status == "optimal" or args.mode == "heuristic":
         return 0
     return 3
 

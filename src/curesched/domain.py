@@ -329,18 +329,8 @@ def heater_walk(inst: Instance, tuples):
 
 @dataclass
 class ValidationReport:
-    """Instance admissibility findings; empty means admissible."""
-
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class FeasibilityReport:
-    """Schedule feasibility findings; empty means feasible."""
+    """Findings of a check on an instance, a schedule or an assignment;
+    empty means admissible, or feasible."""
 
     violations: list
 
@@ -443,13 +433,13 @@ def part_usage(inst: Instance, counts) -> dict:
 
 
 def validate_schedule(inst: Instance, schedule: Schedule,
-                      parts_mode: str = PARTS_PER_HEATER) -> FeasibilityReport:
+                      parts_mode: str = PARTS_PER_HEATER) -> ValidationReport:
     """Check a schedule against every feasibility rule of the problem."""
     if parts_mode not in PARTS_MODES:
         raise ValueError(f"unknown parts mode {parts_mode!r}")
     v = []
     if schedule.sentinel:
-        return FeasibilityReport(violations=["sentinel candidate, not a schedule"])
+        return ValidationReport(violations=["sentinel candidate, not a schedule"])
 
     heater_set = set(inst.heaters)
     usable = []
@@ -551,4 +541,4 @@ def validate_schedule(inst: Instance, schedule: Schedule,
                 f"(produced {produced.get(m.id, 0)})"
             )
 
-    return FeasibilityReport(violations=v)
+    return ValidationReport(violations=v)

@@ -84,12 +84,14 @@ class SolverAdapter:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run.
+    """The one record of a run, from the exact stage to a CLI report.
 
-    status is one of "optimal", "feasible", "infeasible", "limit";
-    gap_percent is 0 exactly when the makespan is proven optimal.  The
-    schedule is None when the run only confirmed a caller-supplied
-    incumbent without reconstructing its assignment.
+    status is one of "optimal", "feasible", "infeasible", "limit", and
+    "error" for a run the benchmark could not make; gap_percent is 0
+    exactly when the makespan is proven optimal.  The schedule is None
+    when the run only confirmed a caller-supplied incumbent without
+    reconstructing its assignment.  horizon holds the periods the exact
+    stage searched, None when no stage ran.
     """
 
     mode: str
@@ -100,6 +102,7 @@ class SolveReport:
     stats: ModelStats = None
     schedule: Schedule = None
     nodes: int = 0
+    horizon: int = None
     # two-phase pipelines split wall_seconds into these
     heuristic_seconds: float = None
     solver_seconds: float = None
@@ -358,18 +361,19 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
         stack.append(_Frame(fr.period + 1, new_res, new_residents, joint))
     wall = time.perf_counter() - start_clock
 
+    makespan = gap = schedule = None
     if best is math.inf:
-        if hit_limit:
-            return SolveReport("exact", "limit", None, None, wall, nodes=nodes)
-        return SolveReport("exact", "infeasible", None, None, wall, nodes=nodes)
-
-    schedule = _path_schedule(inst, best_path) if best_path is not None else None
-    if not hit_limit or root_lb >= best:
-        return SolveReport("exact", "optimal", int(best), 0.0, wall,
-                           schedule=schedule, nodes=nodes)
-    gap = 100.0 * (best - root_lb) / best
-    return SolveReport("exact", "feasible", int(best), gap, wall,
-                       schedule=schedule, nodes=nodes)
+        status = "limit" if hit_limit else "infeasible"
+    else:
+        makespan = int(best)
+        if best_path is not None:
+            schedule = _path_schedule(inst, best_path)
+        if not hit_limit or root_lb >= best:
+            status, gap = "optimal", 0.0
+        else:
+            status, gap = "feasible", 100.0 * (best - root_lb) / best
+    return SolveReport("exact", status, makespan, gap, wall, schedule=schedule,
+                       nodes=nodes, horizon=thb)
 
 
 # ── external solver bridge ───────────────────────────────────────────
@@ -420,10 +424,12 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
             raise AdapterUnavailable(f"solver command not found: {command[0]}") from exc
         except subprocess.TimeoutExpired:
             wall = time.perf_counter() - start_clock
-            return SolveReport("adapter", "limit", None, None, wall, stats=stats)
+            return SolveReport("adapter", "limit", None, None, wall,
+                               stats=stats, horizon=m.thb)
         wall = time.perf_counter() - start_clock
         if proc.returncode == 10:
-            return SolveReport("adapter", "infeasible", None, None, wall, stats=stats)
+            return SolveReport("adapter", "infeasible", None, None, wall,
+                               stats=stats, horizon=m.thb)
         if proc.returncode != 0:
             tail = (proc.stderr or proc.stdout or "").strip().splitlines()
             detail = tail[-1] if tail else "no output"
@@ -438,4 +444,4 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
     schedule = extract_schedule(m, assignment)
     makespan = int(schedule_makespan(schedule))
     return SolveReport("adapter", "optimal", makespan, 0.0, wall,
-                       stats=stats, schedule=schedule)
+                       stats=stats, schedule=schedule, horizon=m.thb)

@@ -9,10 +9,11 @@ witnesses feasibility at that horizon, so it never comes back
 empty-handed.  `run_baseline_milp` is the reference point: the same
 solve phase, but on the safe a-priori horizon bound instead.
 
-Both pipelines hand their horizon to one exact stage, `_exact_stage`: the
-internal search, or a built MILP for the external adapter, under the one
-time limit `HopConfig.time_limit_seconds`.  Either way the reported model
-size comes from `model_size`.
+Both pipelines share one body, `_solve_on`, around one exact stage,
+`_exact_stage`: the internal search, or a built MILP for the external
+adapter, under the one time limit `HopConfig.time_limit_seconds`.  Either
+way the stage's `SolveReport` is the pipeline's report, and its model size
+comes from `model_size`.
 """
 
 import time
@@ -84,9 +85,9 @@ def _heuristic_config(cfg: HopConfig) -> HeuristicConfig:
     return HeuristicConfig(parts_mode=cfg.parts_mode)
 
 
-def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None):
-    """(report, stats): the configured backend's solve on `horizon`, and
-    the size of the model on it.
+def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
+    """The configured backend's solve on `horizon`; its stats are the size
+    of the model on it.
 
     An adapter that is missing or fails ends the stage at "limit" with no
     schedule.  With an `incumbent` makespan, which a schedule on `horizon`
@@ -96,18 +97,22 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None):
     stats = model_size(inst, horizon, cfg.parts_mode)
     if cfg.solver == SOLVER_INTERNAL:
         limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
-        return solve_exact(inst, horizon, limits, cfg.parts_mode,
-                           incumbent_makespan=incumbent), stats
-    model = build_model(inst, horizon, cfg.parts_mode)
-    try:
-        sub = solve_with_adapter(model, cfg.adapter, cfg.time_limit_seconds)
-    except (AdapterUnavailable, AdapterFailure):
-        return SolveReport("adapter", "limit", None, None, 0.0), stats
-    if incumbent is not None and sub.status == "infeasible":
-        raise AdapterFailure(
-            "solver reported infeasible on a horizon the heuristic "
-            "schedule already witnesses")
-    return sub, stats
+        sub = solve_exact(inst, horizon, limits, cfg.parts_mode,
+                          incumbent_makespan=incumbent)
+    else:
+        model = build_model(inst, horizon, cfg.parts_mode)
+        try:
+            sub = solve_with_adapter(model, cfg.adapter,
+                                     cfg.time_limit_seconds)
+        except (AdapterUnavailable, AdapterFailure):
+            sub = SolveReport("adapter", "limit", None, None, 0.0,
+                              horizon=horizon)
+        if incumbent is not None and sub.status == "infeasible":
+            raise AdapterFailure(
+                "solver reported infeasible on a horizon the heuristic "
+                "schedule already witnesses")
+    sub.stats = stats
+    return sub
 
 
 def _checked(inst, schedule, parts_mode) -> Schedule:
@@ -116,6 +121,34 @@ def _checked(inst, schedule, parts_mode) -> Schedule:
         raise Infeasible("solver produced an invalid schedule: "
                          + "; ".join(report.violations))
     return schedule
+
+
+def _solve_on(inst, horizon, cfg: HopConfig, mode, incumbent=None,
+              heuristic_seconds=None):
+    """(report, schedule) of `mode`: the exact stage on `horizon`, where an
+    `incumbent` schedule of that makespan stands unless the stage beats
+    it.  A horizon of 0 runs no stage: the incumbent, or the empty
+    schedule, is optimal.  wall_seconds adds the heuristic's time to the
+    solver's."""
+    if horizon == 0:
+        if incumbent is None:
+            incumbent = Schedule(tuples=[])
+        report = SolveReport(mode, "optimal", 0, 0.0, 0.0, schedule=incumbent,
+                             solver_seconds=0.0)
+    else:
+        clock = time.perf_counter()
+        report = _exact_stage(inst, horizon, cfg,
+                              None if incumbent is None else horizon)
+        if incumbent is not None and (report.schedule is None
+                                      or report.makespan >= horizon):
+            report.makespan, report.schedule = horizon, incumbent
+        if report.schedule is not None:
+            _checked(inst, report.schedule, cfg.parts_mode)
+        report.solver_seconds = time.perf_counter() - clock
+    report.mode = mode
+    report.heuristic_seconds = heuristic_seconds
+    report.wall_seconds = (heuristic_seconds or 0.0) + report.solver_seconds
+    return report, report.schedule
 
 
 def run_hop(inst: Instance, cfg: HopConfig = None):
@@ -135,48 +168,10 @@ def run_hop(inst: Instance, cfg: HopConfig = None):
     if heur_schedule.sentinel:
         raise Infeasible("heuristic produced no candidate schedule")
     heur_seconds = time.perf_counter() - clock
-    horizon = int(schedule_makespan(heur_schedule))
-
-    if horizon == 0:
-        report = SolveReport("hop", "optimal", 0, 0.0, heur_seconds,
-                             schedule=heur_schedule,
-                             heuristic_seconds=heur_seconds,
-                             solver_seconds=0.0)
-        return report, heur_schedule
-
-    solve_clock = time.perf_counter()
-    sub, stats = _exact_stage(inst, horizon, cfg, incumbent=horizon)
-    if sub.schedule is not None and sub.makespan < horizon:
-        best_makespan, best_schedule = sub.makespan, sub.schedule
-    else:  # the heuristic incumbent stands
-        best_makespan, best_schedule = horizon, heur_schedule
-    best_schedule = _checked(inst, best_schedule, cfg.parts_mode)
-    solver_seconds = time.perf_counter() - solve_clock
-    report = SolveReport("hop", sub.status, best_makespan, sub.gap_percent,
-                         heur_seconds + solver_seconds, stats=stats,
-                         schedule=best_schedule,
-                         heuristic_seconds=heur_seconds,
-                         solver_seconds=solver_seconds)
-    return report, best_schedule
+    return _solve_on(inst, int(schedule_makespan(heur_schedule)), cfg, "hop",
+                     heur_schedule, heur_seconds)
 
 
 def run_baseline_milp(inst: Instance, cfg: HopConfig = None):
     """Solve on the safe a-priori horizon bound, without heuristic help."""
-    if cfg is None:
-        cfg = HopConfig()
-    if inst.total_demand == 0:
-        empty = Schedule(tuples=[])
-        return SolveReport("milp", "optimal", 0, 0.0, 0.0, schedule=empty,
-                           solver_seconds=0.0), empty
-
-    horizon = compute_thb(inst)
-    clock = time.perf_counter()
-    sub, stats = _exact_stage(inst, horizon, cfg)
-    schedule = sub.schedule
-    if schedule is not None:
-        schedule = _checked(inst, schedule, cfg.parts_mode)
-    wall = time.perf_counter() - clock
-    report = SolveReport("milp", sub.status, sub.makespan, sub.gap_percent,
-                         wall, stats=stats, schedule=schedule,
-                         solver_seconds=wall)
-    return report, schedule
+    return _solve_on(inst, compute_thb(inst), cfg or HopConfig(), "milp")

@@ -5,8 +5,10 @@ builds and `parse_lp` reads back.  The emitter helpers write the sectioned
 layout (Minimize / Subject To / Bounds / Generals / Binaries / End) with
 backslash comment lines, folding long rows at a fixed width.  The parser
 reads that dialect back (plus =< and =>, and Min / Minimum / Minimise
-headers, and Bounds lines with the constant first); a Maximize section, a
-Bounds line naming no variable and a nonzero bare constant on the left of a
+headers).  A Bounds line is one of `lo <= x <= hi`, `x <= v`, `x >= v`,
+`x = v`, `v <= x`, `v >= x` and `x free`, where a value is a number or
+`inf` / `infinity` signed to leave its side open.  A Maximize section, any
+other Bounds line or value, and a nonzero bare constant on the left of a
 row or in the objective raise ValueError rather than being solved as some
 other model.  `format_solution` and `parse_solution` write and read
 solution files: `name value` lines plus an `objective <v>` line.
@@ -24,6 +26,7 @@ _CONT_INDENT = "   "
 _NUM_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+_INFINITY = ("inf", "infinity")
 
 _MAXIMIZE = frozenset(("maximize", "maximise", "maximum"))
 
@@ -118,6 +121,22 @@ def _as_number(tok: str):
         return None
     val = float(tok)
     return int(val) if val == int(val) else val
+
+
+def _is_var(tok: str) -> bool:
+    return bool(_NAME_RE.match(tok)) and tok.lower() not in _INFINITY
+
+
+def _bound_value(tok: str, upper: bool, where: str):
+    """A Bounds value: a number, or None for the infinity that leaves its
+    side open (+inf above, -inf below)."""
+    num = _as_number(tok)
+    if num is not None:
+        return num
+    sign, mag = (tok[0], tok[1:]) if tok[0] in "+-" else ("+", tok)
+    if mag.lower() in _INFINITY and (sign == "+") == upper:
+        return None
+    raise ValueError(f"{where} has a bad bound value {tok!r}")
 
 
 def _parse_terms(tokens, where):
@@ -227,24 +246,28 @@ def parse_lp(text: str) -> ParsedLp:
     bounds = {}
     for line in sections["bounds"]:
         toks = _tokenize([line])
-        if len(toks) == 3 and toks[1] in _FLIP and not _NAME_RE.match(toks[0]):
+        where = f"bounds line {line.strip()!r}"
+        if len(toks) == 3 and toks[1] in _FLIP and not _is_var(toks[0]):
             # constant first: `-5 <= x` is `x >= -5`
             toks = [toks[2], _FLIP[toks[1]], toks[0]]
-        if not _NAME_RE.match(toks[2] if len(toks) == 5 else toks[0]):
-            raise ValueError(f"bounds line {line.strip()!r} names no variable")
-        if len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-            bounds[toks[2]] = (_as_number(toks[0]), _as_number(toks[4]))
-        elif len(toks) == 3 and toks[1] == "<=":
-            lo = bounds.get(toks[0], (0, None))[0]
-            bounds[toks[0]] = (lo, _as_number(toks[2]))
-        elif len(toks) == 3 and toks[1] == ">=":
-            hi = bounds.get(toks[0], (0, None))[1]
-            bounds[toks[0]] = (_as_number(toks[2]), hi)
-        elif len(toks) == 3 and toks[1] == "=":
-            v = _as_number(toks[2])
-            bounds[toks[0]] = (v, v)
-        elif len(toks) == 2 and toks[1].lower() == "free":
-            bounds[toks[0]] = (None, None)
+        if len(toks) == 5 and toks[1] == toks[3] == "<=" and _is_var(toks[2]):
+            name = toks[2]
+            lo = _bound_value(toks[0], False, where)
+            hi = _bound_value(toks[4], True, where)
+        elif len(toks) == 3 and toks[1] in _FLIP and _is_var(toks[0]):
+            name = toks[0]
+            lo, hi = bounds.get(name, (0, None))
+            if toks[1] != ">=":
+                hi = _bound_value(toks[2], True, where)
+            if toks[1] != "<=":
+                lo = _bound_value(toks[2], False, where)
+        elif len(toks) == 2 and toks[1].lower() == "free" and _is_var(toks[0]):
+            name, lo, hi = toks[0], None, None
+        elif not any(_is_var(t) for t in toks):
+            raise ValueError(f"{where} names no variable")
+        else:
+            raise ValueError(f"{where} has a shape this parser does not read")
+        bounds[name] = (lo, hi)
 
     generals = [t for t in _tokenize(sections["generals"]) if _NAME_RE.match(t)]
     binaries = [t for t in _tokenize(sections["binaries"]) if _NAME_RE.match(t)]

@@ -16,9 +16,9 @@ from .domain import (
     PARTS_MODES,
     PARTS_PER_HEATER,
     AssignmentTuple,
-    FeasibilityReport,
     Instance,
     Schedule,
+    ValidationReport,
     heater_walk,
     pair_slots,
     plan_slot,
@@ -323,7 +323,7 @@ def _is_int(val) -> bool:
     return isinstance(val, int) or (isinstance(val, float) and val == int(val))
 
 
-def check_assignment(m: MilpModel, assignment) -> FeasibilityReport:
+def check_assignment(m: MilpModel, assignment) -> ValidationReport:
     """Evaluate every variable domain and every constraint row."""
     v = []
     known = {var.name for var in m.variables}
@@ -350,7 +350,7 @@ def check_assignment(m: MilpModel, assignment) -> FeasibilityReport:
             ok = lhs == c.rhs
         if not ok:
             v.append(f"{c.name} ({c.tag} {c.label}): {lhs} {c.sense} {c.rhs} fails")
-    return FeasibilityReport(violations=v)
+    return ValidationReport(violations=v)
 
 
 def extract_schedule(m: MilpModel, assignment) -> Schedule:

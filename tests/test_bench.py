@@ -9,13 +9,13 @@ Frozen oracle values reused from the fixture instances:
 
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from curesched.bench import (
-    ModeResult,
     cli_main,
     instance_from_json,
     instance_to_json,
@@ -39,7 +39,7 @@ from curesched.domain import (
 from curesched.exact import SolveReport
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.lpformat import parse_lp
-from curesched.milp import build_model, model_stats
+from curesched.milp import ModelStats, build_model, model_stats
 
 from helpers import toy1, toy2, variant
 
@@ -209,12 +209,12 @@ def test_run_benchmark_rows(tmp_path):
     rows = run_benchmark(suite)
     assert [r.instance for r in rows] == ["toy1", "toy2"]
     c1 = rows[0].cells["hop"]
-    assert (c1.thb, c1.makespan, c1.gap_percent) == (2, 1, 0.0)
-    assert (c1.constraints, c1.binary_vars, c1.real_vars) == (49, 12, 14)
-    assert c1.time_seconds >= 0.0
+    assert (c1.horizon, c1.makespan, c1.gap_percent) == (2, 1, 0.0)
+    assert c1.stats == ModelStats(49, 12, 14, 2)
+    assert c1.wall_seconds >= 0.0
     c2 = rows[1].cells["hop"]
-    assert (c2.thb, c2.makespan) == (2, 2)
-    assert c2.constraints == 51
+    assert (c2.horizon, c2.makespan) == (2, 2)
+    assert c2.stats.n_constraints == 51
 
 
 def test_run_benchmark_csv_frozen(tmp_path):
@@ -259,13 +259,63 @@ def test_run_benchmark_infeasible_row_isolated(tmp_path):
     suite = {"instances": [str(p1), str(pb), str(p2)], "modes": ["hop"],
              "iterations": 20, "seed": 1}
     rows = run_benchmark(suite)
-    assert rows[1].cells["hop"].note == "infeasible"
+    assert rows[1].cells["hop"].status == "infeasible"
     assert rows[1].cells["hop"].makespan is None
     lines = rows_to_csv(rows, ["hop"]).splitlines()
     assert lines[2] == "broken,hop,,infeasible,,,,,"
     assert lines[1].startswith("toy1,hop,2,1,")
     assert lines[3].startswith("toy2,hop,2,2,")
     assert lines[4].startswith("Average,hop,2,1.50,")
+
+
+def zero_demand_toy1():
+    return variant(toy1(), name="zero", molds=tuple(
+        replace(m, demand=0) for m in toy1().molds))
+
+
+def test_run_benchmark_edge_rows(tmp_path):
+    """A zero-demand instance runs in every mode: only `exact` searched a
+    horizon (of 0 periods).  An unreadable file gives `error` cells, which
+    the averages leave out."""
+    save_toys(tmp_path)
+    save_instance(zero_demand_toy1(), tmp_path / "zero.json")
+    (tmp_path / "bad.json").write_text("{ nope", encoding="utf-8")
+    modes = ["heuristic", "milp", "hop", "exact"]
+    suite = {"instances": ["zero.json", "bad.json", "toy1.json"],
+             "modes": modes, "iterations": 20, "seed": 1}
+    rows = run_benchmark(suite, base_dir=tmp_path)
+    assert rows_to_csv(rows, modes) == "\n".join([
+        CSV_HEADER,
+        "zero,heuristic,,0,,,,,",
+        "zero,milp,,0,0,,,,",
+        "zero,hop,,0,0,,,,",
+        "zero,exact,0,0,0,,,,",
+        "bad,heuristic,,error,,,,,",
+        "bad,milp,,error,,,,,",
+        "bad,hop,,error,,,,,",
+        "bad,exact,,error,,,,,",
+        "toy1,heuristic,,2,,,,,",
+        "toy1,milp,2,1,0,,49,12,14",
+        "toy1,hop,2,1,0,,49,12,14",
+        "toy1,exact,2,1,0,,,,",
+        "Average,heuristic,,1,,,,,",
+        "Average,milp,2,0.50,0,,49,12,14",
+        "Average,hop,2,0.50,0,,49,12,14",
+        "Average,exact,1,0.50,0,,,,",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("mode, tail", [
+    ("heuristic", "status feasible\nmakespan 0\n"),
+    ("milp", "status optimal\nmakespan 0\ngap_pct 0\n"),
+    ("hop", "status optimal\nmakespan 0\ngap_pct 0\n"),
+    ("exact", "status optimal\nmakespan 0\ngap_pct 0\nthb 0\n"),
+])
+def test_cli_solve_zero_demand_stdout(tmp_path, capsys, mode, tail):
+    path = tmp_path / "zero.json"
+    save_instance(zero_demand_toy1(), path)
+    assert cli_main(["solve", "--instance", str(path), "--mode", mode]) == 0
+    assert capsys.readouterr().out == f"instance zero\nmode {mode}\n" + tail
 
 
 def test_run_benchmark_empty_suite():
@@ -291,16 +341,14 @@ def test_run_benchmark_adapter(tmp_path):
 
 
 def test_csv_note_and_gap_rendering():
-    full = ModeResult(thb=11, makespan=10, gap_percent=18.1818,
-                      time_seconds=0.5, constraints=100, binary_vars=20,
-                      real_vars=30)
+    full = SolveReport("exact", "feasible", 10, 18.1818, 0.5, horizon=11,
+                       stats=ModelStats(n_constraints=100, n_binary_vars=20,
+                                        n_integer_vars=30, thb=11))
     from curesched.bench import ResultRow
     row = ResultRow(instance="x", cells={"exact": full})
     lines = rows_to_csv([row], ["exact"]).splitlines()
     assert lines[1] == "x,exact,11,10,18.18,,100,20,30"
-    stuck = ModeResult(thb=None, makespan=None, gap_percent=None,
-                       time_seconds=None, constraints=None, binary_vars=None,
-                       real_vars=None, note="limit")
+    stuck = SolveReport("exact", "limit", None, None, None)
     row = ResultRow(instance="y", cells={"exact": stuck})
     lines = rows_to_csv([row], ["exact"]).splitlines()
     assert lines[1] == "y,exact,,limit,,,,,"
@@ -450,6 +498,56 @@ def test_cli_solve_infeasible_exit(tmp_path, capsys):
     rc = cli_main(["solve", "--instance", str(pb), "--mode", "hop"])
     assert rc == 1
     assert "status infeasible" in capsys.readouterr().out
+
+
+INADMISSIBLE = {
+    "zero-cure": lambda d: d["curing_dmin"][0].update(tv=0),
+    "curing-unknown-mold": lambda d: d["curing_dmin"].append(
+        {"mold": 99, "heater": 1, "tv": 400}),
+    "init-unknown-mold": lambda d: d["init"].append(
+        {"mold": 99, "heater": 1, "count": 1}),
+    "zero-period": lambda d: d.update(phi_dmin=0),
+    "cure-above-period": lambda d: [e.update(tv=20000)
+                                    for e in d["curing_dmin"]],
+    "negative-setup": lambda d: d["molds"][0].update(tc_dmin=-5),
+}
+
+
+def save_inadmissible(tmp_path, kind):
+    doc = instance_to_json(toy1())
+    INADMISSIBLE[kind](doc)
+    doc["name"] = kind
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "milp", "hop", "exact"])
+@pytest.mark.parametrize("kind", INADMISSIBLE)
+def test_cli_solve_inadmissible_instance(tmp_path, capsys, kind, mode):
+    path = save_inadmissible(tmp_path, kind)
+    lp_path = tmp_path / "model.lp"
+    args = ["solve", "--instance", str(path), "--mode", mode]
+    if mode != "heuristic":
+        args += ["--emit-lp", str(lp_path)]
+    assert cli_main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == f"instance {kind}\nmode {mode}\nstatus infeasible\n"
+    assert err and all(line.startswith("violation: ")
+                       for line in err.splitlines())
+    assert not lp_path.exists()
+
+
+def test_run_benchmark_records_inadmissible_instances(tmp_path):
+    p1, _ = save_toys(tmp_path)
+    paths = [str(save_inadmissible(tmp_path, kind)) for kind in INADMISSIBLE]
+    suite = {"instances": paths + [str(p1)], "modes": ["milp", "exact"],
+             "iterations": 20, "seed": 1}
+    lines = rows_to_csv(run_benchmark(suite), ["milp", "exact"]).splitlines()
+    assert lines[1:-2] == [f"{kind},{mode},,infeasible,,,,,"
+                           for kind in INADMISSIBLE
+                           for mode in ("milp", "exact")] + [
+        "toy1,milp,2,1,0,,49,12,14", "toy1,exact,2,1,0,,,,"]
 
 
 def test_cli_solve_exact_time_limit_exit(tmp_path, capsys):

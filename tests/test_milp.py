@@ -398,6 +398,26 @@ def test_parse_lp_rejects_a_bounds_line_without_a_variable(line):
         parse_lp(BOUNDS_LP.format("x <= 5", line))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x 5", "shape"),
+    ("x <= 4 junk", "shape"),
+    ("x >= 2 <= 3", "shape"),
+    ("x <= abc", "bound value 'abc'"),
+    ("2 <= x <= y", "bound value 'y'"),
+    ("x <= -inf", "bound value '-inf'"),
+    ("x = inf", "bound value 'inf'"),
+])
+def test_parse_lp_rejects_a_bounds_line_it_cannot_read(line, message):
+    with pytest.raises(ValueError, match=f"bounds line '{line}' .*{message}"):
+        parse_lp(BOUNDS_LP.format("y <= 2", line))
+
+
+def test_parse_lp_reads_infinite_bounds():
+    text = BOUNDS_LP.format("-inf <= x <= +INF", "y >= -Infinity")
+    assert parse_lp(text).variables == (Variable("x", "continuous", None, None),
+                                        Variable("y", "continuous", None, None))
+
+
 @pytest.mark.parametrize("objective, row, where", [
     ("x", "x + 3 >= 5", "constraint 'c1'"),
     ("x", "2 - x >= 5", "constraint 'c1'"),

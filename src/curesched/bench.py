@@ -568,7 +568,3 @@ def cli_main(argv=None) -> int:
     except CureschedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(cli_main())

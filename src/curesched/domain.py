@@ -308,6 +308,73 @@ def initial_residents(inst: Instance) -> dict:
     return residents
 
 
+def components(inst: Instance) -> list:
+    """The instance's independent components, as sub-instances.
+
+    A union-find joins a mold and a heater it cures in, the two molds of an
+    allowed pair, the molds of one part, and a mold and the heater it
+    starts mounted in.  Nothing then ties one component to another: no
+    mold, heater or part is shared, so each can be scheduled on its own and
+    the instance's makespan is the largest of theirs.
+
+    Each component holding a demanded mold comes back as an `Instance` with
+    the original name, period and ids, ordered by smallest mold id.  A
+    heater that cures no demanded mold and holds no initial resident drops
+    out: nothing would ever run there.
+    """
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for (m, k) in inst.curing:
+        union(("m", m), ("h", k))
+    for (m, k) in inst.init:
+        union(("m", m), ("h", k))
+    for i, j in inst.mold_compat:
+        union(("m", i), ("m", j))
+    for p in inst.parts:
+        members = sorted(p.molds)
+        for m in members[1:]:
+            union(("m", members[0]), ("m", m))
+
+    groups = {}
+    for m in inst.molds:
+        groups.setdefault(find(("m", m.id)), []).append(m)
+    demanded = {m.id for m in inst.molds if m.demand > 0}
+    used = {k for (m, k) in inst.curing if m in demanded}
+    used.update(k for (_, k) in inst.init)
+    out = []
+    for root, molds in groups.items():
+        ids = {m.id for m in molds}
+        if not ids & demanded:
+            continue
+        heaters = {k for k in inst.heaters
+                   if k in used and find(("h", k)) == root}
+        out.append(Instance(
+            name=inst.name,
+            period_dmin=inst.period_dmin,
+            molds=molds,
+            heaters=heaters,
+            curing={(m, k): tv for (m, k), tv in inst.curing.items()
+                    if m in ids and k in heaters},
+            mold_compat=[pair for pair in inst.mold_compat if pair[0] in ids],
+            parts=[p for p in inst.parts if p.molds & ids],
+            init={(m, k): c for (m, k), c in inst.init.items() if m in ids},
+            meta=inst.meta,
+        ))
+    return out
+
+
 def heater_walk(inst: Instance, tuples):
     """Replay every heater's tuples: yields (heater, tuple, residents,
     prev_end), heaters ascending and each heater's tuples in (start, id)

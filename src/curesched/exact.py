@@ -66,7 +66,7 @@ class SearchLimits:
     """Knobs that keep the exhaustive search from running away."""
 
     max_nodes: int = 5_000_000
-    time_limit_seconds: float = 600.0
+    time_limit_seconds: float = 3600.0
 
     def __post_init__(self):
         if self.max_nodes <= 0:
@@ -139,6 +139,21 @@ def _mold_rate(inst: Instance, mold_id: int, parts_mode: str) -> int:
         else:
             concurrent = min(concurrent, tightest)
     return concurrent * per_slot
+
+
+def _root_bound(inst: Instance, parts_mode: str):
+    """The search's root lower bound on the makespan: the periods the
+    slowest demanded mold needs at its `_mold_rate`; inf when a demanded
+    mold has no rate at all."""
+    lb = 0
+    for m in inst.molds:
+        if m.demand <= 0:
+            continue
+        rate = _mold_rate(inst, m.id, parts_mode)
+        if rate == 0:
+            return math.inf
+        lb = max(lb, ceil_div(m.demand, rate))
+    return lb
 
 
 def _heater_table(inst, parts_mode):
@@ -250,7 +265,7 @@ def _path_schedule(inst, path) -> Schedule:
 
 def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
                 parts_mode: str = PARTS_PER_HEATER,
-                incumbent_makespan: int = None) -> SolveReport:
+                incumbent_makespan: int = None, floor: int = 0) -> SolveReport:
     """Minimal makespan within a `thb`-period horizon, or proof there is none.
 
     An `incumbent_makespan` (say, from the randomized heuristic) seeds the
@@ -258,14 +273,18 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
     schedules, and exhausting the tree without finding one proves the
     incumbent optimal (reported with schedule None).
 
-    A frame's floor, `period - 1 + lower_bound(res)`, is checked when the
-    frame is first touched and again each time the search comes back to
-    it; once `best` has fallen to the floor, the frame's remaining joint
-    configurations are dropped unread.  That is exact: `_mold_rate` bounds
-    one period's production of each mold, so a child's floor is never
-    below its parent's and no child could beat `best`: the children
-    dropped here would each be pruned on touch, before the memo or the
-    node count sees them.  Under a limit the search only gets further.
+    A frame's floor, `period - 1 + lower_bound(res)` raised to `floor`, is
+    checked when the frame is first touched and again each time the search
+    comes back to it; once `best` has fallen to the floor, the frame's
+    remaining joint configurations are dropped unread.  That is exact:
+    `_mold_rate` bounds one period's production of each mold, so a child's
+    floor is never below its parent's and no child could beat `best`: the
+    children dropped here would each be pruned on touch, before the memo or
+    the node count sees them.  Under a limit the search only gets further.
+
+    A `floor` above 0 makes any makespan up to it good enough: the search
+    stops at its first schedule within it, which is reported "optimal" only
+    when it meets the root bound and "feasible" with its gap otherwise.
     """
     if parts_mode not in PARTS_MODES:
         raise ValueError(f"unknown parts mode {parts_mode!r}")
@@ -275,6 +294,8 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
         raise ValueError("thb must be non-negative")
     if incumbent_makespan is not None and incumbent_makespan < 0:
         raise ValueError("incumbent_makespan must be non-negative")
+    if floor < 0:
+        raise ValueError("floor must be non-negative")
 
     start_clock = time.perf_counter()
     deadline = start_clock + limits.time_limit_seconds
@@ -328,9 +349,8 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
                     best_path = [f.joint_in for f in stack[1:]]
                 stack.pop()
                 continue
-            lb = lower_bound(res)
-            floor = period - 1 + lb
-            if floor >= best or floor > thb:
+            bound = period - 1 + lower_bound(res)
+            if max(bound, floor) >= best or bound > thb:
                 stack.pop()
                 continue
             key = freeze(res, residents)
@@ -343,7 +363,7 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
             if nodes > limits.max_nodes or time.perf_counter() > deadline:
                 hit_limit = True
                 break
-            fr.floor = floor
+            fr.floor = max(bound, floor)
             fr.gen = _iter_joint_configs(inst, table, residents, res,
                                          parts_mode)
         elif fr.floor >= best:
@@ -368,7 +388,8 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
         makespan = int(best)
         if best_path is not None:
             schedule = _path_schedule(inst, best_path)
-        if not hit_limit or root_lb >= best:
+        # a search that stopped at the floor proved nothing more
+        if (not hit_limit and best > floor) or root_lb >= best:
             status, gap = "optimal", 0.0
         else:
             status, gap = "feasible", 100.0 * (best - root_lb) / best

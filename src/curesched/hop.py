@@ -11,19 +11,24 @@ solve phase, but on the safe a-priori horizon bound instead.
 
 Both pipelines share one body, `_solve_on`, around one exact stage,
 `_exact_stage`: the internal search, or a built MILP for the external
-adapter, under the one time limit `HopConfig.time_limit_seconds`.  Either
-way the stage's `SolveReport` is the pipeline's report, and its model size
-comes from `model_size`.
+adapter, under the one time limit `HopConfig.time_limit_seconds`.  The
+stage solves the instance's independent `components` apart, each on the
+makespan the heuristic schedule needs for it, since the whole makespan is
+only the largest of theirs: the most constrained component sets the
+length the others merely have to fit.  Either way the stage's
+`SolveReport` is the pipeline's report, and its model size is the
+`model_size` of the whole instance on the horizon.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .domain import (
     Instance,
     PARTS_MODES,
     PARTS_PER_HEATER,
     Schedule,
+    components,
     schedule_makespan,
     validate_schedule,
 )
@@ -34,7 +39,14 @@ from .errors import (
     NoFeasiblePlacement,
     UnproduciblePair,
 )
-from .exact import SearchLimits, SolveReport, SolverAdapter, solve_exact, solve_with_adapter
+from .exact import (
+    SearchLimits,
+    SolveReport,
+    SolverAdapter,
+    _root_bound,
+    solve_exact,
+    solve_with_adapter,
+)
 from .heuristic import HeuristicConfig, run_heuristic
 from .horizon import compute_thb
 from .milp import build_model, model_size
@@ -85,34 +97,96 @@ def _heuristic_config(cfg: HopConfig) -> HeuristicConfig:
     return HeuristicConfig(parts_mode=cfg.parts_mode)
 
 
-def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
-    """The configured backend's solve on `horizon`; its stats are the size
-    of the model on it.
-
-    An adapter that is missing or fails ends the stage at "limit" with no
-    schedule.  With an `incumbent` makespan, which a schedule on `horizon`
-    witnesses, an adapter's "infeasible" is a solver fault and raises
-    AdapterFailure.
-    """
-    stats = model_size(inst, horizon, cfg.parts_mode)
+def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
+                     floor):
+    """The configured backend's solve of one component on `horizon`, or
+    None when the deadline has passed.  A `witnessed` horizon is the
+    oracle's incumbent makespan and `floor` its good-enough makespan; an
+    adapter that is missing or fails ends at "limit"."""
+    remaining = deadline - time.perf_counter()
+    if remaining <= 0:
+        return None
     if cfg.solver == SOLVER_INTERNAL:
-        limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
-        sub = solve_exact(inst, horizon, limits, cfg.parts_mode,
-                          incumbent_makespan=incumbent)
-    else:
-        model = build_model(inst, horizon, cfg.parts_mode)
+        limits = SearchLimits(time_limit_seconds=remaining)
+        return solve_exact(comp, horizon, limits, cfg.parts_mode,
+                           incumbent_makespan=horizon if witnessed else None,
+                           floor=floor)
+    model = build_model(comp, horizon, cfg.parts_mode)
+    remaining = deadline - time.perf_counter()
+    if remaining > 0:
         try:
-            sub = solve_with_adapter(model, cfg.adapter,
-                                     cfg.time_limit_seconds)
+            return solve_with_adapter(model, cfg.adapter, remaining)
         except (AdapterUnavailable, AdapterFailure):
-            sub = SolveReport("adapter", "limit", None, None, 0.0,
-                              horizon=horizon)
-        if incumbent is not None and sub.status == "infeasible":
-            raise AdapterFailure(
-                "solver reported infeasible on a horizon the heuristic "
-                "schedule already witnesses")
-    sub.stats = stats
-    return sub
+            pass
+    return SolveReport("adapter", "limit", None, None, 0.0, horizon=horizon)
+
+
+def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
+    """The configured backend's solve on `horizon`, one of the instance's
+    `components` at a time; its stats are the whole model's size.
+
+    Components go in descending root bound under one deadline.  Each
+    searches the makespan of the `incumbent` schedule restricted to it,
+    with that schedule as its incumbent, or all of `horizon` without one.
+    One whose restricted schedule already fits the longest component so
+    far is not searched, and the oracle stops a later one at its first
+    schedule within that length.  The merged schedule has fresh tuple ids;
+    it is optimal when it meets the largest proven or root bound of the
+    components.
+
+    An adapter's "infeasible" on a component the incumbent witnesses is a
+    solver fault and raises AdapterFailure.
+    """
+    clock = time.perf_counter()
+    deadline = clock + cfg.time_limit_seconds
+    backend = "exact" if cfg.solver == SOLVER_INTERNAL else "adapter"
+    stats = model_size(inst, horizon, cfg.parts_mode)
+    todo = sorted(((_root_bound(c, cfg.parts_mode), c)
+                   for c in components(inst)), key=lambda bc: -bc[0])
+    tuples = []
+    span = lower = nodes = 0
+    stalled = False  # a backend that gave no answer at all
+    for bound, comp in todo:
+        witness, comp_horizon = None, horizon
+        if incumbent is not None:
+            witness = Schedule([t for t in incumbent.tuples
+                                if t.heater in comp.heaters])
+            comp_horizon = int(schedule_makespan(witness))
+        sub = None
+        if witness is None or comp_horizon > span:
+            sub = _component_solve(comp, comp_horizon, cfg, deadline,
+                                   witness is not None, span)
+        if sub is not None:
+            nodes += sub.nodes
+            stalled = stalled or sub.status == "limit"
+            if sub.status == "infeasible" and witness is not None:
+                raise AdapterFailure(
+                    "solver reported infeasible on a horizon the heuristic "
+                    "schedule already witnesses")
+            if sub.status == "optimal":
+                bound = sub.makespan
+        if sub is not None and sub.schedule is not None and (
+                witness is None or sub.makespan < comp_horizon):
+            piece = sub.schedule
+        elif witness is not None:
+            piece = witness
+        else:
+            return SolveReport(backend, "limit" if sub is None else sub.status,
+                               None, None, time.perf_counter() - clock,
+                               stats=stats, nodes=nodes, horizon=horizon)
+        tuples.extend(piece.tuples)
+        lower = max(lower, bound)
+        span = max(span, int(schedule_makespan(piece)))
+    tuples.sort(key=lambda t: (t.heater, t.start))
+    schedule = Schedule([replace(t, id=i) for i, t in enumerate(tuples, 1)])
+    status, gap = "optimal", 0.0
+    if span > lower:
+        status, gap = "feasible", 100.0 * (span - lower) / span
+        if stalled:
+            status, gap = "limit", None
+    return SolveReport(backend, status, span, gap, time.perf_counter() - clock,
+                       stats=stats, schedule=schedule, nodes=nodes,
+                       horizon=horizon)
 
 
 def _checked(inst, schedule, parts_mode) -> Schedule:
@@ -137,8 +211,7 @@ def _solve_on(inst, horizon, cfg: HopConfig, mode, incumbent=None,
                              solver_seconds=0.0)
     else:
         clock = time.perf_counter()
-        report = _exact_stage(inst, horizon, cfg,
-                              None if incumbent is None else horizon)
+        report = _exact_stage(inst, horizon, cfg, incumbent)
         if incumbent is not None and (report.schedule is None
                                       or report.makespan >= horizon):
             report.makespan, report.schedule = horizon, incumbent

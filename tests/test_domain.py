@@ -19,6 +19,7 @@ from curesched.domain import (
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
     Schedule,
+    components,
     heater_walk,
     pair_slots,
     plan_slot,
@@ -28,6 +29,9 @@ from curesched.domain import (
     validate_instance,
     validate_schedule,
 )
+
+from curesched.gen import SCENARIOS, generate_instance
+from curesched.milp import model_size
 
 from helpers import toy1, toy1_two_heaters, toy2, tiny_instance, variant
 
@@ -355,3 +359,73 @@ def test_tiny_instances_admissible():
     for seed in range(25):
         inst = tiny_instance(seed)
         assert validate_instance(inst).ok
+
+
+# ── independent components ───────────────────────────────────────────
+
+
+def _layout(parts):
+    return [(c.mold_ids, c.heaters) for c in parts]
+
+
+def small(seed):
+    return generate_instance(SCENARIOS["small"], seed)
+
+
+def test_components_split_s11_by_group():
+    inst = small(11)
+    parts = components(inst)
+    assert _layout(parts) == [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7)),
+                              ((6, 7), (8, 9, 10))]
+    for c in parts:
+        assert c.name == inst.name and c.period_dmin == inst.period_dmin
+        assert validate_instance(c).ok
+        assert all(m in c.mold_ids and k in c.heaters for m, k in c.curing)
+    assert [p.id for p in parts[0].parts] == [1] and parts[1].parts == ()
+
+
+def test_components_drop_heaters_no_mold_can_use():
+    inst = small(4)
+    assert len(inst.heaters) == 12
+    assert _layout(components(inst)) == [((1, 2, 3, 4, 5),
+                                          (1, 2, 3, 4, 5, 6, 7))]
+
+
+def test_part_spanning_two_groups_joins_them():
+    inst = small(11)
+    joined = variant(inst, parts=inst.parts + (
+        Part(id=2, units=1, molds=frozenset({3, 6})),))
+    assert _layout(components(joined)) == [(tuple(range(1, 8)),
+                                            tuple(range(1, 11)))]
+
+
+def test_initial_resident_keeps_an_unused_heater():
+    inst = small(11)
+    assert 11 in inst.heaters and not any(k == 11 for _, k in inst.curing)
+    loaded = variant(inst, init={(6, 11): 1})
+    parts = components(loaded)
+    assert _layout(parts)[1] == ((6, 7), (8, 9, 10, 11))
+    assert parts[1].init == {(6, 11): 1} and parts[0].init == {}
+
+
+def test_components_without_demand_are_left_out():
+    inst = small(11)
+    idle = variant(inst, molds=tuple(
+        Mold(m.id, m.copies, m.setup_dmin, m.removal_dmin,
+             0 if m.id in (6, 7) else m.demand) for m in inst.molds))
+    assert _layout(components(idle)) == [((1, 2, 3, 4, 5),
+                                          (1, 2, 3, 4, 5, 6, 7))]
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_component_models_never_exceed_the_whole(mode):
+    insts = [small(s) for s in range(1, 16)]
+    insts += [tiny_instance(s) for s in range(1000, 1040)]
+    for inst in insts:
+        for horizon in (1, 4, 9):
+            whole = model_size(inst, horizon, mode)
+            for c in components(inst):
+                part = model_size(c, horizon, mode)
+                assert part.n_constraints <= whole.n_constraints, inst.name
+                assert part.n_binary_vars <= whole.n_binary_vars, inst.name
+                assert part.n_integer_vars <= whole.n_integer_vars, inst.name

@@ -22,6 +22,7 @@ from curesched.domain import (
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
+    components,
     initial_residents,
     pair_slots,
     plan_slot,
@@ -165,6 +166,25 @@ def test_exact_proves_incumbent_optimal():
     # toy2 optimum is 2; handing it in as the incumbent must come back optimal
     report = solve_exact(toy2(), 2, incumbent_makespan=2)
     assert (report.status, report.makespan) == ("optimal", 2)
+
+
+def test_exact_floor_stops_at_first_schedule_within_it():
+    # S11's molds 6-7: root bound 5, optimum 6, heuristic horizon 16
+    inst = components(generate_instance(SCENARIOS["small"], 11))[1]
+    full = solve_exact(inst, 16, incumbent_makespan=16)
+    assert (full.status, full.makespan) == ("optimal", 6)
+    # a floor at or below the root bound changes nothing
+    same = solve_exact(inst, 16, incumbent_makespan=16, floor=5)
+    assert (same.status, same.makespan, same.nodes) == (
+        full.status, full.makespan, full.nodes)
+    early = solve_exact(inst, 16, incumbent_makespan=16, floor=8)
+    assert early.makespan <= 8 and early.nodes < full.nodes
+    assert validate_schedule(inst, early.schedule).ok
+    # stopping at the floor proves nothing beyond the root bound
+    assert early.status == "feasible"
+    assert early.gap_percent == 100.0 * (early.makespan - 5) / early.makespan
+    with pytest.raises(ValueError):
+        solve_exact(inst, 16, floor=-1)
 
 
 def test_exact_agrees_with_plain_search():

@@ -8,9 +8,15 @@ Frozen oracle values:
       so the hybrid's model must be strictly smaller than the baseline's.
 """
 
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import curesched
 
 import curesched.hop
 
@@ -21,7 +27,9 @@ from curesched.domain import (
     schedule_makespan,
     validate_schedule,
 )
-from curesched.exact import SolverAdapter, solve_exact
+from curesched.errors import AdapterFailure
+from curesched.exact import SearchLimits, SolverAdapter, solve_exact
+from curesched.gen import SCENARIOS, generate_instance
 from curesched.heuristic import HeuristicConfig, run_heuristic
 from curesched.hop import (
     SOLVER_ADAPTER,
@@ -31,7 +39,7 @@ from curesched.hop import (
     run_hop,
 )
 from curesched.horizon import compute_thb
-from curesched.milp import build_model, model_stats
+from curesched.milp import build_model, model_size, model_stats
 
 from helpers import single_mold_big, tiny_instance, toy1, toy2, variant
 
@@ -240,3 +248,121 @@ def test_solver_time_counts_the_model_build(monkeypatch):
     assert report.wall_seconds == report.heuristic_seconds + report.solver_seconds
     report, _ = run_baseline_milp(toy1(), cfg)
     assert report.wall_seconds >= 100
+
+
+def test_time_limit_defaults_agree():
+    assert SearchLimits().time_limit_seconds == 3600.0
+    assert HopConfig().time_limit_seconds == SearchLimits().time_limit_seconds
+
+
+def test_adapter_infeasible_on_a_witnessed_horizon_is_a_fault():
+    never = SolverAdapter(command=(sys.executable, "-c",
+                                   "import sys; sys.exit(10)"))
+    cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER, adapter=never)
+    with pytest.raises(AdapterFailure):
+        run_hop(toy1(), cfg)
+
+
+# ── independent components in the exact stage ──────────────────────────
+
+# Proven by HiGHS on the whole instance; the internal oracle agrees.
+SMALL_OPTIMA = (2, 6, 3, 3, 6, 4, 8, 3, 7, 2, 6, 5, 11, 2, 3)
+SMALL_HEURISTIC = HeuristicConfig(total_iterations=100, seed=1)
+
+
+def small(seed):
+    return generate_instance(SCENARIOS["small"], seed)
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_component_stage_agrees_with_whole_search(mode):
+    for seed in range(1000, 1200):
+        inst = tiny_instance(seed)
+        thb = compute_thb(inst)
+        whole = solve_exact(inst, thb, parts_mode=mode)
+        report, schedule = run_baseline_milp(inst, HopConfig(parts_mode=mode))
+        assert (report.status, report.makespan) == (
+            whole.status, whole.makespan), inst.name
+        if schedule is not None:
+            assert validate_schedule(inst, schedule, mode).ok, inst.name
+
+
+def test_hop_proves_the_small_optima():
+    for seed, optimum in enumerate(SMALL_OPTIMA, 1):
+        inst = small(seed)
+        report, schedule = run_hop(inst, HopConfig(heuristic=SMALL_HEURISTIC,
+                                                   time_limit_seconds=30.0))
+        assert (report.status, report.makespan) == ("optimal", optimum), \
+            inst.name
+        assert report.gap_percent == 0.0
+        assert validate_schedule(inst, schedule).ok, inst.name
+
+
+def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
+    calls = []
+    real = curesched.hop.solve_exact
+
+    def spy(inst, thb, limits, parts_mode, incumbent_makespan, floor):
+        calls.append((inst.mold_ids, floor))
+        return real(inst, thb, limits, parts_mode,
+                    incumbent_makespan=incumbent_makespan, floor=floor)
+
+    monkeypatch.setattr(curesched.hop, "solve_exact", spy)
+    # S11: molds 6-7 bound the makespan (root bound 5, optimum 6); molds
+    # 1-5 then only need a schedule within 6
+    report, _ = run_hop(small(11), HopConfig(heuristic=SMALL_HEURISTIC))
+    assert calls == [((6, 7), 0), ((1, 2, 3, 4, 5), 6)]
+    assert (report.status, report.makespan) == ("optimal", 6)
+    assert report.stats == model_size(small(11), report.horizon)
+    # S13: the heuristic's molds 1-5 already fit within molds 6-7's 11
+    calls.clear()
+    report, _ = run_hop(small(13), HopConfig(heuristic=SMALL_HEURISTIC))
+    assert calls == [((6, 7), 0)]
+    assert (report.status, report.makespan) == ("optimal", 11)
+
+
+def test_adapter_builds_one_model_per_solved_component(monkeypatch):
+    built = []
+    real = curesched.hop.build_model
+
+    def spy(inst, horizon, parts_mode):
+        built.append((inst.mold_ids, inst.heaters, horizon))
+        return real(inst, horizon, parts_mode)
+
+    monkeypatch.setattr(curesched.hop, "build_model", spy)
+    cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=STUB))
+    report, schedule = run_hop(small(13), cfg)
+    assert built == [((6, 7), (8, 9, 10), 11)]
+    assert (report.status, report.makespan) == ("optimal", 11)
+    assert validate_schedule(small(13), schedule).ok
+
+
+def test_component_stage_keeps_its_time_limit():
+    """Both searches stop within the limit plus one frame's slack."""
+    inst, limit, slack = small(11), 0.05, 0.25
+    heuristic = run_heuristic(inst, SMALL_HEURISTIC)
+    horizon = int(schedule_makespan(heuristic))
+    clock = time.perf_counter()
+    report = curesched.hop._exact_stage(
+        inst, horizon, HopConfig(time_limit_seconds=limit), heuristic)
+    stage_s = time.perf_counter() - clock
+    clock = time.perf_counter()
+    solve_exact(inst, horizon, SearchLimits(time_limit_seconds=limit),
+                incumbent_makespan=horizon)
+    whole_s = time.perf_counter() - clock
+    assert report.status != "optimal"
+    assert stage_s <= limit + slack
+    assert whole_s <= limit + slack
+
+
+def test_python_m_curesched_runs_the_cli_once(tmp_path):
+    src = str(Path(curesched.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "curesched",
+         "generate", "--scenario", "small", "--count", "1", "--seed", "11",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(tmp_path / "S11.json")]

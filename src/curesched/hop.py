@@ -98,11 +98,17 @@ def _heuristic_config(cfg: HopConfig) -> HeuristicConfig:
 
 
 def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
-                     floor):
+                     floor, bound):
     """The configured backend's solve of one component on `horizon`, or
     None when the deadline has passed.  A `witnessed` horizon is the
     oracle's incumbent makespan and `floor` its good-enough makespan; an
-    adapter that is missing or fails ends at "limit"."""
+    adapter that is missing or fails ends at "limit".
+
+    Given a `floor`, the adapter first tries the component's root `bound`,
+    which is at most the floor: any schedule there is optimal, and the
+    model on so short a horizon is small, so the solve costs about the
+    same whatever horizon the heuristic left.  Only when that horizon is
+    infeasible does it solve on `horizon`."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
@@ -111,13 +117,20 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
         return solve_exact(comp, horizon, limits, cfg.parts_mode,
                            incumbent_makespan=horizon if witnessed else None,
                            floor=floor)
-    model = build_model(comp, horizon, cfg.parts_mode)
-    remaining = deadline - time.perf_counter()
-    if remaining > 0:
+    tries = [horizon]
+    if floor > 0 and 0 < bound < horizon:
+        tries.insert(0, bound)
+    for h in tries:
+        model = build_model(comp, h, cfg.parts_mode)
+        remaining = deadline - time.perf_counter()
+        if remaining <= 0:
+            break
         try:
-            return solve_with_adapter(model, cfg.adapter, remaining)
+            sub = solve_with_adapter(model, cfg.adapter, remaining)
         except (AdapterUnavailable, AdapterFailure):
-            pass
+            break
+        if sub.status != "infeasible" or h == horizon:
+            return sub
     return SolveReport("adapter", "limit", None, None, 0.0, horizon=horizon)
 
 
@@ -129,8 +142,9 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
     searches the makespan of the `incumbent` schedule restricted to it,
     with that schedule as its incumbent, or all of `horizon` without one.
     One whose restricted schedule already fits the longest component so
-    far is not searched, and the oracle stops a later one at its first
-    schedule within that length.  The merged schedule has fresh tuple ids;
+    far is not searched; the oracle stops a later one at its first
+    schedule within that length, and the adapter tries its root bound
+    before its restricted makespan.  The merged schedule has fresh tuple ids;
     it is optimal when it meets the largest proven or root bound of the
     components.
 
@@ -155,7 +169,7 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
         sub = None
         if witness is None or comp_horizon > span:
             sub = _component_solve(comp, comp_horizon, cfg, deadline,
-                                   witness is not None, span)
+                                   witness is not None, span, bound)
         if sub is not None:
             nodes += sub.nodes
             stalled = stalled or sub.status == "limit"

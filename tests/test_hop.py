@@ -338,9 +338,31 @@ def test_adapter_builds_one_model_per_solved_component(monkeypatch):
     assert validate_schedule(small(13), schedule).ok
 
 
+def test_adapter_tries_a_later_component_on_its_root_bound(monkeypatch):
+    built = []
+    real = curesched.hop.build_model
+
+    def spy(inst, horizon, parts_mode):
+        built.append((inst.mold_ids, horizon))
+        return real(inst, horizon, parts_mode)
+
+    monkeypatch.setattr(curesched.hop, "build_model", spy)
+    cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=STUB))
+    # S11: molds 1-5 only have to fit within molds 6-7's 6, and their root
+    # bound 2 already holds a schedule, whatever the heuristic left them
+    report, schedule = run_hop(small(11), cfg)
+    assert built == [((6, 7), 16), ((1, 2, 3, 4, 5), 2)]
+    assert (report.status, report.makespan) == ("optimal", 6)
+    assert validate_schedule(small(11), schedule).ok
+
+
 def test_component_stage_keeps_its_time_limit():
-    """Both searches stop within the limit plus one frame's slack."""
-    inst, limit, slack = small(11), 0.05, 0.25
+    """Both searches stop within the limit plus one frame's slack.  Medium
+    seed 11 has two components and its stage runs past 1 s, so a 0.05 s
+    limit bites on any machine; small S11 now proves in about that long."""
+    inst = generate_instance(SCENARIOS["medium"], 11)
+    limit, slack = 0.05, 0.25
     heuristic = run_heuristic(inst, SMALL_HEURISTIC)
     horizon = int(schedule_makespan(heuristic))
     clock = time.perf_counter()

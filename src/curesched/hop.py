@@ -15,9 +15,11 @@ adapter, under the one time limit `HopConfig.time_limit_seconds`.  The
 stage solves the instance's independent `components` apart, each on the
 makespan the heuristic schedule needs for it, since the whole makespan is
 only the largest of theirs: the most constrained component sets the
-length the others merely have to fit.  Either way the stage's
-`SolveReport` is the pipeline's report, and its model size is the
-`model_size` of the whole instance on the horizon.
+length the others merely have to fit.  A component the heuristic already
+closes, at its root bound or within that length, is not searched; the
+adapter solves any other one on horizons climbing from its root bound.
+Either way the stage's `SolveReport` is the pipeline's report, and its
+model size is the `model_size` of the whole instance on the horizon.
 """
 
 import time
@@ -100,15 +102,13 @@ def _heuristic_config(cfg: HopConfig) -> HeuristicConfig:
 def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
                      floor, bound):
     """The configured backend's solve of one component on `horizon`, or
-    None when the deadline has passed.  A `witnessed` horizon is the
-    oracle's incumbent makespan and `floor` its good-enough makespan; an
-    adapter that is missing or fails ends at "limit".
+    None when the deadline has passed.  The oracle takes a `witnessed`
+    horizon as its incumbent makespan and `floor` as its good-enough one.
 
-    Given a `floor`, the adapter first tries the component's root `bound`,
-    which is at most the floor: any schedule there is optimal, and the
-    model on so short a horizon is small, so the solve costs about the
-    same whatever horizon the heuristic left.  Only when that horizon is
-    infeasible does it solve on `horizon`."""
+    The adapter solves the component's model on each horizon from its root
+    `bound` up to `horizon` and returns the first answer that is not
+    "infeasible": every shorter horizon was, so that answer is optimal.
+    An adapter that is missing or fails ends at "limit"."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
@@ -117,10 +117,7 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
         return solve_exact(comp, horizon, limits, cfg.parts_mode,
                            incumbent_makespan=horizon if witnessed else None,
                            floor=floor)
-    tries = [horizon]
-    if floor > 0 and 0 < bound < horizon:
-        tries.insert(0, bound)
-    for h in tries:
+    for h in range(min(bound, horizon), horizon + 1):
         model = build_model(comp, h, cfg.parts_mode)
         remaining = deadline - time.perf_counter()
         if remaining <= 0:
@@ -141,12 +138,11 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
     Components go in descending root bound under one deadline.  Each
     searches the makespan of the `incumbent` schedule restricted to it,
     with that schedule as its incumbent, or all of `horizon` without one.
-    One whose restricted schedule already fits the longest component so
-    far is not searched; the oracle stops a later one at its first
-    schedule within that length, and the adapter tries its root bound
-    before its restricted makespan.  The merged schedule has fresh tuple ids;
-    it is optimal when it meets the largest proven or root bound of the
-    components.
+    One whose restricted schedule is already within its root bound or the
+    longest component so far is not searched: that schedule is optimal, or
+    fits.  The oracle stops a later one at its first schedule within that
+    length.  The merged schedule has fresh tuple ids; it is optimal when it
+    meets the largest proven or root bound of the components.
 
     An adapter's "infeasible" on a component the incumbent witnesses is a
     solver fault and raises AdapterFailure.
@@ -167,7 +163,7 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
                                 if t.heater in comp.heaters])
             comp_horizon = int(schedule_makespan(witness))
         sub = None
-        if witness is None or comp_horizon > span:
+        if witness is None or comp_horizon > max(span, bound):
             sub = _component_solve(comp, comp_horizon, cfg, deadline,
                                    witness is not None, span, bound)
         if sub is not None:

@@ -28,7 +28,13 @@ from curesched.domain import (
     validate_schedule,
 )
 from curesched.errors import AdapterFailure
-from curesched.exact import SearchLimits, SolverAdapter, solve_exact
+from curesched.exact import (
+    SearchLimits,
+    SolveReport,
+    SolverAdapter,
+    _root_bound,
+    solve_exact,
+)
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.heuristic import HeuristicConfig, run_heuristic
 from curesched.hop import (
@@ -314,10 +320,11 @@ def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
     assert calls == [((6, 7), 0), ((1, 2, 3, 4, 5), 6)]
     assert (report.status, report.makespan) == ("optimal", 6)
     assert report.stats == model_size(small(11), report.horizon)
-    # S13: the heuristic's molds 1-5 already fit within molds 6-7's 11
+    # S13: the heuristic's molds 6-7 already meet their root bound 11, and
+    # its molds 1-5 fit within that length
     calls.clear()
     report, _ = run_hop(small(13), HopConfig(heuristic=SMALL_HEURISTIC))
-    assert calls == [((6, 7), 0)]
+    assert calls == []
     assert (report.status, report.makespan) == ("optimal", 11)
 
 
@@ -332,10 +339,17 @@ def test_adapter_builds_one_model_per_solved_component(monkeypatch):
     monkeypatch.setattr(curesched.hop, "build_model", spy)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
+    # S13: the heuristic schedule meets the root bound, so nothing is built
     report, schedule = run_hop(small(13), cfg)
-    assert built == [((6, 7), (8, 9, 10), 11)]
+    assert built == []
     assert (report.status, report.makespan) == ("optimal", 11)
     assert validate_schedule(small(13), schedule).ok
+    # S01: the heuristic leaves 4, and the one model on the root bound 2
+    # already holds a schedule
+    report, schedule = run_hop(small(1), cfg)
+    assert built == [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7), 2)]
+    assert (report.status, report.makespan) == ("optimal", 2)
+    assert validate_schedule(small(1), schedule).ok
 
 
 def test_adapter_tries_a_later_component_on_its_root_bound(monkeypatch):
@@ -349,12 +363,60 @@ def test_adapter_tries_a_later_component_on_its_root_bound(monkeypatch):
     monkeypatch.setattr(curesched.hop, "build_model", spy)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
-    # S11: molds 1-5 only have to fit within molds 6-7's 6, and their root
-    # bound 2 already holds a schedule, whatever the heuristic left them
+    # S11: molds 6-7 climb from their root bound 5 to their optimum 6; molds
+    # 1-5 then only have to fit within 6, and their root bound 2 already
+    # holds a schedule, whatever the heuristic left them
     report, schedule = run_hop(small(11), cfg)
-    assert built == [((6, 7), 16), ((1, 2, 3, 4, 5), 2)]
+    assert built == [((6, 7), 5), ((6, 7), 6), ((1, 2, 3, 4, 5), 2)]
     assert (report.status, report.makespan) == ("optimal", 6)
     assert validate_schedule(small(11), schedule).ok
+
+
+def test_adapter_ladder_climbs_from_the_root_bound(monkeypatch):
+    """Tiny seed 1021 has one component with root bound 2 and optimum 4,
+    and the heuristic leaves 6.  The rungs below 4 answer "infeasible"
+    without a solver child; the ladder stops at 4, short of the horizon."""
+    inst = tiny_instance(1021)
+    rungs = []
+    real = curesched.hop.solve_with_adapter
+
+    def fake(model, adapter, time_limit_seconds):
+        rungs.append(model.thb)
+        if model.thb < 4:
+            return SolveReport("adapter", "infeasible", None, None, 0.0,
+                               horizon=model.thb)
+        return real(model, adapter, time_limit_seconds)
+
+    monkeypatch.setattr(curesched.hop, "solve_with_adapter", fake)
+    cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=STUB))
+    report, schedule = run_hop(inst, cfg)
+    assert report.horizon == 6
+    assert _root_bound(inst, PARTS_PER_HEATER) == 2
+    assert rungs == [2, 3, 4]
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "optimal", 4, 0.0)
+    assert validate_schedule(inst, schedule).ok
+
+
+@pytest.mark.parametrize("solver", BACKENDS)
+def test_component_that_meets_its_root_bound_is_not_searched(monkeypatch,
+                                                             solver):
+    """The seed-1 heuristic already reaches S02's root bound 6 and S08's 3:
+    that schedule is optimal, so neither backend builds or searches."""
+    def never(*args, **kwargs):
+        raise AssertionError("a component at its root bound was searched")
+
+    monkeypatch.setattr(curesched.hop, "build_model", never)
+    monkeypatch.setattr(curesched.hop, "solve_exact", never)
+    cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=solver,
+                    **BACKENDS[solver])
+    for seed in (2, 8):
+        inst = small(seed)
+        report, schedule = run_hop(inst, cfg)
+        assert (report.status, report.makespan, report.gap_percent) == (
+            "optimal", SMALL_OPTIMA[seed - 1], 0.0), inst.name
+        assert validate_schedule(inst, schedule).ok, inst.name
 
 
 def test_component_stage_keeps_its_time_limit():

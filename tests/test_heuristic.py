@@ -286,6 +286,37 @@ def test_run_heuristic_plant_schedules_frozen(size, seed, mode):
     assert digest == PLANT_DIGESTS[(size, seed, mode)]
 
 
+# sha256 over repr(_tuple_rows(...)) of every instance in turn, 20 starts,
+# seed 1; tiny 1000-1199 holds 32 instances with initial residents and 58
+# with a part
+CORPUS_DIGESTS = {
+    ("tiny", PARTS_PER_HEATER):
+        "ef9e636c9eb01730557595fd67e454fab28785d201fca0ead1c8fb6172bf6e88",
+    ("tiny", PARTS_GLOBAL):
+        "acc0ec333e6688c90ad8f554d2c22b00d5b3d4aa8ebd4b3fa7367d3e6c6802ef",
+    ("small", PARTS_PER_HEATER):
+        "84748a48eb1120f8cf93da7a23cb8ce810801f714681f1aa2cd5bb527d95e567",
+    ("small", PARTS_GLOBAL):
+        "61ebfc98485493034cc9e7496af81fa8a6288156abafe17ba59e245a38cb7db9",
+}
+
+
+def _corpus(name):
+    if name == "tiny":
+        return [tiny_instance(seed) for seed in range(1000, 1200)]
+    return [generate_instance(SCENARIOS["small"], seed) for seed in range(1, 16)]
+
+
+@pytest.mark.parametrize("corpus,mode", sorted(CORPUS_DIGESTS))
+def test_run_heuristic_corpus_schedules_frozen(corpus, mode):
+    digest = hashlib.sha256()
+    for inst in _corpus(corpus):
+        sched = run_heuristic(
+            inst, HeuristicConfig(total_iterations=20, seed=1, parts_mode=mode))
+        digest.update(repr(_tuple_rows(sched)).encode())
+    assert digest.hexdigest() == CORPUS_DIGESTS[(corpus, mode)]
+
+
 # ── starts that cannot place every tuple ─────────────────────────────
 
 def _two_removals():

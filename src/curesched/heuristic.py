@@ -71,16 +71,12 @@ class _Context:
     heaters_for : (m1, m2) -> heaters able to run the pair, ids ascending
     counts      : (m1, m2) -> mold multiset of the pair
     part_need   : (m1, m2) -> part units the pair ties down
-    mold_rivals : (m1, m2) -> pairs sharing a mold with it, itself included
-    part_rivals : (m1, m2) -> pairs sharing a part with it
     """
 
     pool: list
     heaters_for: dict
     counts: dict
     part_need: dict
-    mold_rivals: dict
-    part_rivals: dict
 
 
 def _context(inst: Instance) -> _Context:
@@ -89,19 +85,12 @@ def _context(inst: Instance) -> _Context:
         pair = (s.m1, s.m2)
         heaters_for.setdefault(pair, []).append(s.heater)
         counts[pair], part_need[pair] = s.counts, s.usage
-
-    def rivals(uses):
-        return {a: [b for b in uses if not uses[a].keys().isdisjoint(uses[b])]
-                for a in uses}
-
     return _Context(
         pool=[pair for pair in sorted(heaters_for)
               if fits_one_heater(inst, counts[pair])],
         heaters_for=heaters_for,
         counts=counts,
         part_need=part_need,
-        mold_rivals=rivals(counts),
-        part_rivals=rivals(part_need),
     )
 
 
@@ -153,23 +142,22 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
 # ── assignment ───────────────────────────────────────────────────────
 
 
-def _earliest_clear(intervals, capacity: int, need: int) -> int:
-    """First period t such that usage + need fits capacity forever after."""
-    if need <= 0:
-        return 0
-    events = {}
-    for s, e, amount in intervals:
-        events[s] = events.get(s, 0) + amount
-        events[e] = events.get(e, 0) - amount
-    level = 0
-    clear_after = 0
-    times = sorted(events)
-    for idx, tm in enumerate(times):
-        level += events[tm]
-        if level + need > capacity:
-            # overloaded from tm to the next event time
-            clear_after = times[idx + 1]  # final event always drops to 0
-    return clear_after
+class _Profile:
+    """Units of one mold (or part) in use per period, and clear[n]: the
+    first period from which n more units (n = 1, 2) fit for good."""
+
+    def __init__(self, capacity: int):
+        self.capacity, self.use, self.clear = capacity, [], [0, 0, 0]
+
+    def add(self, start: int, end: int, amount: int) -> None:
+        """Hold `amount` more units over periods [start, end)."""
+        use, clear = self.use, self.clear
+        use.extend([0] * (end - len(use)))
+        for p in range(start, end):
+            use[p] += amount
+            for n in (1, 2):
+                if use[p] + n > self.capacity and clear[n] <= p:
+                    clear[n] = p + 1
 
 
 def assignment_procedure(inst: Instance, tuples,
@@ -182,18 +170,15 @@ def assignment_procedure(inst: Instance, tuples,
     breaking ties. The heater is the one reaching that start with the least
     changeover work, lowest id last.
 
-    A tuple's earliest start depends on its pair only, never on its
-    quantity, so each round computes it once per distinct pending pair.
-    The period from which the pair's molds (and, in global mode, their
-    parts) stay free is cached per pair. A placement only adds usage to the
-    molds it holds and the parts they need, so it drops exactly the cached
-    entries of pairs sharing such a mold or part; every other entry is
-    still what a fresh computation would give.
+    Each mold, and each part in global mode, keeps a usage profile that
+    answers one question: from which period on do one (or two) more units
+    fit for good? A placement updates the profiles it uses over its own
+    periods, so a pair's earliest free period is the largest answer among
+    its molds and parts.
     """
     ctx = ctx or _context(inst)
     heaters_for, counts = ctx.heaters_for, ctx.counts
-    by_global = parts_mode == PARTS_GLOBAL
-    part_need = ctx.part_need if by_global else {}
+    part_need = ctx.part_need if parts_mode == PARTS_GLOBAL else {}
 
     # pair -> its pending tuples with their rank in id order, the tie-break
     queues = {}
@@ -204,24 +189,22 @@ def assignment_procedure(inst: Instance, tuples,
     avail = {k: 0 for k in inst.heaters}
     avail_of = avail.__getitem__
     residents = initial_residents(inst)
-    mold_use = {m.id: [] for m in inst.molds}
-    part_use = {p.id: [] for p in inst.parts}
-    clear = {}  # pair -> first period from which its molds and parts fit
+    mold_use = {m.id: _Profile(m.copies) for m in inst.molds}
+    part_use = {p.id: _Profile(p.units) for p in inst.parts}
+    # pair -> (profile, units) of each mold and part it holds
+    needs = {pair: [(mold_use[m], c) for m, c in counts[pair].items()]
+             for pair in queues}
+    for pair, held in needs.items():
+        held += [(part_use[p], u) for p, u in part_need.get(pair, {}).items()]
     placed = []
 
     while queues:
         best_key = best_pair = None
         for pair, queue in queues.items():
-            free = clear.get(pair)
-            if free is None:
-                free = 0
-                for m, c in counts[pair].items():
-                    free = max(free, _earliest_clear(
-                        mold_use[m], inst.mold_by_id[m].copies, c))
-                for pid, u in part_need.get(pair, {}).items():
-                    free = max(free, _earliest_clear(
-                        part_use[pid], inst.part_by_id[pid].units, u))
-                clear[pair] = free
+            free = 0
+            for profile, n in needs[pair]:
+                if profile.clear[n] > free:
+                    free = profile.clear[n]
             ready = max(min(map(avail_of, heaters_for[pair])), free)
             key = (ready, queue[0][0])
             if best_key is None or key < best_key:
@@ -258,16 +241,8 @@ def assignment_procedure(inst: Instance, tuples,
         placed.append(replace(t, heater=k, start=start, length=plan.length))
         avail[k] = end
         residents[k] = dict(molds)
-        for m, c in molds.items():
-            mold_use[m].append((start, end, c))
-        need = part_need.get(best_pair, {})
-        for pid, u in need.items():
-            part_use[pid].append((start, end, u))
-        for pair in ctx.mold_rivals[best_pair]:
-            clear.pop(pair, None)
-        if by_global:
-            for pair in ctx.part_rivals[best_pair]:
-                clear.pop(pair, None)
+        for profile, n in needs[best_pair]:
+            profile.add(start, end, n)
 
     return Schedule(tuples=sorted(placed, key=lambda t: t.id))
 

@@ -248,8 +248,6 @@ def run_hop(inst: Instance, cfg: HopConfig = None):
         heur_schedule = run_heuristic(inst, _heuristic_config(cfg))
     except (UnproduciblePair, NoFeasiblePlacement) as exc:
         raise Infeasible(f"heuristic found no feasible schedule: {exc}") from exc
-    if heur_schedule.sentinel:
-        raise Infeasible("heuristic produced no candidate schedule")
     heur_seconds = time.perf_counter() - clock
     return _solve_on(inst, int(schedule_makespan(heur_schedule)), cfg, "hop",
                      heur_schedule, heur_seconds)

@@ -104,6 +104,20 @@ def single_mold_big(copies: int = 4, heaters: int = 2) -> Instance:
 TINY_TV_POOL = (2400, 2880, 3600, 4800, 7200)  # per-period rates 6,5,4,3,2
 
 
+def two_removals() -> Instance:
+    """One heater; two copies of mold 1 take 2 x 7300 dmin to remove, more
+    than the 14400 budget, so nothing but mold 1 may follow (1, 1). The
+    mixed pair covers all demand in one period."""
+    return Instance(
+        "two-removals", PHI,
+        molds=(Mold(id=1, copies=2, setup_dmin=600, removal_dmin=7300, demand=8),
+               Mold(id=2, copies=1, setup_dmin=600, removal_dmin=300, demand=8)),
+        heaters=(1,),
+        curing={(1, 1): 1200, (2, 1): 1200},
+        mold_compat=((1, 1), (1, 2)),
+    )
+
+
 def tiny_instance(seed: int) -> Instance:
     """Random admissible instance with |M| <= 3, |H| <= 2, demand <= 30."""
     rng = random.Random(seed)

@@ -8,6 +8,7 @@ Frozen oracle values reused from the fixture instances:
 """
 
 import json
+import shlex
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -50,6 +51,14 @@ STUB_CMD = f"{sys.executable} -m curesched.lpsolve"
 
 def fmt_avg(v):
     return str(int(v)) if float(v).is_integer() else f"{v:.2f}"
+
+
+def garbage_solver(tmp_path):
+    """A solver command that exits 0 after writing a malformed solution."""
+    script = tmp_path / "garbage_solver.py"
+    script.write_text("import sys\nopen(sys.argv[2], 'w').write('garbage')\n",
+                      encoding="utf-8")
+    return shlex.join([sys.executable, str(script)])
 
 
 def save_toys(tmp_path):
@@ -338,6 +347,27 @@ def test_run_benchmark_adapter(tmp_path):
              "solver_cmd": STUB_CMD}
     rows = run_benchmark(suite)
     assert rows[0].cells["milp"].makespan == 1
+
+
+def test_run_benchmark_malformed_solution_is_an_error_cell(tmp_path):
+    """A solver that writes a malformed solution gives `error` cells, which
+    the averages leave out; the zero-demand instance never calls it."""
+    save_toys(tmp_path)
+    save_instance(zero_demand_toy1(), tmp_path / "zero.json")
+    modes = ["heuristic", "milp"]
+    suite = {"instances": ["toy1.json", "zero.json"], "modes": modes,
+             "iterations": 20, "seed": 1,
+             "solver_cmd": garbage_solver(tmp_path)}
+    rows = run_benchmark(suite, base_dir=tmp_path)
+    assert rows_to_csv(rows, modes) == "\n".join([
+        CSV_HEADER,
+        "toy1,heuristic,,2,,,,,",
+        "toy1,milp,,error,,,,,",
+        "zero,heuristic,,0,,,,,",
+        "zero,milp,,0,0,,,,",
+        "Average,heuristic,,1,,,,,",
+        "Average,milp,,0,0,,,,",
+    ]) + "\n"
 
 
 def test_csv_note_and_gap_rendering():
@@ -650,6 +680,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     p1, _ = save_toys(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope", encoding="utf-8")
+    unknown_mode = tmp_path / "unknown-mode.json"
+    unknown_mode.write_text(json.dumps(
+        {"instances": [str(p1)], "modes": ["banana"]}), encoding="utf-8")
     cases = [
         [],
         ["frobnicate"],
@@ -660,6 +693,11 @@ def test_cli_usage_errors(tmp_path, capsys):
         ["bench", "--suite", str(tmp_path / "missing-suite.json"),
          "--out", str(tmp_path / "o.csv")],
         ["validate", "--instance", str(bad)],
+        ["generate", "--scenario", "small", "--count", "0", "--seed", "1",
+         "--out-dir", str(tmp_path / "gen")],
+        ["bench", "--suite", str(unknown_mode), "--out", str(tmp_path / "o.csv")],
+        ["solve", "--instance", str(p1), "--mode", "milp",
+         "--solver-cmd", garbage_solver(tmp_path)],
     ]
     for args in cases:
         assert cli_main(args) == 2, args

@@ -22,7 +22,6 @@ from curesched.domain import (
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
     AssignmentTuple,
-    Instance,
     Mold,
     Schedule,
     Part,
@@ -35,13 +34,22 @@ from curesched.exact import solve_exact
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.heuristic import (
     HeuristicConfig,
+    _Profile,
     assignment_procedure,
     improvement_procedure,
     mold_pairs_procedure,
     run_heuristic,
 )
 
-from helpers import PHI, single_mold_big, tiny_instance, toy1, toy1_two_heaters, toy2, variant
+from helpers import (
+    single_mold_big,
+    tiny_instance,
+    toy1,
+    toy1_two_heaters,
+    toy2,
+    two_removals as _two_removals,
+    variant,
+)
 
 
 class ScriptedRng:
@@ -163,6 +171,16 @@ def test_assignment_is_deterministic():
     b = assignment_procedure(inst, tuples)
     assert [(t.id, t.heater, t.start, t.length) for t in a.tuples] == \
            [(t.id, t.heater, t.start, t.length) for t in b.tuples]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_profile_clear_holds_for_good(order):
+    # capacity 2; two units in use over [0, 2), one over [3, 5): one more
+    # unit fits from period 2, two more only from 5, not in the gap at 3
+    profile = _Profile(2)
+    for start, end, amount in [(0, 2, 2), (3, 5, 1)][::order]:
+        profile.add(start, end, amount)
+    assert profile.clear[1:] == [2, 5]
 
 
 # ── improvement ──────────────────────────────────────────────────────
@@ -318,20 +336,6 @@ def test_run_heuristic_corpus_schedules_frozen(corpus, mode):
 
 
 # ── starts that cannot place every tuple ─────────────────────────────
-
-def _two_removals():
-    """One heater; two copies of mold 1 take 2 x 7300 dmin to remove, more
-    than the 14400 budget, so nothing but mold 1 may follow (1, 1). The
-    mixed pair covers all demand in one period."""
-    return Instance(
-        "two-removals", PHI,
-        molds=(Mold(id=1, copies=2, setup_dmin=600, removal_dmin=7300, demand=8),
-               Mold(id=2, copies=1, setup_dmin=600, removal_dmin=300, demand=8)),
-        heaters=(1,),
-        curing={(1, 1): 1200, (2, 1): 1200},
-        mold_compat=((1, 1), (1, 2)),
-    )
-
 
 def test_two_removals_blocks_a_following_single():
     inst = _two_removals()

@@ -27,7 +27,7 @@ from curesched.domain import (
     schedule_makespan,
     validate_schedule,
 )
-from curesched.errors import AdapterFailure
+from curesched.errors import AdapterFailure, Infeasible
 from curesched.exact import (
     SearchLimits,
     SolveReport,
@@ -47,7 +47,7 @@ from curesched.hop import (
 from curesched.horizon import compute_thb
 from curesched.milp import build_model, model_size, model_stats
 
-from helpers import single_mold_big, tiny_instance, toy1, toy2, variant
+from helpers import single_mold_big, tiny_instance, toy1, toy2, two_removals, variant
 
 STUB = (sys.executable, "-m", "curesched.lpsolve")
 FAST = HeuristicConfig(total_iterations=20, seed=1)
@@ -101,6 +101,14 @@ def test_hop_zero_demand_skips_solver():
     assert schedule.tuples == []
     assert report.stats is None
     assert report.solver_seconds == 0.0
+
+
+def test_hop_without_a_heuristic_schedule_is_infeasible():
+    # seed 0's only start cannot place its tuples, and neither can the
+    # safe horizon's serial schedule
+    cfg = HopConfig(heuristic=HeuristicConfig(total_iterations=1, seed=0))
+    with pytest.raises(Infeasible, match="heuristic found no feasible"):
+        run_hop(two_removals(), cfg)
 
 
 def test_hop_never_worse_than_heuristic():

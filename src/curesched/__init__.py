@@ -53,7 +53,6 @@ from .milp import (
 )
 from .lpformat import ParsedLp, parse_lp
 from .exact import (
-    SearchLimits,
     SolveReport,
     SolverAdapter,
     solve_exact,
@@ -100,7 +99,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioSpec",
     "Schedule",
-    "SearchLimits",
     "SolveReport",
     "SolverAdapter",
     "SOLVER_ADAPTER",

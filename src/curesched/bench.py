@@ -43,7 +43,7 @@ from .errors import (
     NoFeasiblePlacement,
     UnproduciblePair,
 )
-from .exact import SearchLimits, SolveReport, SolverAdapter, solve_exact
+from .exact import SolveReport, SolverAdapter, solve_exact
 from .gen import SCENARIOS, generate_instance
 from .heuristic import HeuristicConfig, run_heuristic
 from .hop import (
@@ -367,9 +367,8 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
             kwargs["time_limit_seconds"] = time_limit
         cfg = HopConfig(**kwargs)
         if mode == "exact":
-            limits = SearchLimits(time_limit_seconds=cfg.time_limit_seconds)
-            rep = solve_exact(inst, compute_thb(inst), limits=limits,
-                              parts_mode=parts_mode)
+            rep = solve_exact(inst, compute_thb(inst), parts_mode,
+                              time_limit_seconds=cfg.time_limit_seconds)
             if rep.schedule is not None:
                 _checked(inst, rep.schedule, parts_mode)
             return rep

@@ -543,7 +543,8 @@ def validate_schedule(inst: Instance, schedule: Schedule,
         if not bad:
             usable.append(t)
 
-    # heater walks: occupancy, changeover budgets, per-tuple capacity
+    # heater walks: occupancy, changeover budgets, per-tuple capacity, and
+    # per-heater part units, which the one tuple holding the heater decides
     for h, t, residents, prev_end in heater_walk(inst, usable):
         if t.start < prev_end:
             v.append(f"tuples overlap on heater {h} at period {t.start}")
@@ -559,36 +560,30 @@ def validate_schedule(inst: Instance, schedule: Schedule,
                 f"tuple {t.id} on heater {h}: capacity {available} over "
                 f"{t.length} period(s) cannot cover quantity {t.q}"
             )
+        if parts_mode == PARTS_PER_HEATER:
+            for pid, u in sorted(part_usage(inst, t.mold_counts()).items()):
+                if u > inst.part_by_id[pid].units:
+                    v.append(f"tuple {t.id} on heater {h}: part {pid} needs "
+                             f"{u} units, only {inst.part_by_id[pid].units} "
+                             f"exist")
 
-    # per-period mold copies and part units
+    # per-period mold copies, and part units in global mode
     horizon = int(schedule_makespan(schedule)) if schedule.tuples else 0
     counts_at = [{} for _ in range(horizon)]
-    per_heater_at = [{} for _ in range(horizon)]
     for t in usable:
         molds = t.mold_counts()
         for t0 in range(t.start, t.start + t.length):
             counts = counts_at[t0]
-            ph = per_heater_at[t0].setdefault(t.heater, {})
             for m, c in molds.items():
                 counts[m] = counts.get(m, 0) + c
-                ph[m] = ph.get(m, 0) + c
-    for t0 in range(horizon):
-        counts, per_heater = counts_at[t0], per_heater_at[t0]
+    for t0, counts in enumerate(counts_at):
         for m, c in sorted(counts.items()):
             if c > inst.mold_by_id[m].copies:
                 v.append(
                     f"mold {m} uses {c} copies in period {t0}, "
                     f"only {inst.mold_by_id[m].copies} exist"
                 )
-        if parts_mode == PARTS_PER_HEATER:
-            for h, ph in sorted(per_heater.items()):
-                for pid, u in sorted(part_usage(inst, ph).items()):
-                    if u > inst.part_by_id[pid].units:
-                        v.append(
-                            f"part {pid} needs {u} units on heater {h} in "
-                            f"period {t0}, only {inst.part_by_id[pid].units} exist"
-                        )
-        else:
+        if parts_mode != PARTS_PER_HEATER:
             for pid, u in sorted(part_usage(inst, counts).items()):
                 if u > inst.part_by_id[pid].units:
                     v.append(

@@ -53,7 +53,7 @@ from .milp import (
 )
 
 __all__ = [
-    "SearchLimits",
+    "TIME_LIMIT_SECONDS",
     "SolveReport",
     "SolverAdapter",
     "solve_exact",
@@ -61,18 +61,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Knobs that keep the exhaustive search from running away."""
-
-    max_nodes: int = 5_000_000
-    time_limit_seconds: float = 3600.0
-
-    def __post_init__(self):
-        if self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
-        if self.time_limit_seconds <= 0:
-            raise ValueError("time_limit_seconds must be positive")
+# the one default time limit of the exact stage, whichever backend runs it
+TIME_LIMIT_SECONDS = 3600.0
+# counted nodes a search may expand: each one holds a memo entry, so this
+# bounds the memo's memory
+_MAX_NODES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -141,19 +134,25 @@ def _mold_rate(inst: Instance, mold_id: int, parts_mode: str) -> int:
     return concurrent * per_slot
 
 
-def _root_bound(inst: Instance, parts_mode: str):
-    """The search's root lower bound on the makespan: the periods the
-    slowest demanded mold needs at its `_mold_rate`; inf when a demanded
-    mold has no rate at all."""
+def _residual_bound(res, rate):
+    """Lower bound on the periods left to cure the residual demand `res`:
+    those the slowest mold needs at its `_mold_rate` in `rate`; inf when a
+    mold with demand left has no rate at all."""
     lb = 0
-    for m in inst.molds:
-        if m.demand <= 0:
-            continue
-        rate = _mold_rate(inst, m.id, parts_mode)
-        if rate == 0:
-            return math.inf
-        lb = max(lb, ceil_div(m.demand, rate))
+    for i, r in res.items():
+        if r > 0:
+            if rate[i] == 0:
+                return math.inf
+            lb = max(lb, ceil_div(r, rate[i]))
     return lb
+
+
+def _root_bound(inst: Instance, parts_mode: str):
+    """The search's root lower bound on the makespan: `_residual_bound` of
+    the whole demand."""
+    demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
+    return _residual_bound(
+        demand, {i: _mold_rate(inst, i, parts_mode) for i in demand})
 
 
 def _heater_table(inst, parts_mode):
@@ -263,20 +262,23 @@ def _path_schedule(inst, path) -> Schedule:
     return schedule_from_periods(inst, periods)
 
 
-def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
-                parts_mode: str = PARTS_PER_HEATER,
-                incumbent_makespan: int = None, floor: int = 0) -> SolveReport:
+def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
+                incumbent_makespan: int = None, floor: int = 0,
+                time_limit_seconds: float = TIME_LIMIT_SECONDS) -> SolveReport:
     """Minimal makespan within a `thb`-period horizon, or proof there is none.
+
+    The search stops after `time_limit_seconds`, or after `_MAX_NODES`
+    counted nodes, with the best schedule it holds.
 
     An `incumbent_makespan` (say, from the randomized heuristic) seeds the
     pruning bound; the search then only looks for strictly shorter
     schedules, and exhausting the tree without finding one proves the
     incumbent optimal (reported with schedule None).
 
-    A frame's floor, `period - 1 + lower_bound(res)` raised to `floor`, is
-    checked when the frame is first touched and again each time the search
-    comes back to it; once `best` has fallen to the floor, the frame's
-    remaining joint configurations are dropped unread.  That is exact:
+    A frame's floor, `period - 1 + _residual_bound(res, rate)` raised to
+    `floor`, is checked when the frame is first touched and again each time
+    the search comes back to it; once `best` has fallen to the floor, the
+    frame's remaining joint configurations are dropped unread.  That is exact:
     `_mold_rate` bounds one period's production of each mold, so a child's
     floor is never below its parent's and no child could beat `best`: the
     children dropped here would each be pruned on touch, before the memo or
@@ -288,8 +290,8 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
     """
     if parts_mode not in PARTS_MODES:
         raise ValueError(f"unknown parts mode {parts_mode!r}")
-    if limits is None:
-        limits = SearchLimits()
+    if time_limit_seconds <= 0:
+        raise ValueError("time_limit_seconds must be positive")
     if thb < 0:
         raise ValueError("thb must be non-negative")
     if incumbent_makespan is not None and incumbent_makespan < 0:
@@ -298,26 +300,14 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
         raise ValueError("floor must be non-negative")
 
     start_clock = time.perf_counter()
-    deadline = start_clock + limits.time_limit_seconds
+    deadline = start_clock + time_limit_seconds
     table = _heater_table(inst, parts_mode)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
     rate = {i: _mold_rate(inst, i, parts_mode) for i in demanded}
 
     residual0 = {i: inst.mold_by_id[i].demand for i in demanded}
     residents0 = initial_residents(inst)
-
-    def lower_bound(res):
-        lb = 0
-        for i in demanded:
-            r = res[i]
-            if r <= 0:
-                continue
-            if rate[i] == 0:
-                return math.inf
-            lb = max(lb, ceil_div(r, rate[i]))
-        return lb
-
-    root_lb = lower_bound(residual0)
+    root_lb = _residual_bound(residual0, rate)
     best = math.inf if incumbent_makespan is None else incumbent_makespan
     best_path = None
     memo = {}
@@ -349,7 +339,7 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
                     best_path = [f.joint_in for f in stack[1:]]
                 stack.pop()
                 continue
-            bound = period - 1 + lower_bound(res)
+            bound = period - 1 + _residual_bound(res, rate)
             if max(bound, floor) >= best or bound > thb:
                 stack.pop()
                 continue
@@ -360,7 +350,7 @@ def solve_exact(inst: Instance, thb: int, limits: SearchLimits = None,
                 continue
             memo[key] = period
             nodes += 1
-            if nodes > limits.max_nodes or time.perf_counter() > deadline:
+            if nodes > _MAX_NODES:
                 hit_limit = True
                 break
             fr.floor = max(bound, floor)

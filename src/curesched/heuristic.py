@@ -111,31 +111,29 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
         if m.demand > 0 and m.copies > 0
     }
     residual = {m.id: m.demand for m in inst.molds if m.demand > 0}
+
+    def drawable(pairs):
+        return [pair for pair in pairs
+                if all(residual.get(m, 0) > 0 for m in pair if m != EMPTY)]
+
+    # residuals only fall, so the drawable pairs change only when a draw
+    # uses up a mold; filtering the last list keeps the pool's order
+    candidates = drawable(pool)
     tuples = []
-    next_id = 0
-    while any(r > 0 for r in residual.values()):
-        candidates = [
-            (i, j)
-            for (i, j) in pool
-            if all(residual.get(m, 0) > 0 for m in (i, j) if m != EMPTY)
-        ]
-        if not candidates:
-            stuck = sorted(m for m, r in residual.items() if r > 0)
-            raise UnproduciblePair(
-                f"no admissible mold pair covers remaining demand of molds {stuck}"
-            )
+    while candidates:
         i, j = rng.choice(candidates)
-        if i == EMPTY:
-            q = min(batch[j], residual[j])
-        elif i == j:
-            q = min(batch[i], residual[i])
-        else:
-            q = min(batch[i], batch[j], residual[i], residual[j])
-        next_id += 1
-        t = AssignmentTuple(id=next_id, m1=i, m2=j, q=q)
+        q = min(min(batch[m], residual[m]) for m in (i, j) if m != EMPTY)
+        t = AssignmentTuple(id=len(tuples) + 1, m1=i, m2=j, q=q)
         for m, produced in t.production().items():
             residual[m] -= produced
+        if any(residual[m] <= 0 for m in (i, j) if m != EMPTY):
+            candidates = drawable(candidates)
         tuples.append(t)
+    stuck = sorted(m for m, r in residual.items() if r > 0)
+    if stuck:
+        raise UnproduciblePair(
+            f"no admissible mold pair covers remaining demand of molds {stuck}"
+        )
     return tuples
 
 

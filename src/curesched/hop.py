@@ -42,7 +42,7 @@ from .errors import (
     UnproduciblePair,
 )
 from .exact import (
-    SearchLimits,
+    TIME_LIMIT_SECONDS,
     SolveReport,
     SolverAdapter,
     _root_bound,
@@ -75,7 +75,7 @@ class HopConfig:
 
     heuristic: HeuristicConfig = None
     solver: str = SOLVER_INTERNAL
-    time_limit_seconds: float = 3600.0
+    time_limit_seconds: float = TIME_LIMIT_SECONDS
     parts_mode: str = PARTS_PER_HEATER
     adapter: SolverAdapter = None
 
@@ -113,10 +113,9 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     if remaining <= 0:
         return None
     if cfg.solver == SOLVER_INTERNAL:
-        limits = SearchLimits(time_limit_seconds=remaining)
-        return solve_exact(comp, horizon, limits, cfg.parts_mode,
+        return solve_exact(comp, horizon, cfg.parts_mode,
                            incumbent_makespan=horizon if witnessed else None,
-                           floor=floor)
+                           floor=floor, time_limit_seconds=remaining)
     for h in range(min(bound, horizon), horizon + 1):
         model = build_model(comp, h, cfg.parts_mode)
         remaining = deadline - time.perf_counter()

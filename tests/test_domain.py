@@ -302,6 +302,32 @@ def test_validate_part_modes_differ_across_heaters():
     assert any("part 1" in v for v in report.violations)
 
 
+def test_validate_checks_per_heater_parts_once_per_tuple():
+    # toy2 plus mold 3, whose identical pair needs two units of part 2
+    inst = variant(
+        toy2(),
+        molds=toy2().molds + (Mold(3, 2, 600, 300, 0),),
+        curing={**toy2().curing, (3, 1): 400},
+        mold_compat=((1, 1), (1, 2), (2, 2), (3, 3)),
+        parts=toy2().parts + (Part(id=2, units=1, molds=frozenset({3})),),
+    )
+    overlapping = Schedule(tuples=[
+        _tuple(1, 0, 1, 10, 1, 0, 1),
+        _tuple(2, 0, 2, 10, 1, 0, 1),
+    ])
+    report = validate_schedule(inst, overlapping, parts_mode=PARTS_PER_HEATER)
+    assert any("overlap" in v for v in report.violations)
+    assert not any("part" in v for v in report.violations)
+    two_periods = Schedule(tuples=[
+        _tuple(1, 0, 1, 10, 1, 0, 1),
+        _tuple(2, 0, 2, 10, 1, 1, 1),
+        _tuple(3, 3, 3, 5, 1, 2, 2),
+    ])
+    report = validate_schedule(inst, two_periods, parts_mode=PARTS_PER_HEATER)
+    assert [v for v in report.violations if "part" in v] == [
+        "tuple 3 on heater 1: part 2 needs 2 units, only 1 exist"]
+
+
 def test_validate_flags_capacity_excess():
     inst = toy1()
     sched = Schedule(tuples=[_tuple(1, 1, 2, 34, 1, 0, 1)])

@@ -37,7 +37,7 @@ from curesched.errors import (
     InfeasibleAssignment,
     SolutionParseError,
 )
-from curesched.exact import SearchLimits, SolverAdapter, solve_exact, solve_with_adapter
+from curesched.exact import SolverAdapter, solve_exact, solve_with_adapter
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.horizon import compute_thb
 from curesched.milp import build_model
@@ -146,20 +146,27 @@ def test_exact_with_initial_load():
     assert validate_schedule(inst, report.schedule).ok
 
 
-def test_exact_node_limit_without_incumbent():
+def test_exact_node_limit_without_incumbent(monkeypatch):
+    monkeypatch.setattr(curesched.exact, "_MAX_NODES", 2)
     inst = single_mold_big(copies=4, heaters=2)
-    report = solve_exact(inst, 20, SearchLimits(max_nodes=2))
+    report = solve_exact(inst, 20)
     assert report.status == "limit"
     assert report.makespan is None
     assert report.schedule is None
 
 
-def test_exact_node_limit_with_incumbent():
+def test_exact_node_limit_with_incumbent(monkeypatch):
+    monkeypatch.setattr(curesched.exact, "_MAX_NODES", 2)
     inst = single_mold_big(copies=4, heaters=2)
-    report = solve_exact(inst, 20, SearchLimits(max_nodes=2), incumbent_makespan=25)
+    report = solve_exact(inst, 20, incumbent_makespan=25)
     assert report.status == "feasible"
     assert report.makespan == 25
     assert report.gap_percent is not None and report.gap_percent > 0
+
+
+def test_exact_rejects_a_non_positive_time_limit():
+    with pytest.raises(ValueError):
+        solve_exact(toy1(), 2, time_limit_seconds=0)
 
 
 def test_exact_proves_incumbent_optimal():

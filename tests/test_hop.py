@@ -8,6 +8,7 @@ Frozen oracle values:
       so the hybrid's model must be strictly smaller than the baseline's.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from curesched.domain import (
 )
 from curesched.errors import AdapterFailure, Infeasible
 from curesched.exact import (
-    SearchLimits,
+    TIME_LIMIT_SECONDS,
     SolveReport,
     SolverAdapter,
     _root_bound,
@@ -265,8 +266,10 @@ def test_solver_time_counts_the_model_build(monkeypatch):
 
 
 def test_time_limit_defaults_agree():
-    assert SearchLimits().time_limit_seconds == 3600.0
-    assert HopConfig().time_limit_seconds == SearchLimits().time_limit_seconds
+    default = inspect.signature(solve_exact).parameters["time_limit_seconds"]
+    assert TIME_LIMIT_SECONDS == 3600.0
+    assert HopConfig().time_limit_seconds == TIME_LIMIT_SECONDS
+    assert default.default == TIME_LIMIT_SECONDS
 
 
 def test_adapter_infeasible_on_a_witnessed_horizon_is_a_fault():
@@ -316,10 +319,12 @@ def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
     calls = []
     real = curesched.hop.solve_exact
 
-    def spy(inst, thb, limits, parts_mode, incumbent_makespan, floor):
+    def spy(inst, thb, parts_mode, incumbent_makespan, floor,
+            time_limit_seconds):
         calls.append((inst.mold_ids, floor))
-        return real(inst, thb, limits, parts_mode,
-                    incumbent_makespan=incumbent_makespan, floor=floor)
+        return real(inst, thb, parts_mode,
+                    incumbent_makespan=incumbent_makespan, floor=floor,
+                    time_limit_seconds=time_limit_seconds)
 
     monkeypatch.setattr(curesched.hop, "solve_exact", spy)
     # S11: molds 6-7 bound the makespan (root bound 5, optimum 6); molds
@@ -440,8 +445,8 @@ def test_component_stage_keeps_its_time_limit():
         inst, horizon, HopConfig(time_limit_seconds=limit), heuristic)
     stage_s = time.perf_counter() - clock
     clock = time.perf_counter()
-    solve_exact(inst, horizon, SearchLimits(time_limit_seconds=limit),
-                incumbent_makespan=horizon)
+    solve_exact(inst, horizon, incumbent_makespan=horizon,
+                time_limit_seconds=limit)
     whole_s = time.perf_counter() - clock
     assert report.status != "optimal"
     assert stage_s <= limit + slack

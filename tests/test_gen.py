@@ -6,10 +6,13 @@ timing pools, per-scenario mold-copy policies, and the group-based
 compatibility template.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
+from curesched.bench import instance_to_json
 from curesched.domain import validate_instance
 from curesched.gen import SCENARIOS, ScenarioSpec, generate_instance
 from curesched.horizon import compute_thb
@@ -17,6 +20,14 @@ from curesched.horizon import compute_thb
 TC_POOL = {416, 606, 668}
 TQ_POOL = {252, 449, 622}
 TV_POOL = {125, 180, 260, 300, 400, 420, 530, 550}
+
+# sha256 over the sorted-key JSON of seeds 0-59, one digest per scenario;
+# covers every corpus the benchmark draws (small 1-15, medium 1-10, large 1-5)
+CORPUS_DIGESTS = {
+    "small": "c37514e459eccdd81ef21bf318b84c470d40d6b20abb371ce6244668b261488e",
+    "medium": "23ee5f9a4f9a5052b06445578aec79acf14ee6e85474418ba6b7097c42f53379",
+    "large": "133931fc1aaa3a5c17a34f20c9153dfef07aced113d81d659cc706ac3b83c5b4",
+}
 
 
 def test_scenario_registry():
@@ -135,6 +146,15 @@ def test_determinism():
     c = generate_instance(SCENARIOS["small"], 8)
     assert c.molds != generate_instance(SCENARIOS["small"], 7).molds or \
         c.curing != generate_instance(SCENARIOS["small"], 7).curing
+
+
+def test_generated_corpus_frozen():
+    for name, digest in CORPUS_DIGESTS.items():
+        h = hashlib.sha256()
+        for seed in range(60):
+            doc = instance_to_json(generate_instance(SCENARIOS[name], seed))
+            h.update(json.dumps(doc, sort_keys=True).encode())
+        assert h.hexdigest() == digest, name
 
 
 def test_generated_instances_are_admissible():

@@ -33,12 +33,7 @@ from .errors import (
     SolutionParseError,
     UnproduciblePair,
 )
-from .horizon import (
-    MoldPartition,
-    compute_thb,
-    horizon_witness,
-    partition_molds,
-)
+from .horizon import compute_thb, horizon_witness, pooled_molds
 from .heuristic import HeuristicConfig, run_heuristic
 from .milp import (
     MilpModel,
@@ -89,7 +84,6 @@ __all__ = [
     "MilpModel",
     "ModelStats",
     "Mold",
-    "MoldPartition",
     "ParsedLp",
     "PairSlot",
     "Part",
@@ -128,7 +122,7 @@ __all__ = [
     "model_stats",
     "pair_slots",
     "parse_lp",
-    "partition_molds",
+    "pooled_molds",
     "rows_to_csv",
     "rows_to_table",
     "run_baseline_milp",

@@ -330,6 +330,11 @@ def rows_to_table(rows, modes, record_time=False, average=True) -> str:
 # ── solving one (instance, mode) ─────────────────────────────────────
 
 
+def _given(**values) -> dict:
+    """The keyword arguments a caller set; None leaves the default."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
                parts_mode=PARTS_PER_HEATER, solver_cmd=None) -> SolveReport:
     """One run of `mode` on `inst`, as its SolveReport.
@@ -337,16 +342,14 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
     An inadmissible instance is not run: its violations go to stderr and
     its report is "infeasible", as is a run the solvers prove infeasible.
     """
+    heuristic_cfg = HeuristicConfig(
+        parts_mode=parts_mode,
+        **_given(total_iterations=iterations, seed=seed))
     violations = validate_instance(inst).violations
     if violations:
         print("\n".join(f"violation: {v}" for v in violations),
               file=sys.stderr)
         return SolveReport(mode, "infeasible", None, None, 0.0)
-    heuristic_cfg = HeuristicConfig(
-        total_iterations=100 if iterations is None else iterations,
-        seed=0 if seed is None else seed,
-        parts_mode=parts_mode,
-    )
     started = time.perf_counter()
     try:
         if mode == "heuristic":
@@ -357,15 +360,12 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
         adapter = None
         if solver_cmd:
             adapter = SolverAdapter(tuple(shlex.split(solver_cmd)))
-        kwargs = {
-            "heuristic": heuristic_cfg,
-            "solver": SOLVER_ADAPTER if adapter else SOLVER_INTERNAL,
-            "parts_mode": parts_mode,
-            "adapter": adapter,
-        }
-        if time_limit is not None:
-            kwargs["time_limit_seconds"] = time_limit
-        cfg = HopConfig(**kwargs)
+        cfg = HopConfig(
+            heuristic=heuristic_cfg,
+            solver=SOLVER_ADAPTER if adapter else SOLVER_INTERNAL,
+            parts_mode=parts_mode,
+            adapter=adapter,
+            **_given(time_limit_seconds=time_limit))
         if mode == "exact":
             rep = solve_exact(inst, compute_thb(inst), parts_mode,
                               time_limit_seconds=cfg.time_limit_seconds)

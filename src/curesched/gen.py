@@ -1,14 +1,16 @@
 """Random instance generator over three size scenarios.
 
-Each scenario fixes a demand range, per-mold demand baselines, a
-mold-copy policy, and shared timing pools; an instance is then a
-deterministic function of (scenario spec, seed).  Mold and heater counts
-are drawn per instance from {5, 7} and {7, 12} and recorded in the
-instance metadata.  Compatibility follows a fixed group template: molds
-1..5 pair among themselves and cure in heaters 1..7, molds 6..7 pair
-together and cure in heaters 8..10, molds 8..9 in heaters 11..12.  A
-7-mold draw therefore forces the 12-heater layout, since the smaller
-plant has no heater that could cure molds 6 and 7 at all.
+A scenario sets the demand baselines and range, the mold-copy choices and
+whether part 2 is present (`ScenarioSpec`); an instance is then a
+deterministic function of (scenario spec, seed).  The plant is the same in
+every scenario: the setup, removal and curing-time pools, the period, the
+compatibility template and part 2's two units are module constants.  Mold
+and heater counts are drawn per instance from {5, 7} and {7, 12} and
+recorded in the instance metadata.  Compatibility follows the template:
+molds 1..5 pair among themselves and cure in heaters 1..7, molds 6..7 pair
+together and cure in heaters 8..10.  A 7-mold draw therefore forces the
+12-heater layout, since the smaller plant has no heater that could cure
+molds 6 and 7 at all.
 
 Demands are drawn uniformly within ±20% of the mold's baseline, rounded,
 and clamped to the scenario range.  The default baselines are spread
@@ -22,10 +24,15 @@ from .domain import Instance, Mold, Part, validate_instance
 
 __all__ = ["SCENARIOS", "ScenarioSpec", "generate_instance"]
 
-_MOLD_GROUPS = ((1, 2, 3, 4, 5), (6, 7), (8, 9))
-_HEATER_GROUPS = ((1, 2, 3, 4, 5, 6, 7), (8, 9, 10), (11, 12))
-
-_NAME_PREFIX = {"small": "S", "medium": "M", "large": "L"}
+_MOLD_COUNTS = (5, 7)
+_HEATER_COUNTS = (7, 12)
+_SETUP_POOL = (416, 606, 668)
+_REMOVAL_POOL = (252, 449, 622)
+_CURING_POOL = (125, 180, 260, 300, 400, 420, 530, 550)
+_PERIOD_DMIN = 14400
+_MOLD_GROUPS = ((1, 2, 3, 4, 5), (6, 7))
+_HEATER_GROUPS = ((1, 2, 3, 4, 5, 6, 7), (8, 9, 10))
+_PART2_UNITS = 2
 
 
 def _log_spaced(lo: int, hi: int, n: int = 7) -> tuple:
@@ -35,41 +42,24 @@ def _log_spaced(lo: int, hi: int, n: int = 7) -> tuple:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything the generator needs to build one instance family."""
+    """What one instance family varies; the plant itself is fixed."""
 
     size: str
     demand_baselines: tuple
     demand_range: tuple
-    mold_counts: tuple = (5, 7)
-    heater_counts: tuple = (7, 12)
     nm_choices: tuple = (1,)
-    setup_pool: tuple = (416, 606, 668)
-    removal_pool: tuple = (252, 449, 622)
-    curing_pool: tuple = (125, 180, 260, 300, 400, 420, 530, 550)
-    period_dmin: int = 14400
-    mold_groups: tuple = _MOLD_GROUPS
-    heater_groups: tuple = _HEATER_GROUPS
     include_part2: bool = False
-    part2_units: int = 2
 
     def __post_init__(self):
         lo, hi = self.demand_range
         if lo > hi or lo < 0:
             raise ValueError(f"bad demand range {self.demand_range}")
-        if len(self.demand_baselines) < max(self.mold_counts):
+        if len(self.demand_baselines) < max(_MOLD_COUNTS):
             raise ValueError("need one demand baseline per possible mold")
         if any(b <= 0 for b in self.demand_baselines):
             raise ValueError("demand baselines must be positive")
-        for pool in (self.setup_pool, self.removal_pool, self.curing_pool,
-                     self.nm_choices, self.mold_counts, self.heater_counts):
-            if not pool:
-                raise ValueError("spec pools must be non-empty")
-        if self.period_dmin <= 0:
-            raise ValueError("period_dmin must be positive")
-        if self.part2_units <= 0:
-            raise ValueError("part2_units must be positive")
-        if len(self.mold_groups) != len(self.heater_groups):
-            raise ValueError("mold and heater group templates must align")
+        if not self.nm_choices:
+            raise ValueError("nm_choices must be non-empty")
 
 
 SCENARIOS = {
@@ -95,9 +85,9 @@ SCENARIOS = {
 }
 
 
-def _heater_count_covers(spec: ScenarioSpec, n_molds: int, n_heaters: int) -> bool:
+def _heater_count_covers(n_molds: int, n_heaters: int) -> bool:
     """True when every mold group in play has at least one heater."""
-    for group, heaters in zip(spec.mold_groups, spec.heater_groups):
+    for group, heaters in zip(_MOLD_GROUPS, _HEATER_GROUPS):
         if any(m <= n_molds for m in group):
             if not any(k <= n_heaters for k in heaters):
                 return False
@@ -112,20 +102,16 @@ def generate_instance(spec: ScenarioSpec, seed: int) -> Instance:
     heater) order.
     """
     rng = random.Random(seed)
-    n_molds = rng.choice(spec.mold_counts)
-    heater_choices = [h for h in spec.heater_counts
-                      if _heater_count_covers(spec, n_molds, h)]
-    if not heater_choices:
-        raise ValueError(
-            f"no heater count in {spec.heater_counts} covers {n_molds} molds")
-    n_heaters = rng.choice(heater_choices)
+    n_molds = rng.choice(_MOLD_COUNTS)
+    n_heaters = rng.choice([h for h in _HEATER_COUNTS
+                            if _heater_count_covers(n_molds, h)])
 
     lo, hi = spec.demand_range
     molds = []
     for m in range(1, n_molds + 1):
         copies = rng.choice(spec.nm_choices)
-        setup = rng.choice(spec.setup_pool)
-        removal = rng.choice(spec.removal_pool)
+        setup = rng.choice(_SETUP_POOL)
+        removal = rng.choice(_REMOVAL_POOL)
         baseline = spec.demand_baselines[m - 1]
         demand = min(hi, max(lo, round(rng.uniform(0.8 * baseline,
                                                    1.2 * baseline))))
@@ -135,12 +121,12 @@ def generate_instance(spec: ScenarioSpec, seed: int) -> Instance:
     heaters = tuple(range(1, n_heaters + 1))
     curing = {}
     compat = set()
-    for group, group_heaters in zip(spec.mold_groups, spec.heater_groups):
+    for group, group_heaters in zip(_MOLD_GROUPS, _HEATER_GROUPS):
         members = [m for m in group if m <= n_molds]
         for m in members:
             for k in group_heaters:
                 if k <= n_heaters:
-                    curing[(m, k)] = rng.choice(spec.curing_pool)
+                    curing[(m, k)] = rng.choice(_CURING_POOL)
         for a in members:
             for b in members:
                 if a <= b:
@@ -154,14 +140,12 @@ def generate_instance(spec: ScenarioSpec, seed: int) -> Instance:
         "n_heaters": n_heaters,
     }
     if spec.include_part2:
-        parts.append(Part(id=2, units=spec.part2_units,
-                          molds=frozenset({3, 4})))
-        meta["part2_units"] = spec.part2_units
+        parts.append(Part(id=2, units=_PART2_UNITS, molds=frozenset({3, 4})))
+        meta["part2_units"] = _PART2_UNITS
 
-    prefix = _NAME_PREFIX.get(spec.size, spec.size[:1].upper())
     inst = Instance(
-        name=f"{prefix}{seed:02d}",
-        period_dmin=spec.period_dmin,
+        name=f"{spec.size[:1].upper()}{seed:02d}",
+        period_dmin=_PERIOD_DMIN,
         molds=tuple(molds),
         heaters=heaters,
         curing=curing,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from .domain import (
     EMPTY,
     PARTS_GLOBAL,
+    PARTS_MODES,
     PARTS_PER_HEATER,
     AssignmentTuple,
     Instance,
@@ -54,6 +55,12 @@ class HeuristicConfig:
     total_iterations: int = 100
     seed: int = 0
     parts_mode: str = PARTS_PER_HEATER
+
+    def __post_init__(self):
+        if self.total_iterations < 0:
+            raise ValueError("total_iterations must be non-negative")
+        if self.parts_mode not in PARTS_MODES:
+            raise ValueError(f"unknown parts mode {self.parts_mode!r}")
 
 
 # ── what every start of a run shares ─────────────────────────────────

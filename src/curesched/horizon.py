@@ -12,8 +12,6 @@ compatible heaters; `horizon_witness` builds that line-up, so the tests can
 check the argument on every instance they hold.
 """
 
-from dataclasses import dataclass
-
 from .domain import (
     EMPTY,
     AssignmentTuple,
@@ -27,37 +25,21 @@ from .domain import (
 )
 
 
-@dataclass(frozen=True)
-class MoldPartition:
-    """Demanded molds split by how their horizon share is charged.
-
-    pooled : admissible identical pair and no part required; charged at
-             identical-pair rate
-    serial : everything else; charged one copy at a time
-    """
-
-    pooled: frozenset
-    serial: frozenset
-
-
-def partition_molds(inst: Instance) -> MoldPartition:
-    pooled = set()
-    serial = set()
-    for m in inst.molds:
-        if m.demand <= 0:
-            continue
-        if (not inst.parts_of.get(m.id)
-                and (m.id, m.id) in inst.mold_compat
-                and fits_one_heater(inst, {m.id: 2})):
-            pooled.add(m.id)
-        else:
-            serial.add(m.id)
-    return MoldPartition(pooled=frozenset(pooled), serial=frozenset(serial))
+def pooled_molds(inst: Instance) -> frozenset:
+    """Demanded molds charged at identical-pair rate: an admissible
+    identical pair and no part required.  Every other demanded mold is
+    charged one copy at a time."""
+    return frozenset(
+        m.id for m in inst.molds
+        if m.demand > 0
+        and not inst.parts_of.get(m.id)
+        and (m.id, m.id) in inst.mold_compat
+        and fits_one_heater(inst, {m.id: 2}))
 
 
 def compute_thb(inst: Instance) -> int:
     """Periods sufficient to cover all demand; 0 when nothing is demanded."""
-    part = partition_molds(inst)
+    pooled = pooled_molds(inst)
     phi = inst.period_dmin
     total = 0
     for m in inst.molds:
@@ -67,7 +49,7 @@ def compute_thb(inst: Instance) -> int:
         rate = slot_rate(phi, tv)
         setup_units = ceil_div(m.setup_dmin, tv)
         removal_units = ceil_div(m.removal_dmin, tv)
-        if m.id in part.pooled:
+        if m.id in pooled:
             total += ceil_div(4 * setup_units + 4 * removal_units + m.demand,
                               2 * rate)
         else:
@@ -90,7 +72,7 @@ def horizon_witness(inst: Instance) -> Schedule:
     Returns the sentinel candidate (`Schedule.empty_candidate`) when a block
     fits no heater even then: the bound's argument does not hold there.
     """
-    part = partition_molds(inst)
+    pooled = pooled_molds(inst)
     residents = initial_residents(inst)
     free = {k: 0 for k in inst.heaters}
     end = 0
@@ -98,7 +80,7 @@ def horizon_witness(inst: Instance) -> Schedule:
     for m in inst.molds:
         if m.demand <= 0:
             continue
-        if m.id in part.pooled:
+        if m.id in pooled:
             m1, q, counts = m.id, ceil_div(m.demand, 2), {m.id: 2}
         else:
             m1, q, counts = EMPTY, m.demand, {m.id: 1}

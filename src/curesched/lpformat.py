@@ -99,12 +99,12 @@ def term_units(terms) -> list:
     return units
 
 
-def fold(first: str, units, limit: int = MAX_LINE) -> list:
-    """Pack units onto lines no wider than `limit`, continuing indented."""
+def fold(first: str, units) -> list:
+    """Pack units onto lines no wider than `MAX_LINE`, continuing indented."""
     lines = []
     cur = first
     for unit in units:
-        if len(cur) + 1 + len(unit) > limit:
+        if len(cur) + 1 + len(unit) > MAX_LINE:
             lines.append(cur)
             cur = _CONT_INDENT + unit
         else:

@@ -688,6 +688,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         ["frobnicate"],
         ["solve", "--mode", "hop"],
         ["solve", "--instance", str(p1), "--mode", "banana"],
+        ["solve", "--instance", str(p1), "--mode", "heuristic",
+         "--iterations", "-1"],
         ["solve", "--instance", str(tmp_path / "missing.json"), "--mode", "hop"],
         ["solve", "--instance", str(bad), "--mode", "hop"],
         ["bench", "--suite", str(tmp_path / "missing-suite.json"),

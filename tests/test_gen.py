@@ -126,11 +126,6 @@ def test_part_layout():
     assert (p2.units, set(p2.molds)) == (2, {3, 4})
     assert large.meta["part2_units"] == 2
 
-    custom = replace(SCENARIOS["large"], part2_units=1)
-    inst = generate_instance(custom, 1)
-    assert inst.part_by_id[2].units == 1
-    assert inst.meta["part2_units"] == 1
-
 
 def test_determinism():
     for name, spec in SCENARIOS.items():

@@ -370,3 +370,12 @@ def test_improvement_keeps_incumbent_when_split_cannot_be_placed(monkeypatch):
 
     monkeypatch.setattr(curesched.heuristic, "assignment_procedure", unplaceable)
     assert improvement_procedure(inst, initial) is initial
+
+
+def test_config_validation():
+    # "per_heater" is not a parts mode; the constant is "per-heater"
+    with pytest.raises(ValueError):
+        HeuristicConfig(parts_mode="per_heater")
+    with pytest.raises(ValueError):
+        HeuristicConfig(total_iterations=-1)
+    HeuristicConfig(total_iterations=0)

@@ -1,4 +1,4 @@
-"""Planning-horizon bound and the mold partition feeding it.
+"""Planning-horizon bound and the pooled molds feeding it.
 
 Frozen values (hand arithmetic):
   toy1: both molds in the pooled class; per mold
@@ -28,7 +28,7 @@ from curesched.domain import (
 )
 from curesched.exact import solve_exact
 from curesched.gen import SCENARIOS, generate_instance
-from curesched.horizon import compute_thb, horizon_witness, partition_molds
+from curesched.horizon import compute_thb, horizon_witness, pooled_molds
 
 from helpers import PHI, single_mold_big, tiny_instance, toy1, toy2, variant
 
@@ -52,15 +52,11 @@ def unpaired_mold():
 
 
 def test_toy1_partition():
-    part = partition_molds(toy1())
-    assert part.pooled == frozenset({1, 2})
-    assert part.serial == frozenset()
+    assert pooled_molds(toy1()) == frozenset({1, 2})
 
 
 def test_toy2_partition():
-    part = partition_molds(toy2())
-    assert part.pooled == frozenset()
-    assert part.serial == frozenset({1, 2})
+    assert pooled_molds(toy2()) == frozenset()
 
 
 def test_partition_mixed():
@@ -72,17 +68,13 @@ def test_partition_mixed():
     )
     parts = (Part(id=1, units=1, molds=frozenset({2})),)
     inst = variant(inst, molds=molds, parts=parts)
-    part = partition_molds(inst)
-    assert part.pooled == frozenset({1})
-    assert part.serial == frozenset({2})
+    assert pooled_molds(inst) == frozenset({1})
 
 
 def test_partition_skips_zero_demand():
     inst = toy1()
     molds = (inst.molds[0], Mold(id=2, copies=2, setup_dmin=600, removal_dmin=300, demand=0))
-    part = partition_molds(variant(inst, molds=molds))
-    assert part.pooled == frozenset({1})
-    assert part.serial == frozenset()
+    assert pooled_molds(variant(inst, molds=molds)) == frozenset({1})
 
 
 def test_toy1_bound():
@@ -140,10 +132,10 @@ def test_bound_monotone_in_demand():
 
 
 def test_partition_requires_admissible_identical_pair():
-    assert partition_molds(unpaired_mold()).serial == frozenset({1})
+    assert pooled_molds(unpaired_mold()) == frozenset()
     # two setups over the period budget: the pair never fits one heater
     inst = variant(toy1(), molds=(Mold(1, 2, 7300, 300, 10), toy1().molds[1]))
-    assert partition_molds(inst).pooled == frozenset({2})
+    assert pooled_molds(inst) == frozenset({2})
 
 
 def test_bound_covers_optimum_without_identical_pair():

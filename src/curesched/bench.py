@@ -379,6 +379,17 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
                            time.perf_counter() - started)
 
 
+def _suite_number(suite, key, kinds):
+    """The suite's `key`, None when absent; ValueError when it is not of
+    `kinds` (JSON true and false are not numbers)."""
+    value = suite.get(key)
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, kinds)):
+        kind = "an integer" if kinds is int else "a number"
+        raise ValueError(f"suite: {key} must be {kind}, got {value!r}")
+    return value
+
+
 def run_benchmark(suite: dict, base_dir=".") -> list:
     """Run every (instance, mode) pair of a suite; one row per instance,
     whose cells map each mode to its SolveReport.
@@ -386,6 +397,8 @@ def run_benchmark(suite: dict, base_dir=".") -> list:
     A failing pair is recorded in its cell and the run continues: an
     inadmissible instance as "infeasible", an unreadable file or a solver
     fault as "error".  Relative instance paths resolve against `base_dir`.
+    A malformed suite (unknown mode, `iterations`, `seed` or `time_limit`
+    of the wrong type) raises ValueError before anything runs.
     """
     base = Path(base_dir)
     instance_paths = _field(suite, "instances", "suite")
@@ -394,9 +407,9 @@ def run_benchmark(suite: dict, base_dir=".") -> list:
         if mode not in MODES:
             raise ValueError(f"suite: unknown mode {mode!r}")
     options = dict(
-        iterations=suite.get("iterations"),
-        seed=suite.get("seed"),
-        time_limit=suite.get("time_limit"),
+        iterations=_suite_number(suite, "iterations", int),
+        seed=_suite_number(suite, "seed", int),
+        time_limit=_suite_number(suite, "time_limit", (int, float)),
         parts_mode=suite.get("parts_mode", PARTS_PER_HEATER),
         solver_cmd=suite.get("solver_cmd"),
     )

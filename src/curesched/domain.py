@@ -232,14 +232,29 @@ def transition_work(inst: Instance, before, after):
 
 @dataclass(frozen=True)
 class SlotPlan:
-    """First-period budget accounting for one tuple on one heater."""
+    """First-period budget accounting for one tuple on one heater.
 
-    start: Period
-    length: int
+    Only `length` depends on the quantity: `deduction`, the capacities and,
+    for any quantity of at least 1, `problems` are the same for every
+    quantity, so `length_for` sizes any other quantity from one plan.
+    """
+
+    quantity: int
     cap_first: int
     cap_int: int
     deduction: int
     problems: tuple = ()
+
+    @property
+    def length(self) -> int:
+        return self.length_for(self.quantity)
+
+    def length_for(self, quantity: int) -> int:
+        """Periods the slot needs to cure `quantity` per slot: the first
+        period's leftover budget, then whole periods at the full rate."""
+        if quantity <= self.cap_first or self.cap_int <= 0:
+            return 1
+        return 1 + ceil_div(quantity - self.cap_first, self.cap_int)
 
 
 def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
@@ -273,14 +288,9 @@ def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
     max_tv = max(inst.curing[(m, heater)] for m in molds) if molds else phi
     cap_first = max((phi - deduction) // max_tv, 0)
     cap_int = slot_rate(phi, max_tv)
-    if quantity <= cap_first:
-        length = 1
-    elif cap_int <= 0:
+    if quantity > cap_first and cap_int <= 0:
         problems.append(f"cure time exceeds the period budget on heater {heater}")
-        length = 1
-    else:
-        length = 1 + ceil_div(quantity - cap_first, cap_int)
-    return SlotPlan(start=start, length=length, cap_first=cap_first,
+    return SlotPlan(quantity=quantity, cap_first=cap_first,
                     cap_int=cap_int, deduction=deduction,
                     problems=tuple(problems))
 

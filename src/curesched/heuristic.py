@@ -11,7 +11,7 @@ wins only when strictly shorter than every start.
 
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .domain import (
     EMPTY,
@@ -78,12 +78,20 @@ class _Context:
     heaters_for : (m1, m2) -> heaters able to run the pair, ids ascending
     counts      : (m1, m2) -> mold multiset of the pair
     part_need   : (m1, m2) -> part units the pair ties down
+    initial     : heater -> mold multiset mounted before the first period
+    plans       : placement memo, filled by `assignment_procedure`;
+                  (heater, pair it holds or None for the initial loading,
+                  pair, idle gap before the start) -> (extra wait, quantity-1
+                  `SlotPlan`), or None when the pair fits neither at once
+                  nor after a one-period gap
     """
 
     pool: list
     heaters_for: dict
     counts: dict
     part_need: dict
+    initial: dict
+    plans: dict = field(default_factory=dict)
 
 
 def _context(inst: Instance) -> _Context:
@@ -98,7 +106,22 @@ def _context(inst: Instance) -> _Context:
         heaters_for=heaters_for,
         counts=counts,
         part_need=part_need,
+        initial=initial_residents(inst),
     )
+
+
+def _fit(inst: Instance, ctx: _Context, slot) -> tuple | None:
+    """The `ctx.plans` entry for `slot`: plan the pair at once, or, when
+    that breaks a budget, after a one-period gap that empties the heater."""
+    k, held, pair, gap = slot
+    residents = ctx.initial[k] if held is None else ctx.counts[held]
+    molds = ctx.counts[pair]
+    for wait in (0, 1):
+        # only whether start > prev_end matters, not the periods themselves
+        plan = plan_slot(inst, k, residents, 0, int(gap) + wait, molds, 1)
+        if not plan.problems:
+            return wait, plan
+    return None
 
 
 # ── pairing ──────────────────────────────────────────────────────────
@@ -180,9 +203,13 @@ def assignment_procedure(inst: Instance, tuples,
     fit for good? A placement updates the profiles it uses over its own
     periods, so a pair's earliest free period is the largest answer among
     its molds and parts.
+
+    A heater's changeover depends only on what it holds, the pair and
+    whether an idle gap comes first, so each such case is planned once per
+    run (`ctx.plans`) and a tuple's length is sized from that plan.
     """
     ctx = ctx or _context(inst)
-    heaters_for, counts = ctx.heaters_for, ctx.counts
+    heaters_for, counts, plans = ctx.heaters_for, ctx.counts, ctx.plans
     part_need = ctx.part_need if parts_mode == PARTS_GLOBAL else {}
 
     # pair -> its pending tuples with their rank in id order, the tie-break
@@ -193,7 +220,7 @@ def assignment_procedure(inst: Instance, tuples,
         queues.setdefault((t.m1, t.m2), deque()).append((rank, t))
     avail = {k: 0 for k in inst.heaters}
     avail_of = avail.__getitem__
-    residents = initial_residents(inst)
+    holds = {k: None for k in inst.heaters}  # heater -> pair placed last
     mold_use = {m.id: _Profile(m.copies) for m in inst.molds}
     part_use = {p.id: _Profile(p.units) for p in inst.parts}
     # pair -> (profile, units) of each mold and part it holds
@@ -219,33 +246,33 @@ def assignment_procedure(inst: Instance, tuples,
         _rank, t = queue.popleft()
         if not queue:
             del queues[best_pair]
-        molds = counts[best_pair]
 
         chosen = None
         for k in heaters_for[best_pair]:
             base = max(avail[k], ready)
-            if chosen is not None and base > chosen[0][0]:
+            if chosen is not None and base > chosen[0]:
                 continue  # its start is at least base: it cannot win
-            plan = plan_slot(inst, k, residents[k], avail[k], base,
-                             molds, t.q)
-            if plan.problems:
-                # a one-period gap empties the heater first; retry clean
-                plan = plan_slot(inst, k, residents[k], avail[k], base + 1,
-                                 molds, t.q)
-                if plan.problems:
-                    continue
-            key = (plan.start, plan.deduction, k)
-            if chosen is None or key < chosen[0]:
-                chosen = (key, plan)
+            slot = (k, holds[k], best_pair, base > avail[k])
+            try:
+                fit = plans[slot]
+            except KeyError:
+                fit = plans[slot] = _fit(inst, ctx, slot)
+            if fit is None:
+                continue
+            wait, plan = fit
+            key = (base + wait, plan.deduction, k)
+            if chosen is None or key < chosen:
+                chosen, chosen_plan = key, plan
         if chosen is None:
             raise NoFeasiblePlacement(
                 f"tuple {t.id} ({t.m1}, {t.m2}) fits no heater budget"
             )
-        (start, _cost, k), plan = chosen
-        end = start + plan.length
-        placed.append(replace(t, heater=k, start=start, length=plan.length))
+        start, _cost, k = chosen
+        length = chosen_plan.length_for(t.q)
+        end = start + length
+        placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start, length))
         avail[k] = end
-        residents[k] = dict(molds)
+        holds[k] = best_pair
         for profile, n in needs[best_pair]:
             profile.add(start, end, n)
 

@@ -39,6 +39,7 @@ from .errors import (
     AdapterUnavailable,
     Infeasible,
     NoFeasiblePlacement,
+    SolutionParseError,
     UnproduciblePair,
 )
 from .exact import (
@@ -108,7 +109,9 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     The adapter solves the component's model on each horizon from its root
     `bound` up to `horizon` and returns the first answer that is not
     "infeasible": every shorter horizon was, so that answer is optimal.
-    An adapter that is missing or fails ends at "limit"."""
+    An adapter that is missing or fails ends at "limit", and so does one
+    that writes a malformed solution on a `witnessed` horizon, whose
+    incumbent then stands; without a witness that fault propagates."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
@@ -124,6 +127,10 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
         try:
             sub = solve_with_adapter(model, cfg.adapter, remaining)
         except (AdapterUnavailable, AdapterFailure):
+            break
+        except SolutionParseError:
+            if not witnessed:
+                raise
             break
         if sub.status != "infeasible" or h == horizon:
             return sub

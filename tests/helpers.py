@@ -8,6 +8,8 @@ no logic with the branch-and-bound solver they are checking.
 """
 
 import random
+import shlex
+import sys
 from itertools import product
 
 from curesched.domain import (
@@ -54,6 +56,14 @@ def toy2() -> Instance:
         parts=(Part(id=1, units=1, molds=frozenset({1, 2})),),
         init={},
     )
+
+
+def garbage_solver(tmp_path) -> str:
+    """A solver command that exits 0 after writing a malformed solution."""
+    script = tmp_path / "garbage_solver.py"
+    script.write_text("import sys\nopen(sys.argv[2], 'w').write('garbage')\n",
+                      encoding="utf-8")
+    return shlex.join([sys.executable, str(script)])
 
 
 def variant(inst: Instance, **changes) -> Instance:

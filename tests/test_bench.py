@@ -8,7 +8,6 @@ Frozen oracle values reused from the fixture instances:
 """
 
 import json
-import shlex
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -42,7 +41,7 @@ from curesched.gen import SCENARIOS, generate_instance
 from curesched.lpformat import parse_lp
 from curesched.milp import ModelStats, build_model, model_stats
 
-from helpers import toy1, toy2, variant
+from helpers import garbage_solver, toy1, toy2, variant
 
 CSV_HEADER = ("instance,mode,thb,makespan,gap_pct,time_s,"
               "constraints,binary_vars,real_vars")
@@ -51,14 +50,6 @@ STUB_CMD = f"{sys.executable} -m curesched.lpsolve"
 
 def fmt_avg(v):
     return str(int(v)) if float(v).is_integer() else f"{v:.2f}"
-
-
-def garbage_solver(tmp_path):
-    """A solver command that exits 0 after writing a malformed solution."""
-    script = tmp_path / "garbage_solver.py"
-    script.write_text("import sys\nopen(sys.argv[2], 'w').write('garbage')\n",
-                      encoding="utf-8")
-    return shlex.join([sys.executable, str(script)])
 
 
 def save_toys(tmp_path):
@@ -704,3 +695,45 @@ def test_cli_usage_errors(tmp_path, capsys):
     for args in cases:
         assert cli_main(args) == 2, args
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("iterations", "10"), ("iterations", 2.5), ("iterations", True),
+    ("seed", "1"), ("time_limit", "5"),
+])
+def test_run_benchmark_rejects_malformed_suite_numbers(tmp_path, key, value):
+    p1, _ = save_toys(tmp_path)
+    suite = {"instances": [str(p1)], "modes": ["heuristic"], key: value}
+    with pytest.raises(ValueError, match=f"suite: {key} must be"):
+        run_benchmark(suite)
+
+
+@pytest.mark.parametrize("value", ["10", 2.5])
+def test_cli_bench_malformed_iterations_is_a_usage_error(tmp_path, capsys,
+                                                          value):
+    p1, _ = save_toys(tmp_path)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [str(p1)],
+                                 "modes": ["heuristic"],
+                                 "iterations": value}), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert cli_main(["bench", "--suite", str(suite), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: suite: iterations must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_cli_solve_hop_malformed_solution_keeps_the_heuristic(tmp_path,
+                                                              capsys):
+    """A solver that writes a malformed solution is a fault, as a failing
+    one is: hop keeps its heuristic schedule and exits 3 at the limit."""
+    p1, _ = save_toys(tmp_path)
+    spath = tmp_path / "sched.json"
+    rc = cli_main(["solve", "--instance", str(p1), "--mode", "hop",
+                   "--iterations", "20", "--seed", "1",
+                   "--solver-cmd", garbage_solver(tmp_path),
+                   "--schedule-out", str(spath)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "status limit\nmakespan 2\n" in out
+    assert validate_schedule(toy1(), load_schedule(spath)).ok

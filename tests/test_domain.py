@@ -21,6 +21,7 @@ from curesched.domain import (
     Schedule,
     components,
     heater_walk,
+    initial_residents,
     pair_slots,
     plan_slot,
     schedule_makespan,
@@ -215,6 +216,34 @@ def test_plan_slot_init_resident_needs_no_setup():
                      molds={1: 1}, quantity=36)
     assert plan.cap_first == 36
     assert plan.length == 1
+
+
+def test_plan_slot_sizes_every_quantity_from_one_plan():
+    """The heuristic plans each changeover once, at quantity 1, and sizes
+    every tuple with `length_for`; that holds only while everything but the
+    length is the same for every quantity. Each length is also the fewest
+    periods whose capacity covers the quantity."""
+    for seed in range(1000, 1200):
+        inst = tiny_instance(seed)
+        slots = pair_slots(inst)
+        initial = initial_residents(inst)
+        held = [{}] + list({(s.m1, s.m2): s.counts for s in slots}.values())
+        for s in slots:
+            for residents in held + [initial[s.heater]]:
+                for start in (0, 1):  # right after prev_end 0, or a gap
+                    one = plan_slot(inst, s.heater, residents, 0, start,
+                                    s.counts, 1)
+                    for q in range(1, 61):
+                        plan = plan_slot(inst, s.heater, residents, 0, start,
+                                         s.counts, q)
+                        length = one.length_for(q)
+                        assert plan.length == length
+                        assert bool(plan.problems) == bool(one.problems)
+                        if plan.problems:
+                            continue
+                        cover = plan.cap_first + (length - 1) * plan.cap_int
+                        assert cover >= q > cover - plan.cap_int or (
+                            length == 1 and q <= plan.cap_first)
 
 
 # ── schedules and makespan ───────────────────────────────────────────

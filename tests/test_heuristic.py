@@ -335,6 +335,48 @@ def test_run_heuristic_corpus_schedules_frozen(corpus, mode):
     assert digest.hexdigest() == CORPUS_DIGESTS[(corpus, mode)]
 
 
+# ── the per-run plan memo ────────────────────────────────────────────
+
+def _counted_run(monkeypatch, inst):
+    """(plan_slot calls, the run's context) of one 20-start run."""
+    calls, contexts = [], []
+    plan_slot = curesched.heuristic.plan_slot
+    context = curesched.heuristic._context
+
+    def counted_plan_slot(*args):
+        calls.append(args)
+        return plan_slot(*args)
+
+    def kept_context(inst):
+        contexts.append(context(inst))
+        return contexts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curesched.heuristic, "plan_slot", counted_plan_slot)
+        patch.setattr(curesched.heuristic, "_context", kept_context)
+        run_heuristic(inst, HeuristicConfig(total_iterations=20, seed=1))
+    assert len(contexts) == 1
+    return len(calls), contexts[0]
+
+
+def test_assignment_plans_each_changeover_once_per_run(monkeypatch):
+    inst = generate_instance(SCENARIOS["medium"], 1)
+    calls, ctx = _counted_run(monkeypatch, inst)
+    # at most a try and a retry per memo key, shaving included
+    assert 0 < len(ctx.plans) <= calls <= 2 * len(ctx.plans)
+
+
+def test_plan_memo_lives_and_dies_with_one_run(monkeypatch):
+    first, second = (generate_instance(SCENARIOS["medium"], seed)
+                     for seed in (1, 2))
+    alone = _counted_run(monkeypatch, second)
+    _counted_run(monkeypatch, first)
+    after = _counted_run(monkeypatch, second)
+    assert after[0] == alone[0]
+    assert after[1].plans == alone[1].plans
+    assert after[1].plans is not alone[1].plans
+
+
 # ── starts that cannot place every tuple ─────────────────────────────
 
 def test_two_removals_blocks_a_following_single():

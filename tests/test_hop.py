@@ -10,6 +10,7 @@ Frozen oracle values:
 
 import inspect
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -28,7 +29,7 @@ from curesched.domain import (
     schedule_makespan,
     validate_schedule,
 )
-from curesched.errors import AdapterFailure, Infeasible
+from curesched.errors import AdapterFailure, Infeasible, SolutionParseError
 from curesched.exact import (
     TIME_LIMIT_SECONDS,
     SolveReport,
@@ -48,7 +49,15 @@ from curesched.hop import (
 from curesched.horizon import compute_thb
 from curesched.milp import build_model, model_size, model_stats
 
-from helpers import single_mold_big, tiny_instance, toy1, toy2, two_removals, variant
+from helpers import (
+    garbage_solver,
+    single_mold_big,
+    tiny_instance,
+    toy1,
+    toy2,
+    two_removals,
+    variant,
+)
 
 STUB = (sys.executable, "-m", "curesched.lpsolve")
 FAST = HeuristicConfig(total_iterations=20, seed=1)
@@ -463,3 +472,16 @@ def test_python_m_curesched_runs_the_cli_once(tmp_path):
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [str(tmp_path / "S11.json")]
+
+
+def test_malformed_solution_keeps_the_incumbent_in_hop_only(tmp_path):
+    cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(
+                        command=tuple(shlex.split(garbage_solver(tmp_path)))))
+    report, schedule = run_hop(toy1(), cfg)
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "limit", 2, None)
+    assert validate_schedule(toy1(), schedule).ok
+    # the baseline has no incumbent to fall back on
+    with pytest.raises(SolutionParseError):
+        run_baseline_milp(toy1(), cfg)

@@ -578,7 +578,7 @@ def validate_schedule(inst: Instance, schedule: Schedule,
                              f"exist")
 
     # per-period mold copies, and part units in global mode
-    horizon = int(schedule_makespan(schedule)) if schedule.tuples else 0
+    horizon = max((t.start + t.length for t in usable), default=0)
     counts_at = [{} for _ in range(horizon)]
     for t in usable:
         molds = t.mold_counts()

@@ -410,6 +410,104 @@ def test_validate_zero_demand_empty_schedule():
     assert validate_schedule(inst, Schedule(tuples=[])).ok
 
 
+def _timed(setup, removal):
+    """toy1 with every mold's setup and removal time replaced."""
+    return variant(toy1(), molds=tuple(
+        Mold(m.id, m.copies, setup, removal, m.demand) for m in toy1().molds))
+
+
+_UNCOVERED = ["mold 1 demand 10 not covered (produced 0)",
+              "mold 2 demand 10 not covered (produced 0)"]
+
+
+@pytest.mark.parametrize("inst,placed,expected", [
+    (toy1(), AssignmentTuple(1, 1, 2, 10),
+     ["tuple 1 is not fully assigned"] + _UNCOVERED),
+    (toy1(), _tuple(1, 1, 2, -1, 1, 0, 1),
+     ["tuple 1 has negative quantity"] + _UNCOVERED),
+    (toy1(), _tuple(1, 0, 0, 10, 1, 0, 1),
+     ["tuple 1 holds no mold"] + _UNCOVERED),
+    (toy1(), _tuple(1, 0, 9, 10, 1, 0, 1),
+     ["tuple 1 references unknown mold 9"] + _UNCOVERED),
+    (toy1(), _tuple(1, 1, 2, 10, 7, 0, 1),
+     ["tuple 1 references unknown heater 7"] + _UNCOVERED),
+    (toy1(), _tuple(1, 1, 2, 10, 1, -1, 1),
+     ["tuple 1 has an invalid placement window"] + _UNCOVERED),
+    (toy1(), _tuple(1, 1, 2, 10, 1, 0, 0),
+     ["tuple 1 has an invalid placement window"] + _UNCOVERED),
+    (variant(toy1_two_heaters(), curing={(1, 1): 400, (2, 1): 400, (1, 2): 400}),
+     _tuple(1, 1, 2, 10, 2, 0, 1),
+     ["tuple 1: mold 2 is not compatible with heater 2"] + _UNCOVERED),
+    (variant(toy1(), mold_compat=((1, 1), (2, 2))), _tuple(1, 1, 2, 10, 1, 0, 1),
+     ["tuple 1: pair (1, 2) is not an allowed mold pair"] + _UNCOVERED),
+    # two 8000 setups in the first period
+    (_timed(8000, 300), _tuple(1, 1, 2, 10, 1, 0, 1),
+     ["tuple 1 on heater 1: changeover work 16000 at period 0 exceeds the "
+      "period budget 14400",
+      "tuple 1 on heater 1: capacity 0 over 1 period(s) cannot cover "
+      "quantity 10"]),
+    # two 8000 removals in the idle period before the tuple
+    (variant(_timed(600, 8000), init={(1, 1): 1, (2, 1): 1}),
+     _tuple(1, 1, 2, 10, 1, 1, 1),
+     ["tuple 1 on heater 1: removal work 16000 in the gap at period 0 "
+      "exceeds the period budget 14400"]),
+    # inadmissible: one tire takes longer than a period
+    (variant(toy1(), curing={(1, 1): 20000, (2, 1): 400}),
+     _tuple(1, 1, 2, 10, 1, 0, 2),
+     ["tuple 1 on heater 1: cure time exceeds the period budget on heater 1",
+      "tuple 1 on heater 1: capacity 0 over 2 period(s) cannot cover "
+      "quantity 10"]),
+])
+def test_validate_schedule_rejection_text(inst, placed, expected):
+    report = validate_schedule(inst, Schedule(tuples=[placed]))
+    assert report.violations == expected
+
+
+def _with_mold(mold):
+    return variant(toy1(), molds=toy1().molds + (mold,))
+
+
+@pytest.mark.parametrize("inst,expected", [
+    (_with_mold(Mold(1, 2, 600, 300, 0)), ["duplicate mold id 1"]),
+    (_with_mold(Mold(0, 2, 600, 300, 0)),
+     ["mold id 0 must be positive (0 is the empty slot)"]),
+    (_with_mold(Mold(3, -1, 600, 300, 0)),
+     ["mold 3 copy count must be non-negative"]),
+    (_with_mold(Mold(3, 1, 0, 300, 0)), ["mold 3 setup time must be positive"]),
+    (_with_mold(Mold(3, 1, 600, 0, 0)),
+     ["mold 3 removal time must be positive"]),
+    (_with_mold(Mold(3, 1, 600, 300, -1)),
+     ["mold 3 demand must be non-negative"]),
+    (variant(toy1(), curing={**toy1().curing, (9, 1): 400}),
+     ["curing entry references unknown mold 9"]),
+    (variant(toy1(), curing={**toy1().curing, (1, 7): 400}),
+     ["curing entry references unknown heater 7"]),
+    (variant(toy1(), curing={**toy1().curing, (1, 1): 0}),
+     ["cure time for mold 1 in heater 1 must be positive"]),
+    (variant(toy1(), curing={**toy1().curing, (1, 1): 20000}),
+     ["cure time 20000 for mold 1 in heater 1 exceeds the period"]),
+    (variant(toy1(), mold_compat=((1, 1), (1, 2), (1, 9), (2, 2))),
+     ["mold_compat pair (1, 9) references unknown mold 9"]),
+    (variant(toy1(), parts=(Part(1, 1, frozenset({1})),
+                            Part(1, 1, frozenset({2})))),
+     ["duplicate part id 1"]),
+    (variant(toy1(), parts=(Part(1, -1, frozenset({1})),)),
+     ["part 1 unit count must be non-negative",
+      "demanded mold 1 requires part 1 with zero units"]),
+    (variant(toy1(), parts=(Part(1, 1, frozenset({9})),)),
+     ["part 1 references unknown mold 9"]),
+    (variant(toy1(), init={(9, 1): 1}), ["init references unknown mold 9"]),
+    (variant(toy1(), init={(1, 7): 1}), ["init references unknown heater 7"]),
+    (variant(toy1(), init={(1, 1): 3}),
+     ["init count 3 for mold 1 in heater 1 must be 1 or 2",
+      "init load on heater 1 exceeds two slots"]),
+    (variant(toy1(), init={(1, 1): 2, (2, 1): 1}),
+     ["init load on heater 1 exceeds two slots"]),
+])
+def test_validate_instance_rejection_text(inst, expected):
+    assert validate_instance(inst).violations == expected
+
+
 def test_tiny_instances_admissible():
     for seed in range(25):
         inst = tiny_instance(seed)

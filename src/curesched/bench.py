@@ -92,6 +92,21 @@ def _field(doc, key, where):
     return doc[key]
 
 
+def _number(value, what, kinds=int):
+    """`value` when it is a JSON number of `kinds`; ValueError naming `what`
+    otherwise (JSON true and false are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _int_field(doc, key, where):
+    """The integer field `key` of `doc`; ValueError when absent or not a
+    JSON integer, so 1.9, true and "14400" are refused, never rounded."""
+    return _number(_field(doc, key, where), f"{where}: {key}")
+
+
 def instance_to_json(inst: Instance) -> dict:
     """Plain-JSON document for an instance; lists sorted for stable bytes."""
     doc = {
@@ -125,39 +140,43 @@ def instance_to_json(inst: Instance) -> dict:
 def instance_from_json(doc) -> Instance:
     """Inverse of `instance_to_json`; structural errors become ValueError."""
     molds = tuple(
-        Mold(id=int(_field(m, "id", "mold entry")),
-             copies=int(_field(m, "nm", "mold entry")),
-             setup_dmin=int(_field(m, "tc_dmin", "mold entry")),
-             removal_dmin=int(_field(m, "tq_dmin", "mold entry")),
-             demand=int(_field(m, "demand", "mold entry")))
+        Mold(id=_int_field(m, "id", "mold entry"),
+             copies=_int_field(m, "nm", "mold entry"),
+             setup_dmin=_int_field(m, "tc_dmin", "mold entry"),
+             removal_dmin=_int_field(m, "tq_dmin", "mold entry"),
+             demand=_int_field(m, "demand", "mold entry"))
         for m in _field(doc, "molds", "instance")
     )
     curing = {
-        (int(_field(e, "mold", "curing entry")),
-         int(_field(e, "heater", "curing entry"))):
-        int(_field(e, "tv", "curing entry"))
+        (_int_field(e, "mold", "curing entry"),
+         _int_field(e, "heater", "curing entry")):
+        _int_field(e, "tv", "curing entry")
         for e in _field(doc, "curing_dmin", "instance")
     }
     parts = tuple(
-        Part(id=int(_field(p, "id", "part entry")),
-             units=int(_field(p, "np", "part entry")),
-             molds=frozenset(int(v) for v in _field(p, "molds", "part entry")))
+        Part(id=_int_field(p, "id", "part entry"),
+             units=_int_field(p, "np", "part entry"),
+             molds=frozenset(_number(v, "part entry: molds entry")
+                             for v in _field(p, "molds", "part entry")))
         for p in _field(doc, "parts", "instance")
     )
     init = {
-        (int(_field(e, "mold", "init entry")),
-         int(_field(e, "heater", "init entry"))):
-        int(_field(e, "count", "init entry"))
+        (_int_field(e, "mold", "init entry"),
+         _int_field(e, "heater", "init entry")):
+        _int_field(e, "count", "init entry")
         for e in _field(doc, "init", "instance")
     }
     return Instance(
         name=str(_field(doc, "name", "instance")),
-        period_dmin=int(_field(doc, "phi_dmin", "instance")),
+        period_dmin=_int_field(doc, "phi_dmin", "instance"),
         molds=molds,
-        heaters=tuple(int(h) for h in _field(doc, "heaters", "instance")),
+        heaters=tuple(_number(h, "instance: heaters entry")
+                      for h in _field(doc, "heaters", "instance")),
         curing=curing,
         mold_compat=tuple(
-            (int(a), int(b)) for a, b in _field(doc, "mold_compat", "instance")
+            (_number(a, "instance: mold_compat entry"),
+             _number(b, "instance: mold_compat entry"))
+            for a, b in _field(doc, "mold_compat", "instance")
         ),
         parts=parts,
         init=init,
@@ -215,13 +234,13 @@ def schedule_from_json(doc) -> Schedule:
     for idx, entry in enumerate(doc):
         where = f"schedule entry {idx}"
         tuples.append(AssignmentTuple(
-            id=int(_field(entry, "id", where)),
-            m1=int(_field(entry, "m1", where)),
-            m2=int(_field(entry, "m2", where)),
-            q=int(_field(entry, "q", where)),
-            heater=int(_field(entry, "heater", where)),
-            start=int(_field(entry, "start", where)),
-            length=int(_field(entry, "length", where)),
+            id=_int_field(entry, "id", where),
+            m1=_int_field(entry, "m1", where),
+            m2=_int_field(entry, "m2", where),
+            q=_int_field(entry, "q", where),
+            heater=_int_field(entry, "heater", where),
+            start=_int_field(entry, "start", where),
+            length=_int_field(entry, "length", where),
         ))
     return Schedule(tuples=tuples)
 
@@ -345,6 +364,17 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
     heuristic_cfg = HeuristicConfig(
         parts_mode=parts_mode,
         **_given(total_iterations=iterations, seed=seed))
+    # built in every mode, so a bad limit or command is a usage error even
+    # where nothing reads it
+    adapter = None
+    if solver_cmd:
+        adapter = SolverAdapter(tuple(shlex.split(solver_cmd)))
+    cfg = HopConfig(
+        heuristic=heuristic_cfg,
+        solver=SOLVER_ADAPTER if adapter else SOLVER_INTERNAL,
+        parts_mode=parts_mode,
+        adapter=adapter,
+        **_given(time_limit_seconds=time_limit))
     violations = validate_instance(inst).violations
     if violations:
         print("\n".join(f"violation: {v}" for v in violations),
@@ -357,15 +387,6 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
             return SolveReport(mode, "feasible", int(schedule_makespan(sched)),
                                None, time.perf_counter() - started,
                                schedule=sched)
-        adapter = None
-        if solver_cmd:
-            adapter = SolverAdapter(tuple(shlex.split(solver_cmd)))
-        cfg = HopConfig(
-            heuristic=heuristic_cfg,
-            solver=SOLVER_ADAPTER if adapter else SOLVER_INTERNAL,
-            parts_mode=parts_mode,
-            adapter=adapter,
-            **_given(time_limit_seconds=time_limit))
         if mode == "exact":
             rep = solve_exact(inst, compute_thb(inst), parts_mode,
                               time_limit_seconds=cfg.time_limit_seconds)
@@ -383,11 +404,7 @@ def _suite_number(suite, key, kinds):
     """The suite's `key`, None when absent; ValueError when it is not of
     `kinds` (JSON true and false are not numbers)."""
     value = suite.get(key)
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, kinds)):
-        kind = "an integer" if kinds is int else "a number"
-        raise ValueError(f"suite: {key} must be {kind}, got {value!r}")
-    return value
+    return None if value is None else _number(value, f"suite: {key}", kinds)
 
 
 def run_benchmark(suite: dict, base_dir=".") -> list:

@@ -140,6 +140,35 @@ def test_instance_from_json_missing_fields():
         instance_from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("molds", 0, "demand"), 1.9,
+     "mold entry: demand must be an integer, got 1.9"),
+    (("molds", 0, "nm"), True, "mold entry: nm must be an integer, got True"),
+    (("phi_dmin",), "14400",
+     "instance: phi_dmin must be an integer, got '14400'"),
+    (("curing_dmin", 0, "tv"), 400.0,
+     "curing entry: tv must be an integer, got 400.0"),
+    (("heaters", 0), 1.0,
+     "instance: heaters entry must be an integer, got 1.0"),
+    (("mold_compat", 0, 1), False,
+     "instance: mold_compat entry must be an integer, got False"),
+    (("init",), [{"mold": 1, "heater": 1, "count": 1.5}],
+     "init entry: count must be an integer, got 1.5"),
+    (("parts",), [{"id": 1, "np": 1, "molds": ["1"]}],
+     "part entry: molds entry must be an integer, got '1'"),
+])
+def test_instance_from_json_refuses_non_integers(path, value, message):
+    doc = instance_to_json(toy1())
+    *outer, key = path
+    target = doc
+    for step in outer:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(ValueError) as exc:
+        instance_from_json(doc)
+    assert str(exc.value) == message
+
+
 def test_load_instance_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ this is not json", encoding="utf-8")
@@ -197,6 +226,23 @@ def test_schedule_from_json_errors():
     with pytest.raises(ValueError, match="q"):
         schedule_from_json([{"id": 1, "m1": 1, "m2": 2,
                              "heater": 1, "start": 0, "length": 1}])
+    with pytest.raises(ValueError) as exc:
+        schedule_from_json([{"id": 1, "m1": 1, "m2": 2, "q": 2.7,
+                             "heater": 1, "start": 0, "length": 1}])
+    assert str(exc.value) == (
+        "schedule entry 0: q must be an integer, got 2.7")
+
+
+def test_cli_validate_non_integer_is_a_usage_error(tmp_path, capsys):
+    doc = instance_to_json(toy1())
+    doc["molds"][0]["demand"] = 1.5
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["validate", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: mold entry: demand must be an integer, got 1.5\n")
 
 
 # ── benchmark runner ─────────────────────────────────────────────────
@@ -681,6 +727,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         ["solve", "--instance", str(p1), "--mode", "banana"],
         ["solve", "--instance", str(p1), "--mode", "heuristic",
          "--iterations", "-1"],
+        ["solve", "--instance", str(p1), "--mode", "heuristic",
+         "--time-limit", "-5"],
         ["solve", "--instance", str(tmp_path / "missing.json"), "--mode", "hop"],
         ["solve", "--instance", str(bad), "--mode", "hop"],
         ["bench", "--suite", str(tmp_path / "missing-suite.json"),

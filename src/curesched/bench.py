@@ -101,10 +101,12 @@ def _number(value, what, kinds=int):
     return value
 
 
-def _int_field(doc, key, where):
-    """The integer field `key` of `doc`; ValueError when absent or not a
-    JSON integer, so 1.9, true and "14400" are refused, never rounded."""
-    return _number(_field(doc, key, where), f"{where}: {key}")
+def _ints(doc, where, *keys):
+    """The integer fields `keys` of `doc`, in order; ValueError when one is
+    absent or not a JSON integer, so 1.9, true and "14400" are refused,
+    never rounded."""
+    return tuple(_number(_field(doc, key, where), f"{where}: {key}")
+                 for key in keys)
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -140,44 +142,31 @@ def instance_to_json(inst: Instance) -> dict:
 def instance_from_json(doc) -> Instance:
     """Inverse of `instance_to_json`; structural errors become ValueError."""
     molds = tuple(
-        Mold(id=_int_field(m, "id", "mold entry"),
-             copies=_int_field(m, "nm", "mold entry"),
-             setup_dmin=_int_field(m, "tc_dmin", "mold entry"),
-             removal_dmin=_int_field(m, "tq_dmin", "mold entry"),
-             demand=_int_field(m, "demand", "mold entry"))
-        for m in _field(doc, "molds", "instance")
-    )
-    curing = {
-        (_int_field(e, "mold", "curing entry"),
-         _int_field(e, "heater", "curing entry")):
-        _int_field(e, "tv", "curing entry")
-        for e in _field(doc, "curing_dmin", "instance")
-    }
+        Mold(*_ints(m, "mold entry", "id", "nm", "tc_dmin", "tq_dmin",
+                    "demand"))
+        for m in _field(doc, "molds", "instance"))
+    curing = {(m, k): tv for m, k, tv in (
+        _ints(e, "curing entry", "mold", "heater", "tv")
+        for e in _field(doc, "curing_dmin", "instance"))}
     parts = tuple(
-        Part(id=_int_field(p, "id", "part entry"),
-             units=_int_field(p, "np", "part entry"),
+        Part(*_ints(p, "part entry", "id", "np"),
              molds=frozenset(_number(v, "part entry: molds entry")
                              for v in _field(p, "molds", "part entry")))
-        for p in _field(doc, "parts", "instance")
-    )
-    init = {
-        (_int_field(e, "mold", "init entry"),
-         _int_field(e, "heater", "init entry")):
-        _int_field(e, "count", "init entry")
-        for e in _field(doc, "init", "instance")
-    }
+        for p in _field(doc, "parts", "instance"))
+    init = {(m, k): c for m, k, c in (
+        _ints(e, "init entry", "mold", "heater", "count")
+        for e in _field(doc, "init", "instance"))}
+    pair_entry = "instance: mold_compat entry"
     return Instance(
         name=str(_field(doc, "name", "instance")),
-        period_dmin=_int_field(doc, "phi_dmin", "instance"),
+        period_dmin=_ints(doc, "instance", "phi_dmin")[0],
         molds=molds,
         heaters=tuple(_number(h, "instance: heaters entry")
                       for h in _field(doc, "heaters", "instance")),
         curing=curing,
         mold_compat=tuple(
-            (_number(a, "instance: mold_compat entry"),
-             _number(b, "instance: mold_compat entry"))
-            for a, b in _field(doc, "mold_compat", "instance")
-        ),
+            (_number(a, pair_entry), _number(b, pair_entry))
+            for a, b in _field(doc, "mold_compat", "instance")),
         parts=parts,
         init=init,
         meta=doc.get("meta"),
@@ -230,19 +219,10 @@ def schedule_to_json(schedule: Schedule) -> list:
 def schedule_from_json(doc) -> Schedule:
     if not isinstance(doc, list):
         raise ValueError("schedule document: expected a JSON list")
-    tuples = []
-    for idx, entry in enumerate(doc):
-        where = f"schedule entry {idx}"
-        tuples.append(AssignmentTuple(
-            id=_int_field(entry, "id", where),
-            m1=_int_field(entry, "m1", where),
-            m2=_int_field(entry, "m2", where),
-            q=_int_field(entry, "q", where),
-            heater=_int_field(entry, "heater", where),
-            start=_int_field(entry, "start", where),
-            length=_int_field(entry, "length", where),
-        ))
-    return Schedule(tuples=tuples)
+    return Schedule(tuples=[
+        AssignmentTuple(*_ints(entry, f"schedule entry {idx}", "id", "m1",
+                               "m2", "q", "heater", "start", "length"))
+        for idx, entry in enumerate(doc)])
 
 
 def save_schedule(schedule: Schedule, path) -> None:

@@ -8,8 +8,10 @@ they happen on. All durations are integer deciminutes and every period has
 the same budget (`period_dmin`, 14400 = 24h in the stock data).
 
 The capacity rules in `plan_slot` are the single source of truth used by the
-constructive heuristic, the schedule validator, the exact search, and the
-encoder that turns schedules into model variable assignments:
+constructive heuristic, the schedule validator, the exact search's
+per-heater options, and the encoder that turns schedules into model
+variable assignments; the heuristic and the exact search read it through a
+per-run `PlanMemo`:
 
   * a tuple placed directly after its heater's previous occupant pays the
     multiset difference (new copies mounted, leaving copies removed) in its
@@ -232,22 +234,13 @@ def transition_work(inst: Instance, before, after):
 
 @dataclass(frozen=True)
 class SlotPlan:
-    """First-period budget accounting for one tuple on one heater.
+    """First-period budget accounting for a tuple of any quantity on one
+    heater; `length_for` sizes each quantity from it."""
 
-    Only `length` depends on the quantity: `deduction`, the capacities and,
-    for any quantity of at least 1, `problems` are the same for every
-    quantity, so `length_for` sizes any other quantity from one plan.
-    """
-
-    quantity: int
     cap_first: int
     cap_int: int
     deduction: int
     problems: tuple = ()
-
-    @property
-    def length(self) -> int:
-        return self.length_for(self.quantity)
 
     def length_for(self, quantity: int) -> int:
         """Periods the slot needs to cure `quantity` per slot: the first
@@ -258,8 +251,8 @@ class SlotPlan:
 
 
 def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
-              start: Period, molds, quantity: int) -> SlotPlan:
-    """Work out feasible per-period output for a tuple.
+              start: Period, molds) -> SlotPlan:
+    """Work out the feasible per-period output of a tuple of `molds`.
 
     `residents` is the mold multiset left by the heater's previous occupant
     (or its initial loading), `prev_end` that occupant's end period. The
@@ -288,11 +281,33 @@ def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
     max_tv = max(inst.curing[(m, heater)] for m in molds) if molds else phi
     cap_first = max((phi - deduction) // max_tv, 0)
     cap_int = slot_rate(phi, max_tv)
-    if quantity > cap_first and cap_int <= 0:
+    if cap_int <= 0:
         problems.append(f"cure time exceeds the period budget on heater {heater}")
-    return SlotPlan(quantity=quantity, cap_first=cap_first,
-                    cap_int=cap_int, deduction=deduction,
+    return SlotPlan(cap_first=cap_first, cap_int=cap_int, deduction=deduction,
                     problems=tuple(problems))
+
+
+def multiset(counts) -> tuple:
+    """A mold multiset's hashable form: its (mold, copies) items by mold."""
+    return tuple(sorted(counts.items()))
+
+
+class PlanMemo(dict):
+    """The `plan_slot` plans of one heuristic run or exact search, keyed
+    (heater, residents, molds, gap): the `multiset`s the heater holds and
+    gets, and whether an idle gap comes first, which is all a changeover
+    depends on. A value is the plan, or None when it breaks a budget."""
+
+    def __init__(self, inst: Instance):
+        super().__init__()
+        self.inst = inst
+
+    def __missing__(self, key):
+        heater, residents, molds, gap = key
+        plan = plan_slot(self.inst, heater, dict(residents), 0, int(gap),
+                         dict(molds))
+        self[key] = plan = None if plan.problems else plan
+        return plan
 
 
 def fits_one_heater(inst: Instance, counts) -> bool:
@@ -561,7 +576,7 @@ def validate_schedule(inst: Instance, schedule: Schedule,
             # resync so this tuple's own budgets still get checked
             prev_end = t.start
         plan = plan_slot(inst, h, residents, prev_end, t.start,
-                         t.mold_counts(), t.q)
+                         t.mold_counts())
         for p in plan.problems:
             v.append(f"tuple {t.id} on heater {h}: {p}")
         available = plan.cap_first + (t.length - 1) * plan.cap_int

@@ -30,12 +30,14 @@ from .domain import (
     Instance,
     PARTS_MODES,
     PARTS_PER_HEATER,
+    PlanMemo,
     Schedule,
     ceil_div,
     initial_residents,
+    multiset,
     pair_slots,
     schedule_makespan,
-    transition_work,
+    slot_rate,
 )
 from .errors import (
     AdapterFailure,
@@ -122,7 +124,8 @@ def _mold_rate(inst: Instance, mold_id: int, parts_mode: str) -> int:
     heaters = inst.compat_heaters.get(mold_id, ())
     if not heaters:
         return 0
-    per_slot = max(inst.period_dmin // inst.curing[(mold_id, k)] for k in heaters)
+    per_slot = max(slot_rate(inst.period_dmin, inst.curing[(mold_id, k)])
+                   for k in heaters)
     concurrent = min(inst.mold_by_id[mold_id].copies, 2 * len(heaters))
     part_units = [inst.part_by_id[p].units for p in inst.parts_of.get(mold_id, ())]
     if part_units:
@@ -156,43 +159,44 @@ def _root_bound(inst: Instance, parts_mode: str):
 
 
 def _heater_table(inst, parts_mode):
-    """Per heater, its `pair_slots` rows as (pair, mold counts, part usage,
-    slowest cure time), built once per search.  In per-heater mode a pair
-    that alone needs more units of a part than exist is left out."""
+    """Per heater, its `pair_slots` rows as (pair, `multiset` of its molds,
+    part usage), built once per search.  In per-heater mode a pair that
+    alone needs more units of a part than exist is left out."""
     table = {k: [] for k in inst.heaters}
     for s in pair_slots(inst):
         if parts_mode == PARTS_PER_HEATER and any(
                 c > inst.part_by_id[p].units for p, c in s.usage.items()):
             continue
-        table[s.heater].append(((s.m1, s.m2), s.counts, s.usage, s.max_tv))
+        table[s.heater].append(((s.m1, s.m2), multiset(s.counts), s.usage))
     return table
 
 
-def _heater_options(inst, pairs, residents, res, used, part_used, parts_mode):
-    """Per-period choices for one heater: one of its `pairs` (a
-    `_heater_table` row list) at full capacity, or idling (residents leave,
-    which must fit the period).
+def _heater_options(inst, plans, k, pairs, residents, res, used, part_used,
+                    parts_mode):
+    """Per-period choices for heater `k`, which holds the `multiset`
+    `residents`: one of its `pairs` (a `_heater_table` row list) at full
+    capacity, or idling (residents leave, which must fit the period).  The
+    search's `PlanMemo` `plans` decides both: a pair mounted right away
+    cures its plan's first-period capacity, and idling is the plan of an
+    empty heater after a gap.
 
     Mounting a mold whose residual demand is already zero is skipped, since
     a single-mold slot dominates; pairs that merely keep such a mold
     resident stay available because holding it can be cheaper than paying
     its removal.  Options come back most-productive-first so a depth-first
-    walk reaches good incumbents early, as (pair, counts, usage, cap).
+    walk reaches good incumbents early, as (pair, molds, usage, cap).
     """
-    phi = inst.period_dmin
     opts = []
-    removal_bill = sum(inst.mold_by_id[m].removal_dmin * c
-                       for m, c in residents.items())
-    if removal_bill <= phi:
-        opts.append((0, None, {}, {}, 0))
-    for pair, counts, usage, max_tv in pairs:
+    if plans[k, residents, (), True] is not None:
+        opts.append((0, None, (), {}, 0))
+    for pair, molds, usage in pairs:
         ok = True
-        for m, c in counts.items():
+        for m, c in molds:
             if used.get(m, 0) + c > inst.mold_by_id[m].copies:
                 ok = False
                 break
             # never mount a finished mold; keeping a resident one is fine
-            if res.get(m, 0) <= 0 and c > residents.get(m, 0):
+            if res.get(m, 0) <= 0 and c > dict(residents).get(m, 0):
                 ok = False
                 break
         if not ok:
@@ -201,40 +205,41 @@ def _heater_options(inst, pairs, residents, res, used, part_used, parts_mode):
                 part_used.get(p, 0) + c > inst.part_by_id[p].units
                 for p, c in usage.items()):
             continue
-        setups, removals = transition_work(inst, residents, counts)
-        if setups + removals > phi:
+        plan = plans[k, residents, molds, False]
+        if plan is None:
             continue
-        cap = (phi - setups - removals) // max_tv
-        useful = sum(min(res.get(m, 0), cap * c) for m, c in counts.items())
-        opts.append((useful, pair, counts, usage, cap))
+        cap = plan.cap_first
+        useful = sum(min(res.get(m, 0), cap * c) for m, c in molds)
+        opts.append((useful, pair, molds, usage, cap))
     opts.sort(key=lambda o: (-o[0], o[1] is None, o[1] or (0, 0)))
     return [o[1:] for o in opts]
 
 
-def _iter_joint_configs(inst, table, residents_by_heater, res, parts_mode):
+def _iter_joint_configs(inst, plans, table, residents, res, parts_mode):
     """Joint per-period configurations across heaters, yielded lazily in
-    heater id order so huge plants never materialize the cross product."""
-    heaters = list(inst.heaters)
+    heater id order so huge plants never materialize the cross product;
+    `residents` holds each heater's `multiset` in that order."""
+    heaters = inst.heaters
 
     def rec(idx, used, part_used, acc):
         if idx == len(heaters):
             yield list(acc)
             return
         k = heaters[idx]
-        options = _heater_options(inst, table[k], residents_by_heater[k],
+        options = _heater_options(inst, plans, k, table[k], residents[idx],
                                   res, used, part_used, parts_mode)
-        for pair, counts, usage, cap in options:
+        for pair, molds, usage, cap in options:
             new_used = used
             new_part = part_used
-            if counts:
+            if molds:
                 new_used = dict(used)
-                for m, c in counts.items():
+                for m, c in molds:
                     new_used[m] = new_used.get(m, 0) + c
             if usage:
                 new_part = dict(part_used)
                 for p, c in usage.items():
                     new_part[p] = new_part.get(p, 0) + c
-            acc.append((k, pair, counts, cap))
+            acc.append((k, pair, molds, cap))
             yield from rec(idx + 1, new_used, new_part, acc)
             acc.pop()
 
@@ -302,22 +307,18 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     start_clock = time.perf_counter()
     deadline = start_clock + time_limit_seconds
     table = _heater_table(inst, parts_mode)
+    plans = PlanMemo(inst)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
     rate = {i: _mold_rate(inst, i, parts_mode) for i in demanded}
 
     residual0 = {i: inst.mold_by_id[i].demand for i in demanded}
-    residents0 = initial_residents(inst)
+    initial = initial_residents(inst)
+    residents0 = tuple(multiset(initial[k]) for k in inst.heaters)
     root_lb = _residual_bound(residual0, rate)
     best = math.inf if incumbent_makespan is None else incumbent_makespan
     best_path = None
     memo = {}
     nodes = 0
-
-    def freeze(res, residents):
-        return (
-            tuple(res[i] for i in demanded),
-            tuple(tuple(sorted(residents[k].items())) for k in inst.heaters),
-        )
 
     # explicit stack, children pulled lazily: horizons never overflow the
     # interpreter and huge plants never materialize a config cross product
@@ -343,7 +344,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
             if max(bound, floor) >= best or bound > thb:
                 stack.pop()
                 continue
-            key = freeze(res, residents)
+            key = (tuple(res[i] for i in demanded), residents)
             seen = memo.get(key)
             if seen is not None and seen <= period:
                 stack.pop()
@@ -354,7 +355,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
                 hit_limit = True
                 break
             fr.floor = max(bound, floor)
-            fr.gen = _iter_joint_configs(inst, table, residents, res,
+            fr.gen = _iter_joint_configs(inst, plans, table, residents, res,
                                          parts_mode)
         elif fr.floor >= best:
             # every child would be pruned on touch: drop the rest unread
@@ -367,7 +368,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
         produced = _config_production(joint)
         new_res = {i: max(0, fr.res[i] - produced.get(i, 0))
                    for i in demanded}
-        new_residents = {k: counts for k, _, counts, _ in joint}
+        new_residents = tuple(molds for _, _, molds, _ in joint)
         stack.append(_Frame(fr.period + 1, new_res, new_residents, joint))
     wall = time.perf_counter() - start_clock
 

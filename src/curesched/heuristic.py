@@ -11,7 +11,7 @@ wins only when strictly shorter than every start.
 
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .domain import (
     EMPTY,
@@ -20,13 +20,14 @@ from .domain import (
     PARTS_PER_HEATER,
     AssignmentTuple,
     Instance,
+    PlanMemo,
     Schedule,
     ceil_div,
     fits_one_heater,
     heater_walk,
     initial_residents,
+    multiset,
     pair_slots,
-    plan_slot,
     schedule_makespan,
     validate_schedule,
 )
@@ -76,14 +77,12 @@ class _Context:
                   a pair must fit one heater on its own (enough copies, part
                   units for both slots, joint setup work inside one period)
     heaters_for : (m1, m2) -> heaters able to run the pair, ids ascending
-    counts      : (m1, m2) -> mold multiset of the pair
+    counts      : (m1, m2) -> `multiset` of the pair's molds
     part_need   : (m1, m2) -> part units the pair ties down
-    initial     : heater -> mold multiset mounted before the first period
-    plans       : placement memo, filled by `assignment_procedure`;
-                  (heater, pair it holds or None for the initial loading,
-                  pair, idle gap before the start) -> (extra wait, quantity-1
-                  `SlotPlan`), or None when the pair fits neither at once
-                  nor after a one-period gap
+    initial     : heater -> `multiset` mounted before the first period
+    plans       : the run's `PlanMemo`: each changeover (what a heater
+                  holds, the pair, whether an idle gap comes first) is
+                  planned once, whichever start or round meets it
     """
 
     pool: list
@@ -91,7 +90,7 @@ class _Context:
     counts: dict
     part_need: dict
     initial: dict
-    plans: dict = field(default_factory=dict)
+    plans: PlanMemo
 
 
 def _context(inst: Instance) -> _Context:
@@ -104,24 +103,11 @@ def _context(inst: Instance) -> _Context:
         pool=[pair for pair in sorted(heaters_for)
               if fits_one_heater(inst, counts[pair])],
         heaters_for=heaters_for,
-        counts=counts,
+        counts={pair: multiset(c) for pair, c in counts.items()},
         part_need=part_need,
-        initial=initial_residents(inst),
+        initial={k: multiset(r) for k, r in initial_residents(inst).items()},
+        plans=PlanMemo(inst),
     )
-
-
-def _fit(inst: Instance, ctx: _Context, slot) -> tuple | None:
-    """The `ctx.plans` entry for `slot`: plan the pair at once, or, when
-    that breaks a budget, after a one-period gap that empties the heater."""
-    k, held, pair, gap = slot
-    residents = ctx.initial[k] if held is None else ctx.counts[held]
-    molds = ctx.counts[pair]
-    for wait in (0, 1):
-        # only whether start > prev_end matters, not the periods themselves
-        plan = plan_slot(inst, k, residents, 0, int(gap) + wait, molds, 1)
-        if not plan.problems:
-            return wait, plan
-    return None
 
 
 # ── pairing ──────────────────────────────────────────────────────────
@@ -204,9 +190,9 @@ def assignment_procedure(inst: Instance, tuples,
     periods, so a pair's earliest free period is the largest answer among
     its molds and parts.
 
-    A heater's changeover depends only on what it holds, the pair and
-    whether an idle gap comes first, so each such case is planned once per
-    run (`ctx.plans`) and a tuple's length is sized from that plan.
+    A tuple's length is sized from the `ctx.plans` plan of its changeover;
+    a pair that breaks a budget there waits one period more, so that the
+    heater empties in an idle gap first.
     """
     ctx = ctx or _context(inst)
     heaters_for, counts, plans = ctx.heaters_for, ctx.counts, ctx.plans
@@ -220,11 +206,11 @@ def assignment_procedure(inst: Instance, tuples,
         queues.setdefault((t.m1, t.m2), deque()).append((rank, t))
     avail = {k: 0 for k in inst.heaters}
     avail_of = avail.__getitem__
-    holds = {k: None for k in inst.heaters}  # heater -> pair placed last
+    holds = dict(ctx.initial)  # heater -> multiset its last tuple left
     mold_use = {m.id: _Profile(m.copies) for m in inst.molds}
     part_use = {p.id: _Profile(p.units) for p in inst.parts}
     # pair -> (profile, units) of each mold and part it holds
-    needs = {pair: [(mold_use[m], c) for m, c in counts[pair].items()]
+    needs = {pair: [(mold_use[m], c) for m, c in counts[pair]]
              for pair in queues}
     for pair, held in needs.items():
         held += [(part_use[p], u) for p, u in part_need.get(pair, {}).items()]
@@ -247,19 +233,17 @@ def assignment_procedure(inst: Instance, tuples,
         if not queue:
             del queues[best_pair]
 
+        molds = counts[best_pair]
         chosen = None
         for k in heaters_for[best_pair]:
             base = max(avail[k], ready)
             if chosen is not None and base > chosen[0]:
                 continue  # its start is at least base: it cannot win
-            slot = (k, holds[k], best_pair, base > avail[k])
-            try:
-                fit = plans[slot]
-            except KeyError:
-                fit = plans[slot] = _fit(inst, ctx, slot)
-            if fit is None:
-                continue
-            wait, plan = fit
+            plan, wait = plans[k, holds[k], molds, base > avail[k]], 0
+            if plan is None:
+                plan, wait = plans[k, holds[k], molds, True], 1
+                if plan is None:
+                    continue
             key = (base + wait, plan.deduction, k)
             if chosen is None or key < chosen:
                 chosen, chosen_plan = key, plan
@@ -272,7 +256,7 @@ def assignment_procedure(inst: Instance, tuples,
         end = start + length
         placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start, length))
         avail[k] = end
-        holds[k] = best_pair
+        holds[k] = molds
         for profile, n in needs[best_pair]:
             profile.add(start, end, n)
 
@@ -282,11 +266,13 @@ def assignment_procedure(inst: Instance, tuples,
 # ── improvement ──────────────────────────────────────────────────────
 
 
-def _shave_overproduction(inst: Instance, schedule: Schedule) -> Schedule:
+def _shave_overproduction(inst: Instance, schedule: Schedule,
+                          ctx: _Context) -> Schedule:
     """Trim the last tuple on each heater down to what demand still needs.
 
     An identical pair loses two tires per quantity step, so its cut is
-    halved. Lengths are re-planned after each cut.
+    halved. A trimmed tuple keeps its heater, start and predecessor, so the
+    plan it was placed with sizes its new length.
     """
     tuples = sorted(schedule.tuples, key=lambda t: t.id)
     produced = {m.id: 0 for m in inst.molds}
@@ -314,11 +300,9 @@ def _shave_overproduction(inst: Instance, schedule: Schedule) -> Schedule:
         if delta <= 0:
             continue
         new_q = last.q - delta
-        plan = plan_slot(inst, k, residents, prev_end, last.start,
-                         last.mold_counts(), new_q)
-        if plan.problems:
-            continue
-        out[last.id] = replace(last, q=new_q, length=plan.length)
+        plan = ctx.plans[k, multiset(residents), ctx.counts[last.m1, last.m2],
+                         last.start > prev_end]
+        out[last.id] = replace(last, q=new_q, length=plan.length_for(new_q))
         for m, c in last.mold_counts().items():
             produced[m] -= c * delta
     return Schedule(tuples=sorted(out.values(), key=lambda t: t.id))
@@ -359,7 +343,7 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
             candidate = assignment_procedure(inst, split, parts_mode, ctx=ctx)
         except NoFeasiblePlacement:
             return improved
-        candidate = _shave_overproduction(inst, candidate)
+        candidate = _shave_overproduction(inst, candidate, ctx)
         if (schedule_makespan(candidate) < schedule_makespan(improved)
                 and validate_schedule(inst, candidate, parts_mode).ok):
             improved = candidate

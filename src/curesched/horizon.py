@@ -88,9 +88,9 @@ def horizon_witness(inst: Instance) -> Schedule:
             fits = []
             for k in inst.compat_heaters[m.id]:
                 plan = plan_slot(inst, k, residents[k], free[k], start,
-                                 counts, q)
+                                 counts)
                 if not plan.problems:
-                    fits.append((plan.length, k))
+                    fits.append((plan.length_for(q), k))
             if fits:
                 break
         else:

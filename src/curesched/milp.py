@@ -420,7 +420,7 @@ def schedule_to_assignment(m: MilpModel, schedule: Schedule) -> dict:
     loads = {}  # (heater, model period) -> mold multiset
     for k, t, residents, prev_end in heater_walk(inst, schedule.tuples):
         counts = t.mold_counts()
-        plan = plan_slot(inst, k, residents, prev_end, t.start, counts, t.q)
+        plan = plan_slot(inst, k, residents, prev_end, t.start, counts)
         remaining = t.q
         for offset in range(t.length):
             period = t.start + 1 + offset

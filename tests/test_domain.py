@@ -18,10 +18,12 @@ from curesched.domain import (
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
+    PlanMemo,
     Schedule,
     components,
     heater_walk,
     initial_residents,
+    multiset,
     pair_slots,
     plan_slot,
     schedule_makespan,
@@ -180,67 +182,67 @@ def test_transition_work_swap_and_copy():
 def test_toy1_first_period_capacity():
     inst = toy1()
     plan = plan_slot(inst, heater=1, residents={}, prev_end=0, start=0,
-                     molds={1: 1, 2: 1}, quantity=10)
+                     molds={1: 1, 2: 1})
     assert plan.cap_first == 33  # (14400 - 600 - 600) // 400
     assert plan.cap_int == 36
-    assert plan.length == 1
+    assert plan.length_for(10) == 1
 
 
 def test_plan_slot_multi_period_length():
     inst = toy1()
     plan = plan_slot(inst, heater=1, residents={}, prev_end=0, start=0,
-                     molds={1: 1, 2: 1}, quantity=34)
-    assert plan.length == 2  # 33 in the first period, 36 afterwards
+                     molds={1: 1, 2: 1})
+    assert plan.length_for(34) == 2  # 33 in the first period, 36 afterwards
 
 
 def test_plan_slot_gap_skips_removal_charge():
     inst = toy1()
     # resident mold 1 is cleared during the gap period; only the setup is paid
     plan = plan_slot(inst, heater=1, residents={1: 1}, prev_end=1, start=2,
-                     molds={2: 1}, quantity=34)
+                     molds={2: 1})
     assert plan.cap_first == 34  # (14400 - 600) // 400
-    assert plan.length == 1
+    assert plan.length_for(34) == 1
 
 
 def test_plan_slot_contiguous_charges_removal():
     inst = toy1()
     plan = plan_slot(inst, heater=1, residents={1: 1}, prev_end=1, start=1,
-                     molds={2: 1}, quantity=34)
+                     molds={2: 1})
     assert plan.cap_first == 33  # (14400 - 300 - 600) // 400
-    assert plan.length == 2
+    assert plan.length_for(34) == 2
 
 
 def test_plan_slot_init_resident_needs_no_setup():
     inst = variant(toy1(), init={(1, 1): 1})
     plan = plan_slot(inst, heater=1, residents={1: 1}, prev_end=0, start=0,
-                     molds={1: 1}, quantity=36)
+                     molds={1: 1})
     assert plan.cap_first == 36
-    assert plan.length == 1
+    assert plan.length_for(36) == 1
 
 
 def test_plan_slot_sizes_every_quantity_from_one_plan():
-    """The heuristic plans each changeover once, at quantity 1, and sizes
-    every tuple with `length_for`; that holds only while everything but the
-    length is the same for every quantity. Each length is also the fewest
-    periods whose capacity covers the quantity."""
+    """One plan sizes every quantity with `length_for`: each length is the
+    fewest periods whose capacity covers the quantity. The run's
+    `PlanMemo` holds that same plan under the changeover's key, or None
+    when it breaks a budget, whatever periods the tuple occupies."""
     for seed in range(1000, 1200):
         inst = tiny_instance(seed)
+        plans = PlanMemo(inst)
         slots = pair_slots(inst)
         initial = initial_residents(inst)
         held = [{}] + list({(s.m1, s.m2): s.counts for s in slots}.values())
         for s in slots:
             for residents in held + [initial[s.heater]]:
-                for start in (0, 1):  # right after prev_end 0, or a gap
-                    one = plan_slot(inst, s.heater, residents, 0, start,
-                                    s.counts, 1)
+                for prev_end, start in ((0, 0), (0, 1), (3, 3), (3, 5)):
+                    plan = plan_slot(inst, s.heater, residents, prev_end,
+                                     start, s.counts)
+                    key = (s.heater, multiset(residents), multiset(s.counts),
+                           start > prev_end)
+                    assert plans[key] == (None if plan.problems else plan)
+                    if plan.problems:
+                        continue
                     for q in range(1, 61):
-                        plan = plan_slot(inst, s.heater, residents, 0, start,
-                                         s.counts, q)
-                        length = one.length_for(q)
-                        assert plan.length == length
-                        assert bool(plan.problems) == bool(one.problems)
-                        if plan.problems:
-                            continue
+                        length = plan.length_for(q)
                         cover = plan.cap_first + (length - 1) * plan.cap_int
                         assert cover >= q > cover - plan.cap_int or (
                             length == 1 and q <= plan.cap_first)

@@ -16,14 +16,17 @@ from dataclasses import replace
 
 import pytest
 
+import curesched.domain
 import curesched.exact
 from curesched.domain import (
     Mold,
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
+    PlanMemo,
     components,
     initial_residents,
+    multiset,
     pair_slots,
     plan_slot,
     schedule_makespan,
@@ -279,16 +282,18 @@ def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
         rows = {c.name: {v: coef for coef, v in c.terms}
                 for c in build_model(inst, 1, parts_mode).constraints}
         table = curesched.exact._heater_table(inst, parts_mode)
+        plans = PlanMemo(inst)
         res = {m: 10 ** 9 for m in inst.mold_ids}
         for k in inst.heaters:
             on_k = [s for s in pair_slots(inst) if s.heater == k]
             for residents in [initial_residents(inst)[k], {}] + [s.counts for s in on_k]:
                 offered = {pair: cap for pair, _, _, cap in options(
-                    inst, table[k], residents, res, {}, {}, parts_mode)}
-                gap = plan_slot(inst, k, residents, 0, 1, {}, 0)
+                    inst, plans, k, table[k], multiset(residents), res, {}, {},
+                    parts_mode)}
+                gap = plan_slot(inst, k, residents, 0, 1, {})
                 assert (None in offered) == (not gap.problems), (name, k, residents)
                 for s in on_k:
-                    plan = plan_slot(inst, k, residents, 0, 0, s.counts, 1)
+                    plan = plan_slot(inst, k, residents, 0, 0, s.counts)
                     tag = f"{s.m1}_{s.m2}_{k}_1"
                     assert -rows[f"rate_{tag}"][f"z_{tag}"] == plan.cap_int
                     assert slot_rate(phi, s.max_tv) == plan.cap_int
@@ -313,6 +318,34 @@ def test_exact_deterministic():
     key = lambda r: [(t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length)
                      for t in r.schedule.tuples]
     assert (a.makespan, key(a)) == (b.makespan, key(b))
+
+
+def test_exact_plans_each_changeover_once_per_search(monkeypatch):
+    """Each search fills a memo of its own: a second search on the same
+    instance plans every changeover again, each exactly once."""
+    memos, calls = [], []
+    plan_slot = curesched.domain.plan_slot
+
+    class KeptMemo(PlanMemo):
+        def __init__(self, inst):
+            super().__init__(inst)
+            memos.append(self)
+
+    def counted_plan_slot(*args):
+        calls.append(args)
+        return plan_slot(*args)
+
+    monkeypatch.setattr(curesched.exact, "PlanMemo", KeptMemo)
+    monkeypatch.setattr(curesched.domain, "plan_slot", counted_plan_slot)
+    inst = generate_instance(SCENARIOS["small"], 1)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        solve_exact(inst, 4, incumbent_makespan=4)
+        counts.append(len(calls))
+    assert len(memos) == 2 and memos[0] is not memos[1]
+    assert memos[0] == memos[1]
+    assert counts == [len(memos[0])] * 2 and counts[0] > 0
 
 
 # ── adapter ──────────────────────────────────────────────────────────

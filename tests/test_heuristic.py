@@ -14,9 +14,11 @@ Frozen traces (hand derivation):
 
 import hashlib
 import random
+import sys
 
 import pytest
 
+import curesched.domain
 import curesched.heuristic
 from curesched.domain import (
     PARTS_GLOBAL,
@@ -338,13 +340,14 @@ def test_run_heuristic_corpus_schedules_frozen(corpus, mode):
 # ── the per-run plan memo ────────────────────────────────────────────
 
 def _counted_run(monkeypatch, inst):
-    """(plan_slot calls, the run's context) of one 20-start run."""
+    """(the function behind each plan_slot call, the run's context) of one
+    20-start run."""
     calls, contexts = [], []
-    plan_slot = curesched.heuristic.plan_slot
+    plan_slot = curesched.domain.plan_slot
     context = curesched.heuristic._context
 
     def counted_plan_slot(*args):
-        calls.append(args)
+        calls.append(sys._getframe(1).f_code.co_name)
         return plan_slot(*args)
 
     def kept_context(inst):
@@ -352,18 +355,20 @@ def _counted_run(monkeypatch, inst):
         return contexts[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(curesched.heuristic, "plan_slot", counted_plan_slot)
+        patch.setattr(curesched.domain, "plan_slot", counted_plan_slot)
         patch.setattr(curesched.heuristic, "_context", kept_context)
         run_heuristic(inst, HeuristicConfig(total_iterations=20, seed=1))
     assert len(contexts) == 1
-    return len(calls), contexts[0]
+    return calls, contexts[0]
 
 
 def test_assignment_plans_each_changeover_once_per_run(monkeypatch):
     inst = generate_instance(SCENARIOS["medium"], 1)
     calls, ctx = _counted_run(monkeypatch, inst)
-    # at most a try and a retry per memo key, shaving included
-    assert 0 < len(ctx.plans) <= calls <= 2 * len(ctx.plans)
+    # placements, their one-period retries and shaving all read the memo;
+    # only the check of each improved candidate plans on its own
+    assert set(calls) == {"__missing__", "validate_schedule"}
+    assert 0 < len(ctx.plans) == calls.count("__missing__")
 
 
 def test_plan_memo_lives_and_dies_with_one_run(monkeypatch):

@@ -26,18 +26,17 @@ import tempfile
 import time
 from dataclasses import dataclass
 
+from .bounds import mold_rate, residual_bound
 from .domain import (
     Instance,
     PARTS_MODES,
     PARTS_PER_HEATER,
     PlanMemo,
     Schedule,
-    ceil_div,
     initial_residents,
     multiset,
     pair_slots,
     schedule_makespan,
-    slot_rate,
 )
 from .errors import (
     AdapterFailure,
@@ -117,45 +116,6 @@ class _Frame:
         self.joint_in = joint_in
         self.floor = None
         self.gen = None
-
-
-def _mold_rate(inst: Instance, mold_id: int, parts_mode: str) -> int:
-    """Upper bound on units of one mold the plant can cure per period."""
-    heaters = inst.compat_heaters.get(mold_id, ())
-    if not heaters:
-        return 0
-    per_slot = max(slot_rate(inst.period_dmin, inst.curing[(mold_id, k)])
-                   for k in heaters)
-    concurrent = min(inst.mold_by_id[mold_id].copies, 2 * len(heaters))
-    part_units = [inst.part_by_id[p].units for p in inst.parts_of.get(mold_id, ())]
-    if part_units:
-        tightest = min(part_units)
-        if parts_mode == PARTS_PER_HEATER:
-            concurrent = min(concurrent, min(2, tightest) * len(heaters))
-        else:
-            concurrent = min(concurrent, tightest)
-    return concurrent * per_slot
-
-
-def _residual_bound(res, rate):
-    """Lower bound on the periods left to cure the residual demand `res`:
-    those the slowest mold needs at its `_mold_rate` in `rate`; inf when a
-    mold with demand left has no rate at all."""
-    lb = 0
-    for i, r in res.items():
-        if r > 0:
-            if rate[i] == 0:
-                return math.inf
-            lb = max(lb, ceil_div(r, rate[i]))
-    return lb
-
-
-def _root_bound(inst: Instance, parts_mode: str):
-    """The search's root lower bound on the makespan: `_residual_bound` of
-    the whole demand."""
-    demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
-    return _residual_bound(
-        demand, {i: _mold_rate(inst, i, parts_mode) for i in demand})
 
 
 def _heater_table(inst, parts_mode):
@@ -280,11 +240,11 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     schedules, and exhausting the tree without finding one proves the
     incumbent optimal (reported with schedule None).
 
-    A frame's floor, `period - 1 + _residual_bound(res, rate)` raised to
+    A frame's floor, `period - 1 + residual_bound(res, rate)` raised to
     `floor`, is checked when the frame is first touched and again each time
     the search comes back to it; once `best` has fallen to the floor, the
     frame's remaining joint configurations are dropped unread.  That is exact:
-    `_mold_rate` bounds one period's production of each mold, so a child's
+    `mold_rate` bounds one period's production of each mold, so a child's
     floor is never below its parent's and no child could beat `best`: the
     children dropped here would each be pruned on touch, before the memo or
     the node count sees them.  Under a limit the search only gets further.
@@ -309,12 +269,12 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     table = _heater_table(inst, parts_mode)
     plans = PlanMemo(inst)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
-    rate = {i: _mold_rate(inst, i, parts_mode) for i in demanded}
+    rate = {i: mold_rate(inst, i, parts_mode) for i in demanded}
 
     residual0 = {i: inst.mold_by_id[i].demand for i in demanded}
     initial = initial_residents(inst)
     residents0 = tuple(multiset(initial[k]) for k in inst.heaters)
-    root_lb = _residual_bound(residual0, rate)
+    root_lb = residual_bound(residual0, rate)
     best = math.inf if incumbent_makespan is None else incumbent_makespan
     best_path = None
     memo = {}
@@ -340,7 +300,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
                     best_path = [f.joint_in for f in stack[1:]]
                 stack.pop()
                 continue
-            bound = period - 1 + _residual_bound(res, rate)
+            bound = period - 1 + residual_bound(res, rate)
             if max(bound, floor) >= best or bound > thb:
                 stack.pop()
                 continue

@@ -42,11 +42,11 @@ from .errors import (
     SolutionParseError,
     UnproduciblePair,
 )
+from .bounds import root_bound
 from .exact import (
     TIME_LIMIT_SECONDS,
     SolveReport,
     SolverAdapter,
-    _root_bound,
     solve_exact,
     solve_with_adapter,
 )
@@ -157,7 +157,7 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
     deadline = clock + cfg.time_limit_seconds
     backend = "exact" if cfg.solver == SOLVER_INTERNAL else "adapter"
     stats = model_size(inst, horizon, cfg.parts_mode)
-    todo = sorted(((_root_bound(c, cfg.parts_mode), c)
+    todo = sorted(((root_bound(c, cfg.parts_mode), c)
                    for c in components(inst)), key=lambda bc: -bc[0])
     tuples = []
     span = lower = nodes = 0

@@ -22,6 +22,7 @@ import curesched
 
 import curesched.hop
 
+from curesched.bounds import root_bound
 from curesched.domain import (
     Mold,
     PARTS_GLOBAL,
@@ -34,7 +35,6 @@ from curesched.exact import (
     TIME_LIMIT_SECONDS,
     SolveReport,
     SolverAdapter,
-    _root_bound,
     solve_exact,
 )
 from curesched.gen import SCENARIOS, generate_instance
@@ -414,7 +414,7 @@ def test_adapter_ladder_climbs_from_the_root_bound(monkeypatch):
                     adapter=SolverAdapter(command=STUB))
     report, schedule = run_hop(inst, cfg)
     assert report.horizon == 6
-    assert _root_bound(inst, PARTS_PER_HEATER) == 2
+    assert root_bound(inst, PARTS_PER_HEATER) == 2
     assert rungs == [2, 3, 4]
     assert (report.status, report.makespan, report.gap_percent) == (
         "optimal", 4, 0.0)

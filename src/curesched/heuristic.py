@@ -2,10 +2,11 @@
 
 Each start draws mold pairs at random into batch tuples, places them
 greedily on heaters, then tries a local improvement (split big pair tuples,
-re-place everything, shave overproduced quantities). The driver runs many
-independent starts from per-iteration seeds and keeps the best schedule, so
-results are reproducible for a given seed. A start whose tuples cannot all
-be placed is skipped. The safe horizon's serial schedule competes too, and
+re-place everything, shave overproduced quantities). The driver runs up to
+a set number of independent starts from per-iteration seeds and keeps the
+best schedule, so results are reproducible for a given seed; it stops early
+once that schedule meets the root lower bound, which no start can beat. A
+start whose tuples cannot all be placed is skipped. The safe horizon's serial schedule competes too, and
 wins only when strictly shorter than every start.
 """
 
@@ -13,6 +14,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 
+from .bounds import root_bound
 from .domain import (
     EMPTY,
     PARTS_GLOBAL,
@@ -53,6 +55,14 @@ def iteration_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class HeuristicConfig:
+    """Settings of one multi-start run.
+
+    total_iterations : the most starts a run takes; it stops sooner once a
+                       start meets the instance's root lower bound
+    seed             : the run's seed; each start derives its own from it
+    parts_mode       : how part units are shared, per heater or globally
+    """
+
     total_iterations: int = 100
     seed: int = 0
     parts_mode: str = PARTS_PER_HEATER
@@ -368,7 +378,13 @@ def _single_start(inst: Instance, seed: int, parts_mode: str,
 
 
 def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
-    """Best schedule over many independent randomized starts.
+    """Best schedule over at most `config.total_iterations` independent
+    randomized starts.
+
+    The run stops taking starts once its best schedule meets `root_bound`:
+    a later start replaces the best only when strictly shorter, and no
+    feasible schedule is shorter than a lower bound, so the result is the
+    one all the starts would give.
 
     The serial schedule behind the safe horizon (`horizon_witness`) is one
     more candidate. It replaces the best start only when strictly shorter,
@@ -380,9 +396,12 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     if inst.total_demand == 0:
         return Schedule(tuples=[])
     ctx = _context(inst)
+    bound = root_bound(inst, config.parts_mode)
     best = Schedule.empty_candidate()
     best_makespan = schedule_makespan(best)
     for i in range(config.total_iterations):
+        if best_makespan <= bound:
+            break  # no later start, nor the witness, can be shorter
         sched = _single_start(inst, iteration_seed(config.seed, i),
                               config.parts_mode, ctx)
         if schedule_makespan(sched) < best_makespan:

@@ -20,6 +20,7 @@ import pytest
 
 import curesched.domain
 import curesched.heuristic
+from curesched.bounds import root_bound
 from curesched.domain import (
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
@@ -39,9 +40,11 @@ from curesched.heuristic import (
     _Profile,
     assignment_procedure,
     improvement_procedure,
+    iteration_seed,
     mold_pairs_procedure,
     run_heuristic,
 )
+from curesched.horizon import horizon_witness
 
 from helpers import (
     single_mold_big,
@@ -277,6 +280,41 @@ def test_run_heuristic_tiny_instances_feasible():
         sched = run_heuristic(inst, HeuristicConfig(total_iterations=30, seed=seed))
         report = validate_schedule(inst, sched)
         assert report.ok, f"seed {seed}: {report.violations}"
+
+
+@pytest.mark.parametrize("inst,stops_early", [
+    (generate_instance(SCENARIOS["small"], 2), True),
+    (generate_instance(SCENARIOS["small"], 11), False),  # root bound 5 < 6
+    (tiny_instance(1001), True),
+    (tiny_instance(1021), False),  # root bound 2 < 4
+], ids=lambda v: getattr(v, "name", None))
+def test_run_heuristic_stops_at_the_root_bound(monkeypatch, inst, stops_early):
+    cfg = HeuristicConfig(total_iterations=20, seed=1)
+    ctx = curesched.heuristic._context(inst)
+    every = [curesched.heuristic._single_start(
+                 inst, iteration_seed(cfg.seed, i), cfg.parts_mode, ctx)
+             for i in range(cfg.total_iterations)]
+    best = min(every, key=schedule_makespan)  # the first of the shortest
+    witness = horizon_witness(inst)
+    if schedule_makespan(witness) < schedule_makespan(best):
+        best = witness
+    bound = root_bound(inst, cfg.parts_mode)
+    first = next((i for i, s in enumerate(every)
+                  if schedule_makespan(s) <= bound), None)
+    assert (first is not None) == stops_early
+
+    taken = []
+    single_start = curesched.heuristic._single_start
+
+    def counted(*args):
+        taken.append(args[1])
+        return single_start(*args)
+
+    monkeypatch.setattr(curesched.heuristic, "_single_start", counted)
+    sched = run_heuristic(inst, cfg)
+    assert _tuple_rows(sched) == _tuple_rows(best)
+    stop = cfg.total_iterations if first is None else first + 1
+    assert taken == [iteration_seed(cfg.seed, i) for i in range(stop)]
 
 
 def _tuple_rows(schedule):

@@ -375,6 +375,65 @@ def test_run_heuristic_corpus_schedules_frozen(corpus, mode):
     assert digest.hexdigest() == CORPUS_DIGESTS[(corpus, mode)]
 
 
+# ── makespans no change to the placement rule may lengthen ──────────
+
+# the heuristic makespan of each instance in turn, seed 1, as the
+# earliest-start placement rule gave them: tiny 1000-1199 at 20 starts,
+# small 1-15, medium 1-10 and large 1-5 at 100
+RECORDED_MAKESPANS = {
+    ("tiny", PARTS_PER_HEATER): (
+        2, 1, 3, 2, 2, 4, 3, 1, 3, 4, 6, 1, 1, 3, 4, 1, 7, 2, 3, 1,
+        3, 6, 2, 2, 1, 3, 1, 1, 2, 3, 4, 4, 4, 6, 1, 6, 7, 2, 2, 10,
+        3, 7, 2, 3, 1, 7, 1, 1, 1, 3, 3, 1, 1, 4, 3, 2, 4, 5, 4, 3,
+        6, 3, 2, 4, 2, 4, 2, 2, 1, 4, 3, 3, 1, 3, 3, 4, 3, 7, 1, 2,
+        1, 3, 2, 1, 8, 2, 3, 3, 3, 3, 3, 5, 3, 4, 4, 1, 2, 4, 1, 4,
+        7, 2, 2, 3, 1, 1, 4, 4, 1, 4, 6, 2, 2, 1, 2, 1, 2, 5, 7, 2,
+        4, 6, 4, 1, 1, 1, 4, 5, 2, 3, 3, 1, 5, 2, 1, 2, 3, 3, 2, 1,
+        5, 1, 1, 3, 3, 1, 2, 2, 2, 6, 3, 1, 4, 3, 4, 1, 5, 3, 2, 3,
+        6, 5, 3, 2, 1, 1, 6, 5, 10, 1, 1, 4, 8, 4, 1, 2, 6, 2, 4, 4,
+        2, 2, 8, 9, 6, 5, 4, 4, 6, 4, 2, 1, 4, 2, 2, 1, 2, 7, 6, 7,
+    ),
+    ("tiny", PARTS_GLOBAL): (
+        2, 1, 3, 2, 2, 4, 3, 1, 3, 4, 6, 1, 1, 3, 4, 1, 7, 2, 3, 1,
+        3, 6, 2, 2, 1, 3, 1, 1, 2, 3, 4, 4, 4, 6, 1, 6, 7, 2, 2, 10,
+        3, 7, 2, 4, 1, 7, 1, 1, 1, 3, 3, 1, 1, 4, 3, 2, 4, 5, 4, 3,
+        6, 3, 2, 4, 2, 4, 2, 2, 1, 4, 3, 3, 1, 3, 3, 4, 3, 7, 1, 2,
+        1, 3, 2, 1, 8, 2, 3, 3, 3, 3, 3, 5, 3, 4, 4, 1, 2, 4, 1, 4,
+        7, 2, 4, 3, 1, 1, 4, 4, 1, 4, 6, 2, 2, 1, 2, 1, 2, 5, 7, 2,
+        4, 6, 4, 1, 1, 1, 4, 5, 2, 3, 3, 1, 5, 2, 1, 2, 3, 3, 4, 1,
+        5, 1, 1, 3, 3, 1, 4, 2, 3, 6, 3, 1, 4, 5, 4, 1, 5, 3, 2, 3,
+        6, 5, 3, 2, 1, 1, 6, 5, 10, 1, 1, 4, 8, 4, 1, 2, 6, 2, 4, 4,
+        4, 2, 8, 9, 6, 5, 6, 4, 6, 4, 2, 1, 6, 2, 2, 1, 2, 7, 6, 7,
+    ),
+    ("small", PARTS_PER_HEATER): (
+        4, 6, 4, 4, 9, 5, 11, 3, 10, 3, 16, 7, 11, 3, 4,
+    ),
+    ("medium", PARTS_PER_HEATER): (
+        6, 14, 8, 10, 23, 10, 28, 10, 25, 6,
+    ),
+    ("large", PARTS_PER_HEATER): (
+        40, 42, 36, 39, 55,
+    ),
+}
+_SIZES = {"small": 15, "medium": 10, "large": 5}
+
+
+@pytest.mark.parametrize("corpus,mode", list(RECORDED_MAKESPANS))
+def test_run_heuristic_makespans_never_longer_than_recorded(corpus, mode):
+    if corpus == "tiny":
+        instances, starts = _corpus("tiny"), 20
+    else:
+        instances = [generate_instance(SCENARIOS[corpus], seed)
+                     for seed in range(1, _SIZES[corpus] + 1)]
+        starts = 100
+    cfg = HeuristicConfig(total_iterations=starts, seed=1, parts_mode=mode)
+    for inst, recorded in zip(instances, RECORDED_MAKESPANS[corpus, mode],
+                              strict=True):
+        sched = run_heuristic(inst, cfg)
+        assert schedule_makespan(sched) <= recorded, inst.name
+        assert validate_schedule(inst, sched, mode).ok, inst.name
+
+
 # ── the per-run plan memo ────────────────────────────────────────────
 
 def _counted_run(monkeypatch, inst):

@@ -1,12 +1,13 @@
 """Randomized multi-start constructive heuristic.
 
 Each start draws mold pairs at random into batch tuples, places them
-greedily on heaters, then tries a local improvement (split big pair tuples,
-re-place everything, shave overproduced quantities). The driver runs up to
-a set number of independent starts from per-iteration seeds and keeps the
-best schedule, so results are reproducible for a given seed; it stops early
-once that schedule meets the root lower bound, which no start can beat. A
-start whose tuples cannot all be placed is skipped. The safe horizon's serial schedule competes too, and
+greedily, each on the heater where it finishes first, then tries a local
+improvement (split big pair tuples, re-place everything, shave overproduced
+quantities). The driver runs up to a set number of independent starts from
+per-iteration seeds and keeps the best schedule, so results are
+reproducible for a given seed; it stops early once that schedule meets the
+root lower bound, which no start can beat. A start whose tuples cannot all
+be placed is skipped. The safe horizon's serial schedule competes too, and
 wins only when strictly shorter than every start.
 """
 
@@ -187,12 +188,16 @@ class _Profile:
 def assignment_procedure(inst: Instance, tuples,
                          parts_mode: str = PARTS_PER_HEATER, *,
                          ctx=None) -> Schedule:
-    """Place tuples one by one, earliest-start-first.
+    """Place tuples one by one, earliest-start-first, each on the heater
+    where it finishes first.
 
-    Each round places the pending tuple that can start soonest (heater
+    Each round takes the pending tuple that can start soonest (heater
     free, mold copies free, shared part units free in global mode), ids
-    breaking ties. The heater is the one reaching that start with the least
-    changeover work, lowest id last.
+    breaking ties. It goes to the heater that finishes it soonest, so a
+    fast heater that frees a little later beats a slow one that is free
+    now (the minimum-completion-time rule of list scheduling on unrelated
+    machines); ties go to the earlier start, then the least changeover
+    work, then the lowest id.
 
     Each mold, and each part in global mode, keeps a usage profile that
     answers one question: from which period on do one (or two) more units
@@ -247,24 +252,24 @@ def assignment_procedure(inst: Instance, tuples,
         chosen = None
         for k in heaters_for[best_pair]:
             base = max(avail[k], ready)
-            if chosen is not None and base > chosen[0]:
-                continue  # its start is at least base: it cannot win
+            if chosen is not None and base >= chosen[0]:
+                continue  # it ends after base: it cannot win
             plan, wait = plans[k, holds[k], molds, base > avail[k]], 0
             if plan is None:
                 plan, wait = plans[k, holds[k], molds, True], 1
                 if plan is None:
                     continue
-            key = (base + wait, plan.deduction, k)
+            start = base + wait
+            key = (start + plan.length_for(t.q), start, plan.deduction, k)
             if chosen is None or key < chosen:
-                chosen, chosen_plan = key, plan
+                chosen = key
         if chosen is None:
             raise NoFeasiblePlacement(
                 f"tuple {t.id} ({t.m1}, {t.m2}) fits no heater budget"
             )
-        start, _cost, k = chosen
-        length = chosen_plan.length_for(t.q)
-        end = start + length
-        placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start, length))
+        end, start, _cost, k = chosen
+        placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start,
+                                      end - start))
         avail[k] = end
         holds[k] = molds
         for profile, n in needs[best_pair]:

@@ -46,7 +46,7 @@ from curesched.hop import (
     run_baseline_milp,
     run_hop,
 )
-from curesched.horizon import compute_thb
+from curesched.horizon import compute_thb, horizon_witness
 from curesched.milp import build_model, model_size, model_stats
 
 from helpers import (
@@ -324,6 +324,15 @@ def test_hop_proves_the_small_optima():
         assert validate_schedule(inst, schedule).ok, inst.name
 
 
+def _hop_on_witness(inst, cfg):
+    """`run_hop`'s exact stage with the safe horizon's serial schedule as
+    its incumbent instead of the heuristic's: a loose one that leaves every
+    component of small S01 and S11 something to search."""
+    witness = horizon_witness(inst)
+    return curesched.hop._solve_on(inst, int(schedule_makespan(witness)),
+                                   cfg, "hop", witness)
+
+
 def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
     calls = []
     real = curesched.hop.solve_exact
@@ -336,9 +345,10 @@ def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
                     time_limit_seconds=time_limit_seconds)
 
     monkeypatch.setattr(curesched.hop, "solve_exact", spy)
-    # S11: molds 6-7 bound the makespan (root bound 5, optimum 6); molds
-    # 1-5 then only need a schedule within 6
-    report, _ = run_hop(small(11), HopConfig(heuristic=SMALL_HEURISTIC))
+    # S11: molds 6-7 bound the makespan (root bound 5, optimum 6; the
+    # witness leaves 16); molds 1-5 (root bound 2, witness 7) then only
+    # need a schedule within 6
+    report, _ = _hop_on_witness(small(11), HopConfig())
     assert calls == [((6, 7), 0), ((1, 2, 3, 4, 5), 6)]
     assert (report.status, report.makespan) == ("optimal", 6)
     assert report.stats == model_size(small(11), report.horizon)
@@ -366,9 +376,9 @@ def test_adapter_builds_one_model_per_solved_component(monkeypatch):
     assert built == []
     assert (report.status, report.makespan) == ("optimal", 11)
     assert validate_schedule(small(13), schedule).ok
-    # S01: the heuristic leaves 4, and the one model on the root bound 2
+    # S01: the witness leaves 7, and the one model on the root bound 2
     # already holds a schedule
-    report, schedule = run_hop(small(1), cfg)
+    report, schedule = _hop_on_witness(small(1), cfg)
     assert built == [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7), 2)]
     assert (report.status, report.makespan) == ("optimal", 2)
     assert validate_schedule(small(1), schedule).ok
@@ -387,8 +397,8 @@ def test_adapter_tries_a_later_component_on_its_root_bound(monkeypatch):
                     adapter=SolverAdapter(command=STUB))
     # S11: molds 6-7 climb from their root bound 5 to their optimum 6; molds
     # 1-5 then only have to fit within 6, and their root bound 2 already
-    # holds a schedule, whatever the heuristic left them
-    report, schedule = run_hop(small(11), cfg)
+    # holds a schedule, though the witness left them 7
+    report, schedule = _hop_on_witness(small(11), cfg)
     assert built == [((6, 7), 5), ((6, 7), 6), ((1, 2, 3, 4, 5), 2)]
     assert (report.status, report.makespan) == ("optimal", 6)
     assert validate_schedule(small(11), schedule).ok

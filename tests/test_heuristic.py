@@ -322,16 +322,17 @@ def _tuple_rows(schedule):
             for t in schedule.tuples]
 
 
-# sha256 of repr(_tuple_rows(...)) at 20 starts, seed 1
+# sha256 of repr(_tuple_rows(...)) at 20 starts, seed 1, earliest-finish
+# placement
 PLANT_DIGESTS = {
     ("medium", 5, PARTS_PER_HEATER):
-        "e3686d19bfaa597d9f878902d72311102badda6433052d83e59fc67fb2c9b9c4",
+        "871e3dc15616248b1e46d5adca544f0cfd12e93b10e8d1634430605dd65a25cb",
     ("medium", 5, PARTS_GLOBAL):
-        "abc60e5097f353906a891cc480b5626a06afaa54805d9a52b5ef8d9a612973cd",
+        "8cbb4ea1311fcde6cfc96dbace4502c8f032580ca7c1bdb46e637688320f09ff",
     ("large", 2, PARTS_PER_HEATER):
-        "7bff67a290d47e317678892135620bbfffa5933d52ba6776351bc3d5143047c9",
+        "5fe0fe577770d3af94ed3a14d95f3f9cae352b7a9664357470272e3658eabc6e",
     ("large", 2, PARTS_GLOBAL):
-        "3c1c9ce4f86605e4c7b74a030faaedc612fab576c922d3b8a7a235b5b80aa734",
+        "a10dc543a959cd76354aa45f8ac65431f37376310212376f2ae7aaae461b1488",
 }
 
 
@@ -345,17 +346,17 @@ def test_run_heuristic_plant_schedules_frozen(size, seed, mode):
 
 
 # sha256 over repr(_tuple_rows(...)) of every instance in turn, 20 starts,
-# seed 1; tiny 1000-1199 holds 32 instances with initial residents and 58
+# seed 1, earliest-finish placement; tiny 1000-1199 holds 32 instances with initial residents and 58
 # with a part
 CORPUS_DIGESTS = {
     ("tiny", PARTS_PER_HEATER):
-        "ef9e636c9eb01730557595fd67e454fab28785d201fca0ead1c8fb6172bf6e88",
+        "4114e1f955fc6a0b0731c14a5a3905a7a35af46de28880aadf2297afcdcee38c",
     ("tiny", PARTS_GLOBAL):
-        "acc0ec333e6688c90ad8f554d2c22b00d5b3d4aa8ebd4b3fa7367d3e6c6802ef",
+        "9e192eecff1e4ddc2314c0e3addc2b89d163d9ac6880e7ac82917b39b5177343",
     ("small", PARTS_PER_HEATER):
-        "84748a48eb1120f8cf93da7a23cb8ce810801f714681f1aa2cd5bb527d95e567",
+        "2a5b45d48e868fe3ea3175ae1673ef80d3170c07adc45694bfff3f9074c0ec91",
     ("small", PARTS_GLOBAL):
-        "61ebfc98485493034cc9e7496af81fa8a6288156abafe17ba59e245a38cb7db9",
+        "cada6d98c2fd8c5105ca3033902dc8482e2e2f8f3db4e4b70cc76be065361555",
 }
 
 

@@ -92,6 +92,23 @@ def _field(doc, key, where):
     return doc[key]
 
 
+def _list(doc, key, where):
+    """The field `key` of `doc` when it is a JSON list; ValueError naming
+    it otherwise."""
+    value = _field(doc, key, where)
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: {key} must be a list, got {value!r}")
+    return value
+
+
+def _pair(value, what):
+    """A JSON list of two integers as a tuple; ValueError naming `what`
+    otherwise."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{what} must be a pair of integers, got {value!r}")
+    return tuple(_number(v, what) for v in value)
+
+
 def _number(value, what, kinds=int):
     """`value` when it is a JSON number of `kinds`; ValueError naming `what`
     otherwise (JSON true and false are not numbers)."""
@@ -144,29 +161,27 @@ def instance_from_json(doc) -> Instance:
     molds = tuple(
         Mold(*_ints(m, "mold entry", "id", "nm", "tc_dmin", "tq_dmin",
                     "demand"))
-        for m in _field(doc, "molds", "instance"))
+        for m in _list(doc, "molds", "instance"))
     curing = {(m, k): tv for m, k, tv in (
         _ints(e, "curing entry", "mold", "heater", "tv")
-        for e in _field(doc, "curing_dmin", "instance"))}
+        for e in _list(doc, "curing_dmin", "instance"))}
     parts = tuple(
         Part(*_ints(p, "part entry", "id", "np"),
              molds=frozenset(_number(v, "part entry: molds entry")
-                             for v in _field(p, "molds", "part entry")))
-        for p in _field(doc, "parts", "instance"))
+                             for v in _list(p, "molds", "part entry")))
+        for p in _list(doc, "parts", "instance"))
     init = {(m, k): c for m, k, c in (
         _ints(e, "init entry", "mold", "heater", "count")
-        for e in _field(doc, "init", "instance"))}
-    pair_entry = "instance: mold_compat entry"
+        for e in _list(doc, "init", "instance"))}
     return Instance(
         name=str(_field(doc, "name", "instance")),
         period_dmin=_ints(doc, "instance", "phi_dmin")[0],
         molds=molds,
         heaters=tuple(_number(h, "instance: heaters entry")
-                      for h in _field(doc, "heaters", "instance")),
+                      for h in _list(doc, "heaters", "instance")),
         curing=curing,
-        mold_compat=tuple(
-            (_number(a, pair_entry), _number(b, pair_entry))
-            for a, b in _field(doc, "mold_compat", "instance")),
+        mold_compat=tuple(_pair(p, "instance: mold_compat entry")
+                          for p in _list(doc, "mold_compat", "instance")),
         parts=parts,
         init=init,
         meta=doc.get("meta"),

@@ -509,7 +509,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
             v.append(f"demanded mold {m.id} removal time exceeds the period")
         for pid in inst.parts_of.get(m.id, ()):
             if inst.part_by_id[pid].units < 1:
-                v.append(f"demanded mold {m.id} requires part {pid} with zero units")
+                v.append(f"demanded mold {m.id} requires part {pid} "
+                         "with fewer than one unit")
 
     return ValidationReport(violations=v)
 

@@ -169,6 +169,26 @@ def test_instance_from_json_refuses_non_integers(path, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("molds", 5, "instance: molds must be a list, got 5"),
+    ("mold_compat", [1],
+     "instance: mold_compat entry must be a pair of integers, got 1"),
+    ("mold_compat", [[1, 2, 3]],
+     "instance: mold_compat entry must be a pair of integers, got [1, 2, 3]"),
+], ids=["molds-not-a-list", "compat-entry-not-a-list", "compat-entry-of-three"])
+def test_malformed_instance_shape_is_a_one_line_usage_error(
+        tmp_path, capsys, key, value, message):
+    doc = instance_to_json(toy1())
+    doc[key] = value
+    with pytest.raises(ValueError) as exc:
+        instance_from_json(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "bad-shape.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["validate", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_load_instance_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ this is not json", encoding="utf-8")

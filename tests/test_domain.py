@@ -495,7 +495,7 @@ def _with_mold(mold):
      ["duplicate part id 1"]),
     (variant(toy1(), parts=(Part(1, -1, frozenset({1})),)),
      ["part 1 unit count must be non-negative",
-      "demanded mold 1 requires part 1 with zero units"]),
+      "demanded mold 1 requires part 1 with fewer than one unit"]),
     (variant(toy1(), parts=(Part(1, 1, frozenset({9})),)),
      ["part 1 references unknown mold 9"]),
     (variant(toy1(), init={(9, 1): 1}), ["init references unknown mold 9"]),

@@ -198,6 +198,20 @@ class Schedule:
         return cls(tuples=[], sentinel=True)
 
 
+def produced_by_mold(tuples) -> dict:
+    """Tires the tuples cure per mold; a mold none of them holds is absent."""
+    produced = {}
+    for t in tuples:
+        for m, n in t.production().items():
+            produced[m] = produced.get(m, 0) + n
+    return produced
+
+
+def uncovered_molds(inst: Instance, produced) -> list:
+    """Molds, in instance order, whose demand `produced` falls short of."""
+    return [m for m in inst.molds if produced.get(m.id, 0) < m.demand]
+
+
 def schedule_makespan(schedule: Schedule):
     """Last busy period count; 0 for a real empty schedule, +inf for the
     sentinel candidate."""
@@ -618,15 +632,11 @@ def validate_schedule(inst: Instance, schedule: Schedule,
                     )
 
     # demand coverage
-    produced = {m.id: 0 for m in inst.molds}
-    for t in usable:
-        for m, n in t.production().items():
-            produced[m] = produced.get(m, 0) + n
-    for m in inst.molds:
-        if produced.get(m.id, 0) < m.demand:
-            v.append(
-                f"mold {m.id} demand {m.demand} not covered "
-                f"(produced {produced.get(m.id, 0)})"
-            )
+    produced = produced_by_mold(usable)
+    for m in uncovered_molds(inst, produced):
+        v.append(
+            f"mold {m.id} demand {m.demand} not covered "
+            f"(produced {produced.get(m.id, 0)})"
+        )
 
     return ValidationReport(violations=v)

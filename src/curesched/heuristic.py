@@ -31,7 +31,9 @@ from .domain import (
     initial_residents,
     multiset,
     pair_slots,
+    produced_by_mold,
     schedule_makespan,
+    uncovered_molds,
     validate_schedule,
 )
 from .errors import NoFeasiblePlacement, UnproduciblePair
@@ -290,10 +292,7 @@ def _shave_overproduction(inst: Instance, schedule: Schedule,
     plan it was placed with sizes its new length.
     """
     tuples = sorted(schedule.tuples, key=lambda t: t.id)
-    produced = {m.id: 0 for m in inst.molds}
-    for t in tuples:
-        for m, n in t.production().items():
-            produced[m] += n
+    produced = produced_by_mold(tuples)
 
     # each heater's last tuple, with what its predecessor left behind
     last_on = {}
@@ -333,6 +332,11 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
     from scratch, and overproduced tails are shaved. The candidate replaces
     the incumbent only when it can be placed, is feasible and is strictly
     shorter.
+
+    Splitting a mixed pair halves each mold's output, so the split list
+    often no longer covers demand. Such a list is dropped before it is
+    placed: placement keeps every quantity and shaving only trims surplus,
+    so its candidate could never be accepted.
     """
     ctx = ctx or _context(inst)
     improved = schedule
@@ -354,6 +358,8 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
                         split.append(AssignmentTuple(id=next_id, m1=m1, m2=m2, q=q))
             else:
                 split.append(AssignmentTuple(id=t.id, m1=t.m1, m2=t.m2, q=t.q))
+        if uncovered_molds(inst, produced_by_mold(split)):
+            return improved
         try:
             candidate = assignment_procedure(inst, split, parts_mode, ctx=ctx)
         except NoFeasiblePlacement:

@@ -15,6 +15,8 @@ Frozen traces (hand derivation):
 import hashlib
 import random
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -221,6 +223,70 @@ def test_improvement_keeps_toy1_at_two_periods():
     assert schedule_makespan(initial) == 2
     improved = improvement_procedure(inst, initial)
     assert schedule_makespan(improved) == 2
+
+
+def test_improvement_places_no_split_that_misses_demand(monkeypatch):
+    # mixed pairs with no surplus: the singles they split into cure 3 + 3 of
+    # mold 1 and 2 + 2 of mold 2 against demand 10 each, so nothing is placed
+    inst = toy1()
+    initial = assignment_procedure(
+        inst, [AssignmentTuple(1, 1, 2, 5), AssignmentTuple(2, 1, 2, 5)])
+
+    def must_not_place(*args, **kwargs):
+        raise AssertionError("a split that misses demand was placed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curesched.heuristic, "assignment_procedure",
+                      must_not_place)
+        assert improvement_procedure(inst, initial) is initial
+
+    # a mixed pair curing twice the demand still splits into singles that
+    # cover it; on one heater they take 2 periods, not 1, so the one
+    # placement is also the last
+    inst = variant(toy1(), molds=tuple(replace(m, demand=5)
+                                       for m in toy1().molds))
+    initial = assignment_procedure(inst, [AssignmentTuple(1, 1, 2, 10)])
+    placed = []
+
+    def recorded(inst, tuples, *args, **kwargs):
+        placed.append(sorted((t.m1, t.m2, t.q) for t in tuples))
+        return assignment_procedure(inst, tuples, *args, **kwargs)
+
+    monkeypatch.setattr(curesched.heuristic, "assignment_procedure", recorded)
+    assert improvement_procedure(inst, initial) is initial
+    assert placed == [[(0, 1, 5), (0, 2, 5)]]
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_improvement_drops_uncovered_splits_exactly(monkeypatch, mode):
+    """Every list the improvement step places covers demand, and no
+    candidate check in the run fails on coverage."""
+    place, validate = assignment_procedure, validate_schedule
+    placed, misses, reports = [], [], []
+
+    def checked_place(inst, tuples, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "improvement_procedure":
+            produced = Counter()
+            for t in tuples:
+                produced.update(t.production())
+            placed.append(inst.name)
+            misses.extend((inst.name, m.id) for m in inst.molds
+                          if produced[m.id] < m.demand)
+        return place(inst, tuples, *args, **kwargs)
+
+    def checked_validate(*args, **kwargs):
+        reports.append(validate(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(curesched.heuristic, "assignment_procedure",
+                        checked_place)
+    monkeypatch.setattr(curesched.heuristic, "validate_schedule",
+                        checked_validate)
+    cfg = HeuristicConfig(total_iterations=20, seed=1, parts_mode=mode)
+    for inst in _corpus("tiny") + _corpus("small"):
+        run_heuristic(inst, cfg)
+    assert placed and misses == []
+    assert not [v for r in reports for v in r.violations if "not covered" in v]
 
 
 def test_improvement_never_degrades_and_stays_feasible():

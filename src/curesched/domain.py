@@ -202,8 +202,9 @@ def produced_by_mold(tuples) -> dict:
     """Tires the tuples cure per mold; a mold none of them holds is absent."""
     produced = {}
     for t in tuples:
-        for m, n in t.production().items():
-            produced[m] = produced.get(m, 0) + n
+        for m in (t.m1, t.m2):  # each mold slot cures q
+            if m != EMPTY:
+                produced[m] = produced.get(m, 0) + t.q
     return produced
 
 

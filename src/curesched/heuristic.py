@@ -6,11 +6,14 @@ improvement (split big pair tuples, re-place everything, shave overproduced
 quantities). The driver runs up to a set number of independent starts from
 per-iteration seeds and keeps the best schedule, so results are
 reproducible for a given seed; it stops early once that schedule meets the
-root lower bound, which no start can beat. A start whose tuples cannot all
-be placed is skipped. The safe horizon's serial schedule competes too, and
-wins only when strictly shorter than every start.
+root lower bound, which no start can beat. A later start that its
+improvement step could not change stops placing as soon as it cannot beat
+the best so far. A start whose tuples cannot all be placed is skipped. The
+safe horizon's serial schedule competes too, and wins only when strictly
+shorter than every start.
 """
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -141,23 +144,25 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
     }
     residual = {m.id: m.demand for m in inst.molds if m.demand > 0}
 
-    def drawable(pairs):
-        return [pair for pair in pairs
-                if all(residual.get(m, 0) > 0 for m in pair if m != EMPTY)]
-
-    # residuals only fall, so the drawable pairs change only when a draw
-    # uses up a mold; filtering the last list keeps the pool's order
-    candidates = drawable(pool)
+    # residuals only fall, so a pair stops being drawable only when a draw
+    # uses up one of its molds; dropping those pairs keeps the pool's order
+    candidates = [pair for pair in pool
+                  if all(m in residual for m in pair if m != EMPTY)]
     tuples = []
     while candidates:
         i, j = rng.choice(candidates)
-        q = min(min(batch[m], residual[m]) for m in (i, j) if m != EMPTY)
-        t = AssignmentTuple(id=len(tuples) + 1, m1=i, m2=j, q=q)
-        for m, produced in t.production().items():
-            residual[m] -= produced
-        if any(residual[m] <= 0 for m in (i, j) if m != EMPTY):
-            candidates = drawable(candidates)
-        tuples.append(t)
+        q = min(batch[j], residual[j])
+        if i == j:
+            residual[j] -= 2 * q
+        else:
+            if i != EMPTY:
+                q = min(q, batch[i], residual[i])
+                residual[i] -= q
+            residual[j] -= q
+        tuples.append(AssignmentTuple(id=len(tuples) + 1, m1=i, m2=j, q=q))
+        used = {m for m in (i, j) if m != EMPTY and residual[m] <= 0}
+        if used:
+            candidates = [pair for pair in candidates if used.isdisjoint(pair)]
     stuck = sorted(m for m, r in residual.items() if r > 0)
     if stuck:
         raise UnproduciblePair(
@@ -189,7 +194,7 @@ class _Profile:
 
 def assignment_procedure(inst: Instance, tuples,
                          parts_mode: str = PARTS_PER_HEATER, *,
-                         ctx=None) -> Schedule:
+                         ctx=None, cutoff=math.inf) -> Schedule:
     """Place tuples one by one, earliest-start-first, each on the heater
     where it finishes first.
 
@@ -210,6 +215,10 @@ def assignment_procedure(inst: Instance, tuples,
     A tuple's length is sized from the `ctx.plans` plan of its changeover;
     a pair that breaks a budget there waits one period more, so that the
     heater empties in an idle gap first.
+
+    With a `cutoff`, placing stops at the first tuple that ends at or after
+    it, and the sentinel candidate comes back instead: the makespan is the
+    largest end, so the full placement could not have been shorter.
     """
     ctx = ctx or _context(inst)
     heaters_for, counts, plans = ctx.heaters_for, ctx.counts, ctx.plans
@@ -270,6 +279,8 @@ def assignment_procedure(inst: Instance, tuples,
                 f"tuple {t.id} ({t.m1}, {t.m2}) fits no heater budget"
             )
         end, start, _cost, k = chosen
+        if end >= cutoff:
+            return Schedule.empty_candidate()
         placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start,
                                       end - start))
         avail[k] = end
@@ -322,6 +333,30 @@ def _shave_overproduction(inst: Instance, schedule: Schedule,
     return Schedule(tuples=sorted(out.values(), key=lambda t: t.id))
 
 
+def _split(tuples) -> list:
+    """The improvement step's split list: each two-mold tuple, in id order,
+    becomes two halves (identical pairs two identical pairs, mixed pairs two
+    singles) with fresh ids past the largest; singles stay as they are."""
+    base = sorted(tuples, key=lambda t: t.id)
+    next_id = max((t.id for t in base), default=0)
+    split = []
+    for t in base:
+        if t.m1 != EMPTY:
+            q_hi = ceil_div(t.q, 2)
+            q_lo = t.q - q_hi
+            if t.m1 == t.m2:
+                halves = ((t.m1, t.m2, q_hi), (t.m1, t.m2, q_lo))
+            else:
+                halves = ((EMPTY, t.m1, q_hi), (EMPTY, t.m2, q_lo))
+            for m1, m2, q in halves:
+                if q >= 1:
+                    next_id += 1
+                    split.append(AssignmentTuple(id=next_id, m1=m1, m2=m2, q=q))
+        else:
+            split.append(AssignmentTuple(id=t.id, m1=t.m1, m2=t.m2, q=t.q))
+    return split
+
+
 def improvement_procedure(inst: Instance, schedule: Schedule,
                           parts_mode: str = PARTS_PER_HEATER, *,
                           ctx=None) -> Schedule:
@@ -341,23 +376,7 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
     ctx = ctx or _context(inst)
     improved = schedule
     while True:
-        base = sorted(improved.tuples, key=lambda t: t.id)
-        next_id = max((t.id for t in base), default=0)
-        split = []
-        for t in base:
-            if t.m1 != EMPTY:
-                q_hi = ceil_div(t.q, 2)
-                q_lo = t.q - q_hi
-                if t.m1 == t.m2:
-                    halves = ((t.m1, t.m2, q_hi), (t.m1, t.m2, q_lo))
-                else:
-                    halves = ((EMPTY, t.m1, q_hi), (EMPTY, t.m2, q_lo))
-                for m1, m2, q in halves:
-                    if q >= 1:
-                        next_id += 1
-                        split.append(AssignmentTuple(id=next_id, m1=m1, m2=m2, q=q))
-            else:
-                split.append(AssignmentTuple(id=t.id, m1=t.m1, m2=t.m2, q=t.q))
+        split = _split(improved.tuples)
         if uncovered_molds(inst, produced_by_mold(split)):
             return improved
         try:
@@ -376,12 +395,24 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
 
 
 def _single_start(inst: Instance, seed: int, parts_mode: str,
-                  ctx: _Context) -> Schedule:
+                  ctx: _Context, cutoff=math.inf) -> Schedule:
     """One randomized start; the sentinel candidate if its tuples cannot
-    all be placed."""
+    all be placed, or if it cannot end before `cutoff`.
+
+    The cutoff is the run's best makespan so far. It applies only when the
+    improvement step's first split misses demand: that step then returns
+    the placement unchanged, so placing alone settles the start, and it
+    stops at the first tuple ending at or after the cutoff. A start whose
+    split covers demand is placed and improved in full, since improving
+    can shorten it.
+    """
     rng = random.Random(seed)
     tuples = mold_pairs_procedure(inst, rng, ctx=ctx)
+    settled = uncovered_molds(inst, produced_by_mold(_split(tuples)))
     try:
+        if settled:
+            return assignment_procedure(inst, tuples, parts_mode, ctx=ctx,
+                                        cutoff=cutoff)
         sched = assignment_procedure(inst, tuples, parts_mode, ctx=ctx)
     except NoFeasiblePlacement:
         return Schedule.empty_candidate()
@@ -395,7 +426,9 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     The run stops taking starts once its best schedule meets `root_bound`:
     a later start replaces the best only when strictly shorter, and no
     feasible schedule is shorter than a lower bound, so the result is the
-    one all the starts would give.
+    one all the starts would give. For the same reason each later start
+    gets the best makespan as its cutoff (see `_single_start`): a start
+    that cannot end before it could only tie or lose.
 
     The serial schedule behind the safe horizon (`horizon_witness`) is one
     more candidate. It replaces the best start only when strictly shorter,
@@ -414,7 +447,7 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
         if best_makespan <= bound:
             break  # no later start, nor the witness, can be shorter
         sched = _single_start(inst, iteration_seed(config.seed, i),
-                              config.parts_mode, ctx)
+                              config.parts_mode, ctx, best_makespan)
         if schedule_makespan(sched) < best_makespan:
             best, best_makespan = sched, schedule_makespan(sched)
     witness = horizon_witness(inst)

@@ -388,6 +388,70 @@ def _tuple_rows(schedule):
             for t in schedule.tuples]
 
 
+def _split_misses_demand(inst, tuples):
+    """Whether halving each two-mold tuple, a mixed pair into singles of
+    ceil(q/2) and floor(q/2), leaves some demand uncured."""
+    produced = Counter()
+    for t in tuples:
+        if t.m1 == t.m2:
+            produced[t.m1] += 2 * t.q
+        elif t.m1:
+            produced[t.m1] += (t.q + 1) // 2
+            produced[t.m2] += t.q // 2
+        else:
+            produced[t.m2] += t.q
+    return any(produced[m.id] < m.demand for m in inst.molds)
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_start_cutoff_is_exact(monkeypatch, mode):
+    """A cutoff at or below a placement's makespan gives the sentinel, one
+    above gives the same schedule, and a start whose first split misses
+    demand is settled by placing alone."""
+    improved = []
+    improve = curesched.heuristic.improvement_procedure
+
+    def counted_improve(*args, **kwargs):
+        improved.append(args[1])
+        return improve(*args, **kwargs)
+
+    monkeypatch.setattr(curesched.heuristic, "improvement_procedure",
+                        counted_improve)
+    single_start = curesched.heuristic._single_start
+    kinds = Counter()
+    for inst in _corpus("tiny"):
+        ctx = curesched.heuristic._context(inst)
+        for i in range(20):
+            seed = iteration_seed(1, i)
+            tuples = mold_pairs_procedure(inst, random.Random(seed), ctx=ctx)
+            try:
+                uncut = assignment_procedure(inst, tuples, mode, ctx=ctx)
+            except NoFeasiblePlacement:
+                continue
+            makespan = schedule_makespan(uncut)
+            for cutoff in (1, makespan):
+                assert assignment_procedure(inst, tuples, mode, ctx=ctx,
+                                            cutoff=cutoff).sentinel
+            again = assignment_procedure(inst, tuples, mode, ctx=ctx,
+                                         cutoff=makespan + 1)
+            assert _tuple_rows(again) == _tuple_rows(uncut)
+
+            improved.clear()
+            start = single_start(inst, seed, mode, ctx, makespan)
+            misses = _split_misses_demand(inst, tuples)
+            kinds[misses] += 1
+            if misses:
+                assert improved == [] and start.sentinel
+                assert _tuple_rows(single_start(inst, seed, mode, ctx,
+                                                makespan + 1)) == _tuple_rows(uncut)
+                assert _tuple_rows(single_start(inst, seed, mode, ctx)) \
+                    == _tuple_rows(uncut)
+                assert improved == []
+            else:  # improving may shorten it, so it runs uncut
+                assert len(improved) == 1 and not start.sentinel
+    assert kinds[True] and kinds[False]
+
+
 # sha256 of repr(_tuple_rows(...)) at 20 starts, seed 1, earliest-finish
 # placement
 PLANT_DIGESTS = {

@@ -17,7 +17,9 @@ makespan the heuristic schedule needs for it, since the whole makespan is
 only the largest of theirs: the most constrained component sets the
 length the others merely have to fit.  A component the heuristic already
 closes, at its root bound or within that length, is not searched; the
-adapter solves any other one on horizons climbing from its root bound.
+adapter solves any other one on horizons climbing from its root bound,
+and a horizon the internal search refutes within a short slice starts no
+solver child.
 Either way the stage's `SolveReport` is the pipeline's report, and its
 model size is the `model_size` of the whole instance on the horizon.
 """
@@ -57,6 +59,8 @@ from .milp import build_model, model_size
 SOLVER_INTERNAL = "internal-exact"
 SOLVER_ADAPTER = "external-adapter"
 SOLVERS = (SOLVER_INTERNAL, SOLVER_ADAPTER)
+# the oracle's time on one adapter ladder rung before a solver child runs it
+_REFUTE_S = 0.1
 
 __all__ = [
     "SOLVER_ADAPTER",
@@ -109,9 +113,15 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     The adapter solves the component's model on each horizon from its root
     `bound` up to `horizon` and returns the first answer that is not
     "infeasible": every shorter horizon was, so that answer is optimal.
-    An adapter that is missing or fails ends at "limit", and so does one
-    that writes a malformed solution on a `witnessed` horizon, whose
-    incumbent then stands; without a witness that fault propagates."""
+    Each rung below `horizon` first gets a `_REFUTE_S` slice of the oracle,
+    asked for any schedule within it: a rung the oracle proves infeasible
+    is skipped without a model or a solver child, and the first rung it
+    does not refute ends these tries, so the oracle costs at most one
+    slice more than its proofs, whose nodes the answer counts.  The
+    schedule still comes from the adapter.  An adapter that is missing or
+    fails ends at "limit", and so does one that writes a malformed
+    solution on a `witnessed` horizon, whose incumbent then stands;
+    without a witness that fault propagates."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
@@ -119,7 +129,18 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
         return solve_exact(comp, horizon, cfg.parts_mode,
                            incumbent_makespan=horizon if witnessed else None,
                            floor=floor, time_limit_seconds=remaining)
+    refuting, nodes = True, 0
     for h in range(min(bound, horizon), horizon + 1):
+        remaining = deadline - time.perf_counter()
+        if remaining <= 0:
+            break
+        if refuting and h < horizon:
+            proof = solve_exact(comp, h, cfg.parts_mode, floor=h,
+                                time_limit_seconds=min(_REFUTE_S, remaining))
+            nodes += proof.nodes
+            if proof.status == "infeasible":
+                continue
+            refuting = False
         model = build_model(comp, h, cfg.parts_mode)
         remaining = deadline - time.perf_counter()
         if remaining <= 0:
@@ -133,8 +154,10 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
                 raise
             break
         if sub.status != "infeasible" or h == horizon:
+            sub.nodes += nodes
             return sub
-    return SolveReport("adapter", "limit", None, None, 0.0, horizon=horizon)
+    return SolveReport("adapter", "limit", None, None, 0.0, nodes=nodes,
+                       horizon=horizon)
 
 
 def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:

@@ -8,10 +8,12 @@ expects with `format_solution`:
 
 Exit codes: 0 when solved to proven optimality, 10 when proven
 infeasible, anything else on failure.  The environment variable
-CURESCHED_LPSOLVE_TIME_LIMIT (seconds) caps the solve time.  This is the
+CURESCHED_LPSOLVE_TIME_LIMIT (seconds) caps the solve time; a value that
+is not a positive finite number is reported and ignored.  This is the
 only module that imports numpy or scipy.
 """
 
+import math
 import os
 import sys
 
@@ -89,8 +91,12 @@ def main(argv=None) -> int:
     raw_limit = os.environ.get("CURESCHED_LPSOLVE_TIME_LIMIT")
     if raw_limit:
         try:
-            options["time_limit"] = float(raw_limit)
+            limit = float(raw_limit)
         except ValueError:
+            limit = math.nan
+        if 0 < limit < math.inf:
+            options["time_limit"] = limit
+        else:
             print(f"ignoring bad CURESCHED_LPSOLVE_TIME_LIMIT {raw_limit!r}",
                   file=sys.stderr)
 

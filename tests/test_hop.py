@@ -17,16 +17,19 @@ import time
 from pathlib import Path
 
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import curesched
 
 import curesched.hop
+import curesched.lpsolve
 
 from curesched.bounds import root_bound
 from curesched.domain import (
     Mold,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
+    components,
     schedule_makespan,
     validate_schedule,
 )
@@ -395,19 +398,21 @@ def test_adapter_tries_a_later_component_on_its_root_bound(monkeypatch):
     monkeypatch.setattr(curesched.hop, "build_model", spy)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
-    # S11: molds 6-7 climb from their root bound 5 to their optimum 6; molds
-    # 1-5 then only have to fit within 6, and their root bound 2 already
-    # holds a schedule, though the witness left them 7
+    # S11: molds 6-7 climb from their root bound 5, which the oracle
+    # refutes without a model, to their optimum 6; molds 1-5 then only have
+    # to fit within 6, and their root bound 2 already holds a schedule,
+    # though the witness left them 7
     report, schedule = _hop_on_witness(small(11), cfg)
-    assert built == [((6, 7), 5), ((6, 7), 6), ((1, 2, 3, 4, 5), 2)]
+    assert built == [((6, 7), 6), ((1, 2, 3, 4, 5), 2)]
     assert (report.status, report.makespan) == ("optimal", 6)
     assert validate_schedule(small(11), schedule).ok
 
 
-def test_adapter_ladder_climbs_from_the_root_bound(monkeypatch):
+def _ladder_on_tiny_1021(monkeypatch):
     """Tiny seed 1021 has one component with root bound 2 and optimum 4,
-    and the heuristic leaves 6.  The rungs below 4 answer "infeasible"
-    without a solver child; the ladder stops at 4, short of the horizon."""
+    and the heuristic leaves 6.  The adapter answers "infeasible" below 4
+    without a solver child.  Returns the rungs the adapter saw and the
+    report."""
     inst = tiny_instance(1021)
     rungs = []
     real = curesched.hop.solve_with_adapter
@@ -425,10 +430,45 @@ def test_adapter_ladder_climbs_from_the_root_bound(monkeypatch):
     report, schedule = run_hop(inst, cfg)
     assert report.horizon == 6
     assert root_bound(inst, PARTS_PER_HEATER) == 2
-    assert rungs == [2, 3, 4]
     assert (report.status, report.makespan, report.gap_percent) == (
         "optimal", 4, 0.0)
     assert validate_schedule(inst, schedule).ok
+    return rungs, report
+
+
+def test_adapter_ladder_climbs_from_the_root_bound(monkeypatch):
+    """The oracle refutes rungs 2 and 3, so the adapter only sees 4, the
+    optimum, short of the horizon; the refutations' nodes are counted."""
+    refuted = []
+    real = curesched.hop.solve_exact
+
+    def spy(inst, thb, parts_mode, floor, time_limit_seconds):
+        assert floor == thb
+        assert time_limit_seconds <= curesched.hop._REFUTE_S
+        out = real(inst, thb, parts_mode, floor=floor,
+                   time_limit_seconds=time_limit_seconds)
+        refuted.append((thb, out.status))
+        return out
+
+    monkeypatch.setattr(curesched.hop, "solve_exact", spy)
+    rungs, report = _ladder_on_tiny_1021(monkeypatch)
+    assert rungs == [4]
+    assert [h for h, status in refuted] == [2, 3, 4]
+    assert [status for h, status in refuted][:2] == ["infeasible"] * 2
+    assert report.nodes > 0
+
+
+def test_adapter_ladder_climbs_through_children_without_refutations(
+        monkeypatch):
+    """An oracle that never refutes in its slice leaves every rung from the
+    root bound to a solver child."""
+    def no_proof(inst, thb, parts_mode, floor, time_limit_seconds):
+        return SolveReport("exact", "limit", None, None, time_limit_seconds,
+                           horizon=thb)
+
+    monkeypatch.setattr(curesched.hop, "solve_exact", no_proof)
+    rungs, _ = _ladder_on_tiny_1021(monkeypatch)
+    assert rungs == [2, 3, 4]
 
 
 @pytest.mark.parametrize("solver", BACKENDS)
@@ -449,6 +489,32 @@ def test_component_that_meets_its_root_bound_is_not_searched(monkeypatch,
         assert (report.status, report.makespan, report.gap_percent) == (
             "optimal", SMALL_OPTIMA[seed - 1], 0.0), inst.name
         assert validate_schedule(inst, schedule).ok, inst.name
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_refuted_rungs_are_infeasible_to_highs(mode):
+    """Every ladder rung the oracle's slice refutes is infeasible to HiGHS
+    too, so the optimum's rung is never refuted.  Each component of tiny
+    1000-1199 climbs from its root bound as the adapter ladder does, and the
+    first rung the slice does not refute holds the schedule it found."""
+    refuted = 0
+    for seed in range(1000, 1200):
+        for comp in components(tiny_instance(seed)):
+            for h in range(root_bound(comp, mode), compute_thb(comp) + 1):
+                proof = solve_exact(comp, h, mode, floor=h,
+                                    time_limit_seconds=curesched.hop._REFUTE_S)
+                if proof.status != "infeasible":
+                    break
+                refuted += 1
+                c, a, con_lo, con_hi, lo, hi, integrality = (
+                    curesched.lpsolve.to_arrays(build_model(comp, h, mode)))
+                highs = milp(c, integrality=integrality, bounds=Bounds(lo, hi),
+                             constraints=LinearConstraint(a, con_lo, con_hi))
+                assert highs.status == 2, (comp.name, h)
+            if proof.schedule is not None:
+                assert proof.makespan <= h, (comp.name, h)
+                assert validate_schedule(comp, proof.schedule, mode).ok
+    assert refuted > 0
 
 
 def test_component_stage_keeps_its_time_limit():

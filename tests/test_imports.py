@@ -53,3 +53,33 @@ def test_package_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _fresh(code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_solver_command_loads_only_what_it_needs():
+    """The bundled solver command starts as a child per model, so its import
+    pulls in no other package module."""
+    code = ("import sys, curesched.lpsolve; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'curesched'))")
+    assert _fresh(code) == str(["curesched", "curesched.errors",
+                                "curesched.lpformat", "curesched.lpsolve"])
+
+
+def test_star_import_binds_every_public_name():
+    code = ("import curesched; names = {}; "
+            "exec('from curesched import *', names); "
+            "print(sorted(set(curesched.__all__) - set(names)))")
+    assert _fresh(code) == "[]"
+    assert len(set(curesched.__all__)) == len(curesched.__all__)
+
+
+def test_submodules_resolve_as_package_attributes():
+    code = ("import curesched; "
+            "print(curesched.hop.run_hop is curesched.run_hop, "
+            "hasattr(curesched, 'no_such_name'))")
+    assert _fresh(code) == "True False"

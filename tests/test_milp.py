@@ -11,6 +11,8 @@ constraint families (pair-extended triple set has 5 members on heater 1):
 toy2 adds one part over molds {1,2}: +1 row per heater-period -> 51.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,40 @@ def test_lpsolve_minimizes_under_a_min_header(tmp_path):
     lp.write_text(MIN_LP.format("Min"))
     assert curesched.lpsolve.main([str(lp), str(sol)]) == 0
     assert sol.read_text() == "x 1\nobjective 1\n"
+
+
+def _lpsolve_options(tmp_path, monkeypatch, raw_limit):
+    """The HiGHS options `lpsolve.main` passes for a time-limit setting."""
+    seen = []
+    real = curesched.lpsolve.milp
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("options"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curesched.lpsolve, "milp", spy)
+    monkeypatch.setenv("CURESCHED_LPSOLVE_TIME_LIMIT", raw_limit)
+    lp, sol = tmp_path / "min.lp", tmp_path / "min.sol"
+    lp.write_text(MIN_LP.format("Min"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert curesched.lpsolve.main([str(lp), str(sol)]) == 0
+    assert sol.read_text() == "x 1\nobjective 1\n"
+    return seen
+
+
+@pytest.mark.parametrize("raw", ["-1", "0", "nan", "inf", "-inf", "soon"])
+def test_lpsolve_ignores_a_time_limit_that_is_not_positive_and_finite(
+        tmp_path, capsys, monkeypatch, raw):
+    assert _lpsolve_options(tmp_path, monkeypatch, raw) == [None]
+    assert capsys.readouterr().err == (
+        f"ignoring bad CURESCHED_LPSOLVE_TIME_LIMIT {raw!r}\n")
+
+
+def test_lpsolve_passes_a_positive_time_limit(tmp_path, capsys, monkeypatch):
+    assert _lpsolve_options(tmp_path, monkeypatch, "2.5") == [
+        {"time_limit": 2.5}]
+    assert capsys.readouterr().err == ""
 
 
 BOUNDS_LP = ("Minimize\n obj: x + y\nSubject To\n c1: x + y >= -10\n"

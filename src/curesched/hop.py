@@ -17,9 +17,12 @@ makespan the heuristic schedule needs for it, since the whole makespan is
 only the largest of theirs: the most constrained component sets the
 length the others merely have to fit.  A component the heuristic already
 closes, at its root bound or within that length, is not searched; the
-adapter solves any other one on horizons climbing from its root bound,
-and a horizon the internal search refutes within a short slice starts no
-solver child.
+adapter solves any other one on horizons climbing from its root bound.
+The internal search gets a short slice on each horizon first: one it
+refutes starts no solver child.  Once it has refuted every shorter
+horizon, a schedule it finds is optimal without a child, and so is the
+heuristic's own makespan when the climb reaches it.  Only a horizon the
+slice leaves open goes to solver children.
 Either way the stage's `SolveReport` is the pipeline's report, and its
 model size is the `model_size` of the whole instance on the horizon.
 """
@@ -110,15 +113,17 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     None when the deadline has passed.  The oracle takes a `witnessed`
     horizon as its incumbent makespan and `floor` as its good-enough one.
 
-    The adapter solves the component's model on each horizon from its root
+    The adapter ladder climbs the horizons from the component's root
     `bound` up to `horizon` and returns the first answer that is not
     "infeasible": every shorter horizon was, so that answer is optimal.
-    Each rung below `horizon` first gets a `_REFUTE_S` slice of the oracle,
-    asked for any schedule within it: a rung the oracle proves infeasible
-    is skipped without a model or a solver child, and the first rung it
-    does not refute ends these tries, so the oracle costs at most one
-    slice more than its proofs, whose nodes the answer counts.  The
-    schedule still comes from the adapter.  An adapter that is missing or
+    Each rung first gets a `_REFUTE_S` slice of the oracle, asked for any
+    schedule within it.  A rung it refutes is skipped without a model or a
+    solver child.  A schedule it finds is the answer, and so is its
+    refutation of an unwitnessed `horizon`; a `witnessed` horizon reached
+    this way is optimal without a search, its incumbent standing.  The
+    first slice that settles nothing hands this rung and the rest to
+    solver children, so the oracle costs at most one slice more than its
+    proofs, whose nodes the answer counts.  An adapter that is missing or
     fails ends at "limit", and so does one that writes a malformed
     solution on a `witnessed` horizon, whose incumbent then stands;
     without a witness that fault propagates."""
@@ -134,12 +139,21 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
         remaining = deadline - time.perf_counter()
         if remaining <= 0:
             break
-        if refuting and h < horizon:
+        # while every shorter rung is refuted, the first answer is optimal
+        if refuting and witnessed and h == horizon:
+            return SolveReport("adapter", "optimal", h, 0.0, 0.0, nodes=nodes,
+                               horizon=h)
+        if refuting:
             proof = solve_exact(comp, h, cfg.parts_mode, floor=h,
                                 time_limit_seconds=min(_REFUTE_S, remaining))
             nodes += proof.nodes
-            if proof.status == "infeasible":
+            if proof.status == "infeasible" and h < horizon:
                 continue
+            if proof.schedule is not None:
+                proof.status, proof.gap_percent = "optimal", 0.0
+            if proof.status in ("optimal", "infeasible"):
+                proof.mode, proof.nodes = "adapter", nodes
+                return proof
             refuting = False
         model = build_model(comp, h, cfg.parts_mode)
         remaining = deadline - time.perf_counter()

@@ -406,7 +406,8 @@ def test_run_benchmark_adapter(tmp_path):
     assert rows[0].cells["milp"].makespan == 1
 
 
-def test_run_benchmark_malformed_solution_is_an_error_cell(tmp_path):
+def test_run_benchmark_malformed_solution_is_an_error_cell(tmp_path,
+                                                          oracle_declines):
     """A solver that writes a malformed solution gives `error` cells, which
     the averages leave out; the zero-demand instance never calls it."""
     save_toys(tmp_path)
@@ -733,7 +734,7 @@ def test_cli_validate_bad_instance(tmp_path, capsys):
     assert rc == 1
 
 
-def test_cli_usage_errors(tmp_path, capsys):
+def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
     p1, _ = save_toys(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope", encoding="utf-8")
@@ -791,8 +792,8 @@ def test_cli_bench_malformed_iterations_is_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_cli_solve_hop_malformed_solution_keeps_the_heuristic(tmp_path,
-                                                              capsys):
+def test_cli_solve_hop_malformed_solution_keeps_the_heuristic(
+        tmp_path, capsys, oracle_declines):
     """A solver that writes a malformed solution is a fault, as a failing
     one is: hop keeps its heuristic schedule and exits 3 at the limit."""
     p1, _ = save_toys(tmp_path)

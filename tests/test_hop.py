@@ -50,7 +50,12 @@ from curesched.hop import (
     run_hop,
 )
 from curesched.horizon import compute_thb, horizon_witness
-from curesched.milp import build_model, model_size, model_stats
+from curesched.milp import (
+    build_model,
+    model_size,
+    model_stats,
+    schedule_to_assignment,
+)
 
 from helpers import (
     garbage_solver,
@@ -155,7 +160,7 @@ def test_hop_adapter_solver():
     assert validate_schedule(toy1(), schedule).ok
 
 
-def test_hop_adapter_unavailable_falls_back_to_heuristic():
+def test_hop_adapter_unavailable_falls_back_to_heuristic(oracle_declines):
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=("/nonexistent/solver",)))
     report, schedule = run_hop(toy1(), cfg)
@@ -238,7 +243,7 @@ def test_backends_agree(run, make):
     assert outcomes[SOLVER_INTERNAL] == outcomes[SOLVER_ADAPTER]
 
 
-def test_unavailable_command_is_a_limit_in_both_pipelines():
+def test_unavailable_command_is_a_limit_in_both_pipelines(oracle_declines):
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=("/nonexistent/solver",)))
     hop_report, hop_schedule = run_hop(toy1(), cfg)
@@ -250,7 +255,7 @@ def test_unavailable_command_is_a_limit_in_both_pipelines():
     assert base_report.stats.thb == compute_thb(toy1())
 
 
-def test_solver_time_counts_the_model_build(monkeypatch):
+def test_solver_time_counts_the_model_build(monkeypatch, oracle_declines):
     """The adapter's model build is part of the exact stage's time; a fake
     clock that only moves during the build shows it without sleeping."""
     now = [0.0]
@@ -284,7 +289,8 @@ def test_time_limit_defaults_agree():
     assert default.default == TIME_LIMIT_SECONDS
 
 
-def test_adapter_infeasible_on_a_witnessed_horizon_is_a_fault():
+def test_adapter_infeasible_on_a_witnessed_horizon_is_a_fault(
+        oracle_declines):
     never = SolverAdapter(command=(sys.executable, "-c",
                                    "import sys; sys.exit(10)"))
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER, adapter=never)
@@ -363,7 +369,8 @@ def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
     assert (report.status, report.makespan) == ("optimal", 11)
 
 
-def test_adapter_builds_one_model_per_solved_component(monkeypatch):
+def test_adapter_builds_one_model_per_solved_component(monkeypatch,
+                                                      oracle_declines):
     built = []
     real = curesched.hop.build_model
 
@@ -396,14 +403,16 @@ def test_adapter_tries_a_later_component_on_its_root_bound(monkeypatch):
         return real(inst, horizon, parts_mode)
 
     monkeypatch.setattr(curesched.hop, "build_model", spy)
+    # the slice finds rung 6 in about 60 ms; a slow machine must too
+    monkeypatch.setattr(curesched.hop, "_REFUTE_S", 5.0)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
     # S11: molds 6-7 climb from their root bound 5, which the oracle
-    # refutes without a model, to their optimum 6; molds 1-5 then only have
-    # to fit within 6, and their root bound 2 already holds a schedule,
-    # though the witness left them 7
+    # refutes, to their optimum 6, where its slice finds a schedule; molds
+    # 1-5 then only have to fit within 6, and the slice finds one on their
+    # root bound 2, though the witness left them 7: no model is built
     report, schedule = _hop_on_witness(small(11), cfg)
-    assert built == [((6, 7), 6), ((1, 2, 3, 4, 5), 2)]
+    assert built == []
     assert (report.status, report.makespan) == ("optimal", 6)
     assert validate_schedule(small(11), schedule).ok
 
@@ -437,8 +446,9 @@ def _ladder_on_tiny_1021(monkeypatch):
 
 
 def test_adapter_ladder_climbs_from_the_root_bound(monkeypatch):
-    """The oracle refutes rungs 2 and 3, so the adapter only sees 4, the
-    optimum, short of the horizon; the refutations' nodes are counted."""
+    """The oracle refutes rungs 2 and 3 and finds a schedule on 4, the
+    optimum, short of the horizon, so the adapter sees no rung; the
+    slices' nodes are counted."""
     refuted = []
     real = curesched.hop.solve_exact
 
@@ -452,23 +462,82 @@ def test_adapter_ladder_climbs_from_the_root_bound(monkeypatch):
 
     monkeypatch.setattr(curesched.hop, "solve_exact", spy)
     rungs, report = _ladder_on_tiny_1021(monkeypatch)
-    assert rungs == [4]
-    assert [h for h, status in refuted] == [2, 3, 4]
-    assert [status for h, status in refuted][:2] == ["infeasible"] * 2
+    assert rungs == []
+    assert refuted == [(2, "infeasible"), (3, "infeasible"), (4, "feasible")]
     assert report.nodes > 0
 
 
 def test_adapter_ladder_climbs_through_children_without_refutations(
-        monkeypatch):
+        monkeypatch, oracle_declines):
     """An oracle that never refutes in its slice leaves every rung from the
     root bound to a solver child."""
-    def no_proof(inst, thb, parts_mode, floor, time_limit_seconds):
-        return SolveReport("exact", "limit", None, None, time_limit_seconds,
-                           horizon=thb)
-
-    monkeypatch.setattr(curesched.hop, "solve_exact", no_proof)
     rungs, _ = _ladder_on_tiny_1021(monkeypatch)
     assert rungs == [2, 3, 4]
+
+
+def _no_child(monkeypatch):
+    """Give the oracle's slice a few seconds, so a slow machine settles
+    what a fast one does, and fail on any solver child."""
+    def never(*args, **kwargs):
+        raise AssertionError("a settled rung started a solver child")
+
+    monkeypatch.setattr(curesched.hop, "_REFUTE_S", 5.0)
+    monkeypatch.setattr(curesched.hop, "solve_with_adapter", never)
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_slice_schedule_settles_a_rung_without_a_child(monkeypatch, mode):
+    """The seed-1 heuristic leaves S09 at 8 and S11 at 7.  The slice finds
+    S09's optimum 7 on its root bound, and S11's 6 once it has refuted 5,
+    so the adapter returns the oracle's schedules as optimal."""
+    _no_child(monkeypatch)
+    cfg = HopConfig(heuristic=HeuristicConfig(total_iterations=100, seed=1,
+                                              parts_mode=mode),
+                    solver=SOLVER_ADAPTER, adapter=SolverAdapter(command=STUB),
+                    parts_mode=mode)
+    for seed in (9, 11):
+        inst = small(seed)
+        report, schedule = run_hop(inst, cfg)
+        assert (report.status, report.makespan, report.gap_percent) == (
+            "optimal", SMALL_OPTIMA[seed - 1], 0.0), inst.name
+        assert validate_schedule(inst, schedule, mode).ok, inst.name
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_refuted_rungs_below_a_witness_prove_it_without_a_child(monkeypatch,
+                                                                mode):
+    """Tiny seed 1005 has root bound 1, and the heuristic leaves 4, its
+    optimum: the slice refutes 1-3, so the witness is optimal and stands."""
+    _no_child(monkeypatch)
+    inst = tiny_instance(1005)
+    heuristic = HeuristicConfig(total_iterations=100, seed=1, parts_mode=mode)
+    witness = run_heuristic(inst, heuristic)
+    assert root_bound(inst, mode) == 1
+    assert schedule_makespan(witness) == 4
+    cfg = HopConfig(heuristic=heuristic, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=STUB), parts_mode=mode)
+    report, schedule = run_hop(inst, cfg)
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "optimal", 4, 0.0)
+    assert report.nodes > 0
+    assert schedule == witness
+
+
+def test_slice_refutes_an_unwitnessed_last_rung(monkeypatch):
+    """Without a witness, a horizon below the optimum that the slice refutes
+    is "infeasible", as a solver child would report it, not "limit"."""
+    _no_child(monkeypatch)
+    inst = tiny_instance(1021)
+    cfg = HopConfig(solver=SOLVER_ADAPTER, adapter=SolverAdapter(command=STUB))
+    deadline = time.perf_counter() + 60.0
+    report = curesched.hop._component_solve(
+        inst, 3, cfg, deadline, False, 0, root_bound(inst, PARTS_PER_HEATER))
+    assert (report.status, report.makespan, report.schedule) == (
+        "infeasible", None, None)
+    report = curesched.hop._component_solve(
+        inst, 4, cfg, deadline, False, 0, root_bound(inst, PARTS_PER_HEATER))
+    assert (report.status, report.makespan) == ("optimal", 4)
+    assert validate_schedule(inst, report.schedule).ok
 
 
 @pytest.mark.parametrize("solver", BACKENDS)
@@ -491,12 +560,27 @@ def test_component_that_meets_its_root_bound_is_not_searched(monkeypatch,
         assert validate_schedule(inst, schedule).ok, inst.name
 
 
+def _highs_status(model, pinned=None):
+    """In-process HiGHS's status on `model` (0 solved, 2 infeasible), with
+    the integer columns fixed to a `pinned` assignment when one is given."""
+    c, a, con_lo, con_hi, lo, hi, integrality = (
+        curesched.lpsolve.to_arrays(model))
+    if pinned is not None:
+        for i, v in enumerate(model.variables):
+            if integrality[i]:
+                lo[i] = hi[i] = pinned.get(v.name, 0)
+    return milp(c, integrality=integrality, bounds=Bounds(lo, hi),
+                constraints=LinearConstraint(a, con_lo, con_hi)).status
+
+
 @pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
 def test_refuted_rungs_are_infeasible_to_highs(mode):
     """Every ladder rung the oracle's slice refutes is infeasible to HiGHS
     too, so the optimum's rung is never refuted.  Each component of tiny
     1000-1199 climbs from its root bound as the adapter ladder does, and the
-    first rung the slice does not refute holds the schedule it found."""
+    first rung the slice does not refute holds a schedule of exactly that
+    makespan, which HiGHS accepts as a solution of the rung's model: HiGHS
+    confirms every optimum the oracle settles."""
     refuted = 0
     for seed in range(1000, 1200):
         for comp in components(tiny_instance(seed)):
@@ -506,14 +590,14 @@ def test_refuted_rungs_are_infeasible_to_highs(mode):
                 if proof.status != "infeasible":
                     break
                 refuted += 1
-                c, a, con_lo, con_hi, lo, hi, integrality = (
-                    curesched.lpsolve.to_arrays(build_model(comp, h, mode)))
-                highs = milp(c, integrality=integrality, bounds=Bounds(lo, hi),
-                             constraints=LinearConstraint(a, con_lo, con_hi))
-                assert highs.status == 2, (comp.name, h)
+                assert _highs_status(build_model(comp, h, mode)) == 2, (
+                    comp.name, h)
             if proof.schedule is not None:
-                assert proof.makespan <= h, (comp.name, h)
+                assert proof.makespan == h, (comp.name, h)
                 assert validate_schedule(comp, proof.schedule, mode).ok
+                model = build_model(comp, h, mode)
+                assignment = schedule_to_assignment(model, proof.schedule)
+                assert _highs_status(model, assignment) == 0, (comp.name, h)
     assert refuted > 0
 
 
@@ -550,7 +634,8 @@ def test_python_m_curesched_runs_the_cli_once(tmp_path):
     assert proc.stdout.splitlines() == [str(tmp_path / "S11.json")]
 
 
-def test_malformed_solution_keeps_the_incumbent_in_hop_only(tmp_path):
+def test_malformed_solution_keeps_the_incumbent_in_hop_only(tmp_path,
+                                                           oracle_declines):
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(
                         command=tuple(shlex.split(garbage_solver(tmp_path)))))

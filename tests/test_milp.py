@@ -11,6 +11,8 @@ constraint families (pair-extended triple set has 5 members on heater 1):
 toy2 adds one part over molds {1,2}: +1 row per heater-period -> 51.
 """
 
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -28,6 +30,7 @@ from curesched.domain import (
 )
 from curesched.errors import InfeasibleAssignment, SolutionParseError
 from curesched.gen import SCENARIOS, generate_instance
+from curesched.horizon import horizon_witness
 from curesched.lpformat import (
     Variable,
     format_solution,
@@ -511,3 +514,47 @@ def test_solution_file_round_trip():
 def test_parse_solution_rejects_bad_files(text):
     with pytest.raises(SolutionParseError):
         parse_solution(text)
+
+
+def _model_digest(cases):
+    """sha256 over the LP text and the encoded horizon witness of each
+    (instance, horizon) in both parts modes.  The witness keeps the tuples
+    that end within the horizon: it is serial, so they are its prefix in
+    time.  The assignment is hashed as sorted (name, value) pairs."""
+    digest = hashlib.sha256()
+    for inst, thb in cases:
+        witness = Schedule([t for t in horizon_witness(inst).tuples
+                            if t.start + t.length <= thb])
+        for mode in PARTS_MODES:
+            m = build_model(inst, thb, mode)
+            digest.update(emit_lp(m).encode())
+            assignment = sorted(schedule_to_assignment(m, witness).items())
+            digest.update(json.dumps(assignment).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("make, thb, want", [
+    (toy1, 2,
+     "83b7eb833bbbff490c954d9a57791070615ae73fc57490e8b73c7efd72d4c13f"),
+    (toy2, 2,
+     "81db79b9ecb8985219a493eeb2a1fdf52da0745a586598a124bfc9f7f9d98f2e"),
+    (lambda: generate_instance(SCENARIOS["small"], 1), 7,
+     "f48b693ffb24ec4aecb34e630df24fd33b2348d0aee44a5d0c0fd525723feeb9"),
+    (lambda: generate_instance(SCENARIOS["small"], 2), 8,
+     "377cf779f302664b429e34d547a2deba6f9058f593674bbd6ecc392b988dc4cf"),
+    (lambda: generate_instance(SCENARIOS["small"], 11), 8,
+     "7ae553c359c908c72a42abf7a82e2f91ae4497039b4fdf27d715bdbb385af517"),
+    (lambda: generate_instance(SCENARIOS["medium"], 1), 8,
+     "10c805424c4a8f9bdf01714029fa834c9a0bebab564f621f59a2a27140a556a5"),
+    (lambda: generate_instance(SCENARIOS["large"], 2), 20,
+     "df129f1a7f5c46ee623cc9671f88f42a4844fc3d518d39c62778f59d3c01d688"),
+], ids=["toy1", "toy2", "S01", "S02", "S11", "M01", "L02"])
+def test_lp_and_encoding_frozen(make, thb, want):
+    """LP text and schedule encoding are byte-frozen at fixed horizons."""
+    assert _model_digest([(make(), thb)]) == want
+
+
+def test_lp_and_encoding_frozen_on_tiny_instances():
+    cases = [(tiny_instance(seed), 6) for seed in range(1000, 1040)]
+    assert _model_digest(cases) == (
+        "7eb304820bdcfd8575455a6b87cb6c0584492066f6cb8c4f2cca2e29edd3571e")

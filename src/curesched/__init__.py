@@ -28,6 +28,7 @@ _EXPORTS = {
         "SolutionParseError", "UnproduciblePair",
     ),
     "horizon": ("compute_thb", "horizon_witness", "pooled_molds"),
+    "bounds": ("mold_rate", "residual_bound", "root_bound"),
     "heuristic": ("HeuristicConfig", "run_heuristic"),
     "milp": (
         "MilpModel", "ModelStats", "build_model", "check_assignment",
@@ -35,15 +36,16 @@ _EXPORTS = {
         "schedule_to_assignment",
     ),
     "lpformat": ("ParsedLp", "parse_lp"),
-    "exact": ("SolveReport", "SolverAdapter", "solve_exact",
-              "solve_with_adapter"),
+    "exact": ("SolveReport", "SolverAdapter", "TIME_LIMIT_SECONDS",
+              "solve_exact", "solve_with_adapter"),
     "hop": ("HopConfig", "SOLVER_ADAPTER", "SOLVER_INTERNAL",
             "run_baseline_milp", "run_hop"),
     "gen": ("SCENARIOS", "ScenarioSpec", "generate_instance"),
     "bench": (
         "ResultRow", "cli_main", "instance_from_json", "instance_to_json",
         "load_instance", "load_schedule", "rows_to_csv", "rows_to_table",
-        "run_benchmark", "save_instance", "save_schedule", "toy_instance",
+        "run_benchmark", "save_instance", "save_schedule",
+        "schedule_from_json", "schedule_to_json", "toy_instance",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()

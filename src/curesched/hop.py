@@ -20,14 +20,16 @@ closes, at its root bound or within that length, is not searched; the
 adapter solves any other one on horizons climbing from its root bound.
 The internal search gets a short slice on each horizon first: one it
 refutes starts no solver child.  Once it has refuted every shorter
-horizon, a schedule it finds is optimal without a child, and so is the
-heuristic's own makespan when the climb reaches it.  Only a horizon the
-slice leaves open goes to solver children.
-Either way the stage's `SolveReport` is the pipeline's report, and its
-model size is the `model_size` of the whole instance on the horizon.
+horizon, a schedule it finds is optimal without a child.  Only a horizon
+the slice leaves open goes to solver children.  The heuristic's own
+makespan is optimal once the climb reaches it, whoever refuted the rungs
+below.  Either way the stage's `SolveReport` is the pipeline's report,
+with the heuristic schedule itself when the stage cannot shorten it, and
+its model size is the `model_size` of the whole instance on the horizon.
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .domain import (
@@ -64,6 +66,9 @@ SOLVER_ADAPTER = "external-adapter"
 SOLVERS = (SOLVER_INTERNAL, SOLVER_ADAPTER)
 # the oracle's time on one adapter ladder rung before a solver child runs it
 _REFUTE_S = 0.1
+# what the exact stage reads of one component's solve
+_Answer = namedtuple("_Answer", "status makespan schedule nodes",
+                     defaults=(None, None, 0))
 
 __all__ = [
     "SOLVER_ADAPTER",
@@ -101,16 +106,10 @@ class HopConfig:
             raise ValueError("the external-adapter solver needs an adapter")
 
 
-def _heuristic_config(cfg: HopConfig) -> HeuristicConfig:
-    if cfg.heuristic is not None:
-        return cfg.heuristic
-    return HeuristicConfig(parts_mode=cfg.parts_mode)
-
-
 def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
                      floor, bound):
-    """The configured backend's solve of one component on `horizon`, or
-    None when the deadline has passed.  The oracle takes a `witnessed`
+    """The configured backend's `_Answer` for one component on `horizon`,
+    or None when the deadline has passed.  The oracle takes a `witnessed`
     horizon as its incumbent makespan and `floor` as its good-enough one.
 
     The adapter ladder climbs the horizons from the component's root
@@ -119,30 +118,29 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     Each rung first gets a `_REFUTE_S` slice of the oracle, asked for any
     schedule within it.  A rung it refutes is skipped without a model or a
     solver child.  A schedule it finds is the answer, and so is its
-    refutation of an unwitnessed `horizon`; a `witnessed` horizon reached
-    this way is optimal without a search, its incumbent standing.  The
-    first slice that settles nothing hands this rung and the rest to
-    solver children, so the oracle costs at most one slice more than its
-    proofs, whose nodes the answer counts.  An adapter that is missing or
-    fails ends at "limit", and so does one that writes a malformed
-    solution on a `witnessed` horizon, whose incumbent then stands;
-    without a witness that fault propagates."""
+    refutation of an unwitnessed `horizon`.  The first slice that settles
+    nothing hands this rung and the rest to solver children, so the oracle
+    costs at most one slice more than its proofs, whose nodes the answer
+    counts.  A `witnessed` horizon the climb reaches is optimal; when
+    children refuted the rungs below, one more checks it, and only its
+    "infeasible" or a shorter schedule counts.  A missing or failing
+    adapter, or a malformed solution, ends a `witnessed` climb at "limit",
+    its incumbent standing; without a witness the fault propagates."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
     if cfg.solver == SOLVER_INTERNAL:
-        return solve_exact(comp, horizon, cfg.parts_mode,
-                           incumbent_makespan=horizon if witnessed else None,
-                           floor=floor, time_limit_seconds=remaining)
-    refuting, nodes = True, 0
+        r = solve_exact(comp, horizon, cfg.parts_mode,
+                        incumbent_makespan=horizon if witnessed else None,
+                        floor=floor, time_limit_seconds=remaining)
+        return _Answer(r.status, r.makespan, r.schedule, r.nodes)
+    refuting, nodes, proven = True, 0, None
     for h in range(min(bound, horizon), horizon + 1):
+        if witnessed and h == horizon:  # every shorter rung is refuted
+            proven = _Answer("optimal", h, None, nodes)
         remaining = deadline - time.perf_counter()
-        if remaining <= 0:
+        if remaining <= 0 or (proven and refuting):
             break
-        # while every shorter rung is refuted, the first answer is optimal
-        if refuting and witnessed and h == horizon:
-            return SolveReport("adapter", "optimal", h, 0.0, 0.0, nodes=nodes,
-                               horizon=h)
         if refuting:
             proof = solve_exact(comp, h, cfg.parts_mode, floor=h,
                                 time_limit_seconds=min(_REFUTE_S, remaining))
@@ -150,10 +148,10 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
             if proof.status == "infeasible" and h < horizon:
                 continue
             if proof.schedule is not None:
-                proof.status, proof.gap_percent = "optimal", 0.0
-            if proof.status in ("optimal", "infeasible"):
-                proof.mode, proof.nodes = "adapter", nodes
-                return proof
+                return _Answer("optimal", proof.makespan, proof.schedule,
+                               nodes)
+            if proof.status == "infeasible":
+                return _Answer("infeasible", nodes=nodes)
             refuting = False
         model = build_model(comp, h, cfg.parts_mode)
         remaining = deadline - time.perf_counter()
@@ -161,22 +159,22 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
             break
         try:
             sub = solve_with_adapter(model, cfg.adapter, remaining)
-        except (AdapterUnavailable, AdapterFailure):
-            break
-        except SolutionParseError:
+        except (AdapterUnavailable, AdapterFailure, SolutionParseError):
             if not witnessed:
                 raise
+            return _Answer("limit", nodes=nodes)
+        if proven and sub.status == "limit":
             break
         if sub.status != "infeasible" or h == horizon:
-            sub.nodes += nodes
-            return sub
-    return SolveReport("adapter", "limit", None, None, 0.0, nodes=nodes,
-                       horizon=horizon)
+            return _Answer(sub.status, sub.makespan, sub.schedule, nodes)
+    return proven or _Answer("limit", nodes=nodes)
 
 
-def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
+def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
+                 mode=None) -> SolveReport:
     """The configured backend's solve on `horizon`, one of the instance's
-    `components` at a time; its stats are the whole model's size.
+    `components` at a time, as the `mode` pipeline reports it; its stats
+    are the whole model's size, and its caller times it.
 
     Components go in descending root bound under one deadline.  Each
     searches the makespan of the `incumbent` schedule restricted to it,
@@ -184,15 +182,15 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
     One whose restricted schedule is already within its root bound or the
     longest component so far is not searched: that schedule is optimal, or
     fits.  The oracle stops a later one at its first schedule within that
-    length.  The merged schedule has fresh tuple ids; it is optimal when it
-    meets the largest proven or root bound of the components.
+    length.  The schedule is the `incumbent` itself when no component
+    shortens the whole of it, and otherwise the merged pieces with fresh
+    tuple ids; it is optimal when it meets the largest proven or root
+    bound of the components.
 
     An adapter's "infeasible" on a component the incumbent witnesses is a
     solver fault and raises AdapterFailure.
     """
-    clock = time.perf_counter()
-    deadline = clock + cfg.time_limit_seconds
-    backend = "exact" if cfg.solver == SOLVER_INTERNAL else "adapter"
+    deadline = time.perf_counter() + cfg.time_limit_seconds
     stats = model_size(inst, horizon, cfg.parts_mode)
     todo = sorted(((root_bound(c, cfg.parts_mode), c)
                    for c in components(inst)), key=lambda bc: -bc[0])
@@ -224,20 +222,22 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None) -> SolveReport:
         elif witness is not None:
             piece = witness
         else:
-            return SolveReport(backend, "limit" if sub is None else sub.status,
-                               None, None, time.perf_counter() - clock,
-                               stats=stats, nodes=nodes, horizon=horizon)
+            return SolveReport(mode, "limit" if sub is None else sub.status,
+                               None, None, wall_seconds=None, stats=stats,
+                               nodes=nodes, horizon=horizon)
         tuples.extend(piece.tuples)
         lower = max(lower, bound)
         span = max(span, int(schedule_makespan(piece)))
-    tuples.sort(key=lambda t: (t.heater, t.start))
-    schedule = Schedule([replace(t, id=i) for i, t in enumerate(tuples, 1)])
+    schedule = incumbent
+    if incumbent is None or span < horizon:
+        tuples.sort(key=lambda t: (t.heater, t.start))
+        schedule = Schedule([replace(t, id=i) for i, t in enumerate(tuples, 1)])
     status, gap = "optimal", 0.0
     if span > lower:
         status, gap = "feasible", 100.0 * (span - lower) / span
         if stalled:
             status, gap = "limit", None
-    return SolveReport(backend, status, span, gap, time.perf_counter() - clock,
+    return SolveReport(mode, status, span, gap, wall_seconds=None,
                        stats=stats, schedule=schedule, nodes=nodes,
                        horizon=horizon)
 
@@ -264,14 +264,10 @@ def _solve_on(inst, horizon, cfg: HopConfig, mode, incumbent=None,
                              solver_seconds=0.0)
     else:
         clock = time.perf_counter()
-        report = _exact_stage(inst, horizon, cfg, incumbent)
-        if incumbent is not None and (report.schedule is None
-                                      or report.makespan >= horizon):
-            report.makespan, report.schedule = horizon, incumbent
+        report = _exact_stage(inst, horizon, cfg, incumbent, mode)
         if report.schedule is not None:
             _checked(inst, report.schedule, cfg.parts_mode)
         report.solver_seconds = time.perf_counter() - clock
-    report.mode = mode
     report.heuristic_seconds = heuristic_seconds
     report.wall_seconds = (heuristic_seconds or 0.0) + report.solver_seconds
     return report, report.schedule
@@ -288,7 +284,8 @@ def run_hop(inst: Instance, cfg: HopConfig = None):
         cfg = HopConfig()
     clock = time.perf_counter()
     try:
-        heur_schedule = run_heuristic(inst, _heuristic_config(cfg))
+        heur_schedule = run_heuristic(
+            inst, cfg.heuristic or HeuristicConfig(parts_mode=cfg.parts_mode))
     except (UnproduciblePair, NoFeasiblePlacement) as exc:
         raise Infeasible(f"heuristic found no feasible schedule: {exc}") from exc
     heur_seconds = time.perf_counter() - clock

@@ -29,25 +29,24 @@ from .errors import InfeasibleAssignment
 from .lpformat import Constraint, Variable, fold, term_units
 
 
+@dataclass(frozen=True, eq=False)
 class MilpModel:
     """Immutable symbolic model plus the index maps used for en/decoding."""
 
-    def __init__(self, inst, thb, parts_mode, pairs_on, objective,
-                 constraints, variables, x, y, yp, z, w, u, prd):
-        self.inst = inst
-        self.thb = thb
-        self.parts_mode = parts_mode
-        self.pairs_on = pairs_on  # heater -> its (m1, m2) pairs, ascending
-        self.objective = objective
-        self.constraints = constraints
-        self.variables = variables
-        self.x = x          # (mold, heater, period 0..thb) -> name
-        self.y = y          # (mold, heater, period)        -> name
-        self.yp = yp
-        self.z = z          # (m1, m2, heater, period)      -> name
-        self.w = w          # period -> name
-        self.u = u          # (m1, m2, heater, period)      -> name
-        self.prd = prd      # (mold, period)                -> name
+    inst: Instance
+    thb: int
+    parts_mode: str
+    pairs_on: dict      # heater -> its (m1, m2) pairs, ascending
+    objective: tuple
+    constraints: tuple
+    variables: tuple
+    x: dict             # (mold, heater, period 0..thb) -> name
+    y: dict             # (mold, heater, period)        -> name
+    yp: dict
+    z: dict             # (m1, m2, heater, period)      -> name
+    w: dict             # period -> name
+    u: dict             # (m1, m2, heater, period)      -> name
+    prd: dict           # (mold, period)                -> name
 
     def __repr__(self):
         return (f"MilpModel({self.inst.name!r}, thb={self.thb}, "
@@ -65,13 +64,9 @@ class ModelStats:
 def _merge_terms(terms):
     """Coalesce repeated variables; identical pairs fold to coefficient 2."""
     acc = {}
-    order = []
     for coef, var in terms:
-        if var not in acc:
-            order.append(var)
-            acc[var] = 0
-        acc[var] += coef
-    return tuple((acc[v], v) for v in order if acc[v] != 0)
+        acc[var] = acc.get(var, 0) + coef
+    return tuple((coef, var) for var, coef in acc.items() if coef != 0)
 
 
 def build_model(inst: Instance, thb: int,
@@ -91,35 +86,29 @@ def build_model(inst: Instance, thb: int,
     members = {m: [key for key in ext if key[0] == m]
                + [key for key in ext if key[1] == m] for m in inst.mold_ids}
 
+    grid = [(i, k) for i in inst.mold_ids for k in inst.heaters]
     variables = []
-    x, y, yp, z, w, u, prd = {}, {}, {}, {}, {}, {}, {}
 
-    for i in inst.mold_ids:
-        for k in inst.heaters:
-            for t in range(0, thb + 1):
-                x[(i, k, t)] = name = f"x_{i}_{k}_{t}"
-                variables.append(Variable(name, "general", 0, 2))
-    for fam, store in (("y", y), ("yp", yp)):
-        for i in inst.mold_ids:
-            for k in inst.heaters:
-                for t in periods:
-                    store[(i, k, t)] = name = f"{fam}_{i}_{k}_{t}"
-                    variables.append(Variable(name, "general", 0, 2))
-    for (i, j, k) in ext:
-        for t in periods:
-            z[(i, j, k, t)] = name = f"z_{i}_{j}_{k}_{t}"
-            variables.append(Variable(name, "binary", 0, 1))
-    for t in periods:
-        w[t] = name = f"w_{t}"
-        variables.append(Variable(name, "binary", 0, 1))
-    for (i, j, k) in ext:
-        for t in periods:
-            u[(i, j, k, t)] = name = f"u_{i}_{j}_{k}_{t}"
-            variables.append(Variable(name, "general", 0, None))
-    for i in inst.mold_ids:
-        for t in periods:
-            prd[(i, t)] = name = f"prd_{i}_{t}"
-            variables.append(Variable(name, "general", 0, None))
+    def declare(fam, kind, hi, keys):
+        """A variable family named `fam_<key>`, declared in `keys` order."""
+        store = {}
+        for key in keys:
+            parts = key if isinstance(key, tuple) else (key,)
+            store[key] = name = "_".join(map(str, (fam, *parts)))
+            variables.append(Variable(name, kind, 0, hi))
+        return store
+
+    x = declare("x", "general", 2,
+                [(i, k, t) for i, k in grid for t in range(thb + 1)])
+    cells = [(i, k, t) for i, k in grid for t in periods]
+    y = declare("y", "general", 2, cells)
+    yp = declare("yp", "general", 2, cells)
+    slot_periods = [(*e, t) for e in ext for t in periods]
+    z = declare("z", "binary", 1, slot_periods)
+    w = declare("w", "binary", 1, periods)
+    u = declare("u", "general", None, slot_periods)
+    prd = declare("prd", "general", None,
+                  [(i, t) for i in inst.mold_ids for t in periods])
 
     rows = []
 
@@ -176,15 +165,14 @@ def build_model(inst: Instance, thb: int,
             add(f"demand_{i}", "eq-9", f"demand mold {i}",
                 terms, ">=", inst.mold_by_id[i].demand)
 
-    for i in inst.mold_ids:
-        for k in inst.heaters:
-            on_k = [key for key in members[i] if key[2] == k]
-            for t in periods:
-                terms = [(1, x[(i, k, t)])]
-                terms += [(-1, z[(*key, t)]) for key in on_k]
-                add(f"molds_{i}_{k}_{t}", "eq-10",
-                    f"mold count mold {i} heater {k} period {t}",
-                    terms, "=", 0)
+    for i, k in grid:
+        on_k = [key for key in members[i] if key[2] == k]
+        for t in periods:
+            terms = [(1, x[(i, k, t)])]
+            terms += [(-1, z[(*key, t)]) for key in on_k]
+            add(f"molds_{i}_{k}_{t}", "eq-10",
+                f"mold count mold {i} heater {k} period {t}",
+                terms, "=", 0)
 
     for i in inst.mold_ids:
         for t in periods:
@@ -208,25 +196,19 @@ def build_model(inst: Instance, thb: int,
                 add(f"parts_{p.id}_{t}", "eq-12", f"part {p.id} period {t}",
                     terms, "<=", p.units)
 
-    for i in inst.mold_ids:
-        for k in inst.heaters:
-            add(f"start_{i}_{k}", "eq-13", f"initial mold {i} heater {k}",
-                [(1, x[(i, k, 0)])], "=", inst.init.get((i, k), 0))
+    for i, k in grid:
+        add(f"start_{i}_{k}", "eq-13", f"initial mold {i} heater {k}",
+            [(1, x[(i, k, 0)])], "=", inst.init.get((i, k), 0))
 
-    for i in inst.mold_ids:
-        for k in inst.heaters:
+    # eq-14 counts a mold's mounts, eq-15 its removals: mirrored rows
+    for fam, tag, word, var, sign in (("setup", "eq-14", "setups", y, 1),
+                                      ("removal", "eq-15", "removals", yp, -1)):
+        for i, k in grid:
             for t in periods:
-                add(f"setup_{i}_{k}_{t}", "eq-14",
-                    f"setups mold {i} heater {k} period {t}",
-                    [(1, y[(i, k, t)]), (-1, x[(i, k, t)]), (1, x[(i, k, t - 1)])],
-                    ">=", 0)
-    for i in inst.mold_ids:
-        for k in inst.heaters:
-            for t in periods:
-                add(f"removal_{i}_{k}_{t}", "eq-15",
-                    f"removals mold {i} heater {k} period {t}",
-                    [(1, yp[(i, k, t)]), (1, x[(i, k, t)]), (-1, x[(i, k, t - 1)])],
-                    ">=", 0)
+                add(f"{fam}_{i}_{k}_{t}", tag,
+                    f"{word} mold {i} heater {k} period {t}",
+                    [(1, var[(i, k, t)]), (-sign, x[(i, k, t)]),
+                     (sign, x[(i, k, t - 1)])], ">=", 0)
 
     objective = tuple((1, w[t]) for t in periods)
     return MilpModel(
@@ -443,21 +425,18 @@ def schedule_to_assignment(m: MilpModel, schedule: Schedule) -> dict:
 
     for i in inst.mold_ids:
         for k in inst.heaters:
-            if inst.init.get((i, k)):
-                asg[m.x[(i, k, 0)]] = inst.init[(i, k)]
+            prev = inst.init.get((i, k), 0)
+            if prev:
+                asg[m.x[(i, k, 0)]] = prev
             for t in range(1, m.thb + 1):
                 c = loads.get((k, t), {}).get(i, 0)
                 if c:
                     asg[m.x[(i, k, t)]] = c
-    for i in inst.mold_ids:
-        for k in inst.heaters:
-            for t in range(1, m.thb + 1):
-                diff = (asg.get(m.x[(i, k, t)], 0)
-                        - asg.get(m.x[(i, k, t - 1)], 0))
-                if diff > 0:
-                    asg[m.y[(i, k, t)]] = diff
-                elif diff < 0:
-                    asg[m.yp[(i, k, t)]] = -diff
+                if c > prev:
+                    asg[m.y[(i, k, t)]] = c - prev
+                elif c < prev:
+                    asg[m.yp[(i, k, t)]] = prev - c
+                prev = c
 
     for t in range(1, int(makespan) + 1):
         asg[m.w[t]] = 1

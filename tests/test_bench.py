@@ -766,6 +766,20 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
         capsys.readouterr()
 
 
+
+def test_cli_solve_milp_failing_solver_is_a_fault(tmp_path, capsys,
+                                                  oracle_declines):
+    """A solver that crashes is a fault, not a time limit: with no
+    incumbent to keep, `milp` exits 2 with one error line, as it does on a
+    malformed solution."""
+    p1, _ = save_toys(tmp_path)
+    crash = f"{sys.executable} -c 'import sys; sys.exit(1)'"
+    rc = cli_main(["solve", "--instance", str(p1), "--mode", "milp",
+                   "--solver-cmd", crash])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: solver exited with code 1: no output\n"
+
 @pytest.mark.parametrize("key,value", [
     ("iterations", "10"), ("iterations", 2.5), ("iterations", True),
     ("seed", "1"), ("time_limit", "5"),

@@ -33,7 +33,12 @@ from curesched.domain import (
     schedule_makespan,
     validate_schedule,
 )
-from curesched.errors import AdapterFailure, Infeasible, SolutionParseError
+from curesched.errors import (
+    AdapterFailure,
+    AdapterUnavailable,
+    Infeasible,
+    SolutionParseError,
+)
 from curesched.exact import (
     TIME_LIMIT_SECONDS,
     SolveReport,
@@ -243,16 +248,17 @@ def test_backends_agree(run, make):
     assert outcomes[SOLVER_INTERNAL] == outcomes[SOLVER_ADAPTER]
 
 
-def test_unavailable_command_is_a_limit_in_both_pipelines(oracle_declines):
+def test_unavailable_command_is_a_limit_in_hop_and_a_fault_in_milp(
+        oracle_declines):
+    """A missing solver keeps `hop`'s incumbent at "limit"; with no
+    incumbent to keep, `milp` raises the fault."""
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=("/nonexistent/solver",)))
     hop_report, hop_schedule = run_hop(toy1(), cfg)
     assert (hop_report.status, hop_report.makespan) == ("limit", 2)
     assert hop_schedule is not None
-    base_report, base_schedule = run_baseline_milp(toy1(), cfg)
-    assert (base_report.status, base_report.makespan) == ("limit", None)
-    assert base_schedule is None
-    assert base_report.stats.thb == compute_thb(toy1())
+    with pytest.raises(AdapterUnavailable):
+        run_baseline_milp(toy1(), cfg)
 
 
 def test_solver_time_counts_the_model_build(monkeypatch, oracle_declines):
@@ -521,6 +527,56 @@ def test_refuted_rungs_below_a_witness_prove_it_without_a_child(monkeypatch,
         "optimal", 4, 0.0)
     assert report.nodes > 0
     assert schedule == witness
+
+
+def test_children_refuting_the_rungs_below_a_witness_prove_it(
+        tmp_path, oracle_declines):
+    """Tiny seed 1005 has root bound 1 and the heuristic leaves its optimum
+    4.  Solver children refute rungs 1-3; the child that checks the witness
+    on rung 4 then runs into the time limit, which leaves the witness
+    optimal, not at "limit"."""
+    stub = tmp_path / "check_stalls.py"
+    stub.write_text(
+        "import re, sys, time\n"
+        "thb = int(re.search(r'thb=(\\d+)', open(sys.argv[1]).readline())[1])\n"
+        "if thb < 4:\n"
+        "    sys.exit(10)\n"
+        "time.sleep(60)\n", encoding="utf-8")
+    inst = tiny_instance(1005)
+    heuristic = HeuristicConfig(total_iterations=100, seed=1)
+    witness = run_heuristic(inst, heuristic)
+    assert schedule_makespan(witness) == 4
+    cfg = HopConfig(heuristic=heuristic, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=(sys.executable, str(stub))),
+                    time_limit_seconds=3.0)
+    report, schedule = run_hop(inst, cfg)
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "optimal", 4, 0.0)
+    assert schedule == witness
+
+
+@pytest.mark.parametrize("solver", BACKENDS)
+def test_stage_that_cannot_shorten_returns_the_heuristic_schedule(
+        monkeypatch, solver):
+    """Tiny seed 1005's heuristic schedule is already optimal, though not
+    at its root bound, so the stage searches and cannot shorten it: the
+    pipeline returns that very object, not a copy rebuilt from its
+    components."""
+    made = []
+    real = curesched.hop.run_heuristic
+
+    def spy(inst, cfg):
+        made.append(real(inst, cfg))
+        return made[-1]
+
+    monkeypatch.setattr(curesched.hop, "run_heuristic", spy)
+    cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=solver,
+                    **BACKENDS[solver])
+    report, schedule = run_hop(tiny_instance(1005), cfg)
+    assert (report.status, report.makespan) == ("optimal", 4)
+    assert report.nodes > 0
+    assert schedule is made[0]
+    assert report.schedule is made[0]
 
 
 def test_slice_refutes_an_unwitnessed_last_rung(monkeypatch):

@@ -6,6 +6,7 @@ the bundled solver command, `curesched.lpsolve`, needs them.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +84,13 @@ def test_submodules_resolve_as_package_attributes():
             "print(curesched.hop.run_hop is curesched.run_hop, "
             "hasattr(curesched, 'no_such_name'))")
     assert _fresh(code) == "True False"
+
+
+def test_module_all_lists_match_the_package_table():
+    """Every submodule that declares `__all__` declares exactly the names
+    the package root re-exports from it."""
+    for path in MODULES:
+        module = importlib.import_module(f"curesched.{path.stem}")
+        if hasattr(module, "__all__"):
+            assert sorted(module.__all__) == sorted(
+                curesched._EXPORTS.get(path.stem, ())), path.stem

@@ -11,6 +11,7 @@ constraint families (pair-extended triple set has 5 members on heater 1):
 toy2 adds one part over molds {1,2}: +1 row per heater-period -> 51.
 """
 
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -300,6 +301,20 @@ def test_lp_emission_byte_stable():
     b = emit_lp(build_model(toy1(), 2))
     assert a == b
 
+
+
+def test_model_is_a_frozen_record():
+    """A rung without an objective is the same model with none: its LP
+    differs only in the objective line, and no field can be reassigned."""
+    m = build_model(toy1(), 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.thb = 3
+    full = emit_lp(m).splitlines()
+    bare = emit_lp(dataclasses.replace(m, objective=())).splitlines()
+    assert len(full) == len(bare)
+    assert [(a, b) for a, b in zip(full, bare) if a != b] == [
+        (" obj: w_1 + w_2", " obj: 0")]
+    assert repr(m) == "MilpModel('toy1', thb=2, rows=49, vars=40)"
 
 def test_lp_round_trip_counts():
     m = build_model(toy1(), 2)

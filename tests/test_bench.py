@@ -766,7 +766,6 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
         capsys.readouterr()
 
 
-
 def test_cli_solve_milp_failing_solver_is_a_fault(tmp_path, capsys,
                                                   oracle_declines):
     """A solver that crashes is a fault, not a time limit: with no
@@ -779,6 +778,7 @@ def test_cli_solve_milp_failing_solver_is_a_fault(tmp_path, capsys,
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err == "error: solver exited with code 1: no output\n"
+
 
 @pytest.mark.parametrize("key,value", [
     ("iterations", "10"), ("iterations", 2.5), ("iterations", True),

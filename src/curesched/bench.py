@@ -349,6 +349,20 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
+def _solver_adapter(solver_cmd, what="--solver-cmd"):
+    """The adapter a solver command string names, None when none is given;
+    ValueError naming `what` when the command is not a string or splits to
+    no words (a blank command must not fall back to the internal oracle)."""
+    if solver_cmd is None:
+        return None
+    if not isinstance(solver_cmd, str):
+        raise ValueError(f"{what} must be a string, got {solver_cmd!r}")
+    command = tuple(shlex.split(solver_cmd))
+    if not command:
+        raise ValueError(f"{what} names no command, got {solver_cmd!r}")
+    return SolverAdapter(command)
+
+
 def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
                parts_mode=PARTS_PER_HEATER, solver_cmd=None) -> SolveReport:
     """One run of `mode` on `inst`, as its SolveReport.
@@ -361,9 +375,7 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
         **_given(total_iterations=iterations, seed=seed))
     # built in every mode, so a bad limit or command is a usage error even
     # where nothing reads it
-    adapter = None
-    if solver_cmd:
-        adapter = SolverAdapter(tuple(shlex.split(solver_cmd)))
+    adapter = _solver_adapter(solver_cmd)
     cfg = HopConfig(
         heuristic=heuristic_cfg,
         solver=SOLVER_ADAPTER if adapter else SOLVER_INTERNAL,
@@ -410,7 +422,8 @@ def run_benchmark(suite: dict, base_dir=".") -> list:
     inadmissible instance as "infeasible", an unreadable file or a solver
     fault as "error".  Relative instance paths resolve against `base_dir`.
     A malformed suite (unknown mode, `iterations`, `seed` or `time_limit`
-    of the wrong type) raises ValueError before anything runs.
+    of the wrong type, a `solver_cmd` that names no command) raises
+    ValueError before anything runs.
     """
     base = Path(base_dir)
     instance_paths = _field(suite, "instances", "suite")
@@ -425,6 +438,7 @@ def run_benchmark(suite: dict, base_dir=".") -> list:
         parts_mode=suite.get("parts_mode", PARTS_PER_HEATER),
         solver_cmd=suite.get("solver_cmd"),
     )
+    _solver_adapter(options["solver_cmd"], "suite: solver_cmd")
 
     def error(mode):
         return SolveReport(mode, "error", None, None, None)

@@ -180,10 +180,6 @@ class AssignmentTuple:
                 counts[m] = counts.get(m, 0) + 1
         return counts
 
-    def production(self) -> dict:
-        """Tires cured per mold."""
-        return {m: c * self.q for m, c in self.mold_counts().items()}
-
 
 @dataclass
 class Schedule:

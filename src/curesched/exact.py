@@ -43,7 +43,7 @@ from .errors import (
     AdapterUnavailable,
     SolutionParseError,
 )
-from .lpformat import parse_solution
+from .lpformat import EXIT_INFEASIBLE, TIME_LIMIT_ENV, parse_solution
 from .milp import (
     MilpModel,
     ModelStats,
@@ -120,23 +120,31 @@ class _Frame:
 
 def _heater_table(inst, parts_mode):
     """Per heater, its `pair_slots` rows as (pair, `multiset` of its molds,
-    part usage), built once per search.  In per-heater mode a pair that
-    alone needs more units of a part than exist is left out."""
+    needs), built once per search.  needs lists (resource, units, limit):
+    each mold's copies (the resource is the mold id), and in global mode
+    each part's units (the resource is ("part", part id)).  In
+    per-heater mode a pair that alone needs more units of a part than exist
+    is left out, and no other heater's use counts against it."""
+    shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
     for s in pair_slots(inst):
-        if parts_mode == PARTS_PER_HEATER and any(
-                c > inst.part_by_id[p].units for p, c in s.usage.items()):
+        parts = [(("part", p), c, inst.part_by_id[p].units)
+                 for p, c in s.usage.items()]
+        if not shared and any(c > units for _, c, units in parts):
             continue
-        table[s.heater].append(((s.m1, s.m2), multiset(s.counts), s.usage))
+        molds = multiset(s.counts)
+        needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
+        table[s.heater].append(
+            ((s.m1, s.m2), molds, tuple(needs + parts if shared else needs)))
     return table
 
 
-def _heater_options(inst, plans, k, pairs, residents, res, used, part_used,
-                    parts_mode):
+def _heater_options(plans, k, pairs, residents, res, in_use):
     """Per-period choices for heater `k`, which holds the `multiset`
-    `residents`: one of its `pairs` (a `_heater_table` row list) at full
-    capacity, or idling (residents leave, which must fit the period).  The
-    search's `PlanMemo` `plans` decides both: a pair mounted right away
+    `residents`: one of its `pairs` (a `_heater_table` row list) whose
+    needs fit beside `in_use`, the units other heaters hold this period, at
+    full capacity, or idling (residents leave, which must fit the period).
+    The search's `PlanMemo` `plans` decides both: a pair mounted right away
     cures its plan's first-period capacity, and idling is the plan of an
     empty heater after a gap.
 
@@ -144,78 +152,55 @@ def _heater_options(inst, plans, k, pairs, residents, res, used, part_used,
     a single-mold slot dominates; pairs that merely keep such a mold
     resident stay available because holding it can be cheaper than paying
     its removal.  Options come back most-productive-first so a depth-first
-    walk reaches good incumbents early, as (pair, molds, usage, cap).
+    walk reaches good incumbents early, as (pair, molds, needs, cap).
     """
     opts = []
     if plans[k, residents, (), True] is not None:
-        opts.append((0, None, (), {}, 0))
-    for pair, molds, usage in pairs:
-        ok = True
-        for m, c in molds:
-            if used.get(m, 0) + c > inst.mold_by_id[m].copies:
-                ok = False
+        opts.append((0, None, (), (), 0))
+    held = dict(residents)
+    for pair, molds, needs in pairs:
+        for r, c, limit in needs:
+            if in_use.get(r, 0) + c > limit:
                 break
+        else:
             # never mount a finished mold; keeping a resident one is fine
-            if res.get(m, 0) <= 0 and c > dict(residents).get(m, 0):
-                ok = False
-                break
-        if not ok:
-            continue
-        if parts_mode != PARTS_PER_HEATER and any(
-                part_used.get(p, 0) + c > inst.part_by_id[p].units
-                for p, c in usage.items()):
-            continue
-        plan = plans[k, residents, molds, False]
-        if plan is None:
-            continue
-        cap = plan.cap_first
-        useful = sum(min(res.get(m, 0), cap * c) for m, c in molds)
-        opts.append((useful, pair, molds, usage, cap))
+            for m, c in molds:
+                if res.get(m, 0) <= 0 and c > held.get(m, 0):
+                    break
+            else:
+                plan = plans[k, residents, molds, False]
+                if plan is not None:
+                    cap = plan.cap_first
+                    useful = sum(min(res.get(m, 0), cap * c) for m, c in molds)
+                    opts.append((useful, pair, molds, needs, cap))
     opts.sort(key=lambda o: (-o[0], o[1] is None, o[1] or (0, 0)))
     return [o[1:] for o in opts]
 
 
-def _iter_joint_configs(inst, plans, table, residents, res, parts_mode):
+def _iter_joint_configs(inst, plans, table, residents, res):
     """Joint per-period configurations across heaters, yielded lazily in
     heater id order so huge plants never materialize the cross product;
     `residents` holds each heater's `multiset` in that order."""
     heaters = inst.heaters
 
-    def rec(idx, used, part_used, acc):
+    def rec(idx, in_use, acc):
         if idx == len(heaters):
             yield list(acc)
             return
         k = heaters[idx]
-        options = _heater_options(inst, plans, k, table[k], residents[idx],
-                                  res, used, part_used, parts_mode)
-        for pair, molds, usage, cap in options:
-            new_used = used
-            new_part = part_used
-            if molds:
-                new_used = dict(used)
-                for m, c in molds:
-                    new_used[m] = new_used.get(m, 0) + c
-            if usage:
-                new_part = dict(part_used)
-                for p, c in usage.items():
-                    new_part[p] = new_part.get(p, 0) + c
+        options = _heater_options(plans, k, table[k], residents[idx], res,
+                                  in_use)
+        for pair, molds, needs, cap in options:
+            new_use = in_use
+            if needs:
+                new_use = dict(in_use)
+                for r, c, _ in needs:
+                    new_use[r] = new_use.get(r, 0) + c
             acc.append((k, pair, molds, cap))
-            yield from rec(idx + 1, new_used, new_part, acc)
+            yield from rec(idx + 1, new_use, acc)
             acc.pop()
 
-    yield from rec(0, {}, {}, [])
-
-
-def _config_production(joint):
-    produced = {}
-    for _, pair, _, cap in joint:
-        if pair is None:
-            continue
-        i, j = pair
-        if i:
-            produced[i] = produced.get(i, 0) + cap
-        produced[j] = produced.get(j, 0) + cap
-    return produced
+    yield from rec(0, {}, [])
 
 
 def _path_schedule(inst, path) -> Schedule:
@@ -315,8 +300,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
                 hit_limit = True
                 break
             fr.floor = max(bound, floor)
-            fr.gen = _iter_joint_configs(inst, plans, table, residents, res,
-                                         parts_mode)
+            fr.gen = _iter_joint_configs(inst, plans, table, residents, res)
         elif fr.floor >= best:
             # every child would be pruned on touch: drop the rest unread
             stack.pop()
@@ -325,11 +309,15 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
         if joint is None:
             stack.pop()
             continue
-        produced = _config_production(joint)
+        produced, new_residents = {}, []
+        for _, _, molds, cap in joint:
+            new_residents.append(molds)
+            for m, c in molds:
+                produced[m] = produced.get(m, 0) + cap * c
         new_res = {i: max(0, fr.res[i] - produced.get(i, 0))
                    for i in demanded}
-        new_residents = tuple(molds for _, _, molds, _ in joint)
-        stack.append(_Frame(fr.period + 1, new_res, new_residents, joint))
+        stack.append(_Frame(fr.period + 1, new_res, tuple(new_residents),
+                            joint))
     wall = time.perf_counter() - start_clock
 
     makespan = gap = schedule = None
@@ -354,13 +342,9 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
 def _command_list(adapter: SolverAdapter):
     if adapter is None:
         raise AdapterUnavailable("no solver adapter configured")
-    cmd = adapter.command
-    if isinstance(cmd, str):
-        cmd = (cmd,)
-    cmd = tuple(cmd)
-    if not cmd:
+    if not adapter.command:
         raise AdapterUnavailable("solver adapter has an empty command")
-    return list(cmd)
+    return list(adapter.command)
 
 
 def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
@@ -383,7 +367,7 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
             fh.write(emit_lp(m))
         env = dict(os.environ)
         if time_limit_seconds is not None:
-            env["CURESCHED_LPSOLVE_TIME_LIMIT"] = str(time_limit_seconds)
+            env[TIME_LIMIT_ENV] = str(time_limit_seconds)
         try:
             proc = subprocess.run(
                 command + [lp_path, sol_path],
@@ -399,7 +383,7 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
             return SolveReport("adapter", "limit", None, None, wall,
                                stats=stats, horizon=m.thb)
         wall = time.perf_counter() - start_clock
-        if proc.returncode == 10:
+        if proc.returncode == EXIT_INFEASIBLE:
             return SolveReport("adapter", "infeasible", None, None, wall,
                                stats=stats, horizon=m.thb)
         if proc.returncode != 0:

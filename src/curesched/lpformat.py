@@ -11,7 +11,9 @@ headers).  A Bounds line is one of `lo <= x <= hi`, `x <= v`, `x >= v`,
 other Bounds line or value, and a nonzero bare constant on the left of a
 row or in the objective raise ValueError rather than being solved as some
 other model.  `format_solution` and `parse_solution` write and read
-solution files: `name value` lines plus an `objective <v>` line.
+solution files: `name value` lines plus an `objective <v>` line, and
+`EXIT_INFEASIBLE` and `TIME_LIMIT_ENV` are the rest of the contract between
+the solver adapter and a solver command.
 """
 
 import math
@@ -21,6 +23,11 @@ from dataclasses import dataclass
 from .errors import SolutionParseError
 
 MAX_LINE = 230
+# a solver command's exit code for a model it proved infeasible
+EXIT_INFEASIBLE = 10
+# the environment variable that passes a solver command its time limit in
+# seconds
+TIME_LIMIT_ENV = "CURESCHED_LPSOLVE_TIME_LIMIT"
 _CONT_INDENT = "   "
 
 _NUM_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
@@ -228,7 +235,9 @@ def parse_lp(text: str) -> ParsedLp:
         )
         if sense_idx is None:
             raise ValueError(f"constraint {name!r} has no comparison operator")
-        rhs = _as_number(body[sense_idx + 1])
+        # one number and nothing more: a dropped token would change the model
+        rest = body[sense_idx + 1:]
+        rhs = _as_number(rest[0]) if len(rest) == 1 else None
         if rhs is None:
             raise ValueError(f"constraint {name!r} has a non-numeric right side")
         constraints.append(

@@ -21,7 +21,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .lpformat import format_solution, parse_lp
+from .lpformat import (
+    EXIT_INFEASIBLE,
+    TIME_LIMIT_ENV,
+    format_solution,
+    parse_lp,
+)
 
 _USAGE = "usage: curesched-lpsolve <model.lp> <out.sol>"
 
@@ -88,7 +93,7 @@ def main(argv=None) -> int:
     c, a, con_lo, con_hi, lo, hi, integrality = to_arrays(parsed)
 
     options = {}
-    raw_limit = os.environ.get("CURESCHED_LPSOLVE_TIME_LIMIT")
+    raw_limit = os.environ.get(TIME_LIMIT_ENV)
     if raw_limit:
         try:
             limit = float(raw_limit)
@@ -97,7 +102,7 @@ def main(argv=None) -> int:
         if 0 < limit < math.inf:
             options["time_limit"] = limit
         else:
-            print(f"ignoring bad CURESCHED_LPSOLVE_TIME_LIMIT {raw_limit!r}",
+            print(f"ignoring bad {TIME_LIMIT_ENV} {raw_limit!r}",
                   file=sys.stderr)
 
     kwargs = {"integrality": integrality, "bounds": Bounds(lo, hi)}
@@ -109,7 +114,7 @@ def main(argv=None) -> int:
 
     if result.status == 2:
         print("proven infeasible", file=sys.stderr)
-        return 10
+        return EXIT_INFEASIBLE
     if result.status != 0 or result.x is None:
         print(f"solve failed: {result.message}", file=sys.stderr)
         return 1

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import curesched.bench
 from curesched.bench import (
+    MODES,
     cli_main,
     instance_from_json,
     instance_to_json,
@@ -648,6 +650,21 @@ def test_cli_solve_exact_time_limit_exit(tmp_path, capsys):
     assert rc == 3
 
 
+def test_cli_solve_milp_limit_before_any_schedule(tmp_path, capsys):
+    """A `milp` run out of time with no schedule exits 3, prints no
+    makespan and writes no schedule file."""
+    path = tmp_path / "M05.json"
+    save_instance(generate_instance(SCENARIOS["medium"], 5), path)
+    spath = tmp_path / "sched.json"
+    rc = cli_main(["solve", "--instance", str(path), "--mode", "milp",
+                   "--time-limit", "0.05", "--schedule-out", str(spath)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "status limit\n" in out
+    assert "makespan" not in out
+    assert not spath.exists()
+
+
 def test_cli_solve_exact_rejects_an_invalid_schedule(tmp_path, capsys,
                                                      monkeypatch):
     p1, _ = save_toys(tmp_path)
@@ -804,6 +821,40 @@ def test_cli_bench_malformed_iterations_is_a_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"error: suite: iterations must be an integer, got {value!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("command", ["", " "])
+def test_cli_blank_solver_command_is_a_usage_error(tmp_path, capsys, mode,
+                                                   command):
+    """A solver command that splits to no words names no program: every
+    mode exits 2 with one error line, rather than falling back to the
+    internal oracle or passing because the oracle settles the run."""
+    p1, _ = save_toys(tmp_path)
+    rc = cli_main(["solve", "--instance", str(p1), "--mode", mode,
+                   "--solver-cmd", command])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --solver-cmd names no command, got {command!r}\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    ("", "names no command"), (" \t", "names no command"),
+    (["lpsolve"], "must be a string"),
+])
+def test_run_benchmark_rejects_a_blank_solver_command(tmp_path, monkeypatch,
+                                                      value, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a malformed suite ran")
+
+    monkeypatch.setattr(curesched.bench, "_solve_one", never)
+    p1, _ = save_toys(tmp_path)
+    suite = {"instances": [str(p1)], "modes": ["heuristic"],
+             "solver_cmd": value}
+    with pytest.raises(ValueError, match=f"suite: solver_cmd {message}"):
+        run_benchmark(suite)
 
 
 def test_cli_solve_hop_malformed_solution_keeps_the_heuristic(

@@ -288,8 +288,7 @@ def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
             on_k = [s for s in pair_slots(inst) if s.heater == k]
             for residents in [initial_residents(inst)[k], {}] + [s.counts for s in on_k]:
                 offered = {pair: cap for pair, _, _, cap in options(
-                    inst, plans, k, table[k], multiset(residents), res, {}, {},
-                    parts_mode)}
+                    plans, k, table[k], multiset(residents), res, {})}
                 gap = plan_slot(inst, k, residents, 0, 1, {})
                 assert (None in offered) == (not gap.problems), (name, k, residents)
                 for s in on_k:

@@ -30,6 +30,7 @@ from curesched.domain import (
     Mold,
     Schedule,
     Part,
+    produced_by_mold,
     schedule_makespan,
     validate_instance,
     validate_schedule,
@@ -106,7 +107,7 @@ def test_pairing_covers_demand_with_batch_ceiling():
         ),
     )
     tuples = mold_pairs_procedure(inst, random.Random(7))
-    produced = sum(t.production().get(1, 0) for t in tuples)
+    produced = produced_by_mold(tuples).get(1, 0)
     assert produced >= 10
     assert all(t.q <= 4 for t in tuples)  # ceil(10/3) = 4
 
@@ -266,12 +267,10 @@ def test_improvement_drops_uncovered_splits_exactly(monkeypatch, mode):
 
     def checked_place(inst, tuples, *args, **kwargs):
         if sys._getframe(1).f_code.co_name == "improvement_procedure":
-            produced = Counter()
-            for t in tuples:
-                produced.update(t.production())
+            produced = produced_by_mold(tuples)
             placed.append(inst.name)
             misses.extend((inst.name, m.id) for m in inst.molds
-                          if produced[m.id] < m.demand)
+                          if produced.get(m.id, 0) < m.demand)
         return place(inst, tuples, *args, **kwargs)
 
     def checked_validate(*args, **kwargs):

@@ -261,6 +261,20 @@ def test_unavailable_command_is_a_limit_in_hop_and_a_fault_in_milp(
         run_baseline_milp(toy1(), cfg)
 
 
+def test_milp_out_of_time_before_any_schedule_is_a_limit_without_one():
+    """`milp` has no heuristic incumbent to fall back on: when its time runs
+    out before the exact stage holds a schedule, the run ends at "limit"
+    with no makespan and no schedule.  M05's search on its a-priori horizon
+    finds none in 0.05 s (nor in 1 s or 3 s), however fast the machine."""
+    inst = generate_instance(SCENARIOS["medium"], 5)
+    report, schedule = run_baseline_milp(inst,
+                                         HopConfig(time_limit_seconds=0.05))
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "limit", None, None)
+    assert report.schedule is None and schedule is None
+    assert report.horizon == compute_thb(inst)
+
+
 def test_solver_time_counts_the_model_build(monkeypatch, oracle_declines):
     """The adapter's model build is part of the exact stage's time; a fake
     clock that only moves during the build shows it without sleeping."""

@@ -33,6 +33,7 @@ from curesched.errors import InfeasibleAssignment, SolutionParseError
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.horizon import horizon_witness
 from curesched.lpformat import (
+    Constraint,
     Variable,
     format_solution,
     parse_lp,
@@ -214,6 +215,26 @@ def test_extract_rejects_capacity_overrun():
     bad["prd_2_1"] = 37
     with pytest.raises(InfeasibleAssignment):
         extract_schedule(m, bad)
+
+
+@pytest.mark.parametrize("name, value, violation", [
+    ("ghost", 1, "assignment references unknown variable ghost"),
+    ("prd_1_1", 9.5, "prd_1_1 = 9.5 is not integral"),
+    ("u_1_2_1_1", -1, "u_1_2_1_1 = -1 below lower bound 0"),
+    ("z_1_2_1_1", 2, "z_1_2_1_1 = 2 above upper bound 1"),
+])
+def test_check_assignment_names_each_out_of_domain_value(name, value,
+                                                         violation):
+    """A solver child's values are outside input: an unknown name, a
+    fraction and a value beyond a bound are each reported, and decoding
+    refuses the assignment."""
+    m = build_model(toy1(), 2)
+    bad = toy1_optimal_assignment()
+    bad[name] = value
+    assert violation in check_assignment(m, bad).violations
+    with pytest.raises(InfeasibleAssignment) as err:
+        extract_schedule(m, bad)
+    assert violation in err.value.violations
 
 
 def test_zero_demand_all_zero_assignment():
@@ -470,6 +491,28 @@ def test_parse_lp_reads_infinite_bounds():
     text = BOUNDS_LP.format("-inf <= x <= +INF", "y >= -Infinity")
     assert parse_lp(text).variables == (Variable("x", "continuous", None, None),
                                         Variable("y", "continuous", None, None))
+
+
+def test_parse_lp_reads_a_free_variable_and_a_spaced_row_name():
+    text = ("Minimize\n obj: x + y\nSubject To\n c1 : x + y >= 1\n"
+            "Bounds\n x free\nEnd\n")
+    parsed = parse_lp(text)
+    assert parsed.constraints == (
+        Constraint("c1", "", "", ((1, "x"), (1, "y")), ">=", 1),)
+    assert parsed.variables == (Variable("x", "continuous", None, None),
+                                Variable("y", "continuous", 0, None))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x + y", "has no comparison operator"),
+    ("x + y >= one", "has a non-numeric right side"),
+    ("x + y >=", "has a non-numeric right side"),
+    ("x + y >= 1 + z", "has a non-numeric right side"),
+])
+def test_parse_lp_rejects_a_row_it_cannot_read(row, message):
+    text = f"Minimize\n obj: x\nSubject To\n c1: {row}\nEnd\n"
+    with pytest.raises(ValueError, match=f"constraint 'c1' {message}"):
+        parse_lp(text)
 
 
 @pytest.mark.parametrize("objective, row, where", [

@@ -600,9 +600,6 @@ def cli_main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CureschedError as exc:
+    except (ValueError, CureschedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

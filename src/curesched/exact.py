@@ -71,9 +71,14 @@ _MAX_NODES = 5_000_000
 
 @dataclass(frozen=True)
 class SolverAdapter:
-    """How to invoke an external MILP solver executable."""
+    """How to invoke an external MILP solver executable: its command words,
+    at least one; ValueError otherwise."""
 
     command: tuple
+
+    def __post_init__(self):
+        if not self.command:
+            raise ValueError("a solver adapter needs a command")
 
 
 @dataclass
@@ -342,8 +347,6 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
 def _command_list(adapter: SolverAdapter):
     if adapter is None:
         raise AdapterUnavailable("no solver adapter configured")
-    if not adapter.command:
-        raise AdapterUnavailable("solver adapter has an empty command")
     return list(adapter.command)
 
 

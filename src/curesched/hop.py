@@ -45,6 +45,7 @@ from .errors import (
     AdapterFailure,
     AdapterUnavailable,
     Infeasible,
+    InfeasibleAssignment,
     NoFeasiblePlacement,
     SolutionParseError,
     UnproduciblePair,
@@ -124,8 +125,9 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     counts.  A `witnessed` horizon the climb reaches is optimal; when
     children refuted the rungs below, one more checks it, and only its
     "infeasible" or a shorter schedule counts.  A missing or failing
-    adapter, or a malformed solution, ends a `witnessed` climb at "limit",
-    its incumbent standing; without a witness the fault propagates."""
+    adapter, or a malformed solution or one that breaks the model's rows,
+    ends a `witnessed` climb at "limit", its incumbent standing; without a
+    witness the fault propagates."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
@@ -159,7 +161,8 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
             break
         try:
             sub = solve_with_adapter(model, cfg.adapter, remaining)
-        except (AdapterUnavailable, AdapterFailure, SolutionParseError):
+        except (AdapterUnavailable, AdapterFailure, SolutionParseError,
+                InfeasibleAssignment):
             if not witnessed:
                 raise
             return _Answer("limit", nodes=nodes)

@@ -1,19 +1,11 @@
 """The linear model on both sides of an LP file, and its text formats.
 
 `Constraint` and `Variable` are the rows and columns `milp.build_model`
-builds and `parse_lp` reads back.  The emitter helpers write the sectioned
-layout (Minimize / Subject To / Bounds / Generals / Binaries / End) with
-backslash comment lines, folding long rows at a fixed width.  The parser
-reads that dialect back (plus =< and =>, and Min / Minimum / Minimise
-headers).  A Bounds line is one of `lo <= x <= hi`, `x <= v`, `x >= v`,
-`x = v`, `v <= x`, `v >= x` and `x free`, where a value is a number or
-`inf` / `infinity` signed to leave its side open.  A Maximize section, any
-other Bounds line or value, and a nonzero bare constant on the left of a
-row or in the objective raise ValueError rather than being solved as some
-other model.  `format_solution` and `parse_solution` write and read
-solution files: `name value` lines plus an `objective <v>` line, and
-`EXIT_INFEASIBLE` and `TIME_LIMIT_ENV` are the rest of the contract between
-the solver adapter and a solver command.
+builds; `term_units` and `fold` help `milp.emit_lp` lay them out, and
+`parse_lp` reads back exactly what it writes, raising ValueError naming
+the line of anything else.  `format_solution` and `parse_solution` write
+and read solution files; with `EXIT_INFEASIBLE` and `TIME_LIMIT_ENV` they
+are the contract between the solver adapter and a solver command.
 """
 
 import math
@@ -32,32 +24,8 @@ _CONT_INDENT = "   "
 
 _NUM_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
-_INFINITY = ("inf", "infinity")
-
-_MAXIMIZE = frozenset(("maximize", "maximise", "maximum"))
-
-_SECTION_STARTS = {
-    "minimize": "objective",
-    "minimise": "objective",
-    "minimum": "objective",
-    "min": "objective",
-    "subject to": "rows",
-    "such that": "rows",
-    "st": "rows",
-    "s.t.": "rows",
-    "bounds": "bounds",
-    "bound": "bounds",
-    "generals": "generals",
-    "general": "generals",
-    "gen": "generals",
-    "integers": "generals",
-    "integer": "generals",
-    "binaries": "binaries",
-    "binary": "binaries",
-    "bin": "binaries",
-    "end": "end",
-}
+_HEADERS = ("Minimize", "Subject To", "Bounds", "Generals", "Binaries", "End")
+_SENSES = ("<=", ">=", "=")
 
 
 @dataclass(frozen=True)
@@ -130,163 +98,124 @@ def _as_number(tok: str):
     return int(val) if val == int(val) else val
 
 
-def _is_var(tok: str) -> bool:
-    return bool(_NAME_RE.match(tok)) and tok.lower() not in _INFINITY
+def _entries(text):
+    """{header: [(line number, tokens), ...]}: one item per entry, which
+    starts on a line indented by one space and continues on lines indented
+    by `fold`'s indent.  Lines that start with a backslash are comments."""
+    sections = {}
+    order = iter(_HEADERS)
+    header = None
+    no = 0
+    for no, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.startswith("\\"):
+            continue
+        if line in _HEADERS:
+            # `in` advances `order`: each header once, in the emitter's order
+            if line not in order:
+                raise ValueError(f"line {no}: {line} is out of order")
+            if line != "Minimize" and not sections.get("Minimize"):
+                raise ValueError(f"line {no}: {line} before the objective")
+            header = line
+            sections[header] = []
+        elif not line.startswith(" "):
+            raise ValueError(f"line {no}: {line!r} is not a section header")
+        elif header is None:
+            raise ValueError(f"line {no}: text before the first header")
+        elif header == "End":
+            raise ValueError(f"line {no}: text after End")
+        elif not line.startswith(_CONT_INDENT):
+            if header == "Minimize" and sections[header]:
+                raise ValueError(f"line {no}: a second objective entry")
+            sections[header].append((no, line.split()))
+        elif sections[header]:
+            sections[header][-1][1].extend(line.split())
+        else:
+            raise ValueError(f"line {no}: an indented line with no entry")
+    if header != "End":
+        raise ValueError(f"line {no}: the text ends before its End line")
+    return sections
 
 
-def _bound_value(tok: str, upper: bool, where: str):
-    """A Bounds value: a number, or None for the infinity that leaves its
-    side open (+inf above, -inf below)."""
-    num = _as_number(tok)
-    if num is not None:
-        return num
-    sign, mag = (tok[0], tok[1:]) if tok[0] in "+-" else ("+", tok)
-    if mag.lower() in _INFINITY and (sign == "+") == upper:
-        return None
-    raise ValueError(f"{where} has a bad bound value {tok!r}")
+def _named(no, tokens, what):
+    """(name, rest) of an entry that starts `name:`."""
+    if not (tokens[0].endswith(":") and _NAME_RE.match(tokens[0][:-1])):
+        raise ValueError(f"line {no}: {what} does not start with name:")
+    return tokens[0][:-1], tokens[1:]
 
 
 def _parse_terms(tokens, where):
-    """Linear expression tokens -> [(coef, var)].  A bare 0 (how an empty
-    expression is written) is dropped; any other bare constant raises
-    ValueError naming `where`, since dropping it would change the model."""
-    terms = []
-    sign = 1
-    pending = None
-    for tok in [*tokens, "+"]:
+    """Expression tokens as `term_units` writes them -> [(coef, var)]: a
+    term is an optional coefficient and a name, with `+` or `-` before
+    every term but a first positive one; `0` alone is the empty
+    expression.  Anything else raises ValueError naming `where`."""
+    if tokens == ["0"]:
+        return []
+    if not tokens:
+        raise ValueError(f"{where} has no expression")
+    units = []
+    for tok in tokens if tokens[0] == "-" else ["+", *tokens]:
         if tok in ("+", "-"):
-            if pending:
-                raise ValueError(f"{where} has a bare constant {pending} "
-                                 "on its left side")
-            sign, pending = (1 if tok == "+" else -1), None
-            continue
-        num = _as_number(tok)
-        if num is not None:
-            pending = num if pending is None else pending * num
-            continue
-        if _NAME_RE.match(tok):
-            coef = sign * (1 if pending is None else pending)
-            terms.append((coef, tok))
-            sign, pending = 1, None
+            units.append([tok])
+        else:
+            units[-1].append(tok)
+    terms = []
+    for sign, *body in units:
+        coef = _as_number(body[0]) if len(body) == 2 else 1
+        if not body or len(body) > 2 or coef is None or not _NAME_RE.match(
+                body[-1]):
+            raise ValueError(f"{where} cannot read the term "
+                             f"{' '.join(body) or sign!r}")
+        terms.append((coef if sign == "+" else -coef, body[-1]))
     return terms
 
 
-def _split_rows(tokens):
-    """Group a token stream into (name, body-tokens) rows at name: markers."""
-    rows = []
-    name = None
-    body = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        marker = None
-        if tok.endswith(":") and len(tok) > 1:
-            marker = tok[:-1]
-        elif tok == ":" and body and _NAME_RE.match(body[-1]):
-            marker = body.pop()
-        if marker is not None:
-            if name is not None or body:
-                rows.append((name, body))
-            name, body = marker, []
-        else:
-            body.append(tok)
-        i += 1
-    if name is not None or body:
-        rows.append((name, body))
-    return rows
-
-
-def _tokenize(lines):
-    out = []
-    for line in lines:
-        out.extend(line.replace("=<", "<=").replace("=>", ">=")
-                   .replace("<=", " <= ").replace(">=", " >= ").split())
-    return out
-
-
 def parse_lp(text: str) -> ParsedLp:
-    """Parse LP text produced by this module (and close dialects)."""
-    sections = {"objective": [], "rows": [], "bounds": [], "generals": [],
-                "binaries": []}
-    current = None
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        key = line.strip().lower()
-        if key in _MAXIMIZE:
-            raise ValueError("maximization is not supported")
-        if key in _SECTION_STARTS:
-            current = _SECTION_STARTS[key]
-            if current == "end":
-                break
-            continue
-        if current and current != "end":
-            sections[current].append(line)
-
-    obj_tokens = _tokenize(sections["objective"])
-    obj_rows = _split_rows(obj_tokens)
-    objective = _parse_terms(obj_rows[0][1], "the objective") if obj_rows else []
+    """The model in LP text as `milp.emit_lp` writes it."""
+    sections = _entries(text)
+    ((no, tokens),) = sections["Minimize"]
+    _, body = _named(no, tokens, "the objective")
+    objective = _parse_terms(body, f"line {no}: the objective")
 
     constraints = []
-    for name, body in _split_rows(_tokenize(sections["rows"])):
-        sense_idx = next(
-            (i for i, tok in enumerate(body) if tok in ("<=", ">=", "=")), None
-        )
-        if sense_idx is None:
-            raise ValueError(f"constraint {name!r} has no comparison operator")
+    for no, tokens in sections.get("Subject To", ()):
+        name, body = _named(no, tokens, "a row")
+        where = f"line {no}: constraint {name!r}"
+        k = next((i for i, tok in enumerate(body) if tok in _SENSES), None)
+        if k is None:
+            raise ValueError(f"{where} has no comparison operator")
         # one number and nothing more: a dropped token would change the model
-        rest = body[sense_idx + 1:]
-        rhs = _as_number(rest[0]) if len(rest) == 1 else None
+        rhs = _as_number(body[-1]) if len(body) == k + 2 else None
         if rhs is None:
-            raise ValueError(f"constraint {name!r} has a non-numeric right side")
-        constraints.append(
-            Constraint(
-                name=name or f"r{len(constraints)}",
-                tag="",
-                label="",
-                terms=tuple(_parse_terms(body[:sense_idx],
-                                         f"constraint {name!r}")),
-                sense=body[sense_idx],
-                rhs=rhs,
-            )
-        )
+            raise ValueError(f"{where} has a non-numeric right side")
+        constraints.append(Constraint(name, "", "",
+                                      tuple(_parse_terms(body[:k], where)),
+                                      body[k], rhs))
 
     bounds = {}
-    for line in sections["bounds"]:
-        toks = _tokenize([line])
-        where = f"bounds line {line.strip()!r}"
-        if len(toks) == 3 and toks[1] in _FLIP and not _is_var(toks[0]):
-            # constant first: `-5 <= x` is `x >= -5`
-            toks = [toks[2], _FLIP[toks[1]], toks[0]]
-        if len(toks) == 5 and toks[1] == toks[3] == "<=" and _is_var(toks[2]):
-            name = toks[2]
-            lo = _bound_value(toks[0], False, where)
-            hi = _bound_value(toks[4], True, where)
-        elif len(toks) == 3 and toks[1] in _FLIP and _is_var(toks[0]):
-            name = toks[0]
-            lo, hi = bounds.get(name, (0, None))
-            if toks[1] != ">=":
-                hi = _bound_value(toks[2], True, where)
-            if toks[1] != "<=":
-                lo = _bound_value(toks[2], False, where)
-        elif len(toks) == 2 and toks[1].lower() == "free" and _is_var(toks[0]):
-            name, lo, hi = toks[0], None, None
-        elif not any(_is_var(t) for t in toks):
-            raise ValueError(f"{where} names no variable")
-        else:
-            raise ValueError(f"{where} has a shape this parser does not read")
-        bounds[name] = (lo, hi)
+    for no, toks in sections.get("Bounds", ()):
+        where = f"line {no}: bounds line {' '.join(toks)!r}"
+        if len(toks) != 5 or not toks[1] == toks[3] == "<=" or (
+                not _NAME_RE.match(toks[2])):
+            raise ValueError(f"{where} is not the shape lo <= name <= hi")
+        lo, hi = _as_number(toks[0]), _as_number(toks[4])
+        if lo is None or hi is None:
+            bad = toks[0] if lo is None else toks[4]
+            raise ValueError(f"{where} has a bad bound value {bad!r}")
+        bounds[toks[2]] = (lo, hi)
 
-    generals = [t for t in _tokenize(sections["generals"]) if _NAME_RE.match(t)]
-    binaries = [t for t in _tokenize(sections["binaries"]) if _NAME_RE.match(t)]
+    listed = {"Generals": [], "Binaries": []}
+    for header, into in listed.items():
+        for no, toks in sections.get(header, ()):
+            if not all(map(_NAME_RE.match, toks)):
+                raise ValueError(f"line {no}: {header} lists a non-name")
+            into.extend(toks)
     # each name once, where it first appears
     names = dict.fromkeys(name for _, name in objective)
     for row in constraints:
         names.update(dict.fromkeys(name for _, name in row.terms))
-    for section in (bounds, generals, binaries):
+    for section in (bounds, *listed.values()):
         names.update(dict.fromkeys(section))
-    generals, binaries = set(generals), set(binaries)
+    generals, binaries = map(set, listed.values())
     variables = []
     for name in names:
         if name in binaries:

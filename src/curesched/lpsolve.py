@@ -1,16 +1,13 @@
-"""Bundled MILP solver command.
-
-Reads an LP file with `parse_lp`, solves the `to_arrays` of the model
-with HiGHS through scipy, and writes the solution file the solver adapter
-expects with `format_solution`:
+"""Bundled MILP solver command:
 
     python3 -m curesched.lpsolve model.lp out.sol
 
-Exit codes: 0 when solved to proven optimality, 10 when proven
-infeasible, anything else on failure.  The environment variable
-CURESCHED_LPSOLVE_TIME_LIMIT (seconds) caps the solve time; a value that
-is not a positive finite number is reported and ignored.  This is the
-only module that imports numpy or scipy.
+Reads a model file `emit_lp` wrote with `parse_lp`, solves it with HiGHS
+through scipy and writes the solution with `format_solution`.  Exit codes:
+0 solved to proven optimality, 10 proven infeasible, 1 on an unreadable
+model or a failed solve, 2 on a usage error.  CURESCHED_LPSOLVE_TIME_LIMIT
+(seconds) caps the solve; a value that is not a positive finite number is
+reported and ignored.  This is the only module that imports numpy or scipy.
 """
 
 import math

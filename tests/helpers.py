@@ -58,11 +58,13 @@ def toy2() -> Instance:
     )
 
 
-def garbage_solver(tmp_path) -> str:
-    """A solver command that exits 0 after writing a malformed solution."""
+def garbage_solver(tmp_path, solution="garbage") -> str:
+    """A solver command that exits 0 after writing `solution` as its
+    solution file, by default a malformed one."""
     script = tmp_path / "garbage_solver.py"
-    script.write_text("import sys\nopen(sys.argv[2], 'w').write('garbage')\n",
-                      encoding="utf-8")
+    script.write_text(
+        f"import sys\nopen(sys.argv[2], 'w').write({solution!r})\n",
+        encoding="utf-8")
     return shlex.join([sys.executable, str(script)])
 
 

@@ -37,6 +37,7 @@ from curesched.errors import (
     AdapterFailure,
     AdapterUnavailable,
     Infeasible,
+    InfeasibleAssignment,
     SolutionParseError,
 )
 from curesched.exact import (
@@ -704,15 +705,26 @@ def test_python_m_curesched_runs_the_cli_once(tmp_path):
     assert proc.stdout.splitlines() == [str(tmp_path / "S11.json")]
 
 
+def test_solver_adapter_needs_a_command():
+    """An empty command would end every adapter ladder at "limit"; it is
+    refused where the adapter is built."""
+    with pytest.raises(ValueError, match="needs a command"):
+        HopConfig(solver=SOLVER_ADAPTER, adapter=SolverAdapter(()))
+
+
 def test_malformed_solution_keeps_the_incumbent_in_hop_only(tmp_path,
                                                            oracle_declines):
-    cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
-                    adapter=SolverAdapter(
-                        command=tuple(shlex.split(garbage_solver(tmp_path)))))
-    report, schedule = run_hop(toy1(), cfg)
-    assert (report.status, report.makespan, report.gap_percent) == (
-        "limit", 2, None)
-    assert validate_schedule(toy1(), schedule).ok
-    # the baseline has no incumbent to fall back on
-    with pytest.raises(SolutionParseError):
-        run_baseline_milp(toy1(), cfg)
+    """A solution that does not parse, or one that breaks the model's rows,
+    is an adapter fault: hop keeps its witness at the limit."""
+    for solution, fault in (("garbage", SolutionParseError),
+                            ("objective 0\n", InfeasibleAssignment)):
+        command = shlex.split(garbage_solver(tmp_path, solution))
+        cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
+                        adapter=SolverAdapter(command=tuple(command)))
+        report, schedule = run_hop(toy1(), cfg)
+        assert (report.status, report.makespan, report.gap_percent) == (
+            "limit", 2, None)
+        assert validate_schedule(toy1(), schedule).ok
+        # the baseline has no incumbent to fall back on
+        with pytest.raises(fault):
+            run_baseline_milp(toy1(), cfg)

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import shlex
 import sys
 import time
@@ -599,7 +600,17 @@ def cli_main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # flushed here, so a closed pipe fails inside this try; with no
+        # stdout at all (fd 1 closed) print is a no-op and so is this
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; stdout goes to devnull so the interpreter's
+        # own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, CureschedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

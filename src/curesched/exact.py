@@ -108,19 +108,18 @@ class SolveReport:
 
 
 class _Frame:
-    """One depth-first search frame: a period's state, its makespan floor
-    once expanded, and the lazy stream of joint configurations not yet
-    branched on."""
+    """One expanded search node: a period's state that passed every check
+    where it was reached, its makespan floor, the lazy stream of joint
+    configurations not yet branched on, and `joint`, the one it is
+    branching on now (set as each is drawn)."""
 
-    __slots__ = ("period", "res", "residents", "joint_in", "floor", "gen")
+    __slots__ = ("period", "res", "floor", "gen", "joint")
 
-    def __init__(self, period, res, residents, joint_in):
+    def __init__(self, period, res, floor, gen):
         self.period = period
         self.res = res
-        self.residents = residents
-        self.joint_in = joint_in
-        self.floor = None
-        self.gen = None
+        self.floor = floor
+        self.gen = gen
 
 
 def _heater_table(inst, parts_mode):
@@ -208,15 +207,6 @@ def _iter_joint_configs(inst, plans, table, residents, res):
     yield from rec(0, {}, [])
 
 
-def _path_schedule(inst, path) -> Schedule:
-    """Turn a per-period config history into merged assignment tuples."""
-    periods = {k: [] for k in inst.heaters}
-    for joint in path:
-        for k, pair, _, cap in joint:
-            periods[k].append((pair, cap))
-    return schedule_from_periods(inst, periods)
-
-
 def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
                 incumbent_makespan: int = None, floor: int = 0,
                 time_limit_seconds: float = TIME_LIMIT_SECONDS) -> SolveReport:
@@ -230,14 +220,17 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     schedules, and exhausting the tree without finding one proves the
     incumbent optimal (reported with schedule None).
 
-    A frame's floor, `period - 1 + residual_bound(res, rate)` raised to
-    `floor`, is checked when the frame is first touched and again each time
-    the search comes back to it; once `best` has fallen to the floor, the
-    frame's remaining joint configurations are dropped unread.  That is exact:
-    `mold_rate` bounds one period's production of each mold, so a child's
-    floor is never below its parent's and no child could beat `best`: the
-    children dropped here would each be pruned on touch, before the memo or
-    the node count sees them.  Under a limit the search only gets further.
+    A state is checked once, where it is reached: against the clock, for
+    met demand, against its floor, `period - 1 + residual_bound(res, rate)`
+    raised to `floor`, and the horizon, then against the memo and the node
+    cap.  Only a state that passes them all becomes a frame, an expanded
+    node.  A frame's floor is checked again each time the search comes back
+    to it; once `best` has fallen to the floor, the frame's remaining joint
+    configurations are dropped unread.  That is exact: `mold_rate` bounds
+    one period's production of each mold, so a child's floor is never below
+    its parent's and no child could beat `best`: the children dropped here
+    would each fail their floor check, before the memo or the node count
+    sees them.  Under a limit the search only gets further.
 
     A `floor` above 0 makes any makespan up to it good enough: the search
     stops at its first schedule within it, which is reported "optimal" only
@@ -245,7 +238,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     """
     if parts_mode not in PARTS_MODES:
         raise ValueError(f"unknown parts mode {parts_mode!r}")
-    if time_limit_seconds <= 0:
+    if not time_limit_seconds > 0:
         raise ValueError("time_limit_seconds must be positive")
     if thb < 0:
         raise ValueError("thb must be non-negative")
@@ -273,56 +266,51 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     # explicit stack, children pulled lazily: horizons never overflow the
     # interpreter and huge plants never materialize a config cross product
     hit_limit = False
-    stack = [_Frame(1, residual0, residents0, None)]
-    while stack:
-        fr = stack[-1]
-        if fr.gen is None:
-            # clock check per frame touch, not just per counted node, so a
-            # long run of pruned children cannot overshoot the deadline
-            if time.perf_counter() > deadline:
-                hit_limit = True
-                break
-            res, residents, period = fr.res, fr.residents, fr.period
-            if all(res[i] <= 0 for i in demanded):
-                span = period - 1
-                if span < best:
-                    best = span
-                    best_path = [f.joint_in for f in stack[1:]]
-                stack.pop()
-                continue
-            bound = period - 1 + residual_bound(res, rate)
-            if max(bound, floor) >= best or bound > thb:
-                stack.pop()
-                continue
+    stack = []
+    period, res, residents = 1, residual0, residents0
+    while True:
+        # clock check per state reached, not just per counted node, so a
+        # long run of pruned children cannot overshoot the deadline
+        if time.perf_counter() > deadline:
+            hit_limit = True
+            break
+        bound = period - 1 + residual_bound(res, rate)
+        if bound == period - 1:
+            # no demand left
+            if bound < best:
+                best = bound
+                best_path = [f.joint for f in stack]
+        elif max(bound, floor) < best and bound <= thb:
             key = (tuple(res[i] for i in demanded), residents)
             seen = memo.get(key)
-            if seen is not None and seen <= period:
-                stack.pop()
-                continue
-            memo[key] = period
-            nodes += 1
-            if nodes > _MAX_NODES:
-                hit_limit = True
-                break
-            fr.floor = max(bound, floor)
-            fr.gen = _iter_joint_configs(inst, plans, table, residents, res)
-        elif fr.floor >= best:
-            # every child would be pruned on touch: drop the rest unread
+            if seen is None or seen > period:
+                memo[key] = period
+                nodes += 1
+                if nodes > _MAX_NODES:
+                    hit_limit = True
+                    break
+                stack.append(_Frame(
+                    period, res, max(bound, floor),
+                    _iter_joint_configs(inst, plans, table, residents, res)))
+        # the deepest frame that may still beat best draws its next child;
+        # one whose floor has reached best drops the rest unread
+        while stack:
+            fr = stack[-1]
+            if fr.floor < best:
+                fr.joint = next(fr.gen, None)
+                if fr.joint is not None:
+                    break
             stack.pop()
-            continue
-        joint = next(fr.gen, None)
-        if joint is None:
-            stack.pop()
-            continue
+        if not stack:
+            break
         produced, new_residents = {}, []
-        for _, _, molds, cap in joint:
+        for _, _, molds, cap in fr.joint:
             new_residents.append(molds)
             for m, c in molds:
                 produced[m] = produced.get(m, 0) + cap * c
-        new_res = {i: max(0, fr.res[i] - produced.get(i, 0))
-                   for i in demanded}
-        stack.append(_Frame(fr.period + 1, new_res, tuple(new_residents),
-                            joint))
+        period = fr.period + 1
+        res = {i: max(0, fr.res[i] - produced.get(i, 0)) for i in demanded}
+        residents = tuple(new_residents)
     wall = time.perf_counter() - start_clock
 
     makespan = gap = schedule = None
@@ -331,7 +319,11 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     else:
         makespan = int(best)
         if best_path is not None:
-            schedule = _path_schedule(inst, best_path)
+            periods = {k: [] for k in inst.heaters}
+            for joint in best_path:
+                for k, pair, _, cap in joint:
+                    periods[k].append((pair, cap))
+            schedule = schedule_from_periods(inst, periods)
         # a search that stopped at the floor proved nothing more
         if (not hit_limit and best > floor) or root_lb >= best:
             status, gap = "optimal", 0.0
@@ -344,12 +336,6 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
 # ── external solver bridge ───────────────────────────────────────────
 
 
-def _command_list(adapter: SolverAdapter):
-    if adapter is None:
-        raise AdapterUnavailable("no solver adapter configured")
-    return list(adapter.command)
-
-
 def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
                        time_limit_seconds: float = None) -> SolveReport:
     """Solve a built model through an external solver command, stopping it
@@ -360,7 +346,9 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
     solution file, and lets InfeasibleAssignment from schedule decoding
     propagate.  A wall-clock timeout comes back as status "limit".
     """
-    command = _command_list(adapter)
+    if adapter is None:
+        raise AdapterUnavailable("no solver adapter configured")
+    command = list(adapter.command)
     stats = model_stats(m)
     start_clock = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="curesched-") as workdir:

@@ -96,7 +96,7 @@ class HopConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver choice {self.solver!r}")
-        if self.time_limit_seconds <= 0:
+        if not self.time_limit_seconds > 0:
             raise ValueError("time_limit_seconds must be positive")
         if self.parts_mode not in PARTS_MODES:
             raise ValueError(f"unknown parts mode {self.parts_mode!r}")

@@ -8,6 +8,8 @@ Frozen oracle values reused from the fixture instances:
 """
 
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -758,6 +760,10 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
     unknown_mode = tmp_path / "unknown-mode.json"
     unknown_mode.write_text(json.dumps(
         {"instances": [str(p1)], "modes": ["banana"]}), encoding="utf-8")
+    nan_limit = tmp_path / "nan-limit.json"
+    nan_limit.write_text(json.dumps(
+        {"instances": [str(p1)], "modes": ["exact"],
+         "time_limit": float("nan")}), encoding="utf-8")
     cases = [
         [],
         ["frobnicate"],
@@ -767,6 +773,8 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
          "--iterations", "-1"],
         ["solve", "--instance", str(p1), "--mode", "heuristic",
          "--time-limit", "-5"],
+        ["solve", "--instance", str(p1), "--mode", "heuristic",
+         "--time-limit", "nan"],
         ["solve", "--instance", str(tmp_path / "missing.json"), "--mode", "hop"],
         ["solve", "--instance", str(bad), "--mode", "hop"],
         ["bench", "--suite", str(tmp_path / "missing-suite.json"),
@@ -775,12 +783,50 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
         ["generate", "--scenario", "small", "--count", "0", "--seed", "1",
          "--out-dir", str(tmp_path / "gen")],
         ["bench", "--suite", str(unknown_mode), "--out", str(tmp_path / "o.csv")],
+        ["bench", "--suite", str(nan_limit), "--out", str(tmp_path / "o.csv")],
         ["solve", "--instance", str(p1), "--mode", "milp",
          "--solver-cmd", garbage_solver(tmp_path)],
     ]
     for args in cases:
         assert cli_main(args) == 2, args
         capsys.readouterr()
+
+
+def run_cli_child(tmp_path, args, **kwargs):
+    """`python -m curesched args` in `tmp_path`, beside the saved toys."""
+    save_toys(tmp_path)
+    src = str(Path(curesched.bench.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "curesched"] + args,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          **kwargs)
+
+
+CHILD_ARGS = [
+    ["validate", "--instance", "toy1.json"],
+    ["solve", "--instance", "toy1.json", "--mode", "heuristic"],
+]
+
+
+@pytest.mark.parametrize("args", CHILD_ARGS)
+def test_cli_closed_stdout_exits_1_quietly(tmp_path, args):
+    """A reader that has gone before any output is no traceback: the
+    command exits 1 and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_child(tmp_path, args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("args", CHILD_ARGS)
+def test_cli_without_stdout_runs_quietly(tmp_path, args):
+    """With fd 1 closed there is no stdout to fail: the command runs as
+    usual and writes nothing to stderr."""
+    proc = run_cli_child(tmp_path, args, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_solve_milp_failing_solver_is_a_fault(tmp_path, capsys,

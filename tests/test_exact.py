@@ -10,6 +10,7 @@ Frozen oracle values:
 """
 
 import hashlib
+import math
 import random
 import sys
 from dataclasses import replace
@@ -170,6 +171,8 @@ def test_exact_node_limit_with_incumbent(monkeypatch):
 def test_exact_rejects_a_non_positive_time_limit():
     with pytest.raises(ValueError):
         solve_exact(toy1(), 2, time_limit_seconds=0)
+    with pytest.raises(ValueError):
+        solve_exact(toy1(), 2, time_limit_seconds=math.nan)
 
 
 def test_exact_proves_incumbent_optimal():
@@ -261,6 +264,26 @@ def test_exact_stops_at_its_proof(monkeypatch):
     assert (report.status, report.makespan, report.nodes) == ("optimal", 2, 4)
     assert validate_schedule(inst, report.schedule).ok
     assert draws < 5000
+
+
+def test_exact_builds_one_frame_per_counted_node(monkeypatch):
+    # a state is checked where it is reached, so only the nodes the search
+    # counts become frames (checking each frame on first touch built 1,349)
+    frames = 0
+
+    class Counted(curesched.exact._Frame):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            nonlocal frames
+            frames += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(curesched.exact, "_Frame", Counted)
+    report = solve_exact(generate_instance(SCENARIOS["small"], 1), 4,
+                         incumbent_makespan=4)
+    assert (report.status, report.makespan, report.nodes) == ("optimal", 2, 4)
+    assert frames == report.nodes
 
 
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])

@@ -9,6 +9,7 @@ Frozen oracle values:
 """
 
 import inspect
+import math
 import os
 import shlex
 import subprocess
@@ -88,6 +89,8 @@ def zero_demand():
 def test_config_validation():
     with pytest.raises(ValueError):
         HopConfig(time_limit_seconds=0)
+    with pytest.raises(ValueError):
+        HopConfig(time_limit_seconds=math.nan)
     with pytest.raises(ValueError):
         HopConfig(solver="telepathy")
     with pytest.raises(ValueError):

@@ -474,9 +474,10 @@ def test_run_heuristic_plant_schedules_frozen(size, seed, mode):
     assert digest == PLANT_DIGESTS[(size, seed, mode)]
 
 
-# sha256 over repr(_tuple_rows(...)) of every instance in turn, 20 starts,
-# seed 1, earliest-finish placement; tiny 1000-1199 holds 32 instances with initial residents and 58
-# with a part
+# sha256 over repr(_tuple_rows(...)) of every instance in turn, seed 1,
+# earliest-finish placement; tiny 1000-1199 and small 1-15 at 20 starts, the
+# plants (medium 1-10, then large 1-5) at 100 as `heuristic-plant` runs them;
+# tiny 1000-1199 holds 32 instances with initial residents and 58 with a part
 CORPUS_DIGESTS = {
     ("tiny", PARTS_PER_HEATER):
         "4114e1f955fc6a0b0731c14a5a3905a7a35af46de28880aadf2297afcdcee38c",
@@ -486,21 +487,31 @@ CORPUS_DIGESTS = {
         "2a5b45d48e868fe3ea3175ae1673ef80d3170c07adc45694bfff3f9074c0ec91",
     ("small", PARTS_GLOBAL):
         "cada6d98c2fd8c5105ca3033902dc8482e2e2f8f3db4e4b70cc76be065361555",
+    ("plants", PARTS_PER_HEATER):
+        "3cb48fde4b5e31fd2aec61f3e4d84b2a1d1c4148743180bf2c914a98539423db",
+    ("plants", PARTS_GLOBAL):
+        "7c2e6a22c716e52d591fef39e52080cee713a881e60ee327ea464f0deda79755",
 }
+_CORPUS_STARTS = {"tiny": 20, "small": 20, "plants": 100}
 
 
 def _corpus(name):
     if name == "tiny":
         return [tiny_instance(seed) for seed in range(1000, 1200)]
+    if name == "plants":
+        return [generate_instance(SCENARIOS[size], seed)
+                for size, count in (("medium", 10), ("large", 5))
+                for seed in range(1, count + 1)]
     return [generate_instance(SCENARIOS["small"], seed) for seed in range(1, 16)]
 
 
 @pytest.mark.parametrize("corpus,mode", sorted(CORPUS_DIGESTS))
 def test_run_heuristic_corpus_schedules_frozen(corpus, mode):
+    cfg = HeuristicConfig(total_iterations=_CORPUS_STARTS[corpus], seed=1,
+                          parts_mode=mode)
     digest = hashlib.sha256()
     for inst in _corpus(corpus):
-        sched = run_heuristic(
-            inst, HeuristicConfig(total_iterations=20, seed=1, parts_mode=mode))
+        sched = run_heuristic(inst, cfg)
         digest.update(repr(_tuple_rows(sched)).encode())
     assert digest.hexdigest() == CORPUS_DIGESTS[(corpus, mode)]
 

@@ -8,9 +8,15 @@ per-iteration seeds and keeps the best schedule, so results are
 reproducible for a given seed; it stops early once that schedule meets the
 root lower bound, which no start can beat. A later start that its
 improvement step could not change stops placing as soon as it cannot beat
-the best so far. A start whose tuples cannot all be placed is skipped. The
-safe horizon's serial schedule competes too, and wins only when strictly
-shorter than every start.
+the best so far: once a tuple ends there, or once a work bound shows that
+what is left cannot end in time. The cut is exact: a tuple takes at least
+ceil(q / r) periods on any heater, r its pair's best full-period rate (a
+plan's first period holds no more than a full one), and a start that wins
+fits all its pending tuples in the heater time and the mold copies left
+before the best makespan. A start whose tuples cannot all be placed is
+skipped.
+The safe horizon's serial schedule competes too, and wins only when
+strictly shorter than every start.
 """
 
 import math
@@ -36,6 +42,7 @@ from .domain import (
     pair_slots,
     produced_by_mold,
     schedule_makespan,
+    slot_rate,
     uncovered_molds,
     validate_schedule,
 )
@@ -99,6 +106,11 @@ class _Context:
     plans       : the run's `PlanMemo`: each changeover (what a heater
                   holds, the pair, whether an idle gap comes first) is
                   planned once, whichever start or round meets it
+    rate        : (m1, m2) -> the pair's best full-period rate over its
+                  heaters, `slot_rate` at the slot's slowest cure time
+    heater_sets : the distinct `heaters_for` lists, as tuples
+    set_of      : (m1, m2) -> index of its heaters in `heater_sets`
+    sets_with   : heater -> indices of the `heater_sets` holding it
     """
 
     pool: list
@@ -107,14 +119,23 @@ class _Context:
     part_need: dict
     initial: dict
     plans: PlanMemo
+    rate: dict
+    heater_sets: list
+    set_of: dict
+    sets_with: dict
 
 
 def _context(inst: Instance) -> _Context:
-    heaters_for, counts, part_need = {}, {}, {}
+    heaters_for, counts, part_need, rate = {}, {}, {}, {}
     for s in pair_slots(inst):
         pair = (s.m1, s.m2)
         heaters_for.setdefault(pair, []).append(s.heater)
         counts[pair], part_need[pair] = s.counts, s.usage
+        # a cure time of 0 is validate_instance's to report, not a crash here
+        r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
+        rate[pair] = max(rate.get(pair, 0), r)
+    heater_sets = sorted({tuple(hs) for hs in heaters_for.values()})
+    index = {hs: i for i, hs in enumerate(heater_sets)}
     return _Context(
         pool=[pair for pair in sorted(heaters_for)
               if fits_one_heater(inst, counts[pair])],
@@ -123,6 +144,11 @@ def _context(inst: Instance) -> _Context:
         part_need=part_need,
         initial={k: multiset(r) for k, r in initial_residents(inst).items()},
         plans=PlanMemo(inst),
+        rate=rate,
+        heater_sets=heater_sets,
+        set_of={pair: index[tuple(hs)] for pair, hs in heaters_for.items()},
+        sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
+                   for k in inst.heaters},
     )
 
 
@@ -209,8 +235,12 @@ def assignment_procedure(inst: Instance, tuples,
     Each mold, and each part in global mode, keeps a usage profile that
     answers one question: from which period on do one (or two) more units
     fit for good? A placement updates the profiles it uses over its own
-    periods, so a pair's earliest free period is the largest answer among
-    its molds and parts.
+    periods, so a pair can start at the largest answer among its molds and
+    parts, or later if none of its heaters is free by then. Each distinct
+    heater set (`ctx.heater_sets`) keeps its earliest free period, so the
+    scan reads one number per pair for its heaters; a placement refreshes
+    it only for the sets that hold its heater and whose minimum that
+    heater was, since availabilities only grow.
 
     A tuple's length is sized from the `ctx.plans` plan of its changeover;
     a pair that breaks a budget there waits one period more, so that the
@@ -218,15 +248,29 @@ def assignment_procedure(inst: Instance, tuples,
 
     With a `cutoff`, placing stops at the first tuple that ends at or after
     it, and the sentinel candidate comes back instead: the makespan is the
-    largest end, so the full placement could not have been shorter.
+    largest end, so the full placement could not have been shorter. It
+    also stops, before the first placement and after each one, once a work
+    bound shows that the pending tuples cannot all end by period
+    last = cutoff - 1. Each pending tuple takes at least L = ceil(q / r)
+    periods on any heater, r being its pair's best full-period rate
+    (`ctx.rate`; L = 1 for a pair with none): a plan's first period holds
+    no more than a full one, so `length_for(q) >= ceil(q / cap_int)`. So
+    the pending tuples' sum of L must fit in the heaters' periods left
+    before `last`, and for each mold, their sum of copies * L must fit in
+    copies * last, less what the mold's profile already holds before
+    `last`. Both are kept as spares, which a placement changes only for
+    the heater time and for its own molds. Without a cutoff none of this
+    runs.
     """
     ctx = ctx or _context(inst)
     heaters_for, counts, plans = ctx.heaters_for, ctx.counts, ctx.plans
+    heater_sets, set_of, sets_with = ctx.heater_sets, ctx.set_of, ctx.sets_with
     part_need = ctx.part_need if parts_mode == PARTS_GLOBAL else {}
 
     # pair -> its pending tuples with their rank in id order, the tie-break
+    order = sorted(tuples, key=lambda t: t.id)
     queues = {}
-    for rank, t in enumerate(sorted(tuples, key=lambda t: t.id)):
+    for rank, t in enumerate(order):
         if not heaters_for.get((t.m1, t.m2)):
             raise NoFeasiblePlacement(f"pair ({t.m1}, {t.m2}) fits no heater")
         queues.setdefault((t.m1, t.m2), deque()).append((rank, t))
@@ -240,22 +284,39 @@ def assignment_procedure(inst: Instance, tuples,
              for pair in queues}
     for pair, held in needs.items():
         held += [(part_use[p], u) for p, u in part_need.get(pair, {}).items()]
+    # heater set -> the earliest period one of its heaters is free
+    earliest = [0] * len(heater_sets)
     placed = []
+
+    bounded = cutoff != math.inf
+    if bounded:  # the work bound's spares, before any placement
+        last = cutoff - 1
+        least = []  # rank -> the fewest periods the tuple takes anywhere
+        for t in order:
+            r = ctx.rate[t.m1, t.m2]
+            least.append(ceil_div(t.q, r) if r > 0 else 1)
+        spare = len(avail) * max(last, 0) - sum(least)
+        mold_spare = {}
+        for t, n in zip(order, least):
+            for m, c in counts[t.m1, t.m2]:
+                mold_spare[m] = (mold_spare.get(m, mold_use[m].capacity * last)
+                                 - c * n)
+        if spare < 0 or min(mold_spare.values(), default=0) < 0:
+            return Schedule.empty_candidate()
 
     while queues:
         best_key = best_pair = None
         for pair, queue in queues.items():
-            free = 0
+            ready = earliest[set_of[pair]]
             for profile, n in needs[pair]:
-                if profile.clear[n] > free:
-                    free = profile.clear[n]
-            ready = max(min(map(avail_of, heaters_for[pair])), free)
+                if profile.clear[n] > ready:
+                    ready = profile.clear[n]
             key = (ready, queue[0][0])
             if best_key is None or key < best_key:
                 best_key, best_pair = key, pair
         ready = best_key[0]
         queue = queues[best_pair]
-        _rank, t = queue.popleft()
+        rank, t = queue.popleft()
         if not queue:
             del queues[best_pair]
 
@@ -283,10 +344,19 @@ def assignment_procedure(inst: Instance, tuples,
             return Schedule.empty_candidate()
         placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start,
                                       end - start))
-        avail[k] = end
+        was, avail[k] = avail[k], end
+        for i in sets_with[k]:
+            if earliest[i] == was:
+                earliest[i] = min(map(avail_of, heater_sets[i]))
         holds[k] = molds
         for profile, n in needs[best_pair]:
             profile.add(start, end, n)
+        if bounded:  # end <= last, so heater k lost end - was periods
+            spare -= end - was - least[rank]
+            for m, c in molds:
+                mold_spare[m] -= c * (end - start - least[rank])
+            if spare < 0 or any(mold_spare[m] < 0 for m, _c in molds):
+                return Schedule.empty_candidate()
 
     return Schedule(tuples=sorted(placed, key=lambda t: t.id))
 
@@ -357,6 +427,23 @@ def _split(tuples) -> list:
     return split
 
 
+def _split_production(tuples) -> dict:
+    """`produced_by_mold(_split(tuples))`, without building the split: a
+    mixed pair's halves cure ceil(q/2) of its first mold and floor(q/2) of
+    its second; identical pairs and singles cure what they did."""
+    produced = {}
+    for t in tuples:
+        if t.m1 != EMPTY and t.m1 != t.m2:
+            q_hi = ceil_div(t.q, 2)
+            cured = ((t.m1, q_hi), (t.m2, t.q - q_hi))
+        else:
+            cured = ((t.m1, t.q), (t.m2, t.q))
+        for m, q in cured:
+            if m != EMPTY and q >= 1:
+                produced[m] = produced.get(m, 0) + q
+    return produced
+
+
 def improvement_procedure(inst: Instance, schedule: Schedule,
                           parts_mode: str = PARTS_PER_HEATER, *,
                           ctx=None) -> Schedule:
@@ -400,15 +487,20 @@ def _single_start(inst: Instance, seed: int, parts_mode: str,
     all be placed, or if it cannot end before `cutoff`.
 
     The cutoff is the run's best makespan so far. It applies only when the
-    improvement step's first split misses demand: that step then returns
-    the placement unchanged, so placing alone settles the start, and it
-    stops at the first tuple ending at or after the cutoff. A start whose
-    split covers demand is placed and improved in full, since improving
-    can shorten it.
+    improvement step's first split misses demand (`_split_production`):
+    that step then returns the placement unchanged, so placing alone
+    settles the start. Placing stops at the first tuple ending at or after
+    the cutoff, or sooner (before any placement or after one) once the
+    pending tuples' least work no longer fits in the heater time or in
+    some mold's copy-periods left before period cutoff - 1. That work is
+    ceil(q / r) periods per tuple at its pair's best full-period rate r,
+    which no heater beats, so a start the bound stops could not have ended
+    before the cutoff. A start whose split covers demand is placed and
+    improved in full, since improving can shorten it.
     """
     rng = random.Random(seed)
     tuples = mold_pairs_procedure(inst, rng, ctx=ctx)
-    settled = uncovered_molds(inst, produced_by_mold(_split(tuples)))
+    settled = uncovered_molds(inst, _split_production(tuples))
     try:
         if settled:
             return assignment_procedure(inst, tuples, parts_mode, ctx=ctx,

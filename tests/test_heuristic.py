@@ -451,6 +451,96 @@ def test_start_cutoff_is_exact(monkeypatch, mode):
     assert kinds[True] and kinds[False]
 
 
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_work_bound_cut_is_exact_where_it_fires(monkeypatch, mode):
+    """On every plant, a cutoff at the best makespan so far or at the
+    start's own gives the sentinel, having placed a prefix of what the
+    uncut run placed and no tuple past the first one ending at or after
+    the cutoff; the work bound stops some runs sooner, before their first
+    placement and after one. A cutoff above the makespan gives the uncut
+    rows."""
+    seen = []  # every tuple assignment_procedure places, in placement order
+
+    class Seen(AssignmentTuple):
+        def __post_init__(self):
+            super().__post_init__()
+            seen.append(self)
+
+    monkeypatch.setattr(curesched.heuristic, "AssignmentTuple", Seen)
+    fired = Counter()
+    for inst in _corpus("plants"):
+        ctx = curesched.heuristic._context(inst)
+        best = None  # the cutoff run_heuristic would pass: the best so far
+        for i in range(5):
+            tuples = mold_pairs_procedure(
+                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
+            seen.clear()
+            uncut = assignment_procedure(inst, tuples, mode, ctx=ctx)
+            order, makespan = list(seen), schedule_makespan(uncut)
+            for cutoff in {best, makespan, makespan + 1} - {None}:
+                seen.clear()
+                cut = assignment_procedure(inst, tuples, mode, ctx=ctx,
+                                           cutoff=cutoff)
+                if cutoff > makespan:
+                    assert _tuple_rows(cut) == _tuple_rows(uncut)
+                    continue
+                assert cut.sentinel
+                # placing stops at the latest at the first tuple ending at
+                # or after the cutoff, so the bound fired if fewer were placed
+                late = next(j for j, t in enumerate(order)
+                            if t.start + t.length >= cutoff)
+                assert seen == order[:len(seen)]
+                assert len(seen) <= late
+                if len(seen) < late:
+                    fired["after a placement" if seen else "at once"] += 1
+            best = makespan if best is None else min(best, makespan)
+    assert fired["at once"] and fired["after a placement"]
+
+
+def test_work_bound_premise_holds_for_every_slot_plan():
+    """Each pair's `_context` rate is its best `slot_rate` over its heaters,
+    and no plan `plan_slot` makes for the pair, from empty or initial
+    residents, with or without an idle gap, cures q in fewer than
+    ceil(q / rate) periods."""
+    instances = ([tiny_instance(seed) for seed in range(1000, 1040)]
+                 + _corpus("plants"))
+    checked = 0
+    for inst in instances:
+        ctx = curesched.heuristic._context(inst)
+        rows = curesched.domain.pair_slots(inst)
+        best = Counter()
+        for s in rows:
+            best[s.m1, s.m2] = max(best[s.m1, s.m2],
+                                   curesched.domain.slot_rate(inst.period_dmin,
+                                                              s.max_tv))
+        assert ctx.rate == dict(best)
+        memo = curesched.domain.PlanMemo(inst)
+        for s in rows:
+            rate = best[s.m1, s.m2]
+            molds = curesched.domain.multiset(s.counts)
+            for residents in ((), ctx.initial[s.heater]):
+                for gap in (False, True):
+                    plan = memo[s.heater, residents, molds, gap]
+                    if plan is None:
+                        continue
+                    checked += 1
+                    for q in range(1, 2 * rate + 2):
+                        assert plan.length_for(q) >= -(-q // rate), (
+                            inst.name, s, residents, gap, q)
+    assert checked
+
+
+def test_split_production_is_the_split_lists_production():
+    instances = [tiny_instance(seed) for seed in range(1000, 1200)]
+    for inst in instances + _corpus("plants"):
+        ctx = curesched.heuristic._context(inst)
+        for i in range(20):
+            tuples = mold_pairs_procedure(
+                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
+            assert curesched.heuristic._split_production(tuples) \
+                == produced_by_mold(curesched.heuristic._split(tuples))
+
+
 # sha256 of repr(_tuple_rows(...)) at 20 starts, seed 1, earliest-finish
 # placement
 PLANT_DIGESTS = {

@@ -24,8 +24,9 @@ per-run `PlanMemo`:
 
 Beside it, `pair_slots` is the single derivation of what each allowed mold
 pair can do on each heater (its mold counts, part usage and slowest cure
-time); the heuristic, the exact search and the model builder all read that
-one table.
+time).  It is built on first use, kept on the instance and returned as a
+tuple, so the heuristic, the exact search and the model builder of one
+solve all read that one table.
 """
 
 import math
@@ -70,6 +71,10 @@ class Instance:
     unordered mold pairs allowed to share a heater, (m, m) meaning two copies
     of m may run together. `init` maps (mold, heater) to copies already
     mounted before the first period.
+
+    The pair table (`pair_slots`) is not built here: the first call builds
+    it and keeps it on the instance, so loading or generating an instance
+    never pays for it.
     """
 
     def __init__(self, name, period_dmin, molds, heaters, curing,
@@ -97,6 +102,7 @@ class Instance:
             m.id: tuple(p.id for p in self.parts if m.id in p.molds)
             for m in self.molds
         }
+        self._pair_slots = None  # built by the first `pair_slots` call
 
     def __repr__(self):
         return (f"Instance({self.name!r}, molds={len(self.molds)}, "
@@ -107,13 +113,14 @@ class Instance:
         return sum(m.demand for m in self.molds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSlot:
     """One allowed mold pair on one heater that cures both its molds.
 
     m1 may be 0 (the empty slot); m1 <= m2. `counts` is the pair's mold
     multiset, `usage` the part units it ties down, `max_tv` the slowest
-    cure time on board, which sets the pair's per-period rate.
+    cure time on board, which sets the pair's per-period rate.  Rows live
+    as long as their instance, so they carry no per-row `__dict__`.
     """
 
     m1: MoldId
@@ -124,24 +131,40 @@ class PairSlot:
     max_tv: int
 
 
-def pair_slots(inst: Instance) -> list:
+def pair_slots(inst: Instance) -> tuple:
     """Every allowed (m1, m2, heater), singles included, as `PairSlot`s
-    sorted by (m1, m2, heater); deterministic and side-effect free.
+    sorted by (m1, m2, heater); deterministic.
+
+    The first call builds the table and keeps it on the instance; later
+    calls return that same tuple, so every stage of a solve reads one
+    table.  Each pair's `counts` and `usage` are worked out once and
+    shared by its rows on every heater, so no caller may change them.
 
     No rate is stored: an invalid instance may hold a cure time of 0, and
     `validate_instance` must still get to report it.
     """
-    keys = {(EMPTY, j, k) for (j, k) in inst.curing if k in inst.heaters}
-    keys.update((i, j, k) for (i, j) in inst.mold_compat for k in inst.heaters
-                if (i, k) in inst.curing and (j, k) in inst.curing)
-    slots = []
-    for i, j, k in sorted(keys):
+    if inst._pair_slots is None:
+        inst._pair_slots = tuple(_derive_pair_slots(inst))
+    return inst._pair_slots
+
+
+def _derive_pair_slots(inst: Instance):
+    """The `pair_slots` rows, pair by pair and each pair's heaters
+    ascending: a single (0, j) runs on every heater that cures j, an
+    allowed pair (i, j) on every heater that cures both."""
+    curing, heater_set = inst.curing, set(inst.heaters)
+    pairs = {(EMPTY, j) for (j, k) in curing if k in heater_set}
+    pairs.update(inst.mold_compat)
+    for i, j in sorted(pairs):
+        heaters = [k for k in inst.heaters if (j, k) in curing
+                   and (i == EMPTY or (i, k) in curing)]
+        if not heaters:
+            continue
         counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
-        slots.append(PairSlot(
-            m1=i, m2=j, heater=k, counts=counts,
-            usage=part_usage(inst, counts),
-            max_tv=max(inst.curing[(m, k)] for m in counts)))
-    return slots
+        usage = part_usage(inst, counts)
+        for k in heaters:
+            yield PairSlot(m1=i, m2=j, heater=k, counts=counts, usage=usage,
+                           max_tv=max(curing[(m, k)] for m in counts))
 
 
 # ── schedules ────────────────────────────────────────────────────────

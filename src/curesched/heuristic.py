@@ -15,8 +15,8 @@ plan's first period holds no more than a full one), and a start that wins
 fits all its pending tuples in the heater time and the mold copies left
 before the best makespan. A start whose tuples cannot all be placed is
 skipped.
-The safe horizon's serial schedule competes too, and wins only when
-strictly shorter than every start.
+The safe horizon's serial schedule competes too, when no start meets the
+root bound, and wins only when strictly shorter than every start.
 """
 
 import math
@@ -525,8 +525,10 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     The serial schedule behind the safe horizon (`horizon_witness`) is one
     more candidate. It replaces the best start only when strictly shorter,
     so the result is never longer than the witness, and start-derived
-    results stay as they were everywhere else. Raises NoFeasiblePlacement
-    only when every start fails and the witness does too.
+    results stay as they were everywhere else. It is built only when no
+    start meets the root bound, since it could not be shorter than one
+    that does. Raises NoFeasiblePlacement only when every start fails and
+    the witness does too.
     """
     config = config or HeuristicConfig()
     if inst.total_demand == 0:
@@ -542,9 +544,10 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
                               config.parts_mode, ctx, best_makespan)
         if schedule_makespan(sched) < best_makespan:
             best, best_makespan = sched, schedule_makespan(sched)
-    witness = horizon_witness(inst)
-    if schedule_makespan(witness) < best_makespan:
-        return witness
+    if best.sentinel or best_makespan > bound:
+        witness = horizon_witness(inst)
+        if schedule_makespan(witness) < best_makespan:
+            return witness
     if best.sentinel:
         raise NoFeasiblePlacement(
             f"no start placed every tuple in {config.total_iterations} tries "

@@ -13,11 +13,14 @@ import sys
 from itertools import product
 
 from curesched.domain import (
+    EMPTY,
     Instance,
     Mold,
+    PairSlot,
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
+    part_usage,
     transition_work,
 )
 
@@ -56,6 +59,23 @@ def toy2() -> Instance:
         parts=(Part(id=1, units=1, molds=frozenset({1, 2})),),
         init={},
     )
+
+
+def reference_pair_slots(inst: Instance) -> list:
+    """The pair table derived afresh, one (pair, heater) at a time, as the
+    uncached `pair_slots` once did: every allowed (m1, m2, heater), singles
+    included, sorted by (m1, m2, heater), each row with its own dicts."""
+    keys = {(EMPTY, j, k) for (j, k) in inst.curing if k in inst.heaters}
+    keys.update((i, j, k) for (i, j) in inst.mold_compat for k in inst.heaters
+                if (i, k) in inst.curing and (j, k) in inst.curing)
+    slots = []
+    for i, j, k in sorted(keys):
+        counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
+        slots.append(PairSlot(
+            m1=i, m2=j, heater=k, counts=counts,
+            usage=part_usage(inst, counts),
+            max_tv=max(inst.curing[(m, k)] for m in counts)))
+    return slots
 
 
 def garbage_solver(tmp_path, solution="garbage") -> str:

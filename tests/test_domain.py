@@ -36,7 +36,14 @@ from curesched.domain import (
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.milp import model_size
 
-from helpers import toy1, toy1_two_heaters, toy2, tiny_instance, variant
+from helpers import (
+    reference_pair_slots,
+    tiny_instance,
+    toy1,
+    toy1_two_heaters,
+    toy2,
+    variant,
+)
 
 
 # ── pair table ───────────────────────────────────────────────────────
@@ -104,6 +111,18 @@ def test_mixed_pair_needs_common_heater():
         molds=(inst.molds[0], Mold(id=2, copies=2, setup_dmin=600, removal_dmin=300, demand=0)),
     )
     assert _keys(pair_slots(inst)) == [(0, 1, 1), (1, 1, 1)]
+
+
+def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
+    insts = [toy1(), toy2()] + [tiny_instance(s) for s in range(1000, 1200)]
+    insts += [generate_instance(SCENARIOS[size], seed)
+              for size, count in (("small", 15), ("medium", 10), ("large", 5))
+              for seed in range(1, count + 1)]
+    for inst in insts + [c for inst in insts for c in components(inst)]:
+        table = pair_slots(inst)
+        assert type(table) is tuple, inst.name
+        assert pair_slots(inst) is table, inst.name
+        assert list(table) == reference_pair_slots(inst), inst.name
 
 
 # ── instance validation ──────────────────────────────────────────────

@@ -382,6 +382,31 @@ def test_run_heuristic_stops_at_the_root_bound(monkeypatch, inst, stops_early):
     assert taken == [iteration_seed(cfg.seed, i) for i in range(stop)]
 
 
+@pytest.mark.parametrize("inst,meets_bound", [
+    (generate_instance(SCENARIOS["small"], 2), True),
+    (generate_instance(SCENARIOS["small"], 11), False),
+    (tiny_instance(1001), True),
+    (tiny_instance(1021), False),
+], ids=lambda v: getattr(v, "name", None))
+def test_witness_is_built_only_when_no_start_meets_the_bound(
+        monkeypatch, inst, meets_bound):
+    # a one-period stand-in for the witness: shorter than any start, so it
+    # wins wherever it is still a candidate
+    short = Schedule([AssignmentTuple(1, 0, inst.mold_ids[0], 1,
+                                      heater=inst.heaters[0], start=0,
+                                      length=1)])
+    built = []
+
+    def witness(inst):
+        built.append(inst)
+        return short
+
+    monkeypatch.setattr(curesched.heuristic, "horizon_witness", witness)
+    sched = run_heuristic(inst, HeuristicConfig(total_iterations=20, seed=1))
+    assert len(built) == (0 if meets_bound else 1)
+    assert (sched is short) == (not meets_bound)
+
+
 def _tuple_rows(schedule):
     return [(t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length)
             for t in schedule.tuples]

@@ -22,6 +22,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import curesched
 
+import curesched.domain
 import curesched.hop
 import curesched.lpsolve
 
@@ -66,6 +67,7 @@ from curesched.milp import (
 
 from helpers import (
     garbage_solver,
+    reference_pair_slots,
     single_mold_big,
     tiny_instance,
     toy1,
@@ -497,6 +499,76 @@ def test_adapter_ladder_climbs_through_children_without_refutations(
     root bound to a solver child."""
     rungs, _ = _ladder_on_tiny_1021(monkeypatch)
     assert rungs == [2, 3, 4]
+
+
+# ── one pair table per instance ──────────────────────────────────────
+
+def _derivations(monkeypatch):
+    """The instances whose pair table gets derived, once per derivation."""
+    derived = []
+    real = curesched.domain._derive_pair_slots
+
+    def spy(inst):
+        derived.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(curesched.domain, "_derive_pair_slots", spy)
+    return derived
+
+
+@pytest.mark.parametrize("seed", (9, 11))
+def test_one_hop_derives_each_pair_table_once(monkeypatch, seed):
+    derived = _derivations(monkeypatch)
+    searched = []
+    real = curesched.hop.solve_exact
+
+    def spy(comp, *args, **kwargs):
+        searched.append(comp)
+        return real(comp, *args, **kwargs)
+
+    monkeypatch.setattr(curesched.hop, "solve_exact", spy)
+    inst = small(seed)
+    assert components(inst) and derived == []  # set-up derives nothing
+    run_hop(inst, HopConfig(heuristic=SMALL_HEURISTIC, time_limit_seconds=0.5))
+    assert searched
+    expected = [inst] + list({id(c): c for c in searched}.values())
+    assert sorted(map(id, derived)) == sorted(map(id, expected))
+
+
+def test_adapter_ladder_derives_its_component_table_once(monkeypatch,
+                                                       oracle_declines):
+    derived = _derivations(monkeypatch)
+    built = []
+    real = curesched.hop.build_model
+
+    def spy(comp, horizon, parts_mode):
+        built.append(comp)
+        return real(comp, horizon, parts_mode)
+
+    monkeypatch.setattr(curesched.hop, "build_model", spy)
+    rungs, _ = _ladder_on_tiny_1021(monkeypatch)
+    assert rungs == [2, 3, 4] and len(built) == 3
+    assert all(comp is built[0] for comp in built)
+    # the whole instance's table, then the one component's on its first rung
+    assert len(derived) == 2 and derived[1] is built[0]
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_solves_leave_the_shared_pair_table_as_derived(monkeypatch, mode):
+    derived = _derivations(monkeypatch)
+    insts = [tiny_instance(s) for s in range(1000, 1040)]
+    insts += [small(seed) for seed in range(1, 16)]
+    for inst in insts:
+        run_heuristic(inst, HeuristicConfig(total_iterations=20, seed=1,
+                                            parts_mode=mode))
+        run_hop(inst, HopConfig(heuristic=HeuristicConfig(
+            total_iterations=20, seed=1, parts_mode=mode),
+            time_limit_seconds=0.2, parts_mode=mode))
+        build_model(inst, 2, mode)
+    assert derived
+    for inst in list(derived):
+        assert list(curesched.domain.pair_slots(inst)) == (
+            reference_pair_slots(inst)), inst.name
 
 
 def _no_child(monkeypatch):

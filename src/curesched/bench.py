@@ -323,7 +323,8 @@ def _table_rows(rows, modes, record_time, average):
 
 def rows_to_csv(rows, modes, record_time=False, average=True) -> str:
     """CSV text for result rows; one line per (instance, mode), then one
-    arithmetic-mean line per mode.  Byte-stable unless times are recorded."""
+    arithmetic-mean line per mode.  Byte-stable unless times are recorded
+    or a row's time limit binds, where the result depends on machine speed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for line in _table_rows(rows, modes, record_time, average):
@@ -611,6 +612,7 @@ def cli_main(argv=None) -> int:
         # own flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, CureschedError) as exc:
+    except (ValueError, CureschedError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

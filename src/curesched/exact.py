@@ -126,31 +126,30 @@ def _heater_table(inst, parts_mode):
     """Per heater, its `pair_slots` rows as (pair, `multiset` of its molds,
     needs), built once per search.  needs lists (resource, units, limit):
     each mold's copies (the resource is the mold id), and in global mode
-    each part's units (the resource is ("part", part id)).  In
-    per-heater mode a pair that alone needs more units of a part than exist
-    is left out, and no other heater's use counts against it."""
+    each part's units (the resource is ("part", part id)).  In either mode a
+    row that alone needs more copies or part units than exist is left out."""
     shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
     for s in pair_slots(inst):
-        parts = [(("part", p), c, inst.part_by_id[p].units)
-                 for p, c in s.usage.items()]
-        if not shared and any(c > units for _, c, units in parts):
-            continue
         molds = multiset(s.counts)
         needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
+        parts = [(("part", p), c, inst.part_by_id[p].units)
+                 for p, c in s.usage.items()]
+        if any(c > limit for _, c, limit in needs + parts):
+            continue
         table[s.heater].append(
             ((s.m1, s.m2), molds, tuple(needs + parts if shared else needs)))
     return table
 
 
-def _heater_options(plans, k, pairs, residents, res, in_use):
-    """Per-period choices for heater `k`, which holds the `multiset`
-    `residents`: one of its `pairs` (a `_heater_table` row list) whose
-    needs fit beside `in_use`, the units other heaters hold this period, at
-    full capacity, or idling (residents leave, which must fit the period).
-    The search's `PlanMemo` `plans` decides both: a pair mounted right away
-    cures its plan's first-period capacity, and idling is the plan of an
-    empty heater after a gap.
+def _heater_options(plans, k, rows, residents, res):
+    """Per-period choices for heater `k` in one search state, where it
+    holds the `multiset` `residents` and `res` is left to cure: one of its
+    `rows` (a `_heater_table` row list) at full capacity, or idling
+    (residents leave, which must fit the period).  The search's `PlanMemo`
+    `plans` decides both: a pair mounted right away cures its plan's
+    first-period capacity, and idling is the plan of an empty heater after
+    a gap.
 
     Mounting a mold whose residual demand is already zero is skipped, since
     a single-mold slot dominates; pairs that merely keep such a mold
@@ -162,21 +161,17 @@ def _heater_options(plans, k, pairs, residents, res, in_use):
     if plans[k, residents, (), True] is not None:
         opts.append((0, None, (), (), 0))
     held = dict(residents)
-    for pair, molds, needs in pairs:
-        for r, c, limit in needs:
-            if in_use.get(r, 0) + c > limit:
+    for pair, molds, needs in rows:
+        # never mount a finished mold; keeping a resident one is fine
+        for m, c in molds:
+            if res.get(m, 0) <= 0 and c > held.get(m, 0):
                 break
         else:
-            # never mount a finished mold; keeping a resident one is fine
-            for m, c in molds:
-                if res.get(m, 0) <= 0 and c > held.get(m, 0):
-                    break
-            else:
-                plan = plans[k, residents, molds, False]
-                if plan is not None:
-                    cap = plan.cap_first
-                    useful = sum(min(res.get(m, 0), cap * c) for m, c in molds)
-                    opts.append((useful, pair, molds, needs, cap))
+            plan = plans[k, residents, molds, False]
+            if plan is not None:
+                cap = plan.cap_first
+                useful = sum(min(res.get(m, 0), cap * c) for m, c in molds)
+                opts.append((useful, pair, molds, needs, cap))
     opts.sort(key=lambda o: (-o[0], o[1] is None, o[1] or (0, 0)))
     return [o[1:] for o in opts]
 
@@ -184,25 +179,27 @@ def _heater_options(plans, k, pairs, residents, res, in_use):
 def _iter_joint_configs(inst, plans, table, residents, res):
     """Joint per-period configurations across heaters, yielded lazily in
     heater id order so huge plants never materialize the cross product;
-    `residents` holds each heater's `multiset` in that order."""
+    `residents` holds each heater's `multiset` in that order.  Options are
+    worked out per heater on the first draw; the walk skips one whose needs
+    do not fit beside `in_use`, what the heaters before it hold."""
     heaters = inst.heaters
+    options = [_heater_options(plans, k, table[k], held, res)
+               for k, held in zip(heaters, residents)]
 
     def rec(idx, in_use, acc):
         if idx == len(heaters):
             yield list(acc)
             return
-        k = heaters[idx]
-        options = _heater_options(plans, k, table[k], residents[idx], res,
-                                  in_use)
-        for pair, molds, needs, cap in options:
-            new_use = in_use
-            if needs:
-                new_use = dict(in_use)
-                for r, c, _ in needs:
-                    new_use[r] = new_use.get(r, 0) + c
-            acc.append((k, pair, molds, cap))
-            yield from rec(idx + 1, new_use, acc)
-            acc.pop()
+        for pair, molds, needs, cap in options[idx]:
+            new_use = dict(in_use)
+            for r, c, limit in needs:
+                new_use[r] = new_use.get(r, 0) + c
+                if new_use[r] > limit:
+                    break
+            else:
+                acc.append((heaters[idx], pair, molds, cap))
+                yield from rec(idx + 1, new_use, acc)
+                acc.pop()
 
     yield from rec(0, {}, [])
 

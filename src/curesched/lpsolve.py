@@ -81,13 +81,16 @@ def main(argv=None) -> int:
         print(f"cannot parse {lp_path}: {exc}", file=sys.stderr)
         return 1
 
+    c, a, con_lo, con_hi, lo, hi, integrality = to_arrays(parsed)
     if not parsed.variables:
-        # nothing to decide; a constant model is trivially optimal
+        # nothing to decide: each row reads 0 <sense> rhs, and the model is
+        # optimal at objective 0 exactly when every such row holds
+        if not (np.all(con_lo <= 0) and np.all(con_hi >= 0)):
+            print("proven infeasible", file=sys.stderr)
+            return EXIT_INFEASIBLE
         with open(sol_path, "w") as fh:
             fh.write(format_solution((), 0))
         return 0
-
-    c, a, con_lo, con_hi, lo, hi, integrality = to_arrays(parsed)
 
     options = {}
     raw_limit = os.environ.get(TIME_LIMIT_ENV)

@@ -792,6 +792,30 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--instance", "{toy1}", "--mode", "heuristic",
+     "--out", "{tmp}/missing/x.csv"],
+    ["solve", "--instance", "{toy1}", "--mode", "heuristic",
+     "--schedule-out", "{tmp}/missing/x.json"],
+    ["bench", "--suite", "{suite}", "--out", "{tmp}/missing/x.csv"],
+    ["generate", "--scenario", "small", "--count", "1", "--seed", "1",
+     "--out-dir", "{toy1}"],
+])
+def test_cli_unwritable_output_is_a_one_line_usage_error(tmp_path, capsys,
+                                                         args):
+    """An output path that cannot be written (a missing directory, or a
+    file where a directory should go) exits 2 with one `error:` line."""
+    p1, _ = save_toys(tmp_path)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [str(p1)],
+                                 "modes": ["heuristic"]}), encoding="utf-8")
+    args = [a.format(toy1=p1, tmp=tmp_path, suite=suite) for a in args]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def run_cli_child(tmp_path, args, **kwargs):
     """`python -m curesched args` in `tmp_path`, beside the saved toys."""
     save_toys(tmp_path)

@@ -286,6 +286,58 @@ def test_exact_builds_one_frame_per_counted_node(monkeypatch):
     assert frames == report.nodes
 
 
+@pytest.mark.parametrize("seed, horizon, heaters, nodes", [
+    (1, 4, 7, 4), (9, 8, 12, 7),
+])
+def test_exact_plans_each_heater_once_per_counted_node(monkeypatch, seed,
+                                                       horizon, heaters,
+                                                       nodes):
+    # a heater's options depend on the state alone, so the joint walk
+    # reuses them (asking per partial configuration made 2,007 and 193)
+    calls = 0
+    original = curesched.exact._heater_options
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(curesched.exact, "_heater_options", counted)
+    inst = generate_instance(SCENARIOS["small"], seed)
+    report = solve_exact(inst, horizon, incumbent_makespan=horizon)
+    assert (report.status, report.nodes, len(inst.heaters)) == (
+        "optimal", nodes, heaters)
+    assert calls == nodes * heaters
+
+
+@pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
+    """A pair slot that alone needs more copies of a mold, or more units
+    of a part, than exist is left out in both parts modes; every other
+    slot stays, in order.  Small plants have one copy per mold, so none
+    of their identical pairs remains."""
+    plants = [tiny_instance(seed) for seed in range(1000, 1200)]
+    for scenario, count in (("small", 15), ("medium", 10), ("large", 5)):
+        plants += [generate_instance(SCENARIOS[scenario], seed)
+                   for seed in range(1, count + 1)]
+    for inst in plants:
+        table = curesched.exact._heater_table(inst, parts_mode)
+        kept = [s for s in pair_slots(inst)
+                if all(c <= inst.mold_by_id[m].copies
+                       for m, c in s.counts.items())
+                and all(u <= inst.part_by_id[p].units
+                        for p, u in s.usage.items())]
+        assert [(k, pair) for k in inst.heaters for pair, _, _ in table[k]] \
+            == sorted((s.heater, (s.m1, s.m2)) for s in kept), inst.name
+        for rows in table.values():
+            for _, _, needs in rows:
+                assert all(c <= limit for _, c, limit in needs), inst.name
+        if inst.name.startswith("S"):
+            assert all(m.copies == 1 for m in inst.molds)
+            assert all(m1 != m2 for rows in table.values()
+                       for (m1, m2), _, _ in rows), inst.name
+
+
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
 def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
     """`plan_slot` stays the one capacity rule: the model's eq-5/6 and eq-7
@@ -311,7 +363,7 @@ def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
             on_k = [s for s in pair_slots(inst) if s.heater == k]
             for residents in [initial_residents(inst)[k], {}] + [s.counts for s in on_k]:
                 offered = {pair: cap for pair, _, _, cap in options(
-                    plans, k, table[k], multiset(residents), res, {})}
+                    plans, k, table[k], multiset(residents), res)}
                 gap = plan_slot(inst, k, residents, 0, 1, {})
                 assert (None in offered) == (not gap.problems), (name, k, residents)
                 for s in on_k:

@@ -33,6 +33,7 @@ from curesched.errors import InfeasibleAssignment, SolutionParseError
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.horizon import horizon_witness
 from curesched.lpformat import (
+    EXIT_INFEASIBLE,
     Constraint,
     ParsedLp,
     Variable,
@@ -400,6 +401,25 @@ def test_lpsolve_refuses_a_maximize_model(tmp_path, capsys):
     assert curesched.lpsolve.main([str(lp), str(sol)]) == 1
     assert "cannot parse" in capsys.readouterr().err
     assert not sol.exists()
+
+
+@pytest.mark.parametrize("row, code", [
+    ("c1: 0 >= 1", EXIT_INFEASIBLE), ("c1: 0 = 2", EXIT_INFEASIBLE),
+    ("c1: 0 >= 0\n c2: 0 <= 3", 0),
+])
+def test_lpsolve_checks_the_rows_of_a_model_without_variables(tmp_path,
+                                                              capsys, row,
+                                                              code):
+    """With no variables each row reads 0 <sense> rhs: one that fails is a
+    proof of infeasibility, and one that holds leaves objective 0."""
+    lp, sol = tmp_path / "const.lp", tmp_path / "const.sol"
+    lp.write_text(f"Minimize\n obj: 0\nSubject To\n {row}\nEnd\n")
+    assert curesched.lpsolve.main([str(lp), str(sol)]) == code
+    if code:
+        assert capsys.readouterr().err == "proven infeasible\n"
+        assert not sol.exists()
+    else:
+        assert parse_solution(sol.read_text()) == ({}, 0)
 
 
 MIN_LP = "Minimize\n obj: x\nSubject To\n c1: x >= 1\nEnd\n"

@@ -44,18 +44,16 @@ from .errors import (
     NoFeasiblePlacement,
     UnproduciblePair,
 )
-from .exact import SolveReport, SolverAdapter, solve_exact
+from .exact import SolveReport, SolverAdapter
 from .gen import SCENARIOS, generate_instance
 from .heuristic import HeuristicConfig, run_heuristic
 from .hop import (
     HopConfig,
     SOLVER_ADAPTER,
     SOLVER_INTERNAL,
-    _checked,
     run_baseline_milp,
     run_hop,
 )
-from .horizon import compute_thb
 from .milp import build_model, emit_lp
 
 __all__ = [
@@ -75,7 +73,7 @@ __all__ = [
     "toy_instance",
 ]
 
-MODES = ("heuristic", "milp", "hop", "exact")
+MODES = ("heuristic", "milp", "hop")
 TOY_NAMES = ("toy1", "toy2")
 
 _COLUMNS = ("instance", "mode", "thb", "makespan", "gap_pct", "time_s",
@@ -396,12 +394,6 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
             return SolveReport(mode, "feasible", int(schedule_makespan(sched)),
                                None, time.perf_counter() - started,
                                schedule=sched)
-        if mode == "exact":
-            rep = solve_exact(inst, compute_thb(inst), parts_mode,
-                              time_limit_seconds=cfg.time_limit_seconds)
-            if rep.schedule is not None:
-                _checked(inst, rep.schedule, parts_mode)
-            return rep
         run = run_hop if mode == "hop" else run_baseline_milp
         return run(inst, cfg)[0]
     except (Infeasible, UnproduciblePair, NoFeasiblePlacement):
@@ -513,7 +505,7 @@ def _build_parser():
 def _cmd_solve(args):
     if args.emit_lp and args.mode == "heuristic":
         raise ValueError(
-            "--emit-lp needs a model-building mode (milp, hop, exact)")
+            "--emit-lp needs a model-building mode (milp, hop)")
     inst = load_instance(args.instance)
     rep = _solve_one(
         inst, args.mode, iterations=args.iterations, seed=args.seed,

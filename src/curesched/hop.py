@@ -11,13 +11,13 @@ solve phase, but on the safe a-priori horizon bound instead.
 
 Both pipelines share one body, `_solve_on`, around one exact stage,
 `_exact_stage`: the internal search, or a built MILP for the external
-adapter, under the one time limit `HopConfig.time_limit_seconds`.  The
-stage solves the instance's independent `components` apart, each on the
-makespan the heuristic schedule needs for it, since the whole makespan is
-only the largest of theirs: the most constrained component sets the
-length the others merely have to fit.  A component the heuristic already
-closes, at its root bound or within that length, is not searched; the
-adapter solves any other one on horizons climbing from its root bound.
+adapter, under the one time limit `HopConfig.time_limit_seconds`, split
+evenly among the components still to search.  The stage solves the
+instance's independent `components` apart, each on the makespan the
+heuristic schedule needs for it: the whole makespan is only the largest
+of theirs, which the others merely have to fit.  A component the
+heuristic already closes, at its root bound or within that length, is not
+searched; the adapter climbs any other one's horizons from its root bound.
 The internal search gets a short slice on each horizon first: one it
 refutes starts no solver child.  Once it has refuted every shorter
 horizon, a schedule it finds is optimal without a child.  Only a horizon
@@ -103,8 +103,9 @@ class HopConfig:
         if (self.heuristic is not None
                 and self.heuristic.parts_mode != self.parts_mode):
             raise ValueError("heuristic parts_mode disagrees with pipeline")
-        if self.solver == SOLVER_ADAPTER and self.adapter is None:
-            raise ValueError("the external-adapter solver needs an adapter")
+        if (self.solver == SOLVER_ADAPTER) != (self.adapter is not None):
+            raise ValueError("an adapter goes with the external-adapter "
+                             "solver, and only with it")
 
 
 def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
@@ -179,16 +180,16 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
     `components` at a time, as the `mode` pipeline reports it; its stats
     are the whole model's size, and its caller times it.
 
-    Components go in descending root bound under one deadline.  Each
-    searches the makespan of the `incumbent` schedule restricted to it,
-    with that schedule as its incumbent, or all of `horizon` without one.
-    One whose restricted schedule is already within its root bound or the
-    longest component so far is not searched: that schedule is optimal, or
-    fits.  The oracle stops a later one at its first schedule within that
-    length.  The schedule is the `incumbent` itself when no component
-    shortens the whole of it, and otherwise the merged pieces with fresh
-    tuple ids; it is optimal when it meets the largest proven or root
-    bound of the components.
+    Components go in descending root bound.  Each searches the makespan of
+    the `incumbent` restricted to it, with that piece as its incumbent, or
+    all of `horizon` without one, until an equal share of the time left
+    among it and the later ones that may need a search: those with no
+    piece, or one longer than the largest root bound.  One whose piece is
+    within its root bound or the longest component so far is not searched;
+    the oracle stops a later one at its first schedule within that length.
+    The schedule is the `incumbent` when no component shortens the whole of
+    it, and otherwise the merged pieces with fresh tuple ids; it is optimal
+    when it meets the largest proven or root bound of the components.
 
     An adapter's "infeasible" on a component the incumbent witnesses is a
     solver fault and raises AdapterFailure.
@@ -197,18 +198,24 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
     stats = model_size(inst, horizon, cfg.parts_mode)
     todo = sorted(((root_bound(c, cfg.parts_mode), c)
                    for c in components(inst)), key=lambda bc: -bc[0])
+    witnesses = [None if incumbent is None else Schedule(
+        [t for t in incumbent.tuples if t.heater in comp.heaters])
+        for _, comp in todo]
+    # the components that may still need a search: no witness fits within
+    # the largest root bound, which the merged makespan never goes below
+    may_search = [w is None or schedule_makespan(w) > todo[0][0]
+                  for w in witnesses]
     tuples = []
     span = lower = nodes = 0
     stalled = False  # a backend that gave no answer at all
-    for bound, comp in todo:
-        witness, comp_horizon = None, horizon
-        if incumbent is not None:
-            witness = Schedule([t for t in incumbent.tuples
-                                if t.heater in comp.heaters])
-            comp_horizon = int(schedule_makespan(witness))
+    for i, ((bound, comp), witness) in enumerate(zip(todo, witnesses)):
+        comp_horizon = horizon if witness is None else int(
+            schedule_makespan(witness))
         sub = None
         if witness is None or comp_horizon > max(span, bound):
-            sub = _component_solve(comp, comp_horizon, cfg, deadline,
+            now = time.perf_counter()
+            share = now + (deadline - now) / sum(may_search[i:])
+            sub = _component_solve(comp, comp_horizon, cfg, share,
                                    witness is not None, span, bound)
         if sub is not None:
             nodes += sub.nodes
@@ -245,14 +252,6 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
                        horizon=horizon)
 
 
-def _checked(inst, schedule, parts_mode) -> Schedule:
-    report = validate_schedule(inst, schedule, parts_mode)
-    if not report.ok:
-        raise Infeasible("solver produced an invalid schedule: "
-                         + "; ".join(report.violations))
-    return schedule
-
-
 def _solve_on(inst, horizon, cfg: HopConfig, mode, incumbent=None,
               heuristic_seconds=None):
     """(report, schedule) of `mode`: the exact stage on `horizon`, where an
@@ -269,7 +268,10 @@ def _solve_on(inst, horizon, cfg: HopConfig, mode, incumbent=None,
         clock = time.perf_counter()
         report = _exact_stage(inst, horizon, cfg, incumbent, mode)
         if report.schedule is not None:
-            _checked(inst, report.schedule, cfg.parts_mode)
+            check = validate_schedule(inst, report.schedule, cfg.parts_mode)
+            if not check.ok:
+                raise Infeasible("solver produced an invalid schedule: "
+                                 + "; ".join(check.violations))
         report.solver_seconds = time.perf_counter() - clock
     report.heuristic_seconds = heuristic_seconds
     report.wall_seconds = (heuristic_seconds or 0.0) + report.solver_seconds

@@ -344,13 +344,13 @@ def zero_demand_toy1():
 
 
 def test_run_benchmark_edge_rows(tmp_path):
-    """A zero-demand instance runs in every mode: only `exact` searched a
-    horizon (of 0 periods).  An unreadable file gives `error` cells, which
-    the averages leave out."""
+    """A zero-demand instance runs in every mode, and none searches a
+    horizon.  An unreadable file gives `error` cells, which the averages
+    leave out."""
     save_toys(tmp_path)
     save_instance(zero_demand_toy1(), tmp_path / "zero.json")
     (tmp_path / "bad.json").write_text("{ nope", encoding="utf-8")
-    modes = ["heuristic", "milp", "hop", "exact"]
+    modes = ["heuristic", "milp", "hop"]
     suite = {"instances": ["zero.json", "bad.json", "toy1.json"],
              "modes": modes, "iterations": 20, "seed": 1}
     rows = run_benchmark(suite, base_dir=tmp_path)
@@ -359,19 +359,15 @@ def test_run_benchmark_edge_rows(tmp_path):
         "zero,heuristic,,0,,,,,",
         "zero,milp,,0,0,,,,",
         "zero,hop,,0,0,,,,",
-        "zero,exact,0,0,0,,,,",
         "bad,heuristic,,error,,,,,",
         "bad,milp,,error,,,,,",
         "bad,hop,,error,,,,,",
-        "bad,exact,,error,,,,,",
         "toy1,heuristic,,2,,,,,",
         "toy1,milp,2,1,0,,49,12,14",
         "toy1,hop,2,1,0,,49,12,14",
-        "toy1,exact,2,1,0,,,,",
         "Average,heuristic,,1,,,,,",
         "Average,milp,2,0.50,0,,49,12,14",
         "Average,hop,2,0.50,0,,49,12,14",
-        "Average,exact,1,0.50,0,,,,",
     ]) + "\n"
 
 
@@ -379,7 +375,6 @@ def test_run_benchmark_edge_rows(tmp_path):
     ("heuristic", "status feasible\nmakespan 0\n"),
     ("milp", "status optimal\nmakespan 0\ngap_pct 0\n"),
     ("hop", "status optimal\nmakespan 0\ngap_pct 0\n"),
-    ("exact", "status optimal\nmakespan 0\ngap_pct 0\nthb 0\n"),
 ])
 def test_cli_solve_zero_demand_stdout(tmp_path, capsys, mode, tail):
     path = tmp_path / "zero.json"
@@ -491,48 +486,36 @@ def test_cli_solve_heuristic_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_solve_exact_stdout(tmp_path, capsys):
-    p1, _ = save_toys(tmp_path)
-    rc = cli_main(["solve", "--instance", str(p1), "--mode", "exact"])
-    assert rc == 0
-    assert capsys.readouterr().out == (
-        "instance toy1\n"
-        "mode exact\n"
-        "status optimal\n"
-        "makespan 1\n"
-        "gap_pct 0\n"
-        "thb 2\n"
-    )
+MILP_TOY1_STDOUT = ("instance toy1\n"
+                    "mode milp\n"
+                    "status optimal\n"
+                    "makespan 1\n"
+                    "gap_pct 0\n"
+                    "thb 2\n"
+                    "constraints 49\n"
+                    "binary_vars 12\n"
+                    "real_vars 14\n")
 
 
 def test_cli_solve_milp_internal_and_adapter(tmp_path, capsys):
     p1, _ = save_toys(tmp_path)
     assert cli_main(["solve", "--instance", str(p1), "--mode", "milp"]) == 0
-    out = capsys.readouterr().out
-    assert "status optimal\n" in out and "makespan 1\n" in out
+    assert capsys.readouterr().out == MILP_TOY1_STDOUT
     rc = cli_main(["solve", "--instance", str(p1), "--mode", "milp",
                    "--solver-cmd", STUB_CMD])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "status optimal\n" in out and "makespan 1\n" in out
+    assert capsys.readouterr().out == MILP_TOY1_STDOUT
 
 
 def test_cli_solve_out_csv(tmp_path, capsys):
     p1, _ = save_toys(tmp_path)
     out = tmp_path / "res.csv"
-    assert cli_main(["solve", "--instance", str(p1), "--mode", "hop",
-                     "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_text() == CSV_HEADER + "\ntoy1,hop,2,1,0,,49,12,14\n"
-
-
-def test_cli_solve_out_csv_exact(tmp_path, capsys):
-    p1, _ = save_toys(tmp_path)
-    out = tmp_path / "res.csv"
-    assert cli_main(["solve", "--instance", str(p1), "--mode", "exact",
-                     "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_text() == CSV_HEADER + "\ntoy1,exact,2,1,0,,,,\n"
+    for mode in ("hop", "milp"):
+        assert cli_main(["solve", "--instance", str(p1), "--mode", mode,
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text() == (
+            CSV_HEADER + f"\ntoy1,{mode},2,1,0,,49,12,14\n")
 
 
 def test_cli_solve_schedule_out(tmp_path, capsys):
@@ -614,7 +597,7 @@ def save_inadmissible(tmp_path, kind):
     return path
 
 
-@pytest.mark.parametrize("mode", ["heuristic", "milp", "hop", "exact"])
+@pytest.mark.parametrize("mode", ["heuristic", "milp", "hop"])
 @pytest.mark.parametrize("kind", INADMISSIBLE)
 def test_cli_solve_inadmissible_instance(tmp_path, capsys, kind, mode):
     path = save_inadmissible(tmp_path, kind)
@@ -633,33 +616,40 @@ def test_cli_solve_inadmissible_instance(tmp_path, capsys, kind, mode):
 def test_run_benchmark_records_inadmissible_instances(tmp_path):
     p1, _ = save_toys(tmp_path)
     paths = [str(save_inadmissible(tmp_path, kind)) for kind in INADMISSIBLE]
-    suite = {"instances": paths + [str(p1)], "modes": ["milp", "exact"],
+    suite = {"instances": paths + [str(p1)], "modes": ["milp", "hop"],
              "iterations": 20, "seed": 1}
-    lines = rows_to_csv(run_benchmark(suite), ["milp", "exact"]).splitlines()
+    lines = rows_to_csv(run_benchmark(suite), ["milp", "hop"]).splitlines()
     assert lines[1:-2] == [f"{kind},{mode},,infeasible,,,,,"
                            for kind in INADMISSIBLE
-                           for mode in ("milp", "exact")] + [
-        "toy1,milp,2,1,0,,49,12,14", "toy1,exact,2,1,0,,,,"]
+                           for mode in ("milp", "hop")] + [
+        "toy1,milp,2,1,0,,49,12,14", "toy1,hop,2,1,0,,49,12,14"]
 
 
 def test_cli_solve_exact_time_limit_exit(tmp_path, capsys):
-    inst = generate_instance(SCENARIOS["medium"], 3)
-    path = tmp_path / "m.json"
+    """A `milp` run whose exact stage the time limit stops with a schedule
+    exits 3 and writes it.  M05's first component finds 16 within 0.5 s of
+    its 1.5 s share and cannot prove it; the second proves 4 in 0.2 s."""
+    inst = generate_instance(SCENARIOS["medium"], 5)
+    path = tmp_path / "M05.json"
     save_instance(inst, path)
-    rc = cli_main(["solve", "--instance", str(path), "--mode", "exact",
-                   "--time-limit", "0.5"])
-    capsys.readouterr()
+    spath = tmp_path / "sched.json"
+    rc = cli_main(["solve", "--instance", str(path), "--mode", "milp",
+                   "--time-limit", "3", "--schedule-out", str(spath)])
+    out = capsys.readouterr().out
     assert rc == 3
+    assert "status feasible\nmakespan 16\n" in out
+    assert validate_schedule(inst, load_schedule(spath)).ok
 
 
 def test_cli_solve_milp_limit_before_any_schedule(tmp_path, capsys):
     """A `milp` run out of time with no schedule exits 3, prints no
-    makespan and writes no schedule file."""
+    makespan and writes no schedule file.  A microsecond ends it before
+    the first component's search starts, however fast the machine."""
     path = tmp_path / "M05.json"
     save_instance(generate_instance(SCENARIOS["medium"], 5), path)
     spath = tmp_path / "sched.json"
     rc = cli_main(["solve", "--instance", str(path), "--mode", "milp",
-                   "--time-limit", "0.05", "--schedule-out", str(spath)])
+                   "--time-limit", "1e-6", "--schedule-out", str(spath)])
     out = capsys.readouterr().out
     assert rc == 3
     assert "status limit\n" in out
@@ -669,18 +659,21 @@ def test_cli_solve_milp_limit_before_any_schedule(tmp_path, capsys):
 
 def test_cli_solve_exact_rejects_an_invalid_schedule(tmp_path, capsys,
                                                      monkeypatch):
+    """The pipeline checks the exact stage's schedule before it stands: in
+    `milp` and in `hop`, one that covers no demand is "infeasible"."""
     p1, _ = save_toys(tmp_path)
     spath = tmp_path / "sched.json"
     unmet = Schedule(tuples=[])  # covers none of the demand
     monkeypatch.setattr(
-        "curesched.bench.solve_exact",
+        "curesched.hop.solve_exact",
         lambda *args, **kwargs: SolveReport("exact", "optimal", 0, 0.0, 0.0,
                                             schedule=unmet))
-    rc = cli_main(["solve", "--instance", str(p1), "--mode", "exact",
-                   "--schedule-out", str(spath)])
-    assert rc == 1
-    assert "status infeasible\n" in capsys.readouterr().out
-    assert not spath.exists()
+    for mode in ("milp", "hop"):
+        rc = cli_main(["solve", "--instance", str(p1), "--mode", mode,
+                       "--schedule-out", str(spath)])
+        assert rc == 1, mode
+        assert "status infeasible\n" in capsys.readouterr().out
+        assert not spath.exists()
 
 
 # ── CLI: generate / bench / validate ─────────────────────────────────
@@ -762,13 +755,17 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
         {"instances": [str(p1)], "modes": ["banana"]}), encoding="utf-8")
     nan_limit = tmp_path / "nan-limit.json"
     nan_limit.write_text(json.dumps(
-        {"instances": [str(p1)], "modes": ["exact"],
+        {"instances": [str(p1)], "modes": ["milp"],
          "time_limit": float("nan")}), encoding="utf-8")
+    exact_mode = tmp_path / "exact-mode.json"
+    exact_mode.write_text(json.dumps(
+        {"instances": [str(p1)], "modes": ["exact"]}), encoding="utf-8")
     cases = [
         [],
         ["frobnicate"],
         ["solve", "--mode", "hop"],
         ["solve", "--instance", str(p1), "--mode", "banana"],
+        ["solve", "--instance", str(p1), "--mode", "exact"],
         ["solve", "--instance", str(p1), "--mode", "heuristic",
          "--iterations", "-1"],
         ["solve", "--instance", str(p1), "--mode", "heuristic",
@@ -790,6 +787,12 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
     for args in cases:
         assert cli_main(args) == 2, args
         capsys.readouterr()
+    # `exact` is no mode: the suite is refused before anything runs
+    out = tmp_path / "o.csv"
+    assert cli_main(["bench", "--suite", str(exact_mode), "--out",
+                     str(out)]) == 2
+    assert capsys.readouterr().err == "error: suite: unknown mode 'exact'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

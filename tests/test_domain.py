@@ -293,6 +293,11 @@ def test_toy1_optimal_schedule_validates():
     report = validate_schedule(inst, sched)
     assert report.violations == []
     assert schedule_makespan(sched) == 1
+    # the sentinel is no schedule, and an unknown parts mode no rule set
+    assert validate_schedule(inst, Schedule.empty_candidate()).violations == [
+        "sentinel candidate, not a schedule"]
+    with pytest.raises(ValueError, match="unknown parts mode"):
+        validate_schedule(inst, sched, parts_mode="shared")
 
 
 def test_heater_walk_replays_each_heater_in_order():

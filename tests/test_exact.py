@@ -173,6 +173,13 @@ def test_exact_rejects_a_non_positive_time_limit():
         solve_exact(toy1(), 2, time_limit_seconds=0)
     with pytest.raises(ValueError):
         solve_exact(toy1(), 2, time_limit_seconds=math.nan)
+    # and the other arguments it cannot search with
+    with pytest.raises(ValueError, match="unknown parts mode"):
+        solve_exact(toy1(), 2, parts_mode="shared")
+    with pytest.raises(ValueError, match="thb must be non-negative"):
+        solve_exact(toy1(), -1)
+    with pytest.raises(ValueError, match="incumbent_makespan must be"):
+        solve_exact(toy1(), 2, incumbent_makespan=-1)
 
 
 def test_exact_proves_incumbent_optimal():

@@ -100,6 +100,11 @@ def test_config_validation():
                   parts_mode=PARTS_PER_HEATER)
     with pytest.raises(ValueError):
         HopConfig(solver=SOLVER_ADAPTER)
+    with pytest.raises(ValueError, match="unknown parts mode"):
+        HopConfig(parts_mode="banana")
+    # the internal oracle would ignore it
+    with pytest.raises(ValueError, match="only with it"):
+        HopConfig(solver=SOLVER_INTERNAL, adapter=SolverAdapter(command=STUB))
 
 
 def test_hop_toy1_improves_on_heuristic():
@@ -270,11 +275,11 @@ def test_unavailable_command_is_a_limit_in_hop_and_a_fault_in_milp(
 def test_milp_out_of_time_before_any_schedule_is_a_limit_without_one():
     """`milp` has no heuristic incumbent to fall back on: when its time runs
     out before the exact stage holds a schedule, the run ends at "limit"
-    with no makespan and no schedule.  M05's search on its a-priori horizon
-    finds none in 0.05 s (nor in 1 s or 3 s), however fast the machine."""
+    with no makespan and no schedule.  A microsecond runs out before M05's
+    first component starts its search, however fast the machine."""
     inst = generate_instance(SCENARIOS["medium"], 5)
     report, schedule = run_baseline_milp(inst,
-                                         HopConfig(time_limit_seconds=0.05))
+                                         HopConfig(time_limit_seconds=1e-6))
     assert (report.status, report.makespan, report.gap_percent) == (
         "limit", None, None)
     assert report.schedule is None and schedule is None
@@ -346,6 +351,38 @@ def test_component_stage_agrees_with_whole_search(mode):
             whole.status, whole.makespan), inst.name
         if schedule is not None:
             assert validate_schedule(inst, schedule, mode).ok, inst.name
+
+
+def test_milp_shares_the_deadline_between_components(monkeypatch):
+    """Each component gets an equal share of the time left, so one that
+    spends all of its share leaves the next its own.  A fake clock that
+    moves only by each search's whole limit shows it without sleeping:
+    S11's two components get 5 s each of 10 s, and the merged schedule
+    stands."""
+    now = [0.0]
+    limits = []
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return now[0]
+
+    real = curesched.hop.solve_exact
+
+    def spends_its_time(*args, time_limit_seconds, **kwargs):
+        limits.append(time_limit_seconds)
+        report = real(*args, time_limit_seconds=time_limit_seconds, **kwargs)
+        now[0] += time_limit_seconds
+        return report
+
+    monkeypatch.setattr(curesched.hop, "time", FakeTime)
+    monkeypatch.setattr(curesched.hop, "solve_exact", spends_its_time)
+    inst = small(11)
+    report, schedule = run_baseline_milp(inst,
+                                         HopConfig(time_limit_seconds=10.0))
+    assert limits == [5.0, 5.0]
+    assert (report.status, report.makespan) == ("optimal", 6)
+    assert validate_schedule(inst, schedule).ok
 
 
 def test_hop_proves_the_small_optima():

@@ -147,10 +147,11 @@ def test_model_size_matches_build():
 
 
 def test_model_size_rejects_what_build_rejects():
-    with pytest.raises(ValueError):
-        model_size(toy1(), -1)
-    with pytest.raises(ValueError):
-        model_size(toy1(), 2, parts_mode="shared")
+    for count in (model_size, build_model):
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            count(toy1(), -1)
+        with pytest.raises(ValueError, match="unknown parts mode"):
+            count(toy1(), 2, parts_mode="shared")
 
 
 def test_part_row_shape():
@@ -283,6 +284,11 @@ def test_encode_decode_round_trip_with_gap():
     back = extract_schedule(m, asg)
     assert [(t.m1, t.m2, t.q, t.heater, t.start, t.length) for t in back.tuples] \
         == [(0, 1, 10, 1, 0, 1), (0, 2, 10, 1, 2, 1)]
+    # neither a schedule past the horizon nor the sentinel has an encoding
+    with pytest.raises(ValueError, match="spans 3 periods, model horizon is 2"):
+        schedule_to_assignment(build_model(inst, 2), sched)
+    with pytest.raises(ValueError, match="sentinel"):
+        schedule_to_assignment(m, Schedule.empty_candidate())
 
 
 def test_encode_identical_pair_doubles_production():
@@ -393,6 +399,14 @@ def test_parse_lp_rejects_maximization():
     with pytest.raises(ValueError,
                        match="line 1: 'Maximize' is not a section header"):
         parse_lp(MAXIMIZE_LP)
+
+
+def test_lpsolve_cannot_read_a_missing_model(tmp_path, capsys):
+    lp, sol = tmp_path / "missing.lp", tmp_path / "missing.sol"
+    assert curesched.lpsolve.main([str(lp), str(sol)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {lp}: ") and err.count("\n") == 1
+    assert not sol.exists()
 
 
 def test_lpsolve_refuses_a_maximize_model(tmp_path, capsys):

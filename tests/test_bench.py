@@ -497,25 +497,40 @@ MILP_TOY1_STDOUT = ("instance toy1\n"
                     "real_vars 14\n")
 
 
-def test_cli_solve_milp_internal_and_adapter(tmp_path, capsys):
+def test_cli_solve_exact_stdout(tmp_path, capsys):
+    """milp without --solver-cmd is answered by the internal exact search."""
     p1, _ = save_toys(tmp_path)
     assert cli_main(["solve", "--instance", str(p1), "--mode", "milp"]) == 0
     assert capsys.readouterr().out == MILP_TOY1_STDOUT
+
+
+def test_cli_solve_milp_internal_and_adapter(tmp_path, capsys):
+    p1, _ = save_toys(tmp_path)
+    assert cli_main(["solve", "--instance", str(p1), "--mode", "milp"]) == 0
+    internal = capsys.readouterr().out
     rc = cli_main(["solve", "--instance", str(p1), "--mode", "milp",
                    "--solver-cmd", STUB_CMD])
     assert rc == 0
-    assert capsys.readouterr().out == MILP_TOY1_STDOUT
+    assert capsys.readouterr().out == internal == MILP_TOY1_STDOUT
 
 
 def test_cli_solve_out_csv(tmp_path, capsys):
     p1, _ = save_toys(tmp_path)
     out = tmp_path / "res.csv"
-    for mode in ("hop", "milp"):
-        assert cli_main(["solve", "--instance", str(p1), "--mode", mode,
-                         "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert out.read_text() == (
-            CSV_HEADER + f"\ntoy1,{mode},2,1,0,,49,12,14\n")
+    assert cli_main(["solve", "--instance", str(p1), "--mode", "hop",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == CSV_HEADER + "\ntoy1,hop,2,1,0,,49,12,14\n"
+
+
+def test_cli_solve_out_csv_exact(tmp_path, capsys):
+    """The CSV row of milp's internal exact search."""
+    p1, _ = save_toys(tmp_path)
+    out = tmp_path / "res.csv"
+    assert cli_main(["solve", "--instance", str(p1), "--mode", "milp",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == CSV_HEADER + "\ntoy1,milp,2,1,0,,49,12,14\n"
 
 
 def test_cli_solve_schedule_out(tmp_path, capsys):

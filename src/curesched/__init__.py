@@ -25,7 +25,7 @@ _EXPORTS = {
     "errors": (
         "AdapterFailure", "AdapterUnavailable", "CureschedError",
         "Infeasible", "InfeasibleAssignment", "NoFeasiblePlacement",
-        "SolutionParseError", "UnproduciblePair",
+        "SolutionParseError", "SolverFault", "UnproduciblePair",
     ),
     "horizon": ("compute_thb", "horizon_witness", "pooled_molds"),
     "bounds": ("mold_rate", "residual_bound", "root_bound"),

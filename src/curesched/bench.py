@@ -10,8 +10,8 @@ entry point exposes four subcommands:
     bench     run a suite file and emit the result table
     validate  check an instance file, optionally with a schedule
 
-Exit codes: 0 solved/valid, 1 infeasible or invalid, 2 bad usage or a
-malformed file, 3 a resource limit stopped the run early.
+Exit codes: 0 solved/valid, 1 infeasible or invalid, 2 bad usage, a
+malformed file or a solver fault, 3 a resource limit stopped the run early.
 """
 
 import argparse
@@ -38,12 +38,7 @@ from .domain import (
     validate_instance,
     validate_schedule,
 )
-from .errors import (
-    CureschedError,
-    Infeasible,
-    NoFeasiblePlacement,
-    UnproduciblePair,
-)
+from .errors import CureschedError, Infeasible
 from .exact import SolveReport, SolverAdapter
 from .gen import SCENARIOS, generate_instance
 from .heuristic import HeuristicConfig, run_heuristic
@@ -172,6 +167,9 @@ def instance_from_json(doc) -> Instance:
     init = {(m, k): c for m, k, c in (
         _ints(e, "init entry", "mold", "heater", "count")
         for e in _list(doc, "init", "instance"))}
+    meta = doc.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError(f"instance: meta must be an object, got {meta!r}")
     return Instance(
         name=str(_field(doc, "name", "instance")),
         period_dmin=_ints(doc, "instance", "phi_dmin")[0],
@@ -183,7 +181,7 @@ def instance_from_json(doc) -> Instance:
                           for p in _list(doc, "mold_compat", "instance")),
         parts=parts,
         init=init,
-        meta=doc.get("meta"),
+        meta=meta,
     )
 
 
@@ -368,7 +366,7 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
     """One run of `mode` on `inst`, as its SolveReport.
 
     An inadmissible instance is not run: its violations go to stderr and
-    its report is "infeasible", as is a run the solvers prove infeasible.
+    its report is "infeasible", as is a run that finds no schedule.
     """
     heuristic_cfg = HeuristicConfig(
         parts_mode=parts_mode,
@@ -396,7 +394,7 @@ def _solve_one(inst, mode, iterations=None, seed=None, time_limit=None,
                                schedule=sched)
         run = run_hop if mode == "hop" else run_baseline_milp
         return run(inst, cfg)[0]
-    except (Infeasible, UnproduciblePair, NoFeasiblePlacement):
+    except Infeasible:
         return SolveReport(mode, "infeasible", None, None,
                            time.perf_counter() - started)
 
@@ -408,23 +406,21 @@ def _suite_number(suite, key, kinds):
     return None if value is None else _number(value, f"suite: {key}", kinds)
 
 
-def run_benchmark(suite: dict, base_dir=".") -> list:
-    """Run every (instance, mode) pair of a suite; one row per instance,
-    whose cells map each mode to its SolveReport.
-
-    A failing pair is recorded in its cell and the run continues: an
-    inadmissible instance as "infeasible", an unreadable file or a solver
-    fault as "error".  Relative instance paths resolve against `base_dir`.
-    A malformed suite (unknown mode, `iterations`, `seed` or `time_limit`
-    of the wrong type, a `solver_cmd` that names no command) raises
-    ValueError before anything runs.
-    """
-    base = Path(base_dir)
-    instance_paths = _field(suite, "instances", "suite")
-    modes = _field(suite, "modes", "suite")
+def _parse_suite(suite):
+    """The checked (instances, modes, options, record_time) of a suite."""
+    instances = _list(suite, "instances", "suite")
+    modes = _list(suite, "modes", "suite")
+    for path in instances:
+        if not isinstance(path, str):
+            raise ValueError(f"suite: instances entry must be a string, "
+                             f"got {path!r}")
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"suite: unknown mode {mode!r}")
+    record_time = suite.get("record_time", False)
+    if not isinstance(record_time, bool):
+        raise ValueError(
+            f"suite: record_time must be true or false, got {record_time!r}")
     options = dict(
         iterations=_suite_number(suite, "iterations", int),
         seed=_suite_number(suite, "seed", int),
@@ -433,15 +429,30 @@ def run_benchmark(suite: dict, base_dir=".") -> list:
         solver_cmd=suite.get("solver_cmd"),
     )
     _solver_adapter(options["solver_cmd"], "suite: solver_cmd")
+    return instances, modes, options, record_time
 
+
+def run_benchmark(suite: dict, base_dir=".") -> list:
+    """Run every (instance, mode) pair of a suite; one row per instance,
+    whose cells map each mode to its SolveReport.
+
+    A failing pair is recorded in its cell and the run continues: an
+    inadmissible instance as "infeasible", an unreadable file or a solver
+    fault as "error".  Relative instance paths resolve against `base_dir`.
+    A malformed suite (a field of the wrong type, an unknown mode, a
+    `solver_cmd` that names no command) raises ValueError before anything
+    runs.
+    """
+    return _run_suite(*_parse_suite(suite)[:3], Path(base_dir))
+
+
+def _run_suite(instances, modes, options, base: Path) -> list:
     def error(mode):
         return SolveReport(mode, "error", None, None, None)
 
     rows = []
-    for raw_path in instance_paths:
-        path = Path(raw_path)
-        if not path.is_absolute():
-            path = base / path
+    for raw_path in instances:
+        path = base / raw_path  # an absolute path stays as it is
         try:
             inst = load_instance(path)
         except ValueError:
@@ -555,10 +566,10 @@ def _cmd_generate(args):
 
 def _cmd_bench(args):
     suite_path = Path(args.suite)
-    suite = _read_json(suite_path)
-    modes = _field(suite, "modes", "suite")
-    record_time = args.record_time or bool(suite.get("record_time"))
-    rows = run_benchmark(suite, base_dir=suite_path.parent)
+    instances, modes, options, record_time = _parse_suite(
+        _read_json(suite_path))
+    rows = _run_suite(instances, modes, options, suite_path.parent)
+    record_time = args.record_time or record_time
     Path(args.out).write_text(
         rows_to_csv(rows, modes, record_time=record_time), encoding="utf-8")
     print(rows_to_table(rows, modes, record_time=record_time), end="")

@@ -1,35 +1,40 @@
-"""Exception types shared across the solver toolkit."""
+"""Exception types shared across the solver toolkit, in two families:
+`Infeasible` (no schedule found) and `SolverFault` (a backend misbehaved)."""
 
 
 class CureschedError(Exception):
     """Base class for all toolkit errors."""
 
 
-class UnproduciblePair(CureschedError):
+class Infeasible(CureschedError):
+    """No schedule was found within the given horizon."""
+
+
+class UnproduciblePair(Infeasible):
     """Residual demand remains but no admissible mold pair can cover it."""
 
 
-class NoFeasiblePlacement(CureschedError):
+class NoFeasiblePlacement(Infeasible):
     """A tuple cannot be placed on any compatible heater."""
 
 
-class Infeasible(CureschedError):
-    """No schedule exists within the given horizon."""
+class SolverFault(CureschedError):
+    """A solver backend failed or produced a wrong answer."""
 
 
-class AdapterUnavailable(CureschedError):
+class AdapterUnavailable(SolverFault):
     """No external solver adapter is configured or its executable is missing."""
 
 
-class AdapterFailure(CureschedError):
+class AdapterFailure(SolverFault):
     """The external solver exited with an unexpected status."""
 
 
-class SolutionParseError(CureschedError):
+class SolutionParseError(SolverFault):
     """A solver solution file could not be parsed."""
 
 
-class InfeasibleAssignment(CureschedError):
+class InfeasibleAssignment(SolverFault):
     """A variable assignment violates the model constraints."""
 
     def __init__(self, violations):

@@ -26,7 +26,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from .bounds import mold_rate, residual_bound
+from .bounds import mold_rate, residual_bound, root_bound
 from .domain import (
     Instance,
     PARTS_MODES,
@@ -254,7 +254,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     residual0 = {i: inst.mold_by_id[i].demand for i in demanded}
     initial = initial_residents(inst)
     residents0 = tuple(multiset(initial[k]) for k in inst.heaters)
-    root_lb = residual_bound(residual0, rate)
+    root_lb = root_bound(inst, parts_mode)
     best = math.inf if incumbent_makespan is None else incumbent_makespan
     best_path = None
     memo = {}

@@ -4,10 +4,11 @@ heuristic's own horizon.
 The randomized constructive heuristic produces a feasible schedule, and
 its makespan becomes the horizon for the exact phase, so the model the
 solver sees is only as large as the best known schedule requires.  The
-pipeline returns the better of the two phases; the heuristic schedule
-witnesses feasibility at that horizon, so it never comes back
-empty-handed.  `run_baseline_milp` is the reference point: the same
-solve phase, but on the safe a-priori horizon bound instead.
+pipeline returns the better of the two phases.  A backend's `SolverFault`
+on a component the heuristic schedule witnesses keeps that schedule at
+"limit"; in `run_baseline_milp`, the same stage on the safe a-priori
+horizon bound, it propagates.  A stage schedule that fails the validator
+is a `SolverFault` in both.
 
 Both pipelines share one body, `_solve_on`, around one exact stage,
 `_exact_stage`: the internal search, or a built MILP for the external
@@ -23,9 +24,8 @@ refutes starts no solver child.  Once it has refuted every shorter
 horizon, a schedule it finds is optimal without a child.  Only a horizon
 the slice leaves open goes to solver children.  The heuristic's own
 makespan is optimal once the climb reaches it, whoever refuted the rungs
-below.  Either way the stage's `SolveReport` is the pipeline's report,
-with the heuristic schedule itself when the stage cannot shorten it, and
-its model size is the `model_size` of the whole instance on the horizon.
+below.  The stage's `SolveReport` is the pipeline's report, its model
+size the `model_size` of the whole instance on the horizon.
 """
 
 import time
@@ -41,15 +41,7 @@ from .domain import (
     schedule_makespan,
     validate_schedule,
 )
-from .errors import (
-    AdapterFailure,
-    AdapterUnavailable,
-    Infeasible,
-    InfeasibleAssignment,
-    NoFeasiblePlacement,
-    SolutionParseError,
-    UnproduciblePair,
-)
+from .errors import AdapterFailure, SolverFault
 from .bounds import root_bound
 from .exact import (
     TIME_LIMIT_SECONDS,
@@ -124,11 +116,10 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     nothing hands this rung and the rest to solver children, so the oracle
     costs at most one slice more than its proofs, whose nodes the answer
     counts.  A `witnessed` horizon the climb reaches is optimal; when
-    children refuted the rungs below, one more checks it, and only its
-    "infeasible" or a shorter schedule counts.  A missing or failing
-    adapter, or a malformed solution or one that breaks the model's rows,
-    ends a `witnessed` climb at "limit", its incumbent standing; without a
-    witness the fault propagates."""
+    children refuted the rungs below, one more checks it, and only a
+    shorter schedule counts.  Its "infeasible" is a `SolverFault`, as is
+    any adapter failure: one ends a `witnessed` climb at "limit", its
+    incumbent standing; without a witness it propagates."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
@@ -162,8 +153,10 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
             break
         try:
             sub = solve_with_adapter(model, cfg.adapter, remaining)
-        except (AdapterUnavailable, AdapterFailure, SolutionParseError,
-                InfeasibleAssignment):
+            if witnessed and h == horizon and sub.status == "infeasible":
+                raise AdapterFailure("solver reported infeasible on a "
+                                     "horizon the heuristic witnesses")
+        except SolverFault:
             if not witnessed:
                 raise
             return _Answer("limit", nodes=nodes)
@@ -190,9 +183,7 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
     The schedule is the `incumbent` when no component shortens the whole of
     it, and otherwise the merged pieces with fresh tuple ids; it is optimal
     when it meets the largest proven or root bound of the components.
-
-    An adapter's "infeasible" on a component the incumbent witnesses is a
-    solver fault and raises AdapterFailure.
+    Only an unwitnessed component's `SolverFault` passes through it.
     """
     deadline = time.perf_counter() + cfg.time_limit_seconds
     stats = model_size(inst, horizon, cfg.parts_mode)
@@ -220,10 +211,6 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
         if sub is not None:
             nodes += sub.nodes
             stalled = stalled or sub.status == "limit"
-            if sub.status == "infeasible" and witness is not None:
-                raise AdapterFailure(
-                    "solver reported infeasible on a horizon the heuristic "
-                    "schedule already witnesses")
             if sub.status == "optimal":
                 bound = sub.makespan
         if sub is not None and sub.schedule is not None and (
@@ -270,8 +257,8 @@ def _solve_on(inst, horizon, cfg: HopConfig, mode, incumbent=None,
         if report.schedule is not None:
             check = validate_schedule(inst, report.schedule, cfg.parts_mode)
             if not check.ok:
-                raise Infeasible("solver produced an invalid schedule: "
-                                 + "; ".join(check.violations))
+                raise SolverFault("solver produced an invalid schedule: "
+                                  + "; ".join(check.violations))
         report.solver_seconds = time.perf_counter() - clock
     report.heuristic_seconds = heuristic_seconds
     report.wall_seconds = (heuristic_seconds or 0.0) + report.solver_seconds
@@ -288,11 +275,8 @@ def run_hop(inst: Instance, cfg: HopConfig = None):
     if cfg is None:
         cfg = HopConfig()
     clock = time.perf_counter()
-    try:
-        heur_schedule = run_heuristic(
-            inst, cfg.heuristic or HeuristicConfig(parts_mode=cfg.parts_mode))
-    except (UnproduciblePair, NoFeasiblePlacement) as exc:
-        raise Infeasible(f"heuristic found no feasible schedule: {exc}") from exc
+    heur_schedule = run_heuristic(
+        inst, cfg.heuristic or HeuristicConfig(parts_mode=cfg.parts_mode))
     heur_seconds = time.perf_counter() - clock
     return _solve_on(inst, int(schedule_makespan(heur_schedule)), cfg, "hop",
                      heur_schedule, heur_seconds)

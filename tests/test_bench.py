@@ -179,7 +179,11 @@ def test_instance_from_json_refuses_non_integers(path, value, message):
      "instance: mold_compat entry must be a pair of integers, got 1"),
     ("mold_compat", [[1, 2, 3]],
      "instance: mold_compat entry must be a pair of integers, got [1, 2, 3]"),
-], ids=["molds-not-a-list", "compat-entry-not-a-list", "compat-entry-of-three"])
+    ("meta", 5, "instance: meta must be an object, got 5"),
+    ("meta", [1, 2], "instance: meta must be an object, got [1, 2]"),
+    ("meta", "x", "instance: meta must be an object, got 'x'"),
+], ids=["molds-not-a-list", "compat-entry-not-a-list", "compat-entry-of-three",
+        "meta-number", "meta-list", "meta-string"])
 def test_malformed_instance_shape_is_a_one_line_usage_error(
         tmp_path, capsys, key, value, message):
     doc = instance_to_json(toy1())
@@ -424,6 +428,32 @@ def test_run_benchmark_malformed_solution_is_an_error_cell(tmp_path,
         "zero,milp,,0,0,,,,",
         "Average,heuristic,,1,,,,,",
         "Average,milp,,0,0,,,,",
+    ]) + "\n"
+
+
+def unmet_stage(monkeypatch):
+    """An oracle whose every schedule covers none of the demand."""
+    unmet = Schedule(tuples=[])
+    monkeypatch.setattr(
+        "curesched.hop.solve_exact",
+        lambda *args, **kwargs: SolveReport("exact", "optimal", 0, 0.0, 0.0,
+                                            schedule=unmet))
+
+
+def test_run_benchmark_invalid_stage_schedule_is_an_error_cell(
+        tmp_path, monkeypatch):
+    """A stage schedule that fails the validator is a solver fault, even
+    where the heuristic holds a valid one: its cell reads `error`."""
+    p1, _ = save_toys(tmp_path)
+    unmet_stage(monkeypatch)
+    modes = ["heuristic", "milp", "hop"]
+    rows = run_benchmark({"instances": [str(p1)], "modes": modes,
+                          "iterations": 20, "seed": 1})
+    assert rows_to_csv(rows, modes, average=False) == "\n".join([
+        CSV_HEADER,
+        "toy1,heuristic,,2,,,,,",
+        "toy1,milp,,error,,,,,",
+        "toy1,hop,,error,,,,,",
     ]) + "\n"
 
 
@@ -675,19 +705,20 @@ def test_cli_solve_milp_limit_before_any_schedule(tmp_path, capsys):
 def test_cli_solve_exact_rejects_an_invalid_schedule(tmp_path, capsys,
                                                      monkeypatch):
     """The pipeline checks the exact stage's schedule before it stands: in
-    `milp` and in `hop`, one that covers no demand is "infeasible"."""
+    `milp` and in `hop`, one that covers no demand is a solver fault, which
+    exits 2 with one error line and writes no schedule."""
     p1, _ = save_toys(tmp_path)
     spath = tmp_path / "sched.json"
-    unmet = Schedule(tuples=[])  # covers none of the demand
-    monkeypatch.setattr(
-        "curesched.hop.solve_exact",
-        lambda *args, **kwargs: SolveReport("exact", "optimal", 0, 0.0, 0.0,
-                                            schedule=unmet))
+    unmet_stage(monkeypatch)
     for mode in ("milp", "hop"):
         rc = cli_main(["solve", "--instance", str(p1), "--mode", mode,
                        "--schedule-out", str(spath)])
-        assert rc == 1, mode
-        assert "status infeasible\n" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert rc == 2, mode
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: solver produced an invalid schedule: ")
+        assert captured.err.count("\n") == 1, captured.err
         assert not spath.exists()
 
 
@@ -775,6 +806,18 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
     exact_mode = tmp_path / "exact-mode.json"
     exact_mode.write_text(json.dumps(
         {"instances": [str(p1)], "modes": ["exact"]}), encoding="utf-8")
+    malformed_suites = []
+    for name, fields in (
+            ("instances-string", {"instances": str(p1)}),
+            ("instances-number", {"instances": [3]}),
+            ("modes-string", {"modes": "hop"}),
+            ("record-time-string", {"record_time": "no"})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(
+            {"instances": [str(p1)], "modes": ["heuristic"]} | fields),
+            encoding="utf-8")
+        malformed_suites.append(["bench", "--suite", str(path), "--out",
+                                 str(tmp_path / f"{name}.csv")])
     cases = [
         [],
         ["frobnicate"],
@@ -798,10 +841,12 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
         ["bench", "--suite", str(nan_limit), "--out", str(tmp_path / "o.csv")],
         ["solve", "--instance", str(p1), "--mode", "milp",
          "--solver-cmd", garbage_solver(tmp_path)],
-    ]
+    ] + malformed_suites
     for args in cases:
         assert cli_main(args) == 2, args
         capsys.readouterr()
+    for args in malformed_suites:
+        assert not Path(args[-1]).exists(), args
     # `exact` is no mode: the suite is refused before anything runs
     out = tmp_path / "o.csv"
     assert cli_main(["bench", "--suite", str(exact_mode), "--out",

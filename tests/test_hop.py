@@ -40,7 +40,10 @@ from curesched.errors import (
     AdapterUnavailable,
     Infeasible,
     InfeasibleAssignment,
+    NoFeasiblePlacement,
     SolutionParseError,
+    SolverFault,
+    UnproduciblePair,
 )
 from curesched.exact import (
     TIME_LIMIT_SECONDS,
@@ -141,7 +144,7 @@ def test_hop_without_a_heuristic_schedule_is_infeasible():
     # seed 0's only start cannot place its tuples, and neither can the
     # safe horizon's serial schedule
     cfg = HopConfig(heuristic=HeuristicConfig(total_iterations=1, seed=0))
-    with pytest.raises(Infeasible, match="heuristic found no feasible"):
+    with pytest.raises(Infeasible, match="no start placed every tuple"):
         run_hop(two_removals(), cfg)
 
 
@@ -322,11 +325,28 @@ def test_time_limit_defaults_agree():
 
 def test_adapter_infeasible_on_a_witnessed_horizon_is_a_fault(
         oracle_declines):
+    """A solver that calls the heuristic's own horizon infeasible is at
+    fault, as a failing one is: hop keeps its witness at the limit."""
     never = SolverAdapter(command=(sys.executable, "-c",
                                    "import sys; sys.exit(10)"))
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER, adapter=never)
-    with pytest.raises(AdapterFailure):
-        run_hop(toy1(), cfg)
+    report, schedule = run_hop(toy1(), cfg)
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "limit", 2, None)
+    assert validate_schedule(toy1(), schedule).ok
+
+
+@pytest.mark.parametrize("error, family", [
+    (AdapterUnavailable, SolverFault), (AdapterFailure, SolverFault),
+    (SolutionParseError, SolverFault), (InfeasibleAssignment, SolverFault),
+    (UnproduciblePair, Infeasible), (NoFeasiblePlacement, Infeasible),
+])
+def test_each_error_belongs_to_one_family(error, family):
+    """A backend fault and a finding of no schedule are caught by one base
+    name each, and neither base catches the other's errors."""
+    other = Infeasible if family is SolverFault else SolverFault
+    exc = error(["a violation"])
+    assert isinstance(exc, family) and not isinstance(exc, other)
 
 
 # ── independent components in the exact stage ──────────────────────────

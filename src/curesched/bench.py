@@ -263,7 +263,7 @@ def _numbers(rep: SolveReport, record_time: bool) -> dict:
     rows and `solve`'s stdout all read it."""
     stats = rep.stats
     return {
-        "thb": rep.horizon,
+        "thb": None if stats is None else stats.thb,
         "makespan": rep.makespan,
         "gap_pct": rep.gap_percent,
         "time_s": rep.wall_seconds if record_time else None,
@@ -417,6 +417,9 @@ def _parse_suite(suite):
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"suite: unknown mode {mode!r}")
+    parts_mode = suite.get("parts_mode", PARTS_PER_HEATER)
+    if parts_mode not in PARTS_MODES:
+        raise ValueError(f"suite: unknown parts_mode {parts_mode!r}")
     record_time = suite.get("record_time", False)
     if not isinstance(record_time, bool):
         raise ValueError(
@@ -425,7 +428,7 @@ def _parse_suite(suite):
         iterations=_suite_number(suite, "iterations", int),
         seed=_suite_number(suite, "seed", int),
         time_limit=_suite_number(suite, "time_limit", (int, float)),
-        parts_mode=suite.get("parts_mode", PARTS_PER_HEATER),
+        parts_mode=parts_mode,
         solver_cmd=suite.get("solver_cmd"),
     )
     _solver_adapter(options["solver_cmd"], "suite: solver_cmd")
@@ -439,9 +442,9 @@ def run_benchmark(suite: dict, base_dir=".") -> list:
     A failing pair is recorded in its cell and the run continues: an
     inadmissible instance as "infeasible", an unreadable file or a solver
     fault as "error".  Relative instance paths resolve against `base_dir`.
-    A malformed suite (a field of the wrong type, an unknown mode, a
-    `solver_cmd` that names no command) raises ValueError before anything
-    runs.
+    A malformed suite (a field of the wrong type, an unknown mode or parts
+    mode, a `solver_cmd` that names no command) raises ValueError before
+    anything runs.
     """
     return _run_suite(*_parse_suite(suite)[:3], Path(base_dir))
 
@@ -522,8 +525,8 @@ def _cmd_solve(args):
         inst, args.mode, iterations=args.iterations, seed=args.seed,
         time_limit=args.time_limit, parts_mode=args.parts_mode,
         solver_cmd=args.solver_cmd)
-    if args.emit_lp and rep.horizon is not None:
-        model = build_model(inst, rep.horizon, args.parts_mode)
+    if args.emit_lp and rep.stats is not None:
+        model = build_model(inst, rep.stats.thb, args.parts_mode)
         Path(args.emit_lp).write_text(emit_lp(model), encoding="utf-8")
     if args.schedule_out and rep.schedule is not None:
         save_schedule(rep.schedule, args.schedule_out)

@@ -67,6 +67,8 @@ TIME_LIMIT_SECONDS = 3600.0
 # counted nodes a search may expand: each one holds a memo entry, so this
 # bounds the memo's memory
 _MAX_NODES = 5_000_000
+# the longest wait subprocess accepts (2**31 - 1 ms, about 24.8 days)
+_MAX_WAIT_S = (2**31 - 1) / 1000
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,7 @@ class SolveReport:
 
     status is one of "optimal", "feasible", "infeasible", "limit", and
     "error" for a run the benchmark could not make; gap_percent is 0
-    exactly when the makespan is proven optimal.  The schedule is None
-    when the run only confirmed a caller-supplied incumbent without
-    reconstructing its assignment.  horizon holds the periods the exact
-    stage searched, None when no stage ran.
+    exactly when the makespan is proven optimal.
     """
 
     mode: str
@@ -101,7 +100,6 @@ class SolveReport:
     stats: ModelStats = None
     schedule: Schedule = None
     nodes: int = 0
-    horizon: int = None
     # two-phase pipelines split wall_seconds into these
     heuristic_seconds: float = None
     solver_seconds: float = None
@@ -205,17 +203,12 @@ def _iter_joint_configs(inst, plans, table, residents, res):
 
 
 def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
-                incumbent_makespan: int = None, floor: int = 0,
+                floor: int = 0,
                 time_limit_seconds: float = TIME_LIMIT_SECONDS) -> SolveReport:
     """Minimal makespan within a `thb`-period horizon, or proof there is none.
 
     The search stops after `time_limit_seconds`, or after `_MAX_NODES`
     counted nodes, with the best schedule it holds.
-
-    An `incumbent_makespan` (say, from the randomized heuristic) seeds the
-    pruning bound; the search then only looks for strictly shorter
-    schedules, and exhausting the tree without finding one proves the
-    incumbent optimal (reported with schedule None).
 
     A state is checked once, where it is reached: against the clock, for
     met demand, against its floor, `period - 1 + residual_bound(res, rate)`
@@ -239,8 +232,6 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
         raise ValueError("time_limit_seconds must be positive")
     if thb < 0:
         raise ValueError("thb must be non-negative")
-    if incumbent_makespan is not None and incumbent_makespan < 0:
-        raise ValueError("incumbent_makespan must be non-negative")
     if floor < 0:
         raise ValueError("floor must be non-negative")
 
@@ -255,8 +246,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     initial = initial_residents(inst)
     residents0 = tuple(multiset(initial[k]) for k in inst.heaters)
     root_lb = root_bound(inst, parts_mode)
-    best = math.inf if incumbent_makespan is None else incumbent_makespan
-    best_path = None
+    best = math.inf
     memo = {}
     nodes = 0
 
@@ -315,19 +305,18 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
         status = "limit" if hit_limit else "infeasible"
     else:
         makespan = int(best)
-        if best_path is not None:
-            periods = {k: [] for k in inst.heaters}
-            for joint in best_path:
-                for k, pair, _, cap in joint:
-                    periods[k].append((pair, cap))
-            schedule = schedule_from_periods(inst, periods)
+        periods = {k: [] for k in inst.heaters}
+        for joint in best_path:
+            for k, pair, _, cap in joint:
+                periods[k].append((pair, cap))
+        schedule = schedule_from_periods(inst, periods)
         # a search that stopped at the floor proved nothing more
         if (not hit_limit and best > floor) or root_lb >= best:
             status, gap = "optimal", 0.0
         else:
             status, gap = "feasible", 100.0 * (best - root_lb) / best
     return SolveReport("exact", status, makespan, gap, wall, schedule=schedule,
-                       nodes=nodes, horizon=thb)
+                       nodes=nodes)
 
 
 # ── external solver bridge ───────────────────────────────────────────
@@ -336,7 +325,9 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
 def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
                        time_limit_seconds: float = None) -> SolveReport:
     """Solve a built model through an external solver command, stopping it
-    after `time_limit_seconds` when given.
+    after `time_limit_seconds` when given.  A finite limit reaches the
+    child as `TIME_LIMIT_ENV`; one of `_MAX_WAIT_S` or more, `inf` too, does
+    not bound the wait.
 
     Raises AdapterUnavailable when the command is missing, AdapterFailure
     on an unexpected exit code, SolutionParseError on an unreadable
@@ -354,14 +345,15 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
         with open(lp_path, "w") as fh:
             fh.write(emit_lp(m))
         env = dict(os.environ)
-        if time_limit_seconds is not None:
-            env[TIME_LIMIT_ENV] = str(time_limit_seconds)
+        limit = math.inf if time_limit_seconds is None else time_limit_seconds
+        if limit < math.inf:
+            env[TIME_LIMIT_ENV] = str(limit)
         try:
             proc = subprocess.run(
                 command + [lp_path, sol_path],
                 capture_output=True,
                 text=True,
-                timeout=time_limit_seconds,
+                timeout=limit if limit < _MAX_WAIT_S else None,
                 env=env,
             )
         except FileNotFoundError as exc:
@@ -369,11 +361,11 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
         except subprocess.TimeoutExpired:
             wall = time.perf_counter() - start_clock
             return SolveReport("adapter", "limit", None, None, wall,
-                               stats=stats, horizon=m.thb)
+                               stats=stats)
         wall = time.perf_counter() - start_clock
         if proc.returncode == EXIT_INFEASIBLE:
             return SolveReport("adapter", "infeasible", None, None, wall,
-                               stats=stats, horizon=m.thb)
+                               stats=stats)
         if proc.returncode != 0:
             tail = (proc.stderr or proc.stdout or "").strip().splitlines()
             detail = tail[-1] if tail else "no output"
@@ -388,4 +380,4 @@ def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
     schedule = extract_schedule(m, assignment)
     makespan = int(schedule_makespan(schedule))
     return SolveReport("adapter", "optimal", makespan, 0.0, wall,
-                       stats=stats, schedule=schedule, horizon=m.thb)
+                       stats=stats, schedule=schedule)

@@ -103,8 +103,10 @@ class HopConfig:
 def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
                      floor, bound):
     """The configured backend's `_Answer` for one component on `horizon`,
-    or None when the deadline has passed.  The oracle takes a `witnessed`
-    horizon as its incumbent makespan and `floor` as its good-enough one.
+    or None when the deadline has passed; `floor` is the oracle's
+    good-enough makespan.  A `witnessed` horizon stands unless something
+    shorter turns up: the oracle searches `horizon - 1`, and its refutation
+    makes the witness optimal, its limit merely "feasible".
 
     The adapter ladder climbs the horizons from the component's root
     `bound` up to `horizon` and returns the first answer that is not
@@ -124,9 +126,11 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     if remaining <= 0:
         return None
     if cfg.solver == SOLVER_INTERNAL:
-        r = solve_exact(comp, horizon, cfg.parts_mode,
-                        incumbent_makespan=horizon if witnessed else None,
+        r = solve_exact(comp, horizon - witnessed, cfg.parts_mode,
                         floor=floor, time_limit_seconds=remaining)
+        if witnessed and r.schedule is None:
+            return _Answer("optimal" if r.status == "infeasible"
+                           else "feasible", horizon, nodes=r.nodes)
         return _Answer(r.status, r.makespan, r.schedule, r.nodes)
     refuting, nodes, proven = True, 0, None
     for h in range(min(bound, horizon), horizon + 1):
@@ -173,9 +177,9 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
     `components` at a time, as the `mode` pipeline reports it; its stats
     are the whole model's size, and its caller times it.
 
-    Components go in descending root bound.  Each searches the makespan of
-    the `incumbent` restricted to it, with that piece as its incumbent, or
-    all of `horizon` without one, until an equal share of the time left
+    Components go in descending root bound.  Each searches below the
+    makespan of the `incumbent` restricted to it, its witness, or all of
+    `horizon` without one, until an equal share of the time left
     among it and the later ones that may need a search: those with no
     piece, or one longer than the largest root bound.  One whose piece is
     within its root bound or the longest component so far is not searched;
@@ -221,7 +225,7 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
         else:
             return SolveReport(mode, "limit" if sub is None else sub.status,
                                None, None, wall_seconds=None, stats=stats,
-                               nodes=nodes, horizon=horizon)
+                               nodes=nodes)
         tuples.extend(piece.tuples)
         lower = max(lower, bound)
         span = max(span, int(schedule_makespan(piece)))
@@ -235,8 +239,7 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
         if stalled:
             status, gap = "limit", None
     return SolveReport(mode, status, span, gap, wall_seconds=None,
-                       stats=stats, schedule=schedule, nodes=nodes,
-                       horizon=horizon)
+                       stats=stats, schedule=schedule, nodes=nodes)
 
 
 def _solve_on(inst, horizon, cfg: HopConfig, mode, incumbent=None,

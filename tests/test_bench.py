@@ -35,6 +35,8 @@ from curesched.bench import (
 )
 from curesched.domain import (
     AssignmentTuple,
+    Instance,
+    Mold,
     Part,
     Schedule,
     validate_instance,
@@ -283,11 +285,11 @@ def test_run_benchmark_rows(tmp_path):
     rows = run_benchmark(suite)
     assert [r.instance for r in rows] == ["toy1", "toy2"]
     c1 = rows[0].cells["hop"]
-    assert (c1.horizon, c1.makespan, c1.gap_percent) == (2, 1, 0.0)
+    assert (c1.stats.thb, c1.makespan, c1.gap_percent) == (2, 1, 0.0)
     assert c1.stats == ModelStats(49, 12, 14, 2)
     assert c1.wall_seconds >= 0.0
     c2 = rows[1].cells["hop"]
-    assert (c2.horizon, c2.makespan) == (2, 2)
+    assert (c2.stats.thb, c2.makespan) == (2, 2)
     assert c2.stats.n_constraints == 51
 
 
@@ -458,7 +460,7 @@ def test_run_benchmark_invalid_stage_schedule_is_an_error_cell(
 
 
 def test_csv_note_and_gap_rendering():
-    full = SolveReport("exact", "feasible", 10, 18.1818, 0.5, horizon=11,
+    full = SolveReport("exact", "feasible", 10, 18.1818, 0.5,
                        stats=ModelStats(n_constraints=100, n_binary_vars=20,
                                         n_integer_vars=30, thb=11))
     from curesched.bench import ResultRow
@@ -618,6 +620,40 @@ def test_cli_solve_infeasible_exit(tmp_path, capsys):
     rc = cli_main(["solve", "--instance", str(pb), "--mode", "hop"])
     assert rc == 1
     assert "status infeasible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode, cell", [
+    ("heuristic", ",,infeasible,,,,,"),
+    ("hop", ",,infeasible,,,,,"),
+    ("milp", ",1,infeasible,,,24,5,6"),
+])
+def test_cli_solve_admissible_instance_without_a_schedule(tmp_path, capsys,
+                                                          mode, cell):
+    """The heater starts holding both copies of mold 1, each of which
+    takes 8000 of the period's 14400 deciminutes to remove, and mold 2
+    cures only there: the instance is admissible, but the heater can never
+    empty.  Every mode exits 1 at "infeasible", with no violation lines;
+    `heuristic` and `hop` find no schedule at all, `milp` refutes its
+    horizon."""
+    stuck = Instance(
+        name="stuck", period_dmin=14400,
+        molds=(Mold(id=1, copies=2, setup_dmin=600, removal_dmin=8000,
+                    demand=0),
+               Mold(id=2, copies=1, setup_dmin=600, removal_dmin=300,
+                    demand=5)),
+        heaters=(1,), curing={(1, 1): 400, (2, 1): 400},
+        mold_compat=((1, 1), (2, 2)), parts=(), init={(1, 1): 2})
+    assert validate_instance(stuck).ok
+    path = tmp_path / "stuck.json"
+    save_instance(stuck, path)
+    out_csv = tmp_path / "stuck.csv"
+    rc = cli_main(["solve", "--instance", str(path), "--mode", mode,
+                   "--out", str(out_csv)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out.startswith(f"instance stuck\nmode {mode}\nstatus infeasible\n")
+    assert "makespan" not in out and err == ""
+    assert out_csv.read_text().splitlines()[1] == f"stuck,{mode}{cell}"
 
 
 INADMISSIBLE = {
@@ -811,7 +847,9 @@ def test_cli_usage_errors(tmp_path, capsys, oracle_declines):
             ("instances-string", {"instances": str(p1)}),
             ("instances-number", {"instances": [3]}),
             ("modes-string", {"modes": "hop"}),
-            ("record-time-string", {"record_time": "no"})):
+            ("record-time-string", {"record_time": "no"}),
+            ("parts-mode-unknown", {"instances": ["missing.json"],
+                                    "parts_mode": "banana"})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(
             {"instances": [str(p1)], "modes": ["heuristic"]} | fields),
@@ -1004,3 +1042,22 @@ def test_cli_solve_hop_malformed_solution_keeps_the_heuristic(
     assert rc == 3
     assert "status limit\nmakespan 2\n" in out
     assert validate_schedule(toy1(), load_schedule(spath)).ok
+
+
+@pytest.mark.parametrize("limit", ["inf", "1e9"])
+@pytest.mark.parametrize("command, rc, tail", [
+    (STUB_CMD, 0, "status optimal\nmakespan 1\n"),
+    ("false", 3, "status limit\nmakespan 2\n"),
+], ids=["lpsolve", "false"])
+def test_cli_solve_hop_takes_any_time_limit(tmp_path, capsys,
+                                            oracle_declines, limit, command,
+                                            rc, tail):
+    """A limit too long for subprocess to wait on, `inf` too, runs the
+    solver child with no bound on the wait: the bundled solver proves
+    toy1, and a failing one leaves the heuristic's schedule at "limit"."""
+    p1, _ = save_toys(tmp_path)
+    assert cli_main(["solve", "--instance", str(p1), "--mode", "hop",
+                     "--iterations", "20", "--seed", "1",
+                     "--solver-cmd", command, "--time-limit", limit]) == rc
+    captured = capsys.readouterr()
+    assert tail in captured.out and captured.err == ""

@@ -44,6 +44,7 @@ from curesched.errors import (
 from curesched.exact import SolverAdapter, solve_exact, solve_with_adapter
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.horizon import compute_thb
+from curesched.lpformat import TIME_LIMIT_ENV
 from curesched.milp import build_model
 
 from helpers import (
@@ -160,12 +161,14 @@ def test_exact_node_limit_without_incumbent(monkeypatch):
 
 
 def test_exact_node_limit_with_incumbent(monkeypatch):
+    # the horizon below a witnessed 25: the cap stops the search before it
+    # finds anything, and no incumbent stands in for what it did not find
     monkeypatch.setattr(curesched.exact, "_MAX_NODES", 2)
     inst = single_mold_big(copies=4, heaters=2)
-    report = solve_exact(inst, 20, incumbent_makespan=25)
-    assert report.status == "feasible"
-    assert report.makespan == 25
-    assert report.gap_percent is not None and report.gap_percent > 0
+    report = solve_exact(inst, 24)
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "limit", None, None)
+    assert report.schedule is None
 
 
 def test_exact_rejects_a_non_positive_time_limit():
@@ -178,26 +181,24 @@ def test_exact_rejects_a_non_positive_time_limit():
         solve_exact(toy1(), 2, parts_mode="shared")
     with pytest.raises(ValueError, match="thb must be non-negative"):
         solve_exact(toy1(), -1)
-    with pytest.raises(ValueError, match="incumbent_makespan must be"):
-        solve_exact(toy1(), 2, incumbent_makespan=-1)
 
 
 def test_exact_proves_incumbent_optimal():
-    # toy2 optimum is 2; handing it in as the incumbent must come back optimal
-    report = solve_exact(toy2(), 2, incumbent_makespan=2)
-    assert (report.status, report.makespan) == ("optimal", 2)
+    # toy2 optimum is 2: the horizon below it holds no schedule
+    report = solve_exact(toy2(), 1)
+    assert (report.status, report.makespan) == ("infeasible", None)
 
 
 def test_exact_floor_stops_at_first_schedule_within_it():
     # S11's molds 6-7: root bound 5, optimum 6, heuristic horizon 16
     inst = components(generate_instance(SCENARIOS["small"], 11))[1]
-    full = solve_exact(inst, 16, incumbent_makespan=16)
+    full = solve_exact(inst, 15)
     assert (full.status, full.makespan) == ("optimal", 6)
     # a floor at or below the root bound changes nothing
-    same = solve_exact(inst, 16, incumbent_makespan=16, floor=5)
+    same = solve_exact(inst, 15, floor=5)
     assert (same.status, same.makespan, same.nodes) == (
         full.status, full.makespan, full.nodes)
-    early = solve_exact(inst, 16, incumbent_makespan=16, floor=8)
+    early = solve_exact(inst, 15, floor=8)
     assert early.makespan <= 8 and early.nodes < full.nodes
     assert validate_schedule(inst, early.schedule).ok
     # stopping at the floor proves nothing beyond the root bound
@@ -267,7 +268,7 @@ def test_exact_stops_at_its_proof(monkeypatch):
 
     monkeypatch.setattr(curesched.exact, "_iter_joint_configs", counted)
     inst = generate_instance(SCENARIOS["small"], 1)
-    report = solve_exact(inst, 4, incumbent_makespan=4)
+    report = solve_exact(inst, 3)
     assert (report.status, report.makespan, report.nodes) == ("optimal", 2, 4)
     assert validate_schedule(inst, report.schedule).ok
     assert draws < 5000
@@ -287,8 +288,7 @@ def test_exact_builds_one_frame_per_counted_node(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(curesched.exact, "_Frame", Counted)
-    report = solve_exact(generate_instance(SCENARIOS["small"], 1), 4,
-                         incumbent_makespan=4)
+    report = solve_exact(generate_instance(SCENARIOS["small"], 1), 3)
     assert (report.status, report.makespan, report.nodes) == ("optimal", 2, 4)
     assert frames == report.nodes
 
@@ -311,7 +311,7 @@ def test_exact_plans_each_heater_once_per_counted_node(monkeypatch, seed,
 
     monkeypatch.setattr(curesched.exact, "_heater_options", counted)
     inst = generate_instance(SCENARIOS["small"], seed)
-    report = solve_exact(inst, horizon, incumbent_makespan=horizon)
+    report = solve_exact(inst, horizon - 1)
     assert (report.status, report.nodes, len(inst.heaters)) == (
         "optimal", nodes, heaters)
     assert calls == nodes * heaters
@@ -422,7 +422,7 @@ def test_exact_plans_each_changeover_once_per_search(monkeypatch):
     counts = []
     for _ in range(2):
         calls.clear()
-        solve_exact(inst, 4, incumbent_makespan=4)
+        solve_exact(inst, 3)
         counts.append(len(calls))
     assert len(memos) == 2 and memos[0] is not memos[1]
     assert memos[0] == memos[1]
@@ -506,6 +506,26 @@ def test_adapter_timeout_reports_limit(tmp_path):
     report = solve_with_adapter(build_model(toy1(), 2), adapter, 0.4)
     assert report.status == "limit"
     assert report.makespan is None
+
+
+@pytest.mark.parametrize("limit, passed", [
+    (math.inf, "unset"), (1e9, "1000000000.0"), (60.0, "60.0"),
+])
+def test_adapter_takes_any_time_limit(tmp_path, limit, passed):
+    """subprocess refuses a wait beyond 2**31 - 1 ms: a longer limit, inf
+    too, does not bound the wait, and only a finite one reaches the
+    solver's environment."""
+    seen = tmp_path / "limit.txt"
+    adapter = _fake_adapter(
+        tmp_path,
+        "import os, sys\n"
+        f"open({str(seen)!r}, 'w').write("
+        f"os.environ.get({TIME_LIMIT_ENV!r}, 'unset'))\n"
+        "sys.exit(10)\n",
+    )
+    report = solve_with_adapter(build_model(toy1(), 2), adapter, limit)
+    assert report.status == "infeasible"
+    assert seen.read_text() == passed
 
 
 def test_adapter_agrees_with_exact_on_tiny_instances():

@@ -23,6 +23,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import curesched
 
 import curesched.domain
+import curesched.exact
 import curesched.hop
 import curesched.lpsolve
 
@@ -286,7 +287,7 @@ def test_milp_out_of_time_before_any_schedule_is_a_limit_without_one():
     assert (report.status, report.makespan, report.gap_percent) == (
         "limit", None, None)
     assert report.schedule is None and schedule is None
-    assert report.horizon == compute_thb(inst)
+    assert report.stats.thb == compute_thb(inst)
 
 
 def test_solver_time_counts_the_model_build(monkeypatch, oracle_declines):
@@ -429,11 +430,9 @@ def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
     calls = []
     real = curesched.hop.solve_exact
 
-    def spy(inst, thb, parts_mode, incumbent_makespan, floor,
-            time_limit_seconds):
+    def spy(inst, thb, parts_mode, floor, time_limit_seconds):
         calls.append((inst.mold_ids, floor))
-        return real(inst, thb, parts_mode,
-                    incumbent_makespan=incumbent_makespan, floor=floor,
+        return real(inst, thb, parts_mode, floor=floor,
                     time_limit_seconds=time_limit_seconds)
 
     monkeypatch.setattr(curesched.hop, "solve_exact", spy)
@@ -443,7 +442,7 @@ def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
     report, _ = _hop_on_witness(small(11), HopConfig())
     assert calls == [((6, 7), 0), ((1, 2, 3, 4, 5), 6)]
     assert (report.status, report.makespan) == ("optimal", 6)
-    assert report.stats == model_size(small(11), report.horizon)
+    assert report.stats == model_size(small(11), report.stats.thb)
     # S13: the heuristic's molds 6-7 already meet their root bound 11, and
     # its molds 1-5 fit within that length
     calls.clear()
@@ -512,15 +511,14 @@ def _ladder_on_tiny_1021(monkeypatch):
     def fake(model, adapter, time_limit_seconds):
         rungs.append(model.thb)
         if model.thb < 4:
-            return SolveReport("adapter", "infeasible", None, None, 0.0,
-                               horizon=model.thb)
+            return SolveReport("adapter", "infeasible", None, None, 0.0)
         return real(model, adapter, time_limit_seconds)
 
     monkeypatch.setattr(curesched.hop, "solve_with_adapter", fake)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
     report, schedule = run_hop(inst, cfg)
-    assert report.horizon == 6
+    assert report.stats.thb == 6
     assert root_bound(inst, PARTS_PER_HEATER) == 2
     assert (report.status, report.makespan, report.gap_percent) == (
         "optimal", 4, 0.0)
@@ -556,6 +554,24 @@ def test_adapter_ladder_climbs_through_children_without_refutations(
     root bound to a solver child."""
     rungs, _ = _ladder_on_tiny_1021(monkeypatch)
     assert rungs == [2, 3, 4]
+
+
+def test_internal_oracle_keeps_a_witness_it_cannot_shorten(monkeypatch):
+    """Tiny seed 1021's optimum 4 witnessed: the oracle searches horizon
+    3 and refutes it in 12 nodes, which proves the witness optimal.  Cut
+    off by the node cap, the witness still stands, at "feasible" against
+    the root bound 2 rather than at "limit"."""
+    inst = tiny_instance(1021)
+    witness = solve_exact(inst, 4).schedule
+    report = curesched.hop._exact_stage(inst, 4, HopConfig(), witness)
+    assert (report.status, report.makespan, report.gap_percent,
+            report.nodes) == ("optimal", 4, 0.0, 12)
+    assert report.schedule is witness
+    monkeypatch.setattr(curesched.exact, "_MAX_NODES", 2)
+    report = curesched.hop._exact_stage(inst, 4, HopConfig(), witness)
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "feasible", 4, 50.0)
+    assert report.schedule is witness
 
 
 # ── one pair table per instance ──────────────────────────────────────
@@ -817,8 +833,7 @@ def test_component_stage_keeps_its_time_limit():
         inst, horizon, HopConfig(time_limit_seconds=limit), heuristic)
     stage_s = time.perf_counter() - clock
     clock = time.perf_counter()
-    solve_exact(inst, horizon, incumbent_makespan=horizon,
-                time_limit_seconds=limit)
+    solve_exact(inst, horizon - 1, time_limit_seconds=limit)
     whole_s = time.perf_counter() - clock
     assert report.status != "optimal"
     assert stage_s <= limit + slack

@@ -525,8 +525,10 @@ def _cmd_solve(args):
         inst, args.mode, iterations=args.iterations, seed=args.seed,
         time_limit=args.time_limit, parts_mode=args.parts_mode,
         solver_cmd=args.solver_cmd)
-    if args.emit_lp and rep.stats is not None:
-        model = build_model(inst, rep.stats.thb, args.parts_mode)
+    # no stats: horizon 0, or an infeasible run that built no model
+    if args.emit_lp and (rep.stats is not None or rep.status != "infeasible"):
+        model = build_model(inst, rep.stats.thb if rep.stats else 0,
+                            args.parts_mode)
         Path(args.emit_lp).write_text(emit_lp(model), encoding="utf-8")
     if args.schedule_out and rep.schedule is not None:
         save_schedule(rep.schedule, args.schedule_out)

@@ -323,29 +323,33 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
 
 
 def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
-                       time_limit_seconds: float = None) -> SolveReport:
+                       time_limit_seconds: float = math.inf) -> SolveReport:
     """Solve a built model through an external solver command, stopping it
-    after `time_limit_seconds` when given.  A finite limit reaches the
-    child as `TIME_LIMIT_ENV`; one of `_MAX_WAIT_S` or more, `inf` too, does
-    not bound the wait.
+    once `time_limit_seconds` have passed since the call.  The child gets
+    the time the LP file's writing leaves, as `TIME_LIMIT_ENV` when finite
+    and as its wait; a wait of `_MAX_WAIT_S` or more, `inf` too, is not
+    bounded.  With no time left no child starts.
 
     Raises AdapterUnavailable when the command is missing, AdapterFailure
     on an unexpected exit code, SolutionParseError on an unreadable
     solution file, and lets InfeasibleAssignment from schedule decoding
     propagate.  A wall-clock timeout comes back as status "limit".
     """
+    start_clock = time.perf_counter()
     if adapter is None:
         raise AdapterUnavailable("no solver adapter configured")
     command = list(adapter.command)
     stats = model_stats(m)
-    start_clock = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="curesched-") as workdir:
         lp_path = os.path.join(workdir, "model.lp")
         sol_path = os.path.join(workdir, "model.sol")
         with open(lp_path, "w") as fh:
             fh.write(emit_lp(m))
         env = dict(os.environ)
-        limit = math.inf if time_limit_seconds is None else time_limit_seconds
+        limit = time_limit_seconds - (time.perf_counter() - start_clock)
+        if limit <= 0:
+            return SolveReport("adapter", "limit", None, None,
+                               time.perf_counter() - start_clock, stats=stats)
         if limit < math.inf:
             env[TIME_LIMIT_ENV] = str(limit)
         try:

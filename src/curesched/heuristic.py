@@ -462,20 +462,18 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
     """
     ctx = ctx or _context(inst)
     improved = schedule
-    while True:
-        split = _split(improved.tuples)
-        if uncovered_molds(inst, produced_by_mold(split)):
-            return improved
+    while not uncovered_molds(inst, _split_production(improved.tuples)):
         try:
-            candidate = assignment_procedure(inst, split, parts_mode, ctx=ctx)
+            candidate = assignment_procedure(inst, _split(improved.tuples),
+                                             parts_mode, ctx=ctx)
         except NoFeasiblePlacement:
             return improved
         candidate = _shave_overproduction(inst, candidate, ctx)
-        if (schedule_makespan(candidate) < schedule_makespan(improved)
+        if not (schedule_makespan(candidate) < schedule_makespan(improved)
                 and validate_schedule(inst, candidate, parts_mode).ok):
-            improved = candidate
-            continue
-        return improved
+            return improved
+        improved = candidate
+    return improved
 
 
 # ── multi-start driver ───────────────────────────────────────────────

@@ -117,8 +117,9 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     refutation of an unwitnessed `horizon`.  The first slice that settles
     nothing hands this rung and the rest to solver children, so the oracle
     costs at most one slice more than its proofs, whose nodes the answer
-    counts.  A `witnessed` horizon the climb reaches is optimal; when
-    children refuted the rungs below, one more checks it, and only a
+    counts; a rung's model is built only while time is left, and its child
+    gets what is left.  A `witnessed` horizon the climb reaches is optimal;
+    when children refuted the rungs below, one more checks it, and only a
     shorter schedule counts.  Its "infeasible" is a `SolverFault`, as is
     any adapter failure: one ends a `witnessed` climb at "limit", its
     incumbent standing; without a witness it propagates."""
@@ -151,6 +152,8 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
             if proof.status == "infeasible":
                 return _Answer("infeasible", nodes=nodes)
             refuting = False
+            if time.perf_counter() >= deadline:  # the slice took the rest
+                break
         model = build_model(comp, h, cfg.parts_mode)
         remaining = deadline - time.perf_counter()
         if remaining <= 0:

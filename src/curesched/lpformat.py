@@ -1,11 +1,12 @@
 """The linear model on both sides of an LP file, and its text formats.
 
-`Constraint` and `Variable` are the rows and columns `milp.build_model`
-builds; `term_units` and `fold` help `milp.emit_lp` lay them out, and
-`parse_lp` reads back exactly what it writes, raising ValueError naming
-the line of anything else.  `format_solution` and `parse_solution` write
-and read solution files; with `EXIT_INFEASIBLE` and `TIME_LIMIT_ENV` they
-are the contract between the solver adapter and a solver command.
+`Constraint` and `Variable` are the integer rows and columns, each from
+0, that `milp.build_model` builds; `term_units` and `fold` help
+`milp.emit_lp` lay them out, and `parse_lp` reads back exactly what it
+writes, raising ValueError naming the line of anything else.
+`format_solution` and `parse_solution` write and read solution files; with
+`EXIT_INFEASIBLE` and `TIME_LIMIT_ENV` they are the contract between the
+solver adapter and a solver command.
 """
 
 import math
@@ -22,7 +23,7 @@ EXIT_INFEASIBLE = 10
 TIME_LIMIT_ENV = "CURESCHED_LPSOLVE_TIME_LIMIT"
 _CONT_INDENT = "   "
 
-_NUM_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+_INT_RE = re.compile(r"^-?\d+$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 _HEADERS = ("Minimize", "Subject To", "Bounds", "Generals", "Binaries", "End")
 _SENSES = ("<=", ">=", "=")
@@ -40,18 +41,20 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Variable:
+    """An integer column from 0: a "binary" (`hi` 1) or a "general"
+    (`hi` None for no upper bound)."""
+
     name: str
-    kind: str       # "binary" | "general" | "continuous"
-    lo: int | None = 0      # None: no lower bound
-    hi: int | None = None   # None: no upper bound
+    kind: str
+    hi: int | None = None
 
 
 @dataclass(frozen=True)
 class ParsedLp:
     """An LP file's model: rows carry an empty tag and label, variables
     come in first-appearance order (objective, rows, Bounds, Generals,
-    Binaries) with their LP default bounds resolved: [0, +inf) unless the
-    Bounds section says otherwise, and [0, 1] for every binary."""
+    Binaries), each general with its `Bounds` upper bound or none, each
+    binary with `hi` 1."""
 
     objective: list
     constraints: tuple
@@ -62,7 +65,9 @@ class ParsedLp:
 
 
 def term_units(terms) -> list:
-    """Render (coef, var) pairs as fold-safe token groups."""
+    """Render (coef, var) pairs as fold-safe token groups, `0` for none."""
+    if not terms:
+        return ["0"]
     units = []
     for idx, (coef, var) in enumerate(terms):
         mag = abs(coef)
@@ -91,11 +96,8 @@ def fold(first: str, units) -> list:
 # ── parsing ──────────────────────────────────────────────────────────
 
 
-def _as_number(tok: str):
-    if not _NUM_RE.match(tok):
-        return None
-    val = float(tok)
-    return int(val) if val == int(val) else val
+def _as_int(tok: str):
+    return int(tok) if _INT_RE.match(tok) else None
 
 
 def _entries(text):
@@ -160,7 +162,7 @@ def _parse_terms(tokens, where):
             units[-1].append(tok)
     terms = []
     for sign, *body in units:
-        coef = _as_number(body[0]) if len(body) == 2 else 1
+        coef = _as_int(body[0]) if len(body) == 2 else 1
         if not body or len(body) > 2 or coef is None or not _NAME_RE.match(
                 body[-1]):
             raise ValueError(f"{where} cannot read the term "
@@ -184,7 +186,7 @@ def parse_lp(text: str) -> ParsedLp:
         if k is None:
             raise ValueError(f"{where} has no comparison operator")
         # one number and nothing more: a dropped token would change the model
-        rhs = _as_number(body[-1]) if len(body) == k + 2 else None
+        rhs = _as_int(body[-1]) if len(body) == k + 2 else None
         if rhs is None:
             raise ValueError(f"{where} has a non-numeric right side")
         constraints.append(Constraint(name, "", "",
@@ -197,32 +199,33 @@ def parse_lp(text: str) -> ParsedLp:
         if len(toks) != 5 or not toks[1] == toks[3] == "<=" or (
                 not _NAME_RE.match(toks[2])):
             raise ValueError(f"{where} is not the shape lo <= name <= hi")
-        lo, hi = _as_number(toks[0]), _as_number(toks[4])
-        if lo is None or hi is None:
-            bad = toks[0] if lo is None else toks[4]
+        hi = _as_int(toks[4])
+        if hi is None or toks[0] != "0":
+            bad = toks[4] if hi is None else toks[0]
             raise ValueError(f"{where} has a bad bound value {bad!r}")
-        bounds[toks[2]] = (lo, hi)
+        bounds[toks[2]] = hi
 
-    listed = {"Generals": [], "Binaries": []}
-    for header, into in listed.items():
+    kinds = {}  # a name in both lists is binary
+    for header, kind in (("Generals", "general"), ("Binaries", "binary")):
         for no, toks in sections.get(header, ()):
             if not all(map(_NAME_RE.match, toks)):
                 raise ValueError(f"line {no}: {header} lists a non-name")
-            into.extend(toks)
+            kinds.update(dict.fromkeys(toks, kind))
     # each name once, where it first appears
     names = dict.fromkeys(name for _, name in objective)
     for row in constraints:
         names.update(dict.fromkeys(name for _, name in row.terms))
-    for section in (bounds, *listed.values()):
+    for section in (bounds, kinds):
         names.update(dict.fromkeys(section))
-    generals, binaries = map(set, listed.values())
     variables = []
     for name in names:
-        if name in binaries:
-            variables.append(Variable(name, "binary", 0, 1))
-        else:
-            kind = "general" if name in generals else "continuous"
-            variables.append(Variable(name, kind, *bounds.get(name, (0, None))))
+        if name not in kinds:  # named at the first entry that holds it
+            no = next(no for entries in sections.values()
+                      for no, toks in entries if name in toks)
+            raise ValueError(f"line {no}: column {name!r} is in neither "
+                             "Generals nor Binaries")
+        hi = 1 if kinds[name] == "binary" else bounds.get(name)
+        variables.append(Variable(name, kinds[name], hi))
     return ParsedLp(objective=objective, constraints=tuple(constraints),
                     variables=tuple(variables))
 

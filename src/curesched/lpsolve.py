@@ -30,18 +30,16 @@ _USAGE = "usage: curesched-lpsolve <model.lp> <out.sol>"
 
 def to_arrays(model):
     """HiGHS arrays for a model with `objective`, `constraints` and
-    `variables` (a `MilpModel` or a `ParsedLp`), one column per variable in
-    `model.variables` order: (c, A, con_lo, con_hi, lo, hi, integrality)."""
+    `variables` (a `MilpModel` or a `ParsedLp`), one integer column from 0
+    per variable, in order: (c, A, con_lo, con_hi, lo, hi, integrality)."""
     index = {v.name: i for i, v in enumerate(model.variables)}
     c = np.zeros(len(index))
     for coef, name in model.objective:
         c[index[name]] += coef
-    lo = np.array([-np.inf if v.lo is None else v.lo for v in model.variables],
-                  dtype=float)
+    lo = np.zeros(len(index))
     hi = np.array([np.inf if v.hi is None else v.hi for v in model.variables],
                   dtype=float)
-    integrality = np.array([0 if v.kind == "continuous" else 1
-                            for v in model.variables])
+    integrality = np.ones(len(index), dtype=int)
 
     rows, cols, vals = [], [], []
     con_lo, con_hi = [], []
@@ -50,15 +48,8 @@ def to_arrays(model):
             rows.append(r)
             cols.append(index[name])
             vals.append(coef)
-        if row.sense == "<=":
-            con_lo.append(-np.inf)
-            con_hi.append(row.rhs)
-        elif row.sense == ">=":
-            con_lo.append(row.rhs)
-            con_hi.append(np.inf)
-        else:
-            con_lo.append(row.rhs)
-            con_hi.append(row.rhs)
+        con_lo.append(-np.inf if row.sense == "<=" else row.rhs)
+        con_hi.append(np.inf if row.sense == ">=" else row.rhs)
     a = sparse.csc_matrix(
         (vals, (rows, cols)), shape=(len(model.constraints), len(index)))
     return c, a, np.array(con_lo), np.array(con_hi), lo, hi, integrality
@@ -92,7 +83,7 @@ def main(argv=None) -> int:
             fh.write(format_solution((), 0))
         return 0
 
-    options = {}
+    kwargs = {"integrality": integrality, "bounds": Bounds(lo, hi)}
     raw_limit = os.environ.get(TIME_LIMIT_ENV)
     if raw_limit:
         try:
@@ -100,16 +91,13 @@ def main(argv=None) -> int:
         except ValueError:
             limit = math.nan
         if 0 < limit < math.inf:
-            options["time_limit"] = limit
+            kwargs["options"] = {"time_limit": limit}
         else:
             print(f"ignoring bad {TIME_LIMIT_ENV} {raw_limit!r}",
                   file=sys.stderr)
 
-    kwargs = {"integrality": integrality, "bounds": Bounds(lo, hi)}
     if len(parsed.constraints):
         kwargs["constraints"] = LinearConstraint(a, con_lo, con_hi)
-    if options:
-        kwargs["options"] = options
     result = milp(c, **kwargs)
 
     if result.status == 2:

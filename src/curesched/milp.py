@@ -95,7 +95,7 @@ def build_model(inst: Instance, thb: int,
         for key in keys:
             parts = key if isinstance(key, tuple) else (key,)
             store[key] = name = "_".join(map(str, (fam, *parts)))
-            variables.append(Variable(name, kind, 0, hi))
+            variables.append(Variable(name, kind, hi))
         return store
 
     x = declare("x", "general", 2,
@@ -273,27 +273,22 @@ def model_stats(m: MilpModel) -> ModelStats:
 def emit_lp(m: MilpModel) -> str:
     lines = [f"\\ model {m.inst.name} thb={m.thb} parts={m.parts_mode}"]
     lines.append("Minimize")
-    units = term_units(m.objective) if m.objective else ["0"]
-    lines.extend(fold(" obj:", units))
+    lines.extend(fold(" obj:", term_units(m.objective)))
     lines.append("Subject To")
     for c in m.constraints:
         lines.append(f"\\ {c.tag} {c.label}")
-        units = term_units(c.terms) if c.terms else ["0"]
-        units.append(f"{c.sense} {c.rhs}")
+        units = [*term_units(c.terms), f"{c.sense} {c.rhs}"]
         lines.extend(fold(f" {c.name}:", units))
     bounded = [v for v in m.variables if v.kind == "general" and v.hi is not None]
     if bounded:
         lines.append("Bounds")
         for v in bounded:
-            lines.append(f" {v.lo} <= {v.name} <= {v.hi}")
-    generals = [v.name for v in m.variables if v.kind == "general"]
-    if generals:
-        lines.append("Generals")
-        lines.extend(fold(" " + generals[0], generals[1:]))
-    binaries = [v.name for v in m.variables if v.kind == "binary"]
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(fold(" " + binaries[0], binaries[1:]))
+            lines.append(f" 0 <= {v.name} <= {v.hi}")
+    for header, kind in (("Generals", "general"), ("Binaries", "binary")):
+        names = [v.name for v in m.variables if v.kind == kind]
+        if names:
+            lines.append(header)
+            lines.extend(fold(" " + names[0], names[1:]))
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -318,8 +313,8 @@ def check_assignment(m: MilpModel, assignment) -> ValidationReport:
             v.append(f"{var.name} = {val} is not integral")
             continue
         val = int(val)
-        if var.lo is not None and val < var.lo:
-            v.append(f"{var.name} = {val} below lower bound {var.lo}")
+        if val < 0:
+            v.append(f"{var.name} = {val} below lower bound 0")
         if var.hi is not None and val > var.hi:
             v.append(f"{var.name} = {val} above upper bound {var.hi}")
     for c in m.constraints:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import curesched.bench
+import curesched.lpsolve
 from curesched.bench import (
     MODES,
     cli_main,
@@ -44,8 +45,8 @@ from curesched.domain import (
 )
 from curesched.exact import SolveReport
 from curesched.gen import SCENARIOS, generate_instance
-from curesched.lpformat import parse_lp
-from curesched.milp import ModelStats, build_model, model_stats
+from curesched.lpformat import parse_lp, parse_solution
+from curesched.milp import ModelStats, build_model, emit_lp, model_stats
 
 from helpers import garbage_solver, toy1, toy2, variant
 
@@ -592,6 +593,22 @@ def test_cli_solve_emit_lp(tmp_path, capsys):
     upad = [v for v in parsed.variables
             if v.kind == "general" and v.name.startswith(("u_", "prd_"))]
     assert len(upad) == stats.n_integer_vars == 14
+
+
+@pytest.mark.parametrize("mode", ["hop", "milp"])
+def test_cli_solve_emit_lp_at_zero_demand(tmp_path, capsys, mode):
+    """With nothing to cure no stage runs, and `--emit-lp` still writes the
+    model: the horizon-0 one, which the bundled solver solves."""
+    idle = variant(toy1(), name="idle", molds=tuple(
+        replace(m, demand=0) for m in toy1().molds))
+    path, lp, sol = (tmp_path / f"idle.{ext}" for ext in ("json", "lp", "sol"))
+    save_instance(idle, path)
+    assert cli_main(["solve", "--instance", str(path), "--mode", mode,
+                     "--emit-lp", str(lp)]) == 0
+    assert "status optimal\n" in capsys.readouterr().out
+    assert lp.read_text() == emit_lp(build_model(idle, 0))
+    assert curesched.lpsolve.main([str(lp), str(sol)]) == 0
+    assert parse_solution(sol.read_text())[1] == 0
 
 
 def test_cli_solve_emit_lp_heuristic_is_usage_error(tmp_path, capsys):

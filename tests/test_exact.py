@@ -508,13 +508,34 @@ def test_adapter_timeout_reports_limit(tmp_path):
     assert report.makespan is None
 
 
+def _slow_emit(monkeypatch, seconds):
+    """Make the adapter's LP write take `seconds` on a fake clock that
+    moves only then."""
+    now = [0.0]
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return now[0]
+
+    real = curesched.exact.emit_lp
+
+    def slow(m):
+        now[0] += seconds
+        return real(m)
+
+    monkeypatch.setattr(curesched.exact, "time", FakeTime)
+    monkeypatch.setattr(curesched.exact, "emit_lp", slow)
+
+
 @pytest.mark.parametrize("limit, passed", [
-    (math.inf, "unset"), (1e9, "1000000000.0"), (60.0, "60.0"),
+    (math.inf, "unset"), (1e9, "999999999.75"), (60.0, "59.75"),
 ])
-def test_adapter_takes_any_time_limit(tmp_path, limit, passed):
+def test_adapter_takes_any_time_limit(tmp_path, monkeypatch, limit, passed):
     """subprocess refuses a wait beyond 2**31 - 1 ms: a longer limit, inf
     too, does not bound the wait, and only a finite one reaches the
-    solver's environment."""
+    solver's environment, less the 0.25 s the LP write took."""
+    _slow_emit(monkeypatch, 0.25)
     seen = tmp_path / "limit.txt"
     adapter = _fake_adapter(
         tmp_path,
@@ -526,6 +547,17 @@ def test_adapter_takes_any_time_limit(tmp_path, limit, passed):
     report = solve_with_adapter(build_model(toy1(), 2), adapter, limit)
     assert report.status == "infeasible"
     assert seen.read_text() == passed
+
+
+def test_adapter_starts_no_child_when_the_lp_write_spends_the_time(
+        tmp_path, monkeypatch):
+    _slow_emit(monkeypatch, 1.0)
+    started = tmp_path / "started.txt"
+    adapter = _fake_adapter(tmp_path, f"open({str(started)!r}, 'w')\n")
+    report = solve_with_adapter(build_model(toy1(), 2), adapter, 1.0)
+    assert (report.status, report.makespan, report.wall_seconds) == (
+        "limit", None, 1.0)
+    assert not started.exists()
 
 
 def test_adapter_agrees_with_exact_on_tiny_instances():

@@ -317,6 +317,37 @@ def test_solver_time_counts_the_model_build(monkeypatch, oracle_declines):
     assert report.wall_seconds >= 100
 
 
+@pytest.mark.parametrize("run", [run_hop, run_baseline_milp])
+def test_adapter_builds_no_model_after_a_slice_spends_the_time(monkeypatch,
+                                                               run):
+    """A slice that settles nothing and ends at the deadline leaves no time
+    for a solver child, so no model is built.  A fake clock that moves only
+    by each slice's whole limit shows it without sleeping: toy1's slice
+    gets the whole 0.1 s, and the run ends at "limit"."""
+    now = [0.0]
+    built = []
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return now[0]
+
+    def spends_its_slice(inst, thb, parts_mode, floor, time_limit_seconds):
+        now[0] += time_limit_seconds
+        return SolveReport("exact", "limit", None, None, time_limit_seconds)
+
+    monkeypatch.setattr(curesched.hop, "time", FakeTime)
+    monkeypatch.setattr(curesched.hop, "solve_exact", spends_its_slice)
+    monkeypatch.setattr(curesched.hop, "build_model",
+                        lambda *args: built.append(args))
+    cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=STUB),
+                    time_limit_seconds=0.1)
+    report, _ = run(toy1(), cfg)
+    assert report.status == "limit"
+    assert built == []
+
+
 def test_time_limit_defaults_agree():
     default = inspect.signature(solve_exact).parameters["time_limit_seconds"]
     assert TIME_LIMIT_SECONDS == 3600.0

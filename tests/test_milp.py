@@ -436,7 +436,7 @@ def test_lpsolve_checks_the_rows_of_a_model_without_variables(tmp_path,
         assert parse_solution(sol.read_text()) == ({}, 0)
 
 
-MIN_LP = "Minimize\n obj: x\nSubject To\n c1: x >= 1\nEnd\n"
+MIN_LP = "Minimize\n obj: x\nSubject To\n c1: x >= 1\nGenerals\n x\nEnd\n"
 
 
 def _lpsolve_options(tmp_path, monkeypatch, raw_limit):
@@ -499,8 +499,7 @@ def test_parse_lp_reads_what_emit_lp_writes(tmp_path):
         objective=[(1, "x"), (2, "y")],
         constraints=(Constraint("c1", "", "", ((1, "x"), (1, "y")), ">=", 1),
                      Constraint("c2", "", "", ((1, "x"), (-1, "y")), "<=", 3)),
-        variables=(Variable("x", "general", 0, 4),
-                   Variable("y", "binary", 0, 1)))
+        variables=(Variable("x", "general", 4), Variable("y", "binary", 1)))
     lp, sol = tmp_path / "e.lp", tmp_path / "e.sol"
     lp.write_text(EMITTED_LP)
     assert curesched.lpsolve.main([str(lp), str(sol)]) == 0
@@ -551,11 +550,17 @@ def test_parse_lp_rejects_a_bounds_line_it_cannot_read(line, message):
     _refused(" c1: x + y >= 1\n c2: x - y <= 3",
              " x + y >= 1\n x - y <= 3", 6, "unnamed rows"),
     _refused("c1: x", "c1 : x", 6),
-    # bounds other than `lo <= name <= hi` with number values
+    # bounds other than `0 <= name <= hi` with an integer `hi`
     *(_refused("0 <= x <= 4", b, 9)
       for b in ("x <= 4", "x >= 0", "x = 2", "0 <= x", "4 >= x", "x free",
                 "x <= abc", "x <= -inf", "x = inf", "-inf <= x <= 4",
-                "0 <= x <= infinity", "0 <= x <= +INF")),
+                "0 <= x <= infinity", "0 <= x <= +INF", "1 <= x <= 4",
+                "0 <= x <= 4.5")),
+    # numbers other than integers, in a term and on the right side
+    *(_refused("+ 2 y", f"+ {n} y", 3) for n in ("1.5", "1e3", "+3")),
+    *(_refused(">= 1", f">= {n}", 6) for n in ("1.5", "1e3", "+3")),
+    # a column of neither kind, named at the line it first appears on
+    _refused("Generals\n x\n", "", 3, "a column in no name list"),
     # expressions: a product of numbers, unreadable tokens
     _refused("+ 2 y", "+ 2 3 y", 3),
     _refused("c1: x + y", "c1: x + y$", 6),

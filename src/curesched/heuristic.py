@@ -529,8 +529,6 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     the witness does too.
     """
     config = config or HeuristicConfig()
-    if inst.total_demand == 0:
-        return Schedule(tuples=[])
     ctx = _context(inst)
     bound = root_bound(inst, config.parts_mode)
     best = Schedule.empty_candidate()

@@ -18,14 +18,11 @@ instance's independent `components` apart, each on the makespan the
 heuristic schedule needs for it: the whole makespan is only the largest
 of theirs, which the others merely have to fit.  A component the
 heuristic already closes, at its root bound or within that length, is not
-searched; the adapter climbs any other one's horizons from its root bound.
-The internal search gets a short slice on each horizon first: one it
-refutes starts no solver child.  Once it has refuted every shorter
-horizon, a schedule it finds is optimal without a child.  Only a horizon
-the slice leaves open goes to solver children.  The heuristic's own
-makespan is optimal once the climb reaches it, whoever refuted the rungs
-below.  The stage's `SolveReport` is the pipeline's report, its model
-size the `model_size` of the whole instance on the horizon.
+searched; the adapter climbs any other one's horizons from its root bound,
+first with short slices of the internal search and then with solver
+children, as `_component_solve` describes.  The stage's `SolveReport` is
+the pipeline's report, its model size the `model_size` of the whole
+instance on the horizon.
 """
 
 import time
@@ -105,24 +102,25 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     """The configured backend's `_Answer` for one component on `horizon`,
     or None when the deadline has passed; `floor` is the oracle's
     good-enough makespan.  A `witnessed` horizon stands unless something
-    shorter turns up: the oracle searches `horizon - 1`, and its refutation
+    shorter turns up, so the search covers the horizons up to
+    `horizon - witnessed`: the oracle's in one search, whose refutation
     makes the witness optimal, its limit merely "feasible".
 
-    The adapter ladder climbs the horizons from the component's root
-    `bound` up to `horizon` and returns the first answer that is not
-    "infeasible": every shorter horizon was, so that answer is optimal.
-    Each rung first gets a `_REFUTE_S` slice of the oracle, asked for any
-    schedule within it.  A rung it refutes is skipped without a model or a
-    solver child.  A schedule it finds is the answer, and so is its
-    refutation of an unwitnessed `horizon`.  The first slice that settles
-    nothing hands this rung and the rest to solver children, so the oracle
-    costs at most one slice more than its proofs, whose nodes the answer
-    counts; a rung's model is built only while time is left, and its child
-    gets what is left.  A `witnessed` horizon the climb reaches is optimal;
-    when children refuted the rungs below, one more checks it, and only a
-    shorter schedule counts.  Its "infeasible" is a `SolverFault`, as is
-    any adapter failure: one ends a `witnessed` climb at "limit", its
-    incumbent standing; without a witness it propagates."""
+    The adapter climbs the same horizons from the component's root `bound`
+    in two loops, and returns the first answer that is not "infeasible":
+    every shorter rung was, so a schedule in it is optimal.  Climb 1 gives
+    each rung a `_REFUTE_S` slice of the oracle, asked for any schedule
+    within it.  A schedule it finds is the answer; when the slices refute
+    every rung, the witness is optimal, or without one the component is
+    "infeasible".  The first slice that settles nothing ends climb 1, so
+    the oracle costs at most one slice more than its proofs, whose nodes
+    the answer counts.  Climb 2 runs solver children from that rung up to
+    `horizon`: a rung's model is built only while time is left, and its
+    child gets what is left.  A witnessed `horizon` the children reach is
+    optimal unless its check child finds a shorter schedule; that child's
+    limit leaves the witness optimal, and its "infeasible" is a
+    `SolverFault`, as is any adapter failure: one ends a witnessed climb
+    at "limit", its incumbent standing; without a witness it propagates."""
     remaining = deadline - time.perf_counter()
     if remaining <= 0:
         return None
@@ -133,45 +131,44 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
             return _Answer("optimal" if r.status == "infeasible"
                            else "feasible", horizon, nodes=r.nodes)
         return _Answer(r.status, r.makespan, r.schedule, r.nodes)
-    refuting, nodes, proven = True, 0, None
-    for h in range(min(bound, horizon), horizon + 1):
-        if witnessed and h == horizon:  # every shorter rung is refuted
-            proven = _Answer("optimal", h, None, nodes)
+    nodes = 0
+    for h in range(min(bound, horizon), horizon - witnessed + 1):
         remaining = deadline - time.perf_counter()
-        if remaining <= 0 or (proven and refuting):
+        if remaining <= 0:
+            return _Answer("limit", nodes=nodes)
+        proof = solve_exact(comp, h, cfg.parts_mode, floor=h,
+                            time_limit_seconds=min(_REFUTE_S, remaining))
+        nodes += proof.nodes
+        if proof.schedule is not None:
+            return _Answer("optimal", proof.makespan, proof.schedule, nodes)
+        if proof.status != "infeasible":
             break
-        if refuting:
-            proof = solve_exact(comp, h, cfg.parts_mode, floor=h,
-                                time_limit_seconds=min(_REFUTE_S, remaining))
-            nodes += proof.nodes
-            if proof.status == "infeasible" and h < horizon:
-                continue
-            if proof.schedule is not None:
-                return _Answer("optimal", proof.makespan, proof.schedule,
-                               nodes)
-            if proof.status == "infeasible":
-                return _Answer("infeasible", nodes=nodes)
-            refuting = False
-            if time.perf_counter() >= deadline:  # the slice took the rest
-                break
+    else:  # the slices refuted every rung
+        return (_Answer("optimal", horizon, nodes=nodes) if witnessed
+                else _Answer("infeasible", nodes=nodes))
+    for h in range(h, horizon + 1):  # from the rung the last slice left open
+        check = witnessed and h == horizon
+        if time.perf_counter() >= deadline:
+            break
         model = build_model(comp, h, cfg.parts_mode)
         remaining = deadline - time.perf_counter()
         if remaining <= 0:
             break
         try:
             sub = solve_with_adapter(model, cfg.adapter, remaining)
-            if witnessed and h == horizon and sub.status == "infeasible":
+            if check and sub.status == "infeasible":
                 raise AdapterFailure("solver reported infeasible on a "
                                      "horizon the heuristic witnesses")
         except SolverFault:
             if not witnessed:
                 raise
             return _Answer("limit", nodes=nodes)
-        if proven and sub.status == "limit":
+        if check and sub.status == "limit":
             break
         if sub.status != "infeasible" or h == horizon:
             return _Answer(sub.status, sub.makespan, sub.schedule, nodes)
-    return proven or _Answer("limit", nodes=nodes)
+    return (_Answer("optimal", horizon, nodes=nodes) if check
+            else _Answer("limit", nodes=nodes))
 
 
 def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,

@@ -24,6 +24,9 @@ TIME_LIMIT_ENV = "CURESCHED_LPSOLVE_TIME_LIMIT"
 _CONT_INDENT = "   "
 
 _INT_RE = re.compile(r"^-?\d+$")
+# what `term_units` writes before a name, and `emit_lp` as an upper bound
+_COEF_RE = re.compile(r"^([2-9]|[1-9]\d+)$")
+_HI_RE = re.compile(r"^(0|[1-9]\d*)$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 _HEADERS = ("Minimize", "Subject To", "Bounds", "Generals", "Binaries", "End")
 _SENSES = ("<=", ">=", "=")
@@ -96,8 +99,8 @@ def fold(first: str, units) -> list:
 # ── parsing ──────────────────────────────────────────────────────────
 
 
-def _as_int(tok: str):
-    return int(tok) if _INT_RE.match(tok) else None
+def _as_int(tok: str, pattern=_INT_RE):
+    return int(tok) if pattern.match(tok) else None
 
 
 def _entries(text):
@@ -147,9 +150,10 @@ def _named(no, tokens, what):
 
 def _parse_terms(tokens, where):
     """Expression tokens as `term_units` writes them -> [(coef, var)]: a
-    term is an optional coefficient and a name, with `+` or `-` before
-    every term but a first positive one; `0` alone is the empty
-    expression.  Anything else raises ValueError naming `where`."""
+    term is an optional coefficient, an unsigned integer of 2 or more, and
+    a name, with `+` or `-` before every term but a first positive one;
+    `0` alone is the empty expression.  Anything else raises ValueError
+    naming `where`."""
     if tokens == ["0"]:
         return []
     if not tokens:
@@ -162,7 +166,7 @@ def _parse_terms(tokens, where):
             units[-1].append(tok)
     terms = []
     for sign, *body in units:
-        coef = _as_int(body[0]) if len(body) == 2 else 1
+        coef = _as_int(body[0], _COEF_RE) if len(body) == 2 else 1
         if not body or len(body) > 2 or coef is None or not _NAME_RE.match(
                 body[-1]):
             raise ValueError(f"{where} cannot read the term "
@@ -188,7 +192,8 @@ def parse_lp(text: str) -> ParsedLp:
         # one number and nothing more: a dropped token would change the model
         rhs = _as_int(body[-1]) if len(body) == k + 2 else None
         if rhs is None:
-            raise ValueError(f"{where} has a non-numeric right side")
+            raise ValueError(f"{where} has a right side that is not one "
+                             "integer")
         constraints.append(Constraint(name, "", "",
                                       tuple(_parse_terms(body[:k], where)),
                                       body[k], rhs))
@@ -199,7 +204,7 @@ def parse_lp(text: str) -> ParsedLp:
         if len(toks) != 5 or not toks[1] == toks[3] == "<=" or (
                 not _NAME_RE.match(toks[2])):
             raise ValueError(f"{where} is not the shape lo <= name <= hi")
-        hi = _as_int(toks[4])
+        hi = _as_int(toks[4], _HI_RE)
         if hi is None or toks[0] != "0":
             bad = toks[4] if hi is None else toks[0]
             raise ValueError(f"{where} has a bad bound value {bad!r}")

@@ -52,6 +52,15 @@ def test_mold_rate_counts_part_units_by_mode(mode, rate, bound):
     assert root_bound(inst, mode) == bound
 
 
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_a_mold_no_heater_cures_has_no_rate(mode):
+    """A demanded mold with no compatible heater cures nothing in a period,
+    so no finite makespan bounds the demand."""
+    inst = variant(single_mold_big(), curing={})
+    assert mold_rate(inst, 1, mode) == 0
+    assert root_bound(inst, mode) == math.inf
+
+
 def test_residual_bound_is_the_slowest_mold():
     assert residual_bound({1: 10, 2: 7, 3: 0}, {1: 5, 2: 2, 3: 0}) == 4
     assert residual_bound({1: 0}, {1: 0}) == 0

@@ -746,6 +746,14 @@ def test_two_removals_blocks_a_following_single():
             inst, [AssignmentTuple(1, 1, 1, 4), AssignmentTuple(2, 0, 2, 8)])
 
 
+def test_a_pair_no_heater_cures_is_not_placed():
+    """Mold 2 cures on no heater, so its pair with mold 1 fits none."""
+    inst = variant(toy1(), curing={(1, 1): 400})
+    with pytest.raises(NoFeasiblePlacement,
+                       match=r"^pair \(1, 2\) fits no heater$"):
+        assignment_procedure(inst, [AssignmentTuple(1, 1, 2, 4)])
+
+
 def test_run_heuristic_skips_failed_starts():
     inst = _two_removals()
     sched = run_heuristic(inst, HeuristicConfig(total_iterations=100, seed=0))

@@ -348,6 +348,43 @@ def test_adapter_builds_no_model_after_a_slice_spends_the_time(monkeypatch,
     assert built == []
 
 
+def test_adapter_starts_no_child_after_a_build_spends_the_time(monkeypatch):
+    """A model build that ends at the deadline leaves no time for a solver
+    child, so the ladder stops and hop's witness stands at "limit".  A fake
+    clock that moves only during the build shows it without sleeping: toy1's
+    slice settles nothing, and its rung's build takes the whole 0.1 s."""
+    now = [0.0]
+    built = []
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return now[0]
+
+    def settles_nothing(inst, thb, parts_mode, floor, time_limit_seconds):
+        return SolveReport("exact", "limit", None, None, 0.0)
+
+    def spends_the_rest(*args):
+        now[0] += 0.1
+        built.append(args)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a solver child started after the deadline")
+
+    monkeypatch.setattr(curesched.hop, "time", FakeTime)
+    monkeypatch.setattr(curesched.hop, "solve_exact", settles_nothing)
+    monkeypatch.setattr(curesched.hop, "build_model", spends_the_rest)
+    monkeypatch.setattr(curesched.hop, "solve_with_adapter", never)
+    cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
+                    adapter=SolverAdapter(command=STUB),
+                    time_limit_seconds=0.1)
+    report, schedule = run_hop(toy1(), cfg)
+    assert (report.status, report.makespan, report.gap_percent) == (
+        "limit", 2, None)
+    assert len(built) == 1
+    assert validate_schedule(toy1(), schedule).ok
+
+
 def test_time_limit_defaults_agree():
     default = inspect.signature(solve_exact).parameters["time_limit_seconds"]
     assert TIME_LIMIT_SECONDS == 3600.0

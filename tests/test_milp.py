@@ -529,6 +529,7 @@ def test_parse_lp_rejects_a_bounds_line_without_a_variable(line):
     ("x <= 4 junk", "shape"),
     ("x >= 2 <= 3", "shape"),
     ("2 <= x <= y", "bound value 'y'"),
+    ("0 <= x <= -2", "bound value '-2'"),
 ])
 def test_parse_lp_rejects_a_bounds_line_it_cannot_read(line, message):
     with pytest.raises(ValueError, match=f"bounds line '{line}' .*{message}"):
@@ -555,15 +556,24 @@ def test_parse_lp_rejects_a_bounds_line_it_cannot_read(line, message):
       for b in ("x <= 4", "x >= 0", "x = 2", "0 <= x", "4 >= x", "x free",
                 "x <= abc", "x <= -inf", "x = inf", "-inf <= x <= 4",
                 "0 <= x <= infinity", "0 <= x <= +INF", "1 <= x <= 4",
-                "0 <= x <= 4.5")),
+                "0 <= x <= 4.5", "0 <= x <= -2")),
     # numbers other than integers, in a term and on the right side
     *(_refused("+ 2 y", f"+ {n} y", 3) for n in ("1.5", "1e3", "+3")),
     *(_refused(">= 1", f">= {n}", 6) for n in ("1.5", "1e3", "+3")),
+    # coefficients `term_units` never writes: signed, below 2, a leading 0
+    *(_refused("c1: x + y", f"c1: x + {n} y", 6) for n in ("-3", "1", "0",
+                                                            "02")),
+    _refused("c2: x - y", "c2: x - -3 y", 7),
     # a column of neither kind, named at the line it first appears on
     _refused("Generals\n x\n", "", 3, "a column in no name list"),
     # expressions: a product of numbers, unreadable tokens
     _refused("+ 2 y", "+ 2 3 y", 3),
     _refused("c1: x + y", "c1: x + y$", 6),
+    # an entry with no expression, a name list with a number in it
+    _refused(" obj: x\n   + 2 y", " obj:", 3, "an empty objective"),
+    _refused("c1: x + y >= 1", "c1: >= 1", 6),
+    _refused("Generals\n x\n", "Generals\n x 2\n", 11,
+             "a number in Generals"),
     _refused(">= 1", ">= 1 \\ inline comment", 6, "an inline comment"),
     # the section layout: text outside it, one objective, a missing End
     _refused("\\ comment", " obj: x", 1, "text before the first header"),
@@ -594,9 +604,10 @@ def test_parse_lp_refuses_what_emit_lp_does_not_write(tmp_path, capsys, text,
 
 @pytest.mark.parametrize("row, message", [
     ("x + y", "has no comparison operator"),
-    ("x + y >= one", "has a non-numeric right side"),
-    ("x + y >=", "has a non-numeric right side"),
-    ("x + y >= 1 + z", "has a non-numeric right side"),
+    ("x + y >= one", "has a right side that is not one integer"),
+    ("x + y >=", "has a right side that is not one integer"),
+    ("x + y >= 1 + z", "has a right side that is not one integer"),
+    ("x + y >= 1.5", "has a right side that is not one integer"),
 ])
 def test_parse_lp_rejects_a_row_it_cannot_read(row, message):
     text = f"Minimize\n obj: x\nSubject To\n c1: {row}\nEnd\n"

@@ -6,17 +6,18 @@ improvement (split big pair tuples, re-place everything, shave overproduced
 quantities). The driver runs up to a set number of independent starts from
 per-iteration seeds and keeps the best schedule, so results are
 reproducible for a given seed; it stops early once that schedule meets the
-root lower bound, which no start can beat. A later start that its
-improvement step could not change stops placing as soon as it cannot beat
-the best so far: once a tuple ends there, or once a work bound shows that
-what is left cannot end in time. The cut is exact: a tuple takes at least
-ceil(q / r) periods on any heater, r its pair's best full-period rate (a
-plan's first period holds no more than a full one), and a start that wins
-fits all its pending tuples in the heater time and the mold copies left
-before the best makespan. A start whose tuples cannot all be placed is
-skipped.
-The safe horizon's serial schedule competes too, when no start meets the
-root bound, and wins only when strictly shorter than every start.
+root lower bound, which no start can beat. A start whose tuples cannot all
+be placed is skipped. The safe horizon's serial schedule competes too,
+when no start meets the root bound, and wins only when strictly shorter.
+
+Placing rests on one exact bound: a tuple of q takes at least ceil(q / r)
+periods on a heater of full-period rate r for its pair (a plan's first
+period holds no more than a full one). So each tuple skips the heaters,
+visited fastest first, that cannot end by the best end found yet; and a
+later start that its improvement step could not change stops placing once
+it cannot beat the best so far: once a tuple ends there, or once its
+pending tuples, at their pairs' best rates, no longer fit in the heater
+time and mold copies left before the best makespan.
 """
 
 import math
@@ -95,61 +96,65 @@ class _Context:
     """Data a run derives from the instance once, for all its starts.
 
     The procedures take it as `ctx`; called without one, they derive it.
+    All but `plans` is the same for every run: the first `_context` call
+    derives it and keeps it on the instance, as `pair_slots` does.
 
     pool        : drawable (m1, m2) pairs, singles included, 0 = empty slot;
                   a pair must fit one heater on its own (enough copies, part
                   units for both slots, joint setup work inside one period)
-    heaters_for : (m1, m2) -> heaters able to run the pair, ids ascending
+    heaters     : (m1, m2) -> (heater, rate) rows of the heaters able to run
+                  the pair, fastest first, ids breaking ties; the rate is
+                  the full-period `slot_rate` at the slot's slowest cure time
     counts      : (m1, m2) -> `multiset` of the pair's molds
     part_need   : (m1, m2) -> part units the pair ties down
     initial     : heater -> `multiset` mounted before the first period
-    plans       : the run's `PlanMemo`: each changeover (what a heater
-                  holds, the pair, whether an idle gap comes first) is
-                  planned once, whichever start or round meets it
-    rate        : (m1, m2) -> the pair's best full-period rate over its
-                  heaters, `slot_rate` at the slot's slowest cure time
-    heater_sets : the distinct `heaters_for` lists, as tuples
+    plans       : the run's `PlanMemo`, so each changeover is planned
+                  once, whichever start or round meets it
+    heater_sets : the distinct sets of a pair's heaters, as id-sorted tuples
     set_of      : (m1, m2) -> index of its heaters in `heater_sets`
     sets_with   : heater -> indices of the `heater_sets` holding it
     """
 
     pool: list
-    heaters_for: dict
+    heaters: dict
     counts: dict
     part_need: dict
     initial: dict
-    plans: PlanMemo
-    rate: dict
+    plans: PlanMemo | None
     heater_sets: list
     set_of: dict
     sets_with: dict
 
 
 def _context(inst: Instance) -> _Context:
-    heaters_for, counts, part_need, rate = {}, {}, {}, {}
-    for s in pair_slots(inst):
-        pair = (s.m1, s.m2)
-        heaters_for.setdefault(pair, []).append(s.heater)
-        counts[pair], part_need[pair] = s.counts, s.usage
-        # a cure time of 0 is validate_instance's to report, not a crash here
-        r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
-        rate[pair] = max(rate.get(pair, 0), r)
-    heater_sets = sorted({tuple(hs) for hs in heaters_for.values()})
-    index = {hs: i for i, hs in enumerate(heater_sets)}
-    return _Context(
-        pool=[pair for pair in sorted(heaters_for)
-              if fits_one_heater(inst, counts[pair])],
-        heaters_for=heaters_for,
-        counts={pair: multiset(c) for pair, c in counts.items()},
-        part_need=part_need,
-        initial={k: multiset(r) for k, r in initial_residents(inst).items()},
-        plans=PlanMemo(inst),
-        rate=rate,
-        heater_sets=heater_sets,
-        set_of={pair: index[tuple(hs)] for pair, hs in heaters_for.items()},
-        sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
-                   for k in inst.heaters},
-    )
+    if inst._heuristic_context is None:
+        heaters, counts, part_need = {}, {}, {}
+        for s in pair_slots(inst):  # each pair's heaters ascending
+            pair = (s.m1, s.m2)
+            # a cure time of 0 is validate_instance's to report, not a crash
+            r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
+            heaters.setdefault(pair, []).append((s.heater, r))
+            counts[pair], part_need[pair] = s.counts, s.usage
+        ids = {pair: tuple(k for k, _r in rows)
+               for pair, rows in heaters.items()}
+        heater_sets = sorted(set(ids.values()))
+        index = {hs: i for i, hs in enumerate(heater_sets)}
+        inst._heuristic_context = _Context(
+            pool=[pair for pair in sorted(heaters)
+                  if fits_one_heater(inst, counts[pair])],
+            heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
+                     for pair, rows in heaters.items()},
+            counts={pair: multiset(c) for pair, c in counts.items()},
+            part_need=part_need,
+            initial={k: multiset(r)
+                     for k, r in initial_residents(inst).items()},
+            plans=None,
+            heater_sets=heater_sets,
+            set_of={pair: index[hs] for pair, hs in ids.items()},
+            sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
+                       for k in inst.heaters},
+        )
+    return replace(inst._heuristic_context, plans=PlanMemo(inst))
 
 
 # ── pairing ──────────────────────────────────────────────────────────
@@ -230,7 +235,10 @@ def assignment_procedure(inst: Instance, tuples,
     fast heater that frees a little later beats a slow one that is free
     now (the minimum-completion-time rule of list scheduling on unrelated
     machines); ties go to the earlier start, then the least changeover
-    work, then the lowest id.
+    work, then the lowest id. The heaters are visited fastest first
+    (`ctx.heaters`), and one whose start plus ceil(q / r) at its rate r
+    ends after the best end so far is not planned: it could only lose, so
+    the choice is the one every heater's plan would give.
 
     Each mold, and each part in global mode, keeps a usage profile that
     answers one question: from which period on do one (or two) more units
@@ -251,19 +259,15 @@ def assignment_procedure(inst: Instance, tuples,
     largest end, so the full placement could not have been shorter. It
     also stops, before the first placement and after each one, once a work
     bound shows that the pending tuples cannot all end by period
-    last = cutoff - 1. Each pending tuple takes at least L = ceil(q / r)
-    periods on any heater, r being its pair's best full-period rate
-    (`ctx.rate`; L = 1 for a pair with none): a plan's first period holds
-    no more than a full one, so `length_for(q) >= ceil(q / cap_int)`. So
-    the pending tuples' sum of L must fit in the heaters' periods left
-    before `last`, and for each mold, their sum of copies * L must fit in
-    copies * last, less what the mold's profile already holds before
-    `last`. Both are kept as spares, which a placement changes only for
-    the heater time and for its own molds. Without a cutoff none of this
-    runs.
+    last = cutoff - 1: their least periods L = ceil(q / r), r the pair's
+    best rate (L = 1 for none), must fit in the heaters' periods left
+    before `last`, and for each mold, their sum of copies * L in copies *
+    last, less what the mold's profile already holds before `last`. Both
+    are kept as spares, which a placement changes only for the heater time
+    and for its own molds. Without a cutoff none of this runs.
     """
     ctx = ctx or _context(inst)
-    heaters_for, counts, plans = ctx.heaters_for, ctx.counts, ctx.plans
+    heaters, counts, plans = ctx.heaters, ctx.counts, ctx.plans
     heater_sets, set_of, sets_with = ctx.heater_sets, ctx.set_of, ctx.sets_with
     part_need = ctx.part_need if parts_mode == PARTS_GLOBAL else {}
 
@@ -271,7 +275,7 @@ def assignment_procedure(inst: Instance, tuples,
     order = sorted(tuples, key=lambda t: t.id)
     queues = {}
     for rank, t in enumerate(order):
-        if not heaters_for.get((t.m1, t.m2)):
+        if not heaters.get((t.m1, t.m2)):
             raise NoFeasiblePlacement(f"pair ({t.m1}, {t.m2}) fits no heater")
         queues.setdefault((t.m1, t.m2), deque()).append((rank, t))
     avail = {k: 0 for k in inst.heaters}
@@ -293,7 +297,7 @@ def assignment_procedure(inst: Instance, tuples,
         last = cutoff - 1
         least = []  # rank -> the fewest periods the tuple takes anywhere
         for t in order:
-            r = ctx.rate[t.m1, t.m2]
+            r = heaters[t.m1, t.m2][0][1]  # the pair's best rate
             least.append(ceil_div(t.q, r) if r > 0 else 1)
         spare = len(avail) * max(last, 0) - sum(least)
         mold_spare = {}
@@ -322,10 +326,11 @@ def assignment_procedure(inst: Instance, tuples,
 
         molds = counts[best_pair]
         chosen = None
-        for k in heaters_for[best_pair]:
+        for k, r in heaters[best_pair]:
             base = max(avail[k], ready)
-            if chosen is not None and base >= chosen[0]:
-                continue  # it ends after base: it cannot win
+            if chosen is not None and (
+                    base + (ceil_div(t.q, r) if r > 0 else 1) > chosen[0]):
+                continue  # it cannot end by the chosen end: it cannot win
             plan, wait = plans[k, holds[k], molds, base > avail[k]], 0
             if plan is None:
                 plan, wait = plans[k, holds[k], molds, True], 1
@@ -487,13 +492,8 @@ def _single_start(inst: Instance, seed: int, parts_mode: str,
     The cutoff is the run's best makespan so far. It applies only when the
     improvement step's first split misses demand (`_split_production`):
     that step then returns the placement unchanged, so placing alone
-    settles the start. Placing stops at the first tuple ending at or after
-    the cutoff, or sooner (before any placement or after one) once the
-    pending tuples' least work no longer fits in the heater time or in
-    some mold's copy-periods left before period cutoff - 1. That work is
-    ceil(q / r) periods per tuple at its pair's best full-period rate r,
-    which no heater beats, so a start the bound stops could not have ended
-    before the cutoff. A start whose split covers demand is placed and
+    settles the start, and `assignment_procedure` stops it once it cannot
+    end before the cutoff. A start whose split covers demand is placed and
     improved in full, since improving can shorten it.
     """
     rng = random.Random(seed)

@@ -23,7 +23,8 @@ EXIT_INFEASIBLE = 10
 TIME_LIMIT_ENV = "CURESCHED_LPSOLVE_TIME_LIMIT"
 _CONT_INDENT = "   "
 
-_INT_RE = re.compile(r"^-?\d+$")
+# what `emit_lp` writes as a right side: no -0 and no leading 0
+_RHS_RE = re.compile(r"^(0|-?[1-9]\d*)$")
 # what `term_units` writes before a name, and `emit_lp` as an upper bound
 _COEF_RE = re.compile(r"^([2-9]|[1-9]\d+)$")
 _HI_RE = re.compile(r"^(0|[1-9]\d*)$")
@@ -99,7 +100,7 @@ def fold(first: str, units) -> list:
 # ── parsing ──────────────────────────────────────────────────────────
 
 
-def _as_int(tok: str, pattern=_INT_RE):
+def _as_int(tok: str, pattern=_RHS_RE):
     return int(tok) if pattern.match(tok) else None
 
 

@@ -14,15 +14,21 @@ from itertools import product
 
 from curesched.domain import (
     EMPTY,
+    AssignmentTuple,
     Instance,
     Mold,
     PairSlot,
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
+    Schedule,
+    initial_residents,
+    pair_slots,
     part_usage,
+    plan_slot,
     transition_work,
 )
+from curesched.errors import NoFeasiblePlacement
 
 PHI = 14400  # one day in deciminutes
 
@@ -76,6 +82,75 @@ def reference_pair_slots(inst: Instance) -> list:
             usage=part_usage(inst, counts),
             max_tv=max(inst.curing[(m, k)] for m in counts)))
     return slots
+
+
+def reference_placement(inst: Instance, tuples,
+                        parts_mode=PARTS_PER_HEATER) -> Schedule:
+    """The heuristic's placement rule done plainly, with no cutoff and no
+    cut: each round takes the pending tuple that can start first (ids
+    breaking ties), plans it on every heater of its pair in id order, one
+    period later if the plan breaks a budget, and keeps the least (end,
+    start, changeover work, heater).  A tuple can start once one of its
+    heaters is free and, from then on, every mold (and in global mode
+    every part) it holds has room in each period.  Raises
+    NoFeasiblePlacement where no heater takes a tuple."""
+    slots = {}
+    for s in pair_slots(inst):
+        slots.setdefault((s.m1, s.m2), []).append(s)
+    capacity = {("mold", m.id): m.copies for m in inst.molds}
+    capacity.update({("part", p.id): p.units for p in inst.parts})
+    use = {res: [] for res in capacity}  # units in use per period
+    clear = {res: [0, 0, 0] for res in capacity}  # n -> room from here on
+
+    def needs(pair):
+        s = slots[pair][0]
+        held = [(("mold", m), c) for m, c in s.counts.items()]
+        if parts_mode == PARTS_GLOBAL:
+            held += [(("part", p), u) for p, u in s.usage.items()]
+        return held
+
+    def ready(t):
+        pair = (t.m1, t.m2)
+        return max([min(avail[s.heater] for s in slots[pair])]
+                   + [clear[res][n] for res, n in needs(pair)])
+
+    pending = sorted(tuples, key=lambda t: t.id)
+    for t in pending:
+        if (t.m1, t.m2) not in slots:
+            raise NoFeasiblePlacement(f"pair ({t.m1}, {t.m2}) fits no heater")
+    avail = {k: 0 for k in inst.heaters}
+    holds = initial_residents(inst)
+    placed = []
+    while pending:
+        t = min(pending, key=ready)
+        pending.remove(t)
+        first = ready(t)
+        chosen = None
+        for s in slots[t.m1, t.m2]:
+            k = s.heater
+            base = max(avail[k], first)
+            for start in (base, base + 1):
+                plan = plan_slot(inst, k, holds[k], avail[k], start, s.counts)
+                if not plan.problems:
+                    key = (start + plan.length_for(t.q), start,
+                           plan.deduction, k)
+                    chosen = min(chosen or key, key)
+                    break
+        if chosen is None:
+            raise NoFeasiblePlacement(f"tuple {t.id} fits no heater budget")
+        end, start, _work, k = chosen
+        placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start,
+                                      end - start))
+        avail[k], holds[k] = end, slots[t.m1, t.m2][0].counts
+        for res, n in needs((t.m1, t.m2)):
+            units = use[res]
+            units.extend([0] * (end - len(units)))
+            for p in range(start, end):
+                units[p] += n
+            clear[res] = [max([p + 1 for p, u in enumerate(units)
+                               if u + extra > capacity[res]], default=0)
+                          for extra in range(3)]
+    return Schedule(tuples=sorted(placed, key=lambda t: t.id))
 
 
 def garbage_solver(tmp_path, solution="garbage") -> str:

@@ -13,10 +13,11 @@ Frozen traces (hand derivation):
 """
 
 import hashlib
+import math
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -50,6 +51,7 @@ from curesched.heuristic import (
 from curesched.horizon import horizon_witness
 
 from helpers import (
+    reference_placement,
     single_mold_big,
     tiny_instance,
     toy1,
@@ -522,26 +524,69 @@ def test_work_bound_cut_is_exact_where_it_fires(monkeypatch, mode):
     assert fired["at once"] and fired["after a placement"]
 
 
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+@pytest.mark.parametrize("corpus", ["tiny", "plants"])
+def test_heater_cut_places_as_every_heater_would(corpus, mode):
+    """Visiting a pair's heaters fastest first, and skipping each that
+    cannot end by the chosen heater's end, places every tuple where the
+    plain reference, which plans each heater in id order, does: the same
+    schedule or failure with no cutoff, and with one, the sentinel exactly
+    when the reference ends at or after it."""
+    seen = Counter()
+    for inst in _corpus(corpus):
+        ctx = curesched.heuristic._context(inst)
+        best = math.inf  # the cutoff run_heuristic would pass
+        for i in range(20):
+            tuples = mold_pairs_procedure(
+                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
+            try:
+                expected = reference_placement(inst, tuples, mode)
+            except NoFeasiblePlacement:
+                expected = None
+            makespan = schedule_makespan(expected or Schedule.empty_candidate())
+            for cutoff in {math.inf, best, makespan, makespan + 1}:
+                try:
+                    got = assignment_procedure(inst, tuples, mode, ctx=ctx,
+                                               cutoff=cutoff)
+                except NoFeasiblePlacement:
+                    assert expected is None, (inst.name, i, cutoff)
+                    seen["no placement"] += 1
+                    continue
+                if makespan >= cutoff:  # the reference fails or ends late
+                    assert got.sentinel and cutoff < math.inf, (
+                        inst.name, i, cutoff)
+                    seen["sentinel"] += 1
+                else:
+                    assert _tuple_rows(got) == _tuple_rows(expected), (
+                        inst.name, i, cutoff)
+                    seen["schedule"] += 1
+            best = min(best, makespan)
+    assert seen["sentinel"] and seen["schedule"]
+
+
 def test_work_bound_premise_holds_for_every_slot_plan():
-    """Each pair's `_context` rate is its best `slot_rate` over its heaters,
-    and no plan `plan_slot` makes for the pair, from empty or initial
+    """Each pair's `_context` heater rows are its heaters with their
+    `slot_rate`, fastest first and ids breaking ties, and no plan
+    `plan_slot` makes for the pair on heater k, from empty or initial
     residents, with or without an idle gap, cures q in fewer than
-    ceil(q / rate) periods."""
+    ceil(q / r_k) periods, r_k the heater's own rate.  The first row's rate
+    is the pair's best, so the work bound's ceil(q / r) holds too."""
     instances = ([tiny_instance(seed) for seed in range(1000, 1040)]
                  + _corpus("plants"))
     checked = 0
     for inst in instances:
         ctx = curesched.heuristic._context(inst)
         rows = curesched.domain.pair_slots(inst)
-        best = Counter()
-        for s in rows:
-            best[s.m1, s.m2] = max(best[s.m1, s.m2],
-                                   curesched.domain.slot_rate(inst.period_dmin,
-                                                              s.max_tv))
-        assert ctx.rate == dict(best)
+        rate = {(s.m1, s.m2, s.heater):
+                curesched.domain.slot_rate(inst.period_dmin, s.max_tv)
+                for s in rows}
+        expected = {}
+        for (m1, m2, k), r in sorted(rate.items(), key=lambda kv: -kv[1]):
+            expected.setdefault((m1, m2), []).append((k, r))
+        assert ctx.heaters == expected
         memo = curesched.domain.PlanMemo(inst)
         for s in rows:
-            rate = best[s.m1, s.m2]
+            r = rate[s.m1, s.m2, s.heater]
             molds = curesched.domain.multiset(s.counts)
             for residents in ((), ctx.initial[s.heater]):
                 for gap in (False, True):
@@ -549,8 +594,8 @@ def test_work_bound_premise_holds_for_every_slot_plan():
                     if plan is None:
                         continue
                     checked += 1
-                    for q in range(1, 2 * rate + 2):
-                        assert plan.length_for(q) >= -(-q // rate), (
+                    for q in range(1, 2 * r + 2):
+                        assert plan.length_for(q) >= -(-q // r), (
                             inst.name, s, residents, gap, q)
     assert checked
 
@@ -733,6 +778,14 @@ def test_plan_memo_lives_and_dies_with_one_run(monkeypatch):
     assert after[0] == alone[0]
     assert after[1].plans == alone[1].plans
     assert after[1].plans is not alone[1].plans
+
+
+def test_instance_keeps_the_context_but_its_plan_memo():
+    inst = generate_instance(SCENARIOS["medium"], 1)
+    first, second = (curesched.heuristic._context(inst) for _run in range(2))
+    assert first.plans is not second.plans
+    assert all(getattr(first, f.name) is getattr(second, f.name)
+               for f in fields(first) if f.name != "plans")
 
 
 # ── starts that cannot place every tuple ─────────────────────────────

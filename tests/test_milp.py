@@ -560,6 +560,8 @@ def test_parse_lp_rejects_a_bounds_line_it_cannot_read(line, message):
     # numbers other than integers, in a term and on the right side
     *(_refused("+ 2 y", f"+ {n} y", 3) for n in ("1.5", "1e3", "+3")),
     *(_refused(">= 1", f">= {n}", 6) for n in ("1.5", "1e3", "+3")),
+    # right sides `emit_lp` never writes: a signed zero, a leading 0
+    *(_refused(">= 1", f">= {n}", 6) for n in ("-0", "007")),
     # coefficients `term_units` never writes: signed, below 2, a leading 0
     *(_refused("c1: x + y", f"c1: x + {n} y", 6) for n in ("-3", "1", "0",
                                                             "02")),

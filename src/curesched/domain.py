@@ -74,8 +74,7 @@ class Instance:
 
     The pair table (`pair_slots`) is not built here: the first call builds
     it and keeps it on the instance, so loading or generating an instance
-    never pays for it.  The heuristic keeps what its runs share the same
-    way.
+    never pays for it.
     """
 
     def __init__(self, name, period_dmin, molds, heaters, curing,
@@ -104,7 +103,6 @@ class Instance:
             for m in self.molds
         }
         self._pair_slots = None  # built by the first `pair_slots` call
-        self._heuristic_context = None  # kept by `heuristic._context`
 
     def __repr__(self):
         return (f"Instance({self.name!r}, molds={len(self.molds)}, "

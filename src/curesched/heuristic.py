@@ -96,8 +96,6 @@ class _Context:
     """Data a run derives from the instance once, for all its starts.
 
     The procedures take it as `ctx`; called without one, they derive it.
-    All but `plans` is the same for every run: the first `_context` call
-    derives it and keeps it on the instance, as `pair_slots` does.
 
     pool        : drawable (m1, m2) pairs, singles included, 0 = empty slot;
                   a pair must fit one heater on its own (enough copies, part
@@ -108,8 +106,9 @@ class _Context:
     counts      : (m1, m2) -> `multiset` of the pair's molds
     part_need   : (m1, m2) -> part units the pair ties down
     initial     : heater -> `multiset` mounted before the first period
-    plans       : the run's `PlanMemo`, so each changeover is planned
-                  once, whichever start or round meets it
+    plans       : the run's `PlanMemo`: each changeover (what a heater
+                  holds, the pair, whether an idle gap comes first) is
+                  planned once, whichever start or round meets it
     heater_sets : the distinct sets of a pair's heaters, as id-sorted tuples
     set_of      : (m1, m2) -> index of its heaters in `heater_sets`
     sets_with   : heater -> indices of the `heater_sets` holding it
@@ -120,41 +119,37 @@ class _Context:
     counts: dict
     part_need: dict
     initial: dict
-    plans: PlanMemo | None
+    plans: PlanMemo
     heater_sets: list
     set_of: dict
     sets_with: dict
 
 
 def _context(inst: Instance) -> _Context:
-    if inst._heuristic_context is None:
-        heaters, counts, part_need = {}, {}, {}
-        for s in pair_slots(inst):  # each pair's heaters ascending
-            pair = (s.m1, s.m2)
-            # a cure time of 0 is validate_instance's to report, not a crash
-            r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
-            heaters.setdefault(pair, []).append((s.heater, r))
-            counts[pair], part_need[pair] = s.counts, s.usage
-        ids = {pair: tuple(k for k, _r in rows)
-               for pair, rows in heaters.items()}
-        heater_sets = sorted(set(ids.values()))
-        index = {hs: i for i, hs in enumerate(heater_sets)}
-        inst._heuristic_context = _Context(
-            pool=[pair for pair in sorted(heaters)
-                  if fits_one_heater(inst, counts[pair])],
-            heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
-                     for pair, rows in heaters.items()},
-            counts={pair: multiset(c) for pair, c in counts.items()},
-            part_need=part_need,
-            initial={k: multiset(r)
-                     for k, r in initial_residents(inst).items()},
-            plans=None,
-            heater_sets=heater_sets,
-            set_of={pair: index[hs] for pair, hs in ids.items()},
-            sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
-                       for k in inst.heaters},
-        )
-    return replace(inst._heuristic_context, plans=PlanMemo(inst))
+    heaters, counts, part_need = {}, {}, {}
+    for s in pair_slots(inst):  # each pair's heaters ascending
+        pair = (s.m1, s.m2)
+        # a cure time of 0 is validate_instance's to report, not a crash here
+        r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
+        heaters.setdefault(pair, []).append((s.heater, r))
+        counts[pair], part_need[pair] = s.counts, s.usage
+    ids = {pair: tuple(k for k, _r in rows) for pair, rows in heaters.items()}
+    heater_sets = sorted(set(ids.values()))
+    index = {hs: i for i, hs in enumerate(heater_sets)}
+    return _Context(
+        pool=[pair for pair in sorted(heaters)
+              if fits_one_heater(inst, counts[pair])],
+        heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
+                 for pair, rows in heaters.items()},
+        counts={pair: multiset(c) for pair, c in counts.items()},
+        part_need=part_need,
+        initial={k: multiset(r) for k, r in initial_residents(inst).items()},
+        plans=PlanMemo(inst),
+        heater_sets=heater_sets,
+        set_of={pair: index[hs] for pair, hs in ids.items()},
+        sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
+                   for k in inst.heaters},
+    )
 
 
 # ── pairing ──────────────────────────────────────────────────────────

@@ -17,7 +17,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -778,14 +778,6 @@ def test_plan_memo_lives_and_dies_with_one_run(monkeypatch):
     assert after[0] == alone[0]
     assert after[1].plans == alone[1].plans
     assert after[1].plans is not alone[1].plans
-
-
-def test_instance_keeps_the_context_but_its_plan_memo():
-    inst = generate_instance(SCENARIOS["medium"], 1)
-    first, second = (curesched.heuristic._context(inst) for _run in range(2))
-    assert first.plans is not second.plans
-    assert all(getattr(first, f.name) is getattr(second, f.name)
-               for f in fields(first) if f.name != "plans")
 
 
 # ── starts that cannot place every tuple ─────────────────────────────

@@ -100,6 +100,7 @@ class _Context:
     pool        : drawable (m1, m2) pairs, singles included, 0 = empty slot;
                   a pair must fit one heater on its own (enough copies, part
                   units for both slots, joint setup work inside one period)
+                  and hold only molds with demand
     heaters     : (m1, m2) -> (heater, rate) rows of the heaters able to run
                   the pair, fastest first, ids breaking ties; the rate is
                   the full-period `slot_rate` at the slot's slowest cure time
@@ -136,9 +137,11 @@ def _context(inst: Instance) -> _Context:
     ids = {pair: tuple(k for k, _r in rows) for pair, rows in heaters.items()}
     heater_sets = sorted(set(ids.values()))
     index = {hs: i for i, hs in enumerate(heater_sets)}
+    demanded = {m.id for m in inst.molds if m.demand > 0}
     return _Context(
         pool=[pair for pair in sorted(heaters)
-              if fits_one_heater(inst, counts[pair])],
+              if all(m in demanded for m in pair if m != EMPTY)
+              and fits_one_heater(inst, counts[pair])],
         heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
                  for pair, rows in heaters.items()},
         counts={pair: multiset(c) for pair, c in counts.items()},
@@ -162,7 +165,6 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
     smallest batch size or leftover demand among its molds. An identical
     pair burns demand twice as fast. `rng` only needs a choice() method.
     """
-    pool = (ctx or _context(inst)).pool
     batch = {
         m.id: ceil_div(m.demand, m.copies)
         for m in inst.molds
@@ -170,10 +172,10 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
     }
     residual = {m.id: m.demand for m in inst.molds if m.demand > 0}
 
-    # residuals only fall, so a pair stops being drawable only when a draw
-    # uses up one of its molds; dropping those pairs keeps the pool's order
-    candidates = [pair for pair in pool
-                  if all(m in residual for m in pair if m != EMPTY)]
+    # the pool holds only molds with demand; residuals only fall, so a pair
+    # stops being drawable only when a draw uses up one of its molds, and
+    # dropping those pairs keeps the pool's order
+    candidates = list((ctx or _context(inst)).pool)
     tuples = []
     while candidates:
         i, j = rng.choice(candidates)
@@ -185,9 +187,9 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
                 q = min(q, batch[i], residual[i])
                 residual[i] -= q
             residual[j] -= q
-        tuples.append(AssignmentTuple(id=len(tuples) + 1, m1=i, m2=j, q=q))
-        used = {m for m in (i, j) if m != EMPTY and residual[m] <= 0}
-        if used:
+        tuples.append(AssignmentTuple(len(tuples) + 1, i, j, q))
+        if residual[j] <= 0 or (i != EMPTY and residual[i] <= 0):
+            used = {m for m in (i, j) if m != EMPTY and residual[m] <= 0}
             candidates = [pair for pair in candidates if used.isdisjoint(pair)]
     stuck = sorted(m for m, r in residual.items() if r > 0)
     if stuck:
@@ -209,13 +211,22 @@ class _Profile:
 
     def add(self, start: int, end: int, amount: int) -> None:
         """Hold `amount` more units over periods [start, end)."""
-        use, clear = self.use, self.clear
-        use.extend([0] * (end - len(use)))
+        use, capacity = self.use, self.capacity
+        if len(use) < end:
+            use.extend([0] * (end - len(use)))
+        # the last period in which one (two) more units would not fit
+        last1 = last2 = -1
         for p in range(start, end):
-            use[p] += amount
-            for n in (1, 2):
-                if use[p] + n > self.capacity and clear[n] <= p:
-                    clear[n] = p + 1
+            use[p] = held = use[p] + amount
+            if held + 2 > capacity:
+                last2 = p
+                if held + 1 > capacity:
+                    last1 = p
+        clear = self.clear
+        if clear[1] <= last1:
+            clear[1] = last1 + 1
+        if clear[2] <= last2:
+            clear[2] = last2 + 1
 
 
 def assignment_procedure(inst: Instance, tuples,
@@ -235,15 +246,16 @@ def assignment_procedure(inst: Instance, tuples,
     ends after the best end so far is not planned: it could only lose, so
     the choice is the one every heater's plan would give.
 
-    Each mold, and each part in global mode, keeps a usage profile that
-    answers one question: from which period on do one (or two) more units
-    fit for good? A placement updates the profiles it uses over its own
-    periods, so a pair can start at the largest answer among its molds and
-    parts, or later if none of its heaters is free by then. Each distinct
-    heater set (`ctx.heater_sets`) keeps its earliest free period, so the
-    scan reads one number per pair for its heaters; a placement refreshes
-    it only for the sets that hold its heater and whose minimum that
-    heater was, since availabilities only grow.
+    Each mold, and each part in global mode, that a pending pair holds
+    keeps a usage profile that answers one question: from which period on
+    do one (or two) more units fit for good? A placement updates the
+    profiles it uses over its own periods, so a pair can start at the
+    largest answer among its molds and parts, or later if none of its
+    heaters is free by then. Each distinct heater set (`ctx.heater_sets`)
+    keeps its earliest free period, so the scan reads one number per pair
+    for its heaters; a placement refreshes it only for the sets that hold
+    its heater and whose minimum that heater was, since availabilities
+    only grow.
 
     A tuple's length is sized from the `ctx.plans` plan of its changeover;
     a pair that breaks a budget there waits one period more, so that the
@@ -263,26 +275,36 @@ def assignment_procedure(inst: Instance, tuples,
     """
     ctx = ctx or _context(inst)
     heaters, counts, plans = ctx.heaters, ctx.counts, ctx.plans
-    heater_sets, set_of, sets_with = ctx.heater_sets, ctx.set_of, ctx.sets_with
+    heater_sets, sets_with = ctx.heater_sets, ctx.sets_with
     part_need = ctx.part_need if parts_mode == PARTS_GLOBAL else {}
 
-    # pair -> its pending tuples with their rank in id order, the tie-break
+    # pair -> its scan row: the index of its heaters in `heater_sets`, the
+    # (clear list, units, profile) of each mold and part it holds, and its
+    # pending tuples with their rank in id order, the tie-break; a mold or
+    # part gets its usage profile once a pending pair holds it
     order = sorted(tuples, key=lambda t: t.id)
-    queues = {}
+    queues, mold_use, part_use = {}, {}, {}
     for rank, t in enumerate(order):
-        if not heaters.get((t.m1, t.m2)):
-            raise NoFeasiblePlacement(f"pair ({t.m1}, {t.m2}) fits no heater")
-        queues.setdefault((t.m1, t.m2), deque()).append((rank, t))
-    avail = {k: 0 for k in inst.heaters}
+        pair = t.m1, t.m2
+        row = queues.get(pair)
+        if row is None:
+            if not heaters.get(pair):
+                raise NoFeasiblePlacement(
+                    f"pair ({t.m1}, {t.m2}) fits no heater")
+            held = []
+            for m, c in counts[pair]:
+                if m not in mold_use:
+                    mold_use[m] = _Profile(inst.mold_by_id[m].copies)
+                held.append((mold_use[m].clear, c, mold_use[m]))
+            for p, u in part_need.get(pair, {}).items():
+                if p not in part_use:
+                    part_use[p] = _Profile(inst.part_by_id[p].units)
+                held.append((part_use[p].clear, u, part_use[p]))
+            row = queues[pair] = (ctx.set_of[pair], held, deque())
+        row[2].append((rank, t))
+    avail = dict.fromkeys(inst.heaters, 0)
     avail_of = avail.__getitem__
     holds = dict(ctx.initial)  # heater -> multiset its last tuple left
-    mold_use = {m.id: _Profile(m.copies) for m in inst.molds}
-    part_use = {p.id: _Profile(p.units) for p in inst.parts}
-    # pair -> (profile, units) of each mold and part it holds
-    needs = {pair: [(mold_use[m], c) for m, c in counts[pair]]
-             for pair in queues}
-    for pair, held in needs.items():
-        held += [(part_use[p], u) for p, u in part_need.get(pair, {}).items()]
     # heater set -> the earliest period one of its heaters is free
     earliest = [0] * len(heater_sets)
     placed = []
@@ -291,50 +313,52 @@ def assignment_procedure(inst: Instance, tuples,
     if bounded:  # the work bound's spares, before any placement
         last = cutoff - 1
         least = []  # rank -> the fewest periods the tuple takes anywhere
+        mold_spare = {m: profile.capacity * last
+                      for m, profile in mold_use.items()}
         for t in order:
-            r = heaters[t.m1, t.m2][0][1]  # the pair's best rate
-            least.append(ceil_div(t.q, r) if r > 0 else 1)
+            pair = t.m1, t.m2
+            r = heaters[pair][0][1]  # the pair's best rate
+            n = ceil_div(t.q, r) if r > 0 else 1
+            least.append(n)
+            for m, c in counts[pair]:
+                mold_spare[m] -= c * n
         spare = len(avail) * max(last, 0) - sum(least)
-        mold_spare = {}
-        for t, n in zip(order, least):
-            for m, c in counts[t.m1, t.m2]:
-                mold_spare[m] = (mold_spare.get(m, mold_use[m].capacity * last)
-                                 - c * n)
         if spare < 0 or min(mold_spare.values(), default=0) < 0:
             return Schedule.empty_candidate()
 
     while queues:
-        best_key = best_pair = None
-        for pair, queue in queues.items():
-            ready = earliest[set_of[pair]]
-            for profile, n in needs[pair]:
-                if profile.clear[n] > ready:
-                    ready = profile.clear[n]
-            key = (ready, queue[0][0])
-            if best_key is None or key < best_key:
-                best_key, best_pair = key, pair
-        ready = best_key[0]
-        queue = queues[best_pair]
+        # the pending pair that can start soonest, the lowest rank on ties
+        best_ready, best_rank = math.inf, 0
+        for pair, (set_index, held, queue) in queues.items():
+            ready = earliest[set_index]
+            for clear, n, _profile in held:
+                if clear[n] > ready:
+                    ready = clear[n]
+            if ready < best_ready or (ready == best_ready
+                                      and queue[0][0] < best_rank):
+                best_ready, best_rank, best_pair = ready, queue[0][0], pair
+        ready = best_ready
+        _set_index, held, queue = queues[best_pair]
         rank, t = queue.popleft()
         if not queue:
             del queues[best_pair]
 
-        molds = counts[best_pair]
-        chosen = None
+        q, molds = t.q, counts[best_pair]
+        chosen, chosen_end = None, math.inf
         for k, r in heaters[best_pair]:
-            base = max(avail[k], ready)
-            if chosen is not None and (
-                    base + (ceil_div(t.q, r) if r > 0 else 1) > chosen[0]):
+            free = avail[k]
+            base = free if free > ready else ready
+            if base + (-(-q // r) if r > 0 else 1) > chosen_end:
                 continue  # it cannot end by the chosen end: it cannot win
-            plan, wait = plans[k, holds[k], molds, base > avail[k]], 0
+            plan, wait = plans[k, holds[k], molds, base > free], 0
             if plan is None:
                 plan, wait = plans[k, holds[k], molds, True], 1
                 if plan is None:
                     continue
             start = base + wait
-            key = (start + plan.length_for(t.q), start, plan.deduction, k)
+            key = (start + plan.length_for(q), start, plan.deduction, k)
             if chosen is None or key < chosen:
-                chosen = key
+                chosen, chosen_end = key, key[0]
         if chosen is None:
             raise NoFeasiblePlacement(
                 f"tuple {t.id} ({t.m1}, {t.m2}) fits no heater budget"
@@ -342,21 +366,23 @@ def assignment_procedure(inst: Instance, tuples,
         end, start, _cost, k = chosen
         if end >= cutoff:
             return Schedule.empty_candidate()
-        placed.append(AssignmentTuple(t.id, t.m1, t.m2, t.q, k, start,
+        placed.append(AssignmentTuple(t.id, t.m1, t.m2, q, k, start,
                                       end - start))
         was, avail[k] = avail[k], end
         for i in sets_with[k]:
             if earliest[i] == was:
                 earliest[i] = min(map(avail_of, heater_sets[i]))
         holds[k] = molds
-        for profile, n in needs[best_pair]:
+        for _clear, n, profile in held:
             profile.add(start, end, n)
         if bounded:  # end <= last, so heater k lost end - was periods
             spare -= end - was - least[rank]
+            if spare < 0:
+                return Schedule.empty_candidate()
             for m, c in molds:
                 mold_spare[m] -= c * (end - start - least[rank])
-            if spare < 0 or any(mold_spare[m] < 0 for m, _c in molds):
-                return Schedule.empty_candidate()
+                if mold_spare[m] < 0:
+                    return Schedule.empty_candidate()
 
     return Schedule(tuples=sorted(placed, key=lambda t: t.id))
 
@@ -529,7 +555,9 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     best = Schedule.empty_candidate()
     best_makespan = schedule_makespan(best)
     for i in range(config.total_iterations):
-        if best_makespan <= bound:
+        # with no schedule yet, not even an infinite bound is met: its
+        # starts show why no schedule exists
+        if not best.sentinel and best_makespan <= bound:
             break  # no later start, nor the witness, can be shorter
         sched = _single_start(inst, iteration_seed(config.seed, i),
                               config.parts_mode, ctx, best_makespan)

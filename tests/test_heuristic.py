@@ -121,6 +121,31 @@ def test_pairing_raises_when_nothing_admissible():
         mold_pairs_procedure(inst, random.Random(0))
 
 
+def test_pool_drops_pairs_of_molds_without_demand():
+    """A pair holding a mold with no demand is never drawable, so the run's
+    pool leaves it out; each start then draws what it drew when it filtered
+    the pool itself (frozen below), with or without the run's context."""
+    base = generate_instance(SCENARIOS["small"], 3)
+    inst = variant(base, molds=tuple(replace(m, demand=0) if m.id == 1 else m
+                                     for m in base.molds))
+    assert (1, 2) in inst.mold_compat
+    pool = curesched.heuristic._context(inst).pool
+    assert pool == [(0, 2), (0, 3), (0, 4), (0, 5), (2, 3), (2, 4), (2, 5),
+                    (3, 4), (3, 5), (4, 5)]
+    assert (0, 1) in curesched.heuristic._context(base).pool
+    frozen = [
+        [(2, 5, 52), (3, 4, 65), (0, 4, 52), (0, 5, 112)],
+        [(0, 4, 117), (2, 5, 52), (0, 3, 65), (0, 5, 112)],
+        [(0, 2, 52), (0, 3, 65), (0, 4, 117), (0, 5, 164)],
+    ]
+    ctx = curesched.heuristic._context(inst)
+    for seed, draws in enumerate(frozen):
+        assert _pairs(mold_pairs_procedure(inst, random.Random(seed))) == draws
+        assert _pairs(mold_pairs_procedure(inst, random.Random(seed),
+                                           ctx=ctx)) == draws
+    assert ctx.pool == pool  # a start draws from a copy
+
+
 def test_pairing_zero_demand():
     inst = variant(
         toy1(),
@@ -191,6 +216,30 @@ def test_profile_clear_holds_for_good(order):
     for start, end, amount in [(0, 2, 2), (3, 5, 1)][::order]:
         profile.add(start, end, amount)
     assert profile.clear[1:] == [2, 5]
+
+
+def test_profile_clear_matches_a_recount():
+    """After each `add`, clear[n] is one past the last period whose recounted
+    use leaves no room for n more units, 0 when none, on random interval
+    sequences."""
+    rng = random.Random(5)
+    for _ in range(300):
+        capacity = rng.randint(0, 3)
+        adds = []
+        for _ in range(rng.randint(1, 6)):
+            start = rng.randint(0, 8)
+            adds.append((start, start + rng.randint(1, 4), rng.randint(1, 2)))
+        profile = _Profile(capacity)
+        for i, (start, end, amount) in enumerate(adds):
+            profile.add(start, end, amount)
+            use = Counter()
+            for s, e, a in adds[:i + 1]:
+                for p in range(s, e):
+                    use[p] += a
+            assert profile.clear[1:] == [
+                max((p + 1 for p in use if use[p] + n > capacity), default=0)
+                for n in (1, 2)], (capacity, adds[:i + 1])
+            assert profile.use == [use[p] for p in range(len(profile.use))]
 
 
 # ── improvement ──────────────────────────────────────────────────────

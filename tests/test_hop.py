@@ -149,6 +149,21 @@ def test_hop_without_a_heuristic_schedule_is_infeasible():
         run_hop(two_removals(), cfg)
 
 
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+@pytest.mark.parametrize("call", ["run_heuristic", "run_hop"])
+def test_a_demanded_mold_on_a_part_with_no_units_is_unproducible(call, mode):
+    # the root bound is inf, which no start may be taken to meet; the safe
+    # horizon's serial schedule ignores part units, so it is no answer here
+    inst = variant(toy2(), parts=(curesched.domain.Part(1, 0, {1, 2}),))
+    heuristic = HeuristicConfig(total_iterations=20, seed=1, parts_mode=mode)
+    assert root_bound(inst, mode) == math.inf
+    with pytest.raises(UnproduciblePair, match=r"molds \[1, 2\]"):
+        if call == "run_heuristic":
+            run_heuristic(inst, heuristic)
+        else:
+            run_hop(inst, HopConfig(heuristic=heuristic, parts_mode=mode))
+
+
 def test_hop_never_worse_than_heuristic():
     for seed in range(6):
         inst = tiny_instance(400 + seed)

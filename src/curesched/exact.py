@@ -155,9 +155,10 @@ def _heater_options(plans, k, rows, residents, res):
     its removal.  Options come back most-productive-first so a depth-first
     walk reaches good incumbents early, as (pair, molds, needs, cap).
     """
+    # sorted on (-useful, idle, pair): pairs before idling at a tie
     opts = []
     if plans[k, residents, (), True] is not None:
-        opts.append((0, None, (), (), 0))
+        opts.append((0, 1, (0, 0), (None, (), (), 0)))
     held = dict(residents)
     for pair, molds, needs in rows:
         # never mount a finished mold; keeping a resident one is fine
@@ -168,38 +169,123 @@ def _heater_options(plans, k, rows, residents, res):
             plan = plans[k, residents, molds, False]
             if plan is not None:
                 cap = plan.cap_first
-                useful = sum(min(res.get(m, 0), cap * c) for m, c in molds)
-                opts.append((useful, pair, molds, needs, cap))
-    opts.sort(key=lambda o: (-o[0], o[1] is None, o[1] or (0, 0)))
-    return [o[1:] for o in opts]
+                useful = 0
+                for m, c in molds:
+                    useful += min(res.get(m, 0), cap * c)
+                opts.append((-useful, 0, pair, (pair, molds, needs, cap)))
+    opts.sort()
+    return [o[3] for o in opts]
 
 
-def _iter_joint_configs(inst, plans, table, residents, res):
-    """Joint per-period configurations across heaters, yielded lazily in
-    heater id order so huge plants never materialize the cross product;
-    `residents` holds each heater's `multiset` in that order.  Options are
-    worked out per heater on the first draw; the walk skips one whose needs
-    do not fit beside `in_use`, what the heaters before it hold."""
+class _OutOfTime(Exception):
+    """The deadline passed inside a joint-configuration walk."""
+
+
+class _Search:
+    """What the joint-configuration walks of one search share: the
+    instance, its `_heater_table`, the search's `PlanMemo`, each demanded
+    mold's `mold_rate`, the deadline, and `reach`, the latest makespan
+    still worth reaching, min(best - 1, thb), which the search lowers as
+    best falls."""
+
+    __slots__ = ("inst", "table", "plans", "rate", "deadline", "reach")
+
+    def __init__(self, inst, table, plans, rate, deadline, reach):
+        self.inst = inst
+        self.table = table
+        self.plans = plans
+        self.rate = rate
+        self.deadline = deadline
+        self.reach = reach
+
+
+def _iter_joint_configs(search, residents, res, period):
+    """Joint configurations across heaters, for the state in `period`
+    where heaters hold `residents` (a `multiset` each, in heater id order)
+    and `res` is left to cure, whose child can still meet `search.reach`.
+    They come lazily, in heater id order, so huge plants never materialize
+    the cross product.  Options are worked out per heater on the first
+    draw; the walk skips one whose needs do not fit beside what the heaters
+    before it hold.
+
+    A child passes its floor check exactly when every demanded mold m ends
+    with res_m - produced_m <= rate_m * (reach - period), reach read live.
+    The walk drops a heater's option as soon as some mold cannot get there
+    even if each later heater cures its most of it: the lesser of their
+    best cap * count summed and the copies still free times their best
+    per-slot cap.  At the last heater that is the child's own check, so
+    exactly the configurations whose child passes it come out, in the
+    order of the full cross product.  Raises `_OutOfTime` once the clock
+    passes the deadline, read each time the walk backs up a heater."""
+    inst, rate = search.inst, search.rate
     heaters = inst.heaters
-    options = [_heater_options(plans, k, table[k], held, res)
+    n = len(heaters)
+    options = [_heater_options(search.plans, k, search.table[k], held, res)
                for k, held in zip(heaters, residents)]
+    # checks[i]: per mold with demand left, the most the heaters after
+    # heater i cure of it, as (mold, res, rate, copies, sum of their best
+    # cap * count, their best per-slot cap)
+    short = [m for m in res if res[m] > 0]
+    total, per_slot = dict.fromkeys(short, 0), dict.fromkeys(short, 0)
+    checks = [None] * n
+    for i in range(n - 1, -1, -1):
+        checks[i] = [(m, res[m], rate[m], inst.mold_by_id[m].copies,
+                      total[m], per_slot[m]) for m in short]
+        best = {}
+        for _, molds, _, cap in options[i]:
+            for m, c in molds:
+                if m in total:
+                    best[m] = max(best.get(m, 0), cap * c)
+                    per_slot[m] = max(per_slot[m], cap)
+        for m, most in best.items():
+            total[m] += most
 
-    def rec(idx, in_use, acc):
-        if idx == len(heaters):
-            yield list(acc)
-            return
-        for pair, molds, needs, cap in options[idx]:
-            new_use = dict(in_use)
+    acc = [None] * n
+    uses = [{}] * (n + 1)  # what heaters 0..i-1 hold, per resource
+    mades = [{}] * (n + 1)  # what they cure, per mold
+    nxt = [0] * n
+    i = 0
+    while True:
+        if nxt[i] == len(options[i]):
+            if not i:
+                return
+            if time.perf_counter() > search.deadline:
+                raise _OutOfTime
+            nxt[i] = 0
+            i -= 1
+            continue
+        pair, molds, needs, cap = options[i][nxt[i]]
+        nxt[i] += 1
+        use = uses[i]
+        if needs:
+            fits = True
             for r, c, limit in needs:
-                new_use[r] = new_use.get(r, 0) + c
-                if new_use[r] > limit:
+                if use.get(r, 0) + c > limit:
+                    fits = False
                     break
+            if not fits:
+                continue
+            use = dict(use)
+            for r, c, _ in needs:
+                use[r] = use.get(r, 0) + c
+        made = mades[i]
+        if molds:
+            made = dict(made)
+            for m, c in molds:
+                made[m] = made.get(m, 0) + cap * c
+        slack = search.reach - period
+        for m, r, rt, copies, most, slot in checks[i]:
+            need = r - made.get(m, 0) - rt * slack
+            if need > 0 and (need > most
+                             or need > (copies - use.get(m, 0)) * slot):
+                break
+        else:
+            acc[i] = (heaters[i], pair, molds, cap)
+            if i + 1 == n:
+                yield list(acc)
             else:
-                acc.append((heaters[idx], pair, molds, cap))
-                yield from rec(idx + 1, new_use, acc)
-                acc.pop()
-
-    yield from rec(0, {}, [])
+                i += 1
+                uses[i], mades[i] = use, made
 
 
 def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
@@ -214,13 +300,17 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     met demand, against its floor, `period - 1 + residual_bound(res, rate)`
     raised to `floor`, and the horizon, then against the memo and the node
     cap.  Only a state that passes them all becomes a frame, an expanded
-    node.  A frame's floor is checked again each time the search comes back
-    to it; once `best` has fallen to the floor, the frame's remaining joint
-    configurations are dropped unread.  That is exact: `mold_rate` bounds
-    one period's production of each mold, so a child's floor is never below
-    its parent's and no child could beat `best`: the children dropped here
-    would each fail their floor check, before the memo or the node count
-    sees them.  Under a limit the search only gets further.
+    node.  A frame's walk (`_iter_joint_configs`) builds only the children
+    whose floor is within min(best - 1, thb), and reads the clock too: a
+    walk the deadline cuts short ends the search at its limit, never as if
+    exhausted.  A frame's floor is checked again each time the search
+    comes back to it; once `best` has fallen to the floor, the frame's
+    remaining joint configurations are dropped unread.  That is exact:
+    `mold_rate` bounds one period's production of each mold, so a child's
+    floor is never below its parent's and no child could beat `best`: the
+    children dropped here would each fail their floor check, before the
+    memo or the node count sees them.  Under a limit the search only gets
+    further.
 
     A `floor` above 0 makes any makespan up to it good enough: the search
     stops at its first schedule within it, which is reported "optimal" only
@@ -237,8 +327,6 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
 
     start_clock = time.perf_counter()
     deadline = start_clock + time_limit_seconds
-    table = _heater_table(inst, parts_mode)
-    plans = PlanMemo(inst)
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
     rate = {i: mold_rate(inst, i, parts_mode) for i in demanded}
 
@@ -246,6 +334,8 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     initial = initial_residents(inst)
     residents0 = tuple(multiset(initial[k]) for k in inst.heaters)
     root_lb = root_bound(inst, parts_mode)
+    search = _Search(inst, _heater_table(inst, parts_mode), PlanMemo(inst),
+                     rate, deadline, thb)
     best = math.inf
     memo = {}
     nodes = 0
@@ -267,6 +357,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
             if bound < best:
                 best = bound
                 best_path = [f.joint for f in stack]
+                search.reach = min(best - 1, thb)
         elif max(bound, floor) < best and bound <= thb:
             key = (tuple(res[i] for i in demanded), residents)
             seen = memo.get(key)
@@ -278,16 +369,21 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
                     break
                 stack.append(_Frame(
                     period, res, max(bound, floor),
-                    _iter_joint_configs(inst, plans, table, residents, res)))
+                    _iter_joint_configs(search, residents, res, period)))
         # the deepest frame that may still beat best draws its next child;
         # one whose floor has reached best drops the rest unread
-        while stack:
-            fr = stack[-1]
-            if fr.floor < best:
-                fr.joint = next(fr.gen, None)
-                if fr.joint is not None:
-                    break
-            stack.pop()
+        try:
+            while stack:
+                fr = stack[-1]
+                if fr.floor < best:
+                    fr.joint = next(fr.gen, None)
+                    if fr.joint is not None:
+                        break
+                stack.pop()
+        except _OutOfTime:
+            # a walk the clock cut short is not exhausted
+            hit_limit = True
+            break
         if not stack:
             break
         produced, new_residents = {}, []

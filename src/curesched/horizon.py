@@ -70,7 +70,9 @@ def horizon_witness(inst: Instance) -> Schedule:
     instance of the test corpus.
 
     Returns the sentinel candidate (`Schedule.empty_candidate`) when a block
-    fits no heater even then: the bound's argument does not hold there.
+    fits no heater even then, or needs more copies or part units than
+    exist (`fits_one_heater`, which `plan_slot` does not check): the
+    bound's argument does not hold there.
     """
     pooled = pooled_molds(inst)
     residents = initial_residents(inst)
@@ -84,6 +86,8 @@ def horizon_witness(inst: Instance) -> Schedule:
             m1, q, counts = m.id, ceil_div(m.demand, 2), {m.id: 2}
         else:
             m1, q, counts = EMPTY, m.demand, {m.id: 1}
+            if not fits_one_heater(inst, counts):
+                return Schedule.empty_candidate()
         for start in (end, end + 1):
             fits = []
             for k in inst.compat_heaters[m.id]:

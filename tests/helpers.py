@@ -12,6 +12,7 @@ import shlex
 import sys
 from itertools import product
 
+from curesched.bounds import residual_bound
 from curesched.domain import (
     EMPTY,
     AssignmentTuple,
@@ -374,6 +375,42 @@ def _joint_configs(inst, pairs_by_heater, residents_by_heater, parts_mode):
             acc.pop()
 
     yield from rec(0, {}, {}, [])
+
+
+def uncut_joint_configs(heaters, options):
+    """Every joint configuration of the per-heater `options` (one
+    `exact._heater_options` list per heater, in the order of `heaters`)
+    whose needs fit together, in depth-first cross-product order, with no
+    cut at the horizon: the walk the oracle's cut walk must filter."""
+
+    def rec(idx, in_use, acc):
+        if idx == len(heaters):
+            yield list(acc)
+            return
+        for pair, molds, needs, cap in options[idx]:
+            new_use = dict(in_use)
+            for r, c, limit in needs:
+                new_use[r] = new_use.get(r, 0) + c
+                if new_use[r] > limit:
+                    break
+            else:
+                acc.append((heaters[idx], pair, molds, cap))
+                yield from rec(idx + 1, new_use, acc)
+                acc.pop()
+
+    yield from rec(0, {}, [])
+
+
+def child_within_reach(joint, res, rate, period, reach):
+    """Whether the child a joint configuration makes of a state in
+    `period` with residual demand `res` passes the oracle's floor check
+    against `reach`, the latest makespan still worth reaching."""
+    produced = {}
+    for _, _, molds, cap in joint:
+        for m, c in molds:
+            produced[m] = produced.get(m, 0) + cap * c
+    left = {m: max(0, r - produced.get(m, 0)) for m, r in res.items()}
+    return period + residual_bound(left, rate) <= reach
 
 
 def brute_force_optimum(inst, horizon, parts_mode=PARTS_PER_HEATER):

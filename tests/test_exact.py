@@ -51,10 +51,12 @@ from helpers import (
     PHI,
     brute_force_optimum,
     brute_force_optimum_all_levels,
+    child_within_reach,
     single_mold_big,
     tiny_instance,
     toy1,
     toy2,
+    uncut_joint_configs,
     variant,
 )
 
@@ -315,6 +317,78 @@ def test_exact_plans_each_heater_once_per_counted_node(monkeypatch, seed,
     assert (report.status, report.nodes, len(inst.heaters)) == (
         "optimal", nodes, heaters)
     assert calls == nodes * heaters
+
+
+def _checked_walks(monkeypatch):
+    """Make every joint-configuration walk check itself against the uncut
+    cross product, filtered by the reach in force at each draw (it only
+    falls, so what the walk skipped before stays out).  Returns the count
+    of configurations the walks cut, read after the search."""
+    cut = [0]
+    original = curesched.exact._iter_joint_configs
+
+    def checked(search, residents, res, period):
+        inst, rate = search.inst, search.rate
+        options = [curesched.exact._heater_options(
+                       search.plans, k, search.table[k], held, res)
+                   for k, held in zip(inst.heaters, residents)]
+        uncut = uncut_joint_configs(inst.heaters, options)
+        for joint in original(search, residents, res, period):
+            for want in uncut:
+                if child_within_reach(want, res, rate, period, search.reach):
+                    break
+                cut[0] += 1
+            else:
+                pytest.fail("the cut walk yielded more than the uncut one")
+            assert joint == want
+            yield joint
+        for want in uncut:
+            assert not child_within_reach(want, res, rate, period,
+                                          search.reach)
+            cut[0] += 1
+
+    monkeypatch.setattr(curesched.exact, "_iter_joint_configs", checked)
+    return cut
+
+
+@pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_cut_walk_yields_exactly_the_children_within_reach(monkeypatch,
+                                                           parts_mode):
+    """In every state the search reaches, the cut walk yields exactly the
+    uncut walk's configurations whose child passes its floor check, in the
+    same order: on tiny 1000-1199 and on the 3-heater components of S09
+    and S11."""
+    cut = _checked_walks(monkeypatch)
+    runs = [(tiny_instance(seed), None) for seed in range(1000, 1200)]
+    runs += [(components(generate_instance(SCENARIOS["small"], seed))[1], 8)
+             for seed in (9, 11)]
+    for inst, horizon in runs:
+        thb = compute_thb(inst) if horizon is None else horizon
+        report = solve_exact(inst, thb, parts_mode=parts_mode)
+        assert report.status in ("optimal", "infeasible"), inst.name
+    assert cut[0] > 0
+
+
+def test_a_walk_cut_short_by_the_clock_ends_the_search_at_limit(
+        monkeypatch):
+    """The clock passes the deadline at the first reading inside a walk,
+    while it cuts configurations: the search stops at "limit", never
+    "infeasible", though a schedule within thb exists."""
+    inst = components(generate_instance(SCENARIOS["small"], 11))[1]
+    assert solve_exact(inst, 6).makespan == 6
+    readings = []
+
+    def perf_counter():
+        in_walk = sys._getframe(1).f_code.co_name == "_iter_joint_configs"
+        readings.append(in_walk)
+        return 100.0 if in_walk else 0.0
+
+    monkeypatch.setattr(curesched.exact.time, "perf_counter", perf_counter)
+    report = solve_exact(inst, 6, time_limit_seconds=1.0)
+    assert (report.status, report.makespan, report.schedule) == (
+        "limit", None, None)
+    # the walk's reading is the search's last before its final one
+    assert readings.index(True) == len(readings) - 2
 
 
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])

@@ -121,6 +121,17 @@ def test_pairing_raises_when_nothing_admissible():
         mold_pairs_procedure(inst, random.Random(0))
 
 
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_run_without_starts_refuses_a_witness_short_of_part_units(mode):
+    # the only part has no units, so no block of the safe horizon's serial
+    # schedule can run: with no start taken nothing is left to return
+    inst = variant(toy2(), parts=(Part(id=1, units=0, molds=frozenset({1, 2})),))
+    assert horizon_witness(inst).sentinel
+    with pytest.raises(NoFeasiblePlacement):
+        run_heuristic(inst, HeuristicConfig(total_iterations=0,
+                                            parts_mode=mode))
+
+
 def test_pool_drops_pairs_of_molds_without_demand():
     """A pair holding a mold with no demand is never drawable, so the run's
     pool leaves it out; each start then draws what it drew when it filtered

@@ -177,3 +177,15 @@ def test_witness_is_sentinel_when_a_pair_cannot_leave():
     inst = variant(toy1(), molds=(Mold(1, 2, 600, 7300, 10),
                                   Mold(2, 1, 600, 300, 10)))
     assert horizon_witness(inst).sentinel
+
+
+@pytest.mark.parametrize("parts_mode", PARTS_MODES)
+def test_witness_is_sentinel_when_a_block_lacks_part_units(parts_mode):
+    # mold 2 needs a unit of a part that has none: its block fits a heater
+    # by `plan_slot`, which counts no part units, but can never run
+    inst = variant(toy2(), parts=(Part(1, 1, frozenset({1})),
+                                  Part(2, 0, frozenset({2}))))
+    assert horizon_witness(inst).sentinel
+    # with units, mold 2's block runs and the witness validates
+    inst = variant(inst, parts=inst.parts[:1])
+    assert validate_schedule(inst, horizon_witness(inst), parts_mode).ok

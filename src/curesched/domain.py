@@ -10,8 +10,14 @@ the same budget (`period_dmin`, 14400 = 24h in the stock data).
 The capacity rules in `plan_slot` are the single source of truth used by the
 constructive heuristic, the schedule validator, the exact search's
 per-heater options, and the encoder that turns schedules into model
-variable assignments; the heuristic and the exact search read it through a
-per-run `PlanMemo`:
+variable assignments.  `plan_slot` is two halves: the heater-independent
+`changeover` (its setup and removal work and the budget checks) and the
+heater's own (slowest cure time, first-period and full-period capacity,
+through `first_capacity` and `slot_rate`).  The exact search reads whole
+plans through a per-search
+`PlanMemo`; the heuristic reads only changeovers, through a per-run
+`ChangeoverMemo`, and sizes each heater's tuple from the deduction with
+the same `first_capacity` and `periods_for`:
 
   * a tuple placed directly after its heater's previous occupant pays the
     multiset difference (new copies mounted, leaving copies removed) in its
@@ -266,31 +272,14 @@ def transition_work(inst: Instance, before, after):
     return setups, removals
 
 
-@dataclass(frozen=True)
-class SlotPlan:
-    """First-period budget accounting for a tuple of any quantity on one
-    heater; `length_for` sizes each quantity from it."""
+def changeover(inst: Instance, residents, prev_end: Period, start: Period,
+               molds) -> tuple:
+    """The heater-independent half of `plan_slot`: (deduction, problems)
+    of re-equipping a heater that holds `residents` with `molds`.
 
-    cap_first: int
-    cap_int: int
-    deduction: int
-    problems: tuple = ()
-
-    def length_for(self, quantity: int) -> int:
-        """Periods the slot needs to cure `quantity` per slot: the first
-        period's leftover budget, then whole periods at the full rate."""
-        if quantity <= self.cap_first or self.cap_int <= 0:
-            return 1
-        return 1 + ceil_div(quantity - self.cap_first, self.cap_int)
-
-
-def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
-              start: Period, molds) -> SlotPlan:
-    """Work out the feasible per-period output of a tuple of `molds`.
-
-    `residents` is the mold multiset left by the heater's previous occupant
-    (or its initial loading), `prev_end` that occupant's end period. The
-    caller guarantees start >= prev_end.
+    The deduction is the setup and removal work the tuple's first period
+    pays; the problems name a changeover, or an idle gap's removal work,
+    that does not fit one period budget.
     """
     phi = inst.period_dmin
     problems = []
@@ -312,13 +301,56 @@ def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
             f"changeover work {deduction} at period {start} exceeds "
             f"the period budget {phi}"
         )
+    return deduction, tuple(problems)
+
+
+def first_capacity(period_dmin: int, deduction: int, max_tv: int) -> int:
+    """Tires one slot delivers in a tuple's first period, whose budget
+    pays `deduction` of changeover work, at slowest cure time `max_tv`."""
+    return max((period_dmin - deduction) // max_tv, 0)
+
+
+def periods_for(quantity: int, cap_first: int, cap_int: int) -> int:
+    """Periods a slot needs to cure `quantity`: the first period's
+    `cap_first`, then whole periods at the full rate `cap_int`."""
+    if quantity <= cap_first or cap_int <= 0:
+        return 1
+    return 1 + ceil_div(quantity - cap_first, cap_int)
+
+
+@dataclass(frozen=True)
+class SlotPlan:
+    """First-period budget accounting for a tuple of any quantity on one
+    heater; `length_for` sizes each quantity from it."""
+
+    cap_first: int
+    cap_int: int
+    deduction: int
+    problems: tuple = ()
+
+    def length_for(self, quantity: int) -> int:
+        """Periods the slot needs to cure `quantity` per slot."""
+        return periods_for(quantity, self.cap_first, self.cap_int)
+
+
+def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
+              start: Period, molds) -> SlotPlan:
+    """Work out the feasible per-period output of a tuple of `molds`: its
+    `changeover`, then the heater's own half, which sizes the slot at its
+    slowest cure time on board and fails a cure time past the period.
+
+    `residents` is the mold multiset left by the heater's previous occupant
+    (or its initial loading), `prev_end` that occupant's end period. The
+    caller guarantees start >= prev_end.
+    """
+    deduction, problems = changeover(inst, residents, prev_end, start, molds)
+    phi = inst.period_dmin
     max_tv = max(inst.curing[(m, heater)] for m in molds) if molds else phi
-    cap_first = max((phi - deduction) // max_tv, 0)
     cap_int = slot_rate(phi, max_tv)
     if cap_int <= 0:
-        problems.append(f"cure time exceeds the period budget on heater {heater}")
-    return SlotPlan(cap_first=cap_first, cap_int=cap_int, deduction=deduction,
-                    problems=tuple(problems))
+        problems += (f"cure time exceeds the period budget on heater {heater}",)
+    return SlotPlan(cap_first=first_capacity(phi, deduction, max_tv),
+                    cap_int=cap_int, deduction=deduction, problems=problems)
 
 
 def multiset(counts) -> tuple:
@@ -327,10 +359,10 @@ def multiset(counts) -> tuple:
 
 
 class PlanMemo(dict):
-    """The `plan_slot` plans of one heuristic run or exact search, keyed
-    (heater, residents, molds, gap): the `multiset`s the heater holds and
-    gets, and whether an idle gap comes first, which is all a changeover
-    depends on. A value is the plan, or None when it breaks a budget."""
+    """The `plan_slot` plans of one exact search, keyed (heater, residents,
+    molds, gap): the `multiset`s the heater holds and gets, and whether an
+    idle gap comes first, which is all a changeover depends on. A value is
+    the plan, or None when it breaks a budget."""
 
     def __init__(self, inst: Instance):
         super().__init__()
@@ -342,6 +374,25 @@ class PlanMemo(dict):
                          dict(molds))
         self[key] = plan = None if plan.problems else plan
         return plan
+
+
+class ChangeoverMemo(dict):
+    """The `changeover`s of one heuristic run, keyed (residents, molds,
+    gap) as a `PlanMemo` key without its heater, since no heater changes
+    a changeover. A value is the deduction, or None when it breaks a
+    budget; a heater then sizes a tuple from it with `first_capacity`
+    and `periods_for` at its own cure time."""
+
+    def __init__(self, inst: Instance):
+        super().__init__()
+        self.inst = inst
+
+    def __missing__(self, key):
+        residents, molds, gap = key
+        deduction, problems = changeover(self.inst, dict(residents), 0,
+                                         int(gap), dict(molds))
+        self[key] = deduction = None if problems else deduction
+        return deduction
 
 
 def fits_one_heater(inst: Instance, counts) -> bool:

@@ -18,6 +18,10 @@ later start that its improvement step could not change stops placing once
 it cannot beat the best so far: once a tuple ends there, or once its
 pending tuples, at their pairs' best rates, no longer fit in the heater
 time and mold copies left before the best makespan.
+
+No heater changes a changeover's budget, so a run works out each
+changeover once, in its `ChangeoverMemo`, and each heater sizes a tuple
+from that deduction at its own cure time, as `plan_slot` would.
 """
 
 import math
@@ -32,15 +36,17 @@ from .domain import (
     PARTS_MODES,
     PARTS_PER_HEATER,
     AssignmentTuple,
+    ChangeoverMemo,
     Instance,
-    PlanMemo,
     Schedule,
     ceil_div,
+    first_capacity,
     fits_one_heater,
     heater_walk,
     initial_residents,
     multiset,
     pair_slots,
+    periods_for,
     produced_by_mold,
     schedule_makespan,
     slot_rate,
@@ -101,15 +107,17 @@ class _Context:
                   a pair must fit one heater on its own (enough copies, part
                   units for both slots, joint setup work inside one period)
                   and hold only molds with demand
-    heaters     : (m1, m2) -> (heater, rate) rows of the heaters able to run
-                  the pair, fastest first, ids breaking ties; the rate is
-                  the full-period `slot_rate` at the slot's slowest cure time
+    heaters     : (m1, m2) -> (heater, rate, cure) rows of the heaters able
+                  to run the pair, fastest first, ids breaking ties; cure is
+                  the slot's slowest cure time there, the rate its
+                  full-period `slot_rate`
     counts      : (m1, m2) -> `multiset` of the pair's molds
     part_need   : (m1, m2) -> part units the pair ties down
     initial     : heater -> `multiset` mounted before the first period
-    plans       : the run's `PlanMemo`: each changeover (what a heater
-                  holds, the pair, whether an idle gap comes first) is
-                  planned once, whichever start or round meets it
+    plans       : the run's `ChangeoverMemo`: each changeover (what a
+                  heater holds, the pair, whether an idle gap comes first)
+                  is worked out once, whichever start, round or heater
+                  meets it; a value is its deduction, None past a budget
     heater_sets : the distinct sets of a pair's heaters, as id-sorted tuples
     set_of      : (m1, m2) -> index of its heaters in `heater_sets`
     sets_with   : heater -> indices of the `heater_sets` holding it
@@ -120,7 +128,7 @@ class _Context:
     counts: dict
     part_need: dict
     initial: dict
-    plans: PlanMemo
+    plans: ChangeoverMemo
     heater_sets: list
     set_of: dict
     sets_with: dict
@@ -132,9 +140,10 @@ def _context(inst: Instance) -> _Context:
         pair = (s.m1, s.m2)
         # a cure time of 0 is validate_instance's to report, not a crash here
         r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
-        heaters.setdefault(pair, []).append((s.heater, r))
+        heaters.setdefault(pair, []).append((s.heater, r, s.max_tv))
         counts[pair], part_need[pair] = s.counts, s.usage
-    ids = {pair: tuple(k for k, _r in rows) for pair, rows in heaters.items()}
+    ids = {pair: tuple(row[0] for row in rows)
+           for pair, rows in heaters.items()}
     heater_sets = sorted(set(ids.values()))
     index = {hs: i for i, hs in enumerate(heater_sets)}
     demanded = {m.id for m in inst.molds if m.demand > 0}
@@ -147,7 +156,7 @@ def _context(inst: Instance) -> _Context:
         counts={pair: multiset(c) for pair, c in counts.items()},
         part_need=part_need,
         initial={k: multiset(r) for k, r in initial_residents(inst).items()},
-        plans=PlanMemo(inst),
+        plans=ChangeoverMemo(inst),
         heater_sets=heater_sets,
         set_of={pair: index[hs] for pair, hs in ids.items()},
         sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
@@ -257,9 +266,13 @@ def assignment_procedure(inst: Instance, tuples,
     its heater and whose minimum that heater was, since availabilities
     only grow.
 
-    A tuple's length is sized from the `ctx.plans` plan of its changeover;
-    a pair that breaks a budget there waits one period more, so that the
-    heater empties in an idle gap first.
+    A tuple's length on a heater is sized as `plan_slot` would size it,
+    from the `ctx.plans` deduction of its changeover, which is the same on
+    every heater, and the heater row's cure time and rate, through
+    `first_capacity` and `periods_for`.  A pair whose changeover breaks a
+    budget waits one period more, so that the heater empties in an idle
+    gap first; a heater whose cure time exceeds the period (rate 0) takes
+    none.
 
     With a `cutoff`, placing stops at the first tuple that ends at or after
     it, and the sentinel candidate comes back instead: the makespan is the
@@ -275,6 +288,7 @@ def assignment_procedure(inst: Instance, tuples,
     """
     ctx = ctx or _context(inst)
     heaters, counts, plans = ctx.heaters, ctx.counts, ctx.plans
+    phi = inst.period_dmin
     heater_sets, sets_with = ctx.heater_sets, ctx.sets_with
     part_need = ctx.part_need if parts_mode == PARTS_GLOBAL else {}
 
@@ -345,18 +359,22 @@ def assignment_procedure(inst: Instance, tuples,
 
         q, molds = t.q, counts[best_pair]
         chosen, chosen_end = None, math.inf
-        for k, r in heaters[best_pair]:
+        for k, r, cure in heaters[best_pair]:
+            if r <= 0:
+                break  # it cures nothing in a period, nor do the rows after
             free = avail[k]
             base = free if free > ready else ready
-            if base + (-(-q // r) if r > 0 else 1) > chosen_end:
+            if base + -(-q // r) > chosen_end:
                 continue  # it cannot end by the chosen end: it cannot win
-            plan, wait = plans[k, holds[k], molds, base > free], 0
-            if plan is None:
-                plan, wait = plans[k, holds[k], molds, True], 1
-                if plan is None:
+            held_k = holds[k]
+            work, wait = plans[held_k, molds, base > free], 0
+            if work is None:
+                work, wait = plans[held_k, molds, True], 1
+                if work is None:
                     continue
             start = base + wait
-            key = (start + plan.length_for(q), start, plan.deduction, k)
+            key = (start + periods_for(q, first_capacity(phi, work, cure), r),
+                   start, work, k)
             if chosen is None or key < chosen:
                 chosen, chosen_end = key, key[0]
         if chosen is None:
@@ -396,7 +414,8 @@ def _shave_overproduction(inst: Instance, schedule: Schedule,
 
     An identical pair loses two tires per quantity step, so its cut is
     halved. A trimmed tuple keeps its heater, start and predecessor, so the
-    plan it was placed with sizes its new length.
+    changeover it was placed with, at its heater's cure time and rate,
+    sizes its new length.
     """
     tuples = sorted(schedule.tuples, key=lambda t: t.id)
     produced = produced_by_mold(tuples)
@@ -421,9 +440,13 @@ def _shave_overproduction(inst: Instance, schedule: Schedule,
         if delta <= 0:
             continue
         new_q = last.q - delta
-        plan = ctx.plans[k, multiset(residents), ctx.counts[last.m1, last.m2],
+        pair = last.m1, last.m2
+        work = ctx.plans[multiset(residents), ctx.counts[pair],
                          last.start > prev_end]
-        out[last.id] = replace(last, q=new_q, length=plan.length_for(new_q))
+        _k, r, cure = next(row for row in ctx.heaters[pair] if row[0] == k)
+        length = periods_for(new_q, first_capacity(inst.period_dmin, work,
+                                                   cure), r)
+        out[last.id] = replace(last, q=new_q, length=length)
         for m, c in last.mold_counts().items():
             produced[m] -= c * delta
     return Schedule(tuples=sorted(out.values(), key=lambda t: t.id))

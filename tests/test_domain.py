@@ -8,11 +8,13 @@ Expected values are frozen from hand enumeration on the toy instances:
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from curesched.domain import (
     AssignmentTuple,
+    ChangeoverMemo,
     Instance,
     Mold,
     Part,
@@ -21,10 +23,12 @@ from curesched.domain import (
     PlanMemo,
     Schedule,
     components,
+    first_capacity,
     heater_walk,
     initial_residents,
     multiset,
     pair_slots,
+    periods_for,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -265,6 +269,55 @@ def test_plan_slot_sizes_every_quantity_from_one_plan():
                         cover = plan.cap_first + (length - 1) * plan.cap_int
                         assert cover >= q > cover - plan.cap_int or (
                             length == 1 and q <= plan.cap_first)
+
+
+def test_changeover_memo_agrees_with_plan_slot_on_every_heater():
+    """The heuristic's `ChangeoverMemo` is None exactly when `plan_slot`
+    reports a changeover problem on a heater, and otherwise holds the
+    plan's deduction, which with the heater's slowest cure time gives the
+    plan's `cap_first`, `cap_int` and length for every quantity: no heater
+    changes a changeover.  The stock instances never exceed a period on
+    changeover, so each also runs with setup and removal times scaled by 9,
+    as the oracle's check does."""
+    stock = [tiny_instance(seed) for seed in range(1000, 1200)]
+    stock += [generate_instance(SCENARIOS[size], seed)
+              for size, count in (("medium", 10), ("large", 5))
+              for seed in range(1, count + 1)]
+    heavy = [variant(inst, molds=tuple(
+        replace(m, setup_dmin=9 * m.setup_dmin, removal_dmin=9 * m.removal_dmin)
+        for m in inst.molds)) for inst in stock]
+    seen = {"fits": 0, "breaks": 0}
+    for inst in stock + heavy:
+        phi, memo = inst.period_dmin, ChangeoverMemo(inst)
+        initial = initial_residents(inst)
+        on_heater = {}
+        for s in pair_slots(inst):
+            on_heater.setdefault(s.heater, []).append(s)
+        for k, on_k in on_heater.items():
+            for residents in [initial[k], {}] + [s.counts for s in on_k]:
+                held = multiset(residents)
+                for s in on_k:
+                    for gap in (False, True):
+                        plan = plan_slot(inst, k, residents, 0, int(gap),
+                                         s.counts)
+                        work = memo[held, multiset(s.counts), gap]
+                        broken = [p for p in plan.problems
+                                  if not p.startswith("cure time")]
+                        assert (work is None) == bool(broken), (
+                            inst.name, k, residents, s, gap)
+                        if work is None:
+                            seen["breaks"] += 1
+                            continue
+                        seen["fits"] += 1
+                        cap_first = first_capacity(phi, work, s.max_tv)
+                        cap_int = slot_rate(phi, s.max_tv)
+                        assert (work, cap_first, cap_int) == (
+                            plan.deduction, plan.cap_first, plan.cap_int)
+                        for q in {1, cap_first, cap_first + 1,
+                                  cap_first + cap_int + 1, 3 * cap_int}:
+                            assert periods_for(q, cap_first, cap_int) \
+                                == plan.length_for(q), (inst.name, k, s, q)
+    assert seen["fits"] and seen["breaks"]
 
 
 # ── schedules and makespan ───────────────────────────────────────────

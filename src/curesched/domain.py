@@ -13,11 +13,11 @@ per-heater options, and the encoder that turns schedules into model
 variable assignments.  `plan_slot` is two halves: the heater-independent
 `changeover` (its setup and removal work and the budget checks) and the
 heater's own (slowest cure time, first-period and full-period capacity,
-through `first_capacity` and `slot_rate`).  The exact search reads whole
-plans through a per-search
-`PlanMemo`; the heuristic reads only changeovers, through a per-run
-`ChangeoverMemo`, and sizes each heater's tuple from the deduction with
-the same `first_capacity` and `periods_for`:
+through `first_capacity` and `slot_rate`).  The heuristic and the exact
+search read only changeovers, each through a `ChangeoverMemo` of its own
+run, and size each heater's tuple from the deduction with the same
+`first_capacity` (and, in the heuristic, `periods_for`); both leave out a
+heater whose slowest cure time exceeds the period, as `plan_slot` does:
 
   * a tuple placed directly after its heater's previous occupant pays the
     multiset difference (new copies mounted, leaving copies removed) in its
@@ -358,30 +358,13 @@ def multiset(counts) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-class PlanMemo(dict):
-    """The `plan_slot` plans of one exact search, keyed (heater, residents,
-    molds, gap): the `multiset`s the heater holds and gets, and whether an
-    idle gap comes first, which is all a changeover depends on. A value is
-    the plan, or None when it breaks a budget."""
-
-    def __init__(self, inst: Instance):
-        super().__init__()
-        self.inst = inst
-
-    def __missing__(self, key):
-        heater, residents, molds, gap = key
-        plan = plan_slot(self.inst, heater, dict(residents), 0, int(gap),
-                         dict(molds))
-        self[key] = plan = None if plan.problems else plan
-        return plan
-
-
 class ChangeoverMemo(dict):
-    """The `changeover`s of one heuristic run, keyed (residents, molds,
-    gap) as a `PlanMemo` key without its heater, since no heater changes
-    a changeover. A value is the deduction, or None when it breaks a
-    budget; a heater then sizes a tuple from it with `first_capacity`
-    and `periods_for` at its own cure time."""
+    """The `changeover`s of one heuristic run or exact search, keyed
+    (residents, molds, gap): the `multiset`s a heater holds and gets, and
+    whether an idle gap comes first.  No heater changes a changeover, so
+    the key names none. A value is the deduction, or None when it breaks a
+    budget; a heater then sizes a tuple from it with `first_capacity` (and
+    `periods_for`) at its own slowest cure time."""
 
     def __init__(self, inst: Instance):
         super().__init__()

@@ -28,11 +28,12 @@ from dataclasses import dataclass
 
 from .bounds import mold_rate, residual_bound, root_bound
 from .domain import (
+    ChangeoverMemo,
     Instance,
     PARTS_MODES,
     PARTS_PER_HEATER,
-    PlanMemo,
     Schedule,
+    first_capacity,
     initial_residents,
     multiset,
     pair_slots,
@@ -122,32 +123,37 @@ class _Frame:
 
 def _heater_table(inst, parts_mode):
     """Per heater, its `pair_slots` rows as (pair, `multiset` of its molds,
-    needs), built once per search.  needs lists (resource, units, limit):
-    each mold's copies (the resource is the mold id), and in global mode
-    each part's units (the resource is ("part", part id)).  In either mode a
-    row that alone needs more copies or part units than exist is left out."""
+    needs, slowest cure time), built once per search.  needs lists
+    (resource, units, limit): each mold's copies (the resource is the mold
+    id), and in global mode each part's units (the resource is ("part",
+    part id)).  In either mode a row that alone needs more copies or part
+    units than exist is left out, and so is one whose slowest cure time
+    exceeds the period, which `plan_slot` would never let run."""
     shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
     for s in pair_slots(inst):
+        if s.max_tv > inst.period_dmin:
+            continue
         molds = multiset(s.counts)
         needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
         parts = [(("part", p), c, inst.part_by_id[p].units)
                  for p, c in s.usage.items()]
         if any(c > limit for _, c, limit in needs + parts):
             continue
-        table[s.heater].append(
-            ((s.m1, s.m2), molds, tuple(needs + parts if shared else needs)))
+        table[s.heater].append(((s.m1, s.m2), molds,
+                                tuple(needs + parts if shared else needs),
+                                s.max_tv))
     return table
 
 
-def _heater_options(plans, k, rows, residents, res):
-    """Per-period choices for heater `k` in one search state, where it
-    holds the `multiset` `residents` and `res` is left to cure: one of its
-    `rows` (a `_heater_table` row list) at full capacity, or idling
-    (residents leave, which must fit the period).  The search's `PlanMemo`
-    `plans` decides both: a pair mounted right away cures its plan's
-    first-period capacity, and idling is the plan of an empty heater after
-    a gap.
+def _heater_options(plans, rows, residents, res):
+    """Per-period choices for a heater in one search state, where it holds
+    the `multiset` `residents` and `res` is left to cure: one of its `rows`
+    (a `_heater_table` row list) at full capacity, or idling (residents
+    leave, which must fit the period).  The search's `ChangeoverMemo`
+    `plans` decides both: idling is the changeover to an empty heater after
+    a gap, and a pair mounted right away cures the `first_capacity` its
+    deduction leaves at the row's slowest cure time.
 
     Mounting a mold whose residual demand is already zero is skipped, since
     a single-mold slot dominates; pairs that merely keep such a mold
@@ -157,18 +163,19 @@ def _heater_options(plans, k, rows, residents, res):
     """
     # sorted on (-useful, idle, pair): pairs before idling at a tie
     opts = []
-    if plans[k, residents, (), True] is not None:
+    if plans[residents, (), True] is not None:
         opts.append((0, 1, (0, 0), (None, (), (), 0)))
+    phi = plans.inst.period_dmin
     held = dict(residents)
-    for pair, molds, needs in rows:
+    for pair, molds, needs, max_tv in rows:
         # never mount a finished mold; keeping a resident one is fine
         for m, c in molds:
             if res.get(m, 0) <= 0 and c > held.get(m, 0):
                 break
         else:
-            plan = plans[k, residents, molds, False]
-            if plan is not None:
-                cap = plan.cap_first
+            deduction = plans[residents, molds, False]
+            if deduction is not None:
+                cap = first_capacity(phi, deduction, max_tv)
                 useful = 0
                 for m, c in molds:
                     useful += min(res.get(m, 0), cap * c)
@@ -183,10 +190,11 @@ class _OutOfTime(Exception):
 
 class _Search:
     """What the joint-configuration walks of one search share: the
-    instance, its `_heater_table`, the search's `PlanMemo`, each demanded
-    mold's `mold_rate`, the deadline, and `reach`, the latest makespan
-    still worth reaching, min(best - 1, thb), which the search lowers as
-    best falls."""
+    instance, its `_heater_table`, the search's `ChangeoverMemo` (the memo
+    the heuristic keeps too: no heater changes a changeover, so every
+    heater reads the one entry), each demanded mold's `mold_rate`, the
+    deadline, and `reach`, the latest makespan still worth reaching,
+    min(best - 1, thb), which the search lowers as best falls."""
 
     __slots__ = ("inst", "table", "plans", "rate", "deadline", "reach")
 
@@ -220,7 +228,7 @@ def _iter_joint_configs(search, residents, res, period):
     inst, rate = search.inst, search.rate
     heaters = inst.heaters
     n = len(heaters)
-    options = [_heater_options(search.plans, k, search.table[k], held, res)
+    options = [_heater_options(search.plans, search.table[k], held, res)
                for k, held in zip(heaters, residents)]
     # checks[i]: per mold with demand left, the most the heaters after
     # heater i cure of it, as (mold, res, rate, copies, sum of their best
@@ -334,8 +342,8 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     initial = initial_residents(inst)
     residents0 = tuple(multiset(initial[k]) for k in inst.heaters)
     root_lb = root_bound(inst, parts_mode)
-    search = _Search(inst, _heater_table(inst, parts_mode), PlanMemo(inst),
-                     rate, deadline, thb)
+    search = _Search(inst, _heater_table(inst, parts_mode),
+                     ChangeoverMemo(inst), rate, deadline, thb)
     best = math.inf
     memo = {}
     nodes = 0

@@ -20,8 +20,8 @@ from curesched.domain import (
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
-    PlanMemo,
     Schedule,
+    SlotPlan,
     components,
     first_capacity,
     heater_walk,
@@ -246,11 +246,13 @@ def test_plan_slot_init_resident_needs_no_setup():
 def test_plan_slot_sizes_every_quantity_from_one_plan():
     """One plan sizes every quantity with `length_for`: each length is the
     fewest periods whose capacity covers the quantity. The run's
-    `PlanMemo` holds that same plan under the changeover's key, or None
-    when it breaks a budget, whatever periods the tuple occupies."""
+    `ChangeoverMemo` rebuilds that same plan from the deduction under the
+    changeover's key and the heater's slowest cure time, and holds None,
+    or the slot cures nothing in a period, exactly when the plan breaks a
+    budget, whatever periods the tuple occupies."""
     for seed in range(1000, 1200):
         inst = tiny_instance(seed)
-        plans = PlanMemo(inst)
+        phi, plans = inst.period_dmin, ChangeoverMemo(inst)
         slots = pair_slots(inst)
         initial = initial_residents(inst)
         held = [{}] + list({(s.m1, s.m2): s.counts for s in slots}.values())
@@ -259,11 +261,15 @@ def test_plan_slot_sizes_every_quantity_from_one_plan():
                 for prev_end, start in ((0, 0), (0, 1), (3, 3), (3, 5)):
                     plan = plan_slot(inst, s.heater, residents, prev_end,
                                      start, s.counts)
-                    key = (s.heater, multiset(residents), multiset(s.counts),
-                           start > prev_end)
-                    assert plans[key] == (None if plan.problems else plan)
+                    work = plans[multiset(residents), multiset(s.counts),
+                                 start > prev_end]
+                    cap_int = slot_rate(phi, s.max_tv)
+                    assert (work is None or cap_int <= 0) \
+                        == bool(plan.problems)
                     if plan.problems:
                         continue
+                    assert SlotPlan(first_capacity(phi, work, s.max_tv),
+                                    cap_int, work) == plan
                     for q in range(1, 61):
                         length = plan.length_for(q)
                         cover = plan.cap_first + (length - 1) * plan.cap_int

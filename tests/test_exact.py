@@ -20,11 +20,11 @@ import pytest
 import curesched.domain
 import curesched.exact
 from curesched.domain import (
+    ChangeoverMemo,
     Mold,
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
-    PlanMemo,
     components,
     initial_residents,
     multiset,
@@ -55,6 +55,7 @@ from helpers import (
     single_mold_big,
     tiny_instance,
     toy1,
+    toy1_two_heaters,
     toy2,
     uncut_joint_configs,
     variant,
@@ -330,7 +331,7 @@ def _checked_walks(monkeypatch):
     def checked(search, residents, res, period):
         inst, rate = search.inst, search.rate
         options = [curesched.exact._heater_options(
-                       search.plans, k, search.table[k], held, res)
+                       search.plans, search.table[k], held, res)
                    for k, held in zip(inst.heaters, residents)]
         uncut = uncut_joint_configs(inst.heaters, options)
         for joint in original(search, residents, res, period):
@@ -394,9 +395,10 @@ def test_a_walk_cut_short_by_the_clock_ends_the_search_at_limit(
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
 def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
     """A pair slot that alone needs more copies of a mold, or more units
-    of a part, than exist is left out in both parts modes; every other
-    slot stays, in order.  Small plants have one copy per mold, so none
-    of their identical pairs remains."""
+    of a part, than exist, or whose slowest cure time exceeds the period,
+    is left out in both parts modes; every other slot stays, in order,
+    with its slowest cure time.  Small plants have one copy per mold, so
+    none of their identical pairs remains."""
     plants = [tiny_instance(seed) for seed in range(1000, 1200)]
     for scenario, count in (("small", 15), ("medium", 10), ("large", 5)):
         plants += [generate_instance(SCENARIOS[scenario], seed)
@@ -407,16 +409,38 @@ def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
                 if all(c <= inst.mold_by_id[m].copies
                        for m, c in s.counts.items())
                 and all(u <= inst.part_by_id[p].units
-                        for p, u in s.usage.items())]
-        assert [(k, pair) for k in inst.heaters for pair, _, _ in table[k]] \
-            == sorted((s.heater, (s.m1, s.m2)) for s in kept), inst.name
+                        for p, u in s.usage.items())
+                and s.max_tv <= inst.period_dmin]
+        assert [(k, pair, max_tv) for k in inst.heaters
+                for pair, _, _, max_tv in table[k]] \
+            == sorted((s.heater, (s.m1, s.m2), s.max_tv) for s in kept), \
+            inst.name
         for rows in table.values():
-            for _, _, needs in rows:
+            for _, _, needs, _ in rows:
                 assert all(c <= limit for _, c, limit in needs), inst.name
         if inst.name.startswith("S"):
             assert all(m.copies == 1 for m in inst.molds)
             assert all(m1 != m2 for rows in table.values()
-                       for (m1, m2), _, _ in rows), inst.name
+                       for (m1, m2), _, _, _ in rows), inst.name
+
+
+@pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_oracle_never_mounts_a_pair_whose_cure_time_exceeds_the_period(
+        parts_mode):
+    """On toy1 with two heaters, heater 2 cures each mold one deciminute
+    slower than a period lasts, so `plan_slot` lets nothing run there: the
+    oracle's schedule keeps to heater 1 and passes the validator."""
+    base = toy1_two_heaters()
+    curing = dict(base.curing)
+    curing[(1, 2)] = curing[(2, 2)] = base.period_dmin + 1
+    inst = variant(base, curing=curing)
+    assert [(s.m1, s.m2) for s in pair_slots(inst) if s.heater == 2]
+    report = solve_exact(inst, 2, parts_mode=parts_mode)
+    assert (report.status, report.makespan) == ("optimal", 1)
+    assert validate_schedule(inst, report.schedule, parts_mode).violations \
+        == []
+    assert [(t.m1, t.m2, t.q, t.heater) for t in report.schedule.tuples] \
+        == [(1, 2, 33, 1)]
 
 
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
@@ -438,13 +462,13 @@ def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
         rows = {c.name: {v: coef for coef, v in c.terms}
                 for c in build_model(inst, 1, parts_mode).constraints}
         table = curesched.exact._heater_table(inst, parts_mode)
-        plans = PlanMemo(inst)
+        plans = ChangeoverMemo(inst)
         res = {m: 10 ** 9 for m in inst.mold_ids}
         for k in inst.heaters:
             on_k = [s for s in pair_slots(inst) if s.heater == k]
             for residents in [initial_residents(inst)[k], {}] + [s.counts for s in on_k]:
                 offered = {pair: cap for pair, _, _, cap in options(
-                    plans, k, table[k], multiset(residents), res)}
+                    plans, table[k], multiset(residents), res)}
                 gap = plan_slot(inst, k, residents, 0, 1, {})
                 assert (None in offered) == (not gap.problems), (name, k, residents)
                 for s in on_k:
@@ -476,22 +500,42 @@ def test_exact_deterministic():
 
 
 def test_exact_plans_each_changeover_once_per_search(monkeypatch):
-    """Each search fills a memo of its own: a second search on the same
-    instance plans every changeover again, each exactly once."""
-    memos, calls = [], []
-    plan_slot = curesched.domain.plan_slot
+    """Each search fills a `ChangeoverMemo` of its own: a second search on
+    the same instance works out every changeover again, each exactly once,
+    though heaters share changeovers: a (residents, molds, gap) key that
+    two heaters meet is still worked out once."""
+    memos, calls, met_on = [], [], {}
+    changeover = curesched.domain.changeover
+    table_of = curesched.exact._heater_table
+    options_of = curesched.exact._heater_options
+    heater_of, asking = {}, [None]
 
-    class KeptMemo(PlanMemo):
+    class KeptMemo(ChangeoverMemo):
         def __init__(self, inst):
             super().__init__(inst)
             memos.append(self)
 
-    def counted_plan_slot(*args):
-        calls.append(args)
-        return plan_slot(*args)
+        def __getitem__(self, key):
+            met_on.setdefault(key, set()).add(asking[0])
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(curesched.exact, "PlanMemo", KeptMemo)
-    monkeypatch.setattr(curesched.domain, "plan_slot", counted_plan_slot)
+    def counted_changeover(*args):
+        calls.append(args)
+        return changeover(*args)
+
+    def kept_table(*args):
+        table = table_of(*args)
+        heater_of.update((id(rows), k) for k, rows in table.items())
+        return table
+
+    def named_options(plans, rows, *args):
+        asking[0] = heater_of[id(rows)]
+        return options_of(plans, rows, *args)
+
+    monkeypatch.setattr(curesched.exact, "ChangeoverMemo", KeptMemo)
+    monkeypatch.setattr(curesched.domain, "changeover", counted_changeover)
+    monkeypatch.setattr(curesched.exact, "_heater_table", kept_table)
+    monkeypatch.setattr(curesched.exact, "_heater_options", named_options)
     inst = generate_instance(SCENARIOS["small"], 1)
     counts = []
     for _ in range(2):
@@ -501,6 +545,8 @@ def test_exact_plans_each_changeover_once_per_search(monkeypatch):
     assert len(memos) == 2 and memos[0] is not memos[1]
     assert memos[0] == memos[1]
     assert counts == [len(memos[0])] * 2 and counts[0] > 0
+    assert set(met_on) == set(memos[0])
+    assert any(len(heaters) > 1 for heaters in met_on.values())
 
 
 # ── adapter ──────────────────────────────────────────────────────────

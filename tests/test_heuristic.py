@@ -652,11 +652,12 @@ def test_a_heater_that_cures_nothing_in_a_period_is_never_chosen():
 def test_work_bound_premise_holds_for_every_slot_plan():
     """Each pair's `_context` heater rows are its heaters with their
     `slot_rate` and slowest cure time, fastest first and ids breaking
-    ties, and no plan
-    `plan_slot` makes for the pair on heater k, from empty or initial
-    residents, with or without an idle gap, cures q in fewer than
-    ceil(q / r_k) periods, r_k the heater's own rate.  The first row's rate
-    is the pair's best, so the work bound's ceil(q / r) holds too."""
+    ties, and no tuple a `ChangeoverMemo` deduction sizes for the pair on
+    heater k, from empty or initial residents, with or without an idle
+    gap, cures q in fewer than ceil(q / r_k) periods, r_k the heater's own
+    rate; each such length is the length of `plan_slot`'s plan.  The
+    first row's rate is the pair's best, so the work bound's ceil(q / r)
+    holds too."""
     instances = ([tiny_instance(seed) for seed in range(1000, 1040)]
                  + _corpus("plants"))
     checked = 0
@@ -671,18 +672,27 @@ def test_work_bound_premise_holds_for_every_slot_plan():
         for (m1, m2, k), r in sorted(rate.items(), key=lambda kv: -kv[1]):
             expected.setdefault((m1, m2), []).append((k, r, cure[m1, m2, k]))
         assert ctx.heaters == expected
-        memo = curesched.domain.PlanMemo(inst)
+        memo = curesched.domain.ChangeoverMemo(inst)
         for s in rows:
             r = rate[s.m1, s.m2, s.heater]
             molds = curesched.domain.multiset(s.counts)
             for residents in ((), ctx.initial[s.heater]):
                 for gap in (False, True):
-                    plan = memo[s.heater, residents, molds, gap]
-                    if plan is None:
+                    work = memo[residents, molds, gap]
+                    plan = curesched.domain.plan_slot(
+                        inst, s.heater, dict(residents), 0, int(gap),
+                        s.counts)
+                    # None, or a slot that cures nothing in a period,
+                    # exactly when plan_slot makes no plan
+                    assert (work is None or r <= 0) == bool(plan.problems)
+                    if plan.problems:
                         continue
                     checked += 1
+                    cap_first = curesched.domain.first_capacity(
+                        inst.period_dmin, work, s.max_tv)
                     for q in range(1, 2 * r + 2):
-                        assert plan.length_for(q) >= -(-q // r), (
+                        length = curesched.domain.periods_for(q, cap_first, r)
+                        assert length == plan.length_for(q) >= -(-q // r), (
                             inst.name, s, residents, gap, q)
     assert checked
 

@@ -17,7 +17,15 @@ visited fastest first, that cannot end by the best end found yet; and a
 later start that its improvement step could not change stops placing once
 it cannot beat the best so far: once a tuple ends there, or once its
 pending tuples, at their pairs' best rates, no longer fit in the heater
-time and mold copies left before the best makespan.
+time and mold copies left before the best makespan. That bound is tested
+first, so a start it stops at once builds nothing else.
+
+Each round of placing takes the pending pair that can start soonest. The
+pairs wait in a heap under the ready period they had when pushed, which
+is re-worked out only at the top (a lazy greedy scan): ready periods only
+grow, so a top pair whose period has not grown is the true choice. A mold
+or part with at least two units per heater that can hold it never delays
+a start beyond its heaters' own availability, so it is not tracked.
 
 No heater changes a changeover's budget, so a run works out each
 changeover once, in its `ChangeoverMemo`, and each heater sizes a tuple
@@ -28,6 +36,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from heapq import heappop, heapreplace
+from operator import attrgetter
 
 from .bounds import root_bound
 from .domain import (
@@ -58,6 +68,7 @@ from .horizon import horizon_witness
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BY_ID = attrgetter("id")
 
 
 def _mix64(x: int) -> int:
@@ -112,13 +123,16 @@ class _Context:
                   the slot's slowest cure time there, the rate its
                   full-period `slot_rate`
     counts      : (m1, m2) -> `multiset` of the pair's molds
-    part_need   : (m1, m2) -> part units the pair ties down
+    held        : (m1, m2) -> (resource, units, capacity) of each mold the
+                  pair holds that can block a start (see `assignment_procedure`)
+    held_global : the same with the parts, for the global parts mode
     initial     : heater -> `multiset` mounted before the first period
     plans       : the run's `ChangeoverMemo`: each changeover (what a
                   heater holds, the pair, whether an idle gap comes first)
                   is worked out once, whichever start, round or heater
                   meets it; a value is its deduction, None past a budget
     heater_sets : the distinct sets of a pair's heaters, as id-sorted tuples
+    working     : how many heaters some pair can run on
     set_of      : (m1, m2) -> index of its heaters in `heater_sets`
     sets_with   : heater -> indices of the `heater_sets` holding it
     """
@@ -126,27 +140,51 @@ class _Context:
     pool: list
     heaters: dict
     counts: dict
-    part_need: dict
+    held: dict
+    held_global: dict
     initial: dict
     plans: ChangeoverMemo
     heater_sets: list
+    working: int
     set_of: dict
     sets_with: dict
 
 
 def _context(inst: Instance) -> _Context:
-    heaters, counts, part_need = {}, {}, {}
+    heaters, counts, usage = {}, {}, {}
     for s in pair_slots(inst):  # each pair's heaters ascending
         pair = (s.m1, s.m2)
         # a cure time of 0 is validate_instance's to report, not a crash here
         r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
         heaters.setdefault(pair, []).append((s.heater, r, s.max_tv))
-        counts[pair], part_need[pair] = s.counts, s.usage
+        counts[pair], usage[pair] = s.counts, s.usage
     ids = {pair: tuple(row[0] for row in rows)
            for pair, rows in heaters.items()}
     heater_sets = sorted(set(ids.values()))
     index = {hs: i for i, hs in enumerate(heater_sets)}
     demanded = {m.id for m in inst.molds if m.demand > 0}
+
+    # a mold with at least 2 copies per heater that cures it never binds,
+    # nor a part with 2 units per heater that cures one of its molds
+    cures = {}
+    for m, k in inst.curing:
+        if k in inst.heaters:
+            cures.setdefault(m, set()).add(k)
+    binding_copies = {m.id: m.copies for m in inst.molds
+                      if m.copies < 2 * len(cures.get(m.id, ()))}
+    binding_units = {p.id: p.units for p in inst.parts
+                     if p.units < 2 * len(set().union(
+                         *(cures.get(m, ()) for m in p.molds)))}
+
+    held, held_global = {}, {}
+    for pair in heaters:
+        held[pair] = rows = [(("mold", m), c, binding_copies[m])
+                             for m, c in counts[pair].items()
+                             if m in binding_copies]
+        held_global[pair] = rows + [(("part", p), u, binding_units[p])
+                                    for p, u in usage[pair].items()
+                                    if p in binding_units]
+
     return _Context(
         pool=[pair for pair in sorted(heaters)
               if all(m in demanded for m in pair if m != EMPTY)
@@ -154,10 +192,12 @@ def _context(inst: Instance) -> _Context:
         heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
                  for pair, rows in heaters.items()},
         counts={pair: multiset(c) for pair, c in counts.items()},
-        part_need=part_need,
+        held=held,
+        held_global=held_global,
         initial={k: multiset(r) for k, r in initial_residents(inst).items()},
         plans=ChangeoverMemo(inst),
         heater_sets=heater_sets,
+        working=len(set().union(*heater_sets)),
         set_of={pair: index[hs] for pair, hs in ids.items()},
         sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
                    for k in inst.heaters},
@@ -185,15 +225,21 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
     # stops being drawable only when a draw uses up one of its molds, and
     # dropping those pairs keeps the pool's order
     candidates = list((ctx or _context(inst)).pool)
+    choice = rng.choice
     tuples = []
     while candidates:
-        i, j = rng.choice(candidates)
-        q = min(batch[j], residual[j])
+        i, j = choice(candidates)
+        q = batch[j]
+        if residual[j] < q:
+            q = residual[j]
         if i == j:
             residual[j] -= 2 * q
         else:
             if i != EMPTY:
-                q = min(q, batch[i], residual[i])
+                if batch[i] < q:
+                    q = batch[i]
+                if residual[i] < q:
+                    q = residual[i]
                 residual[i] -= q
             residual[j] -= q
         tuples.append(AssignmentTuple(len(tuples) + 1, i, j, q))
@@ -238,6 +284,10 @@ class _Profile:
             clear[2] = last2 + 1
 
 
+def _fits_no_heater(t) -> NoFeasiblePlacement:
+    return NoFeasiblePlacement(f"pair ({t.m1}, {t.m2}) fits no heater")
+
+
 def assignment_procedure(inst: Instance, tuples,
                          parts_mode: str = PARTS_PER_HEATER, *,
                          ctx=None, cutoff=math.inf) -> Schedule:
@@ -261,10 +311,24 @@ def assignment_procedure(inst: Instance, tuples,
     profiles it uses over its own periods, so a pair can start at the
     largest answer among its molds and parts, or later if none of its
     heaters is free by then. Each distinct heater set (`ctx.heater_sets`)
-    keeps its earliest free period, so the scan reads one number per pair
-    for its heaters; a placement refreshes it only for the sets that hold
-    its heater and whose minimum that heater was, since availabilities
-    only grow.
+    keeps its earliest free period; a placement refreshes it only for the
+    sets that hold its heater and whose minimum that heater was, since
+    availabilities only grow.
+
+    A resource with at least 2|H| units, H the heaters that cure it (for a
+    part, one of its molds), gets no profile (`ctx.held`): a tuple holds
+    at most 2 units of it, so a period in which one or two more units do
+    not fit has at least 2|H| - 1 held, every heater of H busy, and a pair
+    holding it, whose heaters all lie in H, has none free in that period
+    either. Its answer is never the largest.
+
+    The scan is lazy (Minoux's accelerated greedy): each pending pair
+    sits in a heap keyed by the ready period worked out when it was
+    pushed and the rank, in id order, of its next tuple. Both only grow,
+    and ranks are distinct, so a pair at the top whose ready period has
+    not grown is the one a full scan would pick; one whose period grew is
+    pushed back with it. The chosen pair's next tuple is pushed with the
+    same ready period.
 
     A tuple's length on a heater is sized as `plan_slot` would size it,
     from the `ctx.plans` deduction of its changeover, which is the same on
@@ -277,45 +341,68 @@ def assignment_procedure(inst: Instance, tuples,
     With a `cutoff`, placing stops at the first tuple that ends at or after
     it, and the sentinel candidate comes back instead: the makespan is the
     largest end, so the full placement could not have been shorter. It
-    also stops, before the first placement and after each one, once a work
-    bound shows that the pending tuples cannot all end by period
-    last = cutoff - 1: their least periods L = ceil(q / r), r the pair's
-    best rate (L = 1 for none), must fit in the heaters' periods left
-    before `last`, and for each mold, their sum of copies * L in copies *
-    last, less what the mold's profile already holds before `last`. Both
-    are kept as spares, which a placement changes only for the heater time
-    and for its own molds. Without a cutoff none of this runs.
+    also stops, before anything else is built and after each placement,
+    once a work bound shows that the pending tuples cannot all end by
+    period last = cutoff - 1: their least periods L = ceil(q / r), r the
+    pair's best rate (L = 1 for none), must fit in the periods left before
+    `last` on the heaters some pair can run on (`ctx.working`), and for
+    each mold, their sum of copies * L in copies * last, less what placed
+    tuples hold before `last`. Both are kept as spares, which a placement
+    changes only for the heater time and for its own molds. Without a
+    cutoff none of this runs.
     """
     ctx = ctx or _context(inst)
     heaters, counts, plans = ctx.heaters, ctx.counts, ctx.plans
     phi = inst.period_dmin
     heater_sets, sets_with = ctx.heater_sets, ctx.sets_with
-    part_need = ctx.part_need if parts_mode == PARTS_GLOBAL else {}
+    order = sorted(tuples, key=_BY_ID)
+
+    bounded = cutoff != math.inf
+    if bounded:  # the work bound's spares, before anything is built
+        last = cutoff - 1
+        least = []  # rank -> the fewest periods the tuple takes anywhere
+        mold_by_id, mold_spare = inst.mold_by_id, {}
+        for t in order:
+            pair = t.m1, t.m2
+            options = heaters.get(pair)
+            if options is None:
+                raise _fits_no_heater(t)
+            r = options[0][1]  # the pair's best rate
+            n = -(-t.q // r) if r > 0 else 1
+            least.append(n)
+            for m, c in counts[pair]:
+                if m in mold_spare:
+                    mold_spare[m] -= c * n
+                else:
+                    mold_spare[m] = mold_by_id[m].copies * last - c * n
+        spare = ctx.working * max(last, 0) - sum(least)
+        if spare < 0 or min(mold_spare.values(), default=0) < 0:
+            return Schedule.empty_candidate()
 
     # pair -> its scan row: the index of its heaters in `heater_sets`, the
-    # (clear list, units, profile) of each mold and part it holds, and its
-    # pending tuples with their rank in id order, the tie-break; a mold or
-    # part gets its usage profile once a pending pair holds it
-    order = sorted(tuples, key=lambda t: t.id)
-    queues, mold_use, part_use = {}, {}, {}
+    # (clear list, units, profile) of each resource it holds that can
+    # bind, its pending ranks after the one in the heap, and the pair; a
+    # resource gets its usage profile once a pending pair holds it
+    held_by = ctx.held_global if parts_mode == PARTS_GLOBAL else ctx.held
+    set_of, profiles, rows, heap = ctx.set_of, {}, {}, []
     for rank, t in enumerate(order):
         pair = t.m1, t.m2
-        row = queues.get(pair)
-        if row is None:
-            if not heaters.get(pair):
-                raise NoFeasiblePlacement(
-                    f"pair ({t.m1}, {t.m2}) fits no heater")
-            held = []
-            for m, c in counts[pair]:
-                if m not in mold_use:
-                    mold_use[m] = _Profile(inst.mold_by_id[m].copies)
-                held.append((mold_use[m].clear, c, mold_use[m]))
-            for p, u in part_need.get(pair, {}).items():
-                if p not in part_use:
-                    part_use[p] = _Profile(inst.part_by_id[p].units)
-                held.append((part_use[p].clear, u, part_use[p]))
-            row = queues[pair] = (ctx.set_of[pair], held, deque())
-        row[2].append((rank, t))
+        row = rows.get(pair)
+        if row is not None:
+            row[2].append(rank)
+            continue
+        if pair not in heaters:
+            raise _fits_no_heater(t)
+        held = []
+        for res, n, capacity in held_by[pair]:
+            profile = profiles.get(res)
+            if profile is None:
+                profile = profiles[res] = _Profile(capacity)
+            held.append((profile.clear, n, profile))
+        row = rows[pair] = (set_of[pair], held, deque(), pair)
+        # ranks ascend, so this is a heap; they are distinct, so two
+        # entries never compare their rows
+        heap.append((0, rank, row))
     avail = dict.fromkeys(inst.heaters, 0)
     avail_of = avail.__getitem__
     holds = dict(ctx.initial)  # heater -> multiset its last tuple left
@@ -323,43 +410,26 @@ def assignment_procedure(inst: Instance, tuples,
     earliest = [0] * len(heater_sets)
     placed = []
 
-    bounded = cutoff != math.inf
-    if bounded:  # the work bound's spares, before any placement
-        last = cutoff - 1
-        least = []  # rank -> the fewest periods the tuple takes anywhere
-        mold_spare = {m: profile.capacity * last
-                      for m, profile in mold_use.items()}
-        for t in order:
-            pair = t.m1, t.m2
-            r = heaters[pair][0][1]  # the pair's best rate
-            n = ceil_div(t.q, r) if r > 0 else 1
-            least.append(n)
-            for m, c in counts[pair]:
-                mold_spare[m] -= c * n
-        spare = len(avail) * max(last, 0) - sum(least)
-        if spare < 0 or min(mold_spare.values(), default=0) < 0:
-            return Schedule.empty_candidate()
-
-    while queues:
+    while heap:
         # the pending pair that can start soonest, the lowest rank on ties
-        best_ready, best_rank = math.inf, 0
-        for pair, (set_index, held, queue) in queues.items():
-            ready = earliest[set_index]
-            for clear, n, _profile in held:
-                if clear[n] > ready:
-                    ready = clear[n]
-            if ready < best_ready or (ready == best_ready
-                                      and queue[0][0] < best_rank):
-                best_ready, best_rank, best_pair = ready, queue[0][0], pair
-        ready = best_ready
-        _set_index, held, queue = queues[best_pair]
-        rank, t = queue.popleft()
-        if not queue:
-            del queues[best_pair]
+        stored, rank, row = heap[0]
+        set_index, held, queue, pair = row
+        ready = earliest[set_index]
+        for clear, n, _profile in held:
+            if clear[n] > ready:
+                ready = clear[n]
+        if ready != stored:  # it grew: look again at its new place
+            heapreplace(heap, (ready, rank, row))
+            continue
+        if queue:
+            heapreplace(heap, (ready, queue.popleft(), row))
+        else:
+            heappop(heap)
 
-        q, molds = t.q, counts[best_pair]
+        t = order[rank]
+        q, molds = t.q, counts[pair]
         chosen, chosen_end = None, math.inf
-        for k, r, cure in heaters[best_pair]:
+        for k, r, cure in heaters[pair]:
             if r <= 0:
                 break  # it cures nothing in a period, nor do the rows after
             free = avail[k]
@@ -402,7 +472,7 @@ def assignment_procedure(inst: Instance, tuples,
                 if mold_spare[m] < 0:
                     return Schedule.empty_candidate()
 
-    return Schedule(tuples=sorted(placed, key=lambda t: t.id))
+    return Schedule(tuples=sorted(placed, key=_BY_ID))
 
 
 # ── improvement ──────────────────────────────────────────────────────
@@ -417,7 +487,7 @@ def _shave_overproduction(inst: Instance, schedule: Schedule,
     changeover it was placed with, at its heater's cure time and rate,
     sizes its new length.
     """
-    tuples = sorted(schedule.tuples, key=lambda t: t.id)
+    tuples = sorted(schedule.tuples, key=_BY_ID)
     produced = produced_by_mold(tuples)
 
     # each heater's last tuple, with what its predecessor left behind
@@ -449,14 +519,14 @@ def _shave_overproduction(inst: Instance, schedule: Schedule,
         out[last.id] = replace(last, q=new_q, length=length)
         for m, c in last.mold_counts().items():
             produced[m] -= c * delta
-    return Schedule(tuples=sorted(out.values(), key=lambda t: t.id))
+    return Schedule(tuples=sorted(out.values(), key=_BY_ID))
 
 
 def _split(tuples) -> list:
     """The improvement step's split list: each two-mold tuple, in id order,
     becomes two halves (identical pairs two identical pairs, mixed pairs two
     singles) with fresh ids past the largest; singles stay as they are."""
-    base = sorted(tuples, key=lambda t: t.id)
+    base = sorted(tuples, key=_BY_ID)
     next_id = max((t.id for t in base), default=0)
     split = []
     for t in base:
@@ -481,15 +551,20 @@ def _split_production(tuples) -> dict:
     mixed pair's halves cure ceil(q/2) of its first mold and floor(q/2) of
     its second; identical pairs and singles cure what they did."""
     produced = {}
+    get = produced.get
     for t in tuples:
-        if t.m1 != EMPTY and t.m1 != t.m2:
-            q_hi = ceil_div(t.q, 2)
-            cured = ((t.m1, q_hi), (t.m2, t.q - q_hi))
+        m1, m2, q = t.m1, t.m2, t.q
+        if q < 1 or m2 == EMPTY:
+            continue
+        if m1 == EMPTY:
+            produced[m2] = get(m2, 0) + q
+        elif m1 == m2:
+            produced[m2] = get(m2, 0) + 2 * q
         else:
-            cured = ((t.m1, t.q), (t.m2, t.q))
-        for m, q in cured:
-            if m != EMPTY and q >= 1:
-                produced[m] = produced.get(m, 0) + q
+            lo = q // 2
+            produced[m1] = get(m1, 0) + q - lo
+            if lo:
+                produced[m2] = get(m2, 0) + lo
     return produced
 
 

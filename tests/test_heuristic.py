@@ -649,6 +649,117 @@ def test_a_heater_that_cures_nothing_in_a_period_is_never_chosen():
             assert _tuple_rows(got) == _tuple_rows(expected), cutoff
 
 
+class _Placed(AssignmentTuple):
+    """An `AssignmentTuple` that records each placed tuple it builds."""
+
+    log = []
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.start is not None:
+            self.log.append(self)
+
+
+def test_work_bound_counts_only_heaters_some_pair_runs_on(monkeypatch):
+    """Heater 2 cures no mold, so the heater time left is heater 1's
+    alone: two tuples whose least periods sum to the makespan are cut
+    before the first is placed (counting heater 2's periods too, the
+    first would be placed), and a cutoff past the makespan gives the
+    uncut rows."""
+    inst = variant(toy1(), heaters=(1, 2), init={(1, 1): 1})
+    # mold 1 is mounted, so each tuple cures its full rate from period 0
+    tuples = [AssignmentTuple(1, 0, 1, 72), AssignmentTuple(2, 0, 1, 108)]
+    uncut = reference_placement(inst, tuples)
+    assert _tuple_rows(uncut) == [(1, 0, 1, 72, 1, 0, 2),
+                                  (2, 0, 1, 108, 1, 2, 3)]
+    monkeypatch.setattr(curesched.heuristic, "AssignmentTuple", _Placed)
+    _Placed.log = []
+    assert assignment_procedure(inst, tuples, cutoff=5).sentinel
+    assert _Placed.log == []
+    assert _tuple_rows(assignment_procedure(inst, tuples, cutoff=6)) \
+        == _tuple_rows(uncut)
+    assert curesched.heuristic._context(inst).working == 1
+
+
+def _boundary_instance(resource, units):
+    """Two heaters that cure molds 1 and 2; an identical pair holds two
+    units of its mold and two of part 1 (molds 1 and 2).  `resource`
+    ("mold" or "part") gets `units` units, the other plenty."""
+    inst = toy1_two_heaters()
+    copies = units if resource == "mold" else 4
+    molds = tuple(replace(m, copies=copies) for m in inst.molds)
+    parts = (Part(id=1, units=units if resource == "part" else 4,
+                  molds=frozenset({1, 2})),)
+    return variant(inst, molds=molds, parts=parts)
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+@pytest.mark.parametrize("resource", ["mold", "part"])
+@pytest.mark.parametrize("units", [3, 4])  # 2|H| - 1 and 2|H|, |H| = 2
+def test_a_resource_gets_a_profile_unless_it_can_never_bind(resource, units,
+                                                            mode):
+    """A mold with fewer than 2|H| copies, or in global mode a part with
+    fewer than 2|H| units, H its heaters, gets a usage profile, and one
+    with 2|H| gets none; either way each tuple lands where the plain
+    reference puts it, with no cutoff, a cutoff at the reference's
+    makespan and one past it.  At 2|H| - 1 units the second identical
+    pair waits for the first."""
+    inst = _boundary_instance(resource, units)
+    ctx = curesched.heuristic._context(inst)
+    held = ctx.held_global if mode == PARTS_GLOBAL else ctx.held
+    profiled = {res for rows in held.values() for res, _n, _cap in rows}
+    binds = units < 4 and (resource == "mold" or mode == PARTS_GLOBAL)
+    ids = (1, 2) if resource == "mold" else (1,)
+    assert profiled == ({(resource, i) for i in ids} if binds else set())
+    first = 1 if resource == "mold" else 2  # the part spans both molds
+    tuples = [AssignmentTuple(1, 1, 1, 40), AssignmentTuple(2, first, first, 40)]
+    expected = reference_placement(inst, tuples, mode)
+    assert (expected.tuples[1].start > 0) == binds
+    makespan = schedule_makespan(expected)
+    for cutoff in (math.inf, makespan, makespan + 1):
+        got = assignment_procedure(inst, tuples, mode, ctx=ctx, cutoff=cutoff)
+        if cutoff <= makespan:
+            assert got.sentinel
+        else:
+            assert _tuple_rows(got) == _tuple_rows(expected), cutoff
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_a_start_cut_at_once_builds_no_profile(monkeypatch, mode):
+    """Where the work bound stops a start before its first placement,
+    no usage profile has been built; the uncut runs of the same starts
+    build some."""
+    built = []
+
+    class Counted(_Profile):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            built.append(self)
+
+    monkeypatch.setattr(curesched.heuristic, "_Profile", Counted)
+    monkeypatch.setattr(curesched.heuristic, "AssignmentTuple", _Placed)
+    at_once = uncut_built = 0
+    for inst in _corpus("plants"):
+        ctx = curesched.heuristic._context(inst)
+        best = math.inf
+        for i in range(3):
+            tuples = mold_pairs_procedure(
+                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
+            _Placed.log, built[:] = [], []
+            uncut = assignment_procedure(inst, tuples, mode, ctx=ctx)
+            first_end = _Placed.log[0].start + _Placed.log[0].length
+            uncut_built += len(built)
+            _Placed.log, built[:] = [], []
+            cut = assignment_procedure(inst, tuples, mode, ctx=ctx,
+                                       cutoff=best)
+            # nothing placed, though the first tuple ends before the cutoff
+            if cut.sentinel and not _Placed.log and first_end < best:
+                at_once += 1
+                assert built == [], (inst.name, i)
+            best = min(best, schedule_makespan(uncut))
+    assert at_once and uncut_built
+
+
 def test_work_bound_premise_holds_for_every_slot_plan():
     """Each pair's `_context` heater rows are its heaters with their
     `slot_rate` and slowest cure time, fastest first and ids breaking

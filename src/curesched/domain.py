@@ -378,14 +378,14 @@ class ChangeoverMemo(dict):
         return deduction
 
 
-def fits_one_heater(inst: Instance, counts) -> bool:
+def fits_one_heater(inst: Instance, counts, usage) -> bool:
     """Whether a mold multiset can run on one heater on its own: enough
-    copies, part units for every slot, and the joint setup work inside one
+    copies, part units for every slot (`usage`, its `part_usage`, which a
+    `pair_slots` row holds already), and the joint setup work inside one
     period budget."""
     if any(c > inst.mold_by_id[m].copies for m, c in counts.items()):
         return False
-    if any(u > inst.part_by_id[p].units
-           for p, u in part_usage(inst, counts).items()):
+    if any(u > inst.part_by_id[p].units for p, u in usage.items()):
         return False
     setup = sum(inst.mold_by_id[m].setup_dmin * c for m, c in counts.items())
     return setup <= inst.period_dmin

@@ -2,10 +2,12 @@
 
 `solve_exact` runs a depth-first branch and bound over per-period heater
 configurations: each heater either idles (dropping its resident molds) or
-hosts an allowed mold pair producing at full per-period capacity.  States
-are memoised on (residual demand, resident molds) and pruned with a
-residual-demand lower bound, so the search handles the instance sizes the
-test rigs and the small benchmark scenarios produce.
+hosts an allowed mold pair producing at full per-period capacity.  A state
+is pruned with a residual-demand lower bound, and when an earlier state
+with the same residents and finished molds, reached no later and holding
+no more demand of any mold, dominates it (`_Fronts`), so the search
+handles the instance sizes the test rigs and the small benchmark scenarios
+produce.
 
 `solve_with_adapter` writes a built model to an LP file, invokes an
 external solver command on it, reads the returned solution file with
@@ -24,7 +26,9 @@ import os
 import subprocess
 import tempfile
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import le
 
 from .bounds import mold_rate, residual_bound, root_bound
 from .domain import (
@@ -65,8 +69,8 @@ __all__ = [
 
 # the one default time limit of the exact stage, whichever backend runs it
 TIME_LIMIT_SECONDS = 3600.0
-# counted nodes a search may expand: each one holds a memo entry, so this
-# bounds the memo's memory
+# counted nodes a search may expand: each one holds at most one memo entry,
+# so this bounds the memo's memory
 _MAX_NODES = 5_000_000
 # the longest wait subprocess accepts (2**31 - 1 ms, about 24.8 days)
 _MAX_WAIT_S = (2**31 - 1) / 1000
@@ -119,6 +123,57 @@ class _Frame:
         self.res = res
         self.floor = floor
         self.gen = gen
+
+
+class _Fronts(dict):
+    """The search's dominance memo (Ibaraki's dominance relations, JACM
+    24(2), 1977): per (residents, finished molds) key, the Pareto front of
+    the expanded states with that key, as (residual sum, period, residual
+    vector) entries in ascending order.  `admit` refuses a state when some
+    entry was reached no later and holds no more demand of any mold;
+    otherwise it records the state and drops the entries it dominates.  A
+    dominating entry's sum is never larger, so a check stops at the first
+    larger sum rather than scanning the whole front.
+
+    Refusing is exact.  Say S' dominates S: the same residents, the same
+    finished molds, reached no later, with no more demand of any mold.
+    Every continuation of S is copied from S' by dropping each copy of a
+    mold that is finished there and not resident (a pair becomes its other
+    mold's single, a lone mold idling); a mold is only dropped once it is
+    finished, so the copy's residents are S's less dropped molds.  Dropping
+    raises no setup or removal deduction, no slowest cure time and no
+    copies or part units needed, so every copied configuration is offered
+    and no capacity falls: the copy meets every demand no later.  An entry
+    still on the stack is an ancestor of S, with no less demand than S, so
+    it dominates S only with the same demand, a repeat the plain
+    (residual, residents) memo refused as well; every other entry's
+    subtree has been searched.  Either way S's subtree holds nothing
+    shorter than `best` by the time S is reached, and since `best` changes
+    only on a strict improvement, the search reports the same schedule."""
+
+    __slots__ = ()
+
+    def admit(self, residents, vec, period):
+        """Whether the state in `period` with `residents` and residual
+        vector `vec` (a tuple over the demanded molds) is dominated by no
+        entry; an admitted state becomes one."""
+        key = (residents, tuple(i for i, r in enumerate(vec) if not r))
+        front = self.get(key)
+        total = sum(vec)
+        if front is None:
+            self[key] = [(total, period, vec)]
+            return True
+        for t, p, v in front:
+            if t > total:
+                break
+            if p <= period and all(map(le, v, vec)):
+                return False
+        # only entries with no smaller sum can be dominated
+        i = bisect_left(front, (total,))
+        front[i:] = [e for e in front[i:]
+                     if e[1] < period or not all(map(le, vec, e[2]))]
+        insort(front, (total, period, vec), i)
+        return True
 
 
 def _heater_table(inst, parts_mode):
@@ -345,7 +400,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     search = _Search(inst, _heater_table(inst, parts_mode),
                      ChangeoverMemo(inst), rate, deadline, thb)
     best = math.inf
-    memo = {}
+    memo = _Fronts()
     nodes = 0
 
     # explicit stack, children pulled lazily: horizons never overflow the
@@ -367,10 +422,8 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
                 best_path = [f.joint for f in stack]
                 search.reach = min(best - 1, thb)
         elif max(bound, floor) < best and bound <= thb:
-            key = (tuple(res[i] for i in demanded), residents)
-            seen = memo.get(key)
-            if seen is None or seen > period:
-                memo[key] = period
+            if memo.admit(residents, tuple(res[i] for i in demanded),
+                          period):
                 nodes += 1
                 if nodes > _MAX_NODES:
                     hit_limit = True

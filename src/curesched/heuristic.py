@@ -118,6 +118,9 @@ class _Context:
                   a pair must fit one heater on its own (enough copies, part
                   units for both slots, joint setup work inside one period)
                   and hold only molds with demand
+    pools       : frozenset of used-up molds -> the `pool` pairs holding none
+                  of them, in pool order; filled by the run's draws as they
+                  meet each set, and never changed once filled
     heaters     : (m1, m2) -> (heater, rate, cure) rows of the heaters able
                   to run the pair, fastest first, ids breaking ties; cure is
                   the slot's slowest cure time there, the rate its
@@ -138,6 +141,7 @@ class _Context:
     """
 
     pool: list
+    pools: dict
     heaters: dict
     counts: dict
     held: dict
@@ -185,10 +189,12 @@ def _context(inst: Instance) -> _Context:
                                     for p, u in usage[pair].items()
                                     if p in binding_units]
 
+    pool = [pair for pair in sorted(heaters)
+            if all(m in demanded for m in pair if m != EMPTY)
+            and fits_one_heater(inst, counts[pair], usage[pair])]
     return _Context(
-        pool=[pair for pair in sorted(heaters)
-              if all(m in demanded for m in pair if m != EMPTY)
-              and fits_one_heater(inst, counts[pair])],
+        pool=pool,
+        pools={frozenset(): pool},
         heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
                  for pair, rows in heaters.items()},
         counts={pair: multiset(c) for pair, c in counts.items()},
@@ -223,8 +229,10 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
 
     # the pool holds only molds with demand; residuals only fall, so a pair
     # stops being drawable only when a draw uses up one of its molds, and
-    # dropping those pairs keeps the pool's order
-    candidates = list((ctx or _context(inst)).pool)
+    # the run keeps the pairs left once a set of molds is used up
+    pools = (ctx or _context(inst)).pools
+    used = frozenset()
+    candidates = pools[used]
     choice = rng.choice
     tuples = []
     while candidates:
@@ -244,8 +252,13 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
             residual[j] -= q
         tuples.append(AssignmentTuple(len(tuples) + 1, i, j, q))
         if residual[j] <= 0 or (i != EMPTY and residual[i] <= 0):
-            used = {m for m in (i, j) if m != EMPTY and residual[m] <= 0}
-            candidates = [pair for pair in candidates if used.isdisjoint(pair)]
+            now = {m for m in (i, j) if m != EMPTY and residual[m] <= 0}
+            used |= now
+            left = pools.get(used)
+            if left is None:
+                pools[used] = left = [pair for pair in candidates
+                                      if now.isdisjoint(pair)]
+            candidates = left
     stuck = sorted(m for m, r in residual.items() if r > 0)
     if stuck:
         raise UnproduciblePair(

@@ -18,7 +18,8 @@ instance's independent `components` apart, each on the makespan the
 heuristic schedule needs for it: the whole makespan is only the largest
 of theirs, which the others merely have to fit.  A component the
 heuristic already closes, at its root bound or within that length, is not
-searched; the adapter climbs any other one's horizons from its root bound,
+searched, and a heuristic schedule at the instance's root bound skips the
+stage; the adapter climbs any other one's horizons from its root bound,
 first with short slices of the internal search and then with solver
 children, as `_component_solve` describes.  The stage's `SolveReport` is
 the pipeline's report, its model size the `model_size` of the whole
@@ -175,7 +176,9 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
                  mode=None) -> SolveReport:
     """The configured backend's solve on `horizon`, one of the instance's
     `components` at a time, as the `mode` pipeline reports it; its stats
-    are the whole model's size, and its caller times it.
+    are the whole model's size, and its caller times it.  An `incumbent`
+    within the instance's root bound, which is the largest of its
+    components', is optimal as it stands: no component is split off.
 
     Components go in descending root bound.  Each searches below the
     makespan of the `incumbent` restricted to it, its witness, or all of
@@ -191,6 +194,11 @@ def _exact_stage(inst, horizon, cfg: HopConfig, incumbent=None,
     """
     deadline = time.perf_counter() + cfg.time_limit_seconds
     stats = model_size(inst, horizon, cfg.parts_mode)
+    if incumbent is not None:
+        span = int(schedule_makespan(incumbent))
+        if span <= root_bound(inst, cfg.parts_mode):
+            return SolveReport(mode, "optimal", span, 0.0, wall_seconds=None,
+                               stats=stats, schedule=incumbent)
     todo = sorted(((root_bound(c, cfg.parts_mode), c)
                    for c in components(inst)), key=lambda bc: -bc[0])
     witnesses = [None if incumbent is None else Schedule(

@@ -20,6 +20,7 @@ from .domain import (
     ceil_div,
     fits_one_heater,
     initial_residents,
+    part_usage,
     plan_slot,
     slot_rate,
 )
@@ -34,7 +35,7 @@ def pooled_molds(inst: Instance) -> frozenset:
         if m.demand > 0
         and not inst.parts_of.get(m.id)
         and (m.id, m.id) in inst.mold_compat
-        and fits_one_heater(inst, {m.id: 2}))
+        and fits_one_heater(inst, {m.id: 2}, {}))
 
 
 def compute_thb(inst: Instance) -> int:
@@ -86,7 +87,7 @@ def horizon_witness(inst: Instance) -> Schedule:
             m1, q, counts = m.id, ceil_div(m.demand, 2), {m.id: 2}
         else:
             m1, q, counts = EMPTY, m.demand, {m.id: 1}
-            if not fits_one_heater(inst, counts):
+            if not fits_one_heater(inst, counts, part_usage(inst, counts)):
                 return Schedule.empty_candidate()
         for start in (end, end + 1):
             fits = []

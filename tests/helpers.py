@@ -5,6 +5,8 @@ shipped JSON fixtures, so the data files themselves are covered by a separate
 equality test. The exhaustive oracles below are deliberately primitive: plain
 bounded search with no bound pruning and no dominance reasoning, so they share
 no logic with the branch-and-bound solver they are checking.
+`plain_memo_solve` is the one exception: the solver itself, with the
+exact-repeat memo it had before dominance, to check that pruning against.
 """
 
 import random
@@ -12,6 +14,7 @@ import shlex
 import sys
 from itertools import product
 
+import curesched.exact
 from curesched.bounds import residual_bound
 from curesched.domain import (
     EMPTY,
@@ -526,3 +529,27 @@ def brute_force_optimum_all_levels(inst, horizon, parts_mode=PARTS_PER_HEATER):
         if feasible(residual, init_residents, b):
             return b
     return None
+
+
+class ExactKeyMemo(dict):
+    """The oracle's memo without dominance: a state is refused only when
+    the same residual vector and residents came back no later."""
+
+    def admit(self, residents, vec, period):
+        key = (vec, residents)
+        seen = self.get(key)
+        if seen is not None and seen <= period:
+            return False
+        self[key] = period
+        return True
+
+
+def plain_memo_solve(inst, thb, parts_mode=PARTS_PER_HEATER):
+    """`solve_exact` with `ExactKeyMemo` in place of its dominance memo:
+    the reference its pruning is checked against."""
+    real = curesched.exact._Fronts
+    curesched.exact._Fronts = ExactKeyMemo
+    try:
+        return curesched.exact.solve_exact(inst, thb, parts_mode)
+    finally:
+        curesched.exact._Fronts = real

@@ -14,10 +14,10 @@ import math
 import pytest
 
 from curesched.bounds import mold_rate, residual_bound, root_bound
-from curesched.domain import PARTS_GLOBAL, PARTS_PER_HEATER, Part
+from curesched.domain import PARTS_GLOBAL, PARTS_PER_HEATER, Part, components
 from curesched.gen import SCENARIOS, generate_instance
 
-from helpers import single_mold_big, variant
+from helpers import single_mold_big, tiny_instance, variant
 
 # the reference optima of small 1-15 (HiGHS proofs)
 SMALL_OPTIMA = (2, 6, 3, 3, 6, 4, 8, 3, 7, 2, 6, 5, 11, 2, 3)
@@ -65,3 +65,17 @@ def test_residual_bound_is_the_slowest_mold():
     assert residual_bound({1: 10, 2: 7, 3: 0}, {1: 5, 2: 2, 3: 0}) == 4
     assert residual_bound({1: 0}, {1: 0}) == 0
     assert residual_bound({1: 1}, {1: 0}) == math.inf
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_root_bound_is_the_largest_component_bound(mode):
+    """A mold's rate reads only its own component, so the instance's root
+    bound is the largest of its components': on tiny 1000-1199, small
+    1-15, medium 1-10 and large 1-5."""
+    plants = [tiny_instance(seed) for seed in range(1000, 1200)]
+    for scenario, count in (("small", 15), ("medium", 10), ("large", 5)):
+        plants += [generate_instance(SCENARIOS[scenario], seed)
+                   for seed in range(1, count + 1)]
+    for inst in plants:
+        assert root_bound(inst, mode) == max(
+            root_bound(c, mode) for c in components(inst)), inst.name

@@ -43,6 +43,7 @@ from curesched.errors import (
 )
 from curesched.exact import SolverAdapter, solve_exact, solve_with_adapter
 from curesched.gen import SCENARIOS, generate_instance
+from curesched.heuristic import HeuristicConfig, run_heuristic
 from curesched.horizon import compute_thb
 from curesched.lpformat import TIME_LIMIT_ENV
 from curesched.milp import build_model
@@ -52,6 +53,7 @@ from helpers import (
     brute_force_optimum,
     brute_force_optimum_all_levels,
     child_within_reach,
+    plain_memo_solve,
     single_mold_big,
     tiny_instance,
     toy1,
@@ -232,18 +234,19 @@ def test_capacity_greedy_production_loses_nothing():
         assert solve_exact(inst, thb).makespan == greedy, inst.name
 
 
-# sha256 of repr([(status, makespan, nodes, schedule rows), ...]) over tiny
-# 1000-1199 at compute_thb with no limit
-TINY_ORACLE_DIGESTS = {
+# sha256 of repr([(status, makespan, schedule rows), ...]) over tiny
+# 1000-1199 at compute_thb with no limit: what the search answers, which a
+# change to how much it searches must leave alone
+TINY_ORACLE_ANSWER_DIGESTS = {
     PARTS_PER_HEATER:
-        "11cdda46353a93282f1579d6a373e0ce92385160387b7e0f0c87b402e70ee4e8",
+        "760798e74ca3e7926c6e7dc03701ca8d429cba5c27bff30aefcc9c47e01e2aab",
     PARTS_GLOBAL:
-        "4dcb32e18106f0becae20972da167f1456192f7223d60d43b3354fc8a8b641f3",
+        "0b595c51c12bfa50282357f020701bebc1f541504226b73a7373d4aac2772329",
 }
 
 
-@pytest.mark.parametrize("mode", sorted(TINY_ORACLE_DIGESTS))
-def test_exact_tiny_results_frozen(mode):
+def _tiny_oracle_runs(mode):
+    """(status, makespan, nodes, schedule rows) over tiny 1000-1199."""
     out = []
     for seed in range(1000, 1200):
         inst = tiny_instance(seed)
@@ -252,8 +255,66 @@ def test_exact_tiny_results_frozen(mode):
             (t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length)
             for t in r.schedule.tuples]
         out.append((r.status, r.makespan, r.nodes, rows))
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(TINY_ORACLE_ANSWER_DIGESTS))
+def test_exact_tiny_answers_frozen(mode):
+    out = [(status, makespan, rows)
+           for status, makespan, _, rows in _tiny_oracle_runs(mode)]
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == TINY_ORACLE_ANSWER_DIGESTS[mode]
+
+
+# sha256 of repr([(status, makespan, nodes, schedule rows), ...]) over tiny
+# 1000-1199 at compute_thb with no limit (3,295 nodes per-heater and 3,627
+# global; the exact-repeat memo took 5,416 and 5,874)
+TINY_ORACLE_DIGESTS = {
+    PARTS_PER_HEATER:
+        "3ddca889244e53875328683590f4dc32ca3e672689f9067e9b68ffbabf399aad",
+    PARTS_GLOBAL:
+        "9a0412ad6ae575150bfb7b83604c6937b503bc265b1f0292f476634cea7bb4d6",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TINY_ORACLE_DIGESTS))
+def test_exact_tiny_results_frozen(mode):
+    digest = hashlib.sha256(repr(_tiny_oracle_runs(mode)).encode()).hexdigest()
     assert digest == TINY_ORACLE_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_dominance_memo_keeps_every_answer_with_fewer_nodes(mode):
+    """The dominance memo answers as the exact-repeat memo does (status,
+    makespan and schedule) and never expands more nodes: on tiny
+    1000-1199 at compute_thb, and on every component of small 1-15 at
+    horizon 9 and one below the heuristic's makespan."""
+    runs = [(tiny_instance(seed), None) for seed in range(1000, 1200)]
+    for seed in range(1, 16):
+        inst = generate_instance(SCENARIOS["small"], seed)
+        horizon = int(schedule_makespan(run_heuristic(
+            inst, HeuristicConfig(parts_mode=mode))))
+        runs += [(comp, h) for comp in components(inst)
+                 for h in (9, horizon - 1)]
+    fewer = 0
+    for inst, horizon in runs:
+        thb = compute_thb(inst) if horizon is None else horizon
+        got = solve_exact(inst, thb, mode)
+        want = plain_memo_solve(inst, thb, mode)
+        assert (got.status, got.makespan, got.schedule) == (
+            want.status, want.makespan, want.schedule), (inst.name, thb)
+        assert got.nodes <= want.nodes, (inst.name, thb)
+        fewer += got.nodes < want.nodes
+    assert fewer > 0
+
+
+def test_dominance_memo_cuts_s11s_component():
+    """S11's 3-heater component below its witnessed 7: the exact-repeat
+    memo expands 223 nodes, the dominance memo 67."""
+    inst = components(generate_instance(SCENARIOS["small"], 11))[1]
+    got = solve_exact(inst, 6)
+    assert (got.status, got.makespan, got.nodes) == ("optimal", 6, 67)
+    assert plain_memo_solve(inst, 6).nodes == 223
 
 
 def test_exact_stops_at_its_proof(monkeypatch):

@@ -157,6 +157,26 @@ def test_pool_drops_pairs_of_molds_without_demand():
     assert ctx.pool == pool  # a start draws from a copy
 
 
+@pytest.mark.parametrize("seed", (9, 11))
+def test_pairing_keeps_each_surviving_list_once_per_run(seed):
+    """A draw that uses up molds moves to the run's list for the molds used
+    up so far, filtered once: with one context across 200 starts the draws
+    match those of a fresh context each, the pool is never changed, and
+    each kept list is the pool less the pairs holding a used-up mold."""
+    inst = generate_instance(SCENARIOS["small"], seed)
+    ctx = curesched.heuristic._context(inst)
+    pool = list(ctx.pool)
+    for i in range(200):
+        rng = random.Random(iteration_seed(1, i))
+        assert mold_pairs_procedure(inst, rng, ctx=ctx) == \
+            mold_pairs_procedure(inst, random.Random(iteration_seed(1, i)))
+    assert ctx.pool == pool
+    assert ctx.pools[frozenset()] is ctx.pool
+    assert len(ctx.pools) > 1
+    for used, left in ctx.pools.items():
+        assert left == [pair for pair in pool if used.isdisjoint(pair)]
+
+
 def test_pairing_zero_demand():
     inst = variant(
         toy1(),

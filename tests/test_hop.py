@@ -641,14 +641,14 @@ def test_adapter_ladder_climbs_through_children_without_refutations(
 
 def test_internal_oracle_keeps_a_witness_it_cannot_shorten(monkeypatch):
     """Tiny seed 1021's optimum 4 witnessed: the oracle searches horizon
-    3 and refutes it in 12 nodes, which proves the witness optimal.  Cut
+    3 and refutes it in 11 nodes, which proves the witness optimal.  Cut
     off by the node cap, the witness still stands, at "feasible" against
     the root bound 2 rather than at "limit"."""
     inst = tiny_instance(1021)
     witness = solve_exact(inst, 4).schedule
     report = curesched.hop._exact_stage(inst, 4, HopConfig(), witness)
     assert (report.status, report.makespan, report.gap_percent,
-            report.nodes) == ("optimal", 4, 0.0, 12)
+            report.nodes) == ("optimal", 4, 0.0, 11)
     assert report.schedule is witness
     monkeypatch.setattr(curesched.exact, "_MAX_NODES", 2)
     report = curesched.hop._exact_stage(inst, 4, HopConfig(), witness)
@@ -860,6 +860,52 @@ def test_component_that_meets_its_root_bound_is_not_searched(monkeypatch,
         assert (report.status, report.makespan, report.gap_percent) == (
             "optimal", SMALL_OPTIMA[seed - 1], 0.0), inst.name
         assert validate_schedule(inst, schedule).ok, inst.name
+
+
+class _Split(Exception):
+    """What `_no_split`, a stand-in for `components`, raises."""
+
+
+def _no_split(inst):
+    raise _Split(inst.name)
+
+
+@pytest.mark.parametrize("solver", BACKENDS)
+def test_heuristic_schedule_at_the_root_bound_skips_the_stage(monkeypatch,
+                                                              solver):
+    """S13's and S02's seed-1 heuristic schedules meet the instance's root
+    bound, the largest of its components', so the stage returns without
+    splitting the instance, the report the component walk gives: optimal,
+    gap 0, no nodes, the whole model's size and the heuristic's schedule.
+    S11's ends above its root bound and still goes through `components`."""
+    cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=solver,
+                    **BACKENDS[solver])
+    real = root_bound
+    for seed in (13, 2):
+        inst = small(seed)
+        incumbent = run_heuristic(inst, SMALL_HEURISTIC)
+        horizon = int(schedule_makespan(incumbent))
+        with pytest.MonkeyPatch.context() as walk:
+            # the whole instance's bound read as unmet, each component's
+            # as it is: the stage walks the components
+            walk.setattr(curesched.hop, "root_bound",
+                         lambda i, mode: -1 if i is inst else real(i, mode))
+            walked = curesched.hop._exact_stage(inst, horizon, cfg, incumbent,
+                                                "hop")
+        assert (walked.status, walked.makespan, walked.nodes) == (
+            "optimal", SMALL_OPTIMA[seed - 1], 0), inst.name
+        with pytest.MonkeyPatch.context() as split:
+            split.setattr(curesched.hop, "components", _no_split)
+            skipped = curesched.hop._exact_stage(inst, horizon, cfg,
+                                                 incumbent, "hop")
+            report, _ = run_hop(inst, cfg)
+        assert skipped == walked, inst.name
+        assert skipped.schedule is incumbent, inst.name
+        assert (report.status, report.makespan, report.nodes) == (
+            "optimal", horizon, 0), inst.name
+    monkeypatch.setattr(curesched.hop, "components", _no_split)
+    with pytest.raises(_Split):
+        run_hop(small(11), cfg)
 
 
 def _highs_status(model, pinned=None):

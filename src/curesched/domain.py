@@ -16,8 +16,7 @@ heater's own (slowest cure time, first-period and full-period capacity,
 through `first_capacity` and `slot_rate`).  The heuristic and the exact
 search read only changeovers, each through a `ChangeoverMemo` of its own
 run, and size each heater's tuple from the deduction with the same
-`first_capacity` (and, in the heuristic, `periods_for`); both leave out a
-heater whose slowest cure time exceeds the period, as `plan_slot` does:
+`first_capacity` (and, in the heuristic, `periods_for`):
 
   * a tuple placed directly after its heater's previous occupant pays the
     multiset difference (new copies mounted, leaving copies removed) in its
@@ -30,9 +29,10 @@ heater whose slowest cure time exceeds the period, as `plan_slot` does:
 
 Beside it, `pair_slots` is the single derivation of what each allowed mold
 pair can do on each heater (its mold counts, part usage and slowest cure
-time).  It is built on first use, kept on the instance and returned as a
-tuple, so the heuristic, the exact search and the model builder of one
-solve all read that one table.
+time), and the one rule of which pairs can run where at all.  It is built
+on first use, kept on the instance and returned as a tuple, so the
+heuristic, the exact search and the model builder of one solve all read
+that one table.
 """
 
 import math
@@ -121,12 +121,13 @@ class Instance:
 
 @dataclass(frozen=True, slots=True)
 class PairSlot:
-    """One allowed mold pair on one heater that cures both its molds.
+    """One allowed mold pair on one heater that can run it.
 
     m1 may be 0 (the empty slot); m1 <= m2. `counts` is the pair's mold
     multiset, `usage` the part units it ties down, `max_tv` the slowest
-    cure time on board, which sets the pair's per-period rate.  Rows live
-    as long as their instance, so they carry no per-row `__dict__`.
+    cure time on board, which sets the pair's per-period rate and lies in
+    (0, period], so the rate is at least 1.  Rows live as long as their
+    instance, so they carry no per-row `__dict__`.
     """
 
     m1: MoldId
@@ -138,16 +139,20 @@ class PairSlot:
 
 
 def pair_slots(inst: Instance) -> tuple:
-    """Every allowed (m1, m2, heater), singles included, as `PairSlot`s
+    """Every runnable (m1, m2, heater), singles included, as `PairSlot`s
     sorted by (m1, m2, heater); deterministic.
+
+    A row is runnable when the heater cures both molds, the pair on its
+    own needs no more copies of a mold and no more units of a part than
+    exist, and its slowest cure time there lies in (0, period]; no
+    schedule can hold any other (pair, heater), so no other row exists.
+    An invalid instance (a cure time of 0, an unknown mold) loses the rows
+    concerned without error, leaving `validate_instance` to report it.
 
     The first call builds the table and keeps it on the instance; later
     calls return that same tuple, so every stage of a solve reads one
     table.  Each pair's `counts` and `usage` are worked out once and
     shared by its rows on every heater, so no caller may change them.
-
-    No rate is stored: an invalid instance may hold a cure time of 0, and
-    `validate_instance` must still get to report it.
     """
     if inst._pair_slots is None:
         inst._pair_slots = tuple(_derive_pair_slots(inst))
@@ -156,21 +161,26 @@ def pair_slots(inst: Instance) -> tuple:
 
 def _derive_pair_slots(inst: Instance):
     """The `pair_slots` rows, pair by pair and each pair's heaters
-    ascending: a single (0, j) runs on every heater that cures j, an
-    allowed pair (i, j) on every heater that cures both."""
-    curing, heater_set = inst.curing, set(inst.heaters)
+    ascending: a single (0, j) on every heater that cures j, an allowed
+    pair (i, j) on every heater that cures both, each only where it can
+    run (an unknown mold has no copies)."""
+    curing, heater_set, phi = inst.curing, set(inst.heaters), inst.period_dmin
     pairs = {(EMPTY, j) for (j, k) in curing if k in heater_set}
     pairs.update(inst.mold_compat)
     for i, j in sorted(pairs):
-        heaters = [k for k in inst.heaters if (j, k) in curing
-                   and (i == EMPTY or (i, k) in curing)]
-        if not heaters:
-            continue
         counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
+        if any(m not in inst.mold_by_id or c > inst.mold_by_id[m].copies
+               for m, c in counts.items()):
+            continue
         usage = part_usage(inst, counts)
-        for k in heaters:
-            yield PairSlot(m1=i, m2=j, heater=k, counts=counts, usage=usage,
-                           max_tv=max(curing[(m, k)] for m in counts))
+        if any(u > inst.part_by_id[p].units for p, u in usage.items()):
+            continue
+        for k in inst.heaters:
+            if all((m, k) in curing for m in counts):
+                max_tv = max(curing[(m, k)] for m in counts)
+                if 0 < max_tv <= phi:
+                    yield PairSlot(m1=i, m2=j, heater=k, counts=counts,
+                                   usage=usage, max_tv=max_tv)
 
 
 # ── schedules ────────────────────────────────────────────────────────

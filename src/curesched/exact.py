@@ -181,23 +181,16 @@ def _heater_table(inst, parts_mode):
     needs, slowest cure time), built once per search.  needs lists
     (resource, units, limit): each mold's copies (the resource is the mold
     id), and in global mode each part's units (the resource is ("part",
-    part id)).  In either mode a row that alone needs more copies or part
-    units than exist is left out, and so is one whose slowest cure time
-    exceeds the period, which `plan_slot` would never let run."""
+    part id))."""
     shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
     for s in pair_slots(inst):
-        if s.max_tv > inst.period_dmin:
-            continue
         molds = multiset(s.counts)
         needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
-        parts = [(("part", p), c, inst.part_by_id[p].units)
-                 for p, c in s.usage.items()]
-        if any(c > limit for _, c, limit in needs + parts):
-            continue
-        table[s.heater].append(((s.m1, s.m2), molds,
-                                tuple(needs + parts if shared else needs),
-                                s.max_tv))
+        if shared:
+            needs += [(("part", p), c, inst.part_by_id[p].units)
+                      for p, c in s.usage.items()]
+        table[s.heater].append(((s.m1, s.m2), molds, tuple(needs), s.max_tv))
     return table
 
 

@@ -158,9 +158,8 @@ def _context(inst: Instance) -> _Context:
     heaters, counts, usage = {}, {}, {}
     for s in pair_slots(inst):  # each pair's heaters ascending
         pair = (s.m1, s.m2)
-        # a cure time of 0 is validate_instance's to report, not a crash here
-        r = slot_rate(inst.period_dmin, s.max_tv) if s.max_tv > 0 else 0
-        heaters.setdefault(pair, []).append((s.heater, r, s.max_tv))
+        heaters.setdefault(pair, []).append(
+            (s.heater, slot_rate(inst.period_dmin, s.max_tv), s.max_tv))
         counts[pair], usage[pair] = s.counts, s.usage
     ids = {pair: tuple(row[0] for row in rows)
            for pair, rows in heaters.items()}
@@ -170,12 +169,9 @@ def _context(inst: Instance) -> _Context:
 
     # a mold with at least 2 copies per heater that cures it never binds,
     # nor a part with 2 units per heater that cures one of its molds
-    cures = {}
-    for m, k in inst.curing:
-        if k in inst.heaters:
-            cures.setdefault(m, set()).add(k)
+    cures = inst.compat_heaters
     binding_copies = {m.id: m.copies for m in inst.molds
-                      if m.copies < 2 * len(cures.get(m.id, ()))}
+                      if m.copies < 2 * len(cures[m.id])}
     binding_units = {p.id: p.units for p in inst.parts
                      if p.units < 2 * len(set().union(
                          *(cures.get(m, ()) for m in p.molds)))}
@@ -348,8 +344,7 @@ def assignment_procedure(inst: Instance, tuples,
     every heater, and the heater row's cure time and rate, through
     `first_capacity` and `periods_for`.  A pair whose changeover breaks a
     budget waits one period more, so that the heater empties in an idle
-    gap first; a heater whose cure time exceeds the period (rate 0) takes
-    none.
+    gap first.
 
     With a `cutoff`, placing stops at the first tuple that ends at or after
     it, and the sentinel candidate comes back instead: the makespan is the
@@ -357,12 +352,12 @@ def assignment_procedure(inst: Instance, tuples,
     also stops, before anything else is built and after each placement,
     once a work bound shows that the pending tuples cannot all end by
     period last = cutoff - 1: their least periods L = ceil(q / r), r the
-    pair's best rate (L = 1 for none), must fit in the periods left before
-    `last` on the heaters some pair can run on (`ctx.working`), and for
-    each mold, their sum of copies * L in copies * last, less what placed
-    tuples hold before `last`. Both are kept as spares, which a placement
-    changes only for the heater time and for its own molds. Without a
-    cutoff none of this runs.
+    pair's best rate, must fit in the periods left before `last` on the
+    heaters some pair can run on (`ctx.working`), and for each mold, their
+    sum of copies * L in copies * last, less what placed tuples hold
+    before `last`. Both are kept as spares, which a placement changes only
+    for the heater time and for its own molds. Without a cutoff none of
+    this runs.
     """
     ctx = ctx or _context(inst)
     heaters, counts, plans = ctx.heaters, ctx.counts, ctx.plans
@@ -380,8 +375,7 @@ def assignment_procedure(inst: Instance, tuples,
             options = heaters.get(pair)
             if options is None:
                 raise _fits_no_heater(t)
-            r = options[0][1]  # the pair's best rate
-            n = -(-t.q // r) if r > 0 else 1
+            n = -(-t.q // options[0][1])  # at the pair's best rate
             least.append(n)
             for m, c in counts[pair]:
                 if m in mold_spare:
@@ -443,8 +437,6 @@ def assignment_procedure(inst: Instance, tuples,
         q, molds = t.q, counts[pair]
         chosen, chosen_end = None, math.inf
         for k, r, cure in heaters[pair]:
-            if r <= 0:
-                break  # it cures nothing in a period, nor do the rows after
             free = avail[k]
             base = free if free > ready else ready
             if base + -(-q // r) > chosen_end:

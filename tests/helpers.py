@@ -72,19 +72,28 @@ def toy2() -> Instance:
 
 
 def reference_pair_slots(inst: Instance) -> list:
-    """The pair table derived afresh, one (pair, heater) at a time, as the
-    uncached `pair_slots` once did: every allowed (m1, m2, heater), singles
-    included, sorted by (m1, m2, heater), each row with its own dicts."""
+    """The pair table derived afresh, one (pair, heater) at a time: every
+    allowed (m1, m2, heater), singles included, that a schedule can run,
+    sorted by (m1, m2, heater), each row with its own dicts.  A row runs
+    when its copies of each mold exist (a mold the instance does not list
+    has none), its units of each part exist, and its slowest cure time on
+    the heater is positive and at most the period."""
+    copies = {m.id: m.copies for m in inst.molds}
+    units = {p.id: p.units for p in inst.parts}
     keys = {(EMPTY, j, k) for (j, k) in inst.curing if k in inst.heaters}
     keys.update((i, j, k) for (i, j) in inst.mold_compat for k in inst.heaters
                 if (i, k) in inst.curing and (j, k) in inst.curing)
     slots = []
     for i, j, k in sorted(keys):
         counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
-        slots.append(PairSlot(
-            m1=i, m2=j, heater=k, counts=counts,
-            usage=part_usage(inst, counts),
-            max_tv=max(inst.curing[(m, k)] for m in counts)))
+        usage = part_usage(inst, counts)
+        max_tv = max(inst.curing[(m, k)] for m in counts)
+        runs = (all(c <= copies.get(m, 0) for m, c in counts.items())
+                and all(u <= units[p] for p, u in usage.items())
+                and 0 < max_tv <= inst.period_dmin)
+        if runs:
+            slots.append(PairSlot(m1=i, m2=j, heater=k, counts=counts,
+                                  usage=usage, max_tv=max_tv))
     return slots
 
 

@@ -83,9 +83,10 @@ def test_toy1_pairs_by_heater():
 
 
 def test_toy2_part_index():
+    """toy2 has one copy of each mold and one unit of the part they share,
+    so only the singles can run."""
     usage = {(s.m1, s.m2): s.usage for s in pair_slots(toy2())}
-    assert usage == {(0, 1): {1: 1}, (0, 2): {1: 1}, (1, 1): {1: 2},
-                     (1, 2): {1: 2}, (2, 2): {1: 2}}
+    assert usage == {(0, 1): {1: 1}, (0, 2): {1: 1}}
 
 
 def test_pair_slots_deterministic_and_order_independent():
@@ -127,6 +128,52 @@ def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
         assert type(table) is tuple, inst.name
         assert pair_slots(inst) is table, inst.name
         assert list(table) == reference_pair_slots(inst), inst.name
+
+
+def test_pair_slots_keeps_only_rows_a_schedule_can_run():
+    """A (pair, heater) gets a row only if the pair alone has the copies
+    and part units it needs and its slowest cure time there lies in
+    (0, period]; every such one does.  Small plants have one copy per
+    mold, so none of their identical pairs remains."""
+    plants = [toy1(), toy2()] + [tiny_instance(s) for s in range(1000, 1200)]
+    plants += [generate_instance(SCENARIOS[size], seed)
+               for size, count in (("small", 15), ("medium", 10), ("large", 5))
+               for seed in range(1, count + 1)]
+    for inst in plants:
+        rows = pair_slots(inst)
+        for s in rows:
+            assert all(c <= inst.mold_by_id[m].copies
+                       for m, c in s.counts.items()), inst.name
+            assert all(u <= inst.part_by_id[p].units
+                       for p, u in s.usage.items()), inst.name
+            assert 0 < s.max_tv <= inst.period_dmin, inst.name
+        if inst.name.startswith("S"):
+            assert all(m.copies == 1 for m in inst.molds)
+            assert all(s.m1 != s.m2 for s in rows), inst.name
+    base = toy1_two_heaters()
+    all_rows = [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 1, 1),
+                (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
+    assert _keys(pair_slots(base)) == all_rows
+    # malformed instances lose the rows concerned, and raise nothing
+    zero_cure = variant(base, curing={**base.curing, (1, 1): 0})
+    assert _keys(pair_slots(zero_cure)) == [
+        key for key in all_rows if key not in {(0, 1, 1), (1, 1, 1)}]
+    slow = variant(base,
+                   curing={**base.curing, (1, 2): base.period_dmin + 1})
+    assert _keys(pair_slots(slow)) == [
+        key for key in all_rows if key[2] == 1 or 1 not in key[:2]]
+    unknown = variant(base, curing={**base.curing, (9, 1): 400},
+                      mold_compat=((1, 1), (1, 2), (2, 2), (2, 9), (9, 9)))
+    assert not validate_instance(unknown).ok
+    assert _keys(pair_slots(unknown)) == all_rows
+    short = variant(base, molds=(replace(base.molds[0], copies=1),
+                                 base.molds[1]))
+    assert _keys(pair_slots(short)) == [
+        key for key in all_rows if key[:2] != (1, 1)]
+    scarce = variant(base, parts=(Part(id=1, units=1,
+                                       molds=frozenset({1, 2})),))
+    assert _keys(pair_slots(scarce)) == [
+        key for key in all_rows if key[0] == 0]
 
 
 # ── instance validation ──────────────────────────────────────────────

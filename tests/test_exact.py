@@ -457,9 +457,10 @@ def test_a_walk_cut_short_by_the_clock_ends_the_search_at_limit(
 def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
     """A pair slot that alone needs more copies of a mold, or more units
     of a part, than exist, or whose slowest cure time exceeds the period,
-    is left out in both parts modes; every other slot stays, in order,
-    with its slowest cure time.  Small plants have one copy per mold, so
-    none of their identical pairs remains."""
+    has no row in the heater table in either parts mode; every other
+    `pair_slots` row is there, in order, with its slowest cure time, and
+    its needs stay within their limits.  Small plants have one copy per
+    mold, so none of their identical pairs remains."""
     plants = [tiny_instance(seed) for seed in range(1000, 1200)]
     for scenario, count in (("small", 15), ("medium", 10), ("large", 5)):
         plants += [generate_instance(SCENARIOS[scenario], seed)
@@ -489,13 +490,14 @@ def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
 def test_oracle_never_mounts_a_pair_whose_cure_time_exceeds_the_period(
         parts_mode):
     """On toy1 with two heaters, heater 2 cures each mold one deciminute
-    slower than a period lasts, so `plan_slot` lets nothing run there: the
-    oracle's schedule keeps to heater 1 and passes the validator."""
+    slower than a period lasts, so `plan_slot` lets nothing run there and
+    the pair table holds no row for it: the oracle's schedule keeps to
+    heater 1 and passes the validator."""
     base = toy1_two_heaters()
     curing = dict(base.curing)
     curing[(1, 2)] = curing[(2, 2)] = base.period_dmin + 1
     inst = variant(base, curing=curing)
-    assert [(s.m1, s.m2) for s in pair_slots(inst) if s.heater == 2]
+    assert not [s for s in pair_slots(inst) if s.heater == 2]
     report = solve_exact(inst, 2, parts_mode=parts_mode)
     assert (report.status, report.makespan) == ("optimal", 1)
     assert validate_schedule(inst, report.schedule, parts_mode).violations \
@@ -542,11 +544,7 @@ def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
                         assert offered[(s.m1, s.m2)] == plan.cap_first
                         u_coef = rows[f"cap_{tag}"][f"u_{tag}"]
                         assert (phi - plan.deduction) // u_coef == plan.cap_first
-                    elif (all(c <= inst.mold_by_id[m].copies
-                              for m, c in s.counts.items())
-                          and all(u <= inst.part_by_id[p].units
-                                  for p, u in s.usage.items())):
-                        # dropped for its changeover work alone
+                    else:  # dropped for its changeover work alone
                         assert plan.problems, (name, tag, residents)
 
 

@@ -8,7 +8,9 @@ constraint families (pair-extended triple set has 5 members on heater 1):
            -> 49 total; slope 23 rows per period plus 3 fixed rows
     binary: z 10 + w 2 = 12     integer: u 10 + prd 4 = 14
 
-toy2 adds one part over molds {1,2}: +1 row per heater-period -> 51.
+toy2 adds one part over molds {1,2}: +1 row per heater-period; its single
+unit and single copies leave only the two singles runnable, so its three
+pairs lose their capacity and rate rows (12) -> 39.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import curesched.lpsolve
 
@@ -96,8 +99,12 @@ def test_toy1_model_counts():
 
 
 def test_toy2_model_counts():
-    assert model_stats(build_model(toy2(), 2)).n_constraints == 51
-    assert model_stats(build_model(toy2(), 2, parts_mode="global")).n_constraints == 51
+    """toy2's one unit of the part shared by molds 1 and 2 leaves only the
+    two singles runnable, so the model holds their z/u columns alone."""
+    for mode in ("per-heater", "global"):
+        stats = model_stats(build_model(toy2(), 2, parts_mode=mode))
+        assert (stats.n_constraints, stats.n_binary_vars,
+                stats.n_integer_vars) == (39, 6, 8)
 
 
 def test_counts_affine_in_horizon():
@@ -144,6 +151,28 @@ def test_model_size_matches_build():
                 assert model_size(inst, thb, mode) == built, (inst.name, mode, thb)
                 checked += 1
     assert checked == 640
+
+
+def test_model_size_counts_only_runnable_rows():
+    """L02 per-heater at rung 26: 21 of its 140 (pair, heater) rows need
+    more copies or part units than exist, and hold no columns or rows."""
+    stats = model_size(generate_instance(SCENARIOS["large"], 2), 26)
+    assert (stats.n_constraints, stats.n_binary_vars,
+            stats.n_integer_vars) == (9815, 3120, 3224)
+
+
+@pytest.mark.parametrize("scenario, seed, rung", [
+    ("small", 11, 5), ("large", 3, 19)])
+def test_lp_relaxation_runs_no_unrunnable_pair(scenario, seed, rung):
+    """With integrality off and a zero objective, HiGHS finds the model
+    infeasible: no fraction of a pair that no schedule can run (such as a
+    mixed pair beyond a part's single unit) is left to cure two molds at
+    once for half the heater time."""
+    model = build_model(generate_instance(SCENARIOS[scenario], seed), rung)
+    c, a, con_lo, con_hi, lo, hi, _ = curesched.lpsolve.to_arrays(model)
+    result = milp(np.zeros_like(c), bounds=Bounds(lo, hi),
+                  constraints=LinearConstraint(a, con_lo, con_hi))
+    assert result.status == 2, result.message
 
 
 def test_model_size_rejects_what_build_rejects():
@@ -700,17 +729,17 @@ def _model_digest(cases):
     (toy1, 2,
      "83b7eb833bbbff490c954d9a57791070615ae73fc57490e8b73c7efd72d4c13f"),
     (toy2, 2,
-     "81db79b9ecb8985219a493eeb2a1fdf52da0745a586598a124bfc9f7f9d98f2e"),
+     "66912a22633d134dc4e71285ac6b8b5d8b3be25aecd02bb267b98b5633b7b9c9"),
     (lambda: generate_instance(SCENARIOS["small"], 1), 7,
-     "f48b693ffb24ec4aecb34e630df24fd33b2348d0aee44a5d0c0fd525723feeb9"),
+     "6a835b03f17940586d80122a8a581c5bc1c8f2491783db6f64c6b6312d935bbf"),
     (lambda: generate_instance(SCENARIOS["small"], 2), 8,
-     "377cf779f302664b429e34d547a2deba6f9058f593674bbd6ecc392b988dc4cf"),
+     "d31cb65a174b9dcb0a4a4fdd57cc38ccca3b2cbd0a21495d6db6919c00a7ad0c"),
     (lambda: generate_instance(SCENARIOS["small"], 11), 8,
-     "7ae553c359c908c72a42abf7a82e2f91ae4497039b4fdf27d715bdbb385af517"),
+     "a56bb2cb3dc6629daa452f69464cc2ef1a1ead11ecdfafa01ffe301541558cf3"),
     (lambda: generate_instance(SCENARIOS["medium"], 1), 8,
-     "10c805424c4a8f9bdf01714029fa834c9a0bebab564f621f59a2a27140a556a5"),
+     "41e037d9c46f2613eefebf061ea3773e3e35e912526aa056d023309ab03cdc25"),
     (lambda: generate_instance(SCENARIOS["large"], 2), 20,
-     "df129f1a7f5c46ee623cc9671f88f42a4844fc3d518d39c62778f59d3c01d688"),
+     "48e8869d611783f2f3ac88b0583e3e2570dd42bacbd248efc02df86bfdb2d504"),
 ], ids=["toy1", "toy2", "S01", "S02", "S11", "M01", "L02"])
 def test_lp_and_encoding_frozen(make, thb, want):
     """LP text and schedule encoding are byte-frozen at fixed horizons."""
@@ -720,4 +749,4 @@ def test_lp_and_encoding_frozen(make, thb, want):
 def test_lp_and_encoding_frozen_on_tiny_instances():
     cases = [(tiny_instance(seed), 6) for seed in range(1000, 1040)]
     assert _model_digest(cases) == (
-        "7eb304820bdcfd8575455a6b87cb6c0584492066f6cb8c4f2cca2e29edd3571e")
+        "6926d366557629837738664502018942651b9bf23fdc77c3c13a684cb2e44bd1")

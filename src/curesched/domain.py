@@ -142,10 +142,11 @@ def pair_slots(inst: Instance) -> tuple:
     """Every runnable (m1, m2, heater), singles included, as `PairSlot`s
     sorted by (m1, m2, heater); deterministic.
 
-    A row is runnable when the heater cures both molds, the pair on its
+    A row is runnable when the heater cures both molds, each at a cure
+    time in (0, period] as `cure_times` lists them, and the pair on its
     own needs no more copies of a mold and no more units of a part than
-    exist, and its slowest cure time there lies in (0, period]; no
-    schedule can hold any other (pair, heater), so no other row exists.
+    exist; no schedule can hold any other (pair, heater), so no other row
+    exists.
     An invalid instance (a cure time of 0, an unknown mold) loses the rows
     concerned without error, leaving `validate_instance` to report it.
 
@@ -176,11 +177,21 @@ def _derive_pair_slots(inst: Instance):
         if any(u > inst.part_by_id[p].units for p, u in usage.items()):
             continue
         for k in inst.heaters:
-            if all((m, k) in curing for m in counts):
-                max_tv = max(curing[(m, k)] for m in counts)
-                if 0 < max_tv <= phi:
-                    yield PairSlot(m1=i, m2=j, heater=k, counts=counts,
-                                   usage=usage, max_tv=max_tv)
+            if all(0 < curing.get((m, k), 0) <= phi for m in counts):
+                yield PairSlot(m1=i, m2=j, heater=k, counts=counts,
+                               usage=usage,
+                               max_tv=max(curing[(m, k)] for m in counts))
+
+
+def cure_times(inst: Instance, mold_id: MoldId) -> dict:
+    """Heater -> cure time of `mold_id`, on the heaters that can cure it:
+    those whose cure time lies in (0, period], as in `pair_slots`.  A cure
+    time out of that range (`validate_instance` reports it) leaves its
+    heater out, so no caller divides by it."""
+    phi, curing = inst.period_dmin, inst.curing
+    return {k: curing[(mold_id, k)]
+            for k in inst.compat_heaters.get(mold_id, ())
+            if 0 < curing[(mold_id, k)] <= phi}
 
 
 # ── schedules ────────────────────────────────────────────────────────
@@ -347,7 +358,8 @@ def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
               start: Period, molds) -> SlotPlan:
     """Work out the feasible per-period output of a tuple of `molds`: its
     `changeover`, then the heater's own half, which sizes the slot at its
-    slowest cure time on board and fails a cure time past the period.
+    slowest cure time on board; it fails a cure time past the period, or
+    one not positive, where `pair_slots` has no row.
 
     `residents` is the mold multiset left by the heater's previous occupant
     (or its initial loading), `prev_end` that occupant's end period. The
@@ -355,7 +367,13 @@ def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
     """
     deduction, problems = changeover(inst, residents, prev_end, start, molds)
     phi = inst.period_dmin
-    max_tv = max(inst.curing[(m, heater)] for m in molds) if molds else phi
+    cures = [inst.curing[(m, heater)] for m in molds] or [phi]
+    if min(cures) <= 0:  # such a cure time cures nothing, nor divides
+        return SlotPlan(cap_first=0, cap_int=0, deduction=deduction,
+                        problems=problems + (
+                            f"cure time {min(cures)} on heater {heater} is "
+                            "not positive",))
+    max_tv = max(cures)
     cap_int = slot_rate(phi, max_tv)
     if cap_int <= 0:
         problems += (f"cure time exceeds the period budget on heater {heater}",)

@@ -6,9 +6,17 @@ improvement (split big pair tuples, re-place everything, shave overproduced
 quantities). The driver runs up to a set number of independent starts from
 per-iteration seeds and keeps the best schedule, so results are
 reproducible for a given seed; it stops early once that schedule meets the
-root lower bound, which no start can beat. A start whose tuples cannot all
-be placed is skipped. The safe horizon's serial schedule competes too,
-when no start meets the root bound, and wins only when strictly shorter.
+root lower bound (`root_bound`, first period included), which no start can
+beat. A start whose tuples cannot all be placed is skipped. The safe
+horizon's serial schedule competes too, when no start meets the root
+bound, and wins only when strictly shorter.
+
+A start works on plain rows: it draws (id, m1, m2, q) rows (`_draw`) and
+places them with the one placement kernel, `_place`, which gives
+(id, m1, m2, q, heater, start, length) rows; it builds `AssignmentTuple`s
+and a `Schedule` only for a placement that is not cut.
+`mold_pairs_procedure` and `assignment_procedure` are the same two steps
+on `AssignmentTuple`s, and the improvement step places through the latter.
 
 Placing rests on one exact bound: a tuple of q takes at least ceil(q / r)
 periods on a heater of full-period rate r for its pair (a plan's first
@@ -29,7 +37,8 @@ a start beyond its heaters' own availability, so it is not tracked.
 
 No heater changes a changeover's budget, so a run works out each
 changeover once, in its `ChangeoverMemo`, and each heater sizes a tuple
-from that deduction at its own cure time, as `plan_slot` would.
+from that deduction at its own cure time, as `plan_slot` would, with the
+`first_capacity` and `periods_for` arithmetic written out in the kernel.
 """
 
 import math
@@ -37,7 +46,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heappop, heapreplace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .bounds import root_bound
 from .domain import (
@@ -51,7 +60,6 @@ from .domain import (
     Schedule,
     ceil_div,
     first_capacity,
-    fits_one_heater,
     heater_walk,
     initial_residents,
     multiset,
@@ -69,6 +77,7 @@ from .horizon import horizon_witness
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BY_ID = attrgetter("id")
+_ROW_ID = itemgetter(0)
 
 
 def _mix64(x: int) -> int:
@@ -114,10 +123,12 @@ class _Context:
 
     The procedures take it as `ctx`; called without one, they derive it.
 
-    pool        : drawable (m1, m2) pairs, singles included, 0 = empty slot;
-                  a pair must fit one heater on its own (enough copies, part
-                  units for both slots, joint setup work inside one period)
-                  and hold only molds with demand
+    batch       : demanded mold -> its batch size, ceil(demand / copies)
+    demand      : demanded mold -> its demand, each draw's first residuals
+    pool        : drawable (m1, m2) pairs, singles included, 0 = empty slot:
+                  the `pair_slots` pairs (so enough copies and part units
+                  for both slots) that hold only molds with demand and
+                  whose joint setup work fits inside one period
     pools       : frozenset of used-up molds -> the `pool` pairs holding none
                   of them, in pool order; filled by the run's draws as they
                   meet each set, and never changed once filled
@@ -140,6 +151,8 @@ class _Context:
     sets_with   : heater -> indices of the `heater_sets` holding it
     """
 
+    batch: dict
+    demand: dict
     pool: list
     pools: dict
     heaters: dict
@@ -165,7 +178,7 @@ def _context(inst: Instance) -> _Context:
            for pair, rows in heaters.items()}
     heater_sets = sorted(set(ids.values()))
     index = {hs: i for i, hs in enumerate(heater_sets)}
-    demanded = {m.id for m in inst.molds if m.demand > 0}
+    demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
 
     # a mold with at least 2 copies per heater that cures it never binds,
     # nor a part with 2 units per heater that cures one of its molds
@@ -185,10 +198,15 @@ def _context(inst: Instance) -> _Context:
                                     for p, u in usage[pair].items()
                                     if p in binding_units]
 
+    setup = {m.id: m.setup_dmin for m in inst.molds}
     pool = [pair for pair in sorted(heaters)
-            if all(m in demanded for m in pair if m != EMPTY)
-            and fits_one_heater(inst, counts[pair], usage[pair])]
+            if all(m in demand for m in pair if m != EMPTY)
+            and sum(setup[m] * c for m, c in counts[pair].items())
+            <= inst.period_dmin]
     return _Context(
+        batch={m.id: ceil_div(m.demand, m.copies) for m in inst.molds
+               if m.id in demand and m.copies > 0},
+        demand=demand,
         pool=pool,
         pools={frozenset(): pool},
         heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
@@ -215,22 +233,24 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
     Batch size per mold is ceil(demand / copies); a draw's quantity is the
     smallest batch size or leftover demand among its molds. An identical
     pair burns demand twice as fast. `rng` only needs a choice() method.
+    The tuples are `_draw`'s rows, unplaced.
     """
-    batch = {
-        m.id: ceil_div(m.demand, m.copies)
-        for m in inst.molds
-        if m.demand > 0 and m.copies > 0
-    }
-    residual = {m.id: m.demand for m in inst.molds if m.demand > 0}
+    return [AssignmentTuple(*row) for row in _draw(ctx or _context(inst), rng)]
+
+
+def _draw(ctx: _Context, rng) -> list:
+    """The draws of `mold_pairs_procedure`, as (id, m1, m2, q) rows with
+    ids 1, 2, ... in draw order."""
+    batch, residual = ctx.batch, dict(ctx.demand)
 
     # the pool holds only molds with demand; residuals only fall, so a pair
     # stops being drawable only when a draw uses up one of its molds, and
     # the run keeps the pairs left once a set of molds is used up
-    pools = (ctx or _context(inst)).pools
+    pools = ctx.pools
     used = frozenset()
     candidates = pools[used]
     choice = rng.choice
-    tuples = []
+    rows = []
     while candidates:
         i, j = choice(candidates)
         q = batch[j]
@@ -246,7 +266,7 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
                     q = residual[i]
                 residual[i] -= q
             residual[j] -= q
-        tuples.append(AssignmentTuple(len(tuples) + 1, i, j, q))
+        rows.append((len(rows) + 1, i, j, q))
         if residual[j] <= 0 or (i != EMPTY and residual[i] <= 0):
             now = {m for m in (i, j) if m != EMPTY and residual[m] <= 0}
             used |= now
@@ -260,7 +280,7 @@ def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
         raise UnproduciblePair(
             f"no admissible mold pair covers remaining demand of molds {stuck}"
         )
-    return tuples
+    return rows
 
 
 # ── assignment ───────────────────────────────────────────────────────
@@ -293,15 +313,32 @@ class _Profile:
             clear[2] = last2 + 1
 
 
-def _fits_no_heater(t) -> NoFeasiblePlacement:
-    return NoFeasiblePlacement(f"pair ({t.m1}, {t.m2}) fits no heater")
+def _schedule(placed) -> Schedule:
+    """The `Schedule` of placed (id, m1, m2, q, heater, start, length)
+    rows, in id order."""
+    return Schedule(tuples=[AssignmentTuple(*row)
+                            for row in sorted(placed, key=_ROW_ID)])
 
 
 def assignment_procedure(inst: Instance, tuples,
                          parts_mode: str = PARTS_PER_HEATER, *,
                          ctx=None, cutoff=math.inf) -> Schedule:
     """Place tuples one by one, earliest-start-first, each on the heater
-    where it finishes first.
+    where it finishes first: `_place` on their (id, m1, m2, q) rows.  The
+    schedule of what it places, or the sentinel candidate when the
+    `cutoff` stops it."""
+    rows = [(t.id, t.m1, t.m2, t.q) for t in sorted(tuples, key=_BY_ID)]
+    placed, cut = _place(inst, ctx or _context(inst), rows, parts_mode,
+                         cutoff)
+    return Schedule.empty_candidate() if cut else _schedule(placed)
+
+
+def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
+           cutoff=math.inf) -> tuple:
+    """(placed, cut): the (id, m1, m2, q) `rows`, given in id order, placed
+    as (id, m1, m2, q, heater, start, length) rows in placement order, and
+    whether the `cutoff` stopped placing first; then `placed` holds what
+    was placed before the stop.
 
     Each round takes the pending tuple that can start soonest (heater
     free, mold copies free, shared part units free in global mode), ids
@@ -339,43 +376,43 @@ def assignment_procedure(inst: Instance, tuples,
     pushed back with it. The chosen pair's next tuple is pushed with the
     same ready period.
 
-    A tuple's length on a heater is sized as `plan_slot` would size it,
-    from the `ctx.plans` deduction of its changeover, which is the same on
-    every heater, and the heater row's cure time and rate, through
-    `first_capacity` and `periods_for`.  A pair whose changeover breaks a
-    budget waits one period more, so that the heater empties in an idle
-    gap first.
+    A tuple's length on a heater is what `plan_slot` gives, from the
+    `ctx.plans` deduction of its changeover, which is the same on every
+    heater, and the heater row's cure time and rate: `periods_for(q,
+    first_capacity(period, deduction, cure), rate)`, written out.  A
+    deduction the memo keeps fits the period budget, so the first
+    period's capacity is never negative, and every row's rate is at least
+    1.  A pair whose changeover breaks a budget waits one period more, so
+    that the heater empties in an idle gap first.
 
     With a `cutoff`, placing stops at the first tuple that ends at or after
-    it, and the sentinel candidate comes back instead: the makespan is the
-    largest end, so the full placement could not have been shorter. It
-    also stops, before anything else is built and after each placement,
-    once a work bound shows that the pending tuples cannot all end by
-    period last = cutoff - 1: their least periods L = ceil(q / r), r the
-    pair's best rate, must fit in the periods left before `last` on the
-    heaters some pair can run on (`ctx.working`), and for each mold, their
-    sum of copies * L in copies * last, less what placed tuples hold
-    before `last`. Both are kept as spares, which a placement changes only
-    for the heater time and for its own molds. Without a cutoff none of
-    this runs.
+    it: the makespan is the largest end, so the full placement could not
+    have been shorter. It also stops, before anything else is built and
+    after each placement, once a work bound shows that the pending tuples
+    cannot all end by period last = cutoff - 1: their least periods
+    L = ceil(q / r), r the pair's best rate, must fit in the periods left
+    before `last` on the heaters some pair can run on (`ctx.working`), and
+    for each mold, their sum of copies * L in copies * last, less what
+    placed tuples hold before `last`. Both are kept as spares, which a
+    placement changes only for the heater time and for its own molds.
+    Without a cutoff none of this runs.
     """
-    ctx = ctx or _context(inst)
     heaters, counts, plans = ctx.heaters, ctx.counts, ctx.plans
     phi = inst.period_dmin
     heater_sets, sets_with = ctx.heater_sets, ctx.sets_with
-    order = sorted(tuples, key=_BY_ID)
+    placed = []
 
     bounded = cutoff != math.inf
     if bounded:  # the work bound's spares, before anything is built
         last = cutoff - 1
         least = []  # rank -> the fewest periods the tuple takes anywhere
         mold_by_id, mold_spare = inst.mold_by_id, {}
-        for t in order:
-            pair = t.m1, t.m2
+        for _id, m1, m2, q in rows:
+            pair = m1, m2
             options = heaters.get(pair)
             if options is None:
-                raise _fits_no_heater(t)
-            n = -(-t.q // options[0][1])  # at the pair's best rate
+                raise _fits_no_heater(pair)
+            n = -(-q // options[0][1])  # at the pair's best rate
             least.append(n)
             for m, c in counts[pair]:
                 if m in mold_spare:
@@ -384,29 +421,29 @@ def assignment_procedure(inst: Instance, tuples,
                     mold_spare[m] = mold_by_id[m].copies * last - c * n
         spare = ctx.working * max(last, 0) - sum(least)
         if spare < 0 or min(mold_spare.values(), default=0) < 0:
-            return Schedule.empty_candidate()
+            return placed, True
 
     # pair -> its scan row: the index of its heaters in `heater_sets`, the
     # (clear list, units, profile) of each resource it holds that can
     # bind, its pending ranks after the one in the heap, and the pair; a
     # resource gets its usage profile once a pending pair holds it
     held_by = ctx.held_global if parts_mode == PARTS_GLOBAL else ctx.held
-    set_of, profiles, rows, heap = ctx.set_of, {}, {}, []
-    for rank, t in enumerate(order):
-        pair = t.m1, t.m2
-        row = rows.get(pair)
+    set_of, profiles, scan, heap = ctx.set_of, {}, {}, []
+    for rank, (_id, m1, m2, _q) in enumerate(rows):
+        pair = m1, m2
+        row = scan.get(pair)
         if row is not None:
             row[2].append(rank)
             continue
         if pair not in heaters:
-            raise _fits_no_heater(t)
+            raise _fits_no_heater(pair)
         held = []
         for res, n, capacity in held_by[pair]:
             profile = profiles.get(res)
             if profile is None:
                 profile = profiles[res] = _Profile(capacity)
             held.append((profile.clear, n, profile))
-        row = rows[pair] = (set_of[pair], held, deque(), pair)
+        row = scan[pair] = (set_of[pair], held, deque(), pair)
         # ranks ascend, so this is a heap; they are distinct, so two
         # entries never compare their rows
         heap.append((0, rank, row))
@@ -415,7 +452,6 @@ def assignment_procedure(inst: Instance, tuples,
     holds = dict(ctx.initial)  # heater -> multiset its last tuple left
     # heater set -> the earliest period one of its heaters is free
     earliest = [0] * len(heater_sets)
-    placed = []
 
     while heap:
         # the pending pair that can start soonest, the lowest rank on ties
@@ -433,8 +469,8 @@ def assignment_procedure(inst: Instance, tuples,
         else:
             heappop(heap)
 
-        t = order[rank]
-        q, molds = t.q, counts[pair]
+        tuple_id, m1, m2, q = rows[rank]
+        molds = counts[pair]
         chosen, chosen_end = None, math.inf
         for k, r, cure in heaters[pair]:
             free = avail[k]
@@ -448,19 +484,19 @@ def assignment_procedure(inst: Instance, tuples,
                 if work is None:
                     continue
             start = base + wait
-            key = (start + periods_for(q, first_capacity(phi, work, cure), r),
-                   start, work, k)
+            first = (phi - work) // cure  # the first period's capacity
+            end = start + 1 if q <= first else start + 1 - (first - q) // r
+            key = (end, start, work, k)
             if chosen is None or key < chosen:
-                chosen, chosen_end = key, key[0]
+                chosen, chosen_end = key, end
         if chosen is None:
             raise NoFeasiblePlacement(
-                f"tuple {t.id} ({t.m1}, {t.m2}) fits no heater budget"
+                f"tuple {tuple_id} ({m1}, {m2}) fits no heater budget"
             )
         end, start, _cost, k = chosen
         if end >= cutoff:
-            return Schedule.empty_candidate()
-        placed.append(AssignmentTuple(t.id, t.m1, t.m2, q, k, start,
-                                      end - start))
+            return placed, True
+        placed.append((tuple_id, m1, m2, q, k, start, end - start))
         was, avail[k] = avail[k], end
         for i in sets_with[k]:
             if earliest[i] == was:
@@ -471,13 +507,17 @@ def assignment_procedure(inst: Instance, tuples,
         if bounded:  # end <= last, so heater k lost end - was periods
             spare -= end - was - least[rank]
             if spare < 0:
-                return Schedule.empty_candidate()
+                return placed, True
             for m, c in molds:
                 mold_spare[m] -= c * (end - start - least[rank])
                 if mold_spare[m] < 0:
-                    return Schedule.empty_candidate()
+                    return placed, True
 
-    return Schedule(tuples=sorted(placed, key=_BY_ID))
+    return placed, False
+
+
+def _fits_no_heater(pair) -> NoFeasiblePlacement:
+    return NoFeasiblePlacement(f"pair {pair} fits no heater")
 
 
 # ── improvement ──────────────────────────────────────────────────────
@@ -551,14 +591,14 @@ def _split(tuples) -> list:
     return split
 
 
-def _split_production(tuples) -> dict:
-    """`produced_by_mold(_split(tuples))`, without building the split: a
-    mixed pair's halves cure ceil(q/2) of its first mold and floor(q/2) of
-    its second; identical pairs and singles cure what they did."""
+def _split_production(rows) -> dict:
+    """`produced_by_mold(_split(tuples))`, without building the split, from
+    the tuples' (id, m1, m2, q) rows: a mixed pair's halves cure ceil(q/2)
+    of its first mold and floor(q/2) of its second; identical pairs and
+    singles cure what they did."""
     produced = {}
     get = produced.get
-    for t in tuples:
-        m1, m2, q = t.m1, t.m2, t.q
+    for _id, m1, m2, q in rows:
         if q < 1 or m2 == EMPTY:
             continue
         if m1 == EMPTY:
@@ -591,7 +631,8 @@ def improvement_procedure(inst: Instance, schedule: Schedule,
     """
     ctx = ctx or _context(inst)
     improved = schedule
-    while not uncovered_molds(inst, _split_production(improved.tuples)):
+    while not uncovered_molds(inst, _split_production(
+            (t.id, t.m1, t.m2, t.q) for t in improved.tuples)):
         try:
             candidate = assignment_procedure(inst, _split(improved.tuples),
                                              parts_mode, ctx=ctx)
@@ -613,24 +654,27 @@ def _single_start(inst: Instance, seed: int, parts_mode: str,
     """One randomized start; the sentinel candidate if its tuples cannot
     all be placed, or if it cannot end before `cutoff`.
 
-    The cutoff is the run's best makespan so far. It applies only when the
-    improvement step's first split misses demand (`_split_production`):
-    that step then returns the placement unchanged, so placing alone
-    settles the start, and `assignment_procedure` stops it once it cannot
-    end before the cutoff. A start whose split covers demand is placed and
-    improved in full, since improving can shorten it.
+    The start draws (`_draw`) and places (`_place`) plain rows, and builds
+    a `Schedule` only for a placement that is not cut. The cutoff is the
+    run's best makespan so far. It applies only when the improvement
+    step's first split misses demand (`_split_production`): that step then
+    returns the placement unchanged, so placing alone settles the start,
+    and `_place` stops it once it cannot end before the cutoff. A start
+    whose split covers demand is placed and improved in full, since
+    improving can shorten it.
     """
-    rng = random.Random(seed)
-    tuples = mold_pairs_procedure(inst, rng, ctx=ctx)
-    settled = uncovered_molds(inst, _split_production(tuples))
+    rows = _draw(ctx, random.Random(seed))
+    settled = uncovered_molds(inst, _split_production(rows))
     try:
-        if settled:
-            return assignment_procedure(inst, tuples, parts_mode, ctx=ctx,
-                                        cutoff=cutoff)
-        sched = assignment_procedure(inst, tuples, parts_mode, ctx=ctx)
+        placed, cut = _place(inst, ctx, rows, parts_mode,
+                             cutoff if settled else math.inf)
     except NoFeasiblePlacement:
         return Schedule.empty_candidate()
-    return improvement_procedure(inst, sched, parts_mode, ctx=ctx)
+    if cut:
+        return Schedule.empty_candidate()
+    if settled:
+        return _schedule(placed)
+    return improvement_procedure(inst, _schedule(placed), parts_mode, ctx=ctx)
 
 
 def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:

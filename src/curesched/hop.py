@@ -19,7 +19,9 @@ heuristic schedule needs for it: the whole makespan is only the largest
 of theirs, which the others merely have to fit.  A component the
 heuristic already closes, at its root bound or within that length, is not
 searched, and a heuristic schedule at the instance's root bound skips the
-stage; the adapter climbs any other one's horizons from its root bound,
+stage (`root_bound` counts the first period's setups, so the stage skips
+M08 in both parts modes and M10 per heater, with 0 nodes); the adapter
+climbs any other one's horizons from its root bound,
 first with short slices of the internal search and then with solver
 children, as `_component_solve` describes.  The stage's `SolveReport` is
 the pipeline's report, its model size the `model_size` of the whole

@@ -18,12 +18,14 @@ from .domain import (
     Instance,
     Schedule,
     ceil_div,
+    cure_times,
     fits_one_heater,
     initial_residents,
     part_usage,
     plan_slot,
     slot_rate,
 )
+from .errors import UnproduciblePair
 
 
 def pooled_molds(inst: Instance) -> frozenset:
@@ -39,14 +41,20 @@ def pooled_molds(inst: Instance) -> frozenset:
 
 
 def compute_thb(inst: Instance) -> int:
-    """Periods sufficient to cover all demand; 0 when nothing is demanded."""
+    """Periods sufficient to cover all demand; 0 when nothing is demanded.
+    Each mold is charged at its slowest cure time among the heaters that
+    can cure it (`cure_times`); raises UnproduciblePair when a demanded
+    mold has none, since no horizon then suffices."""
     pooled = pooled_molds(inst)
     phi = inst.period_dmin
     total = 0
     for m in inst.molds:
         if m.demand <= 0:
             continue
-        tv = max(inst.curing[(m.id, h)] for h in inst.compat_heaters[m.id])
+        times = cure_times(inst, m.id)
+        if not times:
+            raise UnproduciblePair(f"demanded mold {m.id} cures on no heater")
+        tv = max(times.values())
         rate = slot_rate(phi, tv)
         setup_units = ceil_div(m.setup_dmin, tv)
         removal_units = ceil_div(m.removal_dmin, tv)

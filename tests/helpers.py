@@ -76,8 +76,8 @@ def reference_pair_slots(inst: Instance) -> list:
     allowed (m1, m2, heater), singles included, that a schedule can run,
     sorted by (m1, m2, heater), each row with its own dicts.  A row runs
     when its copies of each mold exist (a mold the instance does not list
-    has none), its units of each part exist, and its slowest cure time on
-    the heater is positive and at most the period."""
+    has none), its units of each part exist, and each of its molds' cure
+    times on the heater is positive and at most the period."""
     copies = {m.id: m.copies for m in inst.molds}
     units = {p.id: p.units for p in inst.parts}
     keys = {(EMPTY, j, k) for (j, k) in inst.curing if k in inst.heaters}
@@ -87,10 +87,11 @@ def reference_pair_slots(inst: Instance) -> list:
     for i, j, k in sorted(keys):
         counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
         usage = part_usage(inst, counts)
-        max_tv = max(inst.curing[(m, k)] for m in counts)
+        cures = [inst.curing[(m, k)] for m in counts]
+        max_tv = max(cures)
         runs = (all(c <= copies.get(m, 0) for m, c in counts.items())
                 and all(u <= units[p] for p, u in usage.items())
-                and 0 < max_tv <= inst.period_dmin)
+                and 0 < min(cures) and max_tv <= inst.period_dmin)
         if runs:
             slots.append(PairSlot(m1=i, m2=j, heater=k, counts=counts,
                                   usage=usage, max_tv=max_tv))

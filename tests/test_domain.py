@@ -132,7 +132,7 @@ def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
 
 def test_pair_slots_keeps_only_rows_a_schedule_can_run():
     """A (pair, heater) gets a row only if the pair alone has the copies
-    and part units it needs and its slowest cure time there lies in
+    and part units it needs and each of its cure times there lies in
     (0, period]; every such one does.  Small plants have one copy per
     mold, so none of their identical pairs remains."""
     plants = [toy1(), toy2()] + [tiny_instance(s) for s in range(1000, 1200)]
@@ -157,7 +157,7 @@ def test_pair_slots_keeps_only_rows_a_schedule_can_run():
     # malformed instances lose the rows concerned, and raise nothing
     zero_cure = variant(base, curing={**base.curing, (1, 1): 0})
     assert _keys(pair_slots(zero_cure)) == [
-        key for key in all_rows if key not in {(0, 1, 1), (1, 1, 1)}]
+        key for key in all_rows if key[2] == 2 or 1 not in key[:2]]
     slow = variant(base,
                    curing={**base.curing, (1, 2): base.period_dmin + 1})
     assert _keys(pair_slots(slow)) == [
@@ -587,6 +587,13 @@ _UNCOVERED = ["mold 1 demand 10 not covered (produced 0)",
     (variant(toy1(), curing={(1, 1): 20000, (2, 1): 400}),
      _tuple(1, 1, 2, 10, 1, 0, 2),
      ["tuple 1 on heater 1: cure time exceeds the period budget on heater 1",
+      "tuple 1 on heater 1: capacity 0 over 2 period(s) cannot cover "
+      "quantity 10"]),
+    # inadmissible: a cure time of 0 cures nothing, even beside a mold
+    # that cures, and divides nothing
+    (variant(toy1(), curing={(1, 1): 0, (2, 1): 400}),
+     _tuple(1, 1, 2, 10, 1, 0, 2),
+     ["tuple 1 on heater 1: cure time 0 on heater 1 is not positive",
       "tuple 1 on heater 1: capacity 0 over 2 period(s) cannot cover "
       "quantity 10"]),
 ])

@@ -157,6 +157,22 @@ def test_pool_drops_pairs_of_molds_without_demand():
     assert ctx.pool == pool  # a start draws from a copy
 
 
+@pytest.mark.parametrize("corpus", ["tiny", "small", "plants"])
+def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
+    """`pair_slots` already drops a pair that needs more copies or part
+    units than exist, so the pool checks only demand and the joint setup:
+    it is the pool `fits_one_heater` gives, on tiny 1000-1199, small 1-15,
+    medium 1-10 and large 1-5."""
+    for inst in _corpus(corpus):
+        slots = {(s.m1, s.m2): s for s in curesched.domain.pair_slots(inst)}
+        demanded = {m.id for m in inst.molds if m.demand > 0}
+        assert curesched.heuristic._context(inst).pool == [
+            pair for pair, s in sorted(slots.items())
+            if all(m in demanded for m in pair if m)
+            and curesched.domain.fits_one_heater(inst, s.counts, s.usage)
+        ], inst.name
+
+
 @pytest.mark.parametrize("seed", (9, 11))
 def test_pairing_keeps_each_surviving_list_once_per_run(seed):
     """A draw that uses up molds moves to the run's list for the molds used
@@ -558,22 +574,58 @@ def test_start_cutoff_is_exact(monkeypatch, mode):
     assert kinds[True] and kinds[False]
 
 
+def _placement_record(inst, ctx, tuples, mode, cutoff=math.inf):
+    """(rows placed in placement order, whether the cutoff stopped it), as
+    the placement kernel keeps them for `tuples`."""
+    return curesched.heuristic._place(
+        inst, ctx, [(t.id, t.m1, t.m2, t.q) for t in tuples], mode, cutoff)
+
+
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
-def test_work_bound_cut_is_exact_where_it_fires(monkeypatch, mode):
+@pytest.mark.parametrize("corpus", ["tiny", "plants"])
+def test_a_start_gives_what_the_public_procedures_give(corpus, mode):
+    """`_single_start`, which draws and places plain rows, returns what the
+    public path does for the same seed and cutoff, at 20 starts on tiny
+    1000-1199 and 100 on the plants: `mold_pairs_procedure`,
+    then `assignment_procedure` with the cutoff where the first split
+    misses demand, and otherwise without it and through
+    `improvement_procedure`; the sentinel where a placement fails."""
+    kinds = Counter()
+    starts = 100 if corpus == "plants" else 20
+    for inst in _corpus(corpus):
+        ctx = curesched.heuristic._context(inst)
+        best = math.inf  # the cutoff run_heuristic would pass
+        for i in range(starts):
+            seed = iteration_seed(1, i)
+            got = curesched.heuristic._single_start(inst, seed, mode, ctx,
+                                                    best)
+            tuples = mold_pairs_procedure(inst, random.Random(seed), ctx=ctx)
+            settled = _split_misses_demand(inst, tuples)
+            try:
+                if settled:
+                    expected = assignment_procedure(inst, tuples, mode,
+                                                    ctx=ctx, cutoff=best)
+                else:
+                    expected = improvement_procedure(
+                        inst, assignment_procedure(inst, tuples, mode,
+                                                   ctx=ctx), mode, ctx=ctx)
+            except NoFeasiblePlacement:
+                expected = Schedule.empty_candidate()
+            assert got.sentinel == expected.sentinel, (inst.name, i)
+            assert _tuple_rows(got) == _tuple_rows(expected), (inst.name, i)
+            kinds[settled, got.sentinel] += 1
+            best = min(best, schedule_makespan(got))
+    assert kinds[True, True] and kinds[True, False] and kinds[False, False]
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_work_bound_cut_is_exact_where_it_fires(mode):
     """On every plant, a cutoff at the best makespan so far or at the
     start's own gives the sentinel, having placed a prefix of what the
     uncut run placed and no tuple past the first one ending at or after
     the cutoff; the work bound stops some runs sooner, before their first
     placement and after one. A cutoff above the makespan gives the uncut
     rows."""
-    seen = []  # every tuple assignment_procedure places, in placement order
-
-    class Seen(AssignmentTuple):
-        def __post_init__(self):
-            super().__post_init__()
-            seen.append(self)
-
-    monkeypatch.setattr(curesched.heuristic, "AssignmentTuple", Seen)
     fired = Counter()
     for inst in _corpus("plants"):
         ctx = curesched.heuristic._context(inst)
@@ -581,21 +633,25 @@ def test_work_bound_cut_is_exact_where_it_fires(monkeypatch, mode):
         for i in range(5):
             tuples = mold_pairs_procedure(
                 inst, random.Random(iteration_seed(1, i)), ctx=ctx)
-            seen.clear()
             uncut = assignment_procedure(inst, tuples, mode, ctx=ctx)
-            order, makespan = list(seen), schedule_makespan(uncut)
+            # every tuple placed, in placement order
+            order, stopped = _placement_record(inst, ctx, tuples, mode)
+            assert not stopped and sorted(order) == _tuple_rows(uncut)
+            makespan = schedule_makespan(uncut)
             for cutoff in {best, makespan, makespan + 1} - {None}:
-                seen.clear()
                 cut = assignment_procedure(inst, tuples, mode, ctx=ctx,
                                            cutoff=cutoff)
                 if cutoff > makespan:
                     assert _tuple_rows(cut) == _tuple_rows(uncut)
                     continue
                 assert cut.sentinel
+                seen, stopped = _placement_record(inst, ctx, tuples, mode,
+                                                  cutoff)
+                assert stopped
                 # placing stops at the latest at the first tuple ending at
                 # or after the cutoff, so the bound fired if fewer were placed
-                late = next(j for j, t in enumerate(order)
-                            if t.start + t.length >= cutoff)
+                late = next(j for j, (*_, start, length) in enumerate(order)
+                            if start + length >= cutoff)
                 assert seen == order[:len(seen)]
                 assert len(seen) <= late
                 if len(seen) < late:
@@ -669,18 +725,7 @@ def test_a_heater_that_cures_nothing_in_a_period_is_never_chosen():
             assert _tuple_rows(got) == _tuple_rows(expected), cutoff
 
 
-class _Placed(AssignmentTuple):
-    """An `AssignmentTuple` that records each placed tuple it builds."""
-
-    log = []
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.start is not None:
-            self.log.append(self)
-
-
-def test_work_bound_counts_only_heaters_some_pair_runs_on(monkeypatch):
+def test_work_bound_counts_only_heaters_some_pair_runs_on():
     """Heater 2 cures no mold, so the heater time left is heater 1's
     alone: two tuples whose least periods sum to the makespan are cut
     before the first is placed (counting heater 2's periods too, the
@@ -692,10 +737,10 @@ def test_work_bound_counts_only_heaters_some_pair_runs_on(monkeypatch):
     uncut = reference_placement(inst, tuples)
     assert _tuple_rows(uncut) == [(1, 0, 1, 72, 1, 0, 2),
                                   (2, 0, 1, 108, 1, 2, 3)]
-    monkeypatch.setattr(curesched.heuristic, "AssignmentTuple", _Placed)
-    _Placed.log = []
     assert assignment_procedure(inst, tuples, cutoff=5).sentinel
-    assert _Placed.log == []
+    placed, stopped = _placement_record(
+        inst, curesched.heuristic._context(inst), tuples, PARTS_PER_HEATER, 5)
+    assert stopped and placed == []
     assert _tuple_rows(assignment_procedure(inst, tuples, cutoff=6)) \
         == _tuple_rows(uncut)
     assert curesched.heuristic._context(inst).working == 1
@@ -757,7 +802,6 @@ def test_a_start_cut_at_once_builds_no_profile(monkeypatch, mode):
             built.append(self)
 
     monkeypatch.setattr(curesched.heuristic, "_Profile", Counted)
-    monkeypatch.setattr(curesched.heuristic, "AssignmentTuple", _Placed)
     at_once = uncut_built = 0
     for inst in _corpus("plants"):
         ctx = curesched.heuristic._context(inst)
@@ -765,18 +809,18 @@ def test_a_start_cut_at_once_builds_no_profile(monkeypatch, mode):
         for i in range(3):
             tuples = mold_pairs_procedure(
                 inst, random.Random(iteration_seed(1, i)), ctx=ctx)
-            _Placed.log, built[:] = [], []
-            uncut = assignment_procedure(inst, tuples, mode, ctx=ctx)
-            first_end = _Placed.log[0].start + _Placed.log[0].length
+            built[:] = []
+            uncut, _stopped = _placement_record(inst, ctx, tuples, mode)
+            first_end = uncut[0][5] + uncut[0][6]
             uncut_built += len(built)
-            _Placed.log, built[:] = [], []
-            cut = assignment_procedure(inst, tuples, mode, ctx=ctx,
-                                       cutoff=best)
+            built[:] = []
+            seen, stopped = _placement_record(inst, ctx, tuples, mode, best)
             # nothing placed, though the first tuple ends before the cutoff
-            if cut.sentinel and not _Placed.log and first_end < best:
+            if stopped and not seen and first_end < best:
                 at_once += 1
                 assert built == [], (inst.name, i)
-            best = min(best, schedule_makespan(uncut))
+            best = min(best, max(start + length
+                                 for *_, start, length in uncut))
     assert at_once and uncut_built
 
 
@@ -835,7 +879,8 @@ def test_split_production_is_the_split_lists_production():
         for i in range(20):
             tuples = mold_pairs_procedure(
                 inst, random.Random(iteration_seed(1, i)), ctx=ctx)
-            assert curesched.heuristic._split_production(tuples) \
+            rows = [(t.id, t.m1, t.m2, t.q) for t in tuples]
+            assert curesched.heuristic._split_production(rows) \
                 == produced_by_mold(curesched.heuristic._split(tuples))
 
 

@@ -39,6 +39,7 @@ from curesched.domain import (
 from curesched.errors import (
     AdapterFailure,
     AdapterUnavailable,
+    CureschedError,
     Infeasible,
     InfeasibleAssignment,
     NoFeasiblePlacement,
@@ -75,6 +76,7 @@ from helpers import (
     single_mold_big,
     tiny_instance,
     toy1,
+    toy1_two_heaters,
     toy2,
     two_removals,
     variant,
@@ -147,6 +149,39 @@ def test_hop_without_a_heuristic_schedule_is_infeasible():
     cfg = HopConfig(heuristic=HeuristicConfig(total_iterations=1, seed=0))
     with pytest.raises(Infeasible, match="no start placed every tuple"):
         run_hop(two_removals(), cfg)
+
+
+def _without_mold_1_on_heater_1(base, tv):
+    return variant(base, curing={**base.curing, (1, 1): tv})
+
+
+# every public entry point that reads cure times
+_ENTRY_POINTS = {
+    "run_heuristic": lambda inst: schedule_makespan(run_heuristic(
+        inst, HeuristicConfig(total_iterations=20, seed=1))),
+    "run_hop": lambda inst: run_hop(inst, HopConfig(
+        time_limit_seconds=5))[0].makespan,
+    "run_baseline_milp": lambda inst: run_baseline_milp(inst, HopConfig(
+        time_limit_seconds=5))[0].makespan,
+    "compute_thb": compute_thb,
+    "root_bound": lambda inst: root_bound(inst, PARTS_PER_HEATER),
+}
+
+
+@pytest.mark.parametrize("tv", [0, -5])
+@pytest.mark.parametrize("call", sorted(_ENTRY_POINTS))
+def test_a_cure_time_of_zero_or_less_cannot_run_there(call, tv):
+    """A cure time <= 0 is no heater for its mold, as in `pair_slots`.
+    Mold 1 has no other heater in toy1, so nothing cures it: a
+    `CureschedError`, or an infinite root bound.  In toy1_two_heaters
+    heater 2 cures it, and each entry point solves around heater 1."""
+    lone = _without_mold_1_on_heater_1(toy1(), tv)
+    try:
+        assert _ENTRY_POINTS[call](lone) == math.inf
+    except CureschedError:
+        assert call != "root_bound"
+    spare = _without_mold_1_on_heater_1(toy1_two_heaters(), tv)
+    assert _ENTRY_POINTS[call](spare) == (2 if call == "compute_thb" else 1)
 
 
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
@@ -758,13 +793,13 @@ def test_slice_schedule_settles_a_rung_without_a_child(monkeypatch, mode):
 @pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
 def test_refuted_rungs_below_a_witness_prove_it_without_a_child(monkeypatch,
                                                                 mode):
-    """Tiny seed 1005 has root bound 1, and the heuristic leaves 4, its
-    optimum: the slice refutes 1-3, so the witness is optimal and stands."""
+    """Tiny seed 1005 has root bound 2, and the heuristic leaves 4, its
+    optimum: the slice refutes 2-3, so the witness is optimal and stands."""
     _no_child(monkeypatch)
     inst = tiny_instance(1005)
     heuristic = HeuristicConfig(total_iterations=100, seed=1, parts_mode=mode)
     witness = run_heuristic(inst, heuristic)
-    assert root_bound(inst, mode) == 1
+    assert root_bound(inst, mode) == 2
     assert schedule_makespan(witness) == 4
     cfg = HopConfig(heuristic=heuristic, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB), parts_mode=mode)
@@ -777,8 +812,8 @@ def test_refuted_rungs_below_a_witness_prove_it_without_a_child(monkeypatch,
 
 def test_children_refuting_the_rungs_below_a_witness_prove_it(
         tmp_path, oracle_declines):
-    """Tiny seed 1005 has root bound 1 and the heuristic leaves its optimum
-    4.  Solver children refute rungs 1-3; the child that checks the witness
+    """Tiny seed 1005 has root bound 2 and the heuristic leaves its optimum
+    4.  Solver children refute rungs 2-3; the child that checks the witness
     on rung 4 then runs into the time limit, which leaves the witness
     optimal, not at "limit"."""
     stub = tmp_path / "check_stalls.py"

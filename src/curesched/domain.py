@@ -32,11 +32,15 @@ pair can do on each heater (its mold counts, part usage and slowest cure
 time), and the one rule of which pairs can run where at all.  It is built
 on first use, kept on the instance and returned as a tuple, so the
 heuristic, the exact search and the model builder of one solve all read
-that one table.
+that one table: a solve derives it once for its instance and once for
+each component its exact stage searches.  It is derived from each mold's
+curable heaters (`cure_times`), read once, and its rows are immutable
+named tuples.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MoldId = int
 HeaterId = int
@@ -119,15 +123,15 @@ class Instance:
         return sum(m.demand for m in self.molds)
 
 
-@dataclass(frozen=True, slots=True)
-class PairSlot:
+class PairSlot(NamedTuple):
     """One allowed mold pair on one heater that can run it.
 
     m1 may be 0 (the empty slot); m1 <= m2. `counts` is the pair's mold
     multiset, `usage` the part units it ties down, `max_tv` the slowest
     cure time on board, which sets the pair's per-period rate and lies in
-    (0, period], so the rate is at least 1.  Rows live as long as their
-    instance, so they carry no per-row `__dict__`.
+    (0, period], so the rate is at least 1.  A row is an immutable named
+    tuple, so it carries no per-row `__dict__` and equals the plain tuple
+    of its six fields.
     """
 
     m1: MoldId
@@ -164,10 +168,13 @@ def _derive_pair_slots(inst: Instance):
     """The `pair_slots` rows, pair by pair and each pair's heaters
     ascending: a single (0, j) on every heater that cures j, an allowed
     pair (i, j) on every heater that cures both, each only where it can
-    run (an unknown mold has no copies)."""
-    curing, heater_set, phi = inst.curing, set(inst.heaters), inst.period_dmin
-    pairs = {(EMPTY, j) for (j, k) in curing if k in heater_set}
+    run (an unknown mold has no copies).  Each mold's heaters are read once
+    (`cure_times`): a single walks j's, a pair keeps those of j's that i
+    also cures, at the slower of the two cure times."""
+    heater_set = set(inst.heaters)
+    pairs = {(EMPTY, j) for (j, k) in inst.curing if k in heater_set}
     pairs.update(inst.mold_compat)
+    times = {m: cure_times(inst, m) for m in inst.mold_ids}
     for i, j in sorted(pairs):
         counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
         if any(m not in inst.mold_by_id or c > inst.mold_by_id[m].copies
@@ -176,11 +183,10 @@ def _derive_pair_slots(inst: Instance):
         usage = part_usage(inst, counts)
         if any(u > inst.part_by_id[p].units for p, u in usage.items()):
             continue
-        for k in inst.heaters:
-            if all(0 < curing.get((m, k), 0) <= phi for m in counts):
-                yield PairSlot(m1=i, m2=j, heater=k, counts=counts,
-                               usage=usage,
-                               max_tv=max(curing[(m, k)] for m in counts))
+        other = times[j] if i == EMPTY else times[i]
+        for k, tv in times[j].items():
+            if k in other:
+                yield PairSlot(i, j, k, counts, usage, max(tv, other[k]))
 
 
 def cure_times(inst: Instance, mold_id: MoldId) -> dict:

@@ -184,13 +184,17 @@ def _heater_table(inst, parts_mode):
     part id))."""
     shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
-    for s in pair_slots(inst):
-        molds = multiset(s.counts)
-        needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
-        if shared:
-            needs += [(("part", p), c, inst.part_by_id[p].units)
-                      for p, c in s.usage.items()]
-        table[s.heater].append(((s.m1, s.m2), molds, tuple(needs), s.max_tv))
+    pair = None
+    for m1, m2, k, counts, usage, max_tv in pair_slots(inst):
+        if (m1, m2) != pair:  # a pair's rows come together and share these
+            pair = (m1, m2)
+            molds = multiset(counts)
+            needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
+            if shared:
+                needs += [(("part", p), c, inst.part_by_id[p].units)
+                          for p, c in usage.items()]
+            needs = tuple(needs)
+        table[k].append((pair, molds, needs, max_tv))
     return table
 
 

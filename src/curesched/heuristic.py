@@ -78,6 +78,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BY_ID = attrgetter("id")
 _ROW_ID = itemgetter(0)
+_RATE = itemgetter(1)
 
 
 def _mix64(x: int) -> int:
@@ -122,6 +123,8 @@ class _Context:
     """Data a run derives from the instance once, for all its starts.
 
     The procedures take it as `ctx`; called without one, they derive it.
+    `_context` builds it in one pass over the `pair_slots` rows, which
+    come pair by pair, each pair's heaters ascending.
 
     batch       : demanded mold -> its batch size, ceil(demand / copies)
     demand      : demanded mold -> its demand, each draw's first residuals
@@ -168,16 +171,24 @@ class _Context:
 
 
 def _context(inst: Instance) -> _Context:
-    heaters, counts, usage = {}, {}, {}
-    for s in pair_slots(inst):  # each pair's heaters ascending
-        pair = (s.m1, s.m2)
-        heaters.setdefault(pair, []).append(
-            (s.heater, slot_rate(inst.period_dmin, s.max_tv), s.max_tv))
-        counts[pair], usage[pair] = s.counts, s.usage
-    ids = {pair: tuple(row[0] for row in rows)
-           for pair, rows in heaters.items()}
+    phi = inst.period_dmin
+    heaters, counts, usage, ids = {}, {}, {}, {}
+    pair = None
+    for m1, m2, k, c, u, tv in pair_slots(inst):  # heaters ascending
+        if (m1, m2) != pair:
+            pair = (m1, m2)
+            heaters[pair] = rows = []
+            counts[pair], usage[pair] = c, u
+        rows.append((k, slot_rate(phi, tv), tv))
+    for pair, rows in heaters.items():
+        ids[pair] = tuple(map(_ROW_ID, rows))
+        rows.sort(key=_RATE, reverse=True)  # stable: ids ascending on ties
     heater_sets = sorted(set(ids.values()))
     index = {hs: i for i, hs in enumerate(heater_sets)}
+    sets_with = {k: [] for k in inst.heaters}
+    for i, hs in enumerate(heater_sets):
+        for k in hs:
+            sets_with[k].append(i)
     demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
 
     # a mold with at least 2 copies per heater that cures it never binds,
@@ -209,8 +220,7 @@ def _context(inst: Instance) -> _Context:
         demand=demand,
         pool=pool,
         pools={frozenset(): pool},
-        heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
-                 for pair, rows in heaters.items()},
+        heaters=heaters,
         counts={pair: multiset(c) for pair, c in counts.items()},
         held=held,
         held_global=held_global,
@@ -219,8 +229,7 @@ def _context(inst: Instance) -> _Context:
         heater_sets=heater_sets,
         working=len(set().union(*heater_sets)),
         set_of={pair: index[hs] for pair, hs in ids.items()},
-        sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
-                   for k in inst.heaters},
+        sets_with=sets_with,
     )
 
 

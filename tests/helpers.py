@@ -12,6 +12,7 @@ exact-repeat memo it had before dominance, to check that pruning against.
 import random
 import shlex
 import sys
+from dataclasses import replace
 from itertools import product
 
 import curesched.exact
@@ -19,6 +20,7 @@ from curesched.bounds import residual_bound
 from curesched.domain import (
     EMPTY,
     AssignmentTuple,
+    ChangeoverMemo,
     Instance,
     Mold,
     PairSlot,
@@ -26,13 +28,18 @@ from curesched.domain import (
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
     Schedule,
+    ceil_div,
     initial_residents,
+    multiset,
     pair_slots,
     part_usage,
     plan_slot,
+    slot_rate,
     transition_work,
 )
 from curesched.errors import NoFeasiblePlacement
+from curesched.gen import SCENARIOS, generate_instance
+from curesched.heuristic import _Context
 
 PHI = 14400  # one day in deciminutes
 
@@ -96,6 +103,96 @@ def reference_pair_slots(inst: Instance) -> list:
             slots.append(PairSlot(m1=i, m2=j, heater=k, counts=counts,
                                   usage=usage, max_tv=max_tv))
     return slots
+
+
+def reference_context(inst: Instance) -> _Context:
+    """`heuristic._context` derived the older way, its body kept verbatim:
+    each row appended through `setdefault`, each pair's heaters sorted on
+    (-rate, id), and every heater set scanned for each heater."""
+    heaters, counts, usage = {}, {}, {}
+    for s in pair_slots(inst):  # each pair's heaters ascending
+        pair = (s.m1, s.m2)
+        heaters.setdefault(pair, []).append(
+            (s.heater, slot_rate(inst.period_dmin, s.max_tv), s.max_tv))
+        counts[pair], usage[pair] = s.counts, s.usage
+    ids = {pair: tuple(row[0] for row in rows)
+           for pair, rows in heaters.items()}
+    heater_sets = sorted(set(ids.values()))
+    index = {hs: i for i, hs in enumerate(heater_sets)}
+    demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
+
+    # a mold with at least 2 copies per heater that cures it never binds,
+    # nor a part with 2 units per heater that cures one of its molds
+    cures = inst.compat_heaters
+    binding_copies = {m.id: m.copies for m in inst.molds
+                      if m.copies < 2 * len(cures[m.id])}
+    binding_units = {p.id: p.units for p in inst.parts
+                     if p.units < 2 * len(set().union(
+                         *(cures.get(m, ()) for m in p.molds)))}
+
+    held, held_global = {}, {}
+    for pair in heaters:
+        held[pair] = rows = [(("mold", m), c, binding_copies[m])
+                             for m, c in counts[pair].items()
+                             if m in binding_copies]
+        held_global[pair] = rows + [(("part", p), u, binding_units[p])
+                                    for p, u in usage[pair].items()
+                                    if p in binding_units]
+
+    setup = {m.id: m.setup_dmin for m in inst.molds}
+    pool = [pair for pair in sorted(heaters)
+            if all(m in demand for m in pair if m != EMPTY)
+            and sum(setup[m] * c for m, c in counts[pair].items())
+            <= inst.period_dmin]
+    return _Context(
+        batch={m.id: ceil_div(m.demand, m.copies) for m in inst.molds
+               if m.id in demand and m.copies > 0},
+        demand=demand,
+        pool=pool,
+        pools={frozenset(): pool},
+        heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
+                 for pair, rows in heaters.items()},
+        counts={pair: multiset(c) for pair, c in counts.items()},
+        held=held,
+        held_global=held_global,
+        initial={k: multiset(r) for k, r in initial_residents(inst).items()},
+        plans=ChangeoverMemo(inst),
+        heater_sets=heater_sets,
+        working=len(set().union(*heater_sets)),
+        set_of={pair: index[hs] for pair, hs in ids.items()},
+        sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
+                   for k in inst.heaters},
+    )
+
+
+def pair_table_corpus() -> list:
+    """toy1, toy2, tiny 1000-1199, small 1-15, medium 1-10 and large 1-5."""
+    insts = [toy1(), toy2()] + [tiny_instance(s) for s in range(1000, 1200)]
+    insts += [generate_instance(SCENARIOS[size], seed)
+              for size, count in (("small", 15), ("medium", 10), ("large", 5))
+              for seed in range(1, count + 1)]
+    return insts
+
+
+def malformed_variants() -> dict:
+    """toy1 on two heaters ("base"), and variants of it that lose rows of
+    the pair table, by name: a cure time of 0, a cure time over the
+    period, an unknown mold in the curing and compatible pairs, too few
+    copies for an identical pair, and too few part units for any pair."""
+    base = toy1_two_heaters()
+    return {
+        "base": base,
+        "zero_cure": variant(base, curing={**base.curing, (1, 1): 0}),
+        "slow": variant(base,
+                        curing={**base.curing, (1, 2): base.period_dmin + 1}),
+        "unknown": variant(base, curing={**base.curing, (9, 1): 400},
+                           mold_compat=((1, 1), (1, 2), (2, 2), (2, 9),
+                                        (9, 9))),
+        "short": variant(base, molds=(replace(base.molds[0], copies=1),
+                                      base.molds[1])),
+        "scarce": variant(base, parts=(Part(id=1, units=1,
+                                            molds=frozenset({1, 2})),)),
+    }
 
 
 def reference_placement(inst: Instance, tuples,

@@ -41,6 +41,8 @@ from curesched.gen import SCENARIOS, generate_instance
 from curesched.milp import model_size
 
 from helpers import (
+    malformed_variants,
+    pair_table_corpus,
     reference_pair_slots,
     tiny_instance,
     toy1,
@@ -119,10 +121,7 @@ def test_mixed_pair_needs_common_heater():
 
 
 def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
-    insts = [toy1(), toy2()] + [tiny_instance(s) for s in range(1000, 1200)]
-    insts += [generate_instance(SCENARIOS[size], seed)
-              for size, count in (("small", 15), ("medium", 10), ("large", 5))
-              for seed in range(1, count + 1)]
+    insts = pair_table_corpus()
     for inst in insts + [c for inst in insts for c in components(inst)]:
         table = pair_slots(inst)
         assert type(table) is tuple, inst.name
@@ -135,11 +134,7 @@ def test_pair_slots_keeps_only_rows_a_schedule_can_run():
     and part units it needs and each of its cure times there lies in
     (0, period]; every such one does.  Small plants have one copy per
     mold, so none of their identical pairs remains."""
-    plants = [toy1(), toy2()] + [tiny_instance(s) for s in range(1000, 1200)]
-    plants += [generate_instance(SCENARIOS[size], seed)
-               for size, count in (("small", 15), ("medium", 10), ("large", 5))
-               for seed in range(1, count + 1)]
-    for inst in plants:
+    for inst in pair_table_corpus():
         rows = pair_slots(inst)
         for s in rows:
             assert all(c <= inst.mold_by_id[m].copies
@@ -150,30 +145,36 @@ def test_pair_slots_keeps_only_rows_a_schedule_can_run():
         if inst.name.startswith("S"):
             assert all(m.copies == 1 for m in inst.molds)
             assert all(s.m1 != s.m2 for s in rows), inst.name
-    base = toy1_two_heaters()
+    plant = malformed_variants()
     all_rows = [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 1, 1),
                 (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
-    assert _keys(pair_slots(base)) == all_rows
+    assert _keys(pair_slots(plant["base"])) == all_rows
     # malformed instances lose the rows concerned, and raise nothing
-    zero_cure = variant(base, curing={**base.curing, (1, 1): 0})
-    assert _keys(pair_slots(zero_cure)) == [
+    assert _keys(pair_slots(plant["zero_cure"])) == [
         key for key in all_rows if key[2] == 2 or 1 not in key[:2]]
-    slow = variant(base,
-                   curing={**base.curing, (1, 2): base.period_dmin + 1})
-    assert _keys(pair_slots(slow)) == [
+    assert _keys(pair_slots(plant["slow"])) == [
         key for key in all_rows if key[2] == 1 or 1 not in key[:2]]
-    unknown = variant(base, curing={**base.curing, (9, 1): 400},
-                      mold_compat=((1, 1), (1, 2), (2, 2), (2, 9), (9, 9)))
-    assert not validate_instance(unknown).ok
-    assert _keys(pair_slots(unknown)) == all_rows
-    short = variant(base, molds=(replace(base.molds[0], copies=1),
-                                 base.molds[1]))
-    assert _keys(pair_slots(short)) == [
+    assert not validate_instance(plant["unknown"]).ok
+    assert _keys(pair_slots(plant["unknown"])) == all_rows
+    assert _keys(pair_slots(plant["short"])) == [
         key for key in all_rows if key[:2] != (1, 1)]
-    scarce = variant(base, parts=(Part(id=1, units=1,
-                                       molds=frozenset({1, 2})),))
-    assert _keys(pair_slots(scarce)) == [
+    assert _keys(pair_slots(plant["scarce"])) == [
         key for key in all_rows if key[0] == 0]
+
+
+def test_pair_rows_are_immutable_named_tuples():
+    """A row is a named tuple: equal to the plain tuple of its six fields,
+    with no per-row `__dict__`, and no field can be assigned."""
+    inst = toy2()
+    table = pair_slots(inst)
+    assert pair_slots(inst) is table
+    row = table[0]
+    assert row == (0, 1, 1, {1: 1}, {1: 1}, 400)
+    assert row == (row.m1, row.m2, row.heater, row.counts, row.usage,
+                   row.max_tv)
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(AttributeError):
+        row.max_tv = 1
 
 
 # ── instance validation ──────────────────────────────────────────────

@@ -17,7 +17,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -51,6 +51,9 @@ from curesched.heuristic import (
 from curesched.horizon import horizon_witness
 
 from helpers import (
+    malformed_variants,
+    pair_table_corpus,
+    reference_context,
     reference_placement,
     single_mold_big,
     tiny_instance,
@@ -171,6 +174,25 @@ def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
             if all(m in demanded for m in pair if m)
             and curesched.domain.fits_one_heater(inst, s.counts, s.usage)
         ], inst.name
+
+
+def test_context_matches_the_reference_derivation():
+    """`_context` in one pass gives what the older derivation gave, field
+    by field and in the same order (`heaters` rows, `pool`, `heater_sets`,
+    `sets_with` and every dict's keys), on the pair-table corpus and on
+    malformed instances; only `plans`, a fresh memo per run, is left out."""
+    insts = pair_table_corpus() + list(malformed_variants().values())
+    for inst in insts:
+        got = curesched.heuristic._context(inst)
+        want = reference_context(inst)
+        for field in fields(got):
+            if field.name == "plans":
+                continue
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a == b, (inst.name, field.name)
+            if isinstance(a, dict):
+                assert list(a.items()) == list(b.items()), (inst.name,
+                                                            field.name)
 
 
 @pytest.mark.parametrize("seed", (9, 11))

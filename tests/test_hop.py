@@ -726,6 +726,25 @@ def test_one_hop_derives_each_pair_table_once(monkeypatch, seed):
     assert sorted(map(id, derived)) == sorted(map(id, expected))
 
 
+def test_a_solve_derives_one_table_per_instance_it_searches(monkeypatch):
+    """The `domain` promise of one pair table per solve, at seed 1 and 100
+    starts: S08's heuristic meets its root bound, so `run_hop` derives
+    S08's table alone; S11's does not, so the exact stage also derives the
+    table of the one component it searches, 2 derivations in all."""
+    derived = _derivations(monkeypatch)
+    s08 = small(8)
+    report, _ = run_hop(s08, HopConfig(heuristic=SMALL_HEURISTIC))
+    assert (report.status, report.makespan, report.nodes) == ("optimal", 3, 0)
+    assert report.makespan == root_bound(s08, PARTS_PER_HEATER)
+    assert derived == [s08]
+    del derived[:]
+    s11 = small(11)
+    report, _ = run_hop(s11, HopConfig(heuristic=SMALL_HEURISTIC))
+    assert (report.status, report.makespan) == ("optimal", 6)
+    assert len(derived) == 2 and derived[0] is s11
+    assert derived[1] is not s11 and derived[1].name == s11.name
+
+
 def test_adapter_ladder_derives_its_component_table_once(monkeypatch,
                                                        oracle_declines):
     derived = _derivations(monkeypatch)

@@ -11,12 +11,12 @@ beat. A start whose tuples cannot all be placed is skipped. The safe
 horizon's serial schedule competes too, when no start meets the root
 bound, and wins only when strictly shorter.
 
-A start works on plain rows: it draws (id, m1, m2, q) rows (`_draw`) and
-places them with the one placement kernel, `_place`, which gives
-(id, m1, m2, q, heater, start, length) rows; it builds `AssignmentTuple`s
-and a `Schedule` only for a placement that is not cut.
-`mold_pairs_procedure` and `assignment_procedure` are the same two steps
-on `AssignmentTuple`s, and the improvement step places through the latter.
+A start runs the paper's three procedures on plain rows: it draws
+(id, m1, m2, q) rows (`_draw`), places them with the one placement
+kernel, `_place`, which gives (id, m1, m2, q, heater, start, length)
+rows, and improves those (`_improve`), which splits, places and shaves
+rows too. It builds `AssignmentTuple`s and a `Schedule` only for a
+placement that is not cut, and for an improved candidate to validate.
 
 Placing rests on one exact bound: a tuple of q takes at least ceil(q / r)
 periods on a heater of full-period rate r for its pair (a plan's first
@@ -44,9 +44,9 @@ from that deduction at its own cure time, as `plan_slot` would, with the
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heapreplace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .bounds import root_bound
 from .domain import (
@@ -60,12 +60,10 @@ from .domain import (
     Schedule,
     ceil_div,
     first_capacity,
-    heater_walk,
     initial_residents,
     multiset,
     pair_slots,
     periods_for,
-    produced_by_mold,
     schedule_makespan,
     slot_rate,
     uncovered_molds,
@@ -76,7 +74,6 @@ from .horizon import horizon_witness
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_BY_ID = attrgetter("id")
 _ROW_ID = itemgetter(0)
 _RATE = itemgetter(1)
 
@@ -122,9 +119,9 @@ class HeuristicConfig:
 class _Context:
     """Data a run derives from the instance once, for all its starts.
 
-    The procedures take it as `ctx`; called without one, they derive it.
-    `_context` builds it in one pass over the `pair_slots` rows, which
-    come pair by pair, each pair's heaters ascending.
+    The row functions take it as `ctx`. `_context` builds it in one pass
+    over the `pair_slots` rows, which come pair by pair, each pair's
+    heaters ascending.
 
     batch       : demanded mold -> its batch size, ceil(demand / copies)
     demand      : demanded mold -> its demand, each draw's first residuals
@@ -141,7 +138,7 @@ class _Context:
                   full-period `slot_rate`
     counts      : (m1, m2) -> `multiset` of the pair's molds
     held        : (m1, m2) -> (resource, units, capacity) of each mold the
-                  pair holds that can block a start (see `assignment_procedure`)
+                  pair holds that can block a start (see `_place`)
     held_global : the same with the parts, for the global parts mode
     initial     : heater -> `multiset` mounted before the first period
     plans       : the run's `ChangeoverMemo`: each changeover (what a
@@ -236,20 +233,14 @@ def _context(inst: Instance) -> _Context:
 # ── pairing ──────────────────────────────────────────────────────────
 
 
-def mold_pairs_procedure(inst: Instance, rng, *, ctx=None) -> list:
-    """Draw batch tuples until every demand is covered.
+def _draw(ctx: _Context, rng) -> list:
+    """Draw batch tuples until every demand is covered, as (id, m1, m2, q)
+    rows with ids 1, 2, ... in draw order.
 
     Batch size per mold is ceil(demand / copies); a draw's quantity is the
     smallest batch size or leftover demand among its molds. An identical
     pair burns demand twice as fast. `rng` only needs a choice() method.
-    The tuples are `_draw`'s rows, unplaced.
     """
-    return [AssignmentTuple(*row) for row in _draw(ctx or _context(inst), rng)]
-
-
-def _draw(ctx: _Context, rng) -> list:
-    """The draws of `mold_pairs_procedure`, as (id, m1, m2, q) rows with
-    ids 1, 2, ... in draw order."""
     batch, residual = ctx.batch, dict(ctx.demand)
 
     # the pool holds only molds with demand; residuals only fall, so a pair
@@ -329,17 +320,9 @@ def _schedule(placed) -> Schedule:
                             for row in sorted(placed, key=_ROW_ID)])
 
 
-def assignment_procedure(inst: Instance, tuples,
-                         parts_mode: str = PARTS_PER_HEATER, *,
-                         ctx=None, cutoff=math.inf) -> Schedule:
-    """Place tuples one by one, earliest-start-first, each on the heater
-    where it finishes first: `_place` on their (id, m1, m2, q) rows.  The
-    schedule of what it places, or the sentinel candidate when the
-    `cutoff` stops it."""
-    rows = [(t.id, t.m1, t.m2, t.q) for t in sorted(tuples, key=_BY_ID)]
-    placed, cut = _place(inst, ctx or _context(inst), rows, parts_mode,
-                         cutoff)
-    return Schedule.empty_candidate() if cut else _schedule(placed)
+def _makespan(placed) -> int:
+    """The last end among placed rows; 0 for none."""
+    return max((start + length for *_, start, length in placed), default=0)
 
 
 def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
@@ -532,79 +515,38 @@ def _fits_no_heater(pair) -> NoFeasiblePlacement:
 # ── improvement ──────────────────────────────────────────────────────
 
 
-def _shave_overproduction(inst: Instance, schedule: Schedule,
-                          ctx: _Context) -> Schedule:
-    """Trim the last tuple on each heater down to what demand still needs.
-
-    An identical pair loses two tires per quantity step, so its cut is
-    halved. A trimmed tuple keeps its heater, start and predecessor, so the
-    changeover it was placed with, at its heater's cure time and rate,
-    sizes its new length.
-    """
-    tuples = sorted(schedule.tuples, key=_BY_ID)
-    produced = produced_by_mold(tuples)
-
-    # each heater's last tuple, with what its predecessor left behind
-    last_on = {}
-    for k, t, residents, prev_end in heater_walk(inst, tuples):
-        last_on[k] = (t, residents, prev_end)
-
-    out = {t.id: t for t in tuples}
-    for k, (last, residents, prev_end) in last_on.items():
-        if last.q <= 1:
-            continue
-        surplus = min(
-            produced[m] - inst.mold_by_id[m].demand
-            for m in last.mold_counts()
-        )
-        if last.m1 != EMPTY and last.m1 == last.m2:
-            delta = min(last.q - 1, surplus // 2)
-        else:
-            delta = min(last.q - 1, surplus)
-        if delta <= 0:
-            continue
-        new_q = last.q - delta
-        pair = last.m1, last.m2
-        work = ctx.plans[multiset(residents), ctx.counts[pair],
-                         last.start > prev_end]
-        _k, r, cure = next(row for row in ctx.heaters[pair] if row[0] == k)
-        length = periods_for(new_q, first_capacity(inst.period_dmin, work,
-                                                   cure), r)
-        out[last.id] = replace(last, q=new_q, length=length)
-        for m, c in last.mold_counts().items():
-            produced[m] -= c * delta
-    return Schedule(tuples=sorted(out.values(), key=_BY_ID))
-
-
-def _split(tuples) -> list:
-    """The improvement step's split list: each two-mold tuple, in id order,
-    becomes two halves (identical pairs two identical pairs, mixed pairs two
-    singles) with fresh ids past the largest; singles stay as they are."""
-    base = sorted(tuples, key=_BY_ID)
-    next_id = max((t.id for t in base), default=0)
+def _split(rows) -> list:
+    """The improvement step's split list of `rows`, as (id, m1, m2, q)
+    rows in id order, the order `_place` takes: each two-mold row, in id
+    order, becomes two halves (identical pairs two identical pairs, mixed
+    pairs two singles) with fresh ids past the largest; singles stay as
+    they are."""
+    base = sorted(rows, key=_ROW_ID)
+    next_id = base[-1][0] if base else 0
     split = []
-    for t in base:
-        if t.m1 != EMPTY:
-            q_hi = ceil_div(t.q, 2)
-            q_lo = t.q - q_hi
-            if t.m1 == t.m2:
-                halves = ((t.m1, t.m2, q_hi), (t.m1, t.m2, q_lo))
+    for tuple_id, m1, m2, q, *_ in base:
+        if m1 != EMPTY:
+            q_hi = ceil_div(q, 2)
+            q_lo = q - q_hi
+            if m1 == m2:
+                halves = ((m1, m2, q_hi), (m1, m2, q_lo))
             else:
-                halves = ((EMPTY, t.m1, q_hi), (EMPTY, t.m2, q_lo))
-            for m1, m2, q in halves:
-                if q >= 1:
+                halves = ((EMPTY, m1, q_hi), (EMPTY, m2, q_lo))
+            for h1, h2, hq in halves:
+                if hq >= 1:
                     next_id += 1
-                    split.append(AssignmentTuple(id=next_id, m1=m1, m2=m2, q=q))
+                    split.append((next_id, h1, h2, hq))
         else:
-            split.append(AssignmentTuple(id=t.id, m1=t.m1, m2=t.m2, q=t.q))
+            split.append((tuple_id, m1, m2, q))
+    split.sort(key=_ROW_ID)
     return split
 
 
 def _split_production(rows) -> dict:
-    """`produced_by_mold(_split(tuples))`, without building the split, from
-    the tuples' (id, m1, m2, q) rows: a mixed pair's halves cure ceil(q/2)
-    of its first mold and floor(q/2) of its second; identical pairs and
-    singles cure what they did."""
+    """What `_split(rows)` cures per mold, without building it, from
+    (id, m1, m2, q) rows: a mixed pair's halves cure ceil(q/2) of its
+    first mold and floor(q/2) of its second; identical pairs (two slots)
+    and singles cure what they did."""
     produced = {}
     get = produced.get
     for _id, m1, m2, q in rows:
@@ -622,37 +564,83 @@ def _split_production(rows) -> dict:
     return produced
 
 
-def improvement_procedure(inst: Instance, schedule: Schedule,
-                          parts_mode: str = PARTS_PER_HEATER, *,
-                          ctx=None) -> Schedule:
-    """Split-reassign-shave local search; keeps strictly better schedules.
+def _shave(inst: Instance, ctx: _Context, placed: list,
+           produced: dict) -> None:
+    """Trim, in place, the last of the `placed` rows on each heater down to
+    what demand still needs, heaters ascending; `produced` is what the
+    rows cure per mold, and loses what is trimmed.
 
-    Every two-mold tuple splits into two halves (identical pairs into two
-    identical pairs, mixed pairs into two singles), everything is placed
-    from scratch, and overproduced tails are shaved. The candidate replaces
-    the incumbent only when it can be placed, is feasible and is strictly
-    shorter.
+    An identical pair loses two tires per quantity step, so its cut is
+    halved. A trimmed row keeps its heater, start and predecessor, so the
+    changeover it was placed with (`ctx.plans`), at its heater's cure time
+    and rate, sizes its new length. On one heater placement order is start
+    order, so a row's predecessor is the row placed there before it, or
+    the heater's initial loading, ending at 0.
+    """
+    last, before = {}, {}  # heater -> its last row's index, the row before
+    for i, row in enumerate(placed):
+        k = row[4]
+        if k in last:
+            before[k] = placed[last[k]]
+        last[k] = i
+    counts, mold_by_id = ctx.counts, inst.mold_by_id
+    for k in sorted(last):
+        i = last[k]
+        tuple_id, m1, m2, q, _k, start, _length = placed[i]
+        if q <= 1:
+            continue
+        molds = counts[m1, m2]
+        surplus = min(produced[m] - mold_by_id[m].demand for m, _c in molds)
+        delta = min(q - 1, surplus // 2 if m1 == m2 else surplus)
+        if delta <= 0:
+            continue
+        prev = before.get(k)
+        if prev is None:
+            residents, prev_end = ctx.initial[k], 0
+        else:
+            residents, prev_end = counts[prev[1], prev[2]], prev[5] + prev[6]
+        work = ctx.plans[residents, molds, start > prev_end]
+        _k, r, cure = next(row for row in ctx.heaters[m1, m2] if row[0] == k)
+        placed[i] = (tuple_id, m1, m2, q - delta, k, start, periods_for(
+            q - delta, first_capacity(inst.period_dmin, work, cure), r))
+        for m, c in molds:
+            produced[m] -= c * delta
+
+
+def _improve(inst: Instance, ctx: _Context, placed: list,
+             parts_mode: str) -> list:
+    """Split-reassign-shave local search on a start's placed rows: the
+    placed rows it keeps, `placed` itself when it keeps no candidate.
+
+    Every two-mold row splits into two halves (identical pairs into two
+    identical pairs, mixed pairs into two singles, `_split`), everything
+    is placed from scratch (`_place`), and overproduced tails are shaved
+    (`_shave`). The candidate replaces the incumbent only when it can be
+    placed, is strictly shorter and is feasible; only then is it built
+    into a `Schedule`, for `validate_schedule`.
 
     Splitting a mixed pair halves each mold's output, so the split list
     often no longer covers demand. Such a list is dropped before it is
     placed: placement keeps every quantity and shaving only trims surplus,
-    so its candidate could never be accepted.
+    so its candidate could never be accepted. For the same reason the
+    split's production (`_split_production`) is what the candidate cures
+    before it is shaved.
     """
-    ctx = ctx or _context(inst)
-    improved = schedule
-    while not uncovered_molds(inst, _split_production(
-            (t.id, t.m1, t.m2, t.q) for t in improved.tuples)):
+    best, makespan = placed, _makespan(placed)
+    while True:
+        produced = _split_production(row[:4] for row in best)
+        if uncovered_molds(inst, produced):
+            return best
         try:
-            candidate = assignment_procedure(inst, _split(improved.tuples),
-                                             parts_mode, ctx=ctx)
+            candidate, _cut = _place(inst, ctx, _split(best), parts_mode)
         except NoFeasiblePlacement:
-            return improved
-        candidate = _shave_overproduction(inst, candidate, ctx)
-        if not (schedule_makespan(candidate) < schedule_makespan(improved)
-                and validate_schedule(inst, candidate, parts_mode).ok):
-            return improved
-        improved = candidate
-    return improved
+            return best
+        _shave(inst, ctx, candidate, produced)
+        end = _makespan(candidate)
+        if not (end < makespan and validate_schedule(
+                inst, _schedule(candidate), parts_mode).ok):
+            return best
+        best, makespan = candidate, end
 
 
 # ── multi-start driver ───────────────────────────────────────────────
@@ -683,7 +671,7 @@ def _single_start(inst: Instance, seed: int, parts_mode: str,
         return Schedule.empty_candidate()
     if settled:
         return _schedule(placed)
-    return improvement_procedure(inst, _schedule(placed), parts_mode, ctx=ctx)
+    return _schedule(_improve(inst, ctx, placed, parts_mode))
 
 
 def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:

@@ -7,6 +7,8 @@ bounded search with no bound pruning and no dominance reasoning, so they share
 no logic with the branch-and-bound solver they are checking.
 `plain_memo_solve` is the one exception: the solver itself, with the
 exact-repeat memo it had before dominance, to check that pruning against.
+`reference_context` and `reference_improvement` likewise keep the
+heuristic's older code, to check its rewrites against.
 """
 
 import random
@@ -14,6 +16,7 @@ import shlex
 import sys
 from dataclasses import replace
 from itertools import product
+from operator import attrgetter
 
 import curesched.exact
 from curesched.bounds import residual_bound
@@ -29,19 +32,27 @@ from curesched.domain import (
     PARTS_PER_HEATER,
     Schedule,
     ceil_div,
+    first_capacity,
+    heater_walk,
     initial_residents,
     multiset,
     pair_slots,
     part_usage,
+    periods_for,
     plan_slot,
+    produced_by_mold,
+    schedule_makespan,
     slot_rate,
     transition_work,
+    uncovered_molds,
+    validate_schedule,
 )
 from curesched.errors import NoFeasiblePlacement
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.heuristic import _Context
 
 PHI = 14400  # one day in deciminutes
+_BY_ID = attrgetter("id")
 
 
 def toy1() -> Instance:
@@ -262,6 +273,109 @@ def reference_placement(inst: Instance, tuples,
                                if u + extra > capacity[res]], default=0)
                           for extra in range(3)]
     return Schedule(tuples=sorted(placed, key=lambda t: t.id))
+
+
+def _reference_shave(inst: Instance, schedule: Schedule,
+                     ctx: _Context) -> Schedule:
+    """Trim the last tuple on each heater down to what demand still needs.
+
+    An identical pair loses two tires per quantity step, so its cut is
+    halved. A trimmed tuple keeps its heater, start and predecessor, so the
+    changeover it was placed with, at its heater's cure time and rate,
+    sizes its new length.
+    """
+    tuples = sorted(schedule.tuples, key=_BY_ID)
+    produced = produced_by_mold(tuples)
+
+    # each heater's last tuple, with what its predecessor left behind
+    last_on = {}
+    for k, t, residents, prev_end in heater_walk(inst, tuples):
+        last_on[k] = (t, residents, prev_end)
+
+    out = {t.id: t for t in tuples}
+    for k, (last, residents, prev_end) in last_on.items():
+        if last.q <= 1:
+            continue
+        surplus = min(
+            produced[m] - inst.mold_by_id[m].demand
+            for m in last.mold_counts()
+        )
+        if last.m1 != EMPTY and last.m1 == last.m2:
+            delta = min(last.q - 1, surplus // 2)
+        else:
+            delta = min(last.q - 1, surplus)
+        if delta <= 0:
+            continue
+        new_q = last.q - delta
+        pair = last.m1, last.m2
+        work = ctx.plans[multiset(residents), ctx.counts[pair],
+                         last.start > prev_end]
+        _k, r, cure = next(row for row in ctx.heaters[pair] if row[0] == k)
+        length = periods_for(new_q, first_capacity(inst.period_dmin, work,
+                                                   cure), r)
+        out[last.id] = replace(last, q=new_q, length=length)
+        for m, c in last.mold_counts().items():
+            produced[m] -= c * delta
+    return Schedule(tuples=sorted(out.values(), key=_BY_ID))
+
+
+def _reference_split(tuples) -> list:
+    """The improvement step's split list: each two-mold tuple, in id order,
+    becomes two halves (identical pairs two identical pairs, mixed pairs two
+    singles) with fresh ids past the largest; singles stay as they are."""
+    base = sorted(tuples, key=_BY_ID)
+    next_id = max((t.id for t in base), default=0)
+    split = []
+    for t in base:
+        if t.m1 != EMPTY:
+            q_hi = ceil_div(t.q, 2)
+            q_lo = t.q - q_hi
+            if t.m1 == t.m2:
+                halves = ((t.m1, t.m2, q_hi), (t.m1, t.m2, q_lo))
+            else:
+                halves = ((EMPTY, t.m1, q_hi), (EMPTY, t.m2, q_lo))
+            for m1, m2, q in halves:
+                if q >= 1:
+                    next_id += 1
+                    split.append(AssignmentTuple(id=next_id, m1=m1, m2=m2, q=q))
+        else:
+            split.append(AssignmentTuple(id=t.id, m1=t.m1, m2=t.m2, q=t.q))
+    return split
+
+
+def reference_improvement(inst: Instance, schedule: Schedule,
+                          parts_mode: str = PARTS_PER_HEATER, *,
+                          ctx=None) -> Schedule:
+    """The heuristic's improvement step on `AssignmentTuple`s, as it ran
+    before it worked on rows: its body, `_split` and
+    `_shave_overproduction` kept verbatim (as `_reference_split` and
+    `_reference_shave`), with `reference_placement` as its placement, the
+    split's coverage counted on the split list itself and the context
+    derived by `reference_context`.  Returns `schedule` itself when it
+    keeps no candidate.
+
+    Split-reassign-shave local search; keeps strictly better schedules.
+    Every two-mold tuple splits into two halves (identical pairs into two
+    identical pairs, mixed pairs into two singles), everything is placed
+    from scratch, and overproduced tails are shaved. The candidate
+    replaces the incumbent only when it can be placed, is feasible and is
+    strictly shorter; a split list that misses demand is not placed.
+    """
+    ctx = ctx or reference_context(inst)
+    improved = schedule
+    while not uncovered_molds(inst, produced_by_mold(
+            _reference_split(improved.tuples))):
+        try:
+            candidate = reference_placement(
+                inst, _reference_split(improved.tuples), parts_mode)
+        except NoFeasiblePlacement:
+            return improved
+        candidate = _reference_shave(inst, candidate, ctx)
+        if not (schedule_makespan(candidate) < schedule_makespan(improved)
+                and validate_schedule(inst, candidate, parts_mode).ok):
+            return improved
+        improved = candidate
+    return improved
 
 
 def garbage_solver(tmp_path, solution="garbage") -> str:

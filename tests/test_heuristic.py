@@ -42,10 +42,13 @@ from curesched.gen import SCENARIOS, generate_instance
 from curesched.heuristic import (
     HeuristicConfig,
     _Profile,
-    assignment_procedure,
-    improvement_procedure,
+    _context,
+    _draw,
+    _improve,
+    _place,
+    _schedule,
+    _shave,
     iteration_seed,
-    mold_pairs_procedure,
     run_heuristic,
 )
 from curesched.horizon import horizon_witness
@@ -54,6 +57,7 @@ from helpers import (
     malformed_variants,
     pair_table_corpus,
     reference_context,
+    reference_improvement,
     reference_placement,
     single_mold_big,
     tiny_instance,
@@ -80,27 +84,40 @@ class ScriptedRng:
         return seq[0]
 
 
-def _pairs(tuples):
-    return [(t.m1, t.m2, t.q) for t in tuples]
+def _pairs(rows):
+    return [(m1, m2, q) for _id, m1, m2, q in rows]
+
+
+def _tuples(rows):
+    """The `AssignmentTuple`s of (id, m1, m2, q, ...) rows."""
+    return [AssignmentTuple(*row) for row in rows]
+
+
+def _uncut(inst, rows, mode=PARTS_PER_HEATER, ctx=None):
+    """The rows `_place` places, in placement order, with no cutoff, on a
+    fresh context unless given one."""
+    placed, cut = _place(inst, ctx or _context(inst), rows, mode)
+    assert not cut
+    return placed
 
 
 # ── pairing ──────────────────────────────────────────────────────────
 
 def test_toy1_pairing_mixed_draws():
-    tuples = mold_pairs_procedure(toy1(), ScriptedRng([(1, 2), (1, 2)]))
-    assert _pairs(tuples) == [(1, 2, 5), (1, 2, 5)]
-    assert [t.id for t in tuples] == [1, 2]
-    assert all(not t.assigned for t in tuples)
+    rows = _draw(_context(toy1()), ScriptedRng([(1, 2), (1, 2)]))
+    assert _pairs(rows) == [(1, 2, 5), (1, 2, 5)]
+    assert [row[0] for row in rows] == [1, 2]
+    assert all(len(row) == 4 for row in rows)  # none placed
 
 
 def test_toy1_pairing_identical_draws():
-    tuples = mold_pairs_procedure(toy1(), ScriptedRng([(1, 1), (2, 2)]))
-    assert _pairs(tuples) == [(1, 1, 5), (2, 2, 5)]
+    rows = _draw(_context(toy1()), ScriptedRng([(1, 1), (2, 2)]))
+    assert _pairs(rows) == [(1, 1, 5), (2, 2, 5)]
 
 
 def test_toy2_pairing_forced_singles():
-    tuples = mold_pairs_procedure(toy2(), ScriptedRng())
-    assert sorted(_pairs(tuples)) == [(0, 1, 10), (0, 2, 10)]
+    rows = _draw(_context(toy2()), ScriptedRng())
+    assert sorted(_pairs(rows)) == [(0, 1, 10), (0, 2, 10)]
 
 
 def test_pairing_covers_demand_with_batch_ceiling():
@@ -111,17 +128,17 @@ def test_pairing_covers_demand_with_batch_ceiling():
             Mold(id=2, copies=2, setup_dmin=600, removal_dmin=300, demand=0),
         ),
     )
-    tuples = mold_pairs_procedure(inst, random.Random(7))
-    produced = produced_by_mold(tuples).get(1, 0)
+    rows = _draw(_context(inst), random.Random(7))
+    produced = produced_by_mold(_tuples(rows)).get(1, 0)
     assert produced >= 10
-    assert all(t.q <= 4 for t in tuples)  # ceil(10/3) = 4
+    assert all(q <= 4 for *_, q in rows)  # ceil(10/3) = 4
 
 
 def test_pairing_raises_when_nothing_admissible():
     # inadmissible on purpose: the required part has no units at all
     inst = variant(toy2(), parts=(Part(id=1, units=0, molds=frozenset({1, 2})),))
     with pytest.raises(UnproduciblePair):
-        mold_pairs_procedure(inst, random.Random(0))
+        _draw(_context(inst), random.Random(0))
 
 
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
@@ -138,25 +155,24 @@ def test_run_without_starts_refuses_a_witness_short_of_part_units(mode):
 def test_pool_drops_pairs_of_molds_without_demand():
     """A pair holding a mold with no demand is never drawable, so the run's
     pool leaves it out; each start then draws what it drew when it filtered
-    the pool itself (frozen below), with or without the run's context."""
+    the pool itself (frozen below), on a fresh context or the run's."""
     base = generate_instance(SCENARIOS["small"], 3)
     inst = variant(base, molds=tuple(replace(m, demand=0) if m.id == 1 else m
                                      for m in base.molds))
     assert (1, 2) in inst.mold_compat
-    pool = curesched.heuristic._context(inst).pool
+    pool = _context(inst).pool
     assert pool == [(0, 2), (0, 3), (0, 4), (0, 5), (2, 3), (2, 4), (2, 5),
                     (3, 4), (3, 5), (4, 5)]
-    assert (0, 1) in curesched.heuristic._context(base).pool
+    assert (0, 1) in _context(base).pool
     frozen = [
         [(2, 5, 52), (3, 4, 65), (0, 4, 52), (0, 5, 112)],
         [(0, 4, 117), (2, 5, 52), (0, 3, 65), (0, 5, 112)],
         [(0, 2, 52), (0, 3, 65), (0, 4, 117), (0, 5, 164)],
     ]
-    ctx = curesched.heuristic._context(inst)
+    ctx = _context(inst)
     for seed, draws in enumerate(frozen):
-        assert _pairs(mold_pairs_procedure(inst, random.Random(seed))) == draws
-        assert _pairs(mold_pairs_procedure(inst, random.Random(seed),
-                                           ctx=ctx)) == draws
+        assert _pairs(_draw(_context(inst), random.Random(seed))) == draws
+        assert _pairs(_draw(ctx, random.Random(seed))) == draws
     assert ctx.pool == pool  # a start draws from a copy
 
 
@@ -206,8 +222,8 @@ def test_pairing_keeps_each_surviving_list_once_per_run(seed):
     pool = list(ctx.pool)
     for i in range(200):
         rng = random.Random(iteration_seed(1, i))
-        assert mold_pairs_procedure(inst, rng, ctx=ctx) == \
-            mold_pairs_procedure(inst, random.Random(iteration_seed(1, i)))
+        assert _draw(ctx, rng) == \
+            _draw(_context(inst), random.Random(iteration_seed(1, i)))
     assert ctx.pool == pool
     assert ctx.pools[frozenset()] is ctx.pool
     assert len(ctx.pools) > 1
@@ -221,14 +237,13 @@ def test_pairing_zero_demand():
         molds=tuple(Mold(m.id, m.copies, m.setup_dmin, m.removal_dmin, 0)
                     for m in toy1().molds),
     )
-    assert mold_pairs_procedure(inst, random.Random(0)) == []
+    assert _draw(_context(inst), random.Random(0)) == []
 
 
 # ── assignment ───────────────────────────────────────────────────────
 
 def test_toy2_assignment_sequential():
-    tuples = [AssignmentTuple(1, 0, 1, 10), AssignmentTuple(2, 0, 2, 10)]
-    sched = assignment_procedure(toy2(), tuples)
+    sched = _schedule(_uncut(toy2(), [(1, 0, 1, 10), (2, 0, 2, 10)]))
     placed = sorted(sched.tuples, key=lambda t: t.id)
     assert (placed[0].heater, placed[0].start, placed[0].length) == (1, 0, 1)
     assert (placed[1].heater, placed[1].start, placed[1].length) == (1, 1, 1)
@@ -238,7 +253,7 @@ def test_toy2_assignment_sequential():
 
 def test_assignment_prefers_preloaded_heater():
     inst = variant(toy1_two_heaters(), init={(1, 2): 1})
-    sched = assignment_procedure(inst, [AssignmentTuple(1, 0, 1, 7)])
+    sched = _schedule(_uncut(inst, [(1, 0, 1, 7)]))
     t = sched.tuples[0]
     assert (t.heater, t.start, t.length) == (2, 0, 1)
 
@@ -249,9 +264,7 @@ def test_assignment_waits_for_mold_copies():
         Mold(id=2, copies=2, setup_dmin=600, removal_dmin=300, demand=0),
     )
     inst = variant(toy1_two_heaters(), molds=molds)
-    sched = assignment_procedure(
-        inst, [AssignmentTuple(1, 0, 1, 5), AssignmentTuple(2, 0, 1, 5)]
-    )
+    sched = _schedule(_uncut(inst, [(1, 0, 1, 5), (2, 0, 1, 5)]))
     placed = sorted(sched.tuples, key=lambda t: t.id)
     assert (placed[0].heater, placed[0].start) == (1, 0)
     # the single copy frees at period 1; staying on heater 1 avoids a setup
@@ -261,18 +274,16 @@ def test_assignment_waits_for_mold_copies():
 
 def test_assignment_two_heaters_parallel():
     inst = toy1_two_heaters()
-    sched = assignment_procedure(
-        inst, [AssignmentTuple(1, 1, 2, 5), AssignmentTuple(2, 1, 2, 5)]
-    )
+    sched = _schedule(_uncut(inst, [(1, 1, 2, 5), (2, 1, 2, 5)]))
     assert schedule_makespan(sched) == 1
     assert {t.heater for t in sched.tuples} == {1, 2}
 
 
 def test_assignment_is_deterministic():
     inst = toy1()
-    tuples = [AssignmentTuple(1, 1, 2, 5), AssignmentTuple(2, 1, 2, 5)]
-    a = assignment_procedure(inst, tuples)
-    b = assignment_procedure(inst, tuples)
+    rows = [(1, 1, 2, 5), (2, 1, 2, 5)]
+    a = _schedule(_uncut(inst, rows))
+    b = _schedule(_uncut(inst, rows))
     assert [(t.id, t.heater, t.start, t.length) for t in a.tuples] == \
            [(t.id, t.heater, t.start, t.length) for t in b.tuples]
 
@@ -315,9 +326,10 @@ def test_profile_clear_matches_a_recount():
 
 def test_improvement_splits_identical_pair_across_heaters():
     inst = single_mold_big(copies=4, heaters=2)
-    initial = assignment_procedure(inst, [AssignmentTuple(1, 1, 1, 500)])
-    assert schedule_makespan(initial) == 20
-    improved = improvement_procedure(inst, initial)
+    ctx = _context(inst)
+    initial = _uncut(inst, [(1, 1, 1, 500)], ctx=ctx)
+    assert schedule_makespan(_schedule(initial)) == 20
+    improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
     assert schedule_makespan(improved) == 10
     assert validate_schedule(inst, improved).ok
 
@@ -329,20 +341,63 @@ def test_improvement_shaves_overproduction():
         curing={(1, 1): 1440},
         mold_compat=((1, 1),),
     )
-    initial = assignment_procedure(inst, [AssignmentTuple(1, 0, 1, 12)])
-    assert schedule_makespan(initial) == 2
-    improved = improvement_procedure(inst, initial)
+    ctx = _context(inst)
+    initial = _uncut(inst, [(1, 0, 1, 12)], ctx=ctx)
+    assert schedule_makespan(_schedule(initial)) == 2
+    improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
     assert schedule_makespan(improved) == 1
     assert [t.q for t in improved.tuples] == [9]
 
 
+def test_shave_trims_heaters_in_ascending_order():
+    """Mold 1 is mounted on heater 2, so tuple 1 is placed there first and
+    tuple 2 on heater 1 after it. Both are their heater's last row and
+    share mold 1's surplus of 10: heater 1's row is trimmed first, as
+    `heater_walk` orders heaters, down to 1, and heater 2's then loses the
+    1 left."""
+    inst = variant(toy1_two_heaters(), init={(1, 2): 1})
+    ctx = _context(inst)
+    placed = _uncut(inst, [(1, 0, 1, 10), (2, 0, 1, 10)], ctx=ctx)
+    assert [row[4] for row in placed] == [2, 1]
+    produced = {1: 20}
+    _shave(inst, ctx, placed, produced)
+    assert placed == [(1, 0, 1, 9, 2, 0, 1), (2, 0, 1, 1, 1, 0, 1)]
+    assert produced == {1: 10}
+
+
+@pytest.mark.parametrize("before,demand,after", [
+    # mold 1 stays mounted: no changeover, so the first period cures 11
+    ((1, 0, 1, 11, 1, 0, 2), 22, (2, 0, 1, 11, 1, 2, 1)),
+    # mold 2 comes off in the idle period 1, so only the setup is lost and
+    # the first period cures 10 (9 with the removal in it too)
+    ((1, 0, 2, 5, 1, 0, 1), 10, (2, 0, 1, 10, 1, 2, 1)),
+], ids=["mounted", "idle-gap"])
+def test_shave_sizes_a_trimmed_row_after_its_predecessor(before, demand,
+                                                         after):
+    """One heater, cure time 1300 (11 a period), setup 606, removal 1000:
+    the last row, 13 of mold 1 from period 2, is trimmed to what demand
+    needs, and its length is what `plan_slot` gives after the row placed
+    before it, with the idle gap between them."""
+    inst = variant(toy1(), molds=(Mold(1, 2, 606, 1000, demand),
+                                  Mold(2, 2, 606, 1000, 5)),
+                   curing={(1, 1): 1300, (2, 1): 1300},
+                   mold_compat=((1, 1), (2, 2)))
+    placed = [before, (2, 0, 1, 13, 1, 2, 2)]
+    _shave(inst, _context(inst), placed, produced_by_mold(_tuples(placed)))
+    assert placed == [before, after]
+    _id, m1, m2, q, k, start, length = after
+    plan = curesched.domain.plan_slot(
+        inst, k, _tuples([before])[0].mold_counts(), before[5] + before[6],
+        start, {m2: 1})
+    assert length == plan.length_for(q)
+
+
 def test_improvement_keeps_toy1_at_two_periods():
     inst = toy1()
-    initial = assignment_procedure(
-        inst, [AssignmentTuple(1, 1, 1, 5), AssignmentTuple(2, 2, 2, 5)]
-    )
-    assert schedule_makespan(initial) == 2
-    improved = improvement_procedure(inst, initial)
+    ctx = _context(inst)
+    initial = _uncut(inst, [(1, 1, 1, 5), (2, 2, 2, 5)], ctx=ctx)
+    assert schedule_makespan(_schedule(initial)) == 2
+    improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
     assert schedule_makespan(improved) == 2
 
 
@@ -350,31 +405,31 @@ def test_improvement_places_no_split_that_misses_demand(monkeypatch):
     # mixed pairs with no surplus: the singles they split into cure 3 + 3 of
     # mold 1 and 2 + 2 of mold 2 against demand 10 each, so nothing is placed
     inst = toy1()
-    initial = assignment_procedure(
-        inst, [AssignmentTuple(1, 1, 2, 5), AssignmentTuple(2, 1, 2, 5)])
+    ctx = _context(inst)
+    initial = _uncut(inst, [(1, 1, 2, 5), (2, 1, 2, 5)], ctx=ctx)
 
     def must_not_place(*args, **kwargs):
         raise AssertionError("a split that misses demand was placed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(curesched.heuristic, "assignment_procedure",
-                      must_not_place)
-        assert improvement_procedure(inst, initial) is initial
+        patch.setattr(curesched.heuristic, "_place", must_not_place)
+        assert _improve(inst, ctx, initial, PARTS_PER_HEATER) is initial
 
     # a mixed pair curing twice the demand still splits into singles that
     # cover it; on one heater they take 2 periods, not 1, so the one
     # placement is also the last
     inst = variant(toy1(), molds=tuple(replace(m, demand=5)
                                        for m in toy1().molds))
-    initial = assignment_procedure(inst, [AssignmentTuple(1, 1, 2, 10)])
+    ctx = _context(inst)
+    initial = _uncut(inst, [(1, 1, 2, 10)], ctx=ctx)
     placed = []
 
-    def recorded(inst, tuples, *args, **kwargs):
-        placed.append(sorted((t.m1, t.m2, t.q) for t in tuples))
-        return assignment_procedure(inst, tuples, *args, **kwargs)
+    def recorded(inst, ctx, rows, *args, **kwargs):
+        placed.append(sorted(_pairs(rows)))
+        return _place(inst, ctx, rows, *args, **kwargs)
 
-    monkeypatch.setattr(curesched.heuristic, "assignment_procedure", recorded)
-    assert improvement_procedure(inst, initial) is initial
+    monkeypatch.setattr(curesched.heuristic, "_place", recorded)
+    assert _improve(inst, ctx, initial, PARTS_PER_HEATER) is initial
     assert placed == [[(0, 1, 5), (0, 2, 5)]]
 
 
@@ -382,23 +437,22 @@ def test_improvement_places_no_split_that_misses_demand(monkeypatch):
 def test_improvement_drops_uncovered_splits_exactly(monkeypatch, mode):
     """Every list the improvement step places covers demand, and no
     candidate check in the run fails on coverage."""
-    place, validate = assignment_procedure, validate_schedule
+    validate = validate_schedule
     placed, misses, reports = [], [], []
 
-    def checked_place(inst, tuples, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "improvement_procedure":
-            produced = produced_by_mold(tuples)
+    def checked_place(inst, ctx, rows, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_improve":
+            produced = produced_by_mold(_tuples(rows))
             placed.append(inst.name)
             misses.extend((inst.name, m.id) for m in inst.molds
                           if produced.get(m.id, 0) < m.demand)
-        return place(inst, tuples, *args, **kwargs)
+        return _place(inst, ctx, rows, *args, **kwargs)
 
     def checked_validate(*args, **kwargs):
         reports.append(validate(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(curesched.heuristic, "assignment_procedure",
-                        checked_place)
+    monkeypatch.setattr(curesched.heuristic, "_place", checked_place)
     monkeypatch.setattr(curesched.heuristic, "validate_schedule",
                         checked_validate)
     cfg = HeuristicConfig(total_iterations=20, seed=1, parts_mode=mode)
@@ -411,11 +465,43 @@ def test_improvement_drops_uncovered_splits_exactly(monkeypatch, mode):
 def test_improvement_never_degrades_and_stays_feasible():
     for seed in range(12):
         inst = tiny_instance(seed)
-        tuples = mold_pairs_procedure(inst, random.Random(seed * 17 + 1))
-        initial = assignment_procedure(inst, tuples)
-        improved = improvement_procedure(inst, initial)
-        assert schedule_makespan(improved) <= schedule_makespan(initial)
+        ctx = _context(inst)
+        rows = _draw(ctx, random.Random(seed * 17 + 1))
+        initial = _uncut(inst, rows, ctx=ctx)
+        improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
+        assert schedule_makespan(improved) <= schedule_makespan(
+            _schedule(initial))
         assert validate_schedule(inst, improved).ok
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+@pytest.mark.parametrize("corpus", ["tiny", "plants"])
+def test_improve_gives_the_reference_improvement(corpus, mode):
+    """On every start whose first split covers demand, at 20 starts on
+    tiny 1000-1199 and 100 on the plants, `_improve` keeps the rows the
+    improvement step on `AssignmentTuple`s keeps (`reference_improvement`,
+    which places with `reference_placement`), and it returns the incumbent
+    list itself exactly when the reference keeps the incumbent schedule.
+    Both outcomes occur."""
+    kinds = Counter()
+    starts = 100 if corpus == "plants" else 20
+    for inst in _corpus(corpus):
+        ctx = _context(inst)
+        for i in range(starts):
+            rows = _draw(ctx, random.Random(iteration_seed(1, i)))
+            if _split_misses_demand(inst, rows):
+                continue
+            try:
+                placed = _uncut(inst, rows, mode, ctx)
+            except NoFeasiblePlacement:
+                continue
+            initial = _schedule(placed)
+            expected = reference_improvement(inst, initial, mode)
+            got = _improve(inst, ctx, placed, mode)
+            assert sorted(got) == _tuple_rows(expected), (inst.name, i)
+            assert (got is placed) == (expected is initial), (inst.name, i)
+            kinds[got is placed] += 1
+    assert kinds[True] and kinds[False]
 
 
 # ── multi-start driver ───────────────────────────────────────────────
@@ -532,18 +618,18 @@ def _tuple_rows(schedule):
             for t in schedule.tuples]
 
 
-def _split_misses_demand(inst, tuples):
-    """Whether halving each two-mold tuple, a mixed pair into singles of
-    ceil(q/2) and floor(q/2), leaves some demand uncured."""
+def _split_misses_demand(inst, rows):
+    """Whether halving each two-mold (id, m1, m2, q) row, a mixed pair into
+    singles of ceil(q/2) and floor(q/2), leaves some demand uncured."""
     produced = Counter()
-    for t in tuples:
-        if t.m1 == t.m2:
-            produced[t.m1] += 2 * t.q
-        elif t.m1:
-            produced[t.m1] += (t.q + 1) // 2
-            produced[t.m2] += t.q // 2
+    for _id, m1, m2, q in rows:
+        if m1 == m2:
+            produced[m1] += 2 * q
+        elif m1:
+            produced[m1] += (q + 1) // 2
+            produced[m2] += q // 2
         else:
-            produced[t.m2] += t.q
+            produced[m2] += q
     return any(produced[m.id] < m.demand for m in inst.molds)
 
 
@@ -553,91 +639,43 @@ def test_start_cutoff_is_exact(monkeypatch, mode):
     above gives the same schedule, and a start whose first split misses
     demand is settled by placing alone."""
     improved = []
-    improve = curesched.heuristic.improvement_procedure
 
     def counted_improve(*args, **kwargs):
-        improved.append(args[1])
-        return improve(*args, **kwargs)
+        improved.append(args[2])
+        return _improve(*args, **kwargs)
 
-    monkeypatch.setattr(curesched.heuristic, "improvement_procedure",
-                        counted_improve)
+    monkeypatch.setattr(curesched.heuristic, "_improve", counted_improve)
     single_start = curesched.heuristic._single_start
     kinds = Counter()
     for inst in _corpus("tiny"):
-        ctx = curesched.heuristic._context(inst)
+        ctx = _context(inst)
         for i in range(20):
             seed = iteration_seed(1, i)
-            tuples = mold_pairs_procedure(inst, random.Random(seed), ctx=ctx)
+            rows = _draw(ctx, random.Random(seed))
             try:
-                uncut = assignment_procedure(inst, tuples, mode, ctx=ctx)
+                uncut = _uncut(inst, rows, mode, ctx)
             except NoFeasiblePlacement:
                 continue
-            makespan = schedule_makespan(uncut)
+            makespan = schedule_makespan(_schedule(uncut))
             for cutoff in (1, makespan):
-                assert assignment_procedure(inst, tuples, mode, ctx=ctx,
-                                            cutoff=cutoff).sentinel
-            again = assignment_procedure(inst, tuples, mode, ctx=ctx,
-                                         cutoff=makespan + 1)
-            assert _tuple_rows(again) == _tuple_rows(uncut)
+                assert _place(inst, ctx, rows, mode, cutoff)[1]
+            again, cut = _place(inst, ctx, rows, mode, makespan + 1)
+            assert not cut and again == uncut
 
             improved.clear()
             start = single_start(inst, seed, mode, ctx, makespan)
-            misses = _split_misses_demand(inst, tuples)
+            misses = _split_misses_demand(inst, rows)
             kinds[misses] += 1
             if misses:
                 assert improved == [] and start.sentinel
                 assert _tuple_rows(single_start(inst, seed, mode, ctx,
-                                                makespan + 1)) == _tuple_rows(uncut)
+                                                makespan + 1)) == sorted(uncut)
                 assert _tuple_rows(single_start(inst, seed, mode, ctx)) \
-                    == _tuple_rows(uncut)
+                    == sorted(uncut)
                 assert improved == []
             else:  # improving may shorten it, so it runs uncut
                 assert len(improved) == 1 and not start.sentinel
     assert kinds[True] and kinds[False]
-
-
-def _placement_record(inst, ctx, tuples, mode, cutoff=math.inf):
-    """(rows placed in placement order, whether the cutoff stopped it), as
-    the placement kernel keeps them for `tuples`."""
-    return curesched.heuristic._place(
-        inst, ctx, [(t.id, t.m1, t.m2, t.q) for t in tuples], mode, cutoff)
-
-
-@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
-@pytest.mark.parametrize("corpus", ["tiny", "plants"])
-def test_a_start_gives_what_the_public_procedures_give(corpus, mode):
-    """`_single_start`, which draws and places plain rows, returns what the
-    public path does for the same seed and cutoff, at 20 starts on tiny
-    1000-1199 and 100 on the plants: `mold_pairs_procedure`,
-    then `assignment_procedure` with the cutoff where the first split
-    misses demand, and otherwise without it and through
-    `improvement_procedure`; the sentinel where a placement fails."""
-    kinds = Counter()
-    starts = 100 if corpus == "plants" else 20
-    for inst in _corpus(corpus):
-        ctx = curesched.heuristic._context(inst)
-        best = math.inf  # the cutoff run_heuristic would pass
-        for i in range(starts):
-            seed = iteration_seed(1, i)
-            got = curesched.heuristic._single_start(inst, seed, mode, ctx,
-                                                    best)
-            tuples = mold_pairs_procedure(inst, random.Random(seed), ctx=ctx)
-            settled = _split_misses_demand(inst, tuples)
-            try:
-                if settled:
-                    expected = assignment_procedure(inst, tuples, mode,
-                                                    ctx=ctx, cutoff=best)
-                else:
-                    expected = improvement_procedure(
-                        inst, assignment_procedure(inst, tuples, mode,
-                                                   ctx=ctx), mode, ctx=ctx)
-            except NoFeasiblePlacement:
-                expected = Schedule.empty_candidate()
-            assert got.sentinel == expected.sentinel, (inst.name, i)
-            assert _tuple_rows(got) == _tuple_rows(expected), (inst.name, i)
-            kinds[settled, got.sentinel] += 1
-            best = min(best, schedule_makespan(got))
-    assert kinds[True, True] and kinds[True, False] and kinds[False, False]
 
 
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
@@ -650,25 +688,19 @@ def test_work_bound_cut_is_exact_where_it_fires(mode):
     rows."""
     fired = Counter()
     for inst in _corpus("plants"):
-        ctx = curesched.heuristic._context(inst)
+        ctx = _context(inst)
         best = None  # the cutoff run_heuristic would pass: the best so far
         for i in range(5):
-            tuples = mold_pairs_procedure(
-                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
-            uncut = assignment_procedure(inst, tuples, mode, ctx=ctx)
+            rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             # every tuple placed, in placement order
-            order, stopped = _placement_record(inst, ctx, tuples, mode)
-            assert not stopped and sorted(order) == _tuple_rows(uncut)
-            makespan = schedule_makespan(uncut)
+            order, stopped = _place(inst, ctx, rows, mode)
+            assert not stopped
+            makespan = schedule_makespan(_schedule(order))
             for cutoff in {best, makespan, makespan + 1} - {None}:
-                cut = assignment_procedure(inst, tuples, mode, ctx=ctx,
-                                           cutoff=cutoff)
+                seen, stopped = _place(inst, ctx, rows, mode, cutoff)
                 if cutoff > makespan:
-                    assert _tuple_rows(cut) == _tuple_rows(uncut)
+                    assert not stopped and seen == order
                     continue
-                assert cut.sentinel
-                seen, stopped = _placement_record(inst, ctx, tuples, mode,
-                                                  cutoff)
                 assert stopped
                 # placing stops at the latest at the first tuple ending at
                 # or after the cutoff, so the bound fired if fewer were placed
@@ -692,30 +724,27 @@ def test_heater_cut_places_as_every_heater_would(corpus, mode):
     when the reference ends at or after it."""
     seen = Counter()
     for inst in _corpus(corpus):
-        ctx = curesched.heuristic._context(inst)
+        ctx = _context(inst)
         best = math.inf  # the cutoff run_heuristic would pass
         for i in range(20):
-            tuples = mold_pairs_procedure(
-                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
+            rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             try:
-                expected = reference_placement(inst, tuples, mode)
+                expected = reference_placement(inst, _tuples(rows), mode)
             except NoFeasiblePlacement:
                 expected = None
             makespan = schedule_makespan(expected or Schedule.empty_candidate())
             for cutoff in {math.inf, best, makespan, makespan + 1}:
                 try:
-                    got = assignment_procedure(inst, tuples, mode, ctx=ctx,
-                                               cutoff=cutoff)
+                    got, cut = _place(inst, ctx, rows, mode, cutoff)
                 except NoFeasiblePlacement:
                     assert expected is None, (inst.name, i, cutoff)
                     seen["no placement"] += 1
                     continue
                 if makespan >= cutoff:  # the reference fails or ends late
-                    assert got.sentinel and cutoff < math.inf, (
-                        inst.name, i, cutoff)
+                    assert cut and cutoff < math.inf, (inst.name, i, cutoff)
                     seen["sentinel"] += 1
                 else:
-                    assert _tuple_rows(got) == _tuple_rows(expected), (
+                    assert not cut and sorted(got) == _tuple_rows(expected), (
                         inst.name, i, cutoff)
                     seen["schedule"] += 1
             best = min(best, makespan)
@@ -734,17 +763,17 @@ def test_a_heater_that_cures_nothing_in_a_period_is_never_chosen():
                                  (1, 1): base.period_dmin + 1})
     plan = curesched.domain.plan_slot(inst, 1, {}, 0, 0, {1: 1, 2: 1})
     assert plan.problems == ("cure time exceeds the period budget on heater 1",)
-    tuples = [AssignmentTuple(1, 1, 2, 30), AssignmentTuple(2, 0, 1, 30),
-              AssignmentTuple(3, 0, 2, 30), AssignmentTuple(4, 1, 1, 10)]
-    expected = reference_placement(inst, tuples)
+    rows = [(1, 1, 2, 30), (2, 0, 1, 30), (3, 0, 2, 30), (4, 1, 1, 10)]
+    expected = reference_placement(inst, _tuples(rows))
     assert all(t.heater == 2 for t in expected.tuples if 1 in (t.m1, t.m2))
     makespan = schedule_makespan(expected)
     for cutoff in (math.inf, makespan, makespan + 1):
-        got = assignment_procedure(inst, tuples, cutoff=cutoff)
+        got, cut = _place(inst, _context(inst), rows, PARTS_PER_HEATER,
+                          cutoff)
         if cutoff <= makespan:
-            assert got.sentinel
+            assert cut
         else:
-            assert _tuple_rows(got) == _tuple_rows(expected), cutoff
+            assert sorted(got) == _tuple_rows(expected), cutoff
 
 
 def test_work_bound_counts_only_heaters_some_pair_runs_on():
@@ -755,17 +784,16 @@ def test_work_bound_counts_only_heaters_some_pair_runs_on():
     uncut rows."""
     inst = variant(toy1(), heaters=(1, 2), init={(1, 1): 1})
     # mold 1 is mounted, so each tuple cures its full rate from period 0
-    tuples = [AssignmentTuple(1, 0, 1, 72), AssignmentTuple(2, 0, 1, 108)]
-    uncut = reference_placement(inst, tuples)
+    rows = [(1, 0, 1, 72), (2, 0, 1, 108)]
+    uncut = reference_placement(inst, _tuples(rows))
     assert _tuple_rows(uncut) == [(1, 0, 1, 72, 1, 0, 2),
                                   (2, 0, 1, 108, 1, 2, 3)]
-    assert assignment_procedure(inst, tuples, cutoff=5).sentinel
-    placed, stopped = _placement_record(
-        inst, curesched.heuristic._context(inst), tuples, PARTS_PER_HEATER, 5)
+    ctx = _context(inst)
+    placed, stopped = _place(inst, ctx, rows, PARTS_PER_HEATER, 5)
     assert stopped and placed == []
-    assert _tuple_rows(assignment_procedure(inst, tuples, cutoff=6)) \
-        == _tuple_rows(uncut)
-    assert curesched.heuristic._context(inst).working == 1
+    placed, stopped = _place(inst, ctx, rows, PARTS_PER_HEATER, 6)
+    assert not stopped and sorted(placed) == _tuple_rows(uncut)
+    assert ctx.working == 1
 
 
 def _boundary_instance(resource, units):
@@ -792,23 +820,23 @@ def test_a_resource_gets_a_profile_unless_it_can_never_bind(resource, units,
     makespan and one past it.  At 2|H| - 1 units the second identical
     pair waits for the first."""
     inst = _boundary_instance(resource, units)
-    ctx = curesched.heuristic._context(inst)
+    ctx = _context(inst)
     held = ctx.held_global if mode == PARTS_GLOBAL else ctx.held
     profiled = {res for rows in held.values() for res, _n, _cap in rows}
     binds = units < 4 and (resource == "mold" or mode == PARTS_GLOBAL)
     ids = (1, 2) if resource == "mold" else (1,)
     assert profiled == ({(resource, i) for i in ids} if binds else set())
     first = 1 if resource == "mold" else 2  # the part spans both molds
-    tuples = [AssignmentTuple(1, 1, 1, 40), AssignmentTuple(2, first, first, 40)]
-    expected = reference_placement(inst, tuples, mode)
+    rows = [(1, 1, 1, 40), (2, first, first, 40)]
+    expected = reference_placement(inst, _tuples(rows), mode)
     assert (expected.tuples[1].start > 0) == binds
     makespan = schedule_makespan(expected)
     for cutoff in (math.inf, makespan, makespan + 1):
-        got = assignment_procedure(inst, tuples, mode, ctx=ctx, cutoff=cutoff)
+        got, cut = _place(inst, ctx, rows, mode, cutoff)
         if cutoff <= makespan:
-            assert got.sentinel
+            assert cut
         else:
-            assert _tuple_rows(got) == _tuple_rows(expected), cutoff
+            assert sorted(got) == _tuple_rows(expected), cutoff
 
 
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
@@ -826,17 +854,16 @@ def test_a_start_cut_at_once_builds_no_profile(monkeypatch, mode):
     monkeypatch.setattr(curesched.heuristic, "_Profile", Counted)
     at_once = uncut_built = 0
     for inst in _corpus("plants"):
-        ctx = curesched.heuristic._context(inst)
+        ctx = _context(inst)
         best = math.inf
         for i in range(3):
-            tuples = mold_pairs_procedure(
-                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
+            rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             built[:] = []
-            uncut, _stopped = _placement_record(inst, ctx, tuples, mode)
+            uncut, _stopped = _place(inst, ctx, rows, mode)
             first_end = uncut[0][5] + uncut[0][6]
             uncut_built += len(built)
             built[:] = []
-            seen, stopped = _placement_record(inst, ctx, tuples, mode, best)
+            seen, stopped = _place(inst, ctx, rows, mode, best)
             # nothing placed, though the first tuple ends before the cutoff
             if stopped and not seen and first_end < best:
                 at_once += 1
@@ -897,13 +924,11 @@ def test_work_bound_premise_holds_for_every_slot_plan():
 def test_split_production_is_the_split_lists_production():
     instances = [tiny_instance(seed) for seed in range(1000, 1200)]
     for inst in instances + _corpus("plants"):
-        ctx = curesched.heuristic._context(inst)
+        ctx = _context(inst)
         for i in range(20):
-            tuples = mold_pairs_procedure(
-                inst, random.Random(iteration_seed(1, i)), ctx=ctx)
-            rows = [(t.id, t.m1, t.m2, t.q) for t in tuples]
+            rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             assert curesched.heuristic._split_production(rows) \
-                == produced_by_mold(curesched.heuristic._split(tuples))
+                == produced_by_mold(_tuples(curesched.heuristic._split(rows)))
 
 
 # sha256 of repr(_tuple_rows(...)) at 20 starts, seed 1, earliest-finish
@@ -1092,8 +1117,8 @@ def test_two_removals_blocks_a_following_single():
     assert validate_instance(inst).ok
     assert solve_exact(inst, 3).makespan == 1
     with pytest.raises(NoFeasiblePlacement):
-        assignment_procedure(
-            inst, [AssignmentTuple(1, 1, 1, 4), AssignmentTuple(2, 0, 2, 8)])
+        _place(inst, _context(inst), [(1, 1, 1, 4), (2, 0, 2, 8)],
+               PARTS_PER_HEATER)
 
 
 def test_a_pair_no_heater_cures_is_not_placed():
@@ -1101,7 +1126,7 @@ def test_a_pair_no_heater_cures_is_not_placed():
     inst = variant(toy1(), curing={(1, 1): 400})
     with pytest.raises(NoFeasiblePlacement,
                        match=r"^pair \(1, 2\) fits no heater$"):
-        assignment_procedure(inst, [AssignmentTuple(1, 1, 2, 4)])
+        _place(inst, _context(inst), [(1, 1, 2, 4)], PARTS_PER_HEATER)
 
 
 def test_run_heuristic_skips_failed_starts():
@@ -1120,14 +1145,14 @@ def test_run_heuristic_raises_when_every_start_fails():
 
 def test_improvement_keeps_incumbent_when_split_cannot_be_placed(monkeypatch):
     inst = toy1()
-    initial = assignment_procedure(
-        inst, [AssignmentTuple(1, 1, 1, 5), AssignmentTuple(2, 2, 2, 5)])
+    ctx = _context(inst)
+    initial = _uncut(inst, [(1, 1, 1, 5), (2, 2, 2, 5)], ctx=ctx)
 
     def unplaceable(*args, **kwargs):
         raise NoFeasiblePlacement("no heater budget")
 
-    monkeypatch.setattr(curesched.heuristic, "assignment_procedure", unplaceable)
-    assert improvement_procedure(inst, initial) is initial
+    monkeypatch.setattr(curesched.heuristic, "_place", unplaceable)
+    assert _improve(inst, ctx, initial, PARTS_PER_HEATER) is initial
 
 
 def test_config_validation():

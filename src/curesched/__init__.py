@@ -28,8 +28,8 @@ _EXPORTS = {
         "SolutionParseError", "SolverFault", "UnproduciblePair",
     ),
     "horizon": ("compute_thb", "horizon_witness", "pooled_molds"),
-    "bounds": ("first_period_most", "mold_rate", "residual_bound",
-               "root_bound"),
+    "bounds": ("first_period_most", "mold_rate", "mold_rates",
+               "residual_bound", "root_bound"),
     "heuristic": ("HeuristicConfig", "run_heuristic"),
     "milp": (
         "MilpModel", "ModelStats", "build_model", "check_assignment",

@@ -21,7 +21,8 @@ from .domain import (
     slot_rate,
 )
 
-__all__ = ["first_period_most", "mold_rate", "residual_bound", "root_bound"]
+__all__ = ["first_period_most", "mold_rate", "mold_rates", "residual_bound",
+           "root_bound"]
 
 
 def mold_rate(inst: Instance, mold_id: int, parts_mode: str) -> int:
@@ -91,6 +92,12 @@ def first_period_most(inst: Instance, mold_id: int) -> int:
     return sum(slots[:mold.copies])
 
 
+def mold_rates(inst: Instance, parts_mode: str) -> dict:
+    """Demanded mold -> its `mold_rate` in `parts_mode`, ids ascending: the
+    rates `root_bound` rests on, kept with it, so no caller may change it."""
+    return _root(inst, parts_mode)[0]
+
+
 def root_bound(inst: Instance, parts_mode: str):
     """Lower bound on the makespan of the whole instance in `parts_mode`:
     L, the `residual_bound` of the whole demand, or L + 1 when some mold
@@ -100,13 +107,23 @@ def root_bound(inst: Instance, parts_mode: str):
     its demand in L - 1 periods at `mold_rate`, so only a mold at L can
     fail; and the check asks only whether L periods can do, so the bound
     rises by at most 1."""
+    return _root(inst, parts_mode)[1]
+
+
+def _root(inst: Instance, parts_mode: str) -> tuple:
+    """(`mold_rates`, `root_bound`), derived once and kept on the instance."""
+    if parts_mode not in inst._root_bounds:
+        inst._root_bounds[parts_mode] = _derive_root(inst, parts_mode)
+    return inst._root_bounds[parts_mode]
+
+
+def _derive_root(inst: Instance, parts_mode: str) -> tuple:
     demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
     rate = {i: mold_rate(inst, i, parts_mode) for i in demand}
     lb = residual_bound(demand, rate)
-    if lb == math.inf:
-        return lb
-    for i, d in demand.items():
-        if (ceil_div(d, rate[i]) == lb
-                and first_period_most(inst, i) < d - (lb - 1) * rate[i]):
-            return lb + 1
-    return lb
+    if lb != math.inf and any(
+            ceil_div(d, rate[i]) == lb
+            and first_period_most(inst, i) < d - (lb - 1) * rate[i]
+            for i, d in demand.items()):
+        lb += 1
+    return rate, lb

@@ -82,9 +82,9 @@ class Instance:
     of m may run together. `init` maps (mold, heater) to copies already
     mounted before the first period.
 
-    The pair table (`pair_slots`) is not built here: the first call builds
-    it and keeps it on the instance, so loading or generating an instance
-    never pays for it.
+    The pair table (`pair_slots`) and root bounds are not built here: the
+    first call builds each and keeps it on the instance, so loading or
+    generating an instance never pays for them.
     """
 
     def __init__(self, name, period_dmin, molds, heaters, curing,
@@ -113,6 +113,7 @@ class Instance:
             for m in self.molds
         }
         self._pair_slots = None  # built by the first `pair_slots` call
+        self._root_bounds = {}  # parts mode -> `bounds._root`, when asked
 
     def __repr__(self):
         return (f"Instance({self.name!r}, molds={len(self.molds)}, "

@@ -30,7 +30,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import le
 
-from .bounds import mold_rate, residual_bound, root_bound
+from .bounds import mold_rates, residual_bound, root_bound
 from .domain import (
     ChangeoverMemo,
     Instance,
@@ -388,7 +388,7 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
     start_clock = time.perf_counter()
     deadline = start_clock + time_limit_seconds
     demanded = sorted(m.id for m in inst.molds if m.demand > 0)
-    rate = {i: mold_rate(inst, i, parts_mode) for i in demanded}
+    rate = mold_rates(inst, parts_mode)
 
     residual0 = {i: inst.mold_by_id[i].demand for i in demanded}
     initial = initial_residents(inst)

@@ -15,35 +15,21 @@ A start runs the paper's three procedures on plain rows: it draws
 (id, m1, m2, q) rows (`_draw`), places them with the one placement
 kernel, `_place`, which gives (id, m1, m2, q, heater, start, length)
 rows, and improves those (`_improve`), which splits, places and shaves
-rows too. It builds `AssignmentTuple`s and a `Schedule` only for a
-placement that is not cut, and for an improved candidate to validate.
+rows too. A start hands back its placed rows; `AssignmentTuple`s and a
+`Schedule` are built only for the run's result and for an improved
+candidate to validate.
 
-Placing rests on one exact bound: a tuple of q takes at least ceil(q / r)
-periods on a heater of full-period rate r for its pair (a plan's first
-period holds no more than a full one). So each tuple skips the heaters,
-visited fastest first, that cannot end by the best end found yet; and a
-later start that its improvement step could not change stops placing once
-it cannot beat the best so far: once a tuple ends there, or once its
-pending tuples, at their pairs' best rates, no longer fit in the heater
-time and mold copies left before the best makespan. That bound is tested
-first, so a start it stops at once builds nothing else.
-
-Each round of placing takes the pending pair that can start soonest. The
-pairs wait in a heap under the ready period they had when pushed, which
-is re-worked out only at the top (a lazy greedy scan): ready periods only
-grow, so a top pair whose period has not grown is the true choice. A mold
-or part with at least two units per heater that can hold it never delays
-a start beyond its heaters' own availability, so it is not tracked.
-
-No heater changes a changeover's budget, so a run works out each
-changeover once, in its `ChangeoverMemo`, and each heater sizes a tuple
-from that deduction at its own cure time, as `plan_slot` would, with the
-`first_capacity` and `periods_for` arithmetic written out in the kernel.
+Placing (`_place`) is exact list scheduling sped up three ways, each
+argued in its docstring: a lazy greedy scan of the pending pairs, cuts
+from one bound (a tuple of q takes at least ceil(q / r) periods on a
+heater of full-period rate r), which skip heaters that cannot win and
+stop a later start that cannot beat the best so far, and a per-run
+`ChangeoverMemo`, which works out each changeover once for every heater.
 """
 
 import math
 import random
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from heapq import heappop, heapreplace
 from operator import itemgetter
@@ -115,9 +101,13 @@ class HeuristicConfig:
 # ── what every start of a run shares ─────────────────────────────────
 
 
+_Pair = namedtuple("_Pair", "heaters molds held heater_set")
+
+
 @dataclass(frozen=True)
 class _Context:
-    """Data a run derives from the instance once, for all its starts.
+    """Data a run derives from the instance once, for all its starts, in
+    its parts mode.
 
     The row functions take it as `ctx`. `_context` builds it in one pass
     over the `pair_slots` rows, which come pair by pair, each pair's
@@ -132,14 +122,16 @@ class _Context:
     pools       : frozenset of used-up molds -> the `pool` pairs holding none
                   of them, in pool order; filled by the run's draws as they
                   meet each set, and never changed once filled
-    heaters     : (m1, m2) -> (heater, rate, cure) rows of the heaters able
-                  to run the pair, fastest first, ids breaking ties; cure is
+    pairs       : (m1, m2) -> its `_Pair` record, for every runnable pair:
+                  heaters: (heater, rate, cure) rows of the heaters able to
+                  run the pair, fastest first, ids breaking ties; cure is
                   the slot's slowest cure time there, the rate its
-                  full-period `slot_rate`
-    counts      : (m1, m2) -> `multiset` of the pair's molds
-    held        : (m1, m2) -> (resource, units, capacity) of each mold the
-                  pair holds that can block a start (see `_place`)
-    held_global : the same with the parts, for the global parts mode
+                  full-period `slot_rate`; molds: `multiset` of the pair's
+                  molds; held: (resource, units, capacity) of each mold,
+                  and in the global parts mode each part, the pair holds
+                  that can block a start (see `_place`); heater_set: the
+                  index of its heaters in `heater_sets`
+    parts_mode  : how part units are shared in the run
     initial     : heater -> `multiset` mounted before the first period
     plans       : the run's `ChangeoverMemo`: each changeover (what a
                   heater holds, the pair, whether an idle gap comes first)
@@ -147,7 +139,6 @@ class _Context:
                   meets it; a value is its deduction, None past a budget
     heater_sets : the distinct sets of a pair's heaters, as id-sorted tuples
     working     : how many heaters some pair can run on
-    set_of      : (m1, m2) -> index of its heaters in `heater_sets`
     sets_with   : heater -> indices of the `heater_sets` holding it
     """
 
@@ -155,19 +146,16 @@ class _Context:
     demand: dict
     pool: list
     pools: dict
-    heaters: dict
-    counts: dict
-    held: dict
-    held_global: dict
+    pairs: dict
+    parts_mode: str
     initial: dict
     plans: ChangeoverMemo
     heater_sets: list
     working: int
-    set_of: dict
     sets_with: dict
 
 
-def _context(inst: Instance) -> _Context:
+def _context(inst: Instance, parts_mode: str) -> _Context:
     phi = inst.period_dmin
     heaters, counts, usage, ids = {}, {}, {}, {}
     pair = None
@@ -188,28 +176,28 @@ def _context(inst: Instance) -> _Context:
             sets_with[k].append(i)
     demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
 
-    # a mold with at least 2 copies per heater that cures it never binds,
-    # nor a part with 2 units per heater that cures one of its molds
+    # no mold with 2 copies per heater that cures it binds, nor a part with
+    # 2 units per heater that cures one of its molds, nor any per heater
     cures = inst.compat_heaters
     binding_copies = {m.id: m.copies for m in inst.molds
                       if m.copies < 2 * len(cures[m.id])}
     binding_units = {p.id: p.units for p in inst.parts
                      if p.units < 2 * len(set().union(
-                         *(cures.get(m, ()) for m in p.molds)))}
-
-    held, held_global = {}, {}
-    for pair in heaters:
-        held[pair] = rows = [(("mold", m), c, binding_copies[m])
-                             for m, c in counts[pair].items()
-                             if m in binding_copies]
-        held_global[pair] = rows + [(("part", p), u, binding_units[p])
-                                    for p, u in usage[pair].items()
-                                    if p in binding_units]
+                         *(cures.get(m, ()) for m in p.molds)))
+                     } if parts_mode == PARTS_GLOBAL else {}
+    pairs = {
+        pair: _Pair(rows, multiset(counts[pair]),
+                    [(("mold", m), c, binding_copies[m])
+                     for m, c in counts[pair].items() if m in binding_copies]
+                    + [(("part", p), u, binding_units[p])
+                       for p, u in usage[pair].items() if p in binding_units],
+                    index[ids[pair]])
+        for pair, rows in heaters.items()}
 
     setup = {m.id: m.setup_dmin for m in inst.molds}
-    pool = [pair for pair in sorted(heaters)
+    pool = [pair for pair in sorted(pairs)
             if all(m in demand for m in pair if m != EMPTY)
-            and sum(setup[m] * c for m, c in counts[pair].items())
+            and sum(setup[m] * c for m, c in pairs[pair].molds)
             <= inst.period_dmin]
     return _Context(
         batch={m.id: ceil_div(m.demand, m.copies) for m in inst.molds
@@ -217,15 +205,12 @@ def _context(inst: Instance) -> _Context:
         demand=demand,
         pool=pool,
         pools={frozenset(): pool},
-        heaters=heaters,
-        counts={pair: multiset(c) for pair, c in counts.items()},
-        held=held,
-        held_global=held_global,
+        pairs=pairs,
+        parts_mode=parts_mode,
         initial={k: multiset(r) for k, r in initial_residents(inst).items()},
         plans=ChangeoverMemo(inst),
         heater_sets=heater_sets,
         working=len(set().union(*heater_sets)),
-        set_of={pair: index[hs] for pair, hs in ids.items()},
         sets_with=sets_with,
     )
 
@@ -325,8 +310,7 @@ def _makespan(placed) -> int:
     return max((start + length for *_, start, length in placed), default=0)
 
 
-def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
-           cutoff=math.inf) -> tuple:
+def _place(inst: Instance, ctx: _Context, rows, cutoff=math.inf) -> tuple:
     """(placed, cut): the (id, m1, m2, q) `rows`, given in id order, placed
     as (id, m1, m2, q, heater, start, length) rows in placement order, and
     whether the `cutoff` stopped placing first; then `placed` holds what
@@ -338,10 +322,13 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
     fast heater that frees a little later beats a slow one that is free
     now (the minimum-completion-time rule of list scheduling on unrelated
     machines); ties go to the earlier start, then the least changeover
-    work, then the lowest id. The heaters are visited fastest first
-    (`ctx.heaters`), and one whose start plus ceil(q / r) at its rate r
-    ends after the best end so far is not planned: it could only lose, so
-    the choice is the one every heater's plan would give.
+    work, then the lowest id. The heaters are visited fastest first (the
+    pair's `_Pair.heaters`), and one whose start plus ceil(q / r) at its
+    rate r ends after the best end so far is not planned: it could only
+    lose, so the choice is the one every heater's plan would give. No
+    heater starts before the tuple's ready period and the rates only fall,
+    so once the ready period plus ceil(q / r) ends after the best end, no
+    later heater can win either, and the visit stops there.
 
     Each mold, and each part in global mode, that a pending pair holds
     keeps a usage profile that answers one question: from which period on
@@ -354,7 +341,7 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
     availabilities only grow.
 
     A resource with at least 2|H| units, H the heaters that cure it (for a
-    part, one of its molds), gets no profile (`ctx.held`): a tuple holds
+    part, one of its molds), gets no profile (`_Pair.held`): a tuple holds
     at most 2 units of it, so a period in which one or two more units do
     not fit has at least 2|H| - 1 held, every heater of H busy, and a pair
     holding it, whose heaters all lie in H, has none free in that period
@@ -389,7 +376,7 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
     placement changes only for the heater time and for its own molds.
     Without a cutoff none of this runs.
     """
-    heaters, counts, plans = ctx.heaters, ctx.counts, ctx.plans
+    pairs, plans = ctx.pairs, ctx.plans
     phi = inst.period_dmin
     heater_sets, sets_with = ctx.heater_sets, ctx.sets_with
     placed = []
@@ -400,13 +387,12 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
         least = []  # rank -> the fewest periods the tuple takes anywhere
         mold_by_id, mold_spare = inst.mold_by_id, {}
         for _id, m1, m2, q in rows:
-            pair = m1, m2
-            options = heaters.get(pair)
-            if options is None:
-                raise _fits_no_heater(pair)
-            n = -(-q // options[0][1])  # at the pair's best rate
+            record = pairs.get((m1, m2))
+            if record is None:
+                raise NoFeasiblePlacement(f"pair {(m1, m2)} fits no heater")
+            n = -(-q // record.heaters[0][1])  # at the pair's best rate
             least.append(n)
-            for m, c in counts[pair]:
+            for m, c in record.molds:
                 if m in mold_spare:
                     mold_spare[m] -= c * n
                 else:
@@ -415,27 +401,28 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
         if spare < 0 or min(mold_spare.values(), default=0) < 0:
             return placed, True
 
-    # pair -> its scan row: the index of its heaters in `heater_sets`, the
-    # (clear list, units, profile) of each resource it holds that can
-    # bind, its pending ranks after the one in the heap, and the pair; a
-    # resource gets its usage profile once a pending pair holds it
-    held_by = ctx.held_global if parts_mode == PARTS_GLOBAL else ctx.held
-    set_of, profiles, scan, heap = ctx.set_of, {}, {}, []
+    # pair -> its scan row: its heater set's index, the (clear list, units,
+    # profile) of each resource it holds that can bind, its pending ranks
+    # after the one in the heap, its heater rows and molds; a resource gets
+    # its usage profile once a pending pair holds it
+    profiles, scan, heap = {}, {}, []
     for rank, (_id, m1, m2, _q) in enumerate(rows):
         pair = m1, m2
         row = scan.get(pair)
         if row is not None:
             row[2].append(rank)
             continue
-        if pair not in heaters:
-            raise _fits_no_heater(pair)
+        record = pairs.get(pair)
+        if record is None:
+            raise NoFeasiblePlacement(f"pair {pair} fits no heater")
         held = []
-        for res, n, capacity in held_by[pair]:
+        for res, n, capacity in record.held:
             profile = profiles.get(res)
             if profile is None:
                 profile = profiles[res] = _Profile(capacity)
             held.append((profile.clear, n, profile))
-        row = scan[pair] = (set_of[pair], held, deque(), pair)
+        row = scan[pair] = (record.heater_set, held, deque(), record.heaters,
+                            record.molds)
         # ranks ascend, so this is a heap; they are distinct, so two
         # entries never compare their rows
         heap.append((0, rank, row))
@@ -448,7 +435,7 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
     while heap:
         # the pending pair that can start soonest, the lowest rank on ties
         stored, rank, row = heap[0]
-        set_index, held, queue, pair = row
+        set_index, held, queue, options, molds = row
         ready = earliest[set_index]
         for clear, n, _profile in held:
             if clear[n] > ready:
@@ -462,13 +449,15 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
             heappop(heap)
 
         tuple_id, m1, m2, q = rows[rank]
-        molds = counts[pair]
         chosen, chosen_end = None, math.inf
-        for k, r, cure in heaters[pair]:
+        for k, r, cure in options:
             free = avail[k]
             base = free if free > ready else ready
-            if base + -(-q // r) > chosen_end:
-                continue  # it cannot end by the chosen end: it cannot win
+            least_here = -(-q // r)
+            if base + least_here > chosen_end:  # it cannot end by then
+                if ready + least_here > chosen_end:
+                    break  # nor can any slower heater
+                continue
             held_k = holds[k]
             work, wait = plans[held_k, molds, base > free], 0
             if work is None:
@@ -506,10 +495,6 @@ def _place(inst: Instance, ctx: _Context, rows, parts_mode: str,
                     return placed, True
 
     return placed, False
-
-
-def _fits_no_heater(pair) -> NoFeasiblePlacement:
-    return NoFeasiblePlacement(f"pair {pair} fits no heater")
 
 
 # ── improvement ──────────────────────────────────────────────────────
@@ -583,13 +568,14 @@ def _shave(inst: Instance, ctx: _Context, placed: list,
         if k in last:
             before[k] = placed[last[k]]
         last[k] = i
-    counts, mold_by_id = ctx.counts, inst.mold_by_id
+    pairs, mold_by_id = ctx.pairs, inst.mold_by_id
     for k in sorted(last):
         i = last[k]
         tuple_id, m1, m2, q, _k, start, _length = placed[i]
         if q <= 1:
             continue
-        molds = counts[m1, m2]
+        record = pairs[m1, m2]
+        molds = record.molds
         surplus = min(produced[m] - mold_by_id[m].demand for m, _c in molds)
         delta = min(q - 1, surplus // 2 if m1 == m2 else surplus)
         if delta <= 0:
@@ -598,17 +584,17 @@ def _shave(inst: Instance, ctx: _Context, placed: list,
         if prev is None:
             residents, prev_end = ctx.initial[k], 0
         else:
-            residents, prev_end = counts[prev[1], prev[2]], prev[5] + prev[6]
+            residents = pairs[prev[1], prev[2]].molds
+            prev_end = prev[5] + prev[6]
         work = ctx.plans[residents, molds, start > prev_end]
-        _k, r, cure = next(row for row in ctx.heaters[m1, m2] if row[0] == k)
+        _k, r, cure = next(row for row in record.heaters if row[0] == k)
         placed[i] = (tuple_id, m1, m2, q - delta, k, start, periods_for(
             q - delta, first_capacity(inst.period_dmin, work, cure), r))
         for m, c in molds:
             produced[m] -= c * delta
 
 
-def _improve(inst: Instance, ctx: _Context, placed: list,
-             parts_mode: str) -> list:
+def _improve(inst: Instance, ctx: _Context, placed: list) -> list:
     """Split-reassign-shave local search on a start's placed rows: the
     placed rows it keeps, `placed` itself when it keeps no candidate.
 
@@ -632,13 +618,13 @@ def _improve(inst: Instance, ctx: _Context, placed: list,
         if uncovered_molds(inst, produced):
             return best
         try:
-            candidate, _cut = _place(inst, ctx, _split(best), parts_mode)
+            candidate, _cut = _place(inst, ctx, _split(best))
         except NoFeasiblePlacement:
             return best
         _shave(inst, ctx, candidate, produced)
         end = _makespan(candidate)
         if not (end < makespan and validate_schedule(
-                inst, _schedule(candidate), parts_mode).ok):
+                inst, _schedule(candidate), ctx.parts_mode).ok):
             return best
         best, makespan = candidate, end
 
@@ -646,32 +632,28 @@ def _improve(inst: Instance, ctx: _Context, placed: list,
 # ── multi-start driver ───────────────────────────────────────────────
 
 
-def _single_start(inst: Instance, seed: int, parts_mode: str,
-                  ctx: _Context, cutoff=math.inf) -> Schedule:
-    """One randomized start; the sentinel candidate if its tuples cannot
+def _single_start(inst: Instance, ctx: _Context, seed: int,
+                  cutoff=math.inf) -> list | None:
+    """One randomized start: its placed rows, or None if its tuples cannot
     all be placed, or if it cannot end before `cutoff`.
 
-    The start draws (`_draw`) and places (`_place`) plain rows, and builds
-    a `Schedule` only for a placement that is not cut. The cutoff is the
-    run's best makespan so far. It applies only when the improvement
-    step's first split misses demand (`_split_production`): that step then
-    returns the placement unchanged, so placing alone settles the start,
-    and `_place` stops it once it cannot end before the cutoff. A start
-    whose split covers demand is placed and improved in full, since
-    improving can shorten it.
+    The start draws (`_draw`) and places (`_place`) plain rows. The cutoff
+    is the run's best makespan so far. It applies only when the
+    improvement step's first split misses demand (`_split_production`):
+    that step then returns the placement unchanged, so placing alone
+    settles the start, and `_place` stops it once it cannot end before
+    the cutoff. A start whose split covers demand is placed and improved
+    in full, since improving can shorten it.
     """
     rows = _draw(ctx, random.Random(seed))
     settled = uncovered_molds(inst, _split_production(rows))
     try:
-        placed, cut = _place(inst, ctx, rows, parts_mode,
-                             cutoff if settled else math.inf)
+        placed, cut = _place(inst, ctx, rows, cutoff if settled else math.inf)
     except NoFeasiblePlacement:
-        return Schedule.empty_candidate()
+        return None
     if cut:
-        return Schedule.empty_candidate()
-    if settled:
-        return _schedule(placed)
-    return _schedule(_improve(inst, ctx, placed, parts_mode))
+        return None
+    return placed if settled else _improve(inst, ctx, placed)
 
 
 def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
@@ -683,7 +665,8 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     feasible schedule is shorter than a lower bound, so the result is the
     one all the starts would give. For the same reason each later start
     gets the best makespan as its cutoff (see `_single_start`): a start
-    that cannot end before it could only tie or lose.
+    that cannot end before it could only tie or lose. The best start's
+    rows become a `Schedule` once, at the end.
 
     The serial schedule behind the safe horizon (`horizon_witness`) is one
     more candidate. It replaces the best start only when strictly shorter,
@@ -694,26 +677,25 @@ def run_heuristic(inst: Instance, config: HeuristicConfig | None = None) -> Sche
     the witness does too.
     """
     config = config or HeuristicConfig()
-    ctx = _context(inst)
+    ctx = _context(inst, config.parts_mode)
     bound = root_bound(inst, config.parts_mode)
-    best = Schedule.empty_candidate()
-    best_makespan = schedule_makespan(best)
+    best, best_makespan = None, math.inf
     for i in range(config.total_iterations):
         # with no schedule yet, not even an infinite bound is met: its
         # starts show why no schedule exists
-        if not best.sentinel and best_makespan <= bound:
+        if best is not None and best_makespan <= bound:
             break  # no later start, nor the witness, can be shorter
-        sched = _single_start(inst, iteration_seed(config.seed, i),
-                              config.parts_mode, ctx, best_makespan)
-        if schedule_makespan(sched) < best_makespan:
-            best, best_makespan = sched, schedule_makespan(sched)
-    if best.sentinel or best_makespan > bound:
+        placed = _single_start(inst, ctx, iteration_seed(config.seed, i),
+                               best_makespan)
+        if placed is not None and _makespan(placed) < best_makespan:
+            best, best_makespan = placed, _makespan(placed)
+    if best is None or best_makespan > bound:
         witness = horizon_witness(inst)
         if schedule_makespan(witness) < best_makespan:
             return witness
-    if best.sentinel:
+    if best is None:
         raise NoFeasiblePlacement(
             f"no start placed every tuple in {config.total_iterations} tries "
             "and the safe horizon's serial schedule fits nowhere"
         )
-    return best
+    return _schedule(best)

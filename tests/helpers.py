@@ -14,7 +14,7 @@ heuristic's older code, to check its rewrites against.
 import random
 import shlex
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 from operator import attrgetter
 
@@ -49,7 +49,6 @@ from curesched.domain import (
 )
 from curesched.errors import NoFeasiblePlacement
 from curesched.gen import SCENARIOS, generate_instance
-from curesched.heuristic import _Context
 
 PHI = 14400  # one day in deciminutes
 _BY_ID = attrgetter("id")
@@ -116,10 +115,33 @@ def reference_pair_slots(inst: Instance) -> list:
     return slots
 
 
+@dataclass(frozen=True)
+class _Context:
+    """The heuristic's run context as it was laid out before its per-pair
+    records: five per-pair dicts (`heaters`, `counts`, `held`,
+    `held_global`, `set_of`), one context for both parts modes."""
+
+    batch: dict
+    demand: dict
+    pool: list
+    pools: dict
+    heaters: dict
+    counts: dict
+    held: dict
+    held_global: dict
+    initial: dict
+    plans: ChangeoverMemo
+    heater_sets: list
+    working: int
+    set_of: dict
+    sets_with: dict
+
+
 def reference_context(inst: Instance) -> _Context:
     """`heuristic._context` derived the older way, its body kept verbatim:
     each row appended through `setdefault`, each pair's heaters sorted on
-    (-rate, id), and every heater set scanned for each heater."""
+    (-rate, id), and every heater set scanned for each heater.  It gives
+    the older layout (`_Context` here), both parts modes in one."""
     heaters, counts, usage = {}, {}, {}
     for s in pair_slots(inst):  # each pair's heaters ascending
         pair = (s.m1, s.m2)

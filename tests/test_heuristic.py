@@ -18,6 +18,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import fields, replace
+from itertools import product
 
 import pytest
 
@@ -95,8 +96,8 @@ def _tuples(rows):
 
 def _uncut(inst, rows, mode=PARTS_PER_HEATER, ctx=None):
     """The rows `_place` places, in placement order, with no cutoff, on a
-    fresh context unless given one."""
-    placed, cut = _place(inst, ctx or _context(inst), rows, mode)
+    fresh context in `mode` unless given one."""
+    placed, cut = _place(inst, ctx or _context(inst, mode), rows)
     assert not cut
     return placed
 
@@ -104,19 +105,21 @@ def _uncut(inst, rows, mode=PARTS_PER_HEATER, ctx=None):
 # ── pairing ──────────────────────────────────────────────────────────
 
 def test_toy1_pairing_mixed_draws():
-    rows = _draw(_context(toy1()), ScriptedRng([(1, 2), (1, 2)]))
+    rows = _draw(_context(toy1(), PARTS_PER_HEATER),
+                 ScriptedRng([(1, 2), (1, 2)]))
     assert _pairs(rows) == [(1, 2, 5), (1, 2, 5)]
     assert [row[0] for row in rows] == [1, 2]
     assert all(len(row) == 4 for row in rows)  # none placed
 
 
 def test_toy1_pairing_identical_draws():
-    rows = _draw(_context(toy1()), ScriptedRng([(1, 1), (2, 2)]))
+    rows = _draw(_context(toy1(), PARTS_PER_HEATER),
+                 ScriptedRng([(1, 1), (2, 2)]))
     assert _pairs(rows) == [(1, 1, 5), (2, 2, 5)]
 
 
 def test_toy2_pairing_forced_singles():
-    rows = _draw(_context(toy2()), ScriptedRng())
+    rows = _draw(_context(toy2(), PARTS_PER_HEATER), ScriptedRng())
     assert sorted(_pairs(rows)) == [(0, 1, 10), (0, 2, 10)]
 
 
@@ -128,7 +131,7 @@ def test_pairing_covers_demand_with_batch_ceiling():
             Mold(id=2, copies=2, setup_dmin=600, removal_dmin=300, demand=0),
         ),
     )
-    rows = _draw(_context(inst), random.Random(7))
+    rows = _draw(_context(inst, PARTS_PER_HEATER), random.Random(7))
     produced = produced_by_mold(_tuples(rows)).get(1, 0)
     assert produced >= 10
     assert all(q <= 4 for *_, q in rows)  # ceil(10/3) = 4
@@ -138,7 +141,7 @@ def test_pairing_raises_when_nothing_admissible():
     # inadmissible on purpose: the required part has no units at all
     inst = variant(toy2(), parts=(Part(id=1, units=0, molds=frozenset({1, 2})),))
     with pytest.raises(UnproduciblePair):
-        _draw(_context(inst), random.Random(0))
+        _draw(_context(inst, PARTS_PER_HEATER), random.Random(0))
 
 
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
@@ -160,18 +163,19 @@ def test_pool_drops_pairs_of_molds_without_demand():
     inst = variant(base, molds=tuple(replace(m, demand=0) if m.id == 1 else m
                                      for m in base.molds))
     assert (1, 2) in inst.mold_compat
-    pool = _context(inst).pool
+    pool = _context(inst, PARTS_PER_HEATER).pool
     assert pool == [(0, 2), (0, 3), (0, 4), (0, 5), (2, 3), (2, 4), (2, 5),
                     (3, 4), (3, 5), (4, 5)]
-    assert (0, 1) in _context(base).pool
+    assert (0, 1) in _context(base, PARTS_PER_HEATER).pool
     frozen = [
         [(2, 5, 52), (3, 4, 65), (0, 4, 52), (0, 5, 112)],
         [(0, 4, 117), (2, 5, 52), (0, 3, 65), (0, 5, 112)],
         [(0, 2, 52), (0, 3, 65), (0, 4, 117), (0, 5, 164)],
     ]
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     for seed, draws in enumerate(frozen):
-        assert _pairs(_draw(_context(inst), random.Random(seed))) == draws
+        fresh = _context(inst, PARTS_PER_HEATER)
+        assert _pairs(_draw(fresh, random.Random(seed))) == draws
         assert _pairs(_draw(ctx, random.Random(seed))) == draws
     assert ctx.pool == pool  # a start draws from a copy
 
@@ -185,7 +189,8 @@ def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
     for inst in _corpus(corpus):
         slots = {(s.m1, s.m2): s for s in curesched.domain.pair_slots(inst)}
         demanded = {m.id for m in inst.molds if m.demand > 0}
-        assert curesched.heuristic._context(inst).pool == [
+        ctx = curesched.heuristic._context(inst, PARTS_PER_HEATER)
+        assert ctx.pool == [
             pair for pair, s in sorted(slots.items())
             if all(m in demanded for m in pair if m)
             and curesched.domain.fits_one_heater(inst, s.counts, s.usage)
@@ -194,21 +199,35 @@ def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
 
 def test_context_matches_the_reference_derivation():
     """`_context` in one pass gives what the older derivation gave, field
-    by field and in the same order (`heaters` rows, `pool`, `heater_sets`,
-    `sets_with` and every dict's keys), on the pair-table corpus and on
-    malformed instances; only `plans`, a fresh memo per run, is left out."""
+    by field and in the same order (`pool`, `heater_sets`, `sets_with`
+    and every dict's keys), in both parts modes, on the pair-table corpus
+    (tiny 1000-1199 and the plants among it) and on malformed instances;
+    only `plans`, a fresh memo per run, is left out.  Its five per-pair
+    dicts map onto the `pairs` records, in the same pair order: `heaters`
+    rows, `counts`, `held` per heater or `held_global` in global mode,
+    and `set_of`."""
     insts = pair_table_corpus() + list(malformed_variants().values())
-    for inst in insts:
-        got = curesched.heuristic._context(inst)
+    for inst, mode in product(insts, (PARTS_PER_HEATER, PARTS_GLOBAL)):
+        got = curesched.heuristic._context(inst, mode)
         want = reference_context(inst)
+        assert got.parts_mode == mode
         for field in fields(got):
-            if field.name == "plans":
+            if field.name in ("plans", "pairs", "parts_mode"):
                 continue
             a, b = getattr(got, field.name), getattr(want, field.name)
             assert a == b, (inst.name, field.name)
             if isinstance(a, dict):
                 assert list(a.items()) == list(b.items()), (inst.name,
                                                             field.name)
+        held = "held_global" if mode == PARTS_GLOBAL else "held"
+        for name, attr in (("heaters", "heaters"), ("counts", "molds"),
+                           (held, "held"), ("set_of", "heater_set")):
+            b = getattr(want, name)
+            assert list(got.pairs) == list(b), (inst.name, name)
+            assert [getattr(r, attr) for r in got.pairs.values()] \
+                == list(b.values()), (inst.name, mode, name)
+    old = {"heaters", "counts", "held", "held_global", "set_of"}
+    assert old.isdisjoint(f.name for f in fields(got))
 
 
 @pytest.mark.parametrize("seed", (9, 11))
@@ -218,12 +237,13 @@ def test_pairing_keeps_each_surviving_list_once_per_run(seed):
     match those of a fresh context each, the pool is never changed, and
     each kept list is the pool less the pairs holding a used-up mold."""
     inst = generate_instance(SCENARIOS["small"], seed)
-    ctx = curesched.heuristic._context(inst)
+    ctx = curesched.heuristic._context(inst, PARTS_PER_HEATER)
     pool = list(ctx.pool)
     for i in range(200):
         rng = random.Random(iteration_seed(1, i))
+        fresh = _context(inst, PARTS_PER_HEATER)
         assert _draw(ctx, rng) == \
-            _draw(_context(inst), random.Random(iteration_seed(1, i)))
+            _draw(fresh, random.Random(iteration_seed(1, i)))
     assert ctx.pool == pool
     assert ctx.pools[frozenset()] is ctx.pool
     assert len(ctx.pools) > 1
@@ -237,7 +257,7 @@ def test_pairing_zero_demand():
         molds=tuple(Mold(m.id, m.copies, m.setup_dmin, m.removal_dmin, 0)
                     for m in toy1().molds),
     )
-    assert _draw(_context(inst), random.Random(0)) == []
+    assert _draw(_context(inst, PARTS_PER_HEATER), random.Random(0)) == []
 
 
 # ── assignment ───────────────────────────────────────────────────────
@@ -326,10 +346,10 @@ def test_profile_clear_matches_a_recount():
 
 def test_improvement_splits_identical_pair_across_heaters():
     inst = single_mold_big(copies=4, heaters=2)
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     initial = _uncut(inst, [(1, 1, 1, 500)], ctx=ctx)
     assert schedule_makespan(_schedule(initial)) == 20
-    improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
+    improved = _schedule(_improve(inst, ctx, initial))
     assert schedule_makespan(improved) == 10
     assert validate_schedule(inst, improved).ok
 
@@ -341,10 +361,10 @@ def test_improvement_shaves_overproduction():
         curing={(1, 1): 1440},
         mold_compat=((1, 1),),
     )
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     initial = _uncut(inst, [(1, 0, 1, 12)], ctx=ctx)
     assert schedule_makespan(_schedule(initial)) == 2
-    improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
+    improved = _schedule(_improve(inst, ctx, initial))
     assert schedule_makespan(improved) == 1
     assert [t.q for t in improved.tuples] == [9]
 
@@ -356,7 +376,7 @@ def test_shave_trims_heaters_in_ascending_order():
     `heater_walk` orders heaters, down to 1, and heater 2's then loses the
     1 left."""
     inst = variant(toy1_two_heaters(), init={(1, 2): 1})
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     placed = _uncut(inst, [(1, 0, 1, 10), (2, 0, 1, 10)], ctx=ctx)
     assert [row[4] for row in placed] == [2, 1]
     produced = {1: 20}
@@ -383,7 +403,8 @@ def test_shave_sizes_a_trimmed_row_after_its_predecessor(before, demand,
                    curing={(1, 1): 1300, (2, 1): 1300},
                    mold_compat=((1, 1), (2, 2)))
     placed = [before, (2, 0, 1, 13, 1, 2, 2)]
-    _shave(inst, _context(inst), placed, produced_by_mold(_tuples(placed)))
+    _shave(inst, _context(inst, PARTS_PER_HEATER), placed,
+           produced_by_mold(_tuples(placed)))
     assert placed == [before, after]
     _id, m1, m2, q, k, start, length = after
     plan = curesched.domain.plan_slot(
@@ -394,10 +415,10 @@ def test_shave_sizes_a_trimmed_row_after_its_predecessor(before, demand,
 
 def test_improvement_keeps_toy1_at_two_periods():
     inst = toy1()
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     initial = _uncut(inst, [(1, 1, 1, 5), (2, 2, 2, 5)], ctx=ctx)
     assert schedule_makespan(_schedule(initial)) == 2
-    improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
+    improved = _schedule(_improve(inst, ctx, initial))
     assert schedule_makespan(improved) == 2
 
 
@@ -405,7 +426,7 @@ def test_improvement_places_no_split_that_misses_demand(monkeypatch):
     # mixed pairs with no surplus: the singles they split into cure 3 + 3 of
     # mold 1 and 2 + 2 of mold 2 against demand 10 each, so nothing is placed
     inst = toy1()
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     initial = _uncut(inst, [(1, 1, 2, 5), (2, 1, 2, 5)], ctx=ctx)
 
     def must_not_place(*args, **kwargs):
@@ -413,14 +434,14 @@ def test_improvement_places_no_split_that_misses_demand(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(curesched.heuristic, "_place", must_not_place)
-        assert _improve(inst, ctx, initial, PARTS_PER_HEATER) is initial
+        assert _improve(inst, ctx, initial) is initial
 
     # a mixed pair curing twice the demand still splits into singles that
     # cover it; on one heater they take 2 periods, not 1, so the one
     # placement is also the last
     inst = variant(toy1(), molds=tuple(replace(m, demand=5)
                                        for m in toy1().molds))
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     initial = _uncut(inst, [(1, 1, 2, 10)], ctx=ctx)
     placed = []
 
@@ -429,7 +450,7 @@ def test_improvement_places_no_split_that_misses_demand(monkeypatch):
         return _place(inst, ctx, rows, *args, **kwargs)
 
     monkeypatch.setattr(curesched.heuristic, "_place", recorded)
-    assert _improve(inst, ctx, initial, PARTS_PER_HEATER) is initial
+    assert _improve(inst, ctx, initial) is initial
     assert placed == [[(0, 1, 5), (0, 2, 5)]]
 
 
@@ -465,10 +486,10 @@ def test_improvement_drops_uncovered_splits_exactly(monkeypatch, mode):
 def test_improvement_never_degrades_and_stays_feasible():
     for seed in range(12):
         inst = tiny_instance(seed)
-        ctx = _context(inst)
+        ctx = _context(inst, PARTS_PER_HEATER)
         rows = _draw(ctx, random.Random(seed * 17 + 1))
         initial = _uncut(inst, rows, ctx=ctx)
-        improved = _schedule(_improve(inst, ctx, initial, PARTS_PER_HEATER))
+        improved = _schedule(_improve(inst, ctx, initial))
         assert schedule_makespan(improved) <= schedule_makespan(
             _schedule(initial))
         assert validate_schedule(inst, improved).ok
@@ -486,7 +507,7 @@ def test_improve_gives_the_reference_improvement(corpus, mode):
     kinds = Counter()
     starts = 100 if corpus == "plants" else 20
     for inst in _corpus(corpus):
-        ctx = _context(inst)
+        ctx = _context(inst, mode)
         for i in range(starts):
             rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             if _split_misses_demand(inst, rows):
@@ -497,7 +518,7 @@ def test_improve_gives_the_reference_improvement(corpus, mode):
                 continue
             initial = _schedule(placed)
             expected = reference_improvement(inst, initial, mode)
-            got = _improve(inst, ctx, placed, mode)
+            got = _improve(inst, ctx, placed)
             assert sorted(got) == _tuple_rows(expected), (inst.name, i)
             assert (got is placed) == (expected is initial), (inst.name, i)
             kinds[got is placed] += 1
@@ -561,9 +582,9 @@ def test_run_heuristic_tiny_instances_feasible():
 ], ids=lambda v: getattr(v, "name", None))
 def test_run_heuristic_stops_at_the_root_bound(monkeypatch, inst, stops_early):
     cfg = HeuristicConfig(total_iterations=20, seed=1)
-    ctx = curesched.heuristic._context(inst)
-    every = [curesched.heuristic._single_start(
-                 inst, iteration_seed(cfg.seed, i), cfg.parts_mode, ctx)
+    ctx = curesched.heuristic._context(inst, cfg.parts_mode)
+    every = [_start_schedule(curesched.heuristic._single_start(
+                 inst, ctx, iteration_seed(cfg.seed, i)))
              for i in range(cfg.total_iterations)]
     best = min(every, key=schedule_makespan)  # the first of the shortest
     witness = horizon_witness(inst)
@@ -578,7 +599,7 @@ def test_run_heuristic_stops_at_the_root_bound(monkeypatch, inst, stops_early):
     single_start = curesched.heuristic._single_start
 
     def counted(*args):
-        taken.append(args[1])
+        taken.append(args[2])
         return single_start(*args)
 
     monkeypatch.setattr(curesched.heuristic, "_single_start", counted)
@@ -586,6 +607,42 @@ def test_run_heuristic_stops_at_the_root_bound(monkeypatch, inst, stops_early):
     assert _tuple_rows(sched) == _tuple_rows(best)
     stop = cfg.total_iterations if first is None else first + 1
     assert taken == [iteration_seed(cfg.seed, i) for i in range(stop)]
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_a_run_builds_one_schedule_outside_the_improvement_step(monkeypatch,
+                                                                mode):
+    """Starts hand back rows, so outside `_improve`, which builds each
+    candidate it validates, a run calls `_schedule` once, for its result,
+    or never when the safe horizon's witness wins, on small 1-15 and tiny
+    1000-1039 at 20 starts.  Both kinds of result occur."""
+    built, witnesses = [], []
+    schedule, witness = _schedule, horizon_witness
+
+    def counted(placed):
+        built.append((sys._getframe(1).f_code.co_name, schedule(placed)))
+        return built[-1][1]
+
+    def kept_witness(inst):
+        witnesses.append(witness(inst))
+        return witnesses[-1]
+
+    monkeypatch.setattr(curesched.heuristic, "_schedule", counted)
+    monkeypatch.setattr(curesched.heuristic, "horizon_witness", kept_witness)
+    cfg = HeuristicConfig(total_iterations=20, seed=1, parts_mode=mode)
+    kinds = Counter()
+    for inst in _corpus("small") + [tiny_instance(s) for s in range(1000, 1040)]:
+        del built[:], witnesses[:]
+        sched = run_heuristic(inst, cfg)
+        outside = [(caller, b) for caller, b in built if caller != "_improve"]
+        if witnesses and sched is witnesses[0]:
+            assert outside == [], inst.name
+        else:
+            assert outside == [("run_heuristic", sched)], inst.name
+            assert outside[0][1] is sched, inst.name
+        kinds[bool(outside)] += 1
+        kinds["improved"] += len(built) - len(outside)
+    assert kinds[True] and kinds[False] and kinds["improved"]
 
 
 @pytest.mark.parametrize("inst,meets_bound", [
@@ -613,6 +670,11 @@ def test_witness_is_built_only_when_no_start_meets_the_bound(
     assert (sched is short) == (not meets_bound)
 
 
+def _start_schedule(placed):
+    """The `Schedule` of a start's placed rows; the sentinel for None."""
+    return Schedule.empty_candidate() if placed is None else _schedule(placed)
+
+
 def _tuple_rows(schedule):
     return [(t.id, t.m1, t.m2, t.q, t.heater, t.start, t.length)
             for t in schedule.tuples]
@@ -635,8 +697,8 @@ def _split_misses_demand(inst, rows):
 
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
 def test_start_cutoff_is_exact(monkeypatch, mode):
-    """A cutoff at or below a placement's makespan gives the sentinel, one
-    above gives the same schedule, and a start whose first split misses
+    """A cutoff at or below a placement's makespan gives no rows, one
+    above gives the same rows, and a start whose first split misses
     demand is settled by placing alone."""
     improved = []
 
@@ -648,7 +710,7 @@ def test_start_cutoff_is_exact(monkeypatch, mode):
     single_start = curesched.heuristic._single_start
     kinds = Counter()
     for inst in _corpus("tiny"):
-        ctx = _context(inst)
+        ctx = _context(inst, mode)
         for i in range(20):
             seed = iteration_seed(1, i)
             rows = _draw(ctx, random.Random(seed))
@@ -658,23 +720,21 @@ def test_start_cutoff_is_exact(monkeypatch, mode):
                 continue
             makespan = schedule_makespan(_schedule(uncut))
             for cutoff in (1, makespan):
-                assert _place(inst, ctx, rows, mode, cutoff)[1]
-            again, cut = _place(inst, ctx, rows, mode, makespan + 1)
+                assert _place(inst, ctx, rows, cutoff)[1]
+            again, cut = _place(inst, ctx, rows, makespan + 1)
             assert not cut and again == uncut
 
             improved.clear()
-            start = single_start(inst, seed, mode, ctx, makespan)
+            start = single_start(inst, ctx, seed, makespan)
             misses = _split_misses_demand(inst, rows)
             kinds[misses] += 1
             if misses:
-                assert improved == [] and start.sentinel
-                assert _tuple_rows(single_start(inst, seed, mode, ctx,
-                                                makespan + 1)) == sorted(uncut)
-                assert _tuple_rows(single_start(inst, seed, mode, ctx)) \
-                    == sorted(uncut)
+                assert improved == [] and start is None
+                assert single_start(inst, ctx, seed, makespan + 1) == uncut
+                assert single_start(inst, ctx, seed) == uncut
                 assert improved == []
             else:  # improving may shorten it, so it runs uncut
-                assert len(improved) == 1 and not start.sentinel
+                assert len(improved) == 1 and start is not None
     assert kinds[True] and kinds[False]
 
 
@@ -688,16 +748,16 @@ def test_work_bound_cut_is_exact_where_it_fires(mode):
     rows."""
     fired = Counter()
     for inst in _corpus("plants"):
-        ctx = _context(inst)
+        ctx = _context(inst, mode)
         best = None  # the cutoff run_heuristic would pass: the best so far
         for i in range(5):
             rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             # every tuple placed, in placement order
-            order, stopped = _place(inst, ctx, rows, mode)
+            order, stopped = _place(inst, ctx, rows)
             assert not stopped
             makespan = schedule_makespan(_schedule(order))
             for cutoff in {best, makespan, makespan + 1} - {None}:
-                seen, stopped = _place(inst, ctx, rows, mode, cutoff)
+                seen, stopped = _place(inst, ctx, rows, cutoff)
                 if cutoff > makespan:
                     assert not stopped and seen == order
                     continue
@@ -724,7 +784,7 @@ def test_heater_cut_places_as_every_heater_would(corpus, mode):
     when the reference ends at or after it."""
     seen = Counter()
     for inst in _corpus(corpus):
-        ctx = _context(inst)
+        ctx = _context(inst, mode)
         best = math.inf  # the cutoff run_heuristic would pass
         for i in range(20):
             rows = _draw(ctx, random.Random(iteration_seed(1, i)))
@@ -735,7 +795,7 @@ def test_heater_cut_places_as_every_heater_would(corpus, mode):
             makespan = schedule_makespan(expected or Schedule.empty_candidate())
             for cutoff in {math.inf, best, makespan, makespan + 1}:
                 try:
-                    got, cut = _place(inst, ctx, rows, mode, cutoff)
+                    got, cut = _place(inst, ctx, rows, cutoff)
                 except NoFeasiblePlacement:
                     assert expected is None, (inst.name, i, cutoff)
                     seen["no placement"] += 1
@@ -749,6 +809,74 @@ def test_heater_cut_places_as_every_heater_would(corpus, mode):
                     seen["schedule"] += 1
             best = min(best, makespan)
     assert seen["sentinel"] and seen["schedule"]
+
+
+class _VisitedRows(list):
+    """A pair's heater rows that log each visit `_place` makes: the row,
+    and the kernel's ready period, quantity and chosen end as it comes to
+    the row; each loop over the rows gets its own log."""
+
+    def __init__(self, rows, loops):
+        super().__init__(rows)
+        self.loops = loops
+
+    def __iter__(self):
+        visits = []
+        self.loops.append((self, visits))
+        for row in list.__iter__(self):
+            kernel = sys._getframe(1).f_locals
+            visits.append((row, kernel["tuple_id"], kernel["ready"],
+                           kernel["q"], kernel["chosen_end"]))
+            yield row
+
+
+class _PlannedMemo(curesched.domain.ChangeoverMemo):
+    """A `ChangeoverMemo` that logs the (tuple id, heater) of each lookup
+    `_place` makes."""
+
+    def __init__(self, inst, planned):
+        super().__init__(inst)
+        self.planned = planned
+
+    def __getitem__(self, key):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_place":
+            self.planned.append((caller.f_locals["tuple_id"],
+                                 caller.f_locals["k"]))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_heater_visit_stops_at_the_first_heater_that_cannot_win(mode):
+    """On the plants, a tuple's heaters are visited fastest first up to
+    and including the first one that could not end by the chosen end even
+    from the tuple's ready period, ready + ceil(q / r) > chosen end, and
+    no further: no later heater is visited, so none is planned (looked up
+    in `ctx.plans`).  A visit that stops short of the last row stops at
+    such a heater; some do."""
+    stopped_short = 0
+    for inst in _corpus("plants"):
+        loops, planned = [], []
+        ctx = _context(inst, mode)
+        ctx = replace(ctx, plans=_PlannedMemo(inst, planned), pairs={
+            pair: record._replace(heaters=_VisitedRows(record.heaters, loops))
+            for pair, record in ctx.pairs.items()})
+        for i in range(3):
+            rows = _draw(ctx, random.Random(iteration_seed(1, i)))
+            del loops[:], planned[:]
+            _uncut(inst, rows, ctx=ctx)
+            allowed = {}  # tuple id -> the heaters its visit came to
+            for options, visits in loops:
+                for j, ((k, r, _cure), _id, ready, q, end) in enumerate(visits):
+                    allowed.setdefault(_id, set()).add(k)
+                    cannot_win = ready + -(-q // r) > end
+                    if j < len(visits) - 1:  # a later heater was visited
+                        assert not cannot_win, (inst.name, _id, k)
+                    elif len(visits) < len(options):  # it stopped short
+                        assert cannot_win, (inst.name, _id, k)
+                        stopped_short += 1
+            assert planned and all(k in allowed[_id] for _id, k in planned)
+    assert stopped_short
 
 
 def test_a_heater_that_cures_nothing_in_a_period_is_never_chosen():
@@ -768,7 +896,7 @@ def test_a_heater_that_cures_nothing_in_a_period_is_never_chosen():
     assert all(t.heater == 2 for t in expected.tuples if 1 in (t.m1, t.m2))
     makespan = schedule_makespan(expected)
     for cutoff in (math.inf, makespan, makespan + 1):
-        got, cut = _place(inst, _context(inst), rows, PARTS_PER_HEATER,
+        got, cut = _place(inst, _context(inst, PARTS_PER_HEATER), rows,
                           cutoff)
         if cutoff <= makespan:
             assert cut
@@ -788,10 +916,10 @@ def test_work_bound_counts_only_heaters_some_pair_runs_on():
     uncut = reference_placement(inst, _tuples(rows))
     assert _tuple_rows(uncut) == [(1, 0, 1, 72, 1, 0, 2),
                                   (2, 0, 1, 108, 1, 2, 3)]
-    ctx = _context(inst)
-    placed, stopped = _place(inst, ctx, rows, PARTS_PER_HEATER, 5)
+    ctx = _context(inst, PARTS_PER_HEATER)
+    placed, stopped = _place(inst, ctx, rows, 5)
     assert stopped and placed == []
-    placed, stopped = _place(inst, ctx, rows, PARTS_PER_HEATER, 6)
+    placed, stopped = _place(inst, ctx, rows, 6)
     assert not stopped and sorted(placed) == _tuple_rows(uncut)
     assert ctx.working == 1
 
@@ -820,9 +948,9 @@ def test_a_resource_gets_a_profile_unless_it_can_never_bind(resource, units,
     makespan and one past it.  At 2|H| - 1 units the second identical
     pair waits for the first."""
     inst = _boundary_instance(resource, units)
-    ctx = _context(inst)
-    held = ctx.held_global if mode == PARTS_GLOBAL else ctx.held
-    profiled = {res for rows in held.values() for res, _n, _cap in rows}
+    ctx = _context(inst, mode)
+    profiled = {res for record in ctx.pairs.values()
+                for res, _n, _cap in record.held}
     binds = units < 4 and (resource == "mold" or mode == PARTS_GLOBAL)
     ids = (1, 2) if resource == "mold" else (1,)
     assert profiled == ({(resource, i) for i in ids} if binds else set())
@@ -832,7 +960,7 @@ def test_a_resource_gets_a_profile_unless_it_can_never_bind(resource, units,
     assert (expected.tuples[1].start > 0) == binds
     makespan = schedule_makespan(expected)
     for cutoff in (math.inf, makespan, makespan + 1):
-        got, cut = _place(inst, ctx, rows, mode, cutoff)
+        got, cut = _place(inst, ctx, rows, cutoff)
         if cutoff <= makespan:
             assert cut
         else:
@@ -854,16 +982,16 @@ def test_a_start_cut_at_once_builds_no_profile(monkeypatch, mode):
     monkeypatch.setattr(curesched.heuristic, "_Profile", Counted)
     at_once = uncut_built = 0
     for inst in _corpus("plants"):
-        ctx = _context(inst)
+        ctx = _context(inst, mode)
         best = math.inf
         for i in range(3):
             rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             built[:] = []
-            uncut, _stopped = _place(inst, ctx, rows, mode)
+            uncut, _stopped = _place(inst, ctx, rows)
             first_end = uncut[0][5] + uncut[0][6]
             uncut_built += len(built)
             built[:] = []
-            seen, stopped = _place(inst, ctx, rows, mode, best)
+            seen, stopped = _place(inst, ctx, rows, best)
             # nothing placed, though the first tuple ends before the cutoff
             if stopped and not seen and first_end < best:
                 at_once += 1
@@ -886,7 +1014,7 @@ def test_work_bound_premise_holds_for_every_slot_plan():
                  + _corpus("plants"))
     checked = 0
     for inst in instances:
-        ctx = curesched.heuristic._context(inst)
+        ctx = curesched.heuristic._context(inst, PARTS_PER_HEATER)
         rows = curesched.domain.pair_slots(inst)
         rate = {(s.m1, s.m2, s.heater):
                 curesched.domain.slot_rate(inst.period_dmin, s.max_tv)
@@ -895,7 +1023,8 @@ def test_work_bound_premise_holds_for_every_slot_plan():
         expected = {}
         for (m1, m2, k), r in sorted(rate.items(), key=lambda kv: -kv[1]):
             expected.setdefault((m1, m2), []).append((k, r, cure[m1, m2, k]))
-        assert ctx.heaters == expected
+        assert {pair: record.heaters
+                for pair, record in ctx.pairs.items()} == expected
         memo = curesched.domain.ChangeoverMemo(inst)
         for s in rows:
             r = rate[s.m1, s.m2, s.heater]
@@ -924,7 +1053,7 @@ def test_work_bound_premise_holds_for_every_slot_plan():
 def test_split_production_is_the_split_lists_production():
     instances = [tiny_instance(seed) for seed in range(1000, 1200)]
     for inst in instances + _corpus("plants"):
-        ctx = _context(inst)
+        ctx = _context(inst, PARTS_PER_HEATER)
         for i in range(20):
             rows = _draw(ctx, random.Random(iteration_seed(1, i)))
             assert curesched.heuristic._split_production(rows) \
@@ -1077,8 +1206,8 @@ def _counted_run(monkeypatch, inst):
         calls.append(sys._getframe(1).f_code.co_name)
         return changeover(*args)
 
-    def kept_context(inst):
-        contexts.append(context(inst))
+    def kept_context(inst, parts_mode):
+        contexts.append(context(inst, parts_mode))
         return contexts[-1]
 
     with monkeypatch.context() as patch:
@@ -1117,8 +1246,8 @@ def test_two_removals_blocks_a_following_single():
     assert validate_instance(inst).ok
     assert solve_exact(inst, 3).makespan == 1
     with pytest.raises(NoFeasiblePlacement):
-        _place(inst, _context(inst), [(1, 1, 1, 4), (2, 0, 2, 8)],
-               PARTS_PER_HEATER)
+        _place(inst, _context(inst, PARTS_PER_HEATER),
+               [(1, 1, 1, 4), (2, 0, 2, 8)])
 
 
 def test_a_pair_no_heater_cures_is_not_placed():
@@ -1126,7 +1255,7 @@ def test_a_pair_no_heater_cures_is_not_placed():
     inst = variant(toy1(), curing={(1, 1): 400})
     with pytest.raises(NoFeasiblePlacement,
                        match=r"^pair \(1, 2\) fits no heater$"):
-        _place(inst, _context(inst), [(1, 1, 2, 4)], PARTS_PER_HEATER)
+        _place(inst, _context(inst, PARTS_PER_HEATER), [(1, 1, 2, 4)])
 
 
 def test_run_heuristic_skips_failed_starts():
@@ -1145,14 +1274,14 @@ def test_run_heuristic_raises_when_every_start_fails():
 
 def test_improvement_keeps_incumbent_when_split_cannot_be_placed(monkeypatch):
     inst = toy1()
-    ctx = _context(inst)
+    ctx = _context(inst, PARTS_PER_HEATER)
     initial = _uncut(inst, [(1, 1, 1, 5), (2, 2, 2, 5)], ctx=ctx)
 
     def unplaceable(*args, **kwargs):
         raise NoFeasiblePlacement("no heater budget")
 
     monkeypatch.setattr(curesched.heuristic, "_place", unplaceable)
-    assert _improve(inst, ctx, initial, PARTS_PER_HEATER) is initial
+    assert _improve(inst, ctx, initial) is initial
 
 
 def test_config_validation():

@@ -21,6 +21,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import curesched
+import curesched.bounds
 
 import curesched.domain
 import curesched.exact
@@ -743,6 +744,42 @@ def test_a_solve_derives_one_table_per_instance_it_searches(monkeypatch):
     assert (report.status, report.makespan) == ("optimal", 6)
     assert len(derived) == 2 and derived[0] is s11
     assert derived[1] is not s11 and derived[1].name == s11.name
+
+
+@pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
+def test_a_cold_hop_derives_each_root_bound_once(monkeypatch, mode):
+    """The root bound and the `mold_rates` it rests on are derived once
+    per instance and parts mode: a cold `run_hop` on S11 derives S11's,
+    for the heuristic's stop, and then one for each component the stage
+    walks, though the stage reads S11's again and the exact search reads
+    its component's bound and rates."""
+    derived, reads, walked = [], [], []
+    derive, read = curesched.bounds._derive_root, curesched.bounds._root
+    split = curesched.hop.components
+
+    def counted_derive(inst, parts_mode):
+        derived.append((inst, parts_mode))
+        return derive(inst, parts_mode)
+
+    def counted_read(inst, parts_mode):
+        reads.append(inst)
+        return read(inst, parts_mode)
+
+    def kept_components(inst):
+        walked.extend(split(inst))
+        return walked
+
+    monkeypatch.setattr(curesched.bounds, "_derive_root", counted_derive)
+    monkeypatch.setattr(curesched.bounds, "_root", counted_read)
+    monkeypatch.setattr(curesched.hop, "components", kept_components)
+    s11 = small(11)
+    heuristic = HeuristicConfig(total_iterations=100, seed=1, parts_mode=mode)
+    run_hop(s11, HopConfig(heuristic=heuristic, parts_mode=mode,
+                           time_limit_seconds=0.5))
+    assert walked
+    assert derived == [(inst, mode) for inst in [s11] + walked]
+    assert reads.count(s11) == 2
+    assert len(reads) > len(derived)
 
 
 def test_adapter_ladder_derives_its_component_table_once(monkeypatch,

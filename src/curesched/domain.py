@@ -27,15 +27,12 @@ run, and size each heater's tuple from the deduction with the same
   * every later period of the tuple runs at the full rate
     floor(period / max cure time of the molds on board).
 
-Beside it, `pair_slots` is the single derivation of what each allowed mold
-pair can do on each heater (its mold counts, part usage and slowest cure
-time), and the one rule of which pairs can run where at all.  It is built
-on first use, kept on the instance and returned as a tuple, so the
-heuristic, the exact search and the model builder of one solve all read
-that one table: a solve derives it once for its instance and once for
-each component its exact stage searches.  It is derived from each mold's
-curable heaters (`cure_times`), read once, and its rows are immutable
-named tuples.
+Beside it, `pair_table` is the one rule of which mold pairs can run where:
+one `PairRecord` per runnable pair, which the heuristic, the exact search,
+the horizon and the model size read.  It is built on first use and kept
+on the instance, so a solve derives it once for its instance and once for
+each component its exact stage searches.  `pair_slots` is its flat view,
+one row per (pair, heater), built only for the model and for callers.
 """
 
 import math
@@ -82,8 +79,8 @@ class Instance:
     of m may run together. `init` maps (mold, heater) to copies already
     mounted before the first period.
 
-    The pair table (`pair_slots`) and root bounds are not built here: the
-    first call builds each and keeps it on the instance, so loading or
+    The pair table, its flat view and the root bounds are not built here:
+    the first call builds each and keeps it on the instance, so loading or
     generating an instance never pays for them.
     """
 
@@ -112,6 +109,7 @@ class Instance:
             m.id: tuple(p.id for p in self.parts if m.id in p.molds)
             for m in self.molds
         }
+        self._pair_table = None  # built by the first `pair_table` call
         self._pair_slots = None  # built by the first `pair_slots` call
         self._root_bounds = {}  # parts mode -> `bounds._root`, when asked
 
@@ -124,16 +122,79 @@ class Instance:
         return sum(m.demand for m in self.molds)
 
 
-class PairSlot(NamedTuple):
-    """One allowed mold pair on one heater that can run it.
+class PairRecord(NamedTuple):
+    """One runnable mold pair of the `pair_table`; its dicts and list are
+    shared by every reader, so no caller may change them.
 
-    m1 may be 0 (the empty slot); m1 <= m2. `counts` is the pair's mold
-    multiset, `usage` the part units it ties down, `max_tv` the slowest
-    cure time on board, which sets the pair's per-period rate and lies in
-    (0, period], so the rate is at least 1.  A row is an immutable named
-    tuple, so it carries no per-row `__dict__` and equals the plain tuple
-    of its six fields.
+    counts, usage : its mold multiset and the part units it ties down
+    molds         : `multiset(counts)`
+    heaters       : the ids of the heaters that can run it, ascending
+    cures         : the slowest cure time on board on each of `heaters`
+    rows          : (heater, `slot_rate`, cure) of each of `heaters`,
+                    fastest first and ids breaking ties
+    setup_fits    : whether its joint setup work fits one period budget
     """
+
+    counts: dict
+    usage: dict
+    molds: tuple
+    heaters: tuple
+    cures: tuple
+    rows: list
+    setup_fits: bool
+
+
+def pair_table(inst: Instance) -> dict:
+    """(m1, m2) -> its `PairRecord`, for every runnable pair, singles
+    (m1 = 0) included and m1 <= m2, in ascending pair order.
+
+    A pair runs on a heater that cures both its molds, each at a cure time
+    in (0, period] (`cure_times`, read once per mold), so every rate is at
+    least 1; it runs at all when it has such a heater and on its own needs
+    no more copies of a mold (an unknown mold has none) and no more units
+    of a part than exist.  No schedule can hold any other (pair, heater);
+    an invalid instance loses those without error, leaving
+    `validate_instance` to report it.  Built on the first call, it is kept
+    on the instance."""
+    if inst._pair_table is None:
+        inst._pair_table = _derive_pair_table(inst)
+    return inst._pair_table
+
+
+def _derive_pair_table(inst: Instance) -> dict:
+    phi, mold_by_id = inst.period_dmin, inst.mold_by_id
+    heater_set = set(inst.heaters)
+    pairs = {(EMPTY, j) for (j, k) in inst.curing if k in heater_set}
+    pairs.update(inst.mold_compat)
+    times = {m: cure_times(inst, m) for m in inst.mold_ids}
+    table = {}
+    for i, j in sorted(pairs):
+        counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
+        if any(m not in mold_by_id or c > mold_by_id[m].copies
+               for m, c in counts.items()):
+            continue
+        usage = part_usage(inst, counts)
+        if any(u > inst.part_by_id[p].units for p, u in usage.items()):
+            continue
+        other = times[j] if i == EMPTY else times[i]
+        cures = {k: max(tv, other[k]) for k, tv in times[j].items()
+                 if k in other}  # heaters ascending
+        if not cures:
+            continue
+        rows = [(k, slot_rate(phi, tv), tv) for k, tv in cures.items()]
+        rows.sort(key=lambda row: -row[1])  # stable: ids ascending on ties
+        table[i, j] = PairRecord(
+            counts, usage, multiset(counts), tuple(cures),
+            tuple(cures.values()), rows,
+            sum(mold_by_id[m].setup_dmin * c for m, c in counts.items())
+            <= phi)
+    return table
+
+
+class PairSlot(NamedTuple):
+    """A `pair_slots` row: a runnable pair (m1 may be 0, the empty slot;
+    m1 <= m2) on one heater, with its record's `counts` and `usage` and
+    `max_tv`, the slowest cure time there."""
 
     m1: MoldId
     m2: MoldId
@@ -144,55 +205,20 @@ class PairSlot(NamedTuple):
 
 
 def pair_slots(inst: Instance) -> tuple:
-    """Every runnable (m1, m2, heater), singles included, as `PairSlot`s
-    sorted by (m1, m2, heater); deterministic.
-
-    A row is runnable when the heater cures both molds, each at a cure
-    time in (0, period] as `cure_times` lists them, and the pair on its
-    own needs no more copies of a mold and no more units of a part than
-    exist; no schedule can hold any other (pair, heater), so no other row
-    exists.
-    An invalid instance (a cure time of 0, an unknown mold) loses the rows
-    concerned without error, leaving `validate_instance` to report it.
-
-    The first call builds the table and keeps it on the instance; later
-    calls return that same tuple, so every stage of a solve reads one
-    table.  Each pair's `counts` and `usage` are worked out once and
-    shared by its rows on every heater, so no caller may change them.
-    """
+    """The flat view of `pair_table`, built on the first call (for the
+    model and for callers; the solvers read the records) and kept on the
+    instance: every runnable (m1, m2, heater) as a `PairSlot`, sorted."""
     if inst._pair_slots is None:
-        inst._pair_slots = tuple(_derive_pair_slots(inst))
+        inst._pair_slots = tuple(
+            PairSlot(m1, m2, k, record.counts, record.usage, tv)
+            for (m1, m2), record in pair_table(inst).items()
+            for k, tv in zip(record.heaters, record.cures))
     return inst._pair_slots
-
-
-def _derive_pair_slots(inst: Instance):
-    """The `pair_slots` rows, pair by pair and each pair's heaters
-    ascending: a single (0, j) on every heater that cures j, an allowed
-    pair (i, j) on every heater that cures both, each only where it can
-    run (an unknown mold has no copies).  Each mold's heaters are read once
-    (`cure_times`): a single walks j's, a pair keeps those of j's that i
-    also cures, at the slower of the two cure times."""
-    heater_set = set(inst.heaters)
-    pairs = {(EMPTY, j) for (j, k) in inst.curing if k in heater_set}
-    pairs.update(inst.mold_compat)
-    times = {m: cure_times(inst, m) for m in inst.mold_ids}
-    for i, j in sorted(pairs):
-        counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
-        if any(m not in inst.mold_by_id or c > inst.mold_by_id[m].copies
-               for m, c in counts.items()):
-            continue
-        usage = part_usage(inst, counts)
-        if any(u > inst.part_by_id[p].units for p, u in usage.items()):
-            continue
-        other = times[j] if i == EMPTY else times[i]
-        for k, tv in times[j].items():
-            if k in other:
-                yield PairSlot(i, j, k, counts, usage, max(tv, other[k]))
 
 
 def cure_times(inst: Instance, mold_id: MoldId) -> dict:
     """Heater -> cure time of `mold_id`, on the heaters that can cure it:
-    those whose cure time lies in (0, period], as in `pair_slots`.  A cure
+    those whose cure time lies in (0, period], as in `pair_table`.  A cure
     time out of that range (`validate_instance` reports it) leaves its
     heater out, so no caller divides by it."""
     phi, curing = inst.period_dmin, inst.curing
@@ -366,7 +392,7 @@ def plan_slot(inst: Instance, heater: HeaterId, residents, prev_end: Period,
     """Work out the feasible per-period output of a tuple of `molds`: its
     `changeover`, then the heater's own half, which sizes the slot at its
     slowest cure time on board; it fails a cure time past the period, or
-    one not positive, where `pair_slots` has no row.
+    one not positive, where `pair_table` has no heater.
 
     `residents` is the mold multiset left by the heater's previous occupant
     (or its initial loading), `prev_end` that occupant's end period. The
@@ -411,19 +437,6 @@ class ChangeoverMemo(dict):
                                          int(gap), dict(molds))
         self[key] = deduction = None if problems else deduction
         return deduction
-
-
-def fits_one_heater(inst: Instance, counts, usage) -> bool:
-    """Whether a mold multiset can run on one heater on its own: enough
-    copies, part units for every slot (`usage`, its `part_usage`, which a
-    `pair_slots` row holds already), and the joint setup work inside one
-    period budget."""
-    if any(c > inst.mold_by_id[m].copies for m, c in counts.items()):
-        return False
-    if any(u > inst.part_by_id[p].units for p, u in usage.items()):
-        return False
-    setup = sum(inst.mold_by_id[m].setup_dmin * c for m, c in counts.items())
-    return setup <= inst.period_dmin
 
 
 def initial_residents(inst: Instance) -> dict:
@@ -696,15 +709,22 @@ def validate_schedule(inst: Instance, schedule: Schedule,
                              f"{u} units, only {inst.part_by_id[pid].units} "
                              f"exist")
 
-    # per-period mold copies, and part units in global mode
+    # per-period mold copies, and in global mode each tuple's part units
+    shared = parts_mode != PARTS_PER_HEATER
     horizon = max((t.start + t.length for t in usable), default=0)
     counts_at = [{} for _ in range(horizon)]
+    units_at = [{} for _ in range(horizon)] if shared else ()
     for t in usable:
         molds = t.mold_counts()
+        usage = part_usage(inst, molds) if shared else {}
         for t0 in range(t.start, t.start + t.length):
             counts = counts_at[t0]
             for m, c in molds.items():
                 counts[m] = counts.get(m, 0) + c
+            if usage:
+                units = units_at[t0]
+                for pid, u in usage.items():
+                    units[pid] = units.get(pid, 0) + u
     for t0, counts in enumerate(counts_at):
         for m, c in sorted(counts.items()):
             if c > inst.mold_by_id[m].copies:
@@ -712,8 +732,8 @@ def validate_schedule(inst: Instance, schedule: Schedule,
                     f"mold {m} uses {c} copies in period {t0}, "
                     f"only {inst.mold_by_id[m].copies} exist"
                 )
-        if parts_mode != PARTS_PER_HEATER:
-            for pid, u in sorted(part_usage(inst, counts).items()):
+        if shared:
+            for pid, u in sorted(units_at[t0].items()):
                 if u > inst.part_by_id[pid].units:
                     v.append(
                         f"part {pid} needs {u} units in period {t0}, "

@@ -40,7 +40,7 @@ from .domain import (
     first_capacity,
     initial_residents,
     multiset,
-    pair_slots,
+    pair_table,
     schedule_makespan,
 )
 from .errors import (
@@ -177,24 +177,22 @@ class _Fronts(dict):
 
 
 def _heater_table(inst, parts_mode):
-    """Per heater, its `pair_slots` rows as (pair, `multiset` of its molds,
-    needs, slowest cure time), built once per search.  needs lists
-    (resource, units, limit): each mold's copies (the resource is the mold
-    id), and in global mode each part's units (the resource is ("part",
-    part id))."""
+    """Per heater, the `pair_table` pairs it can run, ascending, as (pair,
+    `multiset` of its molds, needs, slowest cure time there), built once
+    per search.  needs lists (resource, units, limit): each mold's copies
+    (the resource is the mold id), and in global mode each part's units
+    (the resource is ("part", part id)); a pair's heaters share it."""
     shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
-    pair = None
-    for m1, m2, k, counts, usage, max_tv in pair_slots(inst):
-        if (m1, m2) != pair:  # a pair's rows come together and share these
-            pair = (m1, m2)
-            molds = multiset(counts)
-            needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
-            if shared:
-                needs += [(("part", p), c, inst.part_by_id[p].units)
-                          for p, c in usage.items()]
-            needs = tuple(needs)
-        table[k].append((pair, molds, needs, max_tv))
+    for pair, record in pair_table(inst).items():
+        molds = record.molds
+        needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
+        if shared:
+            needs += [(("part", p), c, inst.part_by_id[p].units)
+                      for p, c in record.usage.items()]
+        needs = tuple(needs)
+        for k, max_tv in zip(record.heaters, record.cures):
+            table[k].append((pair, molds, needs, max_tv))
     return table
 
 

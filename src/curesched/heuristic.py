@@ -48,10 +48,9 @@ from .domain import (
     first_capacity,
     initial_residents,
     multiset,
-    pair_slots,
+    pair_table,
     periods_for,
     schedule_makespan,
-    slot_rate,
     uncovered_molds,
     validate_schedule,
 )
@@ -61,7 +60,6 @@ from .horizon import horizon_witness
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _ROW_ID = itemgetter(0)
-_RATE = itemgetter(1)
 
 
 def _mix64(x: int) -> int:
@@ -106,28 +104,22 @@ _Pair = namedtuple("_Pair", "heaters molds held heater_set")
 
 @dataclass(frozen=True)
 class _Context:
-    """Data a run derives from the instance once, for all its starts, in
-    its parts mode.
-
-    The row functions take it as `ctx`. `_context` builds it in one pass
-    over the `pair_slots` rows, which come pair by pair, each pair's
-    heaters ascending.
+    """Data a run derives from the instance's `pair_table` once, for all
+    its starts, in its parts mode; the row functions take it as `ctx`.
 
     batch       : demanded mold -> its batch size, ceil(demand / copies)
     demand      : demanded mold -> its demand, each draw's first residuals
     pool        : drawable (m1, m2) pairs, singles included, 0 = empty slot:
-                  the `pair_slots` pairs (so enough copies and part units
+                  the `pair_table` pairs (so enough copies and part units
                   for both slots) that hold only molds with demand and
-                  whose joint setup work fits inside one period
+                  whose joint setup work fits one period (`setup_fits`)
     pools       : frozenset of used-up molds -> the `pool` pairs holding none
                   of them, in pool order; filled by the run's draws as they
                   meet each set, and never changed once filled
     pairs       : (m1, m2) -> its `_Pair` record, for every runnable pair:
-                  heaters: (heater, rate, cure) rows of the heaters able to
-                  run the pair, fastest first, ids breaking ties; cure is
-                  the slot's slowest cure time there, the rate its
-                  full-period `slot_rate`; molds: `multiset` of the pair's
-                  molds; held: (resource, units, capacity) of each mold,
+                  heaters: the record's (heater, rate, cure) `rows`,
+                  fastest first; molds: `multiset` of the pair's molds;
+                  held: (resource, units, capacity) of each mold,
                   and in the global parts mode each part, the pair holds
                   that can block a start (see `_place`); heater_set: the
                   index of its heaters in `heater_sets`
@@ -156,19 +148,9 @@ class _Context:
 
 
 def _context(inst: Instance, parts_mode: str) -> _Context:
-    phi = inst.period_dmin
-    heaters, counts, usage, ids = {}, {}, {}, {}
-    pair = None
-    for m1, m2, k, c, u, tv in pair_slots(inst):  # heaters ascending
-        if (m1, m2) != pair:
-            pair = (m1, m2)
-            heaters[pair] = rows = []
-            counts[pair], usage[pair] = c, u
-        rows.append((k, slot_rate(phi, tv), tv))
-    for pair, rows in heaters.items():
-        ids[pair] = tuple(map(_ROW_ID, rows))
-        rows.sort(key=_RATE, reverse=True)  # stable: ids ascending on ties
-    heater_sets = sorted(set(ids.values()))
+    """The run's `_Context`, read from the instance's `pair_table`."""
+    table = pair_table(inst)
+    heater_sets = sorted({record.heaters for record in table.values()})
     index = {hs: i for i, hs in enumerate(heater_sets)}
     sets_with = {k: [] for k in inst.heaters}
     for i, hs in enumerate(heater_sets):
@@ -186,19 +168,16 @@ def _context(inst: Instance, parts_mode: str) -> _Context:
                          *(cures.get(m, ()) for m in p.molds)))
                      } if parts_mode == PARTS_GLOBAL else {}
     pairs = {
-        pair: _Pair(rows, multiset(counts[pair]),
+        pair: _Pair(record.rows, record.molds,
                     [(("mold", m), c, binding_copies[m])
-                     for m, c in counts[pair].items() if m in binding_copies]
+                     for m, c in record.molds if m in binding_copies]
                     + [(("part", p), u, binding_units[p])
-                       for p, u in usage[pair].items() if p in binding_units],
-                    index[ids[pair]])
-        for pair, rows in heaters.items()}
-
-    setup = {m.id: m.setup_dmin for m in inst.molds}
-    pool = [pair for pair in sorted(pairs)
-            if all(m in demand for m in pair if m != EMPTY)
-            and sum(setup[m] * c for m, c in pairs[pair].molds)
-            <= inst.period_dmin]
+                       for p, u in record.usage.items()
+                       if p in binding_units],
+                    index[record.heaters])
+        for pair, record in table.items()}
+    pool = [pair for pair, record in table.items() if record.setup_fits
+            and all(m in demand for m in pair if m != EMPTY)]
     return _Context(
         batch={m.id: ceil_div(m.demand, m.copies) for m in inst.molds
                if m.id in demand and m.copies > 0},

@@ -19,9 +19,8 @@ from .domain import (
     Schedule,
     ceil_div,
     cure_times,
-    fits_one_heater,
     initial_residents,
-    part_usage,
+    pair_table,
     plan_slot,
     slot_rate,
 )
@@ -32,12 +31,12 @@ def pooled_molds(inst: Instance) -> frozenset:
     """Demanded molds charged at identical-pair rate: an admissible
     identical pair and no part required.  Every other demanded mold is
     charged one copy at a time."""
+    table = pair_table(inst)
     return frozenset(
         m.id for m in inst.molds
         if m.demand > 0
         and not inst.parts_of.get(m.id)
-        and (m.id, m.id) in inst.mold_compat
-        and fits_one_heater(inst, {m.id: 2}, {}))
+        and (m.id, m.id) in table and table[m.id, m.id].setup_fits)
 
 
 def compute_thb(inst: Instance) -> int:
@@ -79,9 +78,9 @@ def horizon_witness(inst: Instance) -> Schedule:
     instance of the test corpus.
 
     Returns the sentinel candidate (`Schedule.empty_candidate`) when a block
-    fits no heater even then, or needs more copies or part units than
-    exist (`fits_one_heater`, which `plan_slot` does not check): the
-    bound's argument does not hold there.
+    fits no heater even then, or is no runnable pair (`pair_table`, which
+    also counts the copies and part units that `plan_slot` does not
+    check): the bound's argument does not hold there.
     """
     pooled = pooled_molds(inst)
     residents = initial_residents(inst)
@@ -95,7 +94,8 @@ def horizon_witness(inst: Instance) -> Schedule:
             m1, q, counts = m.id, ceil_div(m.demand, 2), {m.id: 2}
         else:
             m1, q, counts = EMPTY, m.demand, {m.id: 1}
-            if not fits_one_heater(inst, counts, part_usage(inst, counts)):
+            single = pair_table(inst).get((EMPTY, m.id))
+            if single is None or not single.setup_fits:
                 return Schedule.empty_candidate()
         for start in (end, end + 1):
             fits = []

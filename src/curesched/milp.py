@@ -21,6 +21,7 @@ from .domain import (
     ValidationReport,
     heater_walk,
     pair_slots,
+    pair_table,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -225,9 +226,10 @@ def model_size(inst: Instance, thb: int,
     in closed form and without building anything.
 
     Every row and variable family of `build_model` is a product of the
-    mold, heater and part counts, `len(pair_slots(inst))` and the periods;
-    only the prefix rows (`max(thb - 1, 0)`) and the demand rows (none at
-    `thb == 0`) break the pattern.  `tests/test_milp.py::
+    mold, heater and part counts, the number of `pair_slots` rows (the sum
+    of the `pair_table` records' heater counts, so no row is built) and
+    the periods; only the prefix rows (`max(thb - 1, 0)`) and the demand
+    rows (none at `thb == 0`) break the pattern.  `tests/test_milp.py::
     test_model_size_matches_build` checks the two agree.
     """
     if parts_mode not in PARTS_MODES:
@@ -236,7 +238,7 @@ def model_size(inst: Instance, thb: int,
         raise ValueError("horizon must be non-negative")
     n_molds = len(inst.mold_ids)
     n_heaters = len(inst.heaters)
-    n_ext = len(pair_slots(inst))
+    n_ext = sum(len(r.heaters) for r in pair_table(inst).values())
     part_scopes = n_heaters if parts_mode == PARTS_PER_HEATER else 1
     per_period = (
         1                               # active

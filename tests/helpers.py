@@ -8,7 +8,8 @@ no logic with the branch-and-bound solver they are checking.
 `plain_memo_solve` is the one exception: the solver itself, with the
 exact-repeat memo it had before dominance, to check that pruning against.
 `reference_context` and `reference_improvement` likewise keep the
-heuristic's older code, to check its rewrites against.
+heuristic's older code, and `reference_heater_table` the exact search's,
+to check their rewrites against.
 """
 
 import random
@@ -113,6 +114,27 @@ def reference_pair_slots(inst: Instance) -> list:
             slots.append(PairSlot(m1=i, m2=j, heater=k, counts=counts,
                                   usage=usage, max_tv=max_tv))
     return slots
+
+
+def reference_heater_table(inst: Instance, parts_mode) -> dict:
+    """`exact._heater_table` as it read the flat `pair_slots` rows, its
+    body kept verbatim: per heater, its rows as (pair, `multiset` of its
+    molds, needs, slowest cure time), each pair's shared values worked
+    out at its first row."""
+    shared = parts_mode != PARTS_PER_HEATER
+    table = {k: [] for k in inst.heaters}
+    pair = None
+    for m1, m2, k, counts, usage, max_tv in pair_slots(inst):
+        if (m1, m2) != pair:  # a pair's rows come together and share these
+            pair = (m1, m2)
+            molds = multiset(counts)
+            needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
+            if shared:
+                needs += [(("part", p), c, inst.part_by_id[p].units)
+                          for p, c in usage.items()]
+            needs = tuple(needs)
+        table[k].append((pair, molds, needs, max_tv))
+    return table
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+import curesched.domain
 from curesched.domain import (
     AssignmentTuple,
     ChangeoverMemo,
@@ -28,6 +29,8 @@ from curesched.domain import (
     initial_residents,
     multiset,
     pair_slots,
+    pair_table,
+    part_usage,
     periods_for,
     plan_slot,
     schedule_makespan,
@@ -127,6 +130,39 @@ def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
         assert type(table) is tuple, inst.name
         assert pair_slots(inst) is table, inst.name
         assert list(table) == reference_pair_slots(inst), inst.name
+
+
+def test_the_flat_rows_are_the_pair_table_flattened():
+    """`pair_slots` flattens `pair_table` into the per-heater reference
+    derivation, in order, on the pair-table corpus and on every malformed
+    variant.  Each record's rows are its heaters with their `slot_rate`
+    and slowest cure time, fastest first and ids breaking ties, and its
+    setup flag is what an in-test check of its copies, part units and
+    joint setup against the period gives."""
+    insts = pair_table_corpus() + list(malformed_variants().values())
+    for inst in insts:
+        phi = inst.period_dmin
+        table = pair_table(inst)
+        assert pair_table(inst) is table, inst.name
+        assert list(pair_slots(inst)) == reference_pair_slots(inst), inst.name
+        on = {}
+        for s in reference_pair_slots(inst):
+            on.setdefault((s.m1, s.m2), []).append(s)
+        assert list(table) == list(on), inst.name
+        for pair, record in table.items():
+            rows = [(s.heater, slot_rate(phi, s.max_tv), s.max_tv)
+                    for s in on[pair]]
+            assert record.rows == sorted(rows, key=lambda r: (-r[1], r[0]))
+            assert record.heaters == tuple(s.heater for s in on[pair])
+            assert record.molds == multiset(record.counts)
+            copies = all(c <= inst.mold_by_id[m].copies
+                         for m, c in record.counts.items())
+            units = all(u <= inst.part_by_id[p].units
+                        for p, u in part_usage(inst, record.counts).items())
+            setup = sum(inst.mold_by_id[m].setup_dmin * c
+                        for m, c in record.counts.items())
+            assert record.setup_fits == (copies and units and setup <= phi), (
+                inst.name, pair)
 
 
 def test_pair_slots_keeps_only_rows_a_schedule_can_run():
@@ -488,6 +524,38 @@ def test_validate_checks_per_heater_parts_once_per_tuple():
     report = validate_schedule(inst, two_periods, parts_mode=PARTS_PER_HEATER)
     assert [v for v in report.violations if "part" in v] == [
         "tuple 3 on heater 1: part 2 needs 2 units, only 1 exist"]
+
+
+def test_validate_counts_global_part_units_once_per_tuple(monkeypatch):
+    """In global mode each tuple's part units are worked out once, not
+    once per period, and still added up per period: over four periods
+    three tuples make three `part_usage` calls in either mode, and each
+    period's violations come in part order."""
+    inst = toy2()
+    inst = variant(inst, heaters=(1, 2),
+                   curing={**inst.curing, (1, 2): 400, (2, 2): 400},
+                   parts=inst.parts + (Part(id=2, units=0,
+                                            molds=frozenset({2})),))
+    sched = Schedule(tuples=[_tuple(1, 0, 1, 10, 1, 0, 2),
+                             _tuple(2, 0, 2, 20, 2, 1, 2),
+                             _tuple(3, 0, 1, 5, 1, 3, 1)])
+    calls = []
+    real = curesched.domain.part_usage
+
+    def counted(inst, counts):
+        calls.append(counts)
+        return real(inst, counts)
+
+    monkeypatch.setattr(curesched.domain, "part_usage", counted)
+    assert validate_schedule(inst, sched, PARTS_GLOBAL).violations == [
+        "part 1 needs 2 units in period 1, only 1 exist",
+        "part 2 needs 1 units in period 1, only 0 exist",
+        "part 2 needs 1 units in period 2, only 0 exist"]
+    assert len(calls) == 3
+    del calls[:]
+    assert validate_schedule(inst, sched, PARTS_PER_HEATER).violations == [
+        "tuple 2 on heater 2: part 2 needs 1 units, only 0 exist"]
+    assert len(calls) == 3
 
 
 def test_validate_flags_capacity_excess():

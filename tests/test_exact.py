@@ -54,6 +54,7 @@ from helpers import (
     brute_force_optimum_all_levels,
     child_within_reach,
     plain_memo_solve,
+    reference_heater_table,
     single_mold_big,
     tiny_instance,
     toy1,
@@ -484,6 +485,20 @@ def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
             assert all(m.copies == 1 for m in inst.molds)
             assert all(m1 != m2 for rows in table.values()
                        for (m1, m2), _, _, _ in rows), inst.name
+
+
+@pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
+def test_heater_table_is_the_one_the_flat_rows_gave(parts_mode):
+    """Read from the `pair_table` records, `_heater_table` gives what it
+    gave when it regrouped the flat `pair_slots` rows: the same lists in
+    the same order, on tiny 1000-1199 and small 1-15."""
+    insts = [tiny_instance(seed) for seed in range(1000, 1200)]
+    insts += [generate_instance(SCENARIOS["small"], seed)
+              for seed in range(1, 16)]
+    for inst in insts:
+        got = curesched.exact._heater_table(inst, parts_mode)
+        want = reference_heater_table(inst, parts_mode)
+        assert list(got.items()) == list(want.items()), inst.name
 
 
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])

@@ -180,11 +180,24 @@ def test_pool_drops_pairs_of_molds_without_demand():
     assert ctx.pool == pool  # a start draws from a copy
 
 
+def _fits_one_heater(inst, counts, usage):
+    """Whether a mold multiset can run on one heater on its own: enough
+    copies, part units for every slot (`usage`), and the joint setup
+    work inside one period budget."""
+    copies = {m.id: m.copies for m in inst.molds}
+    units = {p.id: p.units for p in inst.parts}
+    setup = sum(inst.mold_by_id[m].setup_dmin * c for m, c in counts.items())
+    return (all(c <= copies[m] for m, c in counts.items())
+            and all(u <= units[p] for p, u in usage.items())
+            and setup <= inst.period_dmin)
+
+
 @pytest.mark.parametrize("corpus", ["tiny", "small", "plants"])
 def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
-    """`pair_slots` already drops a pair that needs more copies or part
+    """`pair_table` already drops a pair that needs more copies or part
     units than exist, so the pool checks only demand and the joint setup:
-    it is the pool `fits_one_heater` gives, on tiny 1000-1199, small 1-15,
+    it is the pool an in-test check of copies, part units and joint setup
+    gives over the `pair_slots` pairs, on tiny 1000-1199, small 1-15,
     medium 1-10 and large 1-5."""
     for inst in _corpus(corpus):
         slots = {(s.m1, s.m2): s for s in curesched.domain.pair_slots(inst)}
@@ -193,7 +206,7 @@ def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
         assert ctx.pool == [
             pair for pair, s in sorted(slots.items())
             if all(m in demanded for m in pair if m)
-            and curesched.domain.fits_one_heater(inst, s.counts, s.usage)
+            and _fits_one_heater(inst, s.counts, s.usage)
         ], inst.name
 
 

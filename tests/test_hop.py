@@ -698,13 +698,13 @@ def test_internal_oracle_keeps_a_witness_it_cannot_shorten(monkeypatch):
 def _derivations(monkeypatch):
     """The instances whose pair table gets derived, once per derivation."""
     derived = []
-    real = curesched.domain._derive_pair_slots
+    real = curesched.domain._derive_pair_table
 
     def spy(inst):
         derived.append(inst)
         return real(inst)
 
-    monkeypatch.setattr(curesched.domain, "_derive_pair_slots", spy)
+    monkeypatch.setattr(curesched.domain, "_derive_pair_table", spy)
     return derived
 
 
@@ -816,6 +816,43 @@ def test_solves_leave_the_shared_pair_table_as_derived(monkeypatch, mode):
     for inst in list(derived):
         assert list(curesched.domain.pair_slots(inst)) == (
             reference_pair_slots(inst)), inst.name
+
+
+def _flat_rows(monkeypatch):
+    """The `pair_slots` rows built, one entry each."""
+    built = []
+    real = curesched.domain.PairSlot
+
+    def spy(*fields):
+        built.append(fields[:3])
+        return real(*fields)
+
+    monkeypatch.setattr(curesched.domain, "PairSlot", spy)
+    return built
+
+
+@pytest.mark.parametrize("seed", (2, 11))
+def test_a_cold_hop_builds_no_flat_pair_rows(monkeypatch, seed):
+    """The solvers read the pair table's records, so a cold `run_hop`
+    builds no `pair_slots` row: S02's heuristic meets its root bound, and
+    S11's exact stage searches a component.  `build_model` builds the
+    instance's rows once, and a second model reads the same tuple."""
+    built = _flat_rows(monkeypatch)
+    inst = small(seed)
+    report, _ = run_hop(inst, HopConfig(heuristic=SMALL_HEURISTIC))
+    assert report.status == "optimal"
+    if seed == 2:
+        assert report.nodes == 0
+        assert report.makespan == root_bound(inst, PARTS_PER_HEATER)
+    else:
+        assert report.nodes > 0
+    assert built == [] and inst._pair_slots is None
+    build_model(inst, 2)
+    rows = curesched.domain.pair_slots(inst)
+    assert built == [(s.m1, s.m2, s.heater) for s in rows] != []
+    build_model(inst, 3)
+    assert curesched.domain.pair_slots(inst) is rows
+    assert len(built) == len(rows)
 
 
 def _no_child(monkeypatch):

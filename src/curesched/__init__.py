@@ -27,18 +27,19 @@ _EXPORTS = {
         "Infeasible", "InfeasibleAssignment", "NoFeasiblePlacement",
         "SolutionParseError", "SolverFault", "UnproduciblePair",
     ),
-    "horizon": ("compute_thb", "horizon_witness", "pooled_molds"),
+    "horizon": ("ModelStats", "compute_thb", "horizon_witness", "model_size",
+                "pooled_molds"),
     "bounds": ("first_period_most", "mold_rate", "mold_rates",
                "residual_bound", "root_bound"),
     "heuristic": ("HeuristicConfig", "run_heuristic"),
     "milp": (
-        "MilpModel", "ModelStats", "build_model", "check_assignment",
-        "emit_lp", "extract_schedule", "model_size", "model_stats",
-        "schedule_to_assignment",
+        "MilpModel", "build_model", "check_assignment", "emit_lp",
+        "extract_schedule", "model_stats", "schedule_to_assignment",
+        "solve_with_adapter",
     ),
     "lpformat": ("ParsedLp", "parse_lp"),
     "exact": ("SolveReport", "SolverAdapter", "TIME_LIMIT_SECONDS",
-              "solve_exact", "solve_with_adapter"),
+              "solve_exact"),
     "hop": ("HopConfig", "SOLVER_ADAPTER", "SOLVER_INTERNAL",
             "run_baseline_milp", "run_hop"),
     "gen": ("SCENARIOS", "ScenarioSpec", "generate_instance"),

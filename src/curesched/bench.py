@@ -49,7 +49,6 @@ from .hop import (
     run_baseline_milp,
     run_hop,
 )
-from .milp import build_model, emit_lp
 
 __all__ = [
     "ResultRow",
@@ -527,6 +526,7 @@ def _cmd_solve(args):
         solver_cmd=args.solver_cmd)
     # no stats: horizon 0, or an infeasible run that built no model
     if args.emit_lp and (rep.stats is not None or rep.status != "infeasible"):
+        from .milp import build_model, emit_lp
         model = build_model(inst, rep.stats.thb if rep.stats else 0,
                             args.parts_mode)
         Path(args.emit_lp).write_text(emit_lp(model), encoding="utf-8")

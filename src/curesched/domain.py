@@ -37,6 +37,7 @@ one row per (pair, heater), built only for the model and for callers.
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 MoldId = int
@@ -275,6 +276,28 @@ class Schedule:
     @classmethod
     def empty_candidate(cls) -> "Schedule":
         return cls(tuples=[], sentinel=True)
+
+
+def schedule_from_periods(inst: Instance, periods_by_heater) -> Schedule:
+    """Merge per-heater period sequences into placed tuples.
+
+    `periods_by_heater` maps a heater to its periods in order, each as
+    (pair, produced), the pair None for an idle period.  Consecutive
+    periods holding the same pair merge into one tuple whose quantity is
+    their summed production; ids run by heater, then by start.
+    """
+    tuples = []
+    for k in inst.heaters:
+        start = 0
+        for pair, run in groupby(periods_by_heater.get(k, ()),
+                                 key=lambda period: period[0]):
+            run = [produced for _, produced in run]
+            if pair is not None:
+                tuples.append(AssignmentTuple(
+                    id=len(tuples) + 1, m1=pair[0], m2=pair[1], q=sum(run),
+                    heater=k, start=start, length=len(run)))
+            start += len(run)
+    return Schedule(tuples=tuples)
 
 
 def produced_by_mold(tuples) -> dict:

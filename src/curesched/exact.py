@@ -1,4 +1,4 @@
-"""Provably minimal makespans, two ways.
+"""Provably minimal makespans: the internal oracle.
 
 `solve_exact` runs a depth-first branch and bound over per-period heater
 configurations: each heater either idles (dropping its resident molds) or
@@ -9,22 +9,11 @@ no more demand of any mold, dominates it (`_Fronts`), so the search
 handles the instance sizes the test rigs and the small benchmark scenarios
 produce.
 
-`solve_with_adapter` writes a built model to an LP file, invokes an
-external solver command on it, reads the returned solution file with
-`lpformat.parse_solution`, and decodes the assignment into a schedule.
-The command contract is
-
-    <solver-cmd> <model.lp> <out.sol>
-
-where the solution file holds one `name value` pair per line plus an
-`objective <v>` line, and the exit code is 0 for solved, 10 for proven
-infeasible, anything else for failure.
+`SolveReport`, `SolverAdapter` and `TIME_LIMIT_SECONDS` serve both of the
+exact stage's backends; the external one's bridge is `milp.solve_with_adapter`.
 """
 
 import math
-import os
-import subprocess
-import tempfile
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -41,29 +30,15 @@ from .domain import (
     initial_residents,
     multiset,
     pair_table,
-    schedule_makespan,
-)
-from .errors import (
-    AdapterFailure,
-    AdapterUnavailable,
-    SolutionParseError,
-)
-from .lpformat import EXIT_INFEASIBLE, TIME_LIMIT_ENV, parse_solution
-from .milp import (
-    MilpModel,
-    ModelStats,
-    emit_lp,
-    extract_schedule,
-    model_stats,
     schedule_from_periods,
 )
+from .horizon import ModelStats
 
 __all__ = [
     "TIME_LIMIT_SECONDS",
     "SolveReport",
     "SolverAdapter",
     "solve_exact",
-    "solve_with_adapter",
 ]
 
 
@@ -72,8 +47,6 @@ TIME_LIMIT_SECONDS = 3600.0
 # counted nodes a search may expand: each one holds at most one memo entry,
 # so this bounds the memo's memory
 _MAX_NODES = 5_000_000
-# the longest wait subprocess accepts (2**31 - 1 ms, about 24.8 days)
-_MAX_WAIT_S = (2**31 - 1) / 1000
 
 
 @dataclass(frozen=True)
@@ -469,71 +442,3 @@ def solve_exact(inst: Instance, thb: int, parts_mode: str = PARTS_PER_HEATER,
             status, gap = "feasible", 100.0 * (best - root_lb) / best
     return SolveReport("exact", status, makespan, gap, wall, schedule=schedule,
                        nodes=nodes)
-
-
-# ── external solver bridge ───────────────────────────────────────────
-
-
-def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
-                       time_limit_seconds: float = math.inf) -> SolveReport:
-    """Solve a built model through an external solver command, stopping it
-    once `time_limit_seconds` have passed since the call.  The child gets
-    the time the LP file's writing leaves, as `TIME_LIMIT_ENV` when finite
-    and as its wait; a wait of `_MAX_WAIT_S` or more, `inf` too, is not
-    bounded.  With no time left no child starts.
-
-    Raises AdapterUnavailable when the command is missing, AdapterFailure
-    on an unexpected exit code, SolutionParseError on an unreadable
-    solution file, and lets InfeasibleAssignment from schedule decoding
-    propagate.  A wall-clock timeout comes back as status "limit".
-    """
-    start_clock = time.perf_counter()
-    if adapter is None:
-        raise AdapterUnavailable("no solver adapter configured")
-    command = list(adapter.command)
-    stats = model_stats(m)
-    with tempfile.TemporaryDirectory(prefix="curesched-") as workdir:
-        lp_path = os.path.join(workdir, "model.lp")
-        sol_path = os.path.join(workdir, "model.sol")
-        with open(lp_path, "w") as fh:
-            fh.write(emit_lp(m))
-        env = dict(os.environ)
-        limit = time_limit_seconds - (time.perf_counter() - start_clock)
-        if limit <= 0:
-            return SolveReport("adapter", "limit", None, None,
-                               time.perf_counter() - start_clock, stats=stats)
-        if limit < math.inf:
-            env[TIME_LIMIT_ENV] = str(limit)
-        try:
-            proc = subprocess.run(
-                command + [lp_path, sol_path],
-                capture_output=True,
-                text=True,
-                timeout=limit if limit < _MAX_WAIT_S else None,
-                env=env,
-            )
-        except FileNotFoundError as exc:
-            raise AdapterUnavailable(f"solver command not found: {command[0]}") from exc
-        except subprocess.TimeoutExpired:
-            wall = time.perf_counter() - start_clock
-            return SolveReport("adapter", "limit", None, None, wall,
-                               stats=stats)
-        wall = time.perf_counter() - start_clock
-        if proc.returncode == EXIT_INFEASIBLE:
-            return SolveReport("adapter", "infeasible", None, None, wall,
-                               stats=stats)
-        if proc.returncode != 0:
-            tail = (proc.stderr or proc.stdout or "").strip().splitlines()
-            detail = tail[-1] if tail else "no output"
-            raise AdapterFailure(
-                f"solver exited with code {proc.returncode}: {detail}")
-        try:
-            with open(sol_path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SolutionParseError("solver wrote no solution file") from exc
-    assignment, _ = parse_solution(text)
-    schedule = extract_schedule(m, assignment)
-    makespan = int(schedule_makespan(schedule))
-    return SolveReport("adapter", "optimal", makespan, 0.0, wall,
-                       stats=stats, schedule=schedule)

@@ -23,9 +23,10 @@ stage (`root_bound` counts the first period's setups, so the stage skips
 M08 in both parts modes and M10 per heater, with 0 nodes); the adapter
 climbs any other one's horizons from its root bound,
 first with short slices of the internal search and then with solver
-children, as `_component_solve` describes.  The stage's `SolveReport` is
-the pipeline's report, its model size the `model_size` of the whole
-instance on the horizon.
+children, as `_component_solve` describes; only those children load the
+LP layer (`milp`), so an internal solve never does.  The stage's
+`SolveReport` is the pipeline's report, its model size the `model_size`
+of the whole instance on the horizon.
 """
 
 import time
@@ -48,11 +49,9 @@ from .exact import (
     SolveReport,
     SolverAdapter,
     solve_exact,
-    solve_with_adapter,
 )
 from .heuristic import HeuristicConfig, run_heuristic
-from .horizon import compute_thb
-from .milp import build_model, model_size
+from .horizon import compute_thb, model_size
 
 SOLVER_INTERNAL = "internal-exact"
 SOLVER_ADAPTER = "external-adapter"
@@ -149,6 +148,7 @@ def _component_solve(comp, horizon, cfg: HopConfig, deadline, witnessed,
     else:  # the slices refuted every rung
         return (_Answer("optimal", horizon, nodes=nodes) if witnessed
                 else _Answer("infeasible", nodes=nodes))
+    from .milp import build_model, solve_with_adapter
     for h in range(h, horizon + 1):  # from the rung the last slice left open
         check = witnessed and h == horizon
         if time.perf_counter() >= deadline:

@@ -9,11 +9,16 @@ identical pair (double rate, double changeover allowance); everything else
 runs one copy at a time. The sum of per-mold ceilings is a valid horizon
 because the mold blocks can simply be lined up one after another on
 compatible heaters; `horizon_witness` builds that line-up, so the tests can
-check the argument on every instance they hold.
+check the argument on every instance they hold.  `model_size` gives the
+size of the integer model on a horizon without building it.
 """
+
+from dataclasses import dataclass
 
 from .domain import (
     EMPTY,
+    PARTS_MODES,
+    PARTS_PER_HEATER,
     AssignmentTuple,
     Instance,
     Schedule,
@@ -115,3 +120,52 @@ def horizon_witness(inst: Instance) -> Schedule:
         residents[k] = counts
         free[k] = end = start + length
     return Schedule(tuples=tuples)
+
+
+@dataclass(frozen=True)
+class ModelStats:
+    """The size of the integer model on a horizon of `thb` periods."""
+
+    n_constraints: int
+    n_binary_vars: int   # z and w
+    n_integer_vars: int  # u and prd
+    thb: int
+
+
+def model_size(inst: Instance, thb: int,
+               parts_mode: str = PARTS_PER_HEATER) -> ModelStats:
+    """The counts `milp.model_stats` gives for `milp.build_model(inst, thb,
+    parts_mode)`, in closed form and without building anything.
+
+    Every row and variable family of `build_model` is a product of the
+    mold, heater and part counts, the number of `pair_slots` rows (the sum
+    of the `pair_table` records' heater counts, so no row is built) and
+    the periods; only the prefix rows (`max(thb - 1, 0)`) and the demand
+    rows (none at `thb == 0`) break the pattern.  `tests/test_milp.py::
+    test_model_size_matches_build` checks the two agree.
+    """
+    if parts_mode not in PARTS_MODES:
+        raise ValueError(f"unknown parts mode {parts_mode!r}")
+    if thb < 0:
+        raise ValueError("horizon must be non-negative")
+    n_molds = len(inst.mold_ids)
+    n_heaters = len(inst.heaters)
+    n_ext = sum(len(r.heaters) for r in pair_table(inst).values())
+    part_scopes = n_heaters if parts_mode == PARTS_PER_HEATER else 1
+    per_period = (
+        1                               # active
+        + n_heaters                     # slots
+        + 2 * n_ext                     # cap, rate
+        + 2 * n_molds                   # prod, copies
+        + 3 * n_molds * n_heaters       # molds, setup, removal
+        + len(inst.parts) * part_scopes  # parts
+    )
+    rows = (max(thb - 1, 0) + per_period * thb
+            + (n_molds if thb > 0 else 0)   # demand
+            + n_molds * n_heaters)          # start
+    return ModelStats(
+        n_constraints=rows,
+        n_binary_vars=(n_ext + 1) * thb,
+        n_integer_vars=(n_ext + n_molds) * thb,
+        thb=thb,
+    )

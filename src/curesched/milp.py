@@ -6,28 +6,54 @@ files carry no floating point. The same model object also serves as the
 codec between schedules and variable assignments: check_assignment evaluates
 every row, extract_schedule decodes solver output into tuples, and
 schedule_to_assignment encodes a schedule for cross-checking.
+
+solve_with_adapter writes a built model to an LP file, invokes an external
+solver command on it, reads the returned solution file with
+`lpformat.parse_solution`, and decodes the assignment into a schedule.
+The command contract is
+
+    <solver-cmd> <model.lp> <out.sol>
+
+where the solution file holds one `name value` pair per line plus an
+`objective <v>` line, and the exit code is 0 for solved, 10 for proven
+infeasible, anything else for failure.  An internal solve never loads
+this module: only solver children and `--emit-lp` need it.
 """
 
+import math
+import os
+import subprocess
+import tempfile
+import time
 from dataclasses import dataclass
-from itertools import groupby
 
 from .domain import (
     EMPTY,
     PARTS_MODES,
     PARTS_PER_HEATER,
-    AssignmentTuple,
     Instance,
     Schedule,
     ValidationReport,
     heater_walk,
     pair_slots,
-    pair_table,
     plan_slot,
+    schedule_from_periods,
     schedule_makespan,
     slot_rate,
 )
-from .errors import InfeasibleAssignment
-from .lpformat import Constraint, Variable, fold, term_units
+from .errors import (
+    AdapterFailure,
+    AdapterUnavailable,
+    InfeasibleAssignment,
+    SolutionParseError,
+)
+from .exact import SolveReport, SolverAdapter
+from .horizon import ModelStats
+from .lpformat import (EXIT_INFEASIBLE, TIME_LIMIT_ENV, Constraint, Variable,
+                       fold, parse_solution, term_units)
+
+# the longest wait subprocess accepts (2**31 - 1 ms, about 24.8 days)
+_MAX_WAIT_S = (2**31 - 1) / 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +78,6 @@ class MilpModel:
     def __repr__(self):
         return (f"MilpModel({self.inst.name!r}, thb={self.thb}, "
                 f"rows={len(self.constraints)}, vars={len(self.variables)})")
-
-
-@dataclass(frozen=True)
-class ModelStats:
-    n_constraints: int
-    n_binary_vars: int   # z and w
-    n_integer_vars: int  # u and prd
-    thb: int
 
 
 def _merge_terms(terms):
@@ -220,45 +238,6 @@ def build_model(inst: Instance, thb: int,
     )
 
 
-def model_size(inst: Instance, thb: int,
-               parts_mode: str = PARTS_PER_HEATER) -> ModelStats:
-    """The counts `model_stats(build_model(inst, thb, parts_mode))` gives,
-    in closed form and without building anything.
-
-    Every row and variable family of `build_model` is a product of the
-    mold, heater and part counts, the number of `pair_slots` rows (the sum
-    of the `pair_table` records' heater counts, so no row is built) and
-    the periods; only the prefix rows (`max(thb - 1, 0)`) and the demand
-    rows (none at `thb == 0`) break the pattern.  `tests/test_milp.py::
-    test_model_size_matches_build` checks the two agree.
-    """
-    if parts_mode not in PARTS_MODES:
-        raise ValueError(f"unknown parts mode {parts_mode!r}")
-    if thb < 0:
-        raise ValueError("horizon must be non-negative")
-    n_molds = len(inst.mold_ids)
-    n_heaters = len(inst.heaters)
-    n_ext = sum(len(r.heaters) for r in pair_table(inst).values())
-    part_scopes = n_heaters if parts_mode == PARTS_PER_HEATER else 1
-    per_period = (
-        1                               # active
-        + n_heaters                     # slots
-        + 2 * n_ext                     # cap, rate
-        + 2 * n_molds                   # prod, copies
-        + 3 * n_molds * n_heaters       # molds, setup, removal
-        + len(inst.parts) * part_scopes  # parts
-    )
-    rows = (max(thb - 1, 0) + per_period * thb
-            + (n_molds if thb > 0 else 0)   # demand
-            + n_molds * n_heaters)          # start
-    return ModelStats(
-        n_constraints=rows,
-        n_binary_vars=(n_ext + 1) * thb,
-        n_integer_vars=(n_ext + n_molds) * thb,
-        thb=thb,
-    )
-
-
 def model_stats(m: MilpModel) -> ModelStats:
     """The counts of a model that was actually built."""
     return ModelStats(
@@ -356,28 +335,6 @@ def extract_schedule(m: MilpModel, assignment) -> Schedule:
     return schedule_from_periods(m.inst, periods)
 
 
-def schedule_from_periods(inst: Instance, periods_by_heater) -> Schedule:
-    """Merge per-heater period sequences into placed tuples.
-
-    `periods_by_heater` maps a heater to its periods in order, each as
-    (pair, produced), the pair None for an idle period.  Consecutive
-    periods holding the same pair merge into one tuple whose quantity is
-    their summed production; ids run by heater, then by start.
-    """
-    tuples = []
-    for k in inst.heaters:
-        start = 0
-        for pair, run in groupby(periods_by_heater.get(k, ()),
-                                 key=lambda period: period[0]):
-            run = [produced for _, produced in run]
-            if pair is not None:
-                tuples.append(AssignmentTuple(
-                    id=len(tuples) + 1, m1=pair[0], m2=pair[1], q=sum(run),
-                    heater=k, start=start, length=len(run)))
-            start += len(run)
-    return Schedule(tuples=tuples)
-
-
 def schedule_to_assignment(m: MilpModel, schedule: Schedule) -> dict:
     """Encode a feasible schedule as a variable assignment for this model.
 
@@ -438,3 +395,71 @@ def schedule_to_assignment(m: MilpModel, schedule: Schedule) -> dict:
     for t in range(1, int(makespan) + 1):
         asg[m.w[t]] = 1
     return asg
+
+
+# ── external solver bridge ───────────────────────────────────────────
+
+
+def solve_with_adapter(m: MilpModel, adapter: SolverAdapter,
+                       time_limit_seconds: float = math.inf) -> SolveReport:
+    """Solve a built model through an external solver command, stopping it
+    once `time_limit_seconds` have passed since the call.  The child gets
+    the time the LP file's writing leaves, as `TIME_LIMIT_ENV` when finite
+    and as its wait; a wait of `_MAX_WAIT_S` or more, `inf` too, is not
+    bounded.  With no time left no child starts.
+
+    Raises AdapterUnavailable when the command is missing, AdapterFailure
+    on an unexpected exit code, SolutionParseError on an unreadable
+    solution file, and lets InfeasibleAssignment from schedule decoding
+    propagate.  A wall-clock timeout comes back as status "limit".
+    """
+    start_clock = time.perf_counter()
+    if adapter is None:
+        raise AdapterUnavailable("no solver adapter configured")
+    command = list(adapter.command)
+    stats = model_stats(m)
+    with tempfile.TemporaryDirectory(prefix="curesched-") as workdir:
+        lp_path = os.path.join(workdir, "model.lp")
+        sol_path = os.path.join(workdir, "model.sol")
+        with open(lp_path, "w") as fh:
+            fh.write(emit_lp(m))
+        env = dict(os.environ)
+        limit = time_limit_seconds - (time.perf_counter() - start_clock)
+        if limit <= 0:
+            return SolveReport("adapter", "limit", None, None,
+                               time.perf_counter() - start_clock, stats=stats)
+        if limit < math.inf:
+            env[TIME_LIMIT_ENV] = str(limit)
+        try:
+            proc = subprocess.run(
+                command + [lp_path, sol_path],
+                capture_output=True,
+                text=True,
+                timeout=limit if limit < _MAX_WAIT_S else None,
+                env=env,
+            )
+        except FileNotFoundError as exc:
+            raise AdapterUnavailable(f"solver command not found: {command[0]}") from exc
+        except subprocess.TimeoutExpired:
+            wall = time.perf_counter() - start_clock
+            return SolveReport("adapter", "limit", None, None, wall,
+                               stats=stats)
+        wall = time.perf_counter() - start_clock
+        if proc.returncode == EXIT_INFEASIBLE:
+            return SolveReport("adapter", "infeasible", None, None, wall,
+                               stats=stats)
+        if proc.returncode != 0:
+            tail = (proc.stderr or proc.stdout or "").strip().splitlines()
+            detail = tail[-1] if tail else "no output"
+            raise AdapterFailure(
+                f"solver exited with code {proc.returncode}: {detail}")
+        try:
+            with open(sol_path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SolutionParseError("solver wrote no solution file") from exc
+    assignment, _ = parse_solution(text)
+    schedule = extract_schedule(m, assignment)
+    makespan = int(schedule_makespan(schedule))
+    return SolveReport("adapter", "optimal", makespan, 0.0, wall,
+                       stats=stats, schedule=schedule)

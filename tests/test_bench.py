@@ -45,8 +45,9 @@ from curesched.domain import (
 )
 from curesched.exact import SolveReport
 from curesched.gen import SCENARIOS, generate_instance
+from curesched.horizon import ModelStats
 from curesched.lpformat import parse_lp, parse_solution
-from curesched.milp import ModelStats, build_model, emit_lp, model_stats
+from curesched.milp import build_model, emit_lp, model_stats
 
 from helpers import garbage_solver, toy1, toy2, variant
 

@@ -41,7 +41,7 @@ from curesched.domain import (
 )
 
 from curesched.gen import SCENARIOS, generate_instance
-from curesched.milp import model_size
+from curesched.horizon import model_size
 
 from helpers import (
     malformed_variants,

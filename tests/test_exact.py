@@ -19,6 +19,7 @@ import pytest
 
 import curesched.domain
 import curesched.exact
+import curesched.milp
 from curesched.domain import (
     ChangeoverMemo,
     Mold,
@@ -41,12 +42,12 @@ from curesched.errors import (
     InfeasibleAssignment,
     SolutionParseError,
 )
-from curesched.exact import SolverAdapter, solve_exact, solve_with_adapter
+from curesched.exact import SolverAdapter, solve_exact
 from curesched.gen import SCENARIOS, generate_instance
 from curesched.heuristic import HeuristicConfig, run_heuristic
 from curesched.horizon import compute_thb
 from curesched.lpformat import TIME_LIMIT_ENV
-from curesched.milp import build_model
+from curesched.milp import build_model, solve_with_adapter
 
 from helpers import (
     PHI,
@@ -712,14 +713,14 @@ def _slow_emit(monkeypatch, seconds):
         def perf_counter():
             return now[0]
 
-    real = curesched.exact.emit_lp
+    real = curesched.milp.emit_lp
 
     def slow(m):
         now[0] += seconds
         return real(m)
 
-    monkeypatch.setattr(curesched.exact, "time", FakeTime)
-    monkeypatch.setattr(curesched.exact, "emit_lp", slow)
+    monkeypatch.setattr(curesched.milp, "time", FakeTime)
+    monkeypatch.setattr(curesched.milp, "emit_lp", slow)
 
 
 @pytest.mark.parametrize("limit, passed", [

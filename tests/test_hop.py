@@ -27,6 +27,7 @@ import curesched.domain
 import curesched.exact
 import curesched.hop
 import curesched.lpsolve
+import curesched.milp
 
 from curesched.bounds import root_bound
 from curesched.domain import (
@@ -63,10 +64,9 @@ from curesched.hop import (
     run_baseline_milp,
     run_hop,
 )
-from curesched.horizon import compute_thb, horizon_witness
+from curesched.horizon import compute_thb, horizon_witness, model_size
 from curesched.milp import (
     build_model,
-    model_size,
     model_stats,
     schedule_to_assignment,
 )
@@ -280,7 +280,7 @@ def test_internal_solver_builds_no_model(monkeypatch, mode):
     def no_build(*args, **kwargs):
         raise AssertionError("the internal solver needs no MILP")
 
-    monkeypatch.setattr(curesched.hop, "build_model", no_build)
+    monkeypatch.setattr(curesched.milp, "build_model", no_build)
     cfg = HopConfig(heuristic=HeuristicConfig(total_iterations=20, seed=1,
                                               parts_mode=mode),
                     solver=SOLVER_INTERNAL, parts_mode=mode)
@@ -351,14 +351,14 @@ def test_solver_time_counts_the_model_build(monkeypatch, oracle_declines):
         def perf_counter():
             return now[0]
 
-    real_build = curesched.hop.build_model
+    real_build = curesched.milp.build_model
 
     def slow_build(*args, **kwargs):
         now[0] += 100.0
         return real_build(*args, **kwargs)
 
     monkeypatch.setattr(curesched.hop, "time", FakeTime)
-    monkeypatch.setattr(curesched.hop, "build_model", slow_build)
+    monkeypatch.setattr(curesched.milp, "build_model", slow_build)
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
     report, _ = run_hop(toy1(), cfg)
@@ -389,7 +389,7 @@ def test_adapter_builds_no_model_after_a_slice_spends_the_time(monkeypatch,
 
     monkeypatch.setattr(curesched.hop, "time", FakeTime)
     monkeypatch.setattr(curesched.hop, "solve_exact", spends_its_slice)
-    monkeypatch.setattr(curesched.hop, "build_model",
+    monkeypatch.setattr(curesched.milp, "build_model",
                         lambda *args: built.append(args))
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB),
@@ -424,8 +424,8 @@ def test_adapter_starts_no_child_after_a_build_spends_the_time(monkeypatch):
 
     monkeypatch.setattr(curesched.hop, "time", FakeTime)
     monkeypatch.setattr(curesched.hop, "solve_exact", settles_nothing)
-    monkeypatch.setattr(curesched.hop, "build_model", spends_the_rest)
-    monkeypatch.setattr(curesched.hop, "solve_with_adapter", never)
+    monkeypatch.setattr(curesched.milp, "build_model", spends_the_rest)
+    monkeypatch.setattr(curesched.milp, "solve_with_adapter", never)
     cfg = HopConfig(heuristic=FAST, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB),
                     time_limit_seconds=0.1)
@@ -573,13 +573,13 @@ def test_components_go_by_bound_and_stop_within_the_longest(monkeypatch):
 def test_adapter_builds_one_model_per_solved_component(monkeypatch,
                                                       oracle_declines):
     built = []
-    real = curesched.hop.build_model
+    real = curesched.milp.build_model
 
     def spy(inst, horizon, parts_mode):
         built.append((inst.mold_ids, inst.heaters, horizon))
         return real(inst, horizon, parts_mode)
 
-    monkeypatch.setattr(curesched.hop, "build_model", spy)
+    monkeypatch.setattr(curesched.milp, "build_model", spy)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
     # S13: the heuristic schedule meets the root bound, so nothing is built
@@ -597,13 +597,13 @@ def test_adapter_builds_one_model_per_solved_component(monkeypatch,
 
 def test_adapter_tries_a_later_component_on_its_root_bound(monkeypatch):
     built = []
-    real = curesched.hop.build_model
+    real = curesched.milp.build_model
 
     def spy(inst, horizon, parts_mode):
         built.append((inst.mold_ids, horizon))
         return real(inst, horizon, parts_mode)
 
-    monkeypatch.setattr(curesched.hop, "build_model", spy)
+    monkeypatch.setattr(curesched.milp, "build_model", spy)
     # the slice finds rung 6 in about 60 ms; a slow machine must too
     monkeypatch.setattr(curesched.hop, "_REFUTE_S", 5.0)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
@@ -625,7 +625,7 @@ def _ladder_on_tiny_1021(monkeypatch):
     report."""
     inst = tiny_instance(1021)
     rungs = []
-    real = curesched.hop.solve_with_adapter
+    real = curesched.milp.solve_with_adapter
 
     def fake(model, adapter, time_limit_seconds):
         rungs.append(model.thb)
@@ -633,7 +633,7 @@ def _ladder_on_tiny_1021(monkeypatch):
             return SolveReport("adapter", "infeasible", None, None, 0.0)
         return real(model, adapter, time_limit_seconds)
 
-    monkeypatch.setattr(curesched.hop, "solve_with_adapter", fake)
+    monkeypatch.setattr(curesched.milp, "solve_with_adapter", fake)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=SOLVER_ADAPTER,
                     adapter=SolverAdapter(command=STUB))
     report, schedule = run_hop(inst, cfg)
@@ -786,13 +786,13 @@ def test_adapter_ladder_derives_its_component_table_once(monkeypatch,
                                                        oracle_declines):
     derived = _derivations(monkeypatch)
     built = []
-    real = curesched.hop.build_model
+    real = curesched.milp.build_model
 
     def spy(comp, horizon, parts_mode):
         built.append(comp)
         return real(comp, horizon, parts_mode)
 
-    monkeypatch.setattr(curesched.hop, "build_model", spy)
+    monkeypatch.setattr(curesched.milp, "build_model", spy)
     rungs, _ = _ladder_on_tiny_1021(monkeypatch)
     assert rungs == [2, 3, 4] and len(built) == 3
     assert all(comp is built[0] for comp in built)
@@ -862,7 +862,7 @@ def _no_child(monkeypatch):
         raise AssertionError("a settled rung started a solver child")
 
     monkeypatch.setattr(curesched.hop, "_REFUTE_S", 5.0)
-    monkeypatch.setattr(curesched.hop, "solve_with_adapter", never)
+    monkeypatch.setattr(curesched.milp, "solve_with_adapter", never)
 
 
 @pytest.mark.parametrize("mode", (PARTS_PER_HEATER, PARTS_GLOBAL))
@@ -978,7 +978,7 @@ def test_component_that_meets_its_root_bound_is_not_searched(monkeypatch,
     def never(*args, **kwargs):
         raise AssertionError("a component at its root bound was searched")
 
-    monkeypatch.setattr(curesched.hop, "build_model", never)
+    monkeypatch.setattr(curesched.milp, "build_model", never)
     monkeypatch.setattr(curesched.hop, "solve_exact", never)
     cfg = HopConfig(heuristic=SMALL_HEURISTIC, solver=solver,
                     **BACKENDS[solver])

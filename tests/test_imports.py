@@ -2,7 +2,8 @@
 
 Every name a module imports is used in it or re-exported through its
 `__all__`, and importing the package loads neither numpy nor scipy: only
-the bundled solver command, `curesched.lpsolve`, needs them.
+the bundled solver command, `curesched.lpsolve`, needs them.  An internal
+solve loads no LP layer either: only solver children need `milp`.
 """
 
 import ast
@@ -69,6 +70,50 @@ def test_solver_command_loads_only_what_it_needs():
             "if m.partition('.')[0] == 'curesched'))")
     assert _fresh(code) == str(["curesched", "curesched.errors",
                                 "curesched.lpformat", "curesched.lpsolve"])
+
+
+def test_internal_solve_loads_no_lp_layer():
+    """An internal solve runs the oracle alone: neither the model
+    (`milp`) nor the LP text layer (`lpformat`) loads."""
+    code = ("import sys, curesched.gen, curesched.hop; "
+            "inst = curesched.gen.generate_instance("
+            "curesched.gen.SCENARIOS['small'], 11); "
+            "report, _ = curesched.hop.run_hop(inst); "
+            "print(report.status, report.makespan, report.nodes > 0); "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'curesched'))")
+    assert _fresh(code).splitlines() == ["optimal 6 True", str([
+        "curesched", "curesched.bounds", "curesched.domain",
+        "curesched.errors", "curesched.exact", "curesched.gen",
+        "curesched.heuristic", "curesched.hop", "curesched.horizon"])]
+
+
+def test_cli_import_loads_no_lp_layer():
+    code = ("import sys, curesched.bench; "
+            "print(sorted({'curesched.milp', 'curesched.lpformat'} "
+            "& set(sys.modules)))")
+    assert _fresh(code) == "[]"
+
+
+def test_adapter_climb_loads_the_model():
+    """A solver child needs the model: a baseline solve whose oracle
+    slices settle nothing loads `milp` for its first child."""
+    code = ("import sys, curesched.gen, curesched.hop; "
+            "from curesched import HopConfig, SOLVER_ADAPTER, "
+            "SolveReport, SolverAdapter; "
+            "curesched.hop.solve_exact = lambda inst, thb, parts_mode, "
+            "floor, time_limit_seconds: "
+            "SolveReport('exact', 'limit', None, None, time_limit_seconds); "
+            "inst = curesched.gen.generate_instance("
+            "curesched.gen.SCENARIOS['small'], 1); "
+            "before = 'curesched.milp' in sys.modules; "
+            "adapter = SolverAdapter((sys.executable, '-m', "
+            "'curesched.lpsolve')); "
+            "report, _ = curesched.hop.run_baseline_milp(inst, HopConfig("
+            "solver=SOLVER_ADAPTER, adapter=adapter)); "
+            "print(before, report.status, report.makespan, "
+            "'curesched.milp' in sys.modules)")
+    assert _fresh(code) == "False optimal 2 True"
 
 
 def test_star_import_binds_every_public_name():

@@ -29,12 +29,13 @@ from curesched.domain import (
     AssignmentTuple,
     Mold,
     Schedule,
+    schedule_from_periods,
     schedule_makespan,
     validate_schedule,
 )
 from curesched.errors import InfeasibleAssignment, SolutionParseError
 from curesched.gen import SCENARIOS, generate_instance
-from curesched.horizon import horizon_witness
+from curesched.horizon import horizon_witness, model_size
 from curesched.lpformat import (
     EXIT_INFEASIBLE,
     Constraint,
@@ -49,9 +50,7 @@ from curesched.milp import (
     check_assignment,
     emit_lp,
     extract_schedule,
-    model_size,
     model_stats,
-    schedule_from_periods,
     schedule_to_assignment,
 )
 

@@ -17,9 +17,9 @@ from importlib import import_module
 # the module each public name lives in
 _EXPORTS = {
     "domain": (
-        "AssignmentTuple", "Instance", "Mold", "Part", "PairSlot",
+        "AssignmentTuple", "Instance", "Mold", "PairRecord", "Part",
         "PARTS_GLOBAL", "PARTS_PER_HEATER", "Schedule", "ValidationReport",
-        "pair_slots", "schedule_makespan", "validate_instance",
+        "pair_table", "schedule_makespan", "validate_instance",
         "validate_schedule",
     ),
     "errors": (

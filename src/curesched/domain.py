@@ -27,12 +27,12 @@ run, and size each heater's tuple from the deduction with the same
   * every later period of the tuple runs at the full rate
     floor(period / max cure time of the molds on board).
 
-Beside it, `pair_table` is the one rule of which mold pairs can run where:
-one `PairRecord` per runnable pair, which the heuristic, the exact search,
-the horizon and the model size read.  It is built on first use and kept
-on the instance, so a solve derives it once for its instance and once for
-each component its exact stage searches.  `pair_slots` is its flat view,
-one row per (pair, heater), built only for the model and for callers.
+Beside it, `pair_table` is the one rule of which mold pairs can run where,
+and of which mold copies and part units can block each: one `PairRecord`
+per runnable pair, which the heuristic, the exact search, the horizon, the
+model size and the model read.  It is built on first use and kept on the
+instance, so a solve derives it once for its instance and once for each
+component its exact stage searches.
 """
 
 import math
@@ -80,9 +80,9 @@ class Instance:
     of m may run together. `init` maps (mold, heater) to copies already
     mounted before the first period.
 
-    The pair table, its flat view and the root bounds are not built here:
-    the first call builds each and keeps it on the instance, so loading or
-    generating an instance never pays for them.
+    The pair table and the root bounds are not built here: the first call
+    builds each and keeps it on the instance, so loading or generating an
+    instance never pays for them.
     """
 
     def __init__(self, name, period_dmin, molds, heaters, curing,
@@ -111,7 +111,6 @@ class Instance:
             for m in self.molds
         }
         self._pair_table = None  # built by the first `pair_table` call
-        self._pair_slots = None  # built by the first `pair_slots` call
         self._root_bounds = {}  # parts mode -> `bounds._root`, when asked
 
     def __repr__(self):
@@ -134,6 +133,12 @@ class PairRecord(NamedTuple):
     rows          : (heater, `slot_rate`, cure) of each of `heaters`,
                     fastest first and ids breaking ties
     setup_fits    : whether its joint setup work fits one period budget
+    held          : (resource, count, capacity) of each mold it holds
+                    that can run out beside other heaters, in `molds`
+                    order; the resource is the mold id
+    held_global   : `held`, then the same of each part whose units can
+                    run out when heaters share them (global parts mode),
+                    in `usage` order; the resource is ("part", part id)
     """
 
     counts: dict
@@ -143,6 +148,8 @@ class PairRecord(NamedTuple):
     cures: tuple
     rows: list
     setup_fits: bool
+    held: tuple
+    held_global: tuple
 
 
 def pair_table(inst: Instance) -> dict:
@@ -156,7 +163,13 @@ def pair_table(inst: Instance) -> dict:
     of a part than exist.  No schedule can hold any other (pair, heater);
     an invalid instance loses those without error, leaving
     `validate_instance` to report it.  Built on the first call, it is kept
-    on the instance."""
+    on the instance.
+
+    A record's `held` and `held_global` leave out every resource that can
+    never run out: a mold with at least 2 copies per heater that cures it,
+    and a part with at least 2 units per heater that cures one of its
+    molds.  A heater holds at most 2 units of either, so such a resource
+    fits whatever the other heaters hold."""
     if inst._pair_table is None:
         inst._pair_table = _derive_pair_table(inst)
     return inst._pair_table
@@ -168,6 +181,13 @@ def _derive_pair_table(inst: Instance) -> dict:
     pairs = {(EMPTY, j) for (j, k) in inst.curing if k in heater_set}
     pairs.update(inst.mold_compat)
     times = {m: cure_times(inst, m) for m in inst.mold_ids}
+    cures_on = inst.compat_heaters
+    # the molds and parts with fewer than 2 units per heater they can be on
+    scarce_copies = {m.id: m.copies for m in inst.molds
+                     if m.copies < 2 * len(cures_on[m.id])}
+    scarce_units = {p.id: p.units for p in inst.parts
+                    if p.units < 2 * len(set().union(
+                        *(cures_on.get(m, ()) for m in p.molds)))}
     table = {}
     for i, j in sorted(pairs):
         counts = {i: 2} if i == j else {m: 1 for m in (i, j) if m != EMPTY}
@@ -184,37 +204,17 @@ def _derive_pair_table(inst: Instance) -> dict:
             continue
         rows = [(k, slot_rate(phi, tv), tv) for k, tv in cures.items()]
         rows.sort(key=lambda row: -row[1])  # stable: ids ascending on ties
+        molds = multiset(counts)
+        held = tuple((m, c, scarce_copies[m]) for m, c in molds
+                     if m in scarce_copies)
         table[i, j] = PairRecord(
-            counts, usage, multiset(counts), tuple(cures),
-            tuple(cures.values()), rows,
+            counts, usage, molds, tuple(cures), tuple(cures.values()), rows,
             sum(mold_by_id[m].setup_dmin * c for m, c in counts.items())
-            <= phi)
+            <= phi,
+            held,
+            held + tuple((("part", p), u, scarce_units[p])
+                         for p, u in usage.items() if p in scarce_units))
     return table
-
-
-class PairSlot(NamedTuple):
-    """A `pair_slots` row: a runnable pair (m1 may be 0, the empty slot;
-    m1 <= m2) on one heater, with its record's `counts` and `usage` and
-    `max_tv`, the slowest cure time there."""
-
-    m1: MoldId
-    m2: MoldId
-    heater: HeaterId
-    counts: dict
-    usage: dict
-    max_tv: int
-
-
-def pair_slots(inst: Instance) -> tuple:
-    """The flat view of `pair_table`, built on the first call (for the
-    model and for callers; the solvers read the records) and kept on the
-    instance: every runnable (m1, m2, heater) as a `PairSlot`, sorted."""
-    if inst._pair_slots is None:
-        inst._pair_slots = tuple(
-            PairSlot(m1, m2, k, record.counts, record.usage, tv)
-            for (m1, m2), record in pair_table(inst).items()
-            for k, tv in zip(record.heaters, record.cures))
-    return inst._pair_slots
 
 
 def cure_times(inst: Instance, mold_id: MoldId) -> dict:

@@ -152,20 +152,16 @@ class _Fronts(dict):
 def _heater_table(inst, parts_mode):
     """Per heater, the `pair_table` pairs it can run, ascending, as (pair,
     `multiset` of its molds, needs, slowest cure time there), built once
-    per search.  needs lists (resource, units, limit): each mold's copies
-    (the resource is the mold id), and in global mode each part's units
-    (the resource is ("part", part id)); a pair's heaters share it."""
+    per search.  needs is the record's `held`, or `held_global` in global
+    parts mode: the (resource, units, limit) of each mold copy count and
+    part unit count the pair holds that can run out; a pair's heaters
+    share it."""
     shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
     for pair, record in pair_table(inst).items():
-        molds = record.molds
-        needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
-        if shared:
-            needs += [(("part", p), c, inst.part_by_id[p].units)
-                      for p, c in record.usage.items()]
-        needs = tuple(needs)
+        needs = record.held_global if shared else record.held
         for k, max_tv in zip(record.heaters, record.cures):
-            table[k].append((pair, molds, needs, max_tv))
+            table[k].append((pair, record.molds, needs, max_tv))
     return table
 
 
@@ -244,10 +240,13 @@ def _iter_joint_configs(search, residents, res, period):
     The walk drops a heater's option as soon as some mold cannot get there
     even if each later heater cures its most of it: the lesser of their
     best cap * count summed and the copies still free times their best
-    per-slot cap.  At the last heater that is the child's own check, so
-    exactly the configurations whose child passes it come out, in the
-    order of the full cross product.  Raises `_OutOfTime` once the clock
-    passes the deadline, read each time the walk backs up a heater."""
+    per-slot cap.  A mold whose copies can never run out has no needs
+    entry, so the walk counts none of its copies held; it has 2 per later
+    heater that cures it even so, and the first bound is the lesser.  At
+    the last heater that is the child's own check, so exactly the
+    configurations whose child passes it come out, in the order of the
+    full cross product.  Raises `_OutOfTime` once the clock passes the
+    deadline, read each time the walk backs up a heater."""
     inst, rate = search.inst, search.rate
     heaters = inst.heaters
     n = len(heaters)

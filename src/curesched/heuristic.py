@@ -119,10 +119,10 @@ class _Context:
     pairs       : (m1, m2) -> its `_Pair` record, for every runnable pair:
                   heaters: the record's (heater, rate, cure) `rows`,
                   fastest first; molds: `multiset` of the pair's molds;
-                  held: (resource, units, capacity) of each mold,
-                  and in the global parts mode each part, the pair holds
-                  that can block a start (see `_place`); heater_set: the
-                  index of its heaters in `heater_sets`
+                  held: the record's `held`, or `held_global` in the
+                  global parts mode, the (resource, units, capacity) it
+                  holds that can block a start (see `_place`);
+                  heater_set: the index of its heaters in `heater_sets`
     parts_mode  : how part units are shared in the run
     initial     : heater -> `multiset` mounted before the first period
     plans       : the run's `ChangeoverMemo`: each changeover (what a
@@ -158,22 +158,10 @@ def _context(inst: Instance, parts_mode: str) -> _Context:
             sets_with[k].append(i)
     demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
 
-    # no mold with 2 copies per heater that cures it binds, nor a part with
-    # 2 units per heater that cures one of its molds, nor any per heater
-    cures = inst.compat_heaters
-    binding_copies = {m.id: m.copies for m in inst.molds
-                      if m.copies < 2 * len(cures[m.id])}
-    binding_units = {p.id: p.units for p in inst.parts
-                     if p.units < 2 * len(set().union(
-                         *(cures.get(m, ()) for m in p.molds)))
-                     } if parts_mode == PARTS_GLOBAL else {}
+    shared = parts_mode == PARTS_GLOBAL
     pairs = {
         pair: _Pair(record.rows, record.molds,
-                    [(("mold", m), c, binding_copies[m])
-                     for m, c in record.molds if m in binding_copies]
-                    + [(("part", p), u, binding_units[p])
-                       for p, u in record.usage.items()
-                       if p in binding_units],
+                    record.held_global if shared else record.held,
                     index[record.heaters])
         for pair, record in table.items()}
     pool = [pair for pair, record in table.items() if record.setup_fits
@@ -320,11 +308,11 @@ def _place(inst: Instance, ctx: _Context, rows, cutoff=math.inf) -> tuple:
     availabilities only grow.
 
     A resource with at least 2|H| units, H the heaters that cure it (for a
-    part, one of its molds), gets no profile (`_Pair.held`): a tuple holds
-    at most 2 units of it, so a period in which one or two more units do
-    not fit has at least 2|H| - 1 held, every heater of H busy, and a pair
-    holding it, whose heaters all lie in H, has none free in that period
-    either. Its answer is never the largest.
+    part, one of its molds), gets no profile (`PairRecord.held` leaves it
+    out): a tuple holds at most 2 units of it, so a period in which one or
+    two more units do not fit has at least 2|H| - 1 held, every heater of
+    H busy, and a pair holding it, whose heaters all lie in H, has none
+    free in that period either. Its answer is never the largest.
 
     The scan is lazy (Minoux's accelerated greedy): each pending pair
     sits in a heap keyed by the ready period worked out when it was

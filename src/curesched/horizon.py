@@ -138,10 +138,10 @@ def model_size(inst: Instance, thb: int,
     parts_mode)`, in closed form and without building anything.
 
     Every row and variable family of `build_model` is a product of the
-    mold, heater and part counts, the number of `pair_slots` rows (the sum
-    of the `pair_table` records' heater counts, so no row is built) and
-    the periods; only the prefix rows (`max(thb - 1, 0)`) and the demand
-    rows (none at `thb == 0`) break the pattern.  `tests/test_milp.py::
+    mold, heater and part counts, the number of runnable (pair, heater)s
+    (the sum of the `pair_table` records' heater counts) and the periods;
+    only the prefix rows (`max(thb - 1, 0)`) and the demand rows (none at
+    `thb == 0`) break the pattern.  `tests/test_milp.py::
     test_model_size_matches_build` checks the two agree.
     """
     if parts_mode not in PARTS_MODES:

@@ -35,7 +35,7 @@ from .domain import (
     Schedule,
     ValidationReport,
     heater_walk,
-    pair_slots,
+    pair_table,
     plan_slot,
     schedule_from_periods,
     schedule_makespan,
@@ -97,8 +97,10 @@ def build_model(inst: Instance, thb: int,
         raise ValueError("horizon must be non-negative")
     phi = inst.period_dmin
     periods = range(1, thb + 1)
-    slots = pair_slots(inst)
-    ext = [(s.m1, s.m2, s.heater) for s in slots]
+    # each runnable (m1, m2, heater), sorted, -> its slowest cure time
+    cures = {(i, j, k): tv for (i, j), record in pair_table(inst).items()
+             for k, tv in zip(record.heaters, record.cures)}
+    ext = list(cures)
     pairs_on = {k: [(i, j) for i, j, kk in ext if kk == k]
                 for k in inst.heaters}
     # eq-8/10 members of each mold: first-slot pairs, then second-slot ones
@@ -149,10 +151,9 @@ def build_model(inst: Instance, thb: int,
             add(f"slots_{k}_{t}", "eq-4", f"heater {k} period {t}",
                 terms, "<=", 1)
 
-    for s in slots:
-        i, j, k = s.m1, s.m2, s.heater
+    for (i, j, k), max_tv in cures.items():
         for t in periods:
-            terms = [(s.max_tv, u[(i, j, k, t)])]
+            terms = [(max_tv, u[(i, j, k, t)])]
             for m in inst.mold_ids:
                 terms.append((inst.mold_by_id[m].setup_dmin, y[(m, k, t)]))
             for m in inst.mold_ids:
@@ -163,9 +164,8 @@ def build_model(inst: Instance, thb: int,
                 tag, label = "eq-5", f"capacity pair ({i},{j}) heater {k} period {t}"
             add(f"cap_{i}_{j}_{k}_{t}", tag, label, terms, "<=", phi)
 
-    for s in slots:
-        i, j, k = s.m1, s.m2, s.heater
-        cap = slot_rate(phi, s.max_tv)
+    for (i, j, k), max_tv in cures.items():
+        cap = slot_rate(phi, max_tv)
         for t in periods:
             add(f"rate_{i}_{j}_{k}_{t}", "eq-7",
                 f"rate pair ({i},{j}) heater {k} period {t}",

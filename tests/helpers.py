@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from operator import attrgetter
+from typing import NamedTuple
 
 import curesched.exact
 from curesched.bounds import residual_bound
@@ -27,7 +28,6 @@ from curesched.domain import (
     ChangeoverMemo,
     Instance,
     Mold,
-    PairSlot,
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
@@ -37,7 +37,7 @@ from curesched.domain import (
     heater_walk,
     initial_residents,
     multiset,
-    pair_slots,
+    pair_table,
     part_usage,
     periods_for,
     plan_slot,
@@ -89,6 +89,27 @@ def toy2() -> Instance:
     )
 
 
+class PairSlot(NamedTuple):
+    """One runnable pair on one heater: m1 may be 0, the empty slot, and
+    m1 <= m2; its mold counts, the part units it ties down, and `max_tv`,
+    the slowest cure time on board there."""
+
+    m1: int
+    m2: int
+    heater: int
+    counts: dict
+    usage: dict
+    max_tv: int
+
+
+def table_slots(inst: Instance) -> list:
+    """`pair_table` flattened, one `PairSlot` per record and heater, in
+    (m1, m2, heater) order, sharing each record's dicts."""
+    return [PairSlot(m1, m2, k, record.counts, record.usage, max_tv)
+            for (m1, m2), record in pair_table(inst).items()
+            for k, max_tv in zip(record.heaters, record.cures)]
+
+
 def reference_pair_slots(inst: Instance) -> list:
     """The pair table derived afresh, one (pair, heater) at a time: every
     allowed (m1, m2, heater), singles included, that a schedule can run,
@@ -117,14 +138,16 @@ def reference_pair_slots(inst: Instance) -> list:
 
 
 def reference_heater_table(inst: Instance, parts_mode) -> dict:
-    """`exact._heater_table` as it read the flat `pair_slots` rows, its
-    body kept verbatim: per heater, its rows as (pair, `multiset` of its
-    molds, needs, slowest cure time), each pair's shared values worked
-    out at its first row."""
+    """`exact._heater_table` as it read the flat pair rows, its body kept
+    verbatim, the rows now `reference_pair_slots`: per heater, its rows as
+    (pair, `multiset` of its molds, needs, slowest cure time), each pair's
+    shared values worked out at its first row.  Its needs list every
+    mold's copies and, in global mode, every part's units, also those
+    that can never run out."""
     shared = parts_mode != PARTS_PER_HEATER
     table = {k: [] for k in inst.heaters}
     pair = None
-    for m1, m2, k, counts, usage, max_tv in pair_slots(inst):
+    for m1, m2, k, counts, usage, max_tv in reference_pair_slots(inst):
         if (m1, m2) != pair:  # a pair's rows come together and share these
             pair = (m1, m2)
             molds = multiset(counts)
@@ -165,7 +188,7 @@ def reference_context(inst: Instance) -> _Context:
     (-rate, id), and every heater set scanned for each heater.  It gives
     the older layout (`_Context` here), both parts modes in one."""
     heaters, counts, usage = {}, {}, {}
-    for s in pair_slots(inst):  # each pair's heaters ascending
+    for s in reference_pair_slots(inst):  # each pair's heaters ascending
         pair = (s.m1, s.m2)
         heaters.setdefault(pair, []).append(
             (s.heater, slot_rate(inst.period_dmin, s.max_tv), s.max_tv))
@@ -261,7 +284,7 @@ def reference_placement(inst: Instance, tuples,
     every part) it holds has room in each period.  Raises
     NoFeasiblePlacement where no heater takes a tuple."""
     slots = {}
-    for s in pair_slots(inst):
+    for s in reference_pair_slots(inst):
         slots.setdefault((s.m1, s.m2), []).append(s)
     capacity = {("mold", m.id): m.copies for m in inst.molds}
     capacity.update({("part", p.id): p.units for p in inst.parts})

@@ -28,7 +28,6 @@ from curesched.domain import (
     heater_walk,
     initial_residents,
     multiset,
-    pair_slots,
     pair_table,
     part_usage,
     periods_for,
@@ -47,6 +46,7 @@ from helpers import (
     malformed_variants,
     pair_table_corpus,
     reference_pair_slots,
+    table_slots,
     tiny_instance,
     toy1,
     toy1_two_heaters,
@@ -62,7 +62,7 @@ def _keys(slots):
 
 
 def test_toy1_pair_triples():
-    slots = pair_slots(toy1())
+    slots = table_slots(toy1())
     assert _keys(slots) == [(0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1)]
     assert [s.counts for s in slots] == [
         {1: 1}, {2: 1}, {1: 2}, {1: 1, 2: 1}, {2: 2}]
@@ -70,7 +70,7 @@ def test_toy1_pair_triples():
 
 
 def test_toy1_triples_by_mold():
-    slots = pair_slots(toy1())
+    slots = table_slots(toy1())
     # slots holding the mold, keyed (m1, m2, heater), with its copies on board
     on_board = {m: {(s.m1, s.m2, s.heater): s.counts[m]
                     for s in slots if m in s.counts} for m in (1, 2)}
@@ -81,7 +81,7 @@ def test_toy1_triples_by_mold():
 
 
 def test_toy1_pairs_by_heater():
-    slots = pair_slots(toy1())
+    slots = table_slots(toy1())
     assert {s.heater for s in slots} == {1}
     assert {(s.m1, s.m2) for s in slots if s.heater == 1} == {
         (1, 1), (1, 2), (2, 2), (0, 1), (0, 2)}
@@ -90,15 +90,15 @@ def test_toy1_pairs_by_heater():
 def test_toy2_part_index():
     """toy2 has one copy of each mold and one unit of the part they share,
     so only the singles can run."""
-    usage = {(s.m1, s.m2): s.usage for s in pair_slots(toy2())}
+    usage = {(s.m1, s.m2): s.usage for s in table_slots(toy2())}
     assert usage == {(0, 1): {1: 1}, (0, 2): {1: 1}}
 
 
 def test_pair_slots_deterministic_and_order_independent():
     inst = variant(toy1_two_heaters(), curing={(1, 1): 400, (2, 1): 700,
                                                 (1, 2): 900, (2, 2): 300})
-    a = pair_slots(inst)
-    assert pair_slots(inst) == a
+    a = table_slots(inst)
+    assert table_slots(inst) == a
     assert {(s.m1, s.m2, s.heater): s.max_tv for s in a} == {
         (0, 1, 1): 400, (0, 2, 1): 700, (1, 1, 1): 400, (1, 2, 1): 700,
         (2, 2, 1): 700, (0, 1, 2): 900, (0, 2, 2): 300, (1, 1, 2): 900,
@@ -109,7 +109,7 @@ def test_pair_slots_deterministic_and_order_independent():
         heaters=tuple(reversed(inst.heaters)),
         mold_compat=tuple(reversed(sorted(inst.mold_compat))),
     )
-    assert pair_slots(shuffled) == a
+    assert table_slots(shuffled) == a
 
 
 def test_mixed_pair_needs_common_heater():
@@ -120,31 +120,30 @@ def test_mixed_pair_needs_common_heater():
         curing={(1, 1): 400},
         molds=(inst.molds[0], Mold(id=2, copies=2, setup_dmin=600, removal_dmin=300, demand=0)),
     )
-    assert _keys(pair_slots(inst)) == [(0, 1, 1), (1, 1, 1)]
+    assert _keys(table_slots(inst)) == [(0, 1, 1), (1, 1, 1)]
 
 
 def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
     insts = pair_table_corpus()
     for inst in insts + [c for inst in insts for c in components(inst)]:
-        table = pair_slots(inst)
-        assert type(table) is tuple, inst.name
-        assert pair_slots(inst) is table, inst.name
-        assert list(table) == reference_pair_slots(inst), inst.name
+        table = pair_table(inst)
+        assert pair_table(inst) is table, inst.name
+        assert table_slots(inst) == reference_pair_slots(inst), inst.name
 
 
 def test_the_flat_rows_are_the_pair_table_flattened():
-    """`pair_slots` flattens `pair_table` into the per-heater reference
-    derivation, in order, on the pair-table corpus and on every malformed
-    variant.  Each record's rows are its heaters with their `slot_rate`
-    and slowest cure time, fastest first and ids breaking ties, and its
-    setup flag is what an in-test check of its copies, part units and
-    joint setup against the period gives."""
+    """`pair_table` flattens into the per-heater reference derivation, in
+    order, on the pair-table corpus and on every malformed variant.  Each
+    record's rows are its heaters with their `slot_rate` and slowest cure
+    time, fastest first and ids breaking ties, and its setup flag is what
+    an in-test check of its copies, part units and joint setup against
+    the period gives."""
     insts = pair_table_corpus() + list(malformed_variants().values())
     for inst in insts:
         phi = inst.period_dmin
         table = pair_table(inst)
         assert pair_table(inst) is table, inst.name
-        assert list(pair_slots(inst)) == reference_pair_slots(inst), inst.name
+        assert table_slots(inst) == reference_pair_slots(inst), inst.name
         on = {}
         for s in reference_pair_slots(inst):
             on.setdefault((s.m1, s.m2), []).append(s)
@@ -171,7 +170,7 @@ def test_pair_slots_keeps_only_rows_a_schedule_can_run():
     (0, period]; every such one does.  Small plants have one copy per
     mold, so none of their identical pairs remains."""
     for inst in pair_table_corpus():
-        rows = pair_slots(inst)
+        rows = table_slots(inst)
         for s in rows:
             assert all(c <= inst.mold_by_id[m].copies
                        for m, c in s.counts.items()), inst.name
@@ -184,33 +183,18 @@ def test_pair_slots_keeps_only_rows_a_schedule_can_run():
     plant = malformed_variants()
     all_rows = [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 1, 1),
                 (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
-    assert _keys(pair_slots(plant["base"])) == all_rows
+    assert _keys(table_slots(plant["base"])) == all_rows
     # malformed instances lose the rows concerned, and raise nothing
-    assert _keys(pair_slots(plant["zero_cure"])) == [
+    assert _keys(table_slots(plant["zero_cure"])) == [
         key for key in all_rows if key[2] == 2 or 1 not in key[:2]]
-    assert _keys(pair_slots(plant["slow"])) == [
+    assert _keys(table_slots(plant["slow"])) == [
         key for key in all_rows if key[2] == 1 or 1 not in key[:2]]
     assert not validate_instance(plant["unknown"]).ok
-    assert _keys(pair_slots(plant["unknown"])) == all_rows
-    assert _keys(pair_slots(plant["short"])) == [
+    assert _keys(table_slots(plant["unknown"])) == all_rows
+    assert _keys(table_slots(plant["short"])) == [
         key for key in all_rows if key[:2] != (1, 1)]
-    assert _keys(pair_slots(plant["scarce"])) == [
+    assert _keys(table_slots(plant["scarce"])) == [
         key for key in all_rows if key[0] == 0]
-
-
-def test_pair_rows_are_immutable_named_tuples():
-    """A row is a named tuple: equal to the plain tuple of its six fields,
-    with no per-row `__dict__`, and no field can be assigned."""
-    inst = toy2()
-    table = pair_slots(inst)
-    assert pair_slots(inst) is table
-    row = table[0]
-    assert row == (0, 1, 1, {1: 1}, {1: 1}, 400)
-    assert row == (row.m1, row.m2, row.heater, row.counts, row.usage,
-                   row.max_tv)
-    assert not hasattr(row, "__dict__")
-    with pytest.raises(AttributeError):
-        row.max_tv = 1
 
 
 # ── instance validation ──────────────────────────────────────────────
@@ -337,7 +321,7 @@ def test_plan_slot_sizes_every_quantity_from_one_plan():
     for seed in range(1000, 1200):
         inst = tiny_instance(seed)
         phi, plans = inst.period_dmin, ChangeoverMemo(inst)
-        slots = pair_slots(inst)
+        slots = table_slots(inst)
         initial = initial_residents(inst)
         held = [{}] + list({(s.m1, s.m2): s.counts for s in slots}.values())
         for s in slots:
@@ -381,7 +365,7 @@ def test_changeover_memo_agrees_with_plan_slot_on_every_heater():
         phi, memo = inst.period_dmin, ChangeoverMemo(inst)
         initial = initial_residents(inst)
         on_heater = {}
-        for s in pair_slots(inst):
+        for s in table_slots(inst):
             on_heater.setdefault(s.heater, []).append(s)
         for k, on_k in on_heater.items():
             for residents in [initial[k], {}] + [s.counts for s in on_k]:

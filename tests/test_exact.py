@@ -29,7 +29,7 @@ from curesched.domain import (
     components,
     initial_residents,
     multiset,
-    pair_slots,
+    pair_table,
     plan_slot,
     schedule_makespan,
     slot_rate,
@@ -54,9 +54,11 @@ from helpers import (
     brute_force_optimum,
     brute_force_optimum_all_levels,
     child_within_reach,
+    pair_table_corpus,
     plain_memo_solve,
     reference_heater_table,
     single_mold_big,
+    table_slots,
     tiny_instance,
     toy1,
     toy1_two_heaters,
@@ -460,7 +462,7 @@ def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
     """A pair slot that alone needs more copies of a mold, or more units
     of a part, than exist, or whose slowest cure time exceeds the period,
     has no row in the heater table in either parts mode; every other
-    `pair_slots` row is there, in order, with its slowest cure time, and
+    `pair_table` slot is there, in order, with its slowest cure time, and
     its needs stay within their limits.  Small plants have one copy per
     mold, so none of their identical pairs remains."""
     plants = [tiny_instance(seed) for seed in range(1000, 1200)]
@@ -469,7 +471,7 @@ def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
                    for seed in range(1, count + 1)]
     for inst in plants:
         table = curesched.exact._heater_table(inst, parts_mode)
-        kept = [s for s in pair_slots(inst)
+        kept = [s for s in table_slots(inst)
                 if all(c <= inst.mold_by_id[m].copies
                        for m, c in s.counts.items())
                 and all(u <= inst.part_by_id[p].units
@@ -488,18 +490,72 @@ def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
                        for (m1, m2), _, _, _ in rows), inst.name
 
 
+def _never_runs_out(inst, resource, limit):
+    """Whether a mold's copies, or a part's units (resource ("part", id)),
+    number at least 2 per heater that cures the mold, or one of the
+    part's molds: a heater holds at most 2 of them, so they always fit."""
+    if isinstance(resource, tuple):
+        molds = inst.part_by_id[resource[1]].molds
+    else:
+        molds = (resource,)
+    heaters = set().union(*(inst.compat_heaters.get(m, ()) for m in molds))
+    return limit >= 2 * len(heaters)
+
+
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
 def test_heater_table_is_the_one_the_flat_rows_gave(parts_mode):
     """Read from the `pair_table` records, `_heater_table` gives what it
-    gave when it regrouped the flat `pair_slots` rows: the same lists in
-    the same order, on tiny 1000-1199 and small 1-15."""
+    gave when it regrouped the flat pair rows, less the needs that can
+    never run out: the same lists in the same order, on tiny 1000-1199
+    and small 1-15."""
     insts = [tiny_instance(seed) for seed in range(1000, 1200)]
     insts += [generate_instance(SCENARIOS["small"], seed)
               for seed in range(1, 16)]
     for inst in insts:
         got = curesched.exact._heater_table(inst, parts_mode)
-        want = reference_heater_table(inst, parts_mode)
+        want = {k: [(pair, molds, tuple(
+            need for need in needs if not _never_runs_out(inst, *need[::2])),
+                     max_tv) for pair, molds, needs, max_tv in rows]
+                for k, rows in reference_heater_table(inst,
+                                                      parts_mode).items()}
         assert list(got.items()) == list(want.items()), inst.name
+
+
+def test_the_oracle_searches_plants_alike_without_needs_that_never_bind(
+        monkeypatch):
+    """The records leave out each mold copy count and part unit count
+    that can never run out, and nothing else, in both parts modes, on the
+    pair-table corpus.  On the searched component of large L02, L03 and
+    L05, which hold molds whose copies never run out, the oracle in global
+    parts mode gives the same status, makespan, node count and schedule
+    with the full needs of `reference_heater_table` as with the records',
+    up to a node cap that stops both after their first schedules."""
+    for inst in pair_table_corpus():
+        for pair, record in pair_table(inst).items():
+            copies = [(m, c, inst.mold_by_id[m].copies)
+                      for m, c in record.molds]
+            units = [(("part", p), u, inst.part_by_id[p].units)
+                     for p, u in record.usage.items()]
+            for full, kept in ((copies, record.held),
+                               (copies + units, record.held_global)):
+                assert kept == tuple(need for need in full if not
+                                     _never_runs_out(inst, *need[::2])), (
+                    inst.name, pair)
+    monkeypatch.setattr(curesched.exact, "_MAX_NODES", 400)
+    for seed in (2, 3, 5):
+        comp = components(generate_instance(SCENARIOS["large"], seed))[0]
+        assert any(_never_runs_out(comp, m.id, m.copies)
+                   for m in comp.molds), comp.name
+        thb, runs = compute_thb(comp), []
+        for table in (reference_heater_table, curesched.exact._heater_table):
+            with monkeypatch.context() as patch:
+                patch.setattr(curesched.exact, "_heater_table", table)
+                report = solve_exact(comp, thb, PARTS_GLOBAL,
+                                     time_limit_seconds=600)
+            runs.append((report.status, report.makespan, report.nodes,
+                         report.schedule))
+        assert runs[0] == runs[1], comp.name
+        assert runs[0][0] == "feasible" and runs[0][2] == 401, comp.name
 
 
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
@@ -513,7 +569,7 @@ def test_oracle_never_mounts_a_pair_whose_cure_time_exceeds_the_period(
     curing = dict(base.curing)
     curing[(1, 2)] = curing[(2, 2)] = base.period_dmin + 1
     inst = variant(base, curing=curing)
-    assert not [s for s in pair_slots(inst) if s.heater == 2]
+    assert not [s for s in table_slots(inst) if s.heater == 2]
     report = solve_exact(inst, 2, parts_mode=parts_mode)
     assert (report.status, report.makespan) == ("optimal", 1)
     assert validate_schedule(inst, report.schedule, parts_mode).violations \
@@ -544,7 +600,7 @@ def test_pair_table_and_oracle_options_follow_plan_slot(parts_mode):
         plans = ChangeoverMemo(inst)
         res = {m: 10 ** 9 for m in inst.mold_ids}
         for k in inst.heaters:
-            on_k = [s for s in pair_slots(inst) if s.heater == k]
+            on_k = [s for s in table_slots(inst) if s.heater == k]
             for residents in [initial_residents(inst)[k], {}] + [s.counts for s in on_k]:
                 offered = {pair: cap for pair, _, _, cap in options(
                     plans, table[k], multiset(residents), res)}

@@ -61,6 +61,7 @@ from helpers import (
     reference_improvement,
     reference_placement,
     single_mold_big,
+    table_slots,
     tiny_instance,
     toy1,
     toy1_two_heaters,
@@ -197,10 +198,10 @@ def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
     """`pair_table` already drops a pair that needs more copies or part
     units than exist, so the pool checks only demand and the joint setup:
     it is the pool an in-test check of copies, part units and joint setup
-    gives over the `pair_slots` pairs, on tiny 1000-1199, small 1-15,
+    gives over the `pair_table` slots, on tiny 1000-1199, small 1-15,
     medium 1-10 and large 1-5."""
     for inst in _corpus(corpus):
-        slots = {(s.m1, s.m2): s for s in curesched.domain.pair_slots(inst)}
+        slots = {(s.m1, s.m2): s for s in table_slots(inst)}
         demanded = {m.id for m in inst.molds if m.demand > 0}
         ctx = curesched.heuristic._context(inst, PARTS_PER_HEATER)
         assert ctx.pool == [
@@ -217,8 +218,8 @@ def test_context_matches_the_reference_derivation():
     (tiny 1000-1199 and the plants among it) and on malformed instances;
     only `plans`, a fresh memo per run, is left out.  Its five per-pair
     dicts map onto the `pairs` records, in the same pair order: `heaters`
-    rows, `counts`, `held` per heater or `held_global` in global mode,
-    and `set_of`."""
+    rows, `counts`, `held` per heater or `held_global` in global mode
+    (where the records key a mold by its bare id), and `set_of`."""
     insts = pair_table_corpus() + list(malformed_variants().values())
     for inst, mode in product(insts, (PARTS_PER_HEATER, PARTS_GLOBAL)):
         got = curesched.heuristic._context(inst, mode)
@@ -236,6 +237,10 @@ def test_context_matches_the_reference_derivation():
         for name, attr in (("heaters", "heaters"), ("counts", "molds"),
                            (held, "held"), ("set_of", "heater_set")):
             b = getattr(want, name)
+            if name == held:  # the records key a mold by its bare id
+                b = {pair: tuple((r[1] if r[0] == "mold" else r, n, cap)
+                                 for r, n, cap in rows)
+                     for pair, rows in b.items()}
             assert list(got.pairs) == list(b), (inst.name, name)
             assert [getattr(r, attr) for r in got.pairs.values()] \
                 == list(b.values()), (inst.name, mode, name)
@@ -966,7 +971,9 @@ def test_a_resource_gets_a_profile_unless_it_can_never_bind(resource, units,
                 for res, _n, _cap in record.held}
     binds = units < 4 and (resource == "mold" or mode == PARTS_GLOBAL)
     ids = (1, 2) if resource == "mold" else (1,)
-    assert profiled == ({(resource, i) for i in ids} if binds else set())
+    # a mold's resource is its bare id, a part's ("part", id)
+    keys = {i if resource == "mold" else (resource, i) for i in ids}
+    assert profiled == (keys if binds else set())
     first = 1 if resource == "mold" else 2  # the part spans both molds
     rows = [(1, 1, 1, 40), (2, first, first, 40)]
     expected = reference_placement(inst, _tuples(rows), mode)
@@ -1028,7 +1035,7 @@ def test_work_bound_premise_holds_for_every_slot_plan():
     checked = 0
     for inst in instances:
         ctx = curesched.heuristic._context(inst, PARTS_PER_HEATER)
-        rows = curesched.domain.pair_slots(inst)
+        rows = table_slots(inst)
         rate = {(s.m1, s.m2, s.heater):
                 curesched.domain.slot_rate(inst.period_dmin, s.max_tv)
                 for s in rows}

@@ -75,6 +75,7 @@ from helpers import (
     garbage_solver,
     reference_pair_slots,
     single_mold_big,
+    table_slots,
     tiny_instance,
     toy1,
     toy1_two_heaters,
@@ -172,7 +173,7 @@ _ENTRY_POINTS = {
 @pytest.mark.parametrize("tv", [0, -5])
 @pytest.mark.parametrize("call", sorted(_ENTRY_POINTS))
 def test_a_cure_time_of_zero_or_less_cannot_run_there(call, tv):
-    """A cure time <= 0 is no heater for its mold, as in `pair_slots`.
+    """A cure time <= 0 is no heater for its mold, as in `pair_table`.
     Mold 1 has no other heater in toy1, so nothing cures it: a
     `CureschedError`, or an infinite root bound.  In toy1_two_heaters
     heater 2 cures it, and each entry point solves around heater 1."""
@@ -814,45 +815,7 @@ def test_solves_leave_the_shared_pair_table_as_derived(monkeypatch, mode):
         build_model(inst, 2, mode)
     assert derived
     for inst in list(derived):
-        assert list(curesched.domain.pair_slots(inst)) == (
-            reference_pair_slots(inst)), inst.name
-
-
-def _flat_rows(monkeypatch):
-    """The `pair_slots` rows built, one entry each."""
-    built = []
-    real = curesched.domain.PairSlot
-
-    def spy(*fields):
-        built.append(fields[:3])
-        return real(*fields)
-
-    monkeypatch.setattr(curesched.domain, "PairSlot", spy)
-    return built
-
-
-@pytest.mark.parametrize("seed", (2, 11))
-def test_a_cold_hop_builds_no_flat_pair_rows(monkeypatch, seed):
-    """The solvers read the pair table's records, so a cold `run_hop`
-    builds no `pair_slots` row: S02's heuristic meets its root bound, and
-    S11's exact stage searches a component.  `build_model` builds the
-    instance's rows once, and a second model reads the same tuple."""
-    built = _flat_rows(monkeypatch)
-    inst = small(seed)
-    report, _ = run_hop(inst, HopConfig(heuristic=SMALL_HEURISTIC))
-    assert report.status == "optimal"
-    if seed == 2:
-        assert report.nodes == 0
-        assert report.makespan == root_bound(inst, PARTS_PER_HEATER)
-    else:
-        assert report.nodes > 0
-    assert built == [] and inst._pair_slots is None
-    build_model(inst, 2)
-    rows = curesched.domain.pair_slots(inst)
-    assert built == [(s.m1, s.m2, s.heater) for s in rows] != []
-    build_model(inst, 3)
-    assert curesched.domain.pair_slots(inst) is rows
-    assert len(built) == len(rows)
+        assert table_slots(inst) == reference_pair_slots(inst), inst.name
 
 
 def _no_child(monkeypatch):

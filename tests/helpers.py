@@ -7,17 +7,18 @@ bounded search with no bound pruning and no dominance reasoning, so they share
 no logic with the branch-and-bound solver they are checking.
 `plain_memo_solve` is the one exception: the solver itself, with the
 exact-repeat memo it had before dominance, to check that pruning against.
-`reference_context` and `reference_improvement` likewise keep the
-heuristic's older code, and `reference_heater_table` the exact search's,
-to check their rewrites against.
+
+A helper here is a fixture or an independent route to an answer the
+package gives; no helper keeps a former body of package code.  A refactor
+shows it keeps behaviour through the frozen digests, and a digest run of
+the old code against the new on a scratch copy, recorded in CHANGES.md.
 """
 
 import random
 import shlex
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
-from operator import attrgetter
 from typing import NamedTuple
 
 import curesched.exact
@@ -25,34 +26,22 @@ from curesched.bounds import residual_bound
 from curesched.domain import (
     EMPTY,
     AssignmentTuple,
-    ChangeoverMemo,
     Instance,
     Mold,
     Part,
     PARTS_GLOBAL,
     PARTS_PER_HEATER,
     Schedule,
-    ceil_div,
-    first_capacity,
-    heater_walk,
     initial_residents,
-    multiset,
     pair_table,
     part_usage,
-    periods_for,
     plan_slot,
-    produced_by_mold,
-    schedule_makespan,
-    slot_rate,
     transition_work,
-    uncovered_molds,
-    validate_schedule,
 )
 from curesched.errors import NoFeasiblePlacement
 from curesched.gen import SCENARIOS, generate_instance
 
 PHI = 14400  # one day in deciminutes
-_BY_ID = attrgetter("id")
 
 
 def toy1() -> Instance:
@@ -135,112 +124,6 @@ def reference_pair_slots(inst: Instance) -> list:
             slots.append(PairSlot(m1=i, m2=j, heater=k, counts=counts,
                                   usage=usage, max_tv=max_tv))
     return slots
-
-
-def reference_heater_table(inst: Instance, parts_mode) -> dict:
-    """`exact._heater_table` as it read the flat pair rows, its body kept
-    verbatim, the rows now `reference_pair_slots`: per heater, its rows as
-    (pair, `multiset` of its molds, needs, slowest cure time), each pair's
-    shared values worked out at its first row.  Its needs list every
-    mold's copies and, in global mode, every part's units, also those
-    that can never run out."""
-    shared = parts_mode != PARTS_PER_HEATER
-    table = {k: [] for k in inst.heaters}
-    pair = None
-    for m1, m2, k, counts, usage, max_tv in reference_pair_slots(inst):
-        if (m1, m2) != pair:  # a pair's rows come together and share these
-            pair = (m1, m2)
-            molds = multiset(counts)
-            needs = [(m, c, inst.mold_by_id[m].copies) for m, c in molds]
-            if shared:
-                needs += [(("part", p), c, inst.part_by_id[p].units)
-                          for p, c in usage.items()]
-            needs = tuple(needs)
-        table[k].append((pair, molds, needs, max_tv))
-    return table
-
-
-@dataclass(frozen=True)
-class _Context:
-    """The heuristic's run context as it was laid out before its per-pair
-    records: five per-pair dicts (`heaters`, `counts`, `held`,
-    `held_global`, `set_of`), one context for both parts modes."""
-
-    batch: dict
-    demand: dict
-    pool: list
-    pools: dict
-    heaters: dict
-    counts: dict
-    held: dict
-    held_global: dict
-    initial: dict
-    plans: ChangeoverMemo
-    heater_sets: list
-    working: int
-    set_of: dict
-    sets_with: dict
-
-
-def reference_context(inst: Instance) -> _Context:
-    """`heuristic._context` derived the older way, its body kept verbatim:
-    each row appended through `setdefault`, each pair's heaters sorted on
-    (-rate, id), and every heater set scanned for each heater.  It gives
-    the older layout (`_Context` here), both parts modes in one."""
-    heaters, counts, usage = {}, {}, {}
-    for s in reference_pair_slots(inst):  # each pair's heaters ascending
-        pair = (s.m1, s.m2)
-        heaters.setdefault(pair, []).append(
-            (s.heater, slot_rate(inst.period_dmin, s.max_tv), s.max_tv))
-        counts[pair], usage[pair] = s.counts, s.usage
-    ids = {pair: tuple(row[0] for row in rows)
-           for pair, rows in heaters.items()}
-    heater_sets = sorted(set(ids.values()))
-    index = {hs: i for i, hs in enumerate(heater_sets)}
-    demand = {m.id: m.demand for m in inst.molds if m.demand > 0}
-
-    # a mold with at least 2 copies per heater that cures it never binds,
-    # nor a part with 2 units per heater that cures one of its molds
-    cures = inst.compat_heaters
-    binding_copies = {m.id: m.copies for m in inst.molds
-                      if m.copies < 2 * len(cures[m.id])}
-    binding_units = {p.id: p.units for p in inst.parts
-                     if p.units < 2 * len(set().union(
-                         *(cures.get(m, ()) for m in p.molds)))}
-
-    held, held_global = {}, {}
-    for pair in heaters:
-        held[pair] = rows = [(("mold", m), c, binding_copies[m])
-                             for m, c in counts[pair].items()
-                             if m in binding_copies]
-        held_global[pair] = rows + [(("part", p), u, binding_units[p])
-                                    for p, u in usage[pair].items()
-                                    if p in binding_units]
-
-    setup = {m.id: m.setup_dmin for m in inst.molds}
-    pool = [pair for pair in sorted(heaters)
-            if all(m in demand for m in pair if m != EMPTY)
-            and sum(setup[m] * c for m, c in counts[pair].items())
-            <= inst.period_dmin]
-    return _Context(
-        batch={m.id: ceil_div(m.demand, m.copies) for m in inst.molds
-               if m.id in demand and m.copies > 0},
-        demand=demand,
-        pool=pool,
-        pools={frozenset(): pool},
-        heaters={pair: sorted(rows, key=lambda row: (-row[1], row[0]))
-                 for pair, rows in heaters.items()},
-        counts={pair: multiset(c) for pair, c in counts.items()},
-        held=held,
-        held_global=held_global,
-        initial={k: multiset(r) for k, r in initial_residents(inst).items()},
-        plans=ChangeoverMemo(inst),
-        heater_sets=heater_sets,
-        working=len(set().union(*heater_sets)),
-        set_of={pair: index[hs] for pair, hs in ids.items()},
-        sets_with={k: [i for i, hs in enumerate(heater_sets) if k in hs]
-                   for k in inst.heaters},
-    )
 
 
 def pair_table_corpus() -> list:
@@ -340,109 +223,6 @@ def reference_placement(inst: Instance, tuples,
                                if u + extra > capacity[res]], default=0)
                           for extra in range(3)]
     return Schedule(tuples=sorted(placed, key=lambda t: t.id))
-
-
-def _reference_shave(inst: Instance, schedule: Schedule,
-                     ctx: _Context) -> Schedule:
-    """Trim the last tuple on each heater down to what demand still needs.
-
-    An identical pair loses two tires per quantity step, so its cut is
-    halved. A trimmed tuple keeps its heater, start and predecessor, so the
-    changeover it was placed with, at its heater's cure time and rate,
-    sizes its new length.
-    """
-    tuples = sorted(schedule.tuples, key=_BY_ID)
-    produced = produced_by_mold(tuples)
-
-    # each heater's last tuple, with what its predecessor left behind
-    last_on = {}
-    for k, t, residents, prev_end in heater_walk(inst, tuples):
-        last_on[k] = (t, residents, prev_end)
-
-    out = {t.id: t for t in tuples}
-    for k, (last, residents, prev_end) in last_on.items():
-        if last.q <= 1:
-            continue
-        surplus = min(
-            produced[m] - inst.mold_by_id[m].demand
-            for m in last.mold_counts()
-        )
-        if last.m1 != EMPTY and last.m1 == last.m2:
-            delta = min(last.q - 1, surplus // 2)
-        else:
-            delta = min(last.q - 1, surplus)
-        if delta <= 0:
-            continue
-        new_q = last.q - delta
-        pair = last.m1, last.m2
-        work = ctx.plans[multiset(residents), ctx.counts[pair],
-                         last.start > prev_end]
-        _k, r, cure = next(row for row in ctx.heaters[pair] if row[0] == k)
-        length = periods_for(new_q, first_capacity(inst.period_dmin, work,
-                                                   cure), r)
-        out[last.id] = replace(last, q=new_q, length=length)
-        for m, c in last.mold_counts().items():
-            produced[m] -= c * delta
-    return Schedule(tuples=sorted(out.values(), key=_BY_ID))
-
-
-def _reference_split(tuples) -> list:
-    """The improvement step's split list: each two-mold tuple, in id order,
-    becomes two halves (identical pairs two identical pairs, mixed pairs two
-    singles) with fresh ids past the largest; singles stay as they are."""
-    base = sorted(tuples, key=_BY_ID)
-    next_id = max((t.id for t in base), default=0)
-    split = []
-    for t in base:
-        if t.m1 != EMPTY:
-            q_hi = ceil_div(t.q, 2)
-            q_lo = t.q - q_hi
-            if t.m1 == t.m2:
-                halves = ((t.m1, t.m2, q_hi), (t.m1, t.m2, q_lo))
-            else:
-                halves = ((EMPTY, t.m1, q_hi), (EMPTY, t.m2, q_lo))
-            for m1, m2, q in halves:
-                if q >= 1:
-                    next_id += 1
-                    split.append(AssignmentTuple(id=next_id, m1=m1, m2=m2, q=q))
-        else:
-            split.append(AssignmentTuple(id=t.id, m1=t.m1, m2=t.m2, q=t.q))
-    return split
-
-
-def reference_improvement(inst: Instance, schedule: Schedule,
-                          parts_mode: str = PARTS_PER_HEATER, *,
-                          ctx=None) -> Schedule:
-    """The heuristic's improvement step on `AssignmentTuple`s, as it ran
-    before it worked on rows: its body, `_split` and
-    `_shave_overproduction` kept verbatim (as `_reference_split` and
-    `_reference_shave`), with `reference_placement` as its placement, the
-    split's coverage counted on the split list itself and the context
-    derived by `reference_context`.  Returns `schedule` itself when it
-    keeps no candidate.
-
-    Split-reassign-shave local search; keeps strictly better schedules.
-    Every two-mold tuple splits into two halves (identical pairs into two
-    identical pairs, mixed pairs into two singles), everything is placed
-    from scratch, and overproduced tails are shaved. The candidate
-    replaces the incumbent only when it can be placed, is feasible and is
-    strictly shorter; a split list that misses demand is not placed.
-    """
-    ctx = ctx or reference_context(inst)
-    improved = schedule
-    while not uncovered_molds(inst, produced_by_mold(
-            _reference_split(improved.tuples))):
-        try:
-            candidate = reference_placement(
-                inst, _reference_split(improved.tuples), parts_mode)
-        except NoFeasiblePlacement:
-            return improved
-        candidate = _reference_shave(inst, candidate, ctx)
-        if not (schedule_makespan(candidate) < schedule_makespan(improved)
-                and validate_schedule(inst, candidate, parts_mode).ok):
-            return improved
-        improved = candidate
-    return improved
 
 
 def garbage_solver(tmp_path, solution="garbage") -> str:

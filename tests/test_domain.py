@@ -123,27 +123,24 @@ def test_mixed_pair_needs_common_heater():
     assert _keys(table_slots(inst)) == [(0, 1, 1), (1, 1, 1)]
 
 
-def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
+def _pair_table_inputs() -> list:
+    """The pair-table corpus, its components and every malformed variant."""
     insts = pair_table_corpus()
-    for inst in insts + [c for inst in insts for c in components(inst)]:
-        table = pair_table(inst)
-        assert pair_table(inst) is table, inst.name
-        assert table_slots(inst) == reference_pair_slots(inst), inst.name
+    insts += [c for inst in insts for c in components(inst)]
+    return insts + list(malformed_variants().values())
 
 
-def test_the_flat_rows_are_the_pair_table_flattened():
-    """`pair_table` flattens into the per-heater reference derivation, in
-    order, on the pair-table corpus and on every malformed variant.  Each
-    record's rows are its heaters with their `slot_rate` and slowest cure
-    time, fastest first and ids breaking ties, and its setup flag is what
-    an in-test check of its copies, part units and joint setup against
-    the period gives."""
-    insts = pair_table_corpus() + list(malformed_variants().values())
-    for inst in insts:
+def test_pair_table_is_kept_and_matches_the_per_heater_derivation():
+    """`pair_table` is kept on the instance, and each record is what the
+    per-heater reference derivation gives for its pair, on
+    `_pair_table_inputs()`: its rows are its heaters with their
+    `slot_rate` and slowest cure time, fastest first and ids breaking
+    ties, and its setup flag is what an in-test check of its copies, part
+    units and joint setup against the period gives."""
+    for inst in _pair_table_inputs():
         phi = inst.period_dmin
         table = pair_table(inst)
         assert pair_table(inst) is table, inst.name
-        assert table_slots(inst) == reference_pair_slots(inst), inst.name
         on = {}
         for s in reference_pair_slots(inst):
             on.setdefault((s.m1, s.m2), []).append(s)
@@ -162,6 +159,13 @@ def test_the_flat_rows_are_the_pair_table_flattened():
                         for m, c in record.counts.items())
             assert record.setup_fits == (copies and units and setup <= phi), (
                 inst.name, pair)
+
+
+def test_the_flat_rows_are_the_pair_table_flattened():
+    """`pair_table` flattens into the per-heater reference derivation, row
+    for row and in order, on `_pair_table_inputs()`."""
+    for inst in _pair_table_inputs():
+        assert table_slots(inst) == reference_pair_slots(inst), inst.name
 
 
 def test_pair_slots_keeps_only_rows_a_schedule_can_run():

@@ -56,7 +56,7 @@ from helpers import (
     child_within_reach,
     pair_table_corpus,
     plain_memo_solve,
-    reference_heater_table,
+    reference_pair_slots,
     single_mold_big,
     table_slots,
     tiny_instance,
@@ -459,31 +459,27 @@ def test_a_walk_cut_short_by_the_clock_ends_the_search_at_limit(
 
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
 def test_heater_table_leaves_out_rows_that_can_never_fit(parts_mode):
-    """A pair slot that alone needs more copies of a mold, or more units
-    of a part, than exist, or whose slowest cure time exceeds the period,
-    has no row in the heater table in either parts mode; every other
-    `pair_table` slot is there, in order, with its slowest cure time, and
-    its needs stay within their limits.  Small plants have one copy per
-    mold, so none of their identical pairs remains."""
-    plants = [tiny_instance(seed) for seed in range(1000, 1200)]
-    for scenario, count in (("small", 15), ("medium", 10), ("large", 5)):
-        plants += [generate_instance(SCENARIOS[scenario], seed)
-                   for seed in range(1, count + 1)]
-    for inst in plants:
+    """Each heater's rows in `_heater_table` are exactly the `pair_table`
+    records that list the heater, in pair order, each with the record's
+    molds, its held set for the parts mode (`held_global` in global mode)
+    and its slowest cure time there, on the pair-table corpus.  So no row
+    needs more than exists or cures slower than the period.  Small plants
+    have one copy per mold, so none of their identical pairs remains."""
+    shared = parts_mode == PARTS_GLOBAL
+    for inst in pair_table_corpus():
         table = curesched.exact._heater_table(inst, parts_mode)
-        kept = [s for s in table_slots(inst)
-                if all(c <= inst.mold_by_id[m].copies
-                       for m, c in s.counts.items())
-                and all(u <= inst.part_by_id[p].units
-                        for p, u in s.usage.items())
-                and s.max_tv <= inst.period_dmin]
-        assert [(k, pair, max_tv) for k in inst.heaters
-                for pair, _, _, max_tv in table[k]] \
-            == sorted((s.heater, (s.m1, s.m2), s.max_tv) for s in kept), \
-            inst.name
-        for rows in table.values():
-            for _, _, needs, _ in rows:
+        records = pair_table(inst)
+        assert list(table) == list(inst.heaters), inst.name
+        for k, rows in table.items():
+            assert rows == [
+                (pair, record.molds,
+                 record.held_global if shared else record.held,
+                 record.cures[record.heaters.index(k)])
+                for pair, record in records.items()
+                if k in record.heaters], (inst.name, k)
+            for _, _, needs, max_tv in rows:
                 assert all(c <= limit for _, c, limit in needs), inst.name
+                assert 0 < max_tv <= inst.period_dmin, inst.name
         if inst.name.startswith("S"):
             assert all(m.copies == 1 for m in inst.molds)
             assert all(m1 != m2 for rows in table.values()
@@ -502,22 +498,37 @@ def _never_runs_out(inst, resource, limit):
     return limit >= 2 * len(heaters)
 
 
+def _full_needs(inst, molds, usage, shared):
+    """A pair's (resource, units, capacity) for every mold in `molds` and,
+    when heaters share parts, every part in `usage`, also those that can
+    never run out."""
+    needs = tuple((m, c, inst.mold_by_id[m].copies) for m, c in molds)
+    if shared:
+        needs += tuple((("part", p), u, inst.part_by_id[p].units)
+                       for p, u in usage.items())
+    return needs
+
+
 @pytest.mark.parametrize("parts_mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
 def test_heater_table_is_the_one_the_flat_rows_gave(parts_mode):
-    """Read from the `pair_table` records, `_heater_table` gives what it
-    gave when it regrouped the flat pair rows, less the needs that can
-    never run out: the same lists in the same order, on tiny 1000-1199
-    and small 1-15."""
+    """`_heater_table` regroups the flat pair rows of the per-heater
+    reference derivation by heater, in order: each row has the pair, the
+    `multiset` of its molds, its full needs less those that can never run
+    out, and its slowest cure time there, on tiny 1000-1199 and small
+    1-15."""
+    shared = parts_mode == PARTS_GLOBAL
     insts = [tiny_instance(seed) for seed in range(1000, 1200)]
     insts += [generate_instance(SCENARIOS["small"], seed)
               for seed in range(1, 16)]
     for inst in insts:
+        want = {k: [] for k in inst.heaters}
+        for s in reference_pair_slots(inst):
+            molds = multiset(s.counts)
+            needs = tuple(
+                need for need in _full_needs(inst, molds, s.usage, shared)
+                if not _never_runs_out(inst, *need[::2]))
+            want[s.heater].append(((s.m1, s.m2), molds, needs, s.max_tv))
         got = curesched.exact._heater_table(inst, parts_mode)
-        want = {k: [(pair, molds, tuple(
-            need for need in needs if not _never_runs_out(inst, *need[::2])),
-                     max_tv) for pair, molds, needs, max_tv in rows]
-                for k, rows in reference_heater_table(inst,
-                                                      parts_mode).items()}
         assert list(got.items()) == list(want.items()), inst.name
 
 
@@ -528,26 +539,34 @@ def test_the_oracle_searches_plants_alike_without_needs_that_never_bind(
     pair-table corpus.  On the searched component of large L02, L03 and
     L05, which hold molds whose copies never run out, the oracle in global
     parts mode gives the same status, makespan, node count and schedule
-    with the full needs of `reference_heater_table` as with the records',
-    up to a node cap that stops both after their first schedules."""
+    with every row's full needs as with the records', up to a node cap
+    that stops both after their first schedules."""
     for inst in pair_table_corpus():
         for pair, record in pair_table(inst).items():
-            copies = [(m, c, inst.mold_by_id[m].copies)
-                      for m, c in record.molds]
-            units = [(("part", p), u, inst.part_by_id[p].units)
-                     for p, u in record.usage.items()]
-            for full, kept in ((copies, record.held),
-                               (copies + units, record.held_global)):
-                assert kept == tuple(need for need in full if not
-                                     _never_runs_out(inst, *need[::2])), (
+            for shared, kept in ((False, record.held),
+                                 (True, record.held_global)):
+                assert kept == tuple(
+                    need for need in _full_needs(inst, record.molds,
+                                                 record.usage, shared)
+                    if not _never_runs_out(inst, *need[::2])), (
                     inst.name, pair)
+    heater_table = curesched.exact._heater_table
+
+    def full_heater_table(inst, parts_mode):
+        records = pair_table(inst)
+        return {k: [(pair, molds,
+                     _full_needs(inst, molds, records[pair].usage,
+                                 parts_mode == PARTS_GLOBAL),
+                     max_tv) for pair, molds, _, max_tv in rows]
+                for k, rows in heater_table(inst, parts_mode).items()}
+
     monkeypatch.setattr(curesched.exact, "_MAX_NODES", 400)
     for seed in (2, 3, 5):
         comp = components(generate_instance(SCENARIOS["large"], seed))[0]
         assert any(_never_runs_out(comp, m.id, m.copies)
                    for m in comp.molds), comp.name
         thb, runs = compute_thb(comp), []
-        for table in (reference_heater_table, curesched.exact._heater_table):
+        for table in (full_heater_table, heater_table):
             with monkeypatch.context() as patch:
                 patch.setattr(curesched.exact, "_heater_table", table)
                 report = solve_exact(comp, thb, PARTS_GLOBAL,

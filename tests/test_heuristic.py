@@ -17,7 +17,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -32,8 +32,12 @@ from curesched.domain import (
     Mold,
     Schedule,
     Part,
+    initial_residents,
+    multiset,
+    pair_table,
     produced_by_mold,
     schedule_makespan,
+    uncovered_molds,
     validate_instance,
     validate_schedule,
 )
@@ -57,8 +61,6 @@ from curesched.horizon import horizon_witness
 from helpers import (
     malformed_variants,
     pair_table_corpus,
-    reference_context,
-    reference_improvement,
     reference_placement,
     single_mold_big,
     table_slots,
@@ -211,41 +213,61 @@ def test_pool_is_the_runnable_pairs_whose_joint_setup_fits(corpus):
         ], inst.name
 
 
-def test_context_matches_the_reference_derivation():
-    """`_context` in one pass gives what the older derivation gave, field
-    by field and in the same order (`pool`, `heater_sets`, `sets_with`
-    and every dict's keys), in both parts modes, on the pair-table corpus
-    (tiny 1000-1199 and the plants among it) and on malformed instances;
-    only `plans`, a fresh memo per run, is left out.  Its five per-pair
-    dicts map onto the `pairs` records, in the same pair order: `heaters`
-    rows, `counts`, `held` per heater or `held_global` in global mode
-    (where the records key a mold by its bare id), and `set_of`."""
+def test_context_reads_the_pair_table():
+    """`_context` gives one `_Pair` per `pair_table` record, in pair order,
+    with the record's rows (fastest first, ids breaking ties), its molds
+    and its held set for the parts mode (`held_global` in global mode),
+    in both parts modes, on the pair-table corpus (tiny 1000-1199 and the
+    plants among it) and on malformed instances.  Its heater sets, their
+    indices, the sets holding each heater and the working heaters follow
+    from the records; demand, batch sizes and the initial loading from
+    the instance."""
     insts = pair_table_corpus() + list(malformed_variants().values())
     for inst, mode in product(insts, (PARTS_PER_HEATER, PARTS_GLOBAL)):
-        got = curesched.heuristic._context(inst, mode)
-        want = reference_context(inst)
-        assert got.parts_mode == mode
-        for field in fields(got):
-            if field.name in ("plans", "pairs", "parts_mode"):
-                continue
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert a == b, (inst.name, field.name)
-            if isinstance(a, dict):
-                assert list(a.items()) == list(b.items()), (inst.name,
-                                                            field.name)
-        held = "held_global" if mode == PARTS_GLOBAL else "held"
-        for name, attr in (("heaters", "heaters"), ("counts", "molds"),
-                           (held, "held"), ("set_of", "heater_set")):
-            b = getattr(want, name)
-            if name == held:  # the records key a mold by its bare id
-                b = {pair: tuple((r[1] if r[0] == "mold" else r, n, cap)
-                                 for r, n, cap in rows)
-                     for pair, rows in b.items()}
-            assert list(got.pairs) == list(b), (inst.name, name)
-            assert [getattr(r, attr) for r in got.pairs.values()] \
-                == list(b.values()), (inst.name, mode, name)
-    old = {"heaters", "counts", "held", "held_global", "set_of"}
-    assert old.isdisjoint(f.name for f in fields(got))
+        table = pair_table(inst)
+        ctx = _context(inst, mode)
+        assert ctx.parts_mode == mode
+        assert list(ctx.pairs) == list(table), inst.name
+        sets = sorted({record.heaters for record in table.values()})
+        assert ctx.heater_sets == sets, inst.name
+        for pair, record in table.items():
+            got = ctx.pairs[pair]
+            assert got.heaters == record.rows == sorted(
+                record.rows, key=lambda row: (-row[1], row[0])), inst.name
+            assert got.molds == record.molds, inst.name
+            assert got.held == (record.held_global if mode == PARTS_GLOBAL
+                                else record.held), (inst.name, mode, pair)
+            assert sets[got.heater_set] == record.heaters, inst.name
+        assert ctx.sets_with == {k: [i for i, hs in enumerate(sets) if k in hs]
+                                 for k in inst.heaters}, inst.name
+        assert ctx.working == len({k for hs in sets for k in hs}), inst.name
+        demand = [(m.id, m.demand) for m in inst.molds if m.demand > 0]
+        assert list(ctx.demand.items()) == demand, inst.name
+        assert ctx.batch == {m.id: math.ceil(m.demand / m.copies)
+                             for m in inst.molds
+                             if m.demand > 0 and m.copies > 0}, inst.name
+        assert ctx.initial == {k: multiset(r) for k, r
+                               in initial_residents(inst).items()}, inst.name
+
+
+def test_a_pair_whose_joint_setup_breaks_the_period_is_never_drawn():
+    """On toy1 with two heaters and a setup of 8000 per mold, a single's
+    setup fits the 14400 period but any pair's joint setup does not: the
+    pair table keeps those pairs with `setup_fits` False, the pool leaves
+    them out, and a run gives a valid schedule of singles."""
+    base = toy1_two_heaters()
+    inst = variant(base, molds=tuple(replace(m, setup_dmin=8000)
+                                     for m in base.molds))
+    table = pair_table(inst)
+    assert {pair: record.setup_fits for pair, record in table.items()} == {
+        (0, 1): True, (0, 2): True, (1, 1): False, (1, 2): False,
+        (2, 2): False}
+    for mode in (PARTS_PER_HEATER, PARTS_GLOBAL):
+        assert _context(inst, mode).pool == [(0, 1), (0, 2)]
+        sched = run_heuristic(inst, HeuristicConfig(
+            total_iterations=20, seed=1, parts_mode=mode))
+        assert validate_schedule(inst, sched, mode).ok
+        assert {(t.m1, t.m2) for t in sched.tuples} <= {(0, 1), (0, 2)}
 
 
 @pytest.mark.parametrize("seed", (9, 11))
@@ -515,13 +537,24 @@ def test_improvement_never_degrades_and_stays_feasible():
 
 @pytest.mark.parametrize("mode", [PARTS_PER_HEATER, PARTS_GLOBAL])
 @pytest.mark.parametrize("corpus", ["tiny", "plants"])
-def test_improve_gives_the_reference_improvement(corpus, mode):
+def test_improve_keeps_placed_or_a_shorter_valid_fixed_point(
+        monkeypatch, corpus, mode):
     """On every start whose first split covers demand, at 20 starts on
-    tiny 1000-1199 and 100 on the plants, `_improve` keeps the rows the
-    improvement step on `AssignmentTuple`s keeps (`reference_improvement`,
-    which places with `reference_placement`), and it returns the incumbent
-    list itself exactly when the reference keeps the incumbent schedule.
-    Both outcomes occur."""
+    tiny 1000-1199 and 100 on the plants, `_improve` returns `placed`
+    itself, untouched, or strictly shorter rows that validate in the
+    run's parts mode and cover demand.  Either result is a fixed point:
+    improved again, it comes back itself.  Both outcomes occur.  Each
+    candidate is shaved against what it cures, and still covers demand
+    once shaved."""
+    shave = curesched.heuristic._shave
+
+    def checked_shave(inst, ctx, candidate, produced):
+        assert produced == produced_by_mold(_tuples(candidate)), inst.name
+        shave(inst, ctx, candidate, produced)
+        assert produced == produced_by_mold(_tuples(candidate)), inst.name
+        assert not uncovered_molds(inst, produced), inst.name
+
+    monkeypatch.setattr(curesched.heuristic, "_shave", checked_shave)
     kinds = Counter()
     starts = 100 if corpus == "plants" else 20
     for inst in _corpus(corpus):
@@ -534,11 +567,17 @@ def test_improve_gives_the_reference_improvement(corpus, mode):
                 placed = _uncut(inst, rows, mode, ctx)
             except NoFeasiblePlacement:
                 continue
-            initial = _schedule(placed)
-            expected = reference_improvement(inst, initial, mode)
+            before = list(placed)
             got = _improve(inst, ctx, placed)
-            assert sorted(got) == _tuple_rows(expected), (inst.name, i)
-            assert (got is placed) == (expected is initial), (inst.name, i)
+            assert placed == before, (inst.name, i)
+            if got is not placed:
+                sched = _schedule(got)
+                assert schedule_makespan(sched) \
+                    < schedule_makespan(_schedule(placed)), (inst.name, i)
+                assert validate_schedule(inst, sched, mode).ok, (inst.name, i)
+                assert not uncovered_molds(
+                    inst, produced_by_mold(sched.tuples)), (inst.name, i)
+            assert _improve(inst, ctx, got) is got, (inst.name, i)
             kinds[got is placed] += 1
     assert kinds[True] and kinds[False]
 
